@@ -21,6 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from nlp_graphrag_with_qdrant_and_neo4j_ray import config
 from nlp_graphrag_with_qdrant_and_neo4j_ray.config import PipelineConfig
 
 CFG = PipelineConfig()
@@ -117,29 +118,29 @@ def _kg_tables(sf_dir: str):
 def _kg_local_table(sf_dir: str, name: str, columns: list[str],
                     max_rows: int):
     """The published KG checkpoint table as an in-process pa.Table when
-    it is small — or None (big, or not built yet). Size is judged from
-    the parquet FOOTERS alone (a few KB of metadata I/O), the same
-    local-serving pattern as knn_ivf's small-probe path: below the
-    threshold a serving query pays zero Ray Dataset executions (each
-    costs ~1-3 s of fixed streaming-executor latency on this host);
-    above it the caller's distributed path is unchanged. Only ever
-    reads a published checkpoint (`_SUCCESS` present), so it can never
-    observe a half-written table."""
+    it is small — or None (``config.KG_LOCAL_SERVE`` off, or more than
+    ``max_rows`` rows), and the caller runs its distributed path. A cold
+    call builds the KG checkpoints once first. Size is judged from the
+    parquet FOOTERS alone (`rows_at_most`): below the threshold a
+    serving query pays zero Ray Dataset executions. Only ever reads a
+    published checkpoint (`_SUCCESS` present), so it can never observe
+    a half-written table."""
     import glob as _glob
 
     import pyarrow.parquet as _pq
 
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.state.checkpoint import (
+        rows_at_most,
+    )
+
+    if not config.KG_LOCAL_SERVE:
+        return None
     d = os.path.join(_kg_dir(sf_dir), name)
     if not os.path.exists(os.path.join(d, "_SUCCESS")):
-        return None
+        _kg_tables(sf_dir)
     files = sorted(_glob.glob(os.path.join(d, "*.parquet")))
-    if not files:
+    if not files or not rows_at_most(files, max_rows):
         return None
-    total = 0
-    for f in files:
-        total += _pq.ParquetFile(f).metadata.num_rows
-        if total > max_rows:
-            return None
     return pa.concat_tables([
         _pq.read_table(f, columns=columns) for f in files
     ])
@@ -1335,15 +1336,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         of the streaming WARC source; curated corpora leave the engine
         in the same format they arrived in. Returns the manifest; the
         oracle replays the md5 shard assignment and byte counts."""
-        import shutil
-
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.shards import (
             write_wet_archives,
         )
 
         out_dir = _kg_dir(sf_dir) + "-wet"
-        if os.environ.get("GRAFT_SHARDS_FRESH"):
-            shutil.rmtree(out_dir, ignore_errors=True)
 
         def thunk():
             import datetime as _dt
@@ -1574,22 +1571,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def _chunk_vectors_local(sf_dir: str):
         """In-process chunk_vectors checkpoint for exact vector serving,
-        or None (big table → the distributed scan; GRAFT_KG_LOCAL_SERVE=0
-        forces it). The gate is much tighter than knn_ivf's probe gate:
-        this path drags payload_text along (the brute contract returns
-        it), so past ~50 k rows a single-threaded read+decompress loses
-        to the parallel Dataset scan — measured 12.4 s local vs ~4 s
-        distributed at 206 k rows on a loaded host."""
-        if os.environ.get("GRAFT_KG_LOCAL_SERVE", "1") == "0":
-            return None
-        if not os.path.exists(os.path.join(
-                _kg_dir(sf_dir), "chunk_vectors", "_SUCCESS")):
-            _kg_tables(sf_dir)
+        or None (big table → the distributed scan). The gate,
+        config.VEC_LOCAL_ROWS, is much tighter than knn_ivf's probe
+        gate: this path drags payload_text along (the brute contract
+        returns it)."""
         return _kg_local_table(
             sf_dir, "chunk_vectors",
-            ["chunk_id", "payload_text", "embedding"],
-            int(os.environ.get("GRAFT_VEC_LOCAL_ROWS", "50000")),
-        )
+            ["chunk_id", "payload_text", "embedding"], config.VEC_LOCAL_ROWS)
 
     def kg_vector_topk(sf_dir: str):
         src = _chunk_vectors_local(sf_dir)
@@ -1762,17 +1750,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def _chunks_meta_local(sf_dir: str):
         """In-process (chunk_id, doc_id, chunk_index) projection of the
         chunks checkpoint — no text column, so even a ~1 M-chunk corpus
-        is a few-MB read. None above the row gate or with
-        GRAFT_KG_LOCAL_SERVE=0."""
-        if os.environ.get("GRAFT_KG_LOCAL_SERVE", "1") == "0":
-            return None
-        if not os.path.exists(os.path.join(
-                _kg_dir(sf_dir), "chunks", "_SUCCESS")):
-            _kg_tables(sf_dir)
+        is a few-MB read. None above the row gate."""
         return _kg_local_table(
             sf_dir, "chunks", ["chunk_id", "doc_id", "chunk_index"],
-            int(os.environ.get("GRAFT_CHUNKMETA_LOCAL_ROWS", "20000000")),
-        )
+            config.CHUNKMETA_LOCAL_ROWS)
 
     def kg_document_chain(sf_dir: str):
         """Chain walk (reference core/retrieval.py:419-467): ±2 chunks
@@ -1805,18 +1786,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
     def kg_relationship_search(sf_dir: str):
-        src = None
-        if os.environ.get("GRAFT_KG_LOCAL_SERVE", "1") != "0":
-            if not os.path.exists(os.path.join(
-                    _kg_dir(sf_dir), "edges", "_SUCCESS")):
-                _kg_tables(sf_dir)
-            src = _kg_local_table(
-                sf_dir, "edges",
-                ["src_entity_id", "dst_entity_id", "pred", "chunk_id",
-                 "weight"],
-                int(os.environ.get("GRAFT_CHUNKMETA_LOCAL_ROWS",
-                                   "20000000")),
-            )
+        src = _kg_local_table(
+            sf_dir, "edges",
+            ["src_entity_id", "dst_entity_id", "pred", "chunk_id", "weight"],
+            config.CHUNKMETA_LOCAL_ROWS)
         if src is None:
             src = _kg_tables(sf_dir)["edges"]
         rows = q.relationship_search(src, "Hugging Face", None, k=10)
@@ -4762,37 +4735,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         if not os.path.isdir(lineage_dir):
             _kg_tables(sf_dir)  # cold: build the KG (writes lineage/)
 
-        # lineage is many TINY per-batch files (metadata-bound as a
-        # Dataset read); below a size threshold fold it in-process —
-        # the standard footers-judged local fast path
-        # (GRAFT_KG_LOCAL_SERVE=0 kills it; parity pinned by the
-        # distributed branch below being the same arithmetic).
-        names = [n for n in os.listdir(lineage_dir)
-                 if n.endswith(".parquet")]
-        total = sum(os.stat(os.path.join(lineage_dir, n)).st_size
-                    for n in names)
-        if (os.environ.get("GRAFT_KG_LOCAL_SERVE", "1") != "0"
-                and total <= 256 << 20):
-            import pyarrow.dataset as pds
-
-            t = pds.dataset(lineage_dir, format="parquet").to_table(
-                columns=["stage", "row_count_in", "row_count_out",
-                         "triple_count"])
-            g = pa.table({
-                "stage": t.column("stage"),
-                "n_partitions": pa.array([1] * t.num_rows, pa.int64()),
-                "rows_in": t.column("row_count_in"),
-                "rows_out": t.column("row_count_out"),
-                "triples": t.column("triple_count"),
-            }).group_by(["stage"]).aggregate(
-                [("n_partitions", "sum"), ("rows_in", "sum"),
-                 ("rows_out", "sum"), ("triples", "sum")])
-            return ray.data.from_arrow(g.rename_columns(
-                ["stage", "n_partitions", "rows_in", "rows_out",
-                 "triples"]))
-
-        ds = ray.data.read_parquet(lineage_dir)
-
         def partial(b: pa.Table) -> pa.Table:
             g = pa.table({
                 "stage": b.column("stage"),
@@ -4807,6 +4749,22 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 ["stage", "n_partitions", "rows_in", "rows_out",
                  "triples"])
 
+        # lineage is many TINY per-batch files (metadata-bound as a
+        # Dataset read); below config.LINEAGE_LOCAL_BYTES the whole
+        # directory (judged by file sizes alone) folds in-process as one
+        # `partial` batch — same arithmetic as the distributed branch
+        names = [n for n in os.listdir(lineage_dir)
+                 if n.endswith(".parquet")]
+        total = sum(os.stat(os.path.join(lineage_dir, n)).st_size
+                    for n in names)
+        if config.KG_LOCAL_SERVE and total <= config.LINEAGE_LOCAL_BYTES:
+            import pyarrow.dataset as pds
+
+            return ray.data.from_arrow(partial(
+                pds.dataset(lineage_dir, format="parquet").to_table(
+                    columns=["stage", "row_count_in", "row_count_out",
+                             "triple_count"])))
+
         from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
             grouped_apply,
         )
@@ -4820,7 +4778,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                  "triples"])
 
         return grouped_apply(
-            ds.map_batches(partial, batch_format="pyarrow"),
+            ray.data.read_parquet(lineage_dir).map_batches(
+                partial, batch_format="pyarrow"),
             ["stage"], reduce_stage, num_partitions=4,
         )
 
@@ -6267,17 +6226,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def _kg_edges_local(sf_dir: str):
         """In-process KG edge table for graph serving, or None (big KG
-        → the distributed rounds; GRAFT_KG_LOCAL_SERVE=0 forces them
-        for tests). A cold call builds the checkpoints once first."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines import graph as g
-
-        if os.environ.get("GRAFT_KG_LOCAL_SERVE", "1") == "0":
-            return None
-        if not os.path.exists(os.path.join(
-                _kg_dir(sf_dir), "edges", "_SUCCESS")):
-            _kg_tables(sf_dir)
+        → the distributed rounds)."""
         return _kg_local_table(sf_dir, "edges", _EDGE_COLS,
-                               g.LOCAL_EDGES_THRESHOLD)
+                               config.LOCAL_EDGES_THRESHOLD)
 
     def kg_entity_pagerank(sf_dir: str):
         """Entity importance over the real KG edge list (string node
@@ -6573,8 +6524,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             # the Dataset sort below, in-process off the checkpoint
             ent = _kg_local_table(
                 sf_dir, "entity_nodes", ["entity_id", "mention_count"],
-                max_rows=20_000_000,
-            )
+                config.CHUNKMETA_LOCAL_ROWS)
             if ent is not None:
                 seeds = frozenset(
                     ent.sort_by([("mention_count", "descending"),
@@ -7912,15 +7862,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         reads footers only and recomputes exactly the missing shards.
         Returns the manifest, which the DuckDB oracle replays from the
         raw table (shard = first 8 md5 hex chars mod 8)."""
-        import shutil
-
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.shards import (
             write_training_shards,
         )
 
         out_dir = _kg_dir(sf_dir) + "-shards"
-        if os.environ.get("GRAFT_SHARDS_FRESH"):
-            shutil.rmtree(out_dir, ignore_errors=True)
         return write_training_shards(
             lambda: _read(sf_dir, "documents").select_columns(
                 ["doc_id", "text"]

@@ -64,3 +64,34 @@ class PipelineConfig:
 
 
 DEFAULT_CONFIG = PipelineConfig()
+
+
+# In-process serving. A serving query whose input is small — judged from
+# Parquet footers alone (`state.checkpoint.rows_at_most`) — reads it with
+# pyarrow and runs no Ray Dataset (each costs ~1-3 s of fixed
+# streaming-executor latency on a loaded host); above these sizes the
+# distributed path runs the same math. Module constants, read at call
+# time, so tests pin local == distributed by patching them.
+
+# master switch for the `__ray_entry__` KG-checkpoint local reads
+KG_LOCAL_SERVE = True
+# chunk_vectors rows for exact vector serving: this path drags
+# payload_text along, and past ~50 k rows a single-threaded
+# read+decompress loses to the parallel scan (measured 12.4 s local vs
+# ~4 s distributed at 206 k rows)
+VEC_LOCAL_ROWS = 50_000
+# text-free projections (chunk meta, edges for relationship search,
+# entity seeds) stay a few MB even at ~1 M chunks
+CHUNKMETA_LOCAL_ROWS = 20_000_000
+# matched term-index posting rows (`TermIndex.matched_local`)
+TERM_LOCAL_ROWS = 2_000_000
+# probed IVF-list rows (knn_ivf small-probe path, IVF-PQ exact re-rank)
+KNN_LOCAL_ROWS = 300_000
+# lineage directory bytes folded in-process (many tiny per-batch files,
+# metadata-bound as a Dataset read)
+LINEAGE_LOCAL_BYTES = 256 << 20
+# edges below which the graph solvers run vectorized inside ONE Ray
+# task (pipelines.graph): there the per-round fixed exchange latency
+# dominates (measured 5.3-10.2 s for 5 rounds on a 74 k-edge KG at
+# sf0.1), and 5 M edges × ~50 B ≈ 250 MB fit one worker
+LOCAL_EDGES_THRESHOLD = 5_000_000

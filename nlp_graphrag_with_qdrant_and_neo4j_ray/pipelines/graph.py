@@ -15,6 +15,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..config import LOCAL_EDGES_THRESHOLD
 from ..stages.shuffle import arrow_out, grouped_apply
 
 # row kinds on the shared exchange schema (key, __salt, dst, val, kind)
@@ -51,15 +52,12 @@ def _dst_salt(dst: pd.Series, salt_buckets: int) -> np.ndarray:
 
 # ---- small-graph fast path (VERDICT r4 task 4) ---------------------------
 #
-# Below this many edges, the per-round fixed exchange latency dominates
-# (measured: 5.3-10.2 s for 5 rounds on a 74 k-edge KG at sf0.1 — pure
-# fixed cost); the whole edge list fits one worker with room to spare
-# (5 M edges × ~50 B ≈ 250 MB), so the graph is solved vectorized
-# inside ONE Ray task instead. Same recurrences, same tie-breaks, same
-# rounding — distributed == local is pinned by tests/test_graph.py.
-# The probe is `limit(threshold+1).count()`, which early-stops on big
-# inputs, so at 100 TB scale the check costs a bounded partial read.
-LOCAL_EDGES_THRESHOLD = 5_000_000
+# Below config.LOCAL_EDGES_THRESHOLD edges the graph is solved vectorized
+# inside ONE Ray task instead of in distributed rounds. Same recurrences,
+# same tie-breaks, same rounding — distributed == local is pinned by
+# tests/test_graph.py. The probe is `limit(threshold+1).count()`, which
+# early-stops on big inputs, so at 100 TB scale the check costs a
+# bounded partial read.
 
 
 def _edges_below(edges_ds, threshold: int | None):

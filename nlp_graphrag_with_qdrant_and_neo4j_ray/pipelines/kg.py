@@ -39,15 +39,16 @@ def build_kg(
     cfg: PipelineConfig = DEFAULT_CONFIG,
     resume: bool = True,
     lineage: bool = True,
-    parallel_branches: bool = True,
 ):
     """Run (or resume) the full KG build; returns {table_name: Dataset}.
 
     ``pages_ds_factory`` is a zero-arg callable returning the input pages
     Dataset (a callable so a resumed run doesn't even construct the read).
     """
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
     import ray
-    import ray.data
 
     os.makedirs(out_dir, exist_ok=True)
 
@@ -68,109 +69,69 @@ def build_kg(
     def qrec(stage: str) -> QuarantineRecorder:
         return QuarantineRecorder(out_dir, stage)
 
-    # per-stage wall clock (thread-safe: one entry per unique table name),
-    # recorded into the manifest for observability
-    import time as _time
-
+    # per-stage driver wall clock (one entry per table, written from the
+    # branch threads), recorded into the manifest for observability
     stage_wall: dict[str, float] = {}
-
-    def checkpointed_timed(out_dir_, name, compute, resume=True):
-        t0 = _time.perf_counter()
-        ds = checkpointed(out_dir_, name, compute, resume=resume)
-        stage_wall[name] = round(_time.perf_counter() - t0, 3)
-        return ds
-
-    # interior stages (consumed downstream in the same run) hand their
+    # interior tables consumed downstream in the same run hand their
     # object-store blocks straight to consumers and publish the Parquet
     # checkpoint on a background thread — the write/read-back round-trip
-    # leaves the critical path (VERDICT r2 task 2). finalizers are
-    # joined before build_kg returns; the returned tables are the
-    # disk-backed reads so no object-store pin outlives the build.
+    # leaves the critical path. finalizers are joined before build_kg
+    # returns; the returned tables are the disk-backed reads so no
+    # object-store pin outlives the build. terms is not handed off: it
+    # is the n-gram explosion (~15 rows per chunk, the largest table in
+    # the build), pinning it pushes the object store into spill at large
+    # corpus sizes (measured at 1 M pages: 32-CPU wall 76 s streaming vs
+    # 122 s pinned), and its consumer (term_nodes) is off the critical
+    # path, so it streams. Leaf tables stream write_parquet directly.
+    handoff = ("documents", "chunks", "triples", "linked_triples")
     finalizers: dict = {}
-    # "0" = synchronous everywhere; "1" (default) = handoff for the
-    # bounded interior tables; "all" = also handoff the terms table.
-    # terms is the n-gram explosion (~15 rows per chunk, the largest
-    # table in the build): pinning it in the object store pushes the
-    # store into spill at large corpus sizes (measured at 1 M pages:
-    # 32-CPU wall 76 s streaming vs 122 s pinned), and its consumer
-    # (term_nodes) is off the critical path, so it streams by default.
-    handoff_mode = os.environ.get("GRAFT_CHECKPOINT_HANDOFF", "1")
 
-    def checkpointed_handoff(name, compute):
-        if handoff_mode == "0" or (name == "terms"
-                                   and handoff_mode != "all"):
-            return checkpointed_timed(out_dir, name, compute, resume=resume)
-        t0 = _time.perf_counter()
-        ds, fin = checkpointed_passthrough(out_dir, name, compute,
-                                           resume=resume)
-        stage_wall[name] = round(_time.perf_counter() - t0, 3)
-        finalizers[name] = fin
+    def stage(name: str, compute):
+        t0 = time.perf_counter()
+        if name in handoff:
+            ds, finalizers[name] = checkpointed_passthrough(
+                out_dir, name, compute, resume=resume)
+        else:
+            ds = checkpointed(out_dir, name, compute, resume=resume)
+        stage_wall[name] = round(time.perf_counter() - t0, 3)
         return ds
 
-    # slot A: the documents table and the chunks table both derive from
-    # extract(pages); running them as parallel branches (chunks re-runs
-    # the cheap extract instead of reading the documents checkpoint back)
-    # costs a little recompute and removes one sequential barrier
-    def _documents_branch():
-        return checkpointed_timed(
-            out_dir,
-            "documents",
-            lambda: pages_ds_factory().map_batches(
-                quarantined(make_extract_fn(cfg, rec("extract")), "url",
-                            DOCUMENTS, qrec("extract")),
-                batch_format="pyarrow",
-                batch_size=cfg.chunk_batch_size,
-            ),
-            resume,
-        )
+    def parallel(*branches):
+        """Run independent branches on driver threads so their
+        streaming executors overlap; returns their results in order."""
+        with ThreadPoolExecutor(max_workers=len(branches)) as pool:
+            futures = [pool.submit(b) for b in branches]
+            return [f.result() for f in futures]
 
-    def _chunks_branch():
-        return checkpointed_handoff(
-            "chunks",
-            lambda: pages_ds_factory()
-            .map_batches(
-                quarantined(make_extract_fn(cfg, None), "url", DOCUMENTS,
-                            qrec("extract")),
-                batch_format="pyarrow",
-                batch_size=cfg.chunk_batch_size,
-            )
-            .map_batches(
-                quarantined(make_chunk_fn(cfg, rec("chunk")), "doc_id",
-                            CHUNKS, qrec("chunk")),
-                batch_format="pyarrow",
-                batch_size=cfg.chunk_batch_size,
-            ),
-        )
+    # extract runs once: chunks maps the chunker over the documents
+    # handoff, and a resume with documents published re-chunks from the
+    # checkpoint without reading the pages
+    documents = stage("documents", lambda: pages_ds_factory().map_batches(
+        quarantined(make_extract_fn(cfg, rec("extract")), "url", DOCUMENTS,
+                    qrec("extract")),
+        batch_format="pyarrow",
+        batch_size=cfg.chunk_batch_size,
+    ))
+    chunks = stage("chunks", lambda: documents.map_batches(
+        quarantined(make_chunk_fn(cfg, rec("chunk")), "doc_id", CHUNKS,
+                    qrec("chunk")),
+        batch_format="pyarrow",
+        batch_size=cfg.chunk_batch_size,
+    ))
 
-    from concurrent.futures import ThreadPoolExecutor
-
-    if parallel_branches:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            f_docs = pool.submit(_documents_branch)
-            f_chunks = pool.submit(_chunks_branch)
-            documents = f_docs.result()
-            chunks = f_chunks.result()
-    else:
-        documents = _documents_branch()
-        chunks = _chunks_branch()
-
-    # the three chunk-fed branches are independent: run them on separate
-    # driver threads so the streaming executors overlap (the n-gram task
+    # the three chunk-fed branches are independent (the n-gram task
     # stage fills CPUs the actor pools leave idle)
     def _terms_branch():
         from ..schemas import TERMS, TERMS_DICT
         from ..stages.ngram import _dict_out
 
         terms_schema = TERMS_DICT if _dict_out() else TERMS
-        return checkpointed_handoff(
-            "terms",
-            lambda: chunks.map_batches(
-                quarantined(make_ngram_fn(cfg, rec("ngram")), "chunk_id",
-                            terms_schema, qrec("ngram")),
-                batch_format="pyarrow",
-                batch_size=cfg.chunk_batch_size,
-            ),
-        )
+        return stage("terms", lambda: chunks.map_batches(
+            quarantined(make_ngram_fn(cfg, rec("ngram")), "chunk_id",
+                        terms_schema, qrec("ngram")),
+            batch_format="pyarrow",
+            batch_size=cfg.chunk_batch_size,
+        ))
 
     # stage compute mode: heavy models (weights / GPU) → actor pool with
     # state in __init__; cheap deterministic doubles → stateless tasks on
@@ -192,7 +153,7 @@ def build_kg(
                 batch_format="pyarrow",
                 batch_size=cfg.embed_batch_size,
             )
-        return checkpointed_timed(out_dir, "chunk_vectors", mk, resume=resume)
+        return stage("chunk_vectors", mk)
 
     def _triples_branch():
         if tri_stage.wants_actor_pool(cfg):
@@ -212,20 +173,10 @@ def build_kg(
                 batch_format="pyarrow",
                 batch_size=cfg.triplet_batch_size,
             )
-        return checkpointed_handoff("triples", mk)
+        return stage("triples", mk)
 
-    if parallel_branches:
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            f_terms = pool.submit(_terms_branch)
-            f_vectors = pool.submit(_vectors_branch)
-            f_triples = pool.submit(_triples_branch)
-            terms = f_terms.result()
-            chunk_vectors = f_vectors.result()
-            triples = f_triples.result()
-    else:
-        terms = _terms_branch()
-        chunk_vectors = _vectors_branch()
-        triples = _triples_branch()
+    terms, chunk_vectors, triples = parallel(
+        _terms_branch, _vectors_branch, _triples_branch)
 
     # linking: broadcast alias dict (small side) + annotated triples;
     # an oversized dict spills to partitioned Parquet and linking becomes
@@ -241,48 +192,23 @@ def build_kg(
     # tail: the term-node aggregate only needs the terms table, so it
     # runs concurrently with the whole linking chain
     def _link_chain():
-        linked_ds = checkpointed_handoff("linked_triples", linked)
-        if parallel_branches:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                f_ents = pool.submit(
-                    checkpointed_timed, out_dir, "entity_nodes",
-                    lambda: entity_nodes(linked_ds, cfg), resume,
-                )
-                f_edges = pool.submit(
-                    checkpointed_timed, out_dir, "edges",
-                    lambda: edges(linked_ds, cfg), resume,
-                )
-                return linked_ds, f_ents.result(), f_edges.result()
-        ents = checkpointed_timed(
-            out_dir, "entity_nodes", lambda: entity_nodes(linked_ds, cfg),
-            resume,
-        )
-        edgs = checkpointed_timed(
-            out_dir, "edges", lambda: edges(linked_ds, cfg), resume=resume
-        )
-        return linked_ds, ents, edgs
+        linked_ds = stage("linked_triples", linked)
+        return (linked_ds, *parallel(
+            lambda: stage("entity_nodes", lambda: entity_nodes(linked_ds, cfg)),
+            lambda: stage("edges", lambda: edges(linked_ds, cfg)),
+        ))
 
-    def _term_nodes_branch():
-        return checkpointed_timed(
-            out_dir, "term_nodes", lambda: term_nodes(terms, cfg), resume=resume
-        )
-
-    if parallel_branches:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            f_link = pool.submit(_link_chain)
-            f_tn = pool.submit(_term_nodes_branch)
-            linked_ds, entity_nodes_ds, edges_ds = f_link.result()
-            term_nodes_ds = f_tn.result()
-    else:
-        linked_ds, entity_nodes_ds, edges_ds = _link_chain()
-        term_nodes_ds = _term_nodes_branch()
+    (linked_ds, entity_nodes_ds, edges_ds), term_nodes_ds = parallel(
+        _link_chain,
+        lambda: stage("term_nodes", lambda: term_nodes(terms, cfg)),
+    )
 
     # join the background checkpoint publishes (re-raises any publish
     # failure) and swap the in-memory handoff datasets for their
     # disk-backed reads so no object-store pin outlives the build
     published = {name: fin() for name, fin in finalizers.items()}
+    documents = published.get("documents", documents)
     chunks = published.get("chunks", chunks)
-    terms = published.get("terms", terms)
     triples = published.get("triples", triples)
     linked_ds = published.get("linked_triples", linked_ds)
 

@@ -31,13 +31,13 @@ operations over the Parquet tables build_kg materializes:
 
 from __future__ import annotations
 
-import os
 import re
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import config
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..functions.chunk import extract_ngrams
 from ..functions.embed import get_embedder
@@ -212,48 +212,6 @@ def term_search(terms_ds, query: str, k: int = 10,
         return terms_ds.limit(0).select_columns(["chunk_id"])
     value_set = pa.array(sorted(wanted))
 
-    # small-match local fast path (the knn_ivf pattern): a query's few
-    # terms usually match a handful of bucket files; when those are
-    # small — judged from parquet footers alone — score and top-k
-    # in-process instead of paying a Dataset plan + exchange + sort
-    # (~1-3 s fixed latency each on a loaded host). Same filter, same
-    # per-chunk sum, same (score desc, chunk_id asc) tie-break; above
-    # the threshold (or with GRAFT_TERM_LOCAL_ROWS=0) the distributed
-    # path below runs off the pruned matched() read, constructed only
-    # then.
-    if index is not None:
-        local_max = int(os.environ.get("GRAFT_TERM_LOCAL_ROWS",
-                                       "2000000"))
-        hit = index.matched_local(sorted(wanted), local_max)
-        if hit is not None:
-            import ray.data
-
-            if score == "bm25":
-                vals = pc.cast(hit.column("bm25"), pa.float64())
-            else:  # ngram_order over aggregated postings: weight × tf
-                w = [wanted[t] for t in hit.column("term").to_pylist()]
-                vals = pc.multiply(
-                    pa.array(w, pa.float64()),
-                    pc.cast(hit.column("tf"), pa.float64()),
-                )
-            out = (
-                pa.table({"chunk_id": pc.cast(hit.column("chunk_id"),
-                                              pa.string()),
-                          "score": vals})
-                .group_by("chunk_id")
-                .aggregate([("score", "sum")])
-                .rename_columns(["chunk_id", "score"])
-                .sort_by([("score", "descending"),
-                          ("chunk_id", "ascending")])
-                .slice(0, k)
-            )
-            if as_rows:
-                return out.to_pylist()
-            return ray.data.from_arrow(out)
-
-    if is_index:  # distributed path: TermIndex handle → pruned read
-        terms_ds = index.matched(sorted(wanted))
-
     def match(batch: pa.Table) -> pa.Table:
         hit = batch.filter(pc.is_in(batch.column("term"), value_set=value_set))
         if score == "bm25":
@@ -269,7 +227,7 @@ def term_search(terms_ds, query: str, k: int = 10,
         # chunk_id decodes to string here (raw terms blocks are
         # dict-encoded; the exchange concatenates blocks, and Arrow 16
         # cannot unify differing dictionaries downstream)
-        part = (
+        return (
             pa.table({"chunk_id": pc.cast(hit.column("chunk_id"),
                                           pa.string()),
                       "score": vals})
@@ -277,7 +235,27 @@ def term_search(terms_ds, query: str, k: int = 10,
             .aggregate([("score", "sum")])
             .rename_columns(["chunk_id", "score"])
         )
-        return part
+
+    # small-match local fast path (the knn_ivf pattern): a query's few
+    # terms usually match a handful of bucket files; when those are
+    # small — judged from parquet footers alone — the same kernel
+    # scores the whole match in-process as one batch (its per-chunk sum
+    # is then complete) and the top-k is a local sort with the same
+    # (score desc, chunk_id asc) tie-break, instead of paying a Dataset
+    # plan + exchange + sort (~1-3 s fixed latency each on a loaded
+    # host). Above config.TERM_LOCAL_ROWS the distributed path below
+    # runs off the pruned matched() read, constructed only then.
+    if index is not None:
+        hit = index.matched_local(sorted(wanted), config.TERM_LOCAL_ROWS)
+        if hit is not None:
+            import ray.data
+
+            out = match(hit).sort_by([("score", "descending"),
+                                      ("chunk_id", "ascending")]).slice(0, k)
+            if as_rows:
+                return out.to_pylist()
+            return ray.data.from_arrow(out)
+        terms_ds = index.matched(sorted(wanted))
 
     import pandas as pd
 
@@ -357,24 +335,6 @@ def term_search_all(terms_ds, query: str, k: int = 10,
         return s.sort_values(["score", "chunk_id"],
                              ascending=[False, True]).head(k)
 
-    if is_index:
-        local_max = int(os.environ.get("GRAFT_TERM_LOCAL_ROWS",
-                                       "2000000"))
-        hit = terms_ds.matched_local(need, local_max)
-        if hit is not None:
-            import ray.data
-
-            out = coverage_topk(pa.table({
-                "chunk_id": pc.cast(hit.column("chunk_id"), pa.string()),
-                "term": pc.cast(hit.column("term"), pa.string()),
-                "s": pc.cast(hit.column("bm25"), pa.float64()),
-            }))
-            tbl = pa.Table.from_pandas(out, preserve_index=False)
-            if as_rows:
-                return tbl.to_pylist()
-            return ray.data.from_arrow(tbl)
-        terms_ds = terms_ds.matched(need)
-
     value_set = pa.array(need)
 
     def match(batch: pa.Table) -> pa.Table:
@@ -396,6 +356,20 @@ def term_search_all(terms_ds, query: str, k: int = 10,
             .rename_columns(["chunk_id", "term", "s"])
         )
         return part
+
+    # small-match local fast path: the same kernels over the whole
+    # match as one batch (see term_search)
+    if is_index:
+        hit = terms_ds.matched_local(need, config.TERM_LOCAL_ROWS)
+        if hit is not None:
+            import ray.data
+
+            tbl = pa.Table.from_pandas(coverage_topk(match(hit)),
+                                       preserve_index=False)
+            if as_rows:
+                return tbl.to_pylist()
+            return ray.data.from_arrow(tbl)
+        terms_ds = terms_ds.matched(need)
 
     ds = (
         grouped_apply(

@@ -24,6 +24,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import config
+from ..state.checkpoint import rows_at_most
+
 
 def _as_matrix(batch: pa.Table, col: str) -> np.ndarray:
     arr = batch.column(col).combine_chunks()
@@ -391,13 +394,7 @@ def knn_ivf(embeddings_ds, query_vec, dim: int, k: int = 10, nlist: int = 64,
         # distributed path below does the same math in parallel.
         import pyarrow.parquet as pq
 
-        local_max = int(os.environ.get("GRAFT_KNN_LOCAL_ROWS", "300000"))
-        nrows = 0
-        for f in paths:
-            nrows += pq.ParquetFile(f).metadata.num_rows
-            if nrows > local_max:
-                break
-        if nrows <= local_max:
+        if rows_at_most(paths, config.KNN_LOCAL_ROWS):
             from concurrent.futures import ThreadPoolExecutor
 
             import ray.data
@@ -509,14 +506,8 @@ def knn_ivfpq_rerank(embeddings_ds, query_vec, dim: int, k: int = 10,
     # rows — in-process below the same row threshold knn_ivf uses for
     # its local fast path, a filtered Dataset scan of the probed
     # partitions above it.
-    local_max = int(os.environ.get("GRAFT_KNN_LOCAL_ROWS", "300000"))
-    nrows = 0
-    for f in paths:
-        nrows += pq.ParquetFile(f).metadata.num_rows
-        if nrows > local_max:
-            break
     id_filter = pc.field(id_col).isin(cand_ids)
-    if nrows <= local_max:
+    if rows_at_most(paths, config.KNN_LOCAL_ROWS):
         t = pa.concat_tables([
             pq.read_table(f, columns=[id_col, emb_col], filters=id_filter)
             for f in paths

@@ -68,6 +68,14 @@ def _stable_part(df: pd.DataFrame, keys: list[str], num_partitions: int) -> pd.S
     return pd.Series(h % num_partitions, index=df.index).astype("int64")
 
 
+def _from_pandas(df: pd.DataFrame) -> pa.Table:
+    """``df`` as an Arrow block without the ``b'pandas'`` schema
+    metadata: a schema carrying it is unhashable, and Ray then logs
+    ``Failed to hash the schemas`` when it unifies block schemas."""
+    tbl = pa.Table.from_pandas(df, preserve_index=False)
+    return tbl.replace_schema_metadata(None)
+
+
 def arrow_out(fn):
     """Wrap a pandas ``map_batches`` fn so its OUTPUT blocks are Arrow —
     for stages whose result unions with Arrow-block datasets (one block
@@ -77,7 +85,7 @@ def arrow_out(fn):
         out = fn(pdf)
         if isinstance(out, pa.Table):
             return out
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return _from_pandas(out)
 
     return wrapped
 
@@ -113,7 +121,7 @@ def grouped_apply(ds, keys: list[str], partition_fn, num_partitions: int = 64,
             out = partition_fn(batch.drop_columns([_PART]).to_pandas())
             if isinstance(out, pa.Table):
                 return out
-            return pa.Table.from_pandas(out, preserve_index=False)
+            return _from_pandas(out)
 
     return (
         ds.map_batches(add_part_arrow, batch_format="pyarrow",

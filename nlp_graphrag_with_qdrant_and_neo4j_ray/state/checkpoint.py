@@ -59,6 +59,21 @@ def is_complete(out_dir: str, name: str) -> bool:
     return os.path.exists(os.path.join(out_dir, name, SUCCESS))
 
 
+def rows_at_most(files: list[str], max_rows: int) -> bool:
+    """True when the Parquet ``files`` hold at most ``max_rows`` rows in
+    total, judged from their footers alone (a few KB of metadata I/O, no
+    data read) and stopping at the first footer past the cap — the size
+    gate of every in-process serving path (see ``config``)."""
+    import pyarrow.parquet as pq
+
+    total = 0
+    for f in files:
+        total += pq.ParquetFile(f).metadata.num_rows
+        if total > max_rows:
+            return False
+    return True
+
+
 def _publish(ds, path: str, write_kwargs: dict | None) -> None:
     """Write ``ds`` to ``path`` atomically (tmp dir → rename → _SUCCESS)."""
     tmp = path + ".__tmp__"

@@ -17,7 +17,7 @@ def _build(tmp_path_factory, n_blocks: int):
     out = str(tmp_path_factory.mktemp(f"det{n_blocks}"))
     return build_kg(
         lambda: pages_dataset(60, "dettest").repartition(n_blocks),
-        out, CFG, resume=False, lineage=False, parallel_branches=False,
+        out, CFG, resume=False, lineage=False,
     )
 
 

@@ -1,13 +1,15 @@
 """Entry-level local serving (checkpoint pa.Table, zero Dataset
 executions) returns exactly what the distributed graph path returns.
 
-GRAFT_KG_LOCAL_SERVE=0 forces the Dataset path; the default serves
-small KGs in-process straight off the published checkpoint
-(`_kg_local_table`), so these tests pin the two paths row-for-row on
-the same sf0.001 KG."""
+The default (``config.KG_LOCAL_SERVE``) serves small KGs in-process
+straight off the published checkpoint (`_kg_local_table`); patching it
+off, with ``config.TERM_LOCAL_ROWS`` at 0, forces the Dataset path, so
+these tests pin the two paths row-for-row on the same sf0.001 KG."""
 
 import pandas as pd
 import pytest
+
+from nlp_graphrag_with_qdrant_and_neo4j_ray import config
 
 SF = "/root/testdata/sf0.001"
 QUERIES = ["kg_entity_pagerank", "kg_entity_hits",
@@ -44,11 +46,11 @@ def test_local_serve_matches_distributed(ray_session, monkeypatch, name):
     import __ray_entry__ as entry
 
     qs = entry.queries()
-    monkeypatch.setenv("GRAFT_KG_LOCAL_SERVE", "1")
-    monkeypatch.setenv("GRAFT_TERM_LOCAL_ROWS", "100000000")
+    monkeypatch.setattr(config, "KG_LOCAL_SERVE", True)
+    monkeypatch.setattr(config, "TERM_LOCAL_ROWS", 100_000_000)
     local = _frame(qs[name](SF))
-    monkeypatch.setenv("GRAFT_KG_LOCAL_SERVE", "0")
-    monkeypatch.setenv("GRAFT_TERM_LOCAL_ROWS", "0")
+    monkeypatch.setattr(config, "KG_LOCAL_SERVE", False)
+    monkeypatch.setattr(config, "TERM_LOCAL_ROWS", 0)
     distributed = _frame(qs[name](SF))
     assert len(local) == len(distributed) > 0
     pd.testing.assert_frame_equal(local, distributed)

@@ -196,3 +196,13 @@ def test_resume_skips_completed_stages(kg_out, ray_session):
     assert after == before
     # earlier checkpoints untouched
     assert os.path.getmtime(os.path.join(out_dir, "chunks", "_SUCCESS")) == chunks_mtime
+
+    # a crash that lost chunks: they are rebuilt from the documents
+    # checkpoint, never by re-reading (or re-extracting) the pages
+    def chunk_rows(ds):
+        return sorted(ds.take_all(), key=lambda r: r["chunk_id"])
+
+    chunks_before = chunk_rows(tables3["chunks"])
+    shutil.rmtree(os.path.join(out_dir, "chunks"))
+    tables4 = build_kg(must_not_run, out_dir, CFG, resume=True, lineage=False)
+    assert chunk_rows(tables4["chunks"]) == chunks_before

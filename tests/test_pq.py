@@ -5,6 +5,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from nlp_graphrag_with_qdrant_and_neo4j_ray import config
+
 
 def _clustered(n_clusters=16, per=25, dim=32, seed=5, noise=0.6):
     rng = np.random.default_rng(seed)
@@ -181,5 +183,5 @@ def test_ivfpq_rerank_local_equals_distributed(ray_session, tmp_path,
                                  index_dir=str(tmp_path)).take_all()]
 
     local = run()
-    monkeypatch.setenv("GRAFT_KNN_LOCAL_ROWS", "0")
+    monkeypatch.setattr(config, "KNN_LOCAL_ROWS", 0)
     assert run() == local

@@ -100,16 +100,16 @@ def test_build_kg_survives_poisoned_page(tmp_path):
     )
     out = str(tmp_path / "kg")
     tables = build_kg(lambda: ray.data.from_arrow(rows), out,
-                      PipelineConfig(), resume=False, lineage=True,
-                      parallel_branches=False)
+                      PipelineConfig(), resume=False, lineage=True)
     docs = tables["documents"].take_all()
     n_en = sum(1 for r in good if r["lang"] == "en")
     assert len(docs) == n_en                    # run completed minus the skip
     assert all(d["url"] != "bad://page" for d in docs)
 
     q = ray.data.read_parquet(f"{out}/quarantine").take_all()
-    assert any(r["row_id"] == "bad://page" and r["stage"] == "extract"
-               for r in q)
+    # extract runs once per page, so the skip is recorded once
+    assert sum(1 for r in q if r["row_id"] == "bad://page"
+               and r["stage"] == "extract") == 1
 
 
 def test_quarantined_systemic_failure_raises(tmp_path):

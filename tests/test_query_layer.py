@@ -2,6 +2,7 @@
 
 import pytest
 
+from nlp_graphrag_with_qdrant_and_neo4j_ray import config
 from nlp_graphrag_with_qdrant_and_neo4j_ray.config import PipelineConfig
 
 CFG = PipelineConfig()
@@ -74,7 +75,7 @@ def test_vector_topk_ivf_local_matches_distributed(kg, tmp_path,
                                                    monkeypatch):
     """The small-probe local fast path (pyarrow read + fused einsum)
     and the distributed knn_brute path over the SAME persisted index
-    return identical top-k at the round-6 contract. GRAFT_KNN_LOCAL_ROWS
+    return identical top-k at the round-6 contract. config.KNN_LOCAL_ROWS
     picks the path: 0 forces every probe set onto the distributed
     branch, a huge value forces the local one."""
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.query import (
@@ -92,9 +93,9 @@ def test_vector_topk_ivf_local_matches_distributed(kg, tmp_path,
             ).take_all()
         )
 
-    monkeypatch.setenv("GRAFT_KNN_LOCAL_ROWS", "1000000")
+    monkeypatch.setattr(config, "KNN_LOCAL_ROWS", 1_000_000)
     local = run()
-    monkeypatch.setenv("GRAFT_KNN_LOCAL_ROWS", "0")
+    monkeypatch.setattr(config, "KNN_LOCAL_ROWS", 0)
     distributed = run()
     assert local == distributed
 
@@ -149,10 +150,10 @@ def test_term_search_all_index_local_matches_distributed(
     )
 
     idx = ensure_term_index(str(tmp_path), kg["terms"])
-    monkeypatch.setenv("GRAFT_TERM_LOCAL_ROWS", "1000000")
+    monkeypatch.setattr(config, "TERM_LOCAL_ROWS", 1_000_000)
     local = term_search_all(idx, "galaxy patrol", k=10, cfg=CFG)
     local = (local if isinstance(local, list) else local.take_all())
-    monkeypatch.setenv("GRAFT_TERM_LOCAL_ROWS", "0")
+    monkeypatch.setattr(config, "TERM_LOCAL_ROWS", 0)
     idx2 = ensure_term_index(str(tmp_path), kg["terms"])
     dist = term_search_all(idx2, "galaxy patrol", k=10,
                            cfg=CFG).take_all()
@@ -304,7 +305,7 @@ def test_term_index_matches_full_scan(kg, tmp_path):
 def test_term_search_local_matches_distributed(kg, tmp_path, monkeypatch):
     """The small-match local path (matched_local: footer-judged pyarrow
     read + in-process score/top-k) and the distributed exchange path
-    return identical results over the same index. GRAFT_TERM_LOCAL_ROWS
+    return identical results over the same index. config.TERM_LOCAL_ROWS
     picks the path: 0 forces distributed."""
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.query import term_search
     from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.termindex import (
@@ -314,10 +315,10 @@ def test_term_search_local_matches_distributed(kg, tmp_path, monkeypatch):
     idx = ensure_term_index(str(tmp_path), kg["terms"])
     for query in ("galaxy patrol research", "Hugging Face company"):
         for score in ("bm25", "ngram_order"):
-            monkeypatch.setenv("GRAFT_TERM_LOCAL_ROWS", "100000000")
+            monkeypatch.setattr(config, "TERM_LOCAL_ROWS", 100_000_000)
             local = [(r["chunk_id"], round(r["score"], 9)) for r in
                      term_search(idx, query, k=10, score=score).take_all()]
-            monkeypatch.setenv("GRAFT_TERM_LOCAL_ROWS", "0")
+            monkeypatch.setattr(config, "TERM_LOCAL_ROWS", 0)
             dist = [(r["chunk_id"], round(r["score"], 9)) for r in
                     term_search(idx, query, k=10, score=score).take_all()]
             assert local == dist

@@ -147,6 +147,33 @@ def test_hash_rows_layout_invariant():
     assert len(set(_hash_rows(contiguous, ["k", "v"]).tolist())) == 6
 
 
+def test_pandas_partition_output_schema_hashable(ray_session):
+    """A pandas partition fn's Arrow output carries no ``b'pandas'``
+    schema metadata, which would make the schema unhashable (Ray then
+    logs "Failed to hash the schemas" when it unifies blocks)."""
+    import ray.data
+
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
+        arrow_out,
+        grouped_apply,
+    )
+
+    def per_partition(pdf: pd.DataFrame) -> pd.DataFrame:
+        return pdf.groupby("k", sort=True).agg(s=("v", "sum")).reset_index()
+
+    out = arrow_out(per_partition)(pd.DataFrame({"k": ["a", "a"], "v": [1, 2]}))
+    hash(out.schema)
+    assert out.to_pylist() == [{"k": "a", "s": 3}]
+
+    ds = ray.data.from_items([{"k": f"k{i % 5}", "v": i} for i in range(50)])
+    batches = list(grouped_apply(ds, ["k"], per_partition, 4,
+                                 batch_format="pandas")
+                   .iter_batches(batch_format="pyarrow"))
+    assert batches
+    for b in batches:
+        hash(b.schema)
+
+
 def test_grouped_apply_empty_dataset(ray_session):
     import ray.data
 

@@ -2801,8 +2801,12 @@ def betweenness_sample(edges_ds, src_col: str = "src",
     deterministically chosen sources (evenly spaced ranks of the
     sorted node ids — stable across partitioning; pass ``sources``
     explicitly to override) and scale by ``n/k`` (and the undirected
-    ½) so the expectation equals exact betweenness.  With
-    ``k_sources >= n`` every node is a source and the result IS exact.
+    ½) to the exact statistic's magnitude.  The default sources are a
+    fixed quasi-sample, not a random one, so the Brandes–Pich
+    unbiasedness does not apply: the estimate can be biased when
+    centrality correlates with node-id order (pass random ``sources``
+    for the unbiased estimator).  With ``k_sources >= n`` every node
+    is a source and the result IS exact.
 
     Scale shape — parallel over SOURCES, not partitions: the CSR
     adjacency ships to the object store ONCE (``ray.put``) and
@@ -2899,10 +2903,13 @@ def harmonic_sample(edges_ds, src_col: str = "src",
                     LOCAL_EDGES_THRESHOLD):
     """Approximate harmonic (closeness-family) centrality by source
     sampling: ``H(v) = Σ_{s≠v} 1/dist(s, v)`` over the sampled
-    sources, scaled by ``n/k`` so the expectation equals the exact
-    statistic (Boldi & Vigna 2014 — harmonic handles disconnected
-    graphs where classic closeness breaks; unreachable pairs
-    contribute 0).  Exact when every node is a source.
+    sources, scaled by ``n/k`` to the exact statistic's magnitude
+    (Boldi & Vigna 2014 — harmonic handles disconnected graphs where
+    classic closeness breaks; unreachable pairs contribute 0).  The
+    default sources are the same deterministic quasi-sample as
+    :func:`betweenness_sample`'s, so there is no expectation to be
+    unbiased over; pass random ``sources`` for that.  Exact when every
+    node is a source.
 
     Same scale shape as :func:`betweenness_sample` — parallel over
     SOURCES off one ray.put CSR, O(V) vector per task slice, graph

@@ -284,10 +284,15 @@ def merge_kg(tables_a: dict, tables_b: dict) -> dict:
     alias pair BRIDGES the two corpora (tested equality on stable
     corpora in tests/test_kg_merge.py). A bridging alias yields two
     entity ids a rebuild would merge — the standard
-    incremental-vs-recanonicalize trade-off."""
+    incremental-vs-recanonicalize trade-off. Each exchange is sized
+    from the two sides' row counts (``stages.shuffle.partitions_for``)."""
     import pandas as pd
 
-    from ..stages.shuffle import grouped_apply
+    from ..stages.shuffle import grouped_apply, partitions_for
+
+    def union(name: str):
+        a, b = tables_a[name], tables_b[name]
+        return a.union(b), partitions_for(a, b)
 
     out: dict = {}
     for name in ("documents", "chunks", "terms", "triples",
@@ -301,10 +306,10 @@ def merge_kg(tables_a: dict, tables_b: dict) -> dict:
         )
         return agg.rename_columns(["term", "term_type", "chunk_count"])
 
+    ds, parts = union("term_nodes")
     out["term_nodes"] = grouped_apply(
-        tables_a["term_nodes"].union(tables_b["term_nodes"]),
-        ["term", "term_type"], merge_term_nodes,
-        num_partitions=16, batch_format="pyarrow",
+        ds, ["term", "term_type"], merge_term_nodes,
+        num_partitions=parts, batch_format="pyarrow",
     )
 
     def merge_entities(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -324,10 +329,10 @@ def merge_kg(tables_a: dict, tables_b: dict) -> dict:
         return (pdf.groupby("entity_id", sort=False)
                 .apply(fold, include_groups=False).reset_index())
 
+    ds, parts = union("entity_nodes")
     out["entity_nodes"] = grouped_apply(
-        tables_a["entity_nodes"].union(tables_b["entity_nodes"]),
-        ["entity_id"], merge_entities, num_partitions=16,
-                      batch_format="pandas")
+        ds, ["entity_id"], merge_entities, num_partitions=parts,
+        batch_format="pandas")
 
     def merge_edges(pdf: pd.DataFrame) -> pd.DataFrame:
         keys = ["src_entity_id", "dst_entity_id", "pred"]
@@ -339,9 +344,8 @@ def merge_kg(tables_a: dict, tables_b: dict) -> dict:
         )
         return agg
 
+    ds, parts = union("edges")
     out["edges"] = grouped_apply(
-        tables_a["edges"].union(tables_b["edges"]),
-        ["src_entity_id", "dst_entity_id", "pred"], merge_edges,
-        num_partitions=16,
-                      batch_format="pandas")
+        ds, ["src_entity_id", "dst_entity_id", "pred"], merge_edges,
+        num_partitions=parts, batch_format="pandas")
     return out

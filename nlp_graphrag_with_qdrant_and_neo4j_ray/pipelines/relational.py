@@ -3706,6 +3706,11 @@ def grouped_hash_sample(ds, keys: list[str], k: int, id_col: str,
     exchange, so the shuffle ships at most k rows per (batch, key)."""
 
     def add_prio(b: pa.Table) -> pa.Table:
+        # drop b'pandas' schema metadata: Ray cannot hash such a schema
+        # when it concatenates this op's outputs, and logs "Failed to
+        # hash the schemas" (the fused task holds several blocks,
+        # bundled for grouped_apply's batch size)
+        b = b.replace_schema_metadata(None)
         ids = b.column(id_col).to_numpy(zero_copy_only=False)
         prio = (ids.astype(np.uint64) * _KNUTH) & np.uint64(0xFFFFFFFF)
         return b.append_column(_PRIO, pa.array(prio.astype(np.int64)))
@@ -3736,7 +3741,8 @@ def grouped_weighted_sample(ds, keys: list[str], k: int, id_col: str,
         w = pc.cast(b.column(weight_col), pa.float64()).to_numpy(
             zero_copy_only=False)
         keep = np.isfinite(w) & (w > 0)
-        b = b.filter(pa.array(keep))
+        # no b'pandas' schema metadata (see grouped_hash_sample)
+        b = b.filter(pa.array(keep)).replace_schema_metadata(None)
         w = w[keep]
         ids = b.column(id_col).to_numpy(zero_copy_only=False)
         h = (ids.astype(np.uint64) * _KNUTH) & np.uint64(0xFFFFFFFF)
@@ -3765,8 +3771,15 @@ def grouped_winsorize(ds, keys: list[str], value_col: str,
     (keys, value); the bounds table is O(groups) and is collected once
     on the driver (bounded-cardinality keys by assumption — a census
     dimension, not a row id) and broadcast into a vectorized clip map —
-    the big table is never shuffled."""
+    the big table is never shuffled.  A null key is its own group, as
+    in SQL ``GROUP BY``; a NaN float key joins the null group (the
+    pandas group and clip steps cannot tell NaN from null), where
+    DuckDB would keep NaN a group of its own."""
     out_col = out_col or value_col + "_w"
+
+    def key_of(vals) -> tuple:
+        # NaN != NaN, so a NaN key would never find its own bounds row
+        return tuple(None if pd.isna(v) else v for v in vals)
 
     def both(pdf: pd.DataFrame) -> pd.DataFrame:
         g = pdf.groupby(keys, sort=True, dropna=False)[value_col]
@@ -3778,16 +3791,29 @@ def grouped_winsorize(ds, keys: list[str], value_col: str,
         out["__hi"] = np.round(out["__hi"].to_numpy(), ndigits)
         return out
 
-    slim = ds.map_batches(
-        lambda b: b.select(keys + [value_col]), batch_format="pyarrow")
+    def slim_batch(b: pa.Table) -> pa.Table:
+        # NaN → null before the exchange hashes the keys, or a NaN and
+        # a null key could land in two partitions and emit two bounds
+        # rows for what the lookup below sees as one key
+        b = b.select(keys + [value_col])
+        for i, k in enumerate(keys):
+            col = b.column(k)
+            if pa.types.is_floating(col.type):
+                b = b.set_column(i, k, pc.if_else(
+                    pc.is_nan(col), pa.scalar(None, col.type), col))
+        return b
+
+    slim = ds.map_batches(slim_batch, batch_format="pyarrow")
     bounds = grouped_apply(slim, keys, both,
                            num_partitions=num_partitions,
                            batch_format="pandas").to_pandas()
-    lut = {tuple(r[k] for k in keys): (r["__lo"], r["__hi"])
+    lut = {key_of(r[k] for k in keys): (r["__lo"], r["__hi"])
            for r in bounds.to_dict("records")}
 
     def clip(pdf: pd.DataFrame) -> pd.DataFrame:
         kt = list(zip(*(pdf[k] for k in keys)))
+        if pdf[keys].isna().to_numpy().any():
+            kt = [key_of(t) for t in kt]
         lo = np.fromiter((lut[t][0] for t in kt), np.float64, len(kt))
         hi = np.fromiter((lut[t][1] for t in kt), np.float64, len(kt))
         pdf[out_col] = np.clip(

@@ -589,10 +589,12 @@ def exact_cosine_pairs(embeddings_ds, threshold: float,
             return empty
         frames = []
         # the exchange partitions by hash(__pair): one partition may hold
-        # several block pairs — resolve each locally
-        pair_ids = tbl.column("__pair").to_numpy()
-        for pid in np.unique(pair_ids):
-            grp = tbl.filter(pc.equal(tbl.column("__pair"), pid))
+        # several block pairs — sort once, then resolve each run locally
+        tbl = tbl.sort_by("__pair")
+        pids, starts, lens = np.unique(tbl.column("__pair").to_numpy(),
+                                       return_index=True, return_counts=True)
+        for pid, start, n in zip(pids, starts, lens):
+            grp = tbl.slice(int(start), int(n))
             i, j = divmod(int(pid), B)
             blks = grp.column("__blk").to_numpy()
             if i == j:

@@ -87,7 +87,7 @@ def collect_alias_dict(triples_ds, cfg: PipelineConfig, max_aliases: int = 2_000
     import numpy as np
     import pyarrow.compute as pc
 
-    from .shuffle import grouped_apply
+    from .shuffle import grouped_apply, partitions_for
 
     model, dim = cfg.embedding_model, cfg.vector_size
     threshold = getattr(cfg, "alias_threshold", 0.96)
@@ -142,7 +142,9 @@ def collect_alias_dict(triples_ds, cfg: PipelineConfig, max_aliases: int = 2_000
         distinct.map_batches(keyed, batch_format="pyarrow", batch_size=65536),
         ["bucket"],
         merge_bucket,
-        num_partitions=256, batch_format="pandas",
+        # at most two distinct names per triple reach the exchange
+        num_partitions=partitions_for(triples_ds, per_row=2),
+        batch_format="pandas",
     ).materialize()  # small by construction; read twice below (count + use)
     n_alias = merged.count()
 
@@ -234,9 +236,11 @@ def make_linker_fn(alias_lookup: BroadcastLookup | None, cfg: PipelineConfig):
     Vectorized hot path: ``canonical_key``/dict lookups run once per
     DISTINCT name in the batch (entity names repeat heavily in web text)
     and fan back out through a pandas ``Series.map``; the salt comes from
-    one vectorized ``hash_pandas_object`` over chunk_id (the same
-    deterministic hash the shuffle layer uses) instead of a per-row
-    blake2b."""
+    one vectorized ``hash_pandas_object`` over chunk_id instead of a
+    per-row blake2b. That is pandas' seedless row hash, not the polars
+    ``hash_rows`` the shuffle layer partitions with
+    (``shuffle._hash_rows``): the salt is a stored column of
+    ``linked_triples``, so it must not depend on a hasher seed."""
     salt_buckets = cfg.salt_buckets
 
     def link(batch: pa.Table) -> pa.Table:
@@ -423,14 +427,20 @@ def make_final_entity_partition(cfg: PipelineConfig):
     return final
 
 
-def entity_nodes(linked_ds, cfg: PipelineConfig, num_partitions: int = 256):
+def entity_nodes(linked_ds, cfg: PipelineConfig,
+                 num_partitions: int | None = None):
     """Two-level salted canonicalization → entity_nodes table.
 
     Both levels run partition-wise (stages/shuffle.py): the salt column
     spreads a head entity's partials over ``salt_buckets`` level-1 groups;
-    level-2 sees ≤ salt_buckets rows per entity regardless of skew."""
-    from .shuffle import grouped_apply
+    level-2 sees ≤ salt_buckets rows per entity regardless of skew.
+    ``num_partitions=None`` sizes both levels from their bound, two
+    mention rows per linked triple (level 2 sees at most level 1's
+    input)."""
+    from .shuffle import grouped_apply, partitions_for
 
+    if num_partitions is None:
+        num_partitions = partitions_for(linked_ds, per_row=2)
     partials = linked_ds.map_batches(
         partial_entities, batch_format="pyarrow", batch_size=65536
     )
@@ -470,8 +480,10 @@ def edges(linked_ds, cfg: PipelineConfig, with_pred_embedding: bool = True):
     (stages/ngram.py — ~28 s at 8 CPUs); hashing the key triple to an
     int partition column turns the exchange into an int sort with the
     string groupby done locally, Arrow-native on both sides (VERDICT r2
-    finding 6; pandas-vs-arrow measurement in BASELINE.md)."""
-    from .shuffle import grouped_apply
+    finding 6; pandas-vs-arrow measurement in BASELINE.md).
+    The exchange is sized from the linked-triple count (the combiner
+    emits at most one row per triple)."""
+    from .shuffle import grouped_apply, partitions_for
 
     partials = linked_ds.map_batches(
         partial_edges, batch_format="pyarrow", batch_size=65536
@@ -489,7 +501,7 @@ def edges(linked_ds, cfg: PipelineConfig, with_pred_embedding: bool = True):
 
     agg = grouped_apply(
         partials, ["src_entity_id", "dst_entity_id", "pred"], agg_partition,
-        num_partitions=256, batch_format="pyarrow",
+        num_partitions=partitions_for(linked_ds), batch_format="pyarrow",
     )
     model, dim = cfg.embedding_model, cfg.vector_size
 

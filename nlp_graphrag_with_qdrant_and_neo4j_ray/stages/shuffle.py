@@ -9,11 +9,23 @@ group-dispatch overhead on 500 docs). The scalable shape is:
     groupby(__part)                                        (one shuffle)
     per partition: ONE vectorized local groupby over keys  (map_groups)
 
-One shuffle, ``num_partitions`` function calls total, local group logic
-fully vectorized. Skew note: a hot KEY still lands in one partition, but
-per-key work here is per-row-linear (the combiners upstream cap per-key
-row counts), so partitions stay balanced; key-salting (see
-stages/link.py) handles the head-key case before this exchange.
+One shuffle, one function call per non-empty partition, local group
+logic fully vectorized. Each call has a fixed cost, so the partition
+count is sized from the input, not fixed (Spark AQE's post-shuffle
+coalescing, the same idea):
+
+    partitions_for(rows) = min(MAX_PARTITIONS,
+        max(cluster CPUs, ceil(rows / ROWS_PER_PARTITION)))
+
+``rows`` comes from metadata alone (Parquet footers of a checkpoint
+read, block metadata of a materialized handoff) — sizing never executes
+a Dataset. A lazy partial is bounded by its source (two entity mentions
+per linked triple, ``per_row=2``); an input of unknown size gets the
+cap. The count never changes an output row: every fold is per key.
+Skew note: a hot KEY still lands in one partition, but per-key work
+here is per-row-linear (the combiners upstream cap per-key row counts),
+so partitions stay balanced; key-salting (see stages/link.py) handles
+the head-key case before this exchange.
 
 The EXCHANGE is always zero-copy Arrow (blocks ship as Arrow through the
 object store; a pandas-block exchange pickles per block and was measured
@@ -31,6 +43,47 @@ import pandas as pd
 import pyarrow as pa
 
 _PART = "__part"
+
+# rows one partition call is sized for: sf0.1's smallest spine exchange
+# (edges, ~1.45 M linked triples) still gets the cap on 32 CPUs, while
+# the 15 k-triple build_crawl tail gets at most 8 partitions on 1 CPU
+ROWS_PER_PARTITION = 4096
+# the partition count every spine exchange used before it was sized
+MAX_PARTITIONS = 256
+
+
+def _known_rows(datasets) -> int | None:
+    """Total rows of ``datasets`` from metadata alone — Parquet footers
+    for a ``read_parquet``, block metadata for a materialized Dataset —
+    or None when any of them is unknown without running it (a lazy map
+    or a union). Never executes a Dataset."""
+    total = 0
+    for ds in datasets:
+        n = ds._meta_count()
+        if n is None:
+            return None
+        total += n
+    return total
+
+
+def _cluster_cpus() -> int:
+    import ray
+
+    return int(ray.cluster_resources().get("CPU", 1))
+
+
+def partitions_for(*datasets, per_row: int = 1) -> int:
+    """Partition count for an exchange whose input is at most
+    ``per_row`` rows per row of ``datasets`` (two entity mentions per
+    linked triple): one partition per ``ROWS_PER_PARTITION`` rows, at
+    least one per cluster CPU, at most ``MAX_PARTITIONS`` — and
+    ``MAX_PARTITIONS`` when a dataset's size is unknown without running
+    it."""
+    rows = _known_rows(datasets)
+    if rows is None:
+        return MAX_PARTITIONS
+    wanted = -(-per_row * rows // ROWS_PER_PARTITION)
+    return max(1, min(MAX_PARTITIONS, max(_cluster_cpus(), wanted)))
 
 
 def _hash_rows(tbl: pa.Table, keys: list[str]) -> np.ndarray:
@@ -68,12 +121,17 @@ def _stable_part(df: pd.DataFrame, keys: list[str], num_partitions: int) -> pd.S
     return pd.Series(h % num_partitions, index=df.index).astype("int64")
 
 
-def _from_pandas(df: pd.DataFrame) -> pa.Table:
-    """``df`` as an Arrow block without the ``b'pandas'`` schema
-    metadata: a schema carrying it is unhashable, and Ray then logs
-    ``Failed to hash the schemas`` when it unifies block schemas."""
-    tbl = pa.Table.from_pandas(df, preserve_index=False)
-    return tbl.replace_schema_metadata(None)
+def _arrow_block(out: pa.Table | pd.DataFrame) -> pa.Table:
+    """``out`` as an Arrow block without the ``b'pandas'`` schema
+    metadata that ``from_pandas`` attaches: a schema carrying it is
+    unhashable, and Ray then logs ``Failed to hash the schemas`` when it
+    unifies block schemas. The pandas side loses nothing it uses: Ray
+    converts pandas blocks with preserve_index=False (a RangeIndex
+    either way), and every testdata table gives the same ``to_pandas()``
+    dtypes without it."""
+    if not isinstance(out, pa.Table):
+        out = pa.Table.from_pandas(out, preserve_index=False)
+    return out.replace_schema_metadata(None)
 
 
 def arrow_out(fn):
@@ -82,10 +140,7 @@ def arrow_out(fn):
     type per batcher; grouped_apply outputs are always Arrow now)."""
 
     def wrapped(pdf: pd.DataFrame):
-        out = fn(pdf)
-        if isinstance(out, pa.Table):
-            return out
-        return _from_pandas(out)
+        return _arrow_block(fn(pdf))
 
     return wrapped
 
@@ -95,6 +150,11 @@ def grouped_apply(ds, keys: list[str], partition_fn, num_partitions: int = 64,
     """Hash-partition ``ds`` on ``keys`` and hand each WHOLE partition to
     ``partition_fn`` (which does its own local groupby over ``keys``) —
     for logic that vectorizes across groups (aggregations, windowing).
+
+    ``num_partitions`` is the number of ``partition_fn`` calls (empty
+    partitions are never called). The KG spine passes
+    ``partitions_for(<its input>)`` so the count follows the input;
+    other callers pass their own count.
 
     The partition column is computed from the KEY columns only (same
     ``_hash_rows`` everywhere — no pandas materialization) and appended to
@@ -107,21 +167,21 @@ def grouped_apply(ds, keys: list[str], partition_fn, num_partitions: int = 64,
     converts once on partition entry and once on exit.
     """
 
+    # both sides strip b'pandas' schema metadata (see _arrow_block):
+    # inputs read from pandas-written files or built with from_pandas
+    # carry it, and so do partition outputs built with from_pandas
     def add_part_arrow(batch: pa.Table) -> pa.Table:
+        batch = _arrow_block(batch)
         if batch.num_rows == 0:
             return batch.append_column(_PART, pa.array([], pa.int64()))
         part = (_hash_rows(batch, keys) % num_partitions).astype(np.int64)
         return batch.append_column(_PART, pa.array(part))
 
-    if batch_format == "pyarrow":
-        def per_partition(batch: pa.Table) -> pa.Table:
-            return partition_fn(batch.drop_columns([_PART]))
-    else:
-        def per_partition(batch: pa.Table) -> pa.Table:
-            out = partition_fn(batch.drop_columns([_PART]).to_pandas())
-            if isinstance(out, pa.Table):
-                return out
-            return _from_pandas(out)
+    def per_partition(batch: pa.Table) -> pa.Table:
+        part = batch.drop_columns([_PART])
+        if batch_format != "pyarrow":
+            part = part.to_pandas()
+        return _arrow_block(partition_fn(part))
 
     return (
         ds.map_batches(add_part_arrow, batch_format="pyarrow",

@@ -145,3 +145,119 @@ def test_winsorize_clips_planted_outliers(ray_session):
                             num_partitions=2).to_pandas()
     assert got["v_w"].max() < 2.0
     assert got["v_w"].min() > -1.0
+
+
+def test_winsorize_null_and_nan_keys_are_groups(ray_session):
+    """A null group key (None or NaN in pandas) is its own group, as in
+    SQL ``GROUP BY`` (it used to raise KeyError at the clip lookup);
+    checked against DuckDB ``quantile_cont`` over the same rows."""
+    import duckdb
+    import pyarrow as pa
+
+    n = 300
+    i = np.arange(n)
+    df = pd.DataFrame({
+        "id": i.astype(np.int64),
+        "g": np.where(i % 4 == 0, None, np.where(i % 4 == 1, "a", "b")),
+        "h": np.where(i % 3 == 0, np.nan, (i % 2).astype(np.float64)),
+        "v": np.sin(i * 0.37) * 100,
+    })
+    got = grouped_winsorize(_ds(ray_session, df), ["g", "h"], "v",
+                            q_lo=0.1, q_hi=0.9,
+                            num_partitions=3).to_pandas()
+    t = pa.Table.from_pandas(df, preserve_index=False)  # noqa: F841
+    want = duckdb.sql("""
+        SELECT id, LEAST(GREATEST(v, round(quantile_cont(v, 0.1) OVER w, 6)),
+                         round(quantile_cont(v, 0.9) OVER w, 6)) AS v_w
+        FROM t WINDOW w AS (PARTITION BY g, h) ORDER BY id""").df()
+    assert df["g"].isna().any() and df["h"].isna().any()
+    got = got.sort_values("id").reset_index(drop=True)
+    assert got["id"].tolist() == want["id"].tolist()
+    np.testing.assert_allclose(got["v_w"].to_numpy(), want["v_w"].to_numpy(),
+                               rtol=0, atol=1e-9)
+
+
+
+def test_winsorize_nan_and_null_float_key_are_one_group(ray_session):
+    """An Arrow float key that holds both NaN and null (a Parquet read
+    can; ``from_pandas`` turns every NaN into null) winsorizes NaN and
+    null rows as one group, however many partitions the exchange
+    spreads them over; checked against DuckDB with NaN read as NULL."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data
+
+    n = 400
+    i = np.arange(n)
+    h = pa.array([None if j % 5 == 0 else np.nan if j % 5 == 1
+                  else float(j % 3) for j in i], pa.float64())
+    t = pa.table({"id": i.astype(np.int64), "g": (i % 6).astype(np.int64),
+                  "h": h, "v": np.sin(i * 0.37) * 100})
+    assert h.null_count and pc.any(pc.is_nan(h)).as_py()
+    got = grouped_winsorize(ray.data.from_arrow(t).repartition(4),
+                            ["g", "h"], "v", q_lo=0.1, q_hi=0.9,
+                            num_partitions=16).to_pandas()
+    want = duckdb.sql("""
+        SELECT id, LEAST(GREATEST(v, round(quantile_cont(v, 0.1) OVER w, 6)),
+                         round(quantile_cont(v, 0.9) OVER w, 6)) AS v_w
+        FROM t WINDOW w AS (
+            PARTITION BY g, CASE WHEN isnan(h) THEN NULL ELSE h END)
+        ORDER BY id""").df()
+    got = got.sort_values("id").reset_index(drop=True)
+    assert got["id"].tolist() == want["id"].tolist()
+    np.testing.assert_allclose(got["v_w"].to_numpy(), want["v_w"].to_numpy(),
+                               rtol=0, atol=1e-9)
+
+def _schema_hash_lines(run) -> list[str]:
+    """Lines with Ray's ``Failed to hash the schemas`` warning logged
+    while ``run()`` executes: through this process's ``ray.data``
+    logger and into the Ray worker logs, where map tasks write it."""
+    import glob
+    import logging
+    import os
+
+    import ray
+
+    needle = "Failed to hash the schemas"
+    logs = ray._private.worker._global_node.get_logs_dir_path()
+    pattern = os.path.join(logs, "worker-*.err")
+    before = {p: os.path.getsize(p) for p in glob.glob(pattern)}
+    seen: list[str] = []
+
+    class Capture(logging.Handler):
+        def emit(self, record):
+            seen.append(record.getMessage())
+
+    handler = Capture()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        run()
+    finally:
+        logger.removeHandler(handler)
+    for p in glob.glob(pattern):
+        with open(p, errors="replace") as f:
+            f.seek(before.get(p, 0))
+            seen.extend(f.read().splitlines())
+    return [line for line in seen if needle in line]
+
+
+def test_sample_over_pandas_blocks_logs_no_schema_hash_warning(ray_session):
+    """grouped_hash_sample and grouped_weighted_sample over
+    pandas-origin blocks (``b'pandas'`` schema metadata) must not make
+    Ray log ``Failed to hash the schemas``; the sample keeps the
+    input's dtypes and a RangeIndex."""
+    df = _docs()
+    out: list = []
+    lines = _schema_hash_lines(lambda: out.append(
+        grouped_hash_sample(_ds(ray_session, df), ["g"], k=7,
+                            id_col="id").to_pandas()))
+    lines += _schema_hash_lines(lambda: grouped_weighted_sample(
+        _ds(ray_session, df.assign(w=1.0 + df["id"] % 3)), ["g"], 7, "id",
+        "w").to_pandas())
+    assert lines == []
+    got = out[0]
+    assert got.dtypes.to_dict() == df.dtypes.to_dict()
+    assert isinstance(got.index, pd.RangeIndex)
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(_sample_ref(df, 7)))

@@ -28,9 +28,12 @@ from ..stages.link import collect_alias_dict, edges, entity_nodes, link_triples
 from ..stages.ngram import make_ngram_fn, term_nodes
 from ..stages.tripletstage import ExtractTriples
 from ..schemas import CHUNKS, DOCUMENTS, TRIPLES
-from ..state.checkpoint import checkpointed, checkpointed_passthrough
+from ..state.checkpoint import DiskTables, checkpointed, checkpointed_passthrough
 from ..state.lineage import LineageRecorder
 from ..state.quarantine import QuarantineRecorder, quarantined
+
+TABLES = ("documents", "chunks", "terms", "term_nodes", "chunk_vectors",
+          "triples", "linked_triples", "entity_nodes", "edges")
 
 
 def build_kg(
@@ -40,7 +43,9 @@ def build_kg(
     resume: bool = True,
     lineage: bool = True,
 ):
-    """Run (or resume) the full KG build; returns {table_name: Dataset}.
+    """Run (or resume) the full KG build; returns a read-only mapping
+    {table_name: Dataset} whose Datasets are the published checkpoints,
+    each opened with ``read_parquet`` on first access (``DiskTables``).
 
     ``pages_ds_factory`` is a zero-arg callable returning the input pages
     Dataset (a callable so a resumed run doesn't even construct the read).
@@ -76,8 +81,9 @@ def build_kg(
     # object-store blocks straight to consumers and publish the Parquet
     # checkpoint on a background thread — the write/read-back round-trip
     # leaves the critical path. finalizers are joined before build_kg
-    # returns; the returned tables are the disk-backed reads so no
-    # object-store pin outlives the build. terms is not handed off: it
+    # returns; the returned tables are opened from disk on first access,
+    # so no object-store pin outlives the build and a table nobody reads
+    # is never opened. terms is not handed off: it
     # is the n-gram explosion (~15 rows per chunk, the largest table in
     # the build), pinning it pushes the object store into spill at large
     # corpus sizes (measured at 1 M pages: 32-CPU wall 76 s streaming vs
@@ -86,13 +92,15 @@ def build_kg(
     handoff = ("documents", "chunks", "triples", "linked_triples")
     finalizers: dict = {}
 
-    def stage(name: str, compute):
+    # leaf tables (no consumer in the build) are published, not opened
+    def stage(name: str, compute, read_back: bool = True):
         t0 = time.perf_counter()
         if name in handoff:
             ds, finalizers[name] = checkpointed_passthrough(
                 out_dir, name, compute, resume=resume)
         else:
-            ds = checkpointed(out_dir, name, compute, resume=resume)
+            ds = checkpointed(out_dir, name, compute, resume=resume,
+                              read_back=read_back)
         stage_wall[name] = round(time.perf_counter() - t0, 3)
         return ds
 
@@ -153,7 +161,7 @@ def build_kg(
                 batch_format="pyarrow",
                 batch_size=cfg.embed_batch_size,
             )
-        return stage("chunk_vectors", mk)
+        return stage("chunk_vectors", mk, read_back=False)
 
     def _triples_branch():
         if tri_stage.wants_actor_pool(cfg):
@@ -175,7 +183,7 @@ def build_kg(
             )
         return stage("triples", mk)
 
-    terms, chunk_vectors, triples = parallel(
+    terms, _, triples = parallel(
         _terms_branch, _vectors_branch, _triples_branch)
 
     # linking: broadcast alias dict (small side) + annotated triples;
@@ -193,24 +201,21 @@ def build_kg(
     # runs concurrently with the whole linking chain
     def _link_chain():
         linked_ds = stage("linked_triples", linked)
-        return (linked_ds, *parallel(
-            lambda: stage("entity_nodes", lambda: entity_nodes(linked_ds, cfg)),
-            lambda: stage("edges", lambda: edges(linked_ds, cfg)),
-        ))
+        parallel(
+            lambda: stage("entity_nodes", lambda: entity_nodes(linked_ds, cfg),
+                          read_back=False),
+            lambda: stage("edges", lambda: edges(linked_ds, cfg), read_back=False),
+        )
 
-    (linked_ds, entity_nodes_ds, edges_ds), term_nodes_ds = parallel(
+    parallel(
         _link_chain,
-        lambda: stage("term_nodes", lambda: term_nodes(terms, cfg)),
+        lambda: stage("term_nodes", lambda: term_nodes(terms, cfg), read_back=False),
     )
 
     # join the background checkpoint publishes (re-raises any publish
-    # failure) and swap the in-memory handoff datasets for their
-    # disk-backed reads so no object-store pin outlives the build
-    published = {name: fin() for name, fin in finalizers.items()}
-    documents = published.get("documents", documents)
-    chunks = published.get("chunks", chunks)
-    triples = published.get("triples", triples)
-    linked_ds = published.get("linked_triples", linked_ds)
+    # failure); the returned tables hold no in-memory handoff dataset
+    for finalize in finalizers.values():
+        finalize()
 
     manifest = {
         "engine": "nlp_graphrag_with_qdrant_and_neo4j_ray",
@@ -223,17 +228,7 @@ def build_kg(
             "salt_buckets": cfg.salt_buckets,
             "languages": list(cfg.languages),
         },
-        "tables": [
-            "documents",
-            "chunks",
-            "terms",
-            "term_nodes",
-            "chunk_vectors",
-            "triples",
-            "linked_triples",
-            "entity_nodes",
-            "edges",
-        ],
+        "tables": list(TABLES),
         "stage_wall_s": stage_wall,
         "layout": {
             "edges": "sorted by (src_entity_id, dst_entity_id, pred)",
@@ -244,17 +239,7 @@ def build_kg(
     with open(os.path.join(out_dir, "_MANIFEST.json"), "w") as f:
         json.dump(manifest, f, indent=2)
 
-    return {
-        "documents": documents,
-        "chunks": chunks,
-        "terms": terms,
-        "term_nodes": term_nodes_ds,
-        "chunk_vectors": chunk_vectors,
-        "triples": triples,
-        "linked_triples": linked_ds,
-        "entity_nodes": entity_nodes_ds,
-        "edges": edges_ds,
-    }
+    return DiskTables(out_dir, TABLES)
 
 
 def merge_kg(tables_a: dict, tables_b: dict) -> dict:

@@ -16,7 +16,7 @@ import os
 import shutil
 import sys
 import types
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 
 
 def _pin_fsspec_http_module() -> None:
@@ -103,22 +103,50 @@ def checkpointed(
     compute: Callable[[], "ray.data.Dataset"],  # noqa: F821
     resume: bool = True,
     write_kwargs: dict | None = None,
+    read_back: bool = True,
 ):
     """Return a Dataset for table ``name``, recomputing only if needed.
 
     ``compute`` must return the (lazy) Dataset to materialize. The write
     streams through ``write_parquet`` (no driver materialization).
+    ``read_back=False`` publishes without opening the table and returns
+    None: opening a ``read_parquet`` reads every footer and runs Parquet
+    sampling tasks, wasted on a table nothing downstream reads.
     """
     import ray.data
 
     path = table_path(out_dir, name)
     marker = os.path.join(path, SUCCESS)
-    if resume and os.path.exists(marker):
-        return ray.data.read_parquet(path)
+    if not (resume and os.path.exists(marker)):
+        _publish(compute(), path, write_kwargs)
+    return ray.data.read_parquet(path) if read_back else None
 
-    ds = compute()
-    _publish(ds, path, write_kwargs)
-    return ray.data.read_parquet(path)
+
+class DiskTables(Mapping):
+    """Published checkpoint tables by name, each opened with
+    ``read_parquet`` on first access and kept. A build returns its tables
+    this way so it opens (footers, sampling tasks) only what its caller
+    reads, and no object-store pin outlives the build."""
+
+    def __init__(self, out_dir: str, names):
+        self._out_dir = out_dir
+        self._names = tuple(names)
+        self._open: dict = {}
+
+    def __getitem__(self, name: str):
+        if name not in self._names:
+            raise KeyError(name)
+        if name not in self._open:
+            import ray.data
+
+            self._open[name] = ray.data.read_parquet(table_path(self._out_dir, name))
+        return self._open[name]
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
 
 
 def checkpointed_passthrough(
@@ -135,12 +163,12 @@ def checkpointed_passthrough(
     cached blocks.
 
     Returns ``(ds, finalize)``. ``finalize()`` must be called before the
-    build returns: it joins the publish thread, re-raises any publish
-    failure, and returns a disk-backed ``read_parquet`` Dataset so the
-    object-store pin can be released (on the resume path it is a no-op
-    returning the same Dataset). Correctness contract: a consumer that
-    observed the in-memory Dataset and a resumed run that reads the
-    checkpoint see identical rows — same blocks, one ``write_parquet``.
+    build returns: it joins the publish thread and re-raises any publish
+    failure (on the resume path it is a no-op); the build then drops
+    ``ds`` so the object-store pin is released. Correctness contract: a
+    consumer that observed the in-memory Dataset and a resumed run that
+    reads the checkpoint see identical rows — same blocks, one
+    ``write_parquet``.
     """
     import threading
 
@@ -149,8 +177,7 @@ def checkpointed_passthrough(
     path = table_path(out_dir, name)
     marker = os.path.join(path, SUCCESS)
     if resume and os.path.exists(marker):
-        ds = ray.data.read_parquet(path)
-        return ds, (lambda: ds)
+        return ray.data.read_parquet(path), (lambda: None)
 
     ds = compute().materialize()
     err: list[BaseException] = []
@@ -168,6 +195,5 @@ def checkpointed_passthrough(
         t.join()
         if err:
             raise err[0]
-        return ray.data.read_parquet(path)
 
     return ds, finalize

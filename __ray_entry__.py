@@ -37,6 +37,15 @@ def _read(sf_dir: str, table: str):
     return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"))
 
 
+def _round(x, ndigits: int = 6):
+    """Round half away from zero like DuckDB's ``round()`` (``np.round``
+    rounds half to even): a float for a scalar, else a float64 array."""
+    out = pc.round(pa.array(np.atleast_1d(np.asarray(x, np.float64))),
+                   ndigits=ndigits, round_mode="half_towards_infinity")
+    out = out.to_numpy(zero_copy_only=False)
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
 def _kg_dir(sf_dir: str) -> str:
     tag = hashlib.blake2b(sf_dir.encode(), digest_size=6).hexdigest()
     return os.path.join(tempfile.gettempdir(), f"kgcache-{tag}")
@@ -3980,8 +3989,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                    .quantile([0.5, 0.9]).unstack())
             out.columns = ["p50_s", "p90_s"]
             out = out.reset_index()
-            out["p50_s"] = np.round(out["p50_s"].to_numpy(), 6)
-            out["p90_s"] = np.round(out["p90_s"].to_numpy(), 6)
+            out["p50_s"] = _round(out["p50_s"])
+            out["p90_s"] = _round(out["p90_s"])
             return out
 
         return grouped_apply(ev, ["event_type"], quantiles,
@@ -4054,8 +4063,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             g["n"] = g["n"].astype("int64")
             g["prev_n"] = prev.astype(np.float64)
             with np.errstate(divide="ignore", invalid="ignore"):
-                g["growth"] = np.round(
-                    (g["n"] - prev) / prev.astype(np.float64), 6)
+                g["growth"] = _round(
+                    (g["n"] - prev) / prev.astype(np.float64))
             return g
 
         return grouped_apply(
@@ -4146,10 +4155,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             out = g.agg(n_days="size", mean_daily="mean",
                         var_daily="var").reset_index()
             out["n_days"] = out["n_days"].astype("int64")
-            out["fano"] = np.round(
-                out["var_daily"] / out["mean_daily"], 6)
-            out["mean_daily"] = np.round(out["mean_daily"], 6)
-            out["var_daily"] = np.round(out["var_daily"], 6)
+            out["fano"] = _round(out["var_daily"] / out["mean_daily"])
+            out["mean_daily"] = _round(out["mean_daily"])
+            out["var_daily"] = _round(out["var_daily"])
             return out
 
         return grouped_apply(
@@ -4190,8 +4198,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             prevmax = cmax.groupby(pdf["user_id"], sort=False).shift(1)
             lag = prevmax - pdf["ts"]
             out = pdf[lag > late_by].drop(columns="__arr").copy()
-            out["late_by_s"] = np.round(
-                lag[lag > late_by].dt.total_seconds(), 6)
+            out["late_by_s"] = _round(
+                lag[lag > late_by].dt.total_seconds())
             return out
 
         return grouped_apply(ev, ["user_id"], audit,
@@ -4322,9 +4330,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pd.DataFrame({
                 "lang": pdf["lang"].to_numpy(),
                 "n_docs": pdf["n"].astype("int64").to_numpy(),
-                "p": np.round(p, 6),
-                "weight": np.round(w, 6),
-                "boost": np.round(w / p, 6),
+                "p": _round(p),
+                "weight": _round(w),
+                "boost": _round(w / p),
             })
 
         return grouped_apply(
@@ -4403,7 +4411,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         n = counts["n"].to_numpy(np.float64)
         p = n / n.sum()
         w = p ** 0.3
-        w = np.round(w / w.sum(), 6)
+        w = _round(w / w.sum())
         wmap = dict(zip(counts["source"], w))
 
         def keys(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -4414,7 +4422,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 np.float64)
             wt = pdf["source"].map(wmap).to_numpy(np.float64)
             pdf["src_rank"] = r.astype(np.int64)
-            pdf["mix_key"] = np.round((r + 0.5) / wt, 6)
+            pdf["mix_key"] = _round((r + 0.5) / wt)
             return pdf
 
         return grouped_apply(docs, ["source"], keys,
@@ -6830,7 +6838,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pd.DataFrame(
                 {
                     "event_id": pdf["event_id"].to_numpy(),
-                    "rolling_mean_3": np.round(rm.to_numpy(), 6),
+                    "rolling_mean_3": _round(rm),
                 }
             )
 
@@ -8818,11 +8826,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         cust = _read(sf_dir, "customer").select_columns(["c_name"])
         return edit1_fuzzy_pairs(cust, "c_name", num_partitions=16)
 
-    def _round_away(x: float, ndigits: int) -> float:
-        """Round half AWAY from zero (DuckDB's round), not banker's."""
-        scale = 10.0 ** ndigits
-        return float(np.floor(abs(x) * scale + 0.5) / scale * np.sign(x))
-
     def q4_order_priority(sf_dir: str):
         """TPC-H Q4 shape — per-priority count of orders with a late
         lineitem (EXISTS semi-join; commitdate/receiptdate aren't in
@@ -8936,7 +8939,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         total = li.map_batches(
             partial, batch_format="pyarrow").sum("__rev") or 0.0
-        return pd.DataFrame({"revenue": [_round_away(total, 2)]})
+        return pd.DataFrame({"revenue": [_round(total, 2)]})
 
     def q12_priority_by_returnflag(sf_dir: str):
         """TPC-H Q12 shape — high/low-priority lineitem counts per
@@ -9270,7 +9273,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
         total = partials.sum("__s") or 0.0
         return pd.DataFrame(
-            {"avg_yearly": [_round_away(total / 7.0, 2)]}
+            {"avg_yearly": [_round(total / 7.0, 2)]}
         )
 
     def q2_min_cost_supplier(sf_dir: str):

@@ -18,16 +18,22 @@ from __future__ import annotations
 import json
 import os
 
+import pyarrow as pa
+import pyarrow.compute as pc
+
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..stages import embedding as emb_stage
 from ..stages import tripletstage as tri_stage
 from ..stages.chunking import make_chunk_fn
 from ..stages.embedding import EmbedChunks
 from ..stages.extract import make_extract_fn
-from ..stages.link import collect_alias_dict, edges, entity_nodes, link_triples
+from ..stages.link import (
+    EDGE_KEYS, PART_NAMES, collect_alias_dict, edges, entity_nodes,
+    entity_rows, fold_edges, fold_entities, link_triples,
+)
 from ..stages.ngram import make_ngram_fn, term_nodes
 from ..stages.tripletstage import ExtractTriples
-from ..schemas import CHUNKS, DOCUMENTS, TRIPLES
+from ..schemas import CHUNKS, DOCUMENTS, TERMS_DICT, TRIPLES
 from ..state.checkpoint import DiskTables, checkpointed, checkpointed_passthrough
 from ..state.lineage import LineageRecorder
 from ..state.quarantine import QuarantineRecorder, quarantined
@@ -130,13 +136,9 @@ def build_kg(
     # the three chunk-fed branches are independent (the n-gram task
     # stage fills CPUs the actor pools leave idle)
     def _terms_branch():
-        from ..schemas import TERMS, TERMS_DICT
-        from ..stages.ngram import _dict_out
-
-        terms_schema = TERMS_DICT if _dict_out() else TERMS
         return stage("terms", lambda: chunks.map_batches(
             quarantined(make_ngram_fn(cfg, rec("ngram")), "chunk_id",
-                        terms_schema, qrec("ngram")),
+                        TERMS_DICT, qrec("ngram")),
             batch_format="pyarrow",
             batch_size=cfg.chunk_batch_size,
         ))
@@ -255,13 +257,16 @@ def merge_kg(tables_a: dict, tables_b: dict) -> dict:
       by doc/chunk ids, disjoint across corpora by construction.
     - ``term_nodes``: one exchange on (term, term_type), chunk_count
       sums (chunk sets are disjoint).
-    - ``entity_nodes``: one exchange on entity_id — mention_count
-      sums, aliases union (sorted distinct), name/embedding are
-      id-determined (first), triplet_part joins to "both" when the
-      sides disagree.
-    - ``edges``: one exchange on (src, dst, pred) — weight sums,
-      provenance chunk_id takes the min (deterministic
-      representative), pred_embedding is pred-determined (first).
+    - ``entity_nodes``: one exchange on entity_id through
+      ``stages.link.fold_entities``, the fold ``entity_nodes`` runs —
+      mention_count sums, aliases union (sorted distinct),
+      triplet_part joins to "both" when the sides disagree; the name
+      is the smallest alias (as a rebuild picks it), with the
+      embedding of the input row holding that name.
+    - ``edges``: one exchange on (src, dst, pred) through
+      ``stages.link.fold_edges`` — weight sums, provenance chunk_id
+      takes the min (deterministic representative), pred_embedding is
+      pred-determined.
 
     EXACTNESS CONTRACT (documented divergence from a full rebuild):
     the increment is canonicalized with its OWN alias dictionary, so
@@ -271,8 +276,6 @@ def merge_kg(tables_a: dict, tables_b: dict) -> dict:
     entity ids a rebuild would merge — the standard
     incremental-vs-recanonicalize trade-off. Each exchange is sized
     from the two sides' row counts (``stages.shuffle.partitions_for``)."""
-    import pandas as pd
-
     from ..stages.shuffle import grouped_apply, partitions_for
 
     def union(name: str):
@@ -293,44 +296,35 @@ def merge_kg(tables_a: dict, tables_b: dict) -> dict:
 
     ds, parts = union("term_nodes")
     out["term_nodes"] = grouped_apply(
-        ds, ["term", "term_type"], merge_term_nodes,
-        num_partitions=parts, batch_format="pyarrow",
-    )
+        ds, ["term", "term_type"], merge_term_nodes, num_partitions=parts)
 
-    def merge_entities(pdf: pd.DataFrame) -> pd.DataFrame:
-        def fold(g: pd.DataFrame) -> pd.Series:
-            parts = set(g["triplet_part"])
-            part = (g["triplet_part"].iloc[0] if len(parts) == 1
-                    else "both")
-            aliases = sorted({a for al in g["aliases"] for a in al})
-            return pd.Series({
-                "name": g["name"].iloc[0],
-                "embedding": g["embedding"].iloc[0],
-                "triplet_part": part,
-                "aliases": aliases,
-                "mention_count": int(g["mention_count"].sum()),
-            })
-
-        return (pdf.groupby("entity_id", sort=False)
-                .apply(fold, include_groups=False).reset_index())
+    def merge_entities(tbl: pa.Table) -> pa.Table:
+        folded = fold_entities(pa.table({
+            "entity_id": tbl.column("entity_id"),
+            "names": tbl.column("aliases"),
+            "parts": pc.index_in(tbl.column("triplet_part"),
+                                 value_set=PART_NAMES).cast(pa.int8()),
+            "mention_count": tbl.column("mention_count"),
+        }), ["entity_id"])
+        # an embedding is name-determined, and every row's name is its
+        # smallest alias: the merged name's vector is on a row named so
+        rows = pc.index_in(pc.list_element(folded.column("names"), 0),
+                           value_set=tbl.column("name"))
+        return entity_rows(folded, tbl.column("embedding").take(rows))
 
     ds, parts = union("entity_nodes")
     out["entity_nodes"] = grouped_apply(
-        ds, ["entity_id"], merge_entities, num_partitions=parts,
-        batch_format="pandas")
+        ds, ["entity_id"], merge_entities, num_partitions=parts)
 
-    def merge_edges(pdf: pd.DataFrame) -> pd.DataFrame:
-        keys = ["src_entity_id", "dst_entity_id", "pred"]
-        pdf = pdf.sort_values(keys + ["chunk_id"], kind="stable")
-        agg = pdf.groupby(keys, sort=False, as_index=False).agg(
-            chunk_id=("chunk_id", "first"),
-            weight=("weight", "sum"),
-            pred_embedding=("pred_embedding", "first"),
-        )
-        return agg
+    def merge_edges(tbl: pa.Table) -> pa.Table:
+        folded = fold_edges(tbl)
+        # pred_embedding is pred-determined: the first row's with that pred
+        emb = tbl.column("pred_embedding").take(
+            pc.index_in(folded.column("pred"), value_set=tbl.column("pred")))
+        return folded.select(EDGE_KEYS + ["chunk_id", "weight"]) \
+            .append_column("pred_embedding", emb)
 
     ds, parts = union("edges")
     out["edges"] = grouped_apply(
-        ds, ["src_entity_id", "dst_entity_id", "pred"], merge_edges,
-        num_partitions=parts, batch_format="pandas")
+        ds, EDGE_KEYS, merge_edges, num_partitions=parts)
     return out

@@ -9,25 +9,34 @@ Decomposition of the reference's per-triplet ``process_triplet``
 2. alias dictionary built once on the driver, ``ray.put`` broadcast;
 3. stateless linker ``map_batches`` annotating src/dst entity ids;
 4. entity canonicalization: per-batch partials with an explicit
-   ``salt = hash(chunk_id) % S`` column → level-1
-   ``groupby(entity_id, salt)`` → level-2 ``groupby(entity_id)`` — the
+   ``salt = hash(chunk_id) % S`` column → level-1 fold on
+   ``(entity_id, salt)`` → level-2 fold on ``entity_id`` — the
    two-level salt-key skew split the north_rule requires (head entities
    like country names dominate web text);
-5. edge weighting: per-batch combiner → ``groupby(src,dst,pred)`` with
-   Sum/Min aggregates (the Cypher MERGE collapse, multiplicity preserved
-   as ``weight`` — SURVEY.md A5) plus min-chunk provenance (fixing the
-   reference's always-null ``r.source``, retrieval.py:283).
+5. edge weighting: per-batch combiner → fold on ``(src, dst, pred)``
+   with Sum/Min aggregates (the Cypher MERGE collapse, multiplicity
+   preserved as ``weight`` — SURVEY.md A5) plus min-chunk provenance
+   (fixing the reference's always-null ``r.source``, retrieval.py:283).
+
+Every exchange hands its partition function an Arrow table, and every
+fold is a ``pa.Table.group_by`` aggregate: :func:`fold_entities` (both
+entity levels and ``pipelines.kg.merge_kg``) and :func:`fold_edges`
+(``edges`` and ``merge_kg``). Surface names travel as ``list<string>``
+aliases, so a name holding ``|`` stays one alias.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import PipelineConfig
 from ..functions.embed import get_embedder
-from ..functions.link import build_alias_dict, canonical_key, entity_id_for
+from ..functions.link import canonical_key, entity_id_for, merge_similar_keys
 from ..state.broadcast import BroadcastLookup, broadcast
 
 # process-global read-only embedder cache for map_groups workers (the
@@ -46,8 +55,6 @@ def partial_distinct_names(batch: pa.Table) -> pa.Table:
     """Combiner: distinct (name) per batch from subj+obj columns —
     vectorized (``pc.unique`` over the concatenated columns; no per-row
     Python fold on the linking spine)."""
-    import pyarrow.compute as pc
-
     chunks = batch.column("subj").chunks + batch.column("obj").chunks
     both = pa.chunked_array(chunks, type=pa.string()) if not chunks \
         else pa.chunked_array(chunks)
@@ -84,9 +91,6 @@ def collect_alias_dict(triples_ds, cfg: PipelineConfig, max_aliases: int = 2_000
     join (:class:`SpilledAlias`); a lineage row records the dictionary
     size and mode either way.
     """
-    import numpy as np
-    import pyarrow.compute as pc
-
     from .shuffle import grouped_apply, partitions_for
 
     model, dim = cfg.embedding_model, cfg.vector_size
@@ -112,31 +116,28 @@ def collect_alias_dict(triples_ds, cfg: PipelineConfig, max_aliases: int = 2_000
             }
         )
 
-    def merge_bucket(pdf: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, g in pdf.groupby("bucket", sort=True):
-            keys = sorted(set(g["key"]))
-            if len(keys) < 2 or len(keys) > 512:
-                continue
-            emb = _embedder(model, dim).encode(keys, prefix="passage:")
-            from ..functions.link import merge_similar_keys
-
-            remap = merge_similar_keys(keys, np.asarray(emb), threshold)
-            changed = {k: v for k, v in remap.items() if k != v}
-            if not changed:
-                continue
-            sub = g[g["key"].isin(changed)]
-            outs.append(
-                pd.DataFrame(
-                    {
-                        "name": sub["name"],
-                        "merged_key": sub["key"].map(changed),
-                    }
-                )
-            )
-        if not outs:
-            return pd.DataFrame({"name": [], "merged_key": []})
-        return pd.concat(outs, ignore_index=True)
+    def merge_bucket(tbl: pa.Table) -> pa.Table:
+        """One exchange partition → (name, merged_key) for the names
+        whose key the similarity merge remaps. Only keys that share
+        their blocking bucket with 1..511 other keys are embedded: a
+        lone key cannot merge, and ``merge_similar_keys`` skips a
+        bucket of more than 512."""
+        keys = pc.unique(tbl.column("key")).to_pylist()
+        size = Counter(k.split(" ", 1)[0] for k in keys)
+        candidates = sorted(k for k in keys
+                            if 2 <= size[k.split(" ", 1)[0]] <= 512)
+        remap: dict[str, str] = {}
+        if candidates:
+            emb = _embedder(model, dim).encode(candidates, prefix="passage:")
+            remap = merge_similar_keys(candidates, np.asarray(emb), threshold)
+        hit = tbl.filter(pc.is_in(tbl.column("key"),
+                                  value_set=pa.array(list(remap), pa.string())))
+        return pa.table({
+            "name": hit.column("name"),
+            "merged_key": pa.array([remap[k] for k in
+                                    hit.column("key").to_pylist()],
+                                   pa.string()),
+        })
 
     merged = grouped_apply(
         distinct.map_batches(keyed, batch_format="pyarrow", batch_size=65536),
@@ -144,7 +145,6 @@ def collect_alias_dict(triples_ds, cfg: PipelineConfig, max_aliases: int = 2_000
         merge_bucket,
         # at most two distinct names per triple reach the exchange
         num_partitions=partitions_for(triples_ds, per_row=2),
-        batch_format="pandas",
     ).materialize()  # small by construction; read twice below (count + use)
     n_alias = merged.count()
 
@@ -197,36 +197,39 @@ class SpilledAlias:
         return os.path.join(self.path, f"part-{part}.parquet")
 
 
+def _partition_of(tbl: pa.Table, col: str, num_partitions: int) -> int:
+    """The exchange partition ``tbl`` is, for an exchange keyed on
+    ``col`` alone: ``grouped_apply``'s own hash of its first row (as a
+    Python int: a NumPy uint64 scalar ``%`` an int is a float)."""
+    from .shuffle import _hash_rows
+
+    return int(_hash_rows(tbl.slice(0, 1), [col])[0]) % num_partitions
+
+
 def _spill_alias(merged_ds, spill_dir: str, num_partitions: int) -> SpilledAlias:
     import os
     import uuid
 
     import pyarrow.parquet as pq
 
-    from .shuffle import _stable_part, grouped_apply
+    from .shuffle import grouped_apply
 
     os.makedirs(spill_dir, exist_ok=True)
 
-    def write_part(pdf: pd.DataFrame) -> pd.DataFrame:
-        if len(pdf) == 0:
-            return pd.DataFrame({"part": pd.Series([], dtype="int64")})
-        part = int(_stable_part(pdf, ["name"], num_partitions).iloc[0])
+    def write_part(tbl: pa.Table) -> pa.Table:
+        if tbl.num_rows == 0:
+            return pa.table({"part": pa.array([], pa.int64())})
+        part = _partition_of(tbl, "name", num_partitions)
         final = os.path.join(spill_dir, f"part-{part}.parquet")
         tmp = f"{final}.tmp-{uuid.uuid4().hex}"
-        pq.write_table(
-            pa.Table.from_pandas(
-                pdf[["name", "merged_key"]], preserve_index=False
-            ),
-            tmp,
-        )
+        pq.write_table(tbl.select(["name", "merged_key"]), tmp)
         os.replace(tmp, final)  # atomic publish, idempotent on retry
-        return pd.DataFrame({"part": [part]})
+        return pa.table({"part": pa.array([part], pa.int64())})
 
-    # grouped_apply partitions by the same _stable_part hash the repair
-    # stage will use, so alias rows land in the file their names hash to
+    # the exchange on name is the one the repair stage runs, so alias
+    # rows land in the file their names hash to
     grouped_apply(merged_ds, ["name"], write_part,
-                  num_partitions=num_partitions,
-                      batch_format="pandas").materialize()
+                  num_partitions=num_partitions).materialize()
     return SpilledAlias(spill_dir, num_partitions)
 
 
@@ -278,32 +281,20 @@ def _make_repair_fn(spilled: SpilledAlias, name_col: str, id_col: str):
 
     import pyarrow.parquet as pq
 
-    from .shuffle import _stable_part
-
-    num_partitions = spilled.num_partitions
-
-    def repair(pdf: pd.DataFrame) -> pd.DataFrame:
-        if len(pdf) == 0:
-            return pdf
-        part = int(
-            _stable_part(pdf[[name_col]], [name_col], num_partitions).iloc[0]
-        )
-        path = spilled.part_file(part)
+    def repair(tbl: pa.Table) -> pa.Table:
+        if tbl.num_rows == 0:
+            return tbl
+        path = spilled.part_file(
+            _partition_of(tbl, name_col, spilled.num_partitions))
         if not os.path.exists(path):
-            return pdf
-        tbl = pq.read_table(path)
-        lut = {
-            n: entity_id_for(k)
-            for n, k in zip(
-                tbl.column("name").to_pylist(), tbl.column("merged_key").to_pylist()
-            )
-        }
-        hit = pdf[name_col].map(lut)
-        mask = hit.notna()
-        if mask.any():
-            pdf = pdf.copy()
-            pdf.loc[mask, id_col] = hit[mask]
-        return pdf
+            return tbl
+        alias = pq.read_table(path)
+        ids = pa.array([entity_id_for(k) for k in
+                        alias.column("merged_key").to_pylist()], pa.string())
+        hit = ids.take(pc.index_in(tbl.column(name_col),
+                                   value_set=alias.column("name")))
+        return tbl.set_column(tbl.schema.get_field_index(id_col), id_col,
+                              pc.coalesce(hit, tbl.column(id_col)))
 
     return repair
 
@@ -330,126 +321,129 @@ def link_triples(triples_ds, alias, cfg: PipelineConfig):
                 linked,
                 [name_col],
                 _make_repair_fn(alias, name_col, id_col),
-                num_partitions=alias.num_partitions,
-                              batch_format="pandas")
+                num_partitions=alias.num_partitions)
     return linked
 
 
 # --------------------------- entity_nodes ---------------------------------
 
 
-def partial_entities(batch: pa.Table) -> pd.DataFrame:
-    """Reshape triples → entity-mention rows (vectorized, no per-batch
-    groupby: entity names are mostly unique within a batch, so a combiner
-    here costs Python-lambda time without shrinking the exchange; the
-    real aggregation happens once, partition-wise, at level 1)."""
-    df = batch.select(
-        ["src_entity_id", "dst_entity_id", "subj", "obj", "salt", "chunk_id"]
-    ).to_pandas()
-    halves = []
-    # 'parts' rides the two exchanges as an int8 bitmask (1=subject,
-    # 2=object, 3=both) instead of repeated strings — fewer bytes on
-    # ~2 rows/triple and a vectorized min/max merge instead of a
-    # per-group Python string-set reduce (r5 scaling lever)
-    for id_col, name_col, part in (
-        ("src_entity_id", "subj", np.int8(1)),
-        ("dst_entity_id", "obj", np.int8(2)),
-    ):
-        h = df[[id_col, name_col, "salt", "chunk_id"]].copy()
-        h.columns = ["entity_id", "names", "salt", "chunk_id"]
-        h["parts"] = part
-        halves.append(h)
-    both = pd.concat(halves, ignore_index=True)
-    both["mention_count"] = 1
-    return both[["entity_id", "salt", "names", "parts", "mention_count", "chunk_id"]]
+def partial_entities(batch: pa.Table) -> pa.Table:
+    """Reshape linked triples → entity-mention rows, one per endpoint
+    (vectorized, no per-batch combiner: entity names are mostly unique
+    within a batch, so one would not shrink the exchange). Each row is
+    already in :func:`fold_entities`' encoding: ``names`` holds the one
+    surface name, ``parts`` is 1 (subject) or 2 (object)."""
+    n = batch.num_rows
+    singles = pa.array(np.arange(n + 1, dtype=np.int32))
+    return pa.concat_tables([
+        pa.table({
+            "entity_id": batch.column(id_col),
+            "salt": batch.column("salt"),
+            "names": pa.ListArray.from_arrays(
+                singles, batch.column(name_col).combine_chunks()),
+            "parts": pa.array(np.full(n, part, np.int8)),
+            "mention_count": pa.array(np.ones(n, np.int64)),
+        })
+        for id_col, name_col, part in (("src_entity_id", "subj", 1),
+                                       ("dst_entity_id", "obj", 2))
+    ])
 
 
-def _merge_pipe_sets(series: pd.Series) -> str:
-    return "|".join(sorted(set("|".join(series).split("|"))))
+def fold_entities(tbl: pa.Table, keys: list[str]) -> pa.Table:
+    """The one entity fold, shared by both ``entity_nodes`` levels and
+    by ``merge_kg``: rows of ``keys`` + ``names`` (list<string>) +
+    ``parts`` (int8: 1 subject, 2 object, 3 both) + ``mention_count`` →
+    one row per distinct ``keys``, sorted by them, holding the sorted
+    distinct names, the parts code (the rows' common code, else 3) and
+    the mention_count sum. Every input row has at least one name."""
+    by_keys = [(k, "ascending") for k in keys]
+    names = tbl.column("names")
+    flat = tbl.select(keys).take(pc.list_parent_indices(names)) \
+        .append_column("name", pc.list_flatten(names))
+    # distinct (keys, name) pairs sorted by keys then name: each group's
+    # names are one contiguous run, cut by the per-group counts (group_by
+    # output order is not its input order, so every aggregate here is
+    # re-sorted by keys before the columns line up)
+    pairs = (flat.group_by(keys + ["name"]).aggregate([])
+             .sort_by(by_keys + [("name", "ascending")]))
+    # mode="all": a null name still takes its slot in ``pairs``
+    runs = (pairs.group_by(keys)
+            .aggregate([("name", "count", pc.CountOptions(mode="all"))])
+            .sort_by(by_keys))
+    offsets = np.concatenate(
+        ([0], np.cumsum(runs.column("name_count").to_numpy())))
+    stats = (tbl.group_by(keys)
+             .aggregate([("parts", "min"), ("parts", "max"),
+                         ("mention_count", "sum")])
+             .sort_by(by_keys))
+    lo, hi = stats.column("parts_min"), stats.column("parts_max")
+    return pa.table({
+        **{k: runs.column(k) for k in keys},
+        "names": pa.ListArray.from_arrays(
+            pa.array(offsets, pa.int32()),
+            pairs.column("name").combine_chunks()),
+        "parts": pc.if_else(pc.equal(lo, hi), hi, pa.scalar(3, pa.int8())),
+        "mention_count": stats.column("mention_count_sum"),
+    })
 
 
-def merge_salted_partition(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Level-1 merge, vectorized across one hash partition: combine
-    partials per (entity_id, salt)."""
-    g = pdf.groupby(["entity_id", "salt"], sort=True)
-    out = g.agg(
-        names=("names", _merge_pipe_sets),
-        parts_mn=("parts", "min"),
-        parts_mx=("parts", "max"),
-        mention_count=("mention_count", "sum"),
-        chunk_id=("chunk_id", "min"),
-    ).reset_index()
-    out["parts"] = np.where(out.pop("parts_mn") == out["parts_mx"],
-                            out["parts_mx"], 3).astype(np.int8)
-    out.pop("parts_mx")
-    return out[["entity_id", "salt", "names", "parts", "mention_count",
-                "chunk_id"]]
+PART_NAMES = pa.array(["", "subject", "object", "both"], pa.string())
+
+
+def entity_rows(folded: pa.Table, embedding: pa.Array) -> pa.Table:
+    """``entity_nodes`` rows from a :func:`fold_entities` over
+    ``entity_id``: the display name is the smallest alias, and
+    ``embedding`` holds that name's vector per row."""
+    return pa.table({
+        "entity_id": folded.column("entity_id"),
+        "name": pc.list_element(folded.column("names"), 0),
+        "embedding": embedding,
+        "triplet_part": PART_NAMES.take(folded.column("parts")),
+        "aliases": folded.column("names"),
+        "mention_count": folded.column("mention_count"),
+    })
 
 
 def make_final_entity_partition(cfg: PipelineConfig):
     model, dim = cfg.embedding_model, cfg.vector_size
 
-    def final(pdf: pd.DataFrame) -> pa.Table:
-        merged = (
-            pdf.groupby("entity_id", sort=True)
-            .agg(
-                names=("names", _merge_pipe_sets),
-                parts_mn=("parts", "min"),
-                parts_mx=("parts", "max"),
-                mention_count=("mention_count", "sum"),
-            )
-            .reset_index()
-        )
-        aliases = [sorted(n.split("|")) for n in merged["names"]]
-        displays = [a[0] for a in aliases]
-        code = np.where(merged["parts_mn"] == merged["parts_mx"],
-                        merged["parts_mx"], 3)
-        part = np.array(["", "subject", "object", "both"])[code].tolist()
+    def final(tbl: pa.Table) -> pa.Table:
+        folded = fold_entities(tbl, ["entity_id"])
+        names = pc.list_element(folded.column("names"), 0).to_pylist()
         # one batched encode for the whole partition's display names
-        emb = _embedder(model, dim).encode(displays, prefix="passage:")
-        return pa.table(
-            {
-                "entity_id": pa.array(merged["entity_id"], pa.string()),
-                "name": pa.array(displays, pa.string()),
-                "embedding": pa.FixedSizeListArray.from_arrays(
-                    pa.array(np.asarray(emb, dtype=np.float32).reshape(-1),
-                             type=pa.float32()),
-                    dim,
-                ),
-                "triplet_part": pa.array(part, pa.string()),
-                "aliases": pa.array(aliases, pa.list_(pa.string())),
-                "mention_count": pa.array(
-                    merged["mention_count"].astype("int64"), pa.int64()
-                ),
-            }
-        )
+        emb = _embedder(model, dim).encode(names, prefix="passage:")
+        return entity_rows(folded, pa.FixedSizeListArray.from_arrays(
+            pa.array(np.asarray(emb, dtype=np.float32).reshape(-1),
+                     type=pa.float32()),
+            dim,
+        ))
 
     return final
 
 
-def entity_nodes(linked_ds, cfg: PipelineConfig,
-                 num_partitions: int | None = None):
+def entity_nodes(linked_ds, cfg: PipelineConfig):
     """Two-level salted canonicalization → entity_nodes table.
 
-    Both levels run partition-wise (stages/shuffle.py): the salt column
-    spreads a head entity's partials over ``salt_buckets`` level-1 groups;
-    level-2 sees ≤ salt_buckets rows per entity regardless of skew.
-    ``num_partitions=None`` sizes both levels from their bound, two
-    mention rows per linked triple (level 2 sees at most level 1's
-    input)."""
+    Both levels run :func:`fold_entities` partition-wise
+    (stages/shuffle.py): the salt column spreads a head entity's
+    partials over ``salt_buckets`` level-1 groups; level-2 sees ≤
+    salt_buckets rows per entity regardless of skew. Both levels are
+    sized from their bound, two mention rows per linked triple (level 2
+    sees at most level 1's input)."""
     from .shuffle import grouped_apply, partitions_for
 
-    if num_partitions is None:
-        num_partitions = partitions_for(linked_ds, per_row=2)
+    num_partitions = partitions_for(linked_ds, per_row=2)
     partials = linked_ds.map_batches(
         partial_entities, batch_format="pyarrow", batch_size=65536
     )
     level1 = grouped_apply(
-        partials, ["entity_id", "salt"], merge_salted_partition, num_partitions,
-                      batch_format="pandas")
+        partials, ["entity_id", "salt"],
+        lambda tbl: fold_entities(tbl, ["entity_id", "salt"]),
+        num_partitions)
     return grouped_apply(
-        level1, ["entity_id"], make_final_entity_partition(cfg), num_partitions,
-                      batch_format="pandas")
+        level1, ["entity_id"], make_final_entity_partition(cfg),
+        num_partitions)
 
 
 # ------------------------------ edges --------------------------------------
@@ -465,6 +459,17 @@ def partial_edges(batch: pa.Table) -> pa.Table:
             ["src_entity_id", "dst_entity_id", "pred", "weight", "chunk_id"]
         )
     )
+
+
+EDGE_KEYS = ["src_entity_id", "dst_entity_id", "pred"]
+
+
+def fold_edges(tbl: pa.Table) -> pa.Table:
+    """The edge fold, shared by ``edges`` and ``merge_kg``: per (src,
+    dst, pred), the ``weight`` sum and the min ``chunk_id``."""
+    return (tbl.group_by(EDGE_KEYS)
+            .aggregate([("weight", "sum"), ("chunk_id", "min")])
+            .rename_columns(EDGE_KEYS + ["weight", "chunk_id"]))
 
 
 def edges(linked_ds, cfg: PipelineConfig, with_pred_embedding: bool = True):
@@ -489,19 +494,9 @@ def edges(linked_ds, cfg: PipelineConfig, with_pred_embedding: bool = True):
         partial_edges, batch_format="pyarrow", batch_size=65536
     )
 
-    def agg_partition(batch: pa.Table) -> pa.Table:
-        return (
-            batch.group_by(["src_entity_id", "dst_entity_id", "pred"])
-            .aggregate([("weight", "sum"), ("chunk_id", "min")])
-            .rename_columns(
-                ["src_entity_id", "dst_entity_id", "pred", "weight",
-                 "chunk_id"]
-            )
-        )
-
     agg = grouped_apply(
-        partials, ["src_entity_id", "dst_entity_id", "pred"], agg_partition,
-        num_partitions=partitions_for(linked_ds), batch_format="pyarrow",
+        partials, EDGE_KEYS, fold_edges,
+        num_partitions=partitions_for(linked_ds),
     )
     model, dim = cfg.embedding_model, cfg.vector_size
 
@@ -555,8 +550,6 @@ def edges_alias_fanout(edges_ds, entity_nodes_ds):
     import ray
 
     from ..functions.link import canonical_key, entity_id_for
-
-    import pyarrow.compute as pc
 
     multi = entity_nodes_ds.map_batches(
         lambda b: b.filter(

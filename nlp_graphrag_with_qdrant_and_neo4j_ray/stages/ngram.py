@@ -23,18 +23,16 @@ import pyarrow.compute as pc
 
 from ..config import PipelineConfig
 from ..functions.tokenize import STOPWORDS, word_tokenize
-from ..schemas import TERMS, TERMS_DICT
+from ..schemas import TERMS_DICT
 from ..state.lineage import LineageRecorder, first_fragment
 
 _TYPE_NAMES = pa.array(["unigram", "bigram", "trigram"], pa.string())
 
 
 def _dict_out() -> bool:
-    """Physical terms layout knob: dict-encoded (default) vs plain
-    strings — ``GRAFT_TERMS_DICT=0`` keeps the old layout for A/Bs."""
-    import os
-
-    return os.environ.get("GRAFT_TERMS_DICT", "1") != "0"
+    """The terms table is always dict-encoded (``TERMS_DICT``); kept
+    because the benchmark harness (``kgbench/trace.py``) calls it."""
+    return True
 
 
 def decode_terms(batch: pa.Table) -> pa.Table:
@@ -77,7 +75,7 @@ def ngram_table(chunk_ids: list[str], texts: list[str],
     tok_lists = [word_tokenize(t) for t in texts]
     lengths = np.fromiter((len(t) for t in tok_lists), np.int64, count=n)
     total = int(lengths.sum())
-    empty = (TERMS_DICT if _dict_out() else TERMS).empty_table()
+    empty = TERMS_DICT.empty_table()
     if total == 0:
         return empty
     import pandas as pd
@@ -160,19 +158,6 @@ def ngram_table(chunk_ids: list[str], texts: list[str],
     # parquet checkpoint at ~1/3 the bytes of the plain-string layout.
     order = np.lexsort((pos, rank, all_rows))
     order_pa = pa.array(order, pa.int64())
-    if not _dict_out():  # plain-string layout (A/B baseline)
-        return pa.table(
-            {
-                "chunk_id": pc.take(pa.array(chunk_ids, pa.string()),
-                                    pa.array(all_rows[order], pa.int64())),
-                "term": pc.take(terms, order_pa),
-                "term_type": pc.take(_TYPE_NAMES,
-                                     pa.array(rank[order], pa.int8())),
-                "position": pa.array(pos[order].astype(np.int32),
-                                     pa.int32()),
-            },
-            schema=TERMS,
-        )
     chunk_dict = pa.DictionaryArray.from_arrays(
         pa.array(all_rows[order].astype(np.int32), pa.int32()),
         pa.array(chunk_ids, pa.string()),

@@ -33,7 +33,10 @@ object store; a pandas-block exchange pickles per block and was measured
 round-3/4 A/Bs). ``batch_format`` only selects what ``partition_fn``
 receives: ``"pyarrow"`` hands it the partition ``pa.Table`` directly;
 ``"pandas"`` converts once per partition on both sides, for local logic
-that needs pandas kernels (``merge_asof``-style windows).
+that needs pandas kernels (``merge_asof``-style windows). The KG spine
+(``stages/link.py``, ``stages/ngram.py``, ``pipelines/kg.py``) uses
+only the Arrow default; the pandas opt-in serves the relational and
+graph operators.
 """
 
 from __future__ import annotations
@@ -115,12 +118,6 @@ def _hash_rows(tbl: pa.Table, keys: list[str]) -> np.ndarray:
     return pl.from_arrow(pa.table(cols)).hash_rows(seed=42).to_numpy()
 
 
-def _stable_part(df: pd.DataFrame, keys: list[str], num_partitions: int) -> pd.Series:
-    h = _hash_rows(pa.Table.from_pandas(df[keys], preserve_index=False),
-                   keys)
-    return pd.Series(h % num_partitions, index=df.index).astype("int64")
-
-
 def _arrow_block(out: pa.Table | pd.DataFrame) -> pa.Table:
     """``out`` as an Arrow block without the ``b'pandas'`` schema
     metadata that ``from_pandas`` attaches: a schema carrying it is
@@ -160,11 +157,14 @@ def grouped_apply(ds, keys: list[str], partition_fn, num_partitions: int = 64,
     ``_hash_rows`` everywhere — no pandas materialization) and appended to
     the Arrow batch; blocks ride the exchange as Arrow regardless of
     ``batch_format``. The DEFAULT hands ``partition_fn`` a zero-copy
-    ``pyarrow.Table`` (the builder's A/B showed ~25% faster and
-    lower-variance on string-heavy keys — BASELINE.md r3/r4);
-    ``batch_format="pandas"`` is the opt-in for partition logic that
-    needs pandas kernels (``merge_asof``-style, ``ngroup`` folds) and
-    converts once on partition entry and once on exit.
+    ``pyarrow.Table`` (an A/B measured it ~25% faster and
+    lower-variance on string-heavy keys — BASELINE.md r3/r4), and it is
+    the only form the KG spine uses; ``batch_format="pandas"`` is the
+    opt-in for relational/graph partition logic that needs pandas
+    kernels (``merge_asof``-style, ``ngroup`` folds) and converts once
+    on partition entry and once on exit. A partition fn that needs its
+    partition's number recomputes it as ``_hash_rows(<one row>, keys) %
+    num_partitions``.
     """
 
     # both sides strip b'pandas' schema metadata (see _arrow_block):

@@ -1,14 +1,13 @@
 """Settings live in ``config.py`` as a frozen ``PipelineConfig`` or as
 named module constants, never as environment variables read at the call
-site elsewhere. The one exception is ``stages/ngram.py::_dict_out``, the
-terms dictionary-encoding switch that the benchmark harness reads too."""
+site elsewhere."""
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "nlp_graphrag_with_qdrant_and_neo4j_ray"
-ALLOWED = {("stages/ngram.py", "_dict_out")}
+ALLOWED: set[tuple[str, str]] = set()
 
 
 def _env_reads(path: pathlib.Path):

@@ -66,3 +66,19 @@ def test_matches_oracle(ray_session, oracle_con, name):
     if len(got):
         pd.testing.assert_frame_equal(got, want, check_dtype=False,
                                       check_exact=False, rtol=1e-9)
+
+
+@pytest.mark.parametrize("x,ndigits", [(0.5, 0), (2.5, 0), (-2.5, 0),
+                                       (0.125, 2), (-0.125, 2)])
+def test_round_helper_rounds_halves_as_duckdb(x, ndigits):
+    """The queries' one rounding helper rounds an exact binary half away
+    from zero, as the oracles' DuckDB ``round()`` does (``np.round``
+    rounds it to even)."""
+    import numpy as np
+
+    import __ray_entry__ as E
+
+    want = duckdb.sql(f"SELECT round({x}::DOUBLE, {ndigits})").fetchone()[0]
+    assert E._round(x, ndigits) == want
+    assert E._round(np.array([x, np.nan]), ndigits)[0] == want
+    assert np.isnan(E._round(np.array([x, np.nan]), ndigits)[1])

@@ -1,7 +1,9 @@
 """The KG spine sizes its exchanges from the input
 (``stages/shuffle.partitions_for``); a fixed ``num_partitions=<int>``
 must not come back in its modules. ``spill_partitions`` — the
-spilled-alias file contract — is a different knob and is not checked."""
+spilled-alias file contract — is a different knob and is not checked.
+The linking and KG-merge modules fold in Arrow only: no
+``batch_format="pandas"`` there."""
 
 import ast
 import pathlib
@@ -9,6 +11,7 @@ import pathlib
 PACKAGE = (pathlib.Path(__file__).resolve().parent.parent
            / "nlp_graphrag_with_qdrant_and_neo4j_ray")
 SPINE = ("stages/link.py", "stages/ngram.py", "pipelines/kg.py")
+ARROW_ONLY = ("stages/link.py", "pipelines/kg.py")
 
 
 def _int_literal(node) -> bool:
@@ -58,3 +61,27 @@ def test_guard_sees_each_form():
         p = pathlib.Path(d) / "m.py"
         p.write_text(src)
         assert sorted(_fixed_counts(p)) == [1, 2, 3]
+
+
+def _pandas_formats(path: pathlib.Path) -> list[int]:
+    """Lines of a ``batch_format="pandas"`` keyword in any call."""
+    return [kw.value.lineno
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)
+            for kw in node.keywords
+            if kw.arg == "batch_format" and isinstance(kw.value, ast.Constant)
+            and kw.value.value == "pandas"]
+
+
+def test_link_and_merge_fold_in_arrow_only():
+    bad = [f"{rel}:{line}" for rel in ARROW_ONLY
+           for line in _pandas_formats(PACKAGE / rel)]
+    assert not bad, "pandas partition function on the KG spine: " + ", ".join(bad)
+
+
+def test_pandas_guard_sees_each_call(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("grouped_apply(ds, ['k'], g, n, batch_format='pandas')\n"
+                 "ds.map_batches(f, batch_format=\"pandas\")\n"
+                 "ds.map_batches(f, batch_format='pyarrow')\n")
+    assert _pandas_formats(p) == [1, 2]

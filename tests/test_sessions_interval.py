@@ -151,6 +151,26 @@ def test_interval_join_no_duplicate_pairs_across_buckets(ray_session):
     pd.testing.assert_frame_equal(_sorted(got), _sorted(exp))
 
 
+def test_interval_join_no_overlap_is_empty_with_the_output_schema(ray_session):
+    # one point interval a side, one second apart, each repartitioned
+    # into a 1-row and an empty (column-less) pandas block
+    base = pd.Timestamp("2024-01-01")
+
+    def point(tag, seconds):
+        ts = pd.Series([base + pd.Timedelta(seconds=seconds)]).astype(
+            "datetime64[us]")
+        return pd.DataFrame({"st": ts, "en": ts,
+                             tag: np.array([0], dtype=np.int64)})
+
+    got = interval_join(
+        _ds(ray_session, point("lid", 0), 2),
+        _ds(ray_session, point("rid", 1), 2), "st", "en",
+        left_cols=["st", "en", "lid"], right_cols=["st", "en", "rid"],
+        bucket_seconds=600.0, num_partitions=3).materialize()
+    assert got.take_all() == []
+    assert got.schema().names == ["st", "en", "lid", "st_b", "en_b", "rid_b"]
+
+
 def test_interval_join_touching_endpoints_inclusive(ray_session):
     # closed intervals: L.en == R.st is an overlap
     base = pd.Timestamp("2024-01-01")

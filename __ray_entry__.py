@@ -3638,9 +3638,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         every non-adjacent 2-hop pair — the KG missing-edge proposer
         (Liben-Nowell & Kleinberg 2003).  The oracle replays
         canonicalization, the wedge self-join, the existing-edge
-        anti-join and both degree joins in SQL; tests pin
-        local == distributed so the fast path taken here covers the
-        six-exchange distributed plan too."""
+        anti-join and both degree joins in SQL."""
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
             link_scores,
         )
@@ -3662,10 +3660,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ])
             return pa.table({"src": src, "dst": dst})
 
-        return link_scores(
-            docs.map_batches(edges, batch_format="pyarrow"),
-            num_partitions=8,
-        )
+        return link_scores(docs.map_batches(edges, batch_format="pyarrow"))
 
     def kg_entity_adamic_adar(sf_dir: str):
         """Missing-edge proposals over the real KG edge list (string
@@ -3694,8 +3689,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         edges = _kg_tables(sf_dir)["edges"].select_columns(
             ["src_entity_id", "dst_entity_id"])
         return link_scores(edges, src_col="src_entity_id",
-                           dst_col="dst_entity_id", num_partitions=8,
-                           max_center_degree=256)
+                           dst_col="dst_entity_id", max_center_degree=256)
 
     def docs_clustering_coef(sf_dir: str):
         """Per-node triangle count + local clustering coefficient
@@ -3707,7 +3701,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         enumeration as the triangle census, but every closed wedge
         credits all three corners.  The oracle replays
         canonicalization, the center self-join and the closure join
-        in SQL; tests pin local == distributed parity."""
+        in SQL."""
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
             clustering_coefficient,
         )
@@ -3730,9 +3724,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.table({"src": src, "dst": dst})
 
         return clustering_coefficient(
-            docs.map_batches(edges, batch_format="pyarrow"),
-            num_partitions=8,
-        )
+            docs.map_batches(edges, batch_format="pyarrow"))
 
     def kg_entity_clustering(sf_dir: str):
         """Local clustering coefficients over the real KG edge list
@@ -3755,8 +3747,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         edges = _kg_tables(sf_dir)["edges"].select_columns(
             ["src_entity_id", "dst_entity_id"])
         return clustering_coefficient(
-            edges, src_col="src_entity_id",
-            dst_col="dst_entity_id", num_partitions=8)
+            edges, src_col="src_entity_id", dst_col="dst_entity_id")
 
     def kg_entity_betweenness(sf_dir: str):
         """Sampled betweenness centrality (Brandes 2001; Brandes &
@@ -4186,9 +4177,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         late_by = pd.Timedelta(minutes=10)
 
         def audit(pdf: pd.DataFrame) -> pd.DataFrame:
-            eid = pdf["event_id"].to_numpy(np.uint64)
-            jitter = (eid * np.uint64(2654435761)
-                      % np.uint64(10_800_000_000)).astype(np.int64)
+            # exact (eid * 2654435761) % M as the oracle's HUGEINT
+            # computes it: the multiplier splits into 16-bit halves so
+            # every int64 product stays below 2^51 (|eid % M| < 2^34);
+            # fmod truncates like SQL's % for negative ids too
+            m = 10_800_000_000
+            x = np.fmod(pdf["event_id"].to_numpy(np.int64), m)
+            jitter = np.fmod(
+                np.fmod(x * (2654435761 >> 16), m) * 65536
+                + x * (2654435761 & 0xFFFF), m)
             arrival = (pdf["ts"].astype("datetime64[us]").astype(
                 "int64") + jitter - 5_400_000_000)
             pdf = pdf.assign(__arr=arrival).sort_values(
@@ -4278,8 +4275,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         communities from stray links; the edge-level sibling of
         kg_entity_clustering.  Bulk peeling with vectorized
         degree-oriented support recomputation per round, solved in one
-        Ray task off the published checkpoint (same local contract as
-        the other graph solvers).  Rows only; semantics pinned by a
+        Ray task off the published checkpoint (same edge cap as the
+        other graph solvers).  Rows only; semantics pinned by a
         brute-force peeling reference (tests/test_truss.py)."""
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
             truss_decomposition,
@@ -5991,11 +5988,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                        num_partitions=8)
 
     def docs_pagerank(sf_dir: str):
-        """Distributed 5-iteration PageRank on a deterministic synthetic
-        graph over the documents table (two pseudo-random out-edges per
-        doc, both sides derive the identical edge list) — pins the
-        iterative scatter/gather exchanges against an unrolled SQL
-        oracle, like dup_clusters_chain does for CC."""
+        """5-iteration PageRank (pipelines/graph.pagerank) on a
+        deterministic synthetic graph over the documents table (two
+        pseudo-random out-edges per doc, both sides derive the identical
+        edge list) — pins the one-task kernel's recurrence against an
+        unrolled SQL oracle, like dup_clusters_chain does for CC."""
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
             pagerank,
         )
@@ -6017,7 +6014,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.table({"src": src, "dst": dst})
 
         return pagerank(docs.map_batches(edges, batch_format="pyarrow"),
-                        iters=5, num_partitions=8)
+                        iters=5)
 
     def docs_hits(sf_dir: str):
         """5-iteration HITS (pipelines/graph.hits) on the same
@@ -6046,7 +6043,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.table({"src": src, "dst": dst})
 
         return hits(docs.map_batches(edges, batch_format="pyarrow"),
-                    iters=5, num_partitions=8)
+                    iters=5)
 
     def docs_bfs_depths(sf_dir: str):
         """Fixed-depth multi-source BFS (pipelines/graph.bfs_depths)
@@ -6085,7 +6082,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return bfs_depths(
             docs.map_batches(edges, batch_format="pyarrow"),
             docs.map_batches(seeds, batch_format="pyarrow"),
-            max_depth=4, num_partitions=8,
+            max_depth=4,
         ).sort("node")
 
     def docs_shortest_paths(sf_dir: str):
@@ -6128,7 +6125,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return shortest_paths(
             docs.map_batches(edges, batch_format="pyarrow"),
             docs.map_batches(seeds, batch_format="pyarrow"),
-            max_hops=4, num_partitions=8,
+            max_hops=4,
         ).sort("node")
 
     def docs_graph_assortativity(sf_dir: str):
@@ -6233,8 +6230,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     _EDGE_COLS = ["src_entity_id", "dst_entity_id", "weight"]
 
     def _kg_edges_local(sf_dir: str):
-        """In-process KG edge table for graph serving, or None (big KG
-        → the distributed rounds)."""
+        """In-process KG edge table for graph serving, or None (serving
+        off, or more edges than the graph solvers' cap): then the query
+        runs the Dataset solver, the same kernel in one Ray task."""
         return _kg_local_table(sf_dir, "edges", _EDGE_COLS,
                                config.LOCAL_EDGES_THRESHOLD)
 
@@ -6246,8 +6244,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         driver-side power iteration. Small KGs serve fully in-process
         straight off the published checkpoint (same recurrence —
         graph._pagerank_local — zero Dataset executions; pinned
-        local == distributed by tests/test_graph.py and
-        tests/test_kg_local_serve.py)."""
+        equal to the Dataset path by tests/test_kg_local_serve.py)."""
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
             _pagerank_local,
             pagerank,
@@ -6261,7 +6258,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         edges = _kg_tables(sf_dir)["edges"].select_columns(_EDGE_COLS)
         return pagerank(edges, src_col="src_entity_id",
                         dst_col="dst_entity_id", weight_col="weight",
-                        iters=5, num_partitions=8)
+                        iters=5)
 
     def kg_entity_hits(sf_dir: str):
         """Hub/authority split over the real KG edge list
@@ -6270,8 +6267,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         mentions) vs entities many hubs point at (authorities) — the
         complementary importance axis to kg_entity_pagerank. Rows
         only: iterative; docs_hits° pins the recurrence against an
-        unrolled SQL oracle and tests pin local == distributed. Small
-        KGs serve in-process off the published checkpoint."""
+        unrolled SQL oracle. Small KGs serve in-process off the
+        published checkpoint (pinned equal to the Dataset path by
+        tests/test_kg_local_serve.py)."""
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
             _hits_local,
             hits,
@@ -6285,7 +6283,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         edges = _kg_tables(sf_dir)["edges"].select_columns(
             ["src_entity_id", "dst_entity_id"])
         return hits(edges, src_col="src_entity_id",
-                    dst_col="dst_entity_id", iters=5, num_partitions=8)
+                    dst_col="dst_entity_id", iters=5)
 
     def kg_entity_reach(sf_dir: str):
         """Multi-hop reach off the real KG edge list: BFS hop depth
@@ -6293,9 +6291,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         source entities — the batch form of the reference's per-query
         neighbor expansion (core/retrieval.py walks one hop per
         call). Rows only: iterative; docs_bfs_depths° pins the
-        recurrence against a recursive-CTE oracle and
-        tests/test_bfs.py pins local == distributed. Small KGs serve
-        in-process off the published checkpoint."""
+        recurrence against a recursive-CTE oracle. Small KGs serve
+        in-process off the published checkpoint (the same _bfs_local
+        kernel the Dataset path runs in one Ray task)."""
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
             _bfs_local,
             bfs_depths,
@@ -6318,7 +6316,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
         return bfs_depths(
             edges, seeds, src_col="src_entity_id",
-            dst_col="dst_entity_id", max_depth=3, num_partitions=8,
+            dst_col="dst_entity_id", max_depth=3,
         ).sort("node")
 
     def kg_edge_negatives(sf_dir: str):
@@ -6557,7 +6555,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
         ranked = pagerank(edges, src_col="src_entity_id",
                           dst_col="dst_entity_id", weight_col="weight",
-                          seeds=seeds, iters=5, num_partitions=8)
+                          seeds=seeds, iters=5)
         return ranked.sort(["pr", "node"],
                            descending=[True, False]).limit(20)
 
@@ -6583,8 +6581,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
         return label_propagation(edges, src_col="src_entity_id",
                                  dst_col="dst_entity_id",
-                                 weight_col="weight", iters=5,
-                                 num_partitions=8)
+                                 weight_col="weight", iters=5)
 
     def docs_dedup_vs_prev(sf_dir: str):
         """Incremental dedup: new crawl (doc_id % 3 != 0) against the

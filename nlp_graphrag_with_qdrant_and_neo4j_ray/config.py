@@ -90,8 +90,12 @@ KNN_LOCAL_ROWS = 300_000
 # lineage directory bytes folded in-process (many tiny per-batch files,
 # metadata-bound as a Dataset read)
 LINEAGE_LOCAL_BYTES = 256 << 20
-# edges below which the graph solvers run vectorized inside ONE Ray
-# task (pipelines.graph): there the per-round fixed exchange latency
-# dominates (measured 5.3-10.2 s for 5 rounds on a 74 k-edge KG at
-# sf0.1), and 5 M edges × ~50 B ≈ 250 MB fit one worker
+# size cap of the graph solvers (pipelines.graph): each solves the
+# whole edge list vectorized inside ONE Ray task and raises ValueError
+# above this many edges; 5 M edges × ~50 B ≈ 250 MB fit one worker. The
+# distributed rounds they replaced lost at every size the engine serves
+# (5.3-10.2 s of exchange latency for 5 rounds on a 74 k-edge KG at
+# sf0.1); the largest caller, the 250 k-page KG, has ~1.45 M linked
+# triples. The in-process KG serving path (__ray_entry__) reads the
+# checkpoint under the same cap.
 LOCAL_EDGES_THRESHOLD = 5_000_000

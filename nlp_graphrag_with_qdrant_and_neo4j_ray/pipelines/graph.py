@@ -1,11 +1,19 @@
-"""Distributed graph algorithms over edge-list Datasets — the analysis
-layer on top of the KG the engine materializes (entity importance,
-degree structure).  The reference stops at writing edges
-(/root/reference/graphrag/core/triplets.py); these are beyond-reference
-operators in the same iterative-exchange style as
-``pipelines/dedup.connected_components``: edges materialize once, each
-round is ONE fused co-partitioned ``grouped_apply`` exchange, and
-per-round state is one row per node — never the edge payload.
+"""Graph algorithms over edge-list Datasets — the analysis layer on top
+of the KG the engine materializes (entity importance, communities,
+traversal, degree structure).  The reference implementation stops at
+writing edges (graphrag/core/triplets.py); these are beyond-reference
+operators.
+
+Two shapes.  The iterative solvers (PageRank, label propagation, HITS,
+BFS, shortest paths, link scores, clustering coefficients, betweenness,
+harmonic centrality, k-truss) each have ONE vectorized kernel over the
+whole edge list: one Ray task (:func:`_one_task`), or for the sampled
+centralities one CSR shared by a few source-slice tasks.  The edge list
+must fit one worker — at most ``config.LOCAL_EDGES_THRESHOLD`` edges,
+read at call time — and a larger one raises ``ValueError``.  The
+other operators (degree counts, triangle count, k-core peeling,
+reciprocity, assortativity, co-occurrence PMI, negative sampling, walk
+corpora) are keyed ``grouped_apply`` exchanges with no size cap.
 """
 
 from __future__ import annotations
@@ -15,12 +23,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..config import LOCAL_EDGES_THRESHOLD
-from ..stages.shuffle import arrow_out, grouped_apply
-
-# row kinds on the shared exchange schema (key, __salt, dst, val, kind)
-_EDGE = 0     # key = src, dst = neighbor, val = src's weight share
-_CONTRIB = 1  # key = node, val = an incoming rank contribution
+from .. import config
+from ..stages.shuffle import grouped_apply
 
 
 def out_degrees(edges_ds, src_col: str = "src", dst_col: str = "dst",
@@ -45,33 +49,75 @@ def out_degrees(edges_ds, src_col: str = "src", dst_col: str = "dst",
                          batch_format="pyarrow")
 
 
-def _dst_salt(dst: pd.Series, salt_buckets: int) -> np.ndarray:
-    return (pd.util.hash_pandas_object(dst, index=False)
-            % salt_buckets).to_numpy(np.int64)
-
-
-# ---- small-graph fast path (VERDICT r4 task 4) ---------------------------
+# ---- the one-task solver contract ----------------------------------------
 #
-# Below config.LOCAL_EDGES_THRESHOLD edges the graph is solved vectorized
-# inside ONE Ray task instead of in distributed rounds. Same recurrences,
-# same tie-breaks, same rounding — distributed == local is pinned by
-# tests/test_graph.py. The probe is `limit(threshold+1).count()`, which
-# early-stops on big inputs, so at 100 TB scale the check costs a
-# bounded partial read.
+# Each iterative solver runs its vectorized kernel over the WHOLE edge
+# list in one Ray task. Every caller sits far below the cap (the
+# 250 k-page design-scale KG has ~1.45 M linked triples), and there one
+# task beats distributed rounds — McSherry et al., "Scalability! But at
+# what COST?" (HotOS 2015); in this engine 5 distributed rounds on a
+# 74 k-edge KG (sf0.1) paid 5.3-10.2 s of exchange latency alone. Above
+# the cap the solvers raise instead of degrading.
 
 
-def _edges_below(edges_ds, threshold: int | None):
-    """None, or the list of Arrow-block refs when the edge list is
-    small enough for the single-task solver. ONE bounded pass: the
-    limit(threshold+1) materialization early-stops on big inputs, and
-    when the limit did not truncate it already IS the whole edge list,
-    so the refs hand off zero-copy without a second execution."""
-    if threshold is None:
-        return None
-    capped = edges_ds.limit(threshold + 1).materialize()
-    if capped.count() > threshold:
-        return None
-    return capped.to_arrow_refs() or None  # empty → distributed path
+def _edge_blocks(edges_ds, solver: str) -> list:
+    """Arrow block refs of the WHOLE edge list, or ``ValueError`` when it
+    has more than ``config.LOCAL_EDGES_THRESHOLD`` edges (read at call
+    time). ONE bounded pass: ``limit(cap+1)`` early-stops on big inputs,
+    and when it did not truncate, its blocks ARE the edge list."""
+    cap = config.LOCAL_EDGES_THRESHOLD
+    capped = edges_ds.limit(cap + 1).materialize()
+    if capped.count() > cap:
+        raise ValueError(
+            f"{solver} solves the edge list in one worker: at most {cap} "
+            "edges (config.LOCAL_EDGES_THRESHOLD)")
+    return capped.to_arrow_refs()
+
+
+def _edge_table(blocks, cols: list[str]) -> pa.Table:
+    """``cols`` of the edge blocks as one table. With no rows it keeps
+    the column types of a block that carries them (null-typed when none
+    does), so an empty graph's output is typed like a non-empty one's."""
+    typed = [b.select(cols) for b in blocks
+             if set(cols) <= set(b.column_names)]
+    full = [b for b in typed if b.num_rows]
+    if full:
+        return pa.concat_tables(full)
+    return typed[0] if typed else pa.schema(
+        [(c, pa.null()) for c in cols]).empty_table()
+
+
+def _one_task(solver: str, edges_ds, cols: list[str], kernel,
+              seeds_ds=None, seed_col: str = "node"):
+    """``kernel(edge_table)`` — or ``kernel(edge_table, seed_values)``
+    given ``seeds_ds`` — run in ONE Ray task over the whole edge list
+    (:func:`_edge_blocks`' cap applies), returned as a Dataset."""
+    import ray
+    import ray.data
+
+    refs = _edge_blocks(edges_ds, solver)
+    with_seeds = seeds_ds is not None
+    seed_refs = (seeds_ds.select_columns([seed_col]).materialize()
+                 .to_arrow_refs() if with_seeds else [])
+
+    @ray.remote
+    def solve(n_edge_blocks, *blocks):
+        tbl = _edge_table(blocks[:n_edge_blocks], cols)
+        if not with_seeds:
+            return kernel(tbl)
+        seeds = [v for b in blocks[n_edge_blocks:] if b.num_rows
+                 for v in b.column(seed_col).to_pylist()]
+        return kernel(tbl, seeds)
+
+    return ray.data.from_arrow(
+        ray.get(solve.remote(len(refs), *refs, *seed_refs)))
+
+
+def _node_array(nodes: np.ndarray, tbl: pa.Table, col: str) -> pa.Array:
+    """Node values as Arrow; an empty graph keeps ``col``'s type (an
+    empty object array would infer ``null``)."""
+    return (pa.array(nodes) if len(nodes)
+            else pa.array([], tbl.schema.field(col).type))
 
 
 def _factorize_edges(tbl: pa.Table, src_col: str, dst_col: str,
@@ -90,9 +136,9 @@ def _factorize_edges(tbl: pa.Table, src_col: str, dst_col: str,
 def _pagerank_local(tbl: pa.Table, src_col: str, dst_col: str,
                     weight_col: str | None, iters: int, damping: float,
                     rank_col: str, ndigits: int, seeds) -> pa.Table:
-    """Single-task PageRank/PPR — the exact recurrence of
-    :func:`pagerank` (r1 = base + d·s, then ``iters`` scatter/gather
-    steps), vectorized with np.add.at."""
+    """The :func:`pagerank` / PPR kernel: r0 = s, then ``iters``
+    scatter/gather steps ``r = base + d·Σ share·r``, vectorized with
+    np.add.at."""
     nodes, s_idx, d_idx, w = _factorize_edges(tbl, src_col, dst_col,
                                               weight_col)
     n = len(nodes)
@@ -111,7 +157,7 @@ def _pagerank_local(tbl: pa.Table, src_col: str, dst_col: str,
         np.add.at(c, d_idx, share * r[s_idx])
         r = base + damping * c
     return pa.table({
-        "node": pa.array(nodes),
+        "node": _node_array(nodes, tbl, src_col),
         rank_col: pc.round(pa.array(r, pa.float64()), ndigits,
                            round_mode="half_towards_infinity"),
     })
@@ -120,11 +166,10 @@ def _pagerank_local(tbl: pa.Table, src_col: str, dst_col: str,
 def _lpa_local(tbl: pa.Table, src_col: str, dst_col: str,
                weight_col: str | None, iters: int, directed: bool,
                label_col: str) -> pa.Table:
-    """Single-task synchronous LPA — same update and tie-break as
-    :func:`label_propagation` (argmax summed incoming weight, ties to
-    the smaller label value; weight-0 self message keeps isolated
-    nodes alive). ``nodes`` from np.unique is SORTED, so comparing
-    label indices == comparing label values."""
+    """The :func:`label_propagation` kernel: synchronous updates, argmax
+    summed incoming weight, ties to the smaller label value; a weight-0
+    self message keeps isolated nodes alive. ``nodes`` from np.unique is
+    SORTED, so comparing label indices == comparing label values."""
     nodes, s_idx, d_idx, w = _factorize_edges(tbl, src_col, dst_col,
                                               weight_col)
     n = np.int64(len(nodes))
@@ -150,8 +195,8 @@ def _lpa_local(tbl: pa.Table, src_col: str, dst_col: str,
         lab = lab.copy()
         lab[gd[first]] = g_lab[order][first]
     return pa.table({
-        "node": pa.array(nodes),
-        label_col: pa.array(nodes[lab]),
+        "node": _node_array(nodes, tbl, src_col),
+        label_col: _node_array(nodes[lab], tbl, src_col),
     })
 
 
@@ -159,10 +204,7 @@ def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
              weight_col: str | None = None,
              iters: int = 5, damping: float = 0.85,
              rank_col: str = "pr", ndigits: int = 6,
-             seeds: frozenset | set | None = None,
-             hot_degree: int | None = None, salt_buckets: int = 8,
-             num_partitions: int = 16,
-             local_threshold: int | None = LOCAL_EDGES_THRESHOLD):
+             seeds: frozenset | set | None = None):
     """Fixed-iteration PageRank (the standard simplified recurrence
     ``r(v) = (1-d) + d·Σ_{u→v} r(u)·share(u→v)``, ranks initialized to
     1.0, dangling mass dropped — Page et al. 1999's original per-node
@@ -172,266 +214,27 @@ def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
     ``weight_col`` — the natural mode for KG edges whose weight is
     mention count.
 
-    Fused round: the gather key (contribution's destination node) and
-    the next scatter key (edge source) are the SAME key, so each round
-    is ONE exchange — a partition sums its nodes' incoming
-    contributions into ranks, then immediately multiplies its
-    co-located out-edges by those ranks, emitting next-round
-    contribution rows (pre-aggregated by destination) plus a zero
-    keep-alive row per node.  Seeding each node with one contribution
-    of 1.0 makes round one reproduce rank 1.0 under the same formula
-    (``(1-d) + d·1 = 1``).  ``iters`` rounds + one final gather =
-    ``iters+1`` exchanges total; each round MATERIALIZES (a lazily
-    chained plan that unions the pinned edge table every round
-    re-executes its upstream rounds on consumption — measured
-    superlinear), so round cost is exactly linear like the CC loop.
-
-    Hub skew (``hot_degree``): a node's out-edges co-locate on its
-    exchange partition, so a 10^8-out-edge hub would swamp one worker.
-    With ``hot_degree`` set, sources whose out-degree exceeds it are
-    detected by a combiner pass (≤1 row per src per batch), their edges
-    salted across ``salt_buckets`` sub-keys by hash(dst), their weight
-    sums broadcast (only the heads — small by definition), and their
-    contribution/keep-alive rows REPLICATED to every salt sub-key each
-    round.  Replication is cheap because contributions pre-aggregate
-    per partition before emission (≤ partitions rows per node per
-    round), and every salt partition independently reconstructs the
-    identical rank from the full contribution copy — results are
-    exactly equal to the unsalted path (tested).  The same head-key
-    treatment stages/link.py applies to entity canonicalization.
-
     Personalized PageRank (``seeds``): with a seed set, the teleport
     mass goes only to seeds — ``r(v) = (1-d)·s(v) + d·Σ`` with
     ``s(v) = 1`` for seeds else 0, initial rank = s — the GraphRAG
     retrieval-expansion variant (rank entities by proximity to the
-    query's seed entities).  Seeds broadcast as a small set; the same
-    seeded base applies in every salt partition.
+    query's seed entities).
 
     Node ids may be any hashable Arrow type (int ids, entity-name
-    strings).
-
-    ``local_threshold``: at or below this many edges the graph solves
-    vectorized inside ONE Ray task (:func:`_pagerank_local`) — the
-    per-round exchange latency is pure fixed cost there; above it the
-    distributed rounds run. ``None`` forces distributed.
+    strings).  Solved by :func:`_pagerank_local` in one Ray task
+    (:func:`_one_task`; at most ``config.LOCAL_EDGES_THRESHOLD`` edges).
     """
-    import ray
-
-    refs = _edges_below(edges_ds, local_threshold)
-    if refs is not None:
-        cols = [src_col, dst_col] + ([weight_col] if weight_col else [])
-
-        @ray.remote
-        def solve(*blocks):
-            tbls = ([b.select(cols) for b in blocks if b.num_rows]
-                    or [blocks[0].select(cols)])
-            tbl = pa.concat_tables(tbls)
-            return _pagerank_local(tbl, src_col, dst_col, weight_col,
-                                   iters, damping, rank_col, ndigits,
-                                   seeds)
-
-        import ray.data
-
-        return ray.data.from_arrow(ray.get(solve.remote(*refs)))
-
-    def to_edges(b: pa.Table) -> pa.Table:
-        w = (pc.cast(b.column(weight_col), pa.float64()) if weight_col
-             else pa.array(np.ones(b.num_rows), pa.float64()))
-        return pa.table({
-            "key": b.column(src_col),
-            "__salt": pa.array(np.zeros(b.num_rows, np.int64)),
-            "dst": b.column(dst_col),
-            "val": w,
-            "kind": pa.array(np.full(b.num_rows, _EDGE, np.int8)),
-        })
-
-    raw = edges_ds.map_batches(to_edges, batch_format="pyarrow")
-
-    # hot-source detection: per-src (count, Σw) via combiner — a hub
-    # contributes ≤1 row per batch to this exchange, never its edges
-    hot: dict = {}
-    if hot_degree is not None:
-        def src_stats(b: pa.Table) -> pa.Table:
-            g = b.group_by(["key"]).aggregate(
-                [([], "count_all"), ("val", "sum")]
-            )
-            return g.rename_columns(["key", "__n", "__w"])
-
-        def merge_stats(pdf: pd.DataFrame) -> pd.DataFrame:
-            g = pdf.groupby("key", sort=False, as_index=False).sum()
-            return g[g["__n"] > hot_degree]
-
-        hot_rows = grouped_apply(
-            raw.map_batches(src_stats, batch_format="pyarrow"),
-            ["key"], merge_stats, num_partitions=num_partitions,
-            batch_format="pandas",
-        ).take_all()
-        hot = {r["key"]: r["__w"] for r in hot_rows}
-    hot_keys = frozenset(hot)
-
-    # normalize each edge to its source's share (w/Σw; uniform
-    # 1/outdeg when unweighted).  Hot sources bypass the exchange:
-    # their Σw is broadcast, share + dst-salt computed map-side.
-    # Everyone else goes through one exchange on src (skew-free once
-    # the heads are removed).
-    def inv_deg(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.copy()
-        pdf["val"] = pdf["val"].to_numpy() / pdf.groupby(
-            "key", sort=False
-        )["val"].transform("sum").to_numpy()
-        return pdf
-
-    if hot_keys:
-        def split_hot(pdf: pd.DataFrame) -> pd.DataFrame:
-            m = pdf["key"].isin(hot_keys).to_numpy()
-            out = pdf[m].copy()
-            out["val"] = out["val"].to_numpy() \
-                / out["key"].map(hot).to_numpy(np.float64)
-            out["__salt"] = _dst_salt(out["dst"], salt_buckets)
-            return out
-
-        cold = raw.map_batches(
-            lambda pdf: pdf[~pdf["key"].isin(hot_keys)],
-            batch_format="pandas",
-        )
-        edges = grouped_apply(
-            cold, ["key"], inv_deg, num_partitions=num_partitions,
-                          batch_format="pandas").union(
-            # arrow_out: this side unions with grouped_apply's Arrow
-            # blocks — one block type per batcher
-            raw.map_batches(arrow_out(split_hot), batch_format="pandas")
-        ).materialize()
-    else:
-        edges = grouped_apply(raw, ["key"], inv_deg,
-                              num_partitions=num_partitions,
-                          batch_format="pandas").materialize()
-
-    def replicate_to_salts(agg: pd.DataFrame,
-                           last: bool) -> pd.DataFrame:
-        """Contribution rows for hot nodes are copied to every salt
-        sub-key (so each salt partition reconstructs the full rank);
-        the final gather needs no edges, so everything collapses to
-        salt 0."""
-        if hot_keys and not last:
-            is_hot = agg["key"].isin(hot_keys).to_numpy()
-            base = agg[~is_hot].copy()
-            base["__salt"] = np.int64(0)
-            h = agg[is_hot]
-            rep = h.loc[h.index.repeat(salt_buckets)].copy()
-            rep["__salt"] = np.tile(
-                np.arange(salt_buckets, dtype=np.int64), len(h)
-            )
-            agg = pd.concat([base, rep], ignore_index=True)
-        else:
-            agg = agg.copy()
-            agg["__salt"] = np.int64(0)
-        agg["dst"] = agg["key"]
-        agg["kind"] = np.full(len(agg), _CONTRIB, np.int8)
-        return agg[["key", "__salt", "dst", "val", "kind"]]
-
-    # seed contributions: c0 = s(v) makes round one reproduce the
-    # initial rank s(v) under the same formula (uniform: s ≡ 1)
-    def node_rows(b: pa.Table) -> pa.Table:
-        nodes = pa.concat_arrays([
-            b.column("key").combine_chunks().cast(
-                b.schema.field("key").type),
-            b.column("dst").combine_chunks().cast(
-                b.schema.field("key").type),
-        ])
-        if seeds is None:
-            v = np.ones(len(nodes))
-        else:
-            v = np.asarray(
-                pd.Series(nodes.to_pylist()).isin(seeds), np.float64
-            )
-        return pa.table({
-            "key": nodes,
-            "val": pa.array(v, pa.float64()),
-        })
-
-    def distinct_seed(pdf: pd.DataFrame) -> pd.DataFrame:
-        return replicate_to_salts(
-            pdf.drop_duplicates(subset=["key"]), last=False
-        )
-
-    state = grouped_apply(
-        edges.map_batches(node_rows, batch_format="pyarrow"),
-        ["key"], distinct_seed, num_partitions=num_partitions,
-        batch_format="pandas",
-    )
-
-    def ranks_of(pdf: pd.DataFrame) -> pd.Series:
-        """Rank per (key, salt) group — a hot node's contributions are
-        fully replicated per salt, so every group sees the same sum."""
-        c = pdf[pdf["kind"] == _CONTRIB]
-        r = c.groupby(["key", "__salt"], sort=False)["val"].sum()
-        if seeds is None:
-            base = 1.0 - damping
-        else:
-            base = np.where(
-                r.index.get_level_values(0).isin(seeds),
-                1.0 - damping, 0.0,
-            )
-        return base + damping * r
-
-    def fused_round(pdf: pd.DataFrame, last: bool) -> pd.DataFrame:
-        r = ranks_of(pdf)
-        edge = pdf[pdf["kind"] == _EDGE]
-        lut = r.reindex(
-            pd.MultiIndex.from_arrays([edge["key"], edge["__salt"]])
-        ).to_numpy(np.float64)
-        contrib = edge["val"].to_numpy() * lut
-        keys = r.index.get_level_values(0)
-        out = pd.DataFrame({
-            "key": pd.concat(
-                [edge["dst"], pd.Series(keys)], ignore_index=True
-            ),
-            "val": np.concatenate([contrib, np.zeros(len(r))]),
-        })
-        agg = out.groupby("key", sort=False, as_index=False)["val"].sum()
-        return replicate_to_salts(agg, last)
-
-    for i in range(iters):
-        last = i == iters - 1
-        # materialize each round: a lazily-chained round plan that
-        # UNIONs the materialized edges every round re-executes its
-        # upstream rounds on consumption (measured superlinear — 4
-        # chained rounds cost ~4× round 1); the per-round barrier makes
-        # rounds exactly linear, like connected_components
-        state = grouped_apply(
-            state.union(edges), ["key", "__salt"],
-            lambda pdf, _last=last: fused_round(pdf, _last),
-            num_partitions=num_partitions,
-                          batch_format="pandas").materialize()
-
-    def final_rank(pdf: pd.DataFrame) -> pd.DataFrame:
-        r = ranks_of(pdf)
-        return pd.DataFrame({
-            "node": r.index.get_level_values(0),
-            rank_col: r.to_numpy(),
-        })
-
-    ranks = grouped_apply(state, ["key", "__salt"], final_rank,
-                          num_partitions=num_partitions,
-                      batch_format="pandas")
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": b.column("node"),
-            rank_col: pc.round(b.column(rank_col), ndigits,
-                               round_mode="half_towards_infinity"),
-        })
-
-    return ranks.map_batches(finish, batch_format="pyarrow")
+    cols = [src_col, dst_col] + ([weight_col] if weight_col else [])
+    return _one_task("pagerank", edges_ds, cols, lambda t: _pagerank_local(
+        t, src_col, dst_col, weight_col, iters, damping, rank_col,
+        ndigits, seeds))
 
 
 def label_propagation(edges_ds, src_col: str = "src",
                       dst_col: str = "dst",
                       weight_col: str | None = None,
                       iters: int = 5, directed: bool = False,
-                      label_col: str = "community",
-                      num_partitions: int = 16,
-                      local_threshold: int | None = LOCAL_EDGES_THRESHOLD):
+                      label_col: str = "community"):
     """Community detection by synchronous label propagation (Raghavan
     et al. 2007): every node starts in its own community; each round it
     adopts the incoming-neighbor label with the largest total edge
@@ -439,138 +242,16 @@ def label_propagation(edges_ds, src_col: str = "src",
     keeps its label).  A FIXED iteration count with the deterministic
     tie-break makes the result reproducible — the classic LPA caveat
     (label oscillation on bipartite structure) is bounded by the
-    iteration cap rather than a convergence loop.
+    iteration cap rather than a convergence loop.  By default edges
+    count both ways (``directed=False`` — communities are about
+    adjacency, not direction).
 
-    Same fused shape as :func:`pagerank`: the label-update key and the
-    next message-scatter key coincide, so each round is ONE exchange of
-    (node, label, weight) messages; per-round state is one label per
-    node, messages pre-aggregate per (dst, label) before the exchange.
-    By default edges count both ways (``directed=False`` — communities
-    are about adjacency, not direction).  Hub treatment mirrors
-    pagerank's ``hot_degree`` pattern (not wired here — communities on
-    KG entity graphs sit behind the canonicalization that already
-    splits heads).
-
-    ``local_threshold``: same small-graph fast path as
-    :func:`pagerank` (one Ray task, identical update + tie-break)."""
-    import ray
-
-    refs = _edges_below(edges_ds, local_threshold)
-    if refs is not None:
-        cols = [src_col, dst_col] + ([weight_col] if weight_col else [])
-
-        @ray.remote
-        def solve(*blocks):
-            tbls = ([b.select(cols) for b in blocks if b.num_rows]
-                    or [blocks[0].select(cols)])
-            tbl = pa.concat_tables(tbls)
-            return _lpa_local(tbl, src_col, dst_col, weight_col, iters,
-                              directed, label_col)
-
-        import ray.data
-
-        return ray.data.from_arrow(ray.get(solve.remote(*refs)))
-
-    M_EDGE, M_LABEL = 0, 1
-
-    def to_edges(b: pa.Table) -> pa.Table:
-        w = (pc.cast(b.column(weight_col), pa.float64()) if weight_col
-             else pa.array(np.ones(b.num_rows), pa.float64()))
-        s = b.column(src_col).combine_chunks()
-        d = b.column(dst_col).combine_chunks().cast(s.type)
-        if directed:
-            key, dst, wv = s, d, w
-        else:
-            key = pa.concat_arrays([s, d])
-            dst = pa.concat_arrays([d, s])
-            wv = pa.concat_arrays([w.combine_chunks()
-                                   if isinstance(w, pa.ChunkedArray)
-                                   else w] * 2)
-        n = len(key)
-        return pa.table({
-            "key": key,
-            "dst": dst,
-            "label": dst,           # placeholder, same type as nodes
-            "val": wv,
-            "kind": pa.array(np.full(n, M_EDGE, np.int8)),
-        })
-
-    # edges stay Arrow blocks — grouped_apply state blocks are Arrow
-    # too, so the per-round union is one block type per batcher
-    edges = edges_ds.map_batches(
-        to_edges, batch_format="pyarrow"
-    ).materialize()
-
-    # seed: every node (src ∪ dst) labels itself (weight 0 ⇒ real
-    # neighbor messages win ties against the keep-alive)
-    def node_rows(b: pa.Table) -> pa.Table:
-        k = b.column("key").combine_chunks()
-        nodes = pa.concat_arrays([
-            k, b.column("dst").combine_chunks().cast(k.type)
-        ])
-        return pa.table({
-            "key": nodes,
-            "dst": nodes,
-            "label": nodes,
-            "val": pa.array(np.zeros(len(nodes)), pa.float64()),
-            "kind": pa.array(np.full(len(nodes), M_LABEL, np.int8)),
-        })
-
-    def distinct_nodes(pdf: pd.DataFrame) -> pd.DataFrame:
-        return pdf.drop_duplicates(subset=["key"])
-
-    state = grouped_apply(
-        edges.map_batches(node_rows, batch_format="pyarrow"),
-        ["key"], distinct_nodes, num_partitions=num_partitions,
-        batch_format="pandas",
-    )
-
-    def labels_of(pdf: pd.DataFrame) -> pd.Series:
-        """New label per node: argmax summed message weight, ties to
-        the smaller label; the weight-0 self row keeps isolated nodes
-        alive without beating any real neighbor."""
-        msg = pdf[pdf["kind"] == M_LABEL]
-        g = msg.groupby(["key", "label"], sort=False, as_index=False)[
-            "val"
-        ].sum()
-        g = g.sort_values(["key", "val", "label"],
-                          ascending=[True, False, True], kind="stable")
-        top = g.drop_duplicates(subset=["key"], keep="first")
-        return top.set_index("key")["label"]
-
-    def fused_round(pdf: pd.DataFrame) -> pd.DataFrame:
-        lab = labels_of(pdf)
-        edge = pdf[pdf["kind"] == M_EDGE]
-        out = pd.DataFrame({
-            "key": pd.concat([edge["dst"], pd.Series(lab.index)],
-                             ignore_index=True),
-            "label": pd.concat([edge["key"].map(lab),
-                                pd.Series(lab.to_numpy())],
-                               ignore_index=True),
-            "val": np.concatenate([edge["val"].to_numpy(),
-                                   np.zeros(len(lab))]),
-        })
-        agg = out.groupby(["key", "label"], sort=False,
-                          as_index=False)["val"].sum()
-        agg["dst"] = agg["key"]
-        agg["kind"] = np.full(len(agg), M_LABEL, np.int8)
-        return agg[["key", "dst", "label", "val", "kind"]]
-
-    for _ in range(iters):
-        # per-round materialize: see pagerank's loop note (lazy chained
-        # unions re-execute upstream rounds — measured superlinear)
-        state = grouped_apply(state.union(edges), ["key"], fused_round,
-                              num_partitions=num_partitions,
-                          batch_format="pandas").materialize()
-
-    def final_labels(pdf: pd.DataFrame) -> pd.DataFrame:
-        lab = labels_of(pdf)
-        return pd.DataFrame({"node": lab.index,
-                             label_col: lab.to_numpy()})
-
-    return grouped_apply(state, ["key"], final_labels,
-                         num_partitions=num_partitions,
-                      batch_format="pandas")
+    Solved by :func:`_lpa_local` in one Ray task (same contract as
+    :func:`pagerank`)."""
+    cols = [src_col, dst_col] + ([weight_col] if weight_col else [])
+    return _one_task("label_propagation", edges_ds, cols,
+                     lambda t: _lpa_local(t, src_col, dst_col, weight_col,
+                                          iters, directed, label_col))
 
 
 # ---- shared undirected-graph plumbing (triangle_count, k_core) ----------
@@ -991,9 +672,8 @@ def random_walks(edges_ds, walk_len: int = 4, src_col: str = "src",
 def _hits_local(tbl: pa.Table, src_col: str, dst_col: str,
                 iters: int, ndigits: int,
                 hub_col: str, auth_col: str) -> pa.Table:
-    """Single-task HITS — the exact recurrence of :func:`hits`
-    (a ← Σ_in h, L1-normalize; h ← Σ_out a, L1-normalize), vectorized
-    with np.add.at."""
+    """The :func:`hits` kernel (a ← Σ_in h, L1-normalize; h ← Σ_out a,
+    L1-normalize), vectorized with np.add.at."""
     nodes, s_idx, d_idx, _ = _factorize_edges(tbl, src_col, dst_col,
                                               None)
     n = len(nodes)
@@ -1007,7 +687,7 @@ def _hits_local(tbl: pa.Table, src_col: str, dst_col: str,
         np.add.at(h, s_idx, a[d_idx])
         h /= h.sum() or 1.0
     return pa.table({
-        "node": pa.array(nodes),
+        "node": _node_array(nodes, tbl, src_col),
         auth_col: pc.round(pa.array(a, pa.float64()), ndigits,
                            round_mode="half_towards_infinity"),
         hub_col: pc.round(pa.array(h, pa.float64()), ndigits,
@@ -1015,15 +695,9 @@ def _hits_local(tbl: pa.Table, src_col: str, dst_col: str,
     })
 
 
-_H_SCORE = 2  # key = node, val = the node's raw score this half-round
-
-
 def hits(edges_ds, src_col: str = "src", dst_col: str = "dst",
          iters: int = 5, ndigits: int = 6,
-         hub_col: str = "hub", auth_col: str = "authority",
-         hot_degree: int | None = None, salt_buckets: int = 8,
-         num_partitions: int = 16,
-         local_threshold: int | None = LOCAL_EDGES_THRESHOLD):
+         hub_col: str = "hub", auth_col: str = "authority"):
     """Fixed-iteration HITS (Kleinberg 1999): per iteration
     ``a(v) = Σ_{u→v} h(u)`` then L1-normalize, ``h(u) = Σ_{u→v} a(v)``
     then L1-normalize; ``h`` initialized to 1.  A FIXED iteration count
@@ -1031,243 +705,17 @@ def hits(edges_ds, src_col: str = "src", dst_col: str = "dst",
     unrolls the same ``iters`` join pairs).  Complements
     :func:`pagerank` on the host link graph — hubs are directories /
     link farms, authorities are heavily-cited content — the classic
-    web-graph pair.
+    web-graph pair.  ``iters`` must be >= 1: with none, no score is
+    ever computed.
 
-    Scale shape: each half-round is ONE co-partitioned exchange, the
-    alternating twin of :func:`pagerank`'s fused round.  The a-half
-    exchanges on ``dst``: a partition holding v's in-edges sums v's
-    incoming hub contributions into ``a_raw(v)``, then immediately
-    emits next-half contribution rows ``(u, a_raw(v))`` for its local
-    in-edges — PRE-AGGREGATED per source before they ship, so a
-    high-degree node receives ≤ num_partitions rows, not one per edge.
-    The h-half mirrors it on ``src``.  L1 normalization is deferred to
-    consumption: each half materializes (rounds stay linear, like
-    pagerank's), the driver folds the L1 norm as ONE scalar aggregate
-    over the per-node SCORE rows, and the next half divides by that
-    broadcast constant.  2·iters exchanges + one final node-join.
-
-    Head-degree skew (``hot_degree``): a node's in-edges (a-half) /
-    out-edges (h-half) co-locate on its exchange partition, so a
-    10^8-degree node would swamp one worker.  With ``hot_degree`` set,
-    heads on EACH side are detected by a combiner pass (≤1 row per key
-    per batch), their edges salted across ``salt_buckets`` sub-keys by
-    hash(other endpoint), and the pre-aggregated contribution rows
-    destined for a hot key REPLICATED to every salt sub-key — each salt
-    partition reconstructs the identical score from the full message
-    copy, emits contributions for only ITS edge slice, and only the
-    salt-0 partition emits the score row.  Results are exactly equal
-    to the unsalted path (tested) — pagerank's head-key treatment,
-    applied in both directions.
-
-    ``local_threshold``: at or below this many edges the graph solves
-    vectorized inside ONE Ray task (:func:`_hits_local`); ``None``
-    forces the distributed rounds.
+    Solved by :func:`_hits_local` in one Ray task (same contract as
+    :func:`pagerank`).
     """
-    import ray
-    import ray.data
-
-    refs = _edges_below(edges_ds, local_threshold)
-    if refs is not None:
-        cols = [src_col, dst_col]
-
-        @ray.remote
-        def solve(*blocks):
-            tbls = ([b.select(cols) for b in blocks if b.num_rows]
-                    or [blocks[0].select(cols)])
-            tbl = pa.concat_tables(tbls)
-            return _hits_local(tbl, src_col, dst_col, iters, ndigits,
-                               hub_col, auth_col)
-
-        return ray.data.from_arrow(ray.get(solve.remote(*refs)))
-
-    # head detection, each side: per-key edge counts via a combiner
-    # pass (a hub contributes ≤1 row per batch, never its edges)
-    def detect_hot(col: str) -> frozenset:
-        if hot_degree is None:
-            return frozenset()
-
-        def stats(b: pa.Table) -> pa.Table:
-            g = b.group_by([col]).aggregate([([], "count_all")])
-            return g.rename_columns(["key", "__n"])
-
-        def merge(pdf: pd.DataFrame) -> pd.DataFrame:
-            g = pdf.groupby("key", sort=False, as_index=False)[
-                "__n"].sum()
-            return g[g["__n"] > hot_degree]
-
-        rows = grouped_apply(
-            edges_ds.map_batches(stats, batch_format="pyarrow"),
-            ["key"], merge, num_partitions=num_partitions,
-            batch_format="pandas",
-        ).take_all()
-        return frozenset(r["key"] for r in rows)
-
-    hot_dst, hot_src = detect_hot(dst_col), detect_hot(src_col)
-
-    def keyed(b: pa.Table, key_col: str, other_col: str,
-              hot: frozenset) -> pa.Table:
-        out = pa.table({
-            "key": b.column(key_col),
-            "other": b.column(other_col),
-            "val": pa.array(np.zeros(b.num_rows), pa.float64()),
-            "kind": pa.array(np.full(b.num_rows, _EDGE, np.int8)),
-        })
-        if not hot:
-            salt = np.zeros(b.num_rows, np.int64)
-        else:
-            ks = out.column("key").to_pandas()
-            salt = np.where(
-                ks.isin(hot).to_numpy(),
-                _dst_salt(out.column("other").to_pandas(),
-                          salt_buckets),
-                np.int64(0))
-        return out.append_column("__salt",
-                                 pa.array(salt.astype(np.int64)))
-
-    # the edge list pinned twice: in-edges keyed by dst (a-half),
-    # out-edges keyed by src (h-half); a head's edges spread across
-    # salt sub-keys by hash of the other endpoint
-    by_dst = edges_ds.map_batches(
-        lambda b: keyed(b, dst_col, src_col, hot_dst),
-        batch_format="pyarrow",
-    ).materialize()
-    by_src = edges_ds.map_batches(
-        lambda b: keyed(b, src_col, dst_col, hot_src),
-        batch_format="pyarrow",
-    ).materialize()
-
-    def replicate(contrib: pd.DataFrame,
-                  hot: frozenset) -> pd.DataFrame:
-        """(key, val) contribution rows → exchange rows; rows for hot
-        receivers are copied to every salt sub-key so each salt
-        partition reconstructs the full score."""
-        if hot:
-            is_hot = contrib["key"].isin(hot).to_numpy()
-            base = contrib[~is_hot].copy()
-            base["__salt"] = np.int64(0)
-            h = contrib[is_hot]
-            rep = h.loc[h.index.repeat(salt_buckets)].copy()
-            rep["__salt"] = np.tile(
-                np.arange(salt_buckets, dtype=np.int64), len(h))
-            contrib = pd.concat([base, rep], ignore_index=True)
-        else:
-            contrib = contrib.copy()
-            contrib["__salt"] = np.int64(0)
-        contrib["other"] = contrib["key"]
-        contrib["kind"] = np.full(len(contrib), _CONTRIB, np.int8)
-        return contrib[["key", "__salt", "other", "val", "kind"]]
-
-    # seed messages: h0 ≡ 1 → v's first incoming sum is its in-degree;
-    # pre-aggregated per dst inside the map, like every later emission
-    def seed(pdf: pd.DataFrame) -> pd.DataFrame:
-        g = pdf.groupby(dst_col, sort=False).size()
-        return replicate(pd.DataFrame({
-            "key": g.index.to_numpy(),
-            "val": g.to_numpy(np.float64),
-        }), hot_dst)
-
-    # arrow_out: unions with the Arrow edge pins — one block type
-    msgs = edges_ds.map_batches(arrow_out(seed), batch_format="pandas")
-
-    def half_round(pdf: pd.DataFrame, divisor: float,
-                   hot_next: frozenset) -> pd.DataFrame:
-        """score_raw(K) = Σ msgs / divisor per (key, salt) — replicated
-        messages make every salt's sum identical; emit SCORE rows from
-        salt 0 only (the norm fold and the final join) + CONTRIB rows
-        toward each local edge slice's other endpoint, pre-aggregated
-        and replicated for the next half's hot receivers."""
-        m = pdf[pdf["kind"] == _CONTRIB]
-        score = m.groupby(["key", "__salt"], sort=False)[
-            "val"].sum() / divisor
-        edge = pdf[pdf["kind"] == _EDGE]
-        lut = score.reindex(pd.MultiIndex.from_arrays(
-            [edge["key"], edge["__salt"]])).to_numpy(np.float64)
-        contrib = pd.DataFrame({
-            "key": edge["other"].to_numpy(),
-            "val": np.nan_to_num(lut),
-        }).groupby("key", sort=False, as_index=False)["val"].sum()
-        out = replicate(contrib, hot_next)
-        s0 = score[score.index.get_level_values(1) == 0]
-        nodes = s0.index.get_level_values(0).to_numpy()
-        sc = pd.DataFrame({
-            "key": nodes,
-            "__salt": np.zeros(len(nodes), np.int64),
-            "other": nodes,
-            "val": s0.to_numpy(np.float64),
-            "kind": np.full(len(nodes), _H_SCORE, np.int8),
-        })
-        return pd.concat([out, sc], ignore_index=True)
-
-    def only(state, kind: int):
-        return state.map_batches(
-            lambda b, _k=kind: b.filter(pc.equal(b.column("kind"), _k)),
-            batch_format="pyarrow")
-
     if iters < 1:
         raise ValueError("hits: iters must be >= 1")
-    divisor = 1.0  # h0 is used unnormalized, like the local solver
-    a_scores = h_scores = None
-    for _ in range(iters):
-        for edges_pin, is_a_half in ((by_dst, True), (by_src, False)):
-            # the a-half emits toward sources (consumed keyed by src),
-            # the h-half toward destinations
-            hot_next = hot_src if is_a_half else hot_dst
-            state = grouped_apply(
-                msgs.union(edges_pin), ["key", "__salt"],
-                lambda pdf, _d=divisor, _h=hot_next:
-                    half_round(pdf, _d, _h),
-                num_partitions=num_partitions,
-                batch_format="pandas",
-            ).materialize()
-            scores = only(state, _H_SCORE)
-            divisor = float(scores.sum("val") or 0.0) or 1.0
-            msgs = only(state, _CONTRIB)
-            if is_a_half:
-                a_scores, a_div = scores, divisor
-            else:
-                h_scores, h_div = scores, divisor
-
-    # final join: every node appears in at least one score set; missing
-    # side = raw 0.  One exchange on the node key.
-    def label(scores, col: str, div: float):
-        return scores.map_batches(
-            lambda b, _c=col, _d=div: pa.table({
-                "node": b.column("key"),
-                "col": pa.array(np.full(b.num_rows, _c)),
-                "v": pc.divide(b.column("val"), _d),
-            }),
-            batch_format="pyarrow")
-
-    both = label(a_scores, auth_col, a_div).union(
-        label(h_scores, hub_col, h_div))
-
-    def pivot(pdf: pd.DataFrame) -> pd.DataFrame:
-        w = pdf.pivot_table(index="node", columns="col", values="v",
-                            aggfunc="sum", fill_value=0.0)
-        for c in (auth_col, hub_col):
-            if c not in w.columns:
-                w[c] = 0.0
-        w = w.reset_index()
-        return pd.DataFrame({
-            "node": w["node"].to_numpy(),
-            auth_col: w[auth_col].to_numpy(np.float64),
-            hub_col: w[hub_col].to_numpy(np.float64),
-        })
-
-    out = grouped_apply(both, ["node"], pivot,
-                        num_partitions=num_partitions,
-                        batch_format="pandas")
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": b.column("node"),
-            auth_col: pc.round(b.column(auth_col), ndigits,
-                               round_mode="half_towards_infinity"),
-            hub_col: pc.round(b.column(hub_col), ndigits,
-                              round_mode="half_towards_infinity"),
-        })
-
-    return out.map_batches(finish, batch_format="pyarrow")
+    return _one_task("hits", edges_ds, [src_col, dst_col],
+                     lambda t: _hits_local(t, src_col, dst_col, iters,
+                                           ndigits, hub_col, auth_col))
 
 
 # ---------------------------------------------------------------------------
@@ -1452,11 +900,10 @@ def cooccurrence_pmi(ds, group_col: str, item_col: str,
 def _bfs_local(tbl: pa.Table, src_col: str, dst_col: str, seeds,
                max_depth: int, node_col: str = "node",
                depth_col: str = "depth") -> pa.Table:
-    """Single-task multi-source BFS — the exact frontier expansion of
-    :func:`bfs_depths`, vectorized (np.isin edge masks per round).
-    ``seeds`` is a bounded iterable of node values; output is (node,
-    depth) for every node within ``max_depth`` hops of ANY seed,
-    sorted by node (np.unique order)."""
+    """The :func:`bfs_depths` kernel — frontier expansion vectorized
+    with np.isin edge masks per round. ``seeds`` is a bounded iterable
+    of node values; output is (node, depth) for every node within
+    ``max_depth`` hops of ANY seed, sorted by node (np.unique order)."""
     seed_list = list(seeds)
     src = tbl.column(src_col).to_numpy(zero_copy_only=False)
     dst = tbl.column(dst_col).to_numpy(zero_copy_only=False)
@@ -1488,8 +935,7 @@ def _bfs_local(tbl: pa.Table, src_col: str, dst_col: str, seeds,
 
 def bfs_depths(edges_ds, seeds_ds, src_col: str = "src",
                dst_col: str = "dst", seed_col: str = "node",
-               max_depth: int = 4, num_partitions: int = 16,
-               local_threshold: int | None = LOCAL_EDGES_THRESHOLD):
+               max_depth: int = 4):
     """Multi-source breadth-first search to a FIXED depth: (node, depth)
     for every node reachable within ``max_depth`` directed hops of any
     seed, depth = shortest hop distance. The traversal primitive under
@@ -1499,122 +945,17 @@ def bfs_depths(edges_ds, seeds_ds, src_col: str = "src",
     crawl-frontier / link-distance analyses on the host graph. A fixed
     ``max_depth`` keeps the result deterministic and SQL-oracle-able
     (a recursive CTE enumerates walks of length ≤ max_depth; MIN(d)
-    per node is the same shortest-walk distance).
+    per node is the same shortest-walk distance). Seed rows need not
+    appear in the edge list — they surface at depth 0 regardless.
 
-    Scale shape: the edge list is keyed by ``src`` and materialized
-    ONCE; each round ships only the CURRENT frontier (bounded by new
-    nodes discovered that round, never the full visited set) into the
-    edges' partitioning — one co-partitioned ``grouped_apply`` expands
-    partition-local frontier × edges to candidate (node, depth+1) rows
-    (deduped per partition before they ship), and a second
-    ``grouped_apply`` min-folds candidates into the visited table.
-    2·rounds exchanges, O(frontier + candidate) bytes moved per round;
-    BFS monotonicity (a node's first discovery depth is its minimum)
-    makes an unchanged visited-count a correct fixpoint test, so dense
-    graphs exit early. Seed rows need not appear in the edge list —
-    they surface at depth 0 regardless.
-
-    ``local_threshold``: at or below this many edges the whole
-    traversal solves vectorized inside ONE Ray task
-    (:func:`_bfs_local`); ``None`` forces the distributed rounds.
-    Node columns must share one dtype across edges and seeds.
+    Solved by :func:`_bfs_local` in one Ray task (same contract as
+    :func:`pagerank`; the seeds ride along). Node columns must share
+    one dtype across edges and seeds.
     """
-    import ray
-    import ray.data
-
-    refs = _edges_below(edges_ds, local_threshold)
-    if refs is not None:
-        seed_refs = (seeds_ds.select_columns([seed_col])
-                     .materialize().to_arrow_refs())
-        cols = [src_col, dst_col]
-
-        @ray.remote
-        def solve(n_edge_blocks, *blocks):
-            eb = [b.select(cols) for b in blocks[:n_edge_blocks]
-                  if b.num_rows]
-            sb = [b for b in blocks[n_edge_blocks:] if b.num_rows]
-            etbl = (pa.concat_tables(eb) if eb
-                    else blocks[0].select(cols))
-            seeds = (pa.concat_tables(sb).column(seed_col).to_pylist()
-                     if sb else [])
-            return _bfs_local(etbl, src_col, dst_col, seeds, max_depth)
-
-        return ray.data.from_arrow(
-            ray.get(solve.remote(len(refs), *refs, *seed_refs)))
-
-    K_EDGE, K_FRONT = np.int8(0), np.int8(1)
-
-    def edge_rows(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": b.column(src_col),
-            "other": b.column(dst_col),
-            "kind": pa.array(np.full(b.num_rows, K_EDGE, np.int8)),
-        })
-
-    edges_msg = edges_ds.map_batches(
-        edge_rows, batch_format="pyarrow").materialize()
-    sch = edges_msg.schema()
-    node_type = dict(zip(sch.names, sch.types))["other"]
-
-    def seed_rows(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": pc.cast(b.column(seed_col), node_type),
-            "depth": pa.array(np.zeros(b.num_rows, np.int64)),
-        })
-
-    def min_depth(tbl: pa.Table) -> pa.Table:
-        g = tbl.group_by(["node"]).aggregate([("depth", "min")])
-        return g.rename_columns(["node", "depth"])
-
-    dist = grouped_apply(
-        seeds_ds.map_batches(seed_rows, batch_format="pyarrow"),
-        ["node"], min_depth, num_partitions=num_partitions,
-    ).materialize()
-    prev = dist.count()
-
-    for r in range(max_depth):
-        def front_rows(b: pa.Table, rr=r) -> pa.Table:
-            t = b.filter(pc.equal(b.column("depth"), rr))
-            return pa.table({
-                "key": t.column("node"),
-                "other": t.column("node"),
-                "kind": pa.array(np.full(t.num_rows, K_FRONT, np.int8)),
-            })
-
-        def expand(tbl: pa.Table, rr=r) -> pa.Table:
-            kind = tbl.column("kind").to_numpy(zero_copy_only=False)
-            keys = tbl.column("key").to_numpy(zero_copy_only=False)
-            front = np.unique(keys[kind == K_FRONT])
-            if front.size == 0:
-                return pa.table({
-                    "node": pa.array([], node_type),
-                    "depth": pa.array([], pa.int64()),
-                })
-            em = kind == K_EDGE
-            hits_mask = np.isin(keys[em], front)
-            targets = np.unique(tbl.column("other").to_numpy(
-                zero_copy_only=False)[em][hits_mask])
-            return pa.table({
-                "node": pa.array(targets, node_type),
-                "depth": pa.array(
-                    np.full(targets.size, rr + 1, np.int64)),
-            })
-
-        cand = grouped_apply(
-            edges_msg.union(dist.map_batches(
-                front_rows, batch_format="pyarrow")),
-            ["key"], expand, num_partitions=num_partitions,
-        )
-        dist = grouped_apply(
-            dist.union(cand), ["node"], min_depth,
-            num_partitions=num_partitions,
-        ).materialize()
-        cur = dist.count()
-        if cur == prev:
-            break
-        prev = cur
-
-    return dist
+    return _one_task("bfs_depths", edges_ds, [src_col, dst_col],
+                     lambda t, seeds: _bfs_local(t, src_col, dst_col,
+                                                 seeds, max_depth),
+                     seeds_ds, seed_col)
 
 
 # ---- link reciprocity ------------------------------------------------------
@@ -1875,8 +1216,8 @@ def _shortest_paths_local(tbl: pa.Table, src_col: str, dst_col: str,
                           weight_col: str, seeds, max_hops: int,
                           node_col: str = "node",
                           cost_col: str = "cost") -> pa.Table:
-    """Single-task bounded-hop Bellman-Ford — the exact relaxation of
-    :func:`shortest_paths`, vectorized (np.minimum.at per round)."""
+    """The :func:`shortest_paths` kernel — bounded-hop Bellman-Ford,
+    vectorized (np.minimum.at per round)."""
     seed_list = list(seeds)
     src = tbl.column(src_col).to_numpy(zero_copy_only=False)
     dst = tbl.column(dst_col).to_numpy(zero_copy_only=False)
@@ -1911,9 +1252,7 @@ def _shortest_paths_local(tbl: pa.Table, src_col: str, dst_col: str,
 
 def shortest_paths(edges_ds, seeds_ds, src_col: str = "src",
                    dst_col: str = "dst", weight_col: str = "w",
-                   seed_col: str = "node", max_hops: int = 4,
-                   num_partitions: int = 16,
-                   local_threshold: int | None = LOCAL_EDGES_THRESHOLD):
+                   seed_col: str = "node", max_hops: int = 4):
     """Multi-source WEIGHTED shortest paths bounded to ``max_hops``
     edges: (node, cost) with cost = the minimum total integer edge
     weight over any directed path of at most ``max_hops`` hops from
@@ -1923,155 +1262,18 @@ def shortest_paths(edges_ds, seeds_ds, src_col: str = "src",
     is part of the SEMANTICS (exactly ``max_hops`` relaxation rounds),
     which keeps the result deterministic and SQL-oracle-able: a
     recursive CTE enumerating (node, cost, hops ≤ max_hops) walks has
-    the same MIN(cost) per node. Integer weights → exact int64 math.
+    the same MIN(cost) per node. Weights cast to int64 → exact int64
+    math.
 
-    Scale shape: like BFS, the src-keyed edge list materializes ONCE;
-    unlike BFS a settled node can improve in a later round, so each
-    round ships the CHANGED node set (monotone non-increasing costs;
-    empty changed-set = early fixpoint): exchange 1 expands changed
-    nodes against partition-local edges into relaxation candidates
-    (pre-min-folded per partition), exchange 2 min-folds candidates
-    into the cost table and recomputes the changed flag by comparing
-    against the incumbent. 2·rounds exchanges, O(changed + candidates)
-    bytes per round.
+    Solved by :func:`_shortest_paths_local` in one Ray task (same
+    contract as :func:`bfs_depths`).
     """
-    import ray
-    import ray.data
-
-    refs = _edges_below(edges_ds, local_threshold)
-    if refs is not None:
-        seed_refs = (seeds_ds.select_columns([seed_col])
-                     .materialize().to_arrow_refs())
-        cols = [src_col, dst_col, weight_col]
-
-        @ray.remote
-        def solve(n_edge_blocks, *blocks):
-            eb = [b.select(cols) for b in blocks[:n_edge_blocks]
-                  if b.num_rows]
-            sb = [b for b in blocks[n_edge_blocks:] if b.num_rows]
-            etbl = (pa.concat_tables(eb) if eb
-                    else blocks[0].select(cols))
-            seeds = (pa.concat_tables(sb).column(seed_col).to_pylist()
-                     if sb else [])
-            return _shortest_paths_local(etbl, src_col, dst_col,
-                                         weight_col, seeds, max_hops)
-
-        return ray.data.from_arrow(
-            ray.get(solve.remote(len(refs), *refs, *seed_refs)))
-
-    K_EDGE, K_FRONT = np.int8(0), np.int8(1)
-
-    def edge_rows(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": b.column(src_col),
-            "other": b.column(dst_col),
-            "w": pc.cast(b.column(weight_col), pa.int64()),
-            "kind": pa.array(np.full(b.num_rows, K_EDGE, np.int8)),
-        })
-
-    edges_msg = edges_ds.map_batches(
-        edge_rows, batch_format="pyarrow").materialize()
-    sch = edges_msg.schema()
-    node_type = dict(zip(sch.names, sch.types))["other"]
-
-    def seed_rows(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        return pa.table({
-            "node": pc.cast(b.column(seed_col), node_type),
-            "cost": pa.array(np.zeros(n, np.int64)),
-            "chg": pa.array(np.ones(n, np.int8)),
-        })
-
-    def fold(tbl: pa.Table) -> pa.Table:
-        """Per node: incumbent = min cost among chg-carrying dist rows
-        vs candidates; changed = a candidate beat every dist row."""
-        pdf = tbl.to_pandas()
-        # dist rows carry chg 0/1; candidates carry chg == 2
-        is_cand = pdf["chg"] == 2
-        old = pdf[~is_cand].groupby("node")["cost"].min()
-        allm = pdf.groupby("node")["cost"].min()
-        changed = pd.Series(np.ones(len(allm), np.int8),
-                            index=allm.index)
-        both = old.reindex(allm.index)
-        changed[both.notna() & (both <= allm)] = 0
-        # brand-new nodes (no dist row) are changed by definition
-        return pa.Table.from_pandas(pd.DataFrame({
-            "node": allm.index.to_numpy(),
-            "cost": allm.to_numpy(np.int64),
-            "chg": changed.to_numpy(np.int8),
-        }), preserve_index=False)
-
-    def seed_fold(tbl: pa.Table) -> pa.Table:
-        g = tbl.group_by(["node"]).aggregate([("cost", "min")])
-        g = g.rename_columns(["node", "cost"])
-        # seeds start CHANGED so round 0 expands them
-        return g.append_column(
-            "chg", pa.array(np.ones(g.num_rows, np.int8)))
-
-    dist = grouped_apply(
-        seeds_ds.map_batches(seed_rows, batch_format="pyarrow"),
-        ["node"], seed_fold, num_partitions=num_partitions,
-    ).materialize()
-
-    for _ in range(max_hops):
-        def front_rows(b: pa.Table) -> pa.Table:
-            t = b.filter(pc.equal(b.column("chg"), 1))
-            return pa.table({
-                "key": t.column("node"),
-                "other": t.column("node"),
-                "w": pc.cast(t.column("cost"), pa.int64()),
-                "kind": pa.array(np.full(t.num_rows, K_FRONT, np.int8)),
-            })
-
-        def expand(tbl: pa.Table) -> pa.Table:
-            kind = tbl.column("kind").to_numpy(zero_copy_only=False)
-            keys = tbl.column("key").to_numpy(zero_copy_only=False)
-            fsel = kind == K_FRONT
-            if not fsel.any():
-                return pa.table({
-                    "node": pa.array([], node_type),
-                    "cost": pa.array([], pa.int64()),
-                    "chg": pa.array([], pa.int8()),
-                })
-            w = tbl.column("w").to_numpy(zero_copy_only=False)
-            fcost = pd.Series(w[fsel]).groupby(
-                keys[fsel], sort=False).min()
-            em = kind == K_EDGE
-            esrc = keys[em]
-            hit = np.isin(esrc, fcost.index.to_numpy())
-            cand = pd.DataFrame({
-                "node": tbl.column("other").to_numpy(
-                    zero_copy_only=False)[em][hit],
-                "cost": (fcost.reindex(esrc[hit]).to_numpy(np.int64)
-                         + w[em][hit]),
-            }).groupby("node", as_index=False)["cost"].min()
-            cand["chg"] = np.int8(2)
-            return pa.Table.from_pandas(cand, preserve_index=False)
-
-        cand = grouped_apply(
-            edges_msg.union(dist.map_batches(
-                front_rows, batch_format="pyarrow")),
-            ["key"], expand, num_partitions=num_partitions,
-        )
-        new_dist = grouped_apply(
-            dist.union(cand), ["node"], fold,
-            num_partitions=num_partitions,
-        ).materialize()
-        from ray.data.aggregate import Sum
-
-        dist = new_dist
-        agg = dist.map_batches(
-            lambda b: pa.table({"c": pc.cast(b.column("chg"),
-                                             pa.int64())}),
-            batch_format="pyarrow").aggregate(Sum("c"))
-        if not agg or not agg.get("sum(c)"):
-            break
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({"node": b.column("node"),
-                         "cost": b.column("cost")})
-
-    return dist.map_batches(finish, batch_format="pyarrow")
+    return _one_task("shortest_paths", edges_ds,
+                     [src_col, dst_col, weight_col],
+                     lambda t, seeds: _shortest_paths_local(
+                         t, src_col, dst_col, weight_col, seeds,
+                         max_hops),
+                     seeds_ds, seed_col)
 
 
 def _canon_codes(tbl: pa.Table, src_col: str, dst_col: str):
@@ -2118,19 +1320,16 @@ def _group_pairs(centers: np.ndarray, neighbors: np.ndarray,
 def _link_scores_local(tbl: pa.Table, src_col: str, dst_col: str,
                        max_center_degree: int | None = None,
                        ndigits: int = 6) -> pa.Table:
-    """Single-task exact link-prediction scores — the small-graph
-    serving fast path and the parity reference :func:`link_scores` is
-    pinned against.  Same canonicalization, wedge semantics and
-    rounding as the distributed path, but fully vectorized: ids
-    factorize to int codes once, wedges generate per DISTINCT degree
-    (one triu per size, all same-size centers batched), and (x, y)
-    aggregation + the adjacency anti-join run on packed int64 keys —
-    no per-center Python loop, no string groupbys (measured 207 s →
-    ~4 s on the 72 k-edge / 68 M-wedge bench KG)."""
-    out_type = (pa.from_numpy_dtype(tbl.schema.field(src_col).type
-                                    .to_pandas_dtype())
-                if not pa.types.is_string(tbl.schema.field(src_col).type)
-                else pa.string())
+    """The :func:`link_scores` kernel, fully vectorized: ids factorize
+    to int codes once, wedges generate per DISTINCT degree (one triu per
+    size, all same-size centers batched), and (x, y) aggregation + the
+    adjacency anti-join run on packed int64 keys — no per-center Python
+    loop, no string groupbys (measured 207 s → ~4 s on the 72 k-edge /
+    68 M-wedge bench KG)."""
+    # the type pa.array gives the factorized uniques below
+    out_type = tbl.schema.field(src_col).type
+    if pa.types.is_large_string(out_type):
+        out_type = pa.string()
     empty = pa.table({
         "node_a": pa.array([], out_type),
         "node_b": pa.array([], out_type),
@@ -2187,10 +1386,8 @@ def _link_scores_local(tbl: pa.Table, src_col: str, dst_col: str,
 
 
 def link_scores(edges_ds, src_col: str = "src", dst_col: str = "dst",
-                num_partitions: int = 16,
                 max_center_degree: int | None = None,
-                ndigits: int = 6,
-                local_threshold: int | None = LOCAL_EDGES_THRESHOLD):
+                ndigits: int = 6):
     """Link-prediction scores for every 2-hop (non-adjacent) node pair
     of the UNDIRECTED graph: common-neighbor count ``cn``, Adamic-Adar
     ``aa = Σ_z 1/ln(deg z)``, resource allocation ``ra = Σ_z 1/deg z``
@@ -2199,17 +1396,8 @@ def link_scores(edges_ds, src_col: str = "src", dst_col: str = "dst",
     indices (Liben-Nowell & Kleinberg 2003) behind "entities that
     share many rare neighbors are probably related", the KG
     missing-edge proposer that pairs with
-    :func:`edge_negatives`' evaluation harness.
-
-    Six bounded exchanges, no broadcasts, no driver graph state:
-    canonical-edge dedup → wedge generation grouped by CENTER (the
-    center's degree is simply its group size, so no degree join feeds
-    the wedge stage; per-partition (x, y) partials pre-combine before
-    shipping) → one fused (x, y) exchange that sums partials AND
-    anti-joins the existing-edge rows unioned in (adjacent pairs
-    never leave the reduce) → endpoint-degree count → two
-    co-partitioned degree joins for the Jaccard denominator (degrees
-    are O(V) rows, never broadcast).
+    :func:`edge_negatives`' evaluation harness.  Duplicate, reversed
+    and self-loop edges collapse.
 
     Hub skew: a center of degree k emits k(k−1)/2 wedge pairs — the
     explosion is inherent to the statistic, and a 10^6-degree hub
@@ -2218,222 +1406,17 @@ def link_scores(edges_ds, src_col: str = "src", dst_col: str = "dst",
     (the standard practice in large-scale implementations; the cap is
     part of the operator's contract, not a silent truncation).
 
-    Node ids may be int or string; results are exactly equal to the
-    single-task reference (``local_threshold`` — same fast-path
-    contract as :func:`pagerank`)."""
-    import ray
-    import ray.data as rd
-
-    refs = _edges_below(edges_ds, local_threshold)
-    if refs is not None:
-        @ray.remote
-        def solve(*blocks):
-            tbls = ([b.select([src_col, dst_col])
-                     for b in blocks if b.num_rows]
-                    or [blocks[0].select([src_col, dst_col])])
-            return _link_scores_local(
-                pa.concat_tables(tbls), src_col, dst_col,
-                max_center_degree, ndigits)
-
-        return rd.from_arrow(ray.get(solve.remote(*refs)))
-
-    # ---- canonical distinct a<b undirected edges (any node type) ----
-    def canon(b: pa.Table) -> pa.Table:
-        a = b.column(src_col)
-        c = b.column(dst_col)
-        lo = pc.min_element_wise(a, c)
-        hi = pc.max_element_wise(a, c)
-        t = pa.table({"a": lo, "b": hi}).filter(pc.not_equal(lo, hi))
-        return t.group_by(["a", "b"]).aggregate([]).select(["a", "b"])
-
-    def dedup(t: pa.Table) -> pa.Table:
-        return t.group_by(["a", "b"]).aggregate([]).select(["a", "b"])
-
-    edges = grouped_apply(
-        edges_ds.map_batches(canon, batch_format="pyarrow"),
-        ["a", "b"], dedup, num_partitions=num_partitions,
-        batch_format="pyarrow",
-    ).materialize()  # consumed 3×: wedges, anti-join rows, degrees
-
-    node_t = edges.schema().types[0]
-
-    # ---- wedges grouped by center; (x, y) partials pre-combined ----
-    def both_dirs(b: pa.Table) -> pa.Table:
-        a = b.column("a").combine_chunks()
-        bb = b.column("b").combine_chunks()
-        return pa.table({"c": pa.concat_arrays([a, bb]),
-                         "n": pa.concat_arrays([bb, a])})
-
-    def wedges(t: pa.Table) -> pa.Table:
-        # partition-local id factorization (codes never leave the fn):
-        # wedge generation batches per distinct degree and the (x, y)
-        # partial combine runs on packed int64 keys — same vectorized
-        # shape as _link_scores_local, no per-center Python
-        empty = pa.table({
-            "kind": pa.array([], pa.int8()),
-            "x": pa.array([], node_t), "y": pa.array([], node_t),
-            "cn": pa.array([], pa.int64()),
-            "aa": pa.array([], pa.float64()),
-            "ra": pa.array([], pa.float64()),
-        })
-        c = t.column("c").to_numpy(zero_copy_only=False)
-        n = t.column("n").to_numpy(zero_copy_only=False)
-        if not len(c):
-            return empty
-        codes, uniq = pd.factorize(np.concatenate([c, n]), sort=True)
-        uniq = np.asarray(uniq)
-        nv = len(uniq)
-        cc = codes[: len(c)].astype(np.int64)
-        nc = codes[len(c):].astype(np.int64)
-        order = np.argsort(cc * nv + nc, kind="stable")
-        cc, nc = cc[order], nc[order]
-        key_parts, cn_parts, aa_parts, ra_parts = [], [], [], []
-        for k, _cg, x, y in _group_pairs(cc, nc, max_center_degree):
-            pk = x * nv + y  # neighbors ascend per center, so x < y
-            uk, inv = np.unique(pk, return_inverse=True)
-            cnt = np.bincount(inv)
-            key_parts.append(uk)
-            cn_parts.append(cnt)
-            aa_parts.append(cnt / np.log(k))
-            ra_parts.append(cnt / k)
-        if not key_parts:
-            return empty
-        uk, inv = np.unique(np.concatenate(key_parts),
-                            return_inverse=True)
-        cn = np.bincount(inv, weights=np.concatenate(cn_parts))
-        aa = np.bincount(inv, weights=np.concatenate(aa_parts))
-        ra = np.bincount(inv, weights=np.concatenate(ra_parts))
-        return pa.table({
-            "kind": pa.array(np.zeros(len(uk), np.int8)),
-            "x": pc.cast(pa.array(uniq[uk // nv]), node_t),
-            "y": pc.cast(pa.array(uniq[uk % nv]), node_t),
-            "cn": pa.array(cn.astype(np.int64)),
-            "aa": pa.array(aa),
-            "ra": pa.array(ra),
-        })
-
-    partials = grouped_apply(
-        edges.map_batches(both_dirs, batch_format="pyarrow"),
-        ["c"], wedges, num_partitions=num_partitions,
-        batch_format="pyarrow",
-    )
-
-    # ---- fused (x, y) reduce: sum partials, drop adjacent pairs ----
-    def tag_edges(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        return pa.table({
-            "kind": pa.array(np.ones(n, np.int8)),
-            "x": b.column("a"), "y": b.column("b"),
-            "cn": pa.nulls(n, pa.int64()),
-            "aa": pa.nulls(n, pa.float64()),
-            "ra": pa.nulls(n, pa.float64()),
-        })
-
-    def pair_reduce(t: pa.Table) -> pa.Table:
-        pdf = t.to_pandas()
-        p = pdf[pdf["kind"] == 0]
-        e = pdf[pdf["kind"] == 1][["x", "y"]].drop_duplicates()
-        agg = p.groupby(["x", "y"], as_index=False)[
-            ["cn", "aa", "ra"]].sum()
-        m = agg.merge(e, on=["x", "y"], how="left", indicator=True)
-        m = m[m["_merge"] == "left_only"].drop(columns="_merge")
-        return pa.table({
-            "x": pc.cast(pa.array(m["x"].to_numpy()), node_t),
-            "y": pc.cast(pa.array(m["y"].to_numpy()), node_t),
-            "cn": pa.array(m["cn"].to_numpy(np.int64)),
-            "aa": pa.array(m["aa"].to_numpy(np.float64)),
-            "ra": pa.array(m["ra"].to_numpy(np.float64)),
-        })
-
-    pairs = grouped_apply(
-        partials.union(edges.map_batches(tag_edges,
-                                         batch_format="pyarrow")),
-        ["x", "y"], pair_reduce, num_partitions=num_partitions,
-        batch_format="pyarrow",
-    )
-
-    degrees = edge_degrees(edges, num_partitions)
-
-    # ---- two co-partitioned degree joins for the Jaccard bottom ----
-    def attach(pair_ds, key: str, out: str, have_dx: bool):
-        def tag_p(b: pa.Table) -> pa.Table:
-            n = b.num_rows
-            other = "y" if key == "x" else "x"
-            return pa.table({
-                "kind": pa.array(np.zeros(n, np.int8)),
-                "k": b.column(key), "other": b.column(other),
-                "cn": b.column("cn"), "aa": b.column("aa"),
-                "ra": b.column("ra"),
-                "dx": (b.column("dx") if have_dx
-                       else pa.nulls(n, pa.int64())),
-                "deg": pa.nulls(n, pa.int64()),
-            })
-
-        def tag_d(b: pa.Table) -> pa.Table:
-            n = b.num_rows
-            return pa.table({
-                "kind": pa.array(np.ones(n, np.int8)),
-                "k": b.column("node"), "other": pa.nulls(n, node_t),
-                "cn": pa.nulls(n, pa.int64()),
-                "aa": pa.nulls(n, pa.float64()),
-                "ra": pa.nulls(n, pa.float64()),
-                "dx": pa.nulls(n, pa.int64()),
-                "deg": b.column("deg"),
-            })
-
-        def join(t: pa.Table) -> pa.Table:
-            pdf = t.to_pandas()
-            dd = pdf[pdf["kind"] == 1][["k", "deg"]]
-            ee = pdf[pdf["kind"] == 0].drop(columns=["kind", "deg"])
-            m = ee.merge(dd, on="k", how="inner")
-            cols = {
-                key: pc.cast(pa.array(m["k"].to_numpy()), node_t),
-                ("y" if key == "x" else "x"): pc.cast(
-                    pa.array(m["other"].to_numpy()), node_t),
-                "cn": pc.cast(pa.array(m["cn"].to_numpy()),
-                              pa.int64()),
-                "aa": pa.array(m["aa"].to_numpy(np.float64)),
-                "ra": pa.array(m["ra"].to_numpy(np.float64)),
-                out: pc.cast(pa.array(m["deg"].to_numpy()),
-                             pa.int64()),
-            }
-            if have_dx:
-                cols["dx"] = pc.cast(pa.array(m["dx"].to_numpy()),
-                                     pa.int64())
-            return pa.table(cols)
-
-        return grouped_apply(
-            pair_ds.map_batches(tag_p, batch_format="pyarrow").union(
-                degrees.map_batches(tag_d, batch_format="pyarrow")),
-            ["k"], join, num_partitions=num_partitions,
-            batch_format="pyarrow",
-        )
-
-    with_dx = attach(pairs, "x", "dx", have_dx=False)
-    with_dy = attach(with_dx, "y", "dy", have_dx=True)
-
-    def finish(b: pa.Table) -> pa.Table:
-        cn = pc.cast(b.column("cn"), pa.float64())
-        denom = pc.subtract(
-            pc.add(pc.cast(b.column("dx"), pa.float64()),
-                   pc.cast(b.column("dy"), pa.float64())), cn)
-        rnd = dict(ndigits=ndigits, round_mode="half_towards_infinity")
-        return pa.table({
-            "node_a": b.column("x"), "node_b": b.column("y"),
-            "cn": b.column("cn"),
-            "aa": pc.round(b.column("aa"), **rnd),
-            "ra": pc.round(b.column("ra"), **rnd),
-            "jaccard": pc.round(pc.divide(cn, denom), **rnd),
-        })
-
-    return with_dy.map_batches(finish, batch_format="pyarrow")
+    Node ids may be int or string.  Solved by :func:`_link_scores_local`
+    in one Ray task (same contract as :func:`pagerank`)."""
+    return _one_task("link_scores", edges_ds, [src_col, dst_col],
+                     lambda t: _link_scores_local(
+                         t, src_col, dst_col, max_center_degree, ndigits))
 
 
 def _clustering_local(tbl: pa.Table, src_col: str, dst_col: str,
                       ndigits: int = 6) -> pa.Table:
-    """Single-task exact per-node clustering coefficients — the
-    small-graph fast path and the parity reference for
-    :func:`clustering_coefficient`."""
+    """The :func:`clustering_coefficient` kernel: per-node triangle
+    counts from one degree-oriented wedge enumeration."""
     canon = _canon_codes(tbl, src_col, dst_col)
     if canon is None:
         return pa.table({
@@ -2444,7 +1427,7 @@ def _clustering_local(tbl: pa.Table, src_col: str, dst_col: str,
     a, b, uniques = canon
     nv = len(uniques)
     deg = np.bincount(np.concatenate([a, b]), minlength=nv)
-    # degree orientation (same trick as the distributed path): every
+    # degree orientation (same trick as triangle_count): every
     # edge points from its lower-(deg, id) endpoint, so oriented
     # out-degrees stay O(√m) and each triangle is enumerated exactly
     # once from its lowest corner — hub wedge explosion is
@@ -2482,11 +1465,7 @@ def _clustering_local(tbl: pa.Table, src_col: str, dst_col: str,
 
 
 def clustering_coefficient(edges_ds, src_col: str = "src",
-                           dst_col: str = "dst",
-                           num_partitions: int = 16,
-                           ndigits: int = 6,
-                           local_threshold: int | None =
-                           LOCAL_EDGES_THRESHOLD):
+                           dst_col: str = "dst", ndigits: int = 6):
     """Per-node triangle count and local clustering coefficient
     ``lcc(v) = 2·T(v) / (deg v · (deg v − 1))`` (Watts & Strogatz
     1998) over the UNDIRECTED graph — the community-density signal
@@ -2498,235 +1477,13 @@ def clustering_coefficient(edges_ds, src_col: str = "src",
     corner, so oriented out-degrees stay O(√m) and hub wedge
     explosion is structurally bounded — but each closed wedge
     (u; v, w) credits ALL THREE corners, so per-node counts come out
-    of the one enumeration.  Seven bounded exchanges: canonical
-    dedup → endpoint degrees → two co-partitioned degree joins
-    (degrees are O(V) rows, never broadcast) → center-grouped wedge
-    generation (wedges carry their center) → (x, y)-keyed closure
-    join that emits per-partition (node, t) credit partials → one
-    fused node exchange that sums credits AND joins degrees for the
-    final coefficient.  Node ids may be int or string; results are
-    exactly equal to the single-task reference (``local_threshold``,
-    same contract as :func:`pagerank`)."""
-    import ray
-    import ray.data as rd
-
-    refs = _edges_below(edges_ds, local_threshold)
-    if refs is not None:
-        @ray.remote
-        def solve(*blocks):
-            tbls = ([b.select([src_col, dst_col])
-                     for b in blocks if b.num_rows]
-                    or [blocks[0].select([src_col, dst_col])])
-            return _clustering_local(pa.concat_tables(tbls),
-                                     src_col, dst_col, ndigits)
-
-        return rd.from_arrow(ray.get(solve.remote(*refs)))
-
-    def canon(b: pa.Table) -> pa.Table:
-        a = b.column(src_col)
-        c = b.column(dst_col)
-        lo = pc.min_element_wise(a, c)
-        hi = pc.max_element_wise(a, c)
-        t = pa.table({"a": lo, "b": hi}).filter(pc.not_equal(lo, hi))
-        return t.group_by(["a", "b"]).aggregate([]).select(["a", "b"])
-
-    def dedup(t: pa.Table) -> pa.Table:
-        return t.group_by(["a", "b"]).aggregate([]).select(["a", "b"])
-
-    edges = grouped_apply(
-        edges_ds.map_batches(canon, batch_format="pyarrow"),
-        ["a", "b"], dedup, num_partitions=num_partitions,
-        batch_format="pyarrow",
-    ).materialize()  # consumed 2×: degree count + degree join
-
-    node_t = edges.schema().types[0]
-    degrees = edge_degrees(edges, num_partitions).materialize()
-    # consumed 2×: the endpoint joins + the final coefficient join
-
-    # ---- generic degree attach (any node type, payload preserved) ----
-    def attach(tbl_ds, key: str, other: str, out: str, carry: str | None):
-        def tag_t(b: pa.Table) -> pa.Table:
-            n = b.num_rows
-            return pa.table({
-                "kind": pa.array(np.zeros(n, np.int8)),
-                "k": b.column(key), "o": b.column(other),
-                "c0": (b.column(carry) if carry
-                       else pa.nulls(n, pa.int64())),
-                "deg": pa.nulls(n, pa.int64()),
-            })
-
-        def tag_d(b: pa.Table) -> pa.Table:
-            n = b.num_rows
-            return pa.table({
-                "kind": pa.array(np.ones(n, np.int8)),
-                "k": b.column("node"), "o": pa.nulls(n, node_t),
-                "c0": pa.nulls(n, pa.int64()),
-                "deg": b.column("deg"),
-            })
-
-        def join(t: pa.Table) -> pa.Table:
-            pdf = t.to_pandas()
-            dd = pdf[pdf["kind"] == 1][["k", "deg"]]
-            ee = pdf[pdf["kind"] == 0].drop(columns=["kind", "deg"])
-            m = ee.merge(dd, on="k", how="inner")
-            cols = {
-                key: pc.cast(pa.array(m["k"].to_numpy()), node_t),
-                other: pc.cast(pa.array(m["o"].to_numpy()), node_t),
-                out: pc.cast(pa.array(m["deg"].to_numpy()), pa.int64()),
-            }
-            if carry:
-                cols[carry] = pc.cast(pa.array(m["c0"].to_numpy()),
-                                      pa.int64())
-            return pa.table(cols)
-
-        return grouped_apply(
-            tbl_ds.map_batches(tag_t, batch_format="pyarrow").union(
-                degrees.map_batches(tag_d, batch_format="pyarrow")),
-            ["k"], join, num_partitions=num_partitions,
-            batch_format="pyarrow",
-        )
-
-    with_da = attach(edges, "a", "b", "da", carry=None)
-    with_db = attach(with_da, "b", "a", "db", carry="da")
-
-    # ---- orient each edge from its lower-(deg, id) endpoint ----
-    def orient(b: pa.Table) -> pa.Table:
-        pdf = b.to_pandas()
-        a_first = (pdf["da"].to_numpy() < pdf["db"].to_numpy()) | (
-            (pdf["da"].to_numpy() == pdf["db"].to_numpy())
-            & (pdf["a"].to_numpy() < pdf["b"].to_numpy()))
-        u = np.where(a_first, pdf["a"], pdf["b"])
-        v = np.where(a_first, pdf["b"], pdf["a"])
-        dv = np.where(a_first, pdf["db"], pdf["da"])
-        return pa.table({
-            "u": pc.cast(pa.array(u), node_t),
-            "v": pc.cast(pa.array(v), node_t),
-            "dv": pa.array(dv.astype(np.int64)),
-        })
-
-    oriented = with_db.map_batches(
-        orient, batch_format="pyarrow"
-    ).materialize()  # consumed 2×: wedges + closure edge rows
-
-    # ---- wedges carry their center; ordered by the same total order ----
-    def wedges(t: pa.Table) -> pa.Table:
-        # partition-local factorization + per-distinct-out-degree pair
-        # generation (no per-center Python); the (dv, v) composite key
-        # packs into one int so pairs come out in the orientation's
-        # total order — exactly what the closure join matches against
-        empty = pa.table({
-            "kind": pa.array([], pa.int8()),
-            "x": pa.array([], node_t), "y": pa.array([], node_t),
-            "u": pa.array([], node_t),
-        })
-        u_ = t.column("u").to_numpy(zero_copy_only=False)
-        v_ = t.column("v").to_numpy(zero_copy_only=False)
-        dv = t.column("dv").to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        if not len(u_):
-            return empty
-        codes, uniq = pd.factorize(np.concatenate([u_, v_]), sort=True)
-        uniq = np.asarray(uniq)
-        nv = len(uniq)
-        uc = codes[: len(u_)].astype(np.int64)
-        vc = codes[len(u_):].astype(np.int64)
-        comp = dv * nv + vc  # sorts as (deg v, v) — the total order
-        order = np.lexsort((comp, uc))
-        uc, comp = uc[order], comp[order]
-        xs, ys, us = [], [], []
-        for k, cgrp, xpk, ypk in _group_pairs(uc, comp):
-            xs.append(xpk % nv)
-            ys.append(ypk % nv)
-            us.append(np.repeat(cgrp, k * (k - 1) // 2))
-        if not xs:
-            return empty
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
-        u = np.concatenate(us)
-        return pa.table({
-            "kind": pa.array(np.zeros(len(x), np.int8)),
-            "x": pc.cast(pa.array(uniq[x]), node_t),
-            "y": pc.cast(pa.array(uniq[y]), node_t),
-            "u": pc.cast(pa.array(uniq[u]), node_t),
-        })
-
-    wedge_ds = grouped_apply(oriented, ["u"], wedges,
-                             num_partitions=num_partitions,
-                             batch_format="pyarrow")
-
-    def tag_e(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        return pa.table({
-            "kind": pa.array(np.ones(n, np.int8)),
-            "x": b.column("u"), "y": b.column("v"),
-            "u": pa.nulls(n, node_t),
-        })
-
-    # ---- closure: credit all three corners of each closed wedge ----
-    def close(t: pa.Table) -> pa.Table:
-        pdf = t.to_pandas()
-        ee = pdf[pdf["kind"] == 1][["x", "y"]].drop_duplicates()
-        ww = pdf[pdf["kind"] == 0]
-        m = ww.merge(ee, on=["x", "y"], how="inner")
-        if not len(m):
-            return pa.table({"node": pa.array([], node_t),
-                             "t": pa.array([], pa.int64())})
-        nodes = np.concatenate([m["u"].to_numpy(), m["x"].to_numpy(),
-                                m["y"].to_numpy()])
-        s = pd.Series(nodes).value_counts()
-        return pa.table({
-            "node": pc.cast(pa.array(s.index.to_numpy()), node_t),
-            "t": pa.array(s.to_numpy(np.int64)),
-        })
-
-    credits = grouped_apply(
-        wedge_ds.union(oriented.map_batches(tag_e,
-                                            batch_format="pyarrow")),
-        ["x", "y"], close, num_partitions=num_partitions,
-        batch_format="pyarrow",
-    )
-
-    # ---- fused final: sum credits, join degrees, coefficient ----
-    def tag_credit(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        return pa.table({
-            "kind": pa.array(np.zeros(n, np.int8)),
-            "node": b.column("node"), "t": b.column("t"),
-            "deg": pa.nulls(n, pa.int64()),
-        })
-
-    def tag_deg(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        return pa.table({
-            "kind": pa.array(np.ones(n, np.int8)),
-            "node": b.column("node"), "t": pa.nulls(n, pa.int64()),
-            "deg": b.column("deg"),
-        })
-
-    def fin(t: pa.Table) -> pa.Table:
-        pdf = t.to_pandas()
-        dd = pdf[pdf["kind"] == 1][["node", "deg"]]
-        cc = pdf[pdf["kind"] == 0].groupby("node")["t"].sum()
-        dd = dd.copy()
-        dd["n_tri"] = dd["node"].map(cc).fillna(0).astype("int64")
-        degv = dd["deg"].to_numpy(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lcc = np.where(degv >= 2,
-                           2.0 * dd["n_tri"].to_numpy(np.float64)
-                           / (degv * (degv - 1.0)), 0.0)
-        return pa.table({
-            "node": pc.cast(pa.array(dd["node"].to_numpy()), node_t),
-            "n_tri": pa.array(dd["n_tri"].to_numpy(np.int64)),
-            "lcc": pc.round(pa.array(lcc), ndigits=ndigits,
-                            round_mode="half_towards_infinity"),
-        })
-
-    return grouped_apply(
-        credits.map_batches(tag_credit, batch_format="pyarrow").union(
-            degrees.map_batches(tag_deg, batch_format="pyarrow")),
-        ["node"], fin, num_partitions=num_partitions,
-        batch_format="pyarrow",
-    )
+    of the one enumeration.  Node ids may be int or string.  Solved by
+    :func:`_clustering_local` in one Ray task (same contract as
+    :func:`pagerank`)."""
+    return _one_task("clustering_coefficient", edges_ds,
+                     [src_col, dst_col],
+                     lambda t: _clustering_local(t, src_col, dst_col,
+                                                 ndigits))
 
 
 # ---------------------------------------------------------------------------
@@ -2788,54 +1545,27 @@ def _brandes_source(indptr: np.ndarray, indices: np.ndarray,
     return delta
 
 
-def betweenness_sample(edges_ds, src_col: str = "src",
-                       dst_col: str = "dst", k_sources: int = 32,
-                       sources: list | None = None,
-                       scale: bool = True, ndigits: int = 6,
-                       tasks: int = 8,
-                       local_threshold: int | None =
-                       LOCAL_EDGES_THRESHOLD):
-    """Approximate betweenness centrality by source sampling
-    (Brandes 2001; Brandes & Pich 2007 for the sampled estimator):
-    run the single-source dependency accumulation from ``k_sources``
-    deterministically chosen sources (evenly spaced ranks of the
-    sorted node ids — stable across partitioning; pass ``sources``
-    explicitly to override) and scale by ``n/k`` (and the undirected
-    ½) to the exact statistic's magnitude.  The default sources are a
-    fixed quasi-sample, not a random one, so the Brandes–Pich
-    unbiasedness does not apply: the estimate can be biased when
-    centrality correlates with node-id order (pass random ``sources``
-    for the unbiased estimator).  With ``k_sources >= n`` every node
-    is a source and the result IS exact.
-
-    Scale shape — parallel over SOURCES, not partitions: the CSR
-    adjacency ships to the object store ONCE (``ray.put``) and
-    ``tasks`` Ray tasks each solve a slice of sources, returning one
-    O(V) float vector each; the driver folds k vectors.  The graph
-    must fit a worker (same ``local_threshold`` family as the other
-    small-graph solvers — betweenness on a >5 M-edge graph wants a
-    different algorithm class entirely, e.g. k-bounded-distance
-    approximations, documented honestly rather than faked here)."""
+def _source_sampled(solver: str, edges_ds, src_col: str, dst_col: str,
+                    k_sources: int, sources: list | None, tasks: int,
+                    per_source, out_col: str, scale: float | None,
+                    ndigits: int):
+    """Shared driver of the source-sampled centralities: canonical CSR
+    of the undirected graph (cap of :func:`_edge_blocks`), the sources
+    (``sources`` or ``k_sources`` evenly spaced ranks of the sorted node
+    ids), ``per_source(indptr, indices, s, nv)`` O(V) vectors summed over
+    source slices in ``tasks`` Ray tasks off ONE ray.put CSR, then
+    ``acc · n/k · scale`` when ``scale`` is set."""
     import ray
     import ray.data as rd
 
-    refs = _edges_below(edges_ds, local_threshold)
-    if refs is None:
-        raise ValueError(
-            "betweenness_sample requires the edge list to fit one "
-            f"worker (<= {local_threshold} edges); larger graphs need "
-            "a bounded-distance approximation, not this estimator")
-    tbls = [b.select([src_col, dst_col]) for b in ray.get(list(refs))]
-    empty = pa.table({
-        "node": pa.array([], tbls[0].schema.field(src_col).type),
-        "betweenness": pa.array([], pa.float64()),
-    })
-    blocks = [t for t in tbls if t.num_rows]
-    if not blocks:
-        return rd.from_arrow(empty)
-    canon = _canon_codes(pa.concat_tables(blocks), src_col, dst_col)
+    tbl = _edge_table(ray.get(_edge_blocks(edges_ds, solver)),
+                      [src_col, dst_col])
+    canon = _canon_codes(tbl, src_col, dst_col)
     if canon is None:
-        return rd.from_arrow(empty)
+        return rd.from_arrow(pa.table({
+            "node": pa.array([], tbl.schema.field(src_col).type),
+            out_col: pa.array([], pa.float64()),
+        }))
     a, b, uniques = canon
     nv = len(uniques)
     indptr, indices = _csr(a, b, nv)
@@ -2855,18 +1585,47 @@ def betweenness_sample(edges_ds, src_col: str = "src",
         ip, ix = ray.get(csr_ref)
         acc = np.zeros(nv, np.float64)
         for s in slice_codes:
-            acc += _brandes_source(ip, ix, int(s), nv)
+            acc += per_source(ip, ix, int(s), nv)
         return acc
 
     slices = np.array_split(src_codes, min(int(tasks), k))
     acc = sum(ray.get([solve.remote(sl) for sl in slices if len(sl)]))
-    if scale:
-        acc = acc * (nv / k) / 2.0
+    if scale is not None:
+        acc = acc * (nv / k) * scale
     return rd.from_arrow(pa.table({
         "node": pa.array(uniques),
-        "betweenness": pc.round(pa.array(acc), ndigits=ndigits,
-                                round_mode="half_towards_infinity"),
+        out_col: pc.round(pa.array(acc), ndigits=ndigits,
+                          round_mode="half_towards_infinity"),
     }))
+
+
+def betweenness_sample(edges_ds, src_col: str = "src",
+                       dst_col: str = "dst", k_sources: int = 32,
+                       sources: list | None = None,
+                       scale: bool = True, ndigits: int = 6,
+                       tasks: int = 8):
+    """Approximate betweenness centrality by source sampling
+    (Brandes 2001; Brandes & Pich 2007 for the sampled estimator):
+    run the single-source dependency accumulation from ``k_sources``
+    deterministically chosen sources (evenly spaced ranks of the
+    sorted node ids — stable across partitioning; pass ``sources``
+    explicitly to override) and scale by ``n/k`` (and the undirected
+    ½) to the exact statistic's magnitude.  The default sources are a
+    fixed quasi-sample, not a random one, so the Brandes–Pich
+    unbiasedness does not apply: the estimate can be biased when
+    centrality correlates with node-id order (pass random ``sources``
+    for the unbiased estimator).  With ``k_sources >= n`` every node
+    is a source and the result IS exact.
+
+    Scale shape — parallel over SOURCES, not partitions
+    (:func:`_source_sampled`).  The graph must fit a worker (at most
+    ``config.LOCAL_EDGES_THRESHOLD`` edges): betweenness on a bigger
+    graph wants a different algorithm class, e.g. k-bounded-distance
+    approximations."""
+    return _source_sampled("betweenness_sample", edges_ds, src_col,
+                           dst_col, k_sources, sources, tasks,
+                           _brandes_source, "betweenness",
+                           0.5 if scale else None, ndigits)
 
 
 def _bfs_dist(indptr: np.ndarray, indices: np.ndarray, s: int,
@@ -2895,12 +1654,20 @@ def _bfs_dist(indptr: np.ndarray, indices: np.ndarray, s: int,
     return dist
 
 
+def _harmonic_source(indptr: np.ndarray, indices: np.ndarray, s: int,
+                     nv: int) -> np.ndarray:
+    """1/dist(s, v) for every v reached from ``s`` (0 elsewhere)."""
+    dist = _bfs_dist(indptr, indices, s, nv)
+    out = np.zeros(nv, np.float64)
+    reach = dist > 0
+    out[reach] = 1.0 / dist[reach]
+    return out
+
+
 def harmonic_sample(edges_ds, src_col: str = "src",
                     dst_col: str = "dst", k_sources: int = 32,
                     sources: list | None = None, scale: bool = True,
-                    ndigits: int = 6, tasks: int = 8,
-                    local_threshold: int | None =
-                    LOCAL_EDGES_THRESHOLD):
+                    ndigits: int = 6, tasks: int = 8):
     """Approximate harmonic (closeness-family) centrality by source
     sampling: ``H(v) = Σ_{s≠v} 1/dist(s, v)`` over the sampled
     sources, scaled by ``n/k`` to the exact statistic's magnitude
@@ -2911,62 +1678,11 @@ def harmonic_sample(edges_ds, src_col: str = "src",
     unbiased over; pass random ``sources`` for that.  Exact when every
     node is a source.
 
-    Same scale shape as :func:`betweenness_sample` — parallel over
-    SOURCES off one ray.put CSR, O(V) vector per task slice, graph
-    must fit a worker (same ``local_threshold`` contract)."""
-    import ray
-    import ray.data as rd
-
-    refs = _edges_below(edges_ds, local_threshold)
-    if refs is None:
-        raise ValueError(
-            "harmonic_sample requires the edge list to fit one worker "
-            f"(<= {local_threshold} edges); larger graphs want "
-            "HyperBall-style sketched neighborhood functions instead")
-    tbls = [b.select([src_col, dst_col]) for b in ray.get(list(refs))]
-    empty = pa.table({
-        "node": pa.array([], tbls[0].schema.field(src_col).type),
-        "harmonic": pa.array([], pa.float64()),
-    })
-    blocks = [t for t in tbls if t.num_rows]
-    if not blocks:
-        return rd.from_arrow(empty)
-    canon = _canon_codes(pa.concat_tables(blocks), src_col, dst_col)
-    if canon is None:
-        return rd.from_arrow(empty)
-    a, b, uniques = canon
-    nv = len(uniques)
-    indptr, indices = _csr(a, b, nv)
-    if sources is not None:
-        lookup = {v: i for i, v in enumerate(uniques)}
-        src_codes = np.array([lookup[s] for s in sources], np.int64)
-    else:
-        k = min(int(k_sources), nv)
-        src_codes = np.unique(
-            np.round(np.linspace(0, nv - 1, k)).astype(np.int64))
-    k = len(src_codes)
-
-    csr_ref = ray.put((indptr, indices))
-
-    @ray.remote
-    def solve(slice_codes: np.ndarray) -> np.ndarray:
-        ip, ix = ray.get(csr_ref)
-        acc = np.zeros(nv, np.float64)
-        for s in slice_codes:
-            dist = _bfs_dist(ip, ix, int(s), nv)
-            reach = dist > 0
-            acc[reach] += 1.0 / dist[reach]
-        return acc
-
-    slices = np.array_split(src_codes, min(int(tasks), k))
-    acc = sum(ray.get([solve.remote(sl) for sl in slices if len(sl)]))
-    if scale:
-        acc = acc * (nv / k)
-    return rd.from_arrow(pa.table({
-        "node": pa.array(uniques),
-        "harmonic": pc.round(pa.array(acc), ndigits=ndigits,
-                             round_mode="half_towards_infinity"),
-    }))
+    Same scale shape and size cap as :func:`betweenness_sample`; larger
+    graphs want HyperBall-style sketched neighborhood functions."""
+    return _source_sampled("harmonic_sample", edges_ds, src_col, dst_col,
+                           k_sources, sources, tasks, _harmonic_source,
+                           "harmonic", 1.0 if scale else None, ndigits)
 
 
 def _truss_local(tbl: pa.Table, src_col: str, dst_col: str) -> pa.Table:
@@ -3042,38 +1758,14 @@ def _truss_local(tbl: pa.Table, src_col: str, dst_col: str) -> pa.Table:
 
 
 def truss_decomposition(edges_ds, src_col: str = "src",
-                        dst_col: str = "dst",
-                        local_threshold: int | None =
-                        LOCAL_EDGES_THRESHOLD):
+                        dst_col: str = "dst"):
     """Exact k-truss number per undirected edge — the edge-cohesion
     ladder (an edge in a k-truss sits in a (k−1)-clique-dense region;
     the subgraph signal for "is this KG relation embedded in a dense
-    topic community or a stray link?").  The solver runs in ONE Ray
-    task below ``local_threshold`` edges (same contract as the other
-    small-graph solvers); above it, bulk peeling distributes as
-    rounds of the clustering-coefficient support exchange + a
-    broadcast removal set — implemented when a >5 M-edge KG exists;
-    the honest error names the shape rather than faking it."""
-    import ray
-    import ray.data as rd
-
-    refs = _edges_below(edges_ds, local_threshold)
-    if refs is None:
-        raise ValueError(
-            "truss_decomposition currently requires the edge list to "
-            f"fit one worker (<= {local_threshold} edges); the "
-            "distributed form is rounds of the per-edge support "
-            "exchange (clustering_coefficient shape) + broadcast "
-            "removals")
-
-    @ray.remote
-    def solve(*blocks):
-        tbls = ([b.select([src_col, dst_col])
-                 for b in blocks if b.num_rows]
-                or [blocks[0].select([src_col, dst_col])])
-        return _truss_local(pa.concat_tables(tbls), src_col, dst_col)
-
-    return rd.from_arrow(ray.get(solve.remote(*refs)))
+    topic community or a stray link?").  Solved by :func:`_truss_local`
+    in one Ray task (same contract as :func:`pagerank`)."""
+    return _one_task("truss_decomposition", edges_ds, [src_col, dst_col],
+                     lambda t: _truss_local(t, src_col, dst_col))
 
 
 def node2vec_walks(edges_ds, walk_len: int = 4, p: float = 1.0,

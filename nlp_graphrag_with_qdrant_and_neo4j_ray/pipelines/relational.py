@@ -2258,7 +2258,7 @@ def approx_count_distinct(ds, cols: list[str], keys: list[str] | None = None,
             h = pd.util.hash_pandas_object(
                 pdf[cols], index=False).to_numpy(np.uint64)
             regs = hll.update_registers(h, p)
-            salt = int(h[0] % 64) if len(h) else 0
+            salt = int(h[0]) % 64 if len(h) else 0
             return pd.DataFrame({"__salt": [salt],
                                  "__regs": [regs.tobytes()]})
 
@@ -2432,7 +2432,7 @@ def approx_frequencies(ds, col: str, probes: list, depth: int = 4,
     def local(pdf: pd.DataFrame) -> pd.DataFrame:
         c = cms.update_counts(pdf[col], depth=depth, width=width)
         h = pd.util.hash_pandas_object(pdf[col].iloc[:1], index=False)
-        salt = int(h.iloc[0] % 32) if len(pdf) else 0
+        salt = int(h.iloc[0]) % 32 if len(pdf) else 0
         return pd.DataFrame({"__salt": [salt],
                              "__cms": [c.tobytes()]})
 

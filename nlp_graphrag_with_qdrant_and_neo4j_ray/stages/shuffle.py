@@ -131,17 +131,6 @@ def _arrow_block(out: pa.Table | pd.DataFrame) -> pa.Table:
     return out.replace_schema_metadata(None)
 
 
-def arrow_out(fn):
-    """Wrap a pandas ``map_batches`` fn so its OUTPUT blocks are Arrow —
-    for stages whose result unions with Arrow-block datasets (one block
-    type per batcher; grouped_apply outputs are always Arrow now)."""
-
-    def wrapped(pdf: pd.DataFrame):
-        return _arrow_block(fn(pdf))
-
-    return wrapped
-
-
 def grouped_apply(ds, keys: list[str], partition_fn, num_partitions: int = 64,
                   batch_size: int = 65536, batch_format: str = "pyarrow"):
     """Hash-partition ``ds`` on ``keys`` and hand each WHOLE partition to

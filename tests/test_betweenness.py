@@ -127,12 +127,6 @@ def test_disconnected_components(ray_session):
     assert got[0] == got[2] == got[10] == got[11] == 0.0
 
 
-def test_oversize_graph_raises(ray_session):
-    df = _edges([(0, 1), (1, 2), (2, 3)])
-    with pytest.raises(ValueError):
-        betweenness_sample(_ds(ray_session, df), local_threshold=2)
-
-
 # ---------------------------------------------------------------------------
 # harmonic centrality (same sampled-BFS machinery)
 

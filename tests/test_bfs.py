@@ -1,5 +1,6 @@
 """Multi-source fixed-depth BFS (pipelines/graph.bfs_depths) vs a
-driver-side frontier walk; local == distributed pinned."""
+driver-side frontier walk; the in-process kernel == the Dataset
+solver."""
 
 import numpy as np
 import pandas as pd
@@ -61,20 +62,21 @@ def test_distributed_matches_reference(ray_session):
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 50, (300, 2))]
     seeds = [3, 44]
     e, s = _dss(ray_session, edges, seeds)
-    got = _as_dict(bfs_depths(e, s, max_depth=3, num_partitions=4,
-                              local_threshold=None))
+    got = _as_dict(bfs_depths(e, s, max_depth=3))
     assert got == _ref_bfs(edges, seeds, 3)
 
 
 def test_local_path_matches_distributed(ray_session):
+    """The in-process kernel (the KG serving path) == the Dataset solver
+    over multi-block edges and seeds."""
     rng = np.random.default_rng(13)
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 80, (500, 2))]
     seeds = [1, 2, 78]
+    tbl = pa.table({"src": [e[0] for e in edges],
+                    "dst": [e[1] for e in edges]})
+    loc = _as_dict(_bfs_local(tbl, "src", "dst", seeds, 4))
     e, s = _dss(ray_session, edges, seeds)
-    loc = _as_dict(bfs_depths(e, s, max_depth=4, num_partitions=4))
-    e2, s2 = _dss(ray_session, edges, seeds)
-    dist = _as_dict(bfs_depths(e2, s2, max_depth=4, num_partitions=4,
-                               local_threshold=None))
+    dist = _as_dict(bfs_depths(e, s, max_depth=4))
     assert loc == dist == _ref_bfs(edges, seeds, 4)
 
 
@@ -84,19 +86,14 @@ def test_string_nodes_and_isolated_seed(ray_session):
     # 'zzz' appears in no edge: surfaces at depth 0 only
     seeds = ["a", "zzz"]
     e, s = _dss(ray_session, edges, seeds)
-    got = _as_dict(bfs_depths(e, s, max_depth=2, num_partitions=3,
-                              local_threshold=None))
+    got = _as_dict(bfs_depths(e, s, max_depth=2))
     assert got == {"a": 0, "zzz": 0, "b": 1, "c": 2}
-    e2, s2 = _dss(ray_session, edges, seeds)
-    assert got == _as_dict(bfs_depths(e2, s2, max_depth=2,
-                                      num_partitions=3))
 
 
 def test_max_depth_zero_and_empty_seeds(ray_session):
     edges = [(0, 1), (1, 2)]
     e, s = _dss(ray_session, edges, [0])
-    got = _as_dict(bfs_depths(e, s, max_depth=0, num_partitions=2,
-                              local_threshold=None))
+    got = _as_dict(bfs_depths(e, s, max_depth=0))
     assert got == {0: 0}
     tbl = pa.table({"src": [0, 1], "dst": [1, 2]})
     empty = _bfs_local(tbl, "src", "dst", [], 3)
@@ -109,11 +106,9 @@ def test_partition_independence(ray_session):
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 40, (200, 2))]
     seeds = [0]
     e, s = _dss(ray_session, edges, seeds, blocks=2)
-    a = _as_dict(bfs_depths(e, s, max_depth=3, num_partitions=2,
-                            local_threshold=None))
+    a = _as_dict(bfs_depths(e, s, max_depth=3))
     e2, s2 = _dss(ray_session, edges, seeds, blocks=7)
-    b = _as_dict(bfs_depths(e2, s2, max_depth=3, num_partitions=9,
-                            local_threshold=None))
+    b = _as_dict(bfs_depths(e2, s2, max_depth=3))
     assert a == b == _ref_bfs(edges, seeds, 3)
 
 
@@ -123,8 +118,7 @@ def test_seed_duplicates_collapse(ray_session):
     import ray.data
 
     s = ray.data.from_pandas(pd.DataFrame({"node": [0, 0, 0]}))
-    got = _as_dict(bfs_depths(e, s, max_depth=1, num_partitions=2,
-                              local_threshold=None))
+    got = _as_dict(bfs_depths(e, s, max_depth=1))
     assert got == {0: 0, 1: 1}
 
 
@@ -311,18 +305,19 @@ def test_sp_local_matches_reference():
 
 
 def test_sp_distributed_matches_local(ray_session):
+    """The Dataset solver == the in-process kernel (as for BFS)."""
     rng = np.random.default_rng(43)
     edges = [(int(a), int(b), int(w) + 1)
              for a, b, w in rng.integers(0, 25, (150, 3))]
     seeds = [0, 13]
     e, s = _sp_dss(ray_session, edges, seeds)
-    dd = shortest_paths(e, s, max_hops=3, num_partitions=4,
-                        local_threshold=None).to_pandas()
+    dd = shortest_paths(e, s, max_hops=3).to_pandas()
     dist = dd.set_index("node")["cost"].to_dict()
-    e2, s2 = _sp_dss(ray_session, edges, seeds)
-    loc = shortest_paths(e2, s2, max_hops=3,
-                         num_partitions=4).to_pandas()
-    loc = loc.set_index("node")["cost"].to_dict()
+    tbl = pa.table({"src": [x[0] for x in edges],
+                    "dst": [x[1] for x in edges],
+                    "w": [x[2] for x in edges]})
+    loc = _shortest_paths_local(tbl, "src", "dst", "w", seeds, 3)
+    loc = {r["node"]: r["cost"] for r in loc.to_pylist()}
     assert dist == loc == _ref_sp(edges, seeds, 3)
 
 
@@ -331,8 +326,7 @@ def test_sp_improving_cost_across_rounds(ray_session):
     # REPLACE b's 1-hop cost in a later round
     edges = [("a", "b", 10), ("a", "c", 1), ("c", "b", 1)]
     e, s = _sp_dss(ray_session, edges, ["a"])
-    got = shortest_paths(e, s, max_hops=4, num_partitions=3,
-                         local_threshold=None).to_pandas()
+    got = shortest_paths(e, s, max_hops=4).to_pandas()
     got = got.set_index("node")["cost"].to_dict()
     assert got == {"a": 0, "b": 2, "c": 1}
 
@@ -341,8 +335,7 @@ def test_sp_hop_bound_semantics(ray_session):
     # with max_hops=1 only the direct (expensive) edge is reachable
     edges = [("a", "b", 10), ("a", "c", 1), ("c", "b", 1)]
     e, s = _sp_dss(ray_session, edges, ["a"])
-    got = shortest_paths(e, s, max_hops=1, num_partitions=2,
-                         local_threshold=None).to_pandas()
+    got = shortest_paths(e, s, max_hops=1).to_pandas()
     got = got.set_index("node")["cost"].to_dict()
     assert got == {"a": 0, "b": 10, "c": 1}
 
@@ -352,10 +345,8 @@ def test_sp_partition_independence(ray_session):
     edges = [(int(a), int(b), int(w) + 1)
              for a, b, w in rng.integers(0, 20, (100, 3))]
     e, s = _sp_dss(ray_session, edges, [0], blocks=2)
-    a = shortest_paths(e, s, max_hops=3, num_partitions=2,
-                       local_threshold=None).to_pandas()
+    a = shortest_paths(e, s, max_hops=3).to_pandas()
     e2, s2 = _sp_dss(ray_session, edges, [0], blocks=6)
-    b = shortest_paths(e2, s2, max_hops=3, num_partitions=7,
-                       local_threshold=None).to_pandas()
+    b = shortest_paths(e2, s2, max_hops=3).to_pandas()
     assert (a.set_index("node")["cost"].to_dict()
             == b.set_index("node")["cost"].to_dict())

@@ -1,7 +1,7 @@
 """Per-node clustering coefficient (pipelines/graph.
 clustering_coefficient): hand-computed values, a networkx-free exact
-reference, local == distributed parity, string nodes and partition
-independence."""
+reference, in-process kernel == Dataset solver, string nodes and
+input-block independence."""
 
 import numpy as np
 import pandas as pd
@@ -51,25 +51,19 @@ def _random_edges(n_nodes: int, n_edges: int, seed: int) -> pa.Table:
 
 
 def test_local_eq_distributed(ray_session):
+    # the in-process kernel (the KG serving path) == the Dataset solver
     edges = _random_edges(50, 400, seed=5)
     loc = _sorted(_clustering_local(edges, "src", "dst"))
     dist = _sorted(clustering_coefficient(
-        rd.from_arrow(edges), local_threshold=None,
-        num_partitions=5).to_pandas())
+        rd.from_arrow(edges).repartition(5)).to_pandas())
     pd.testing.assert_frame_equal(loc, dist)
-    fast = _sorted(clustering_coefficient(
-        rd.from_arrow(edges), local_threshold=10_000).to_pandas())
-    pd.testing.assert_frame_equal(loc, fast)
 
 
 def test_partition_independence(ray_session):
     edges = _random_edges(30, 150, seed=9)
-    a = _sorted(clustering_coefficient(
-        rd.from_arrow(edges), local_threshold=None,
-        num_partitions=3).to_pandas())
+    a = _sorted(clustering_coefficient(rd.from_arrow(edges)).to_pandas())
     b = _sorted(clustering_coefficient(
-        rd.from_arrow(edges).repartition(6), local_threshold=None,
-        num_partitions=7).to_pandas())
+        rd.from_arrow(edges).repartition(6)).to_pandas())
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -78,8 +72,7 @@ def test_string_nodes(ray_session):
                       "dst": ["b", "c", "c", "d"]})
     loc = _sorted(_clustering_local(edges, "src", "dst"))
     dist = _sorted(clustering_coefficient(
-        rd.from_arrow(edges), local_threshold=None,
-        num_partitions=2).to_pandas())
+        rd.from_arrow(edges)).to_pandas())
     pd.testing.assert_frame_equal(loc, dist)
     assert loc.set_index("node")["n_tri"].to_dict() == {
         "a": 1, "b": 1, "c": 1, "d": 0}

@@ -44,8 +44,7 @@ def test_pagerank_int_graph_matches_power_iteration(ray_session):
     rng = np.random.default_rng(23)
     edges = [(int(a), int(b))
              for a, b in rng.integers(0, 40, (300, 2))]
-    out = pagerank(_edges_ds(ray_session, edges, 5), iters=5,
-                   num_partitions=4, local_threshold=None).to_pandas()
+    out = pagerank(_edges_ds(ray_session, edges, 5), iters=5).to_pandas()
     ref = _ref_pagerank(edges)
     got = out.set_index("node")["pr"].to_dict()
     assert set(got) == set(ref)
@@ -57,8 +56,7 @@ def test_pagerank_string_nodes_and_sinks(ray_session):
     # 'd' is a dangling sink (no out-edges); 'x' has no in-edges
     edges = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"),
              ("x", "a")]
-    out = pagerank(_edges_ds(ray_session, edges, 2), iters=5,
-                   num_partitions=3, local_threshold=None).to_pandas()
+    out = pagerank(_edges_ds(ray_session, edges, 2), iters=5).to_pandas()
     ref = _ref_pagerank(edges)
     got = out.set_index("node")["pr"].to_dict()
     assert got == {n: pytest.approx(v, abs=2e-6) for n, v in ref.items()}
@@ -71,9 +69,9 @@ def test_pagerank_partitioning_independent(ray_session):
     edges = [(int(a), int(b))
              for a, b in rng.integers(0, 25, (120, 2))]
     outs = []
-    for blocks, parts in ((1, 2), (6, 5)):
-        out = pagerank(_edges_ds(ray_session, edges, blocks), iters=4,
-                       num_partitions=parts, local_threshold=None).to_pandas()
+    for blocks in (1, 6):
+        out = pagerank(_edges_ds(ray_session, edges, blocks),
+                       iters=4).to_pandas()
         outs.append(out.sort_values("node").reset_index(drop=True))
     # deterministic to the rounding digit regardless of partitioning
     pd.testing.assert_frame_equal(outs[0], outs[1])
@@ -85,8 +83,7 @@ def test_pagerank_weighted_matches_reference(ray_session):
              ("c", "a", 2.0)]
     out = pagerank(
         _edges_ds(ray_session, edges, 2, cols=("src", "dst", "w")),
-        weight_col="w", iters=5, num_partitions=3,
-        local_threshold=None).to_pandas()
+        weight_col="w", iters=5).to_pandas()
     nodes = sorted({x for s, t, _ in edges for x in (s, t)})
     wsum = {}
     for s, _, w in edges:
@@ -104,49 +101,12 @@ def test_pagerank_weighted_matches_reference(ray_session):
     assert got["b"] > got["c"]
 
 
-def test_pagerank_salted_hub_equals_unsalted(ray_session):
-    # star hub: node 0 -> 1..60 plus a random background graph
-    rng = np.random.default_rng(31)
-    edges = [(0, int(t)) for t in range(1, 61)]
-    edges += [(int(a), int(b)) for a, b in rng.integers(0, 61, (150, 2))]
-    plain = pagerank(_edges_ds(ray_session, edges, 4), iters=5,
-                     num_partitions=4, local_threshold=None).to_pandas() \
-        .sort_values("node").reset_index(drop=True)
-    salted = pagerank(_edges_ds(ray_session, edges, 4), iters=5,
-                      hot_degree=20, salt_buckets=4,
-                      num_partitions=4, local_threshold=None).to_pandas() \
-        .sort_values("node").reset_index(drop=True)
-    pd.testing.assert_frame_equal(salted, plain)
-    # exactly one row per node — replication never leaks duplicates
-    assert salted["node"].is_unique
-    ref = _ref_pagerank(edges)
-    got = salted.set_index("node")["pr"].to_dict()
-    for n in ref:
-        assert got[n] == pytest.approx(ref[n], abs=2e-6), n
-
-
-def test_pagerank_salted_weighted_string_hub(ray_session):
-    edges = [("hub", f"n{i}", float(1 + i % 3)) for i in range(40)]
-    edges += [(f"n{i}", "hub", 1.0) for i in range(0, 40, 5)]
-    cols = ("src", "dst", "w")
-    plain = pagerank(_edges_ds(ray_session, edges, 3, cols=cols),
-                     weight_col="w", iters=4,
-                     num_partitions=3, local_threshold=None).to_pandas() \
-        .sort_values("node").reset_index(drop=True)
-    salted = pagerank(_edges_ds(ray_session, edges, 3, cols=cols),
-                      weight_col="w", iters=4, hot_degree=10,
-                      salt_buckets=3, num_partitions=3, local_threshold=None).to_pandas() \
-        .sort_values("node").reset_index(drop=True)
-    pd.testing.assert_frame_equal(salted, plain)
-    assert salted["node"].is_unique
-
-
 def test_personalized_pagerank_matches_reference(ray_session):
     rng = np.random.default_rng(41)
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 20, (80, 2))]
     seeds = {0, 7}
     out = pagerank(_edges_ds(ray_session, edges, 3), iters=5,
-                   seeds=frozenset(seeds), num_partitions=3, local_threshold=None) \
+                   seeds=frozenset(seeds)) \
         .to_pandas().set_index("node")["pr"].to_dict()
     # reference: r0 = s; r = 0.15*s + 0.85*incoming
     nodes = sorted({x for e in edges for x in e})
@@ -199,8 +159,8 @@ def test_label_propagation_two_cliques(ray_session):
     a = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     b = [(i, j) for i in range(10, 15) for j in range(i + 1, 15)]
     edges = a + b + [(4, 10), (20, 21)]
-    out = label_propagation(_edges_ds(ray_session, edges, 4), iters=5,
-                            num_partitions=3, local_threshold=None).to_pandas()
+    out = label_propagation(_edges_ds(ray_session, edges, 4),
+                            iters=5).to_pandas()
     lab = out.set_index("node")["community"].to_dict()
     ref = _ref_lpa(edges)
     assert lab == ref
@@ -221,12 +181,11 @@ def test_label_propagation_weighted_directed_and_partitioning(ray_session):
              np.c_[rng.integers(0, 12, (60, 2)),
                    rng.integers(1, 5, 60)]]
     outs = []
-    for blocks, parts in ((1, 2), (5, 4)):
+    for blocks in (1, 5):
         out = label_propagation(
             _edges_ds(ray_session, edges, blocks,
                       cols=("src", "dst", "w")),
-            weight_col="w", iters=4, num_partitions=parts,
-            local_threshold=None,
+            weight_col="w", iters=4,
         ).to_pandas().sort_values("node").reset_index(drop=True)
         outs.append(out)
     pd.testing.assert_frame_equal(outs[0], outs[1])
@@ -241,13 +200,12 @@ def test_graph_ops_self_loops_and_parallel_edges(ray_session):
 
     # self-loop + duplicate parallel edges: both count toward weight
     edges = [(1, 1), (1, 2), (1, 2), (2, 3), (3, 1)]
-    pr = pagerank(_edges_ds(ray_session, edges, 2), iters=4,
-                  num_partitions=2, local_threshold=None).to_pandas() \
+    pr = pagerank(_edges_ds(ray_session, edges, 2), iters=4).to_pandas() \
         .set_index("node")["pr"].to_dict()
     ref = _ref_pagerank(edges, iters=4)
     assert pr == {n: pytest.approx(v, abs=2e-6) for n, v in ref.items()}
-    lab = label_propagation(_edges_ds(ray_session, edges, 2), iters=4,
-                            num_partitions=2, local_threshold=None).to_pandas()
+    lab = label_propagation(_edges_ds(ray_session, edges, 2),
+                            iters=4).to_pandas()
     assert set(lab["node"]) == {1, 2, 3}
     assert lab.set_index("node")["community"].to_dict() == _ref_lpa(
         edges, iters=4)
@@ -352,9 +310,15 @@ def test_k_core_matches_brute_peeling(ray_session):
 
 
 def test_pagerank_local_equals_distributed(ray_session):
-    """VERDICT r4 task 4: the small-graph single-task fast path must
-    produce exactly the distributed result — weighted string graph
-    with a hub, both plain and personalized (seeded)."""
+    """The in-process kernel (the KG serving path) equals the Dataset
+    solver over a multi-block input — weighted string graph with a
+    hub, both plain and personalized (seeded)."""
+    import pyarrow as pa
+
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
+        _pagerank_local,
+    )
+
     rng = np.random.default_rng(7)
     names = [f"ent{i:02d}" for i in range(30)]
     edges = [(names[int(a)], names[int(b)], float(w))
@@ -364,18 +328,24 @@ def test_pagerank_local_equals_distributed(ray_session):
     # hub: one node with many out-edges
     edges += [("hub", names[i % 30], 1.0) for i in range(90)]
     ds = _edges_ds(ray_session, edges, 4, cols=("src", "dst", "w"))
-    kw = dict(src_col="src", dst_col="dst", weight_col="w", iters=5)
+    tbl = pa.Table.from_pandas(pd.DataFrame(edges,
+                                            columns=["src", "dst", "w"]))
     for seeds in (None, frozenset({"ent03", "hub"})):
-        dist = pagerank(ds, seeds=seeds, num_partitions=3,
-                        local_threshold=None, **kw).to_pandas() \
+        dist = pagerank(ds, weight_col="w", iters=5,
+                        seeds=seeds).to_pandas() \
             .sort_values("node").reset_index(drop=True)
-        loc = pagerank(ds, seeds=seeds, **kw).to_pandas() \
+        loc = _pagerank_local(tbl, "src", "dst", "w", 5, 0.85, "pr", 6,
+                              seeds).to_pandas() \
             .sort_values("node").reset_index(drop=True)
         pd.testing.assert_frame_equal(loc, dist, check_dtype=False)
 
 
 def test_label_propagation_local_equals_distributed(ray_session):
+    """In-process kernel == Dataset solver, as for pagerank above."""
+    import pyarrow as pa
+
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
+        _lpa_local,
         label_propagation,
     )
 
@@ -389,14 +359,15 @@ def test_label_propagation_local_equals_distributed(ray_session):
                           float(rng.integers(1, 4))))
     edges += [("n03", "n23", 1.0), ("n15", "n31", 1.0)]
     ds = _edges_ds(ray_session, edges, 3, cols=("src", "dst", "w"))
+    tbl = pa.Table.from_pandas(pd.DataFrame(edges,
+                                            columns=["src", "dst", "w"]))
     for directed in (False, True):
         for wcol in (None, "w"):
-            kw = dict(src_col="src", dst_col="dst", weight_col=wcol,
-                      iters=4, directed=directed)
             dist = label_propagation(
-                ds, num_partitions=3, local_threshold=None, **kw
+                ds, weight_col=wcol, iters=4, directed=directed,
             ).to_pandas().sort_values("node").reset_index(drop=True)
-            loc = label_propagation(ds, **kw).to_pandas() \
+            loc = _lpa_local(tbl, "src", "dst", wcol, 4, directed,
+                             "community").to_pandas() \
                 .sort_values("node").reset_index(drop=True)
             pd.testing.assert_frame_equal(loc, dist, check_dtype=False)
 
@@ -528,15 +499,13 @@ def test_hits_matches_replay_local_and_distributed(ray_session):
     edges = [(int(a), int(b))
              for a, b in rng.integers(0, 30, (200, 2))]
     want_a, want_h = _hits_replay(edges, iters=5)
-    for thr in (None, 5_000_000):
-        out = hits(_edges_ds(ray_session, edges, 4), iters=5,
-                   num_partitions=4, local_threshold=thr).to_pandas()
-        got_a = dict(zip(out["node"], out["authority"]))
-        got_h = dict(zip(out["node"], out["hub"]))
-        assert set(got_a) == set(want_a), thr
-        for n in want_a:
-            assert abs(got_a[n] - want_a[n]) < 2e-6, (thr, n)
-            assert abs(got_h[n] - want_h[n]) < 2e-6, (thr, n)
+    out = hits(_edges_ds(ray_session, edges, 4), iters=5).to_pandas()
+    got_a = dict(zip(out["node"], out["authority"]))
+    got_h = dict(zip(out["node"], out["hub"]))
+    assert set(got_a) == set(want_a)
+    for n in want_a:
+        assert abs(got_a[n] - want_a[n]) < 2e-6, n
+        assert abs(got_h[n] - want_h[n]) < 2e-6, n
 
 
 def test_hits_pure_hub_and_authority(ray_session):
@@ -544,15 +513,13 @@ def test_hits_pure_hub_and_authority(ray_session):
 
     # 0 links to 1 and 2; nothing links to 0 → 0 is a pure hub
     edges = [(0, 1), (0, 2)]
-    for thr in (None, 5_000_000):
-        out = {r["node"]: r for r in hits(
-            _edges_ds(ray_session, edges, 2), iters=3,
-            num_partitions=3, local_threshold=thr).take_all()}
-        assert out[0]["authority"] == 0.0, thr
-        assert out[0]["hub"] == 1.0, thr
-        assert out[1]["hub"] == 0.0 and out[2]["hub"] == 0.0
-        assert abs(out[1]["authority"] - 0.5) < 1e-9
-        assert abs(out[2]["authority"] - 0.5) < 1e-9
+    out = {r["node"]: r for r in hits(
+        _edges_ds(ray_session, edges, 2), iters=3).take_all()}
+    assert out[0]["authority"] == 0.0
+    assert out[0]["hub"] == 1.0
+    assert out[1]["hub"] == 0.0 and out[2]["hub"] == 0.0
+    assert abs(out[1]["authority"] - 0.5) < 1e-9
+    assert abs(out[2]["authority"] - 0.5) < 1e-9
 
 
 def test_hits_string_nodes_partition_independent(ray_session):
@@ -561,38 +528,14 @@ def test_hits_string_nodes_partition_independent(ray_session):
     edges = [("a.com", "b.com"), ("a.com", "c.com"), ("b.com", "c.com"),
              ("c.com", "a.com"), ("d.com", "c.com")]
     ref = None
-    for blocks, parts in ((1, 2), (3, 4), (5, 3)):
-        out = hits(_edges_ds(ray_session, edges, blocks), iters=4,
-                   num_partitions=parts,
-                   local_threshold=None).to_pandas()
+    for blocks in (1, 3, 5):
+        out = hits(_edges_ds(ray_session, edges, blocks),
+                   iters=4).to_pandas()
         cur = sorted(map(tuple, out.to_numpy().tolist()))
         if ref is None:
             ref = cur
         else:
-            assert cur == ref, (blocks, parts)
-
-
-def test_hits_salted_heads_exact_match(ray_session):
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import hits
-
-    # node 0 is a huge hub (out-degree 40) AND node 1 a huge authority
-    # (in-degree 40) — both sides' head treatment fires
-    edges = ([(0, i) for i in range(2, 42)]
-             + [(i, 1) for i in range(2, 42)]
-             + [(1, 0), (3, 4), (4, 3)])
-    plain = hits(_edges_ds(ray_session, edges, 4), iters=4,
-                 num_partitions=5, local_threshold=None).to_pandas()
-    salted = hits(_edges_ds(ray_session, edges, 4), iters=4,
-                  num_partitions=5, local_threshold=None,
-                  hot_degree=3, salt_buckets=4).to_pandas()
-    p = plain.sort_values("node").reset_index(drop=True)
-    s = salted.sort_values("node").reset_index(drop=True)
-    pd.testing.assert_frame_equal(p, s)
-    # and both match the single-task local solve
-    local = hits(_edges_ds(ray_session, edges, 2), iters=4,
-                 num_partitions=5).to_pandas() \
-        .sort_values("node").reset_index(drop=True)
-    pd.testing.assert_frame_equal(p, local)
+            assert cur == ref, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -664,3 +607,93 @@ def test_cooccurrence_pmi_cap_and_min_count(ray_session):
     got = {(r["a"], r["b"]): (r["n_ab"], r["pmi"]) for r in out}
     assert got == want
     assert set(got) == {("a", "b")}
+
+
+def test_hits_rejects_zero_iters(ray_session):
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import hits
+
+    # with no iteration no score is computed: an error, not
+    # authority 0.0 / hub 1.0 for every node
+    with pytest.raises(ValueError, match="iters must be >= 1"):
+        hits(_edges_ds(ray_session, [(0, 1), (1, 2)], 2), iters=0)
+
+
+# ---------------------------------------------------------------------------
+# the one-task solver contract: empty graphs and the edge cap
+# ---------------------------------------------------------------------------
+
+SOLVERS = ["pagerank", "label_propagation", "hits", "bfs_depths",
+           "shortest_paths", "link_scores", "clustering_coefficient",
+           "betweenness_sample", "harmonic_sample", "truss_decomposition"]
+
+
+def _solve(name: str, edges, seeds):
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines import graph
+
+    fn = getattr(graph, name)
+    if name in ("bfs_depths", "shortest_paths"):
+        return fn(edges, seeds)
+    if name in ("pagerank", "label_propagation"):
+        return fn(edges, weight_col="w")
+    return fn(edges)
+
+
+def _graph(ray_session, n_edges: int, node_type):
+    """The first ``n_edges`` of a triangle 0-1-2 with a tail 2-3, a float
+    weight column, and node 0 as the one seed (none without edges)."""
+    import pyarrow as pa
+
+    pairs = [(0, 1), (1, 2), (2, 0), (2, 3)][:n_edges]
+    node = (lambda v: f"n{v}") if node_type == pa.string() else int
+    edges = pa.table({
+        "src": pa.array([node(a) for a, _ in pairs], node_type),
+        "dst": pa.array([node(b) for _, b in pairs], node_type),
+        "w": pa.array([2.0] * len(pairs), pa.float64()),
+    })
+    seeds = pa.table({"node": pa.array([node(0)][:n_edges], node_type)})
+    return (ray_session.data.from_arrow(edges),
+            ray_session.data.from_arrow(seeds))
+
+
+def _table(ds):
+    import pyarrow as pa
+    import ray
+
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+@pytest.mark.parametrize("node_type", ["int64", "string"])
+@pytest.mark.parametrize("name", SOLVERS)
+def test_zero_edges_typed_like_nonempty(ray_session, name, node_type):
+    import pyarrow as pa
+
+    typ = pa.type_for_alias(node_type)
+    full = _table(_solve(name, *_graph(ray_session, 4, typ)))
+    empty = _table(_solve(name, *_graph(ray_session, 0, typ)))
+    assert full.num_rows > 0
+    assert empty.num_rows == 0
+    assert empty.schema.names == full.schema.names
+    assert empty.schema.types == full.schema.types
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+def test_edge_cap_raises(ray_session, monkeypatch, name):
+    import pyarrow as pa
+
+    from nlp_graphrag_with_qdrant_and_neo4j_ray import config
+
+    monkeypatch.setattr(config, "LOCAL_EDGES_THRESHOLD", 2)
+    # the cap is read at call time and is inclusive
+    assert _table(_solve(name, *_graph(ray_session, 2, pa.int64()))) \
+        .num_rows >= 0
+    with pytest.raises(ValueError, match="LOCAL_EDGES_THRESHOLD"):
+        _solve(name, *_graph(ray_session, 3, pa.int64()))
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+def test_zero_edges_without_schema(ray_session, name):
+    import pyarrow as pa
+
+    # a filter that drops every row can leave blocks with no columns
+    none = ray_session.data.from_arrow(pa.table({}))
+    assert _table(_solve(name, none, none)).num_rows == 0

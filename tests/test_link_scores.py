@@ -1,6 +1,6 @@
 """Link-prediction scores (pipelines/graph.link_scores): hand-computed
-indices, local == distributed parity, string nodes, the hub cap and
-partition independence.  Beyond-reference: the reference stops at
+indices, in-process kernel == Dataset solver, string nodes, the hub cap
+and input-block independence.  Beyond-reference: the reference stops at
 writing KG edges (/root/reference/graphrag/core/triplets.py); these
 are the classic local similarity indices (Liben-Nowell & Kleinberg
 2003) proposed over that edge list."""
@@ -68,25 +68,19 @@ def _random_edges(n_nodes: int, n_edges: int, seed: int) -> pa.Table:
 
 
 def test_local_eq_distributed(ray_session):
+    # the in-process kernel (the KG serving path) == the Dataset solver
     edges = _random_edges(60, 300, seed=7)
     loc = _sorted(_link_scores_local(edges, "src", "dst"))
-    dist = _sorted(link_scores(rd.from_arrow(edges),
-                               local_threshold=None,
-                               num_partitions=5).to_pandas())
+    dist = _sorted(link_scores(
+        rd.from_arrow(edges).repartition(5)).to_pandas())
     pd.testing.assert_frame_equal(loc, dist)
-    # and the fast path itself returns the same thing
-    fast = _sorted(link_scores(rd.from_arrow(edges),
-                               local_threshold=10_000).to_pandas())
-    pd.testing.assert_frame_equal(loc, fast)
 
 
 def test_partition_independence(ray_session):
     edges = _random_edges(40, 160, seed=11)
-    a = _sorted(link_scores(rd.from_arrow(edges), local_threshold=None,
-                            num_partitions=3).to_pandas())
+    a = _sorted(link_scores(rd.from_arrow(edges)).to_pandas())
     b = _sorted(link_scores(
-        rd.from_arrow(edges).repartition(7), local_threshold=None,
-        num_partitions=8).to_pandas())
+        rd.from_arrow(edges).repartition(7)).to_pandas())
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -94,9 +88,7 @@ def test_string_nodes(ray_session):
     edges = pa.table({"src": ["a", "b", "c", "d"],
                       "dst": ["b", "c", "d", "a"]})
     loc = _sorted(_link_scores_local(edges, "src", "dst"))
-    dist = _sorted(link_scores(rd.from_arrow(edges),
-                               local_threshold=None,
-                               num_partitions=2).to_pandas())
+    dist = _sorted(link_scores(rd.from_arrow(edges)).to_pandas())
     pd.testing.assert_frame_equal(loc, dist)
     assert loc["node_a"].tolist() == ["a", "b"]
     assert loc["node_b"].tolist() == ["c", "d"]
@@ -120,7 +112,6 @@ def test_max_center_degree_cap(ray_session):
                                                              (1, 2)]
     assert capped["cn"].tolist() == [2, 1]
     dist = _sorted(link_scores(rd.from_arrow(edges),
-                               local_threshold=None, num_partitions=3,
                                max_center_degree=3).to_pandas())
     pd.testing.assert_frame_equal(capped, dist)
 

@@ -82,3 +82,33 @@ def test_round_helper_rounds_halves_as_duckdb(x, ndigits):
     assert E._round(x, ndigits) == want
     assert E._round(np.array([x, np.nan]), ndigits)[0] == want
     assert np.isnan(E._round(np.array([x, np.nan]), ndigits)[1])
+
+
+def test_late_arrivals_exact_for_large_event_ids(ray_session, tmp_path):
+    """events_late_arrivals' arrival jitter (event_id * 2654435761) %
+    10_800_000_000 is exact, as the oracle's HUGEINT math is: a uint64
+    product wraps from event_id 6,949,403,088 on."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as E
+
+    n = 400
+    step = 22_000_000_000_000_007  # ids reach 8.8e18
+    ids = 6_949_403_088 + np.arange(n, dtype=np.int64) * step
+    ts = (np.datetime64("2024-01-01T00:00:00", "us")
+          + np.arange(n) * np.timedelta64(3, "m"))
+    pq.write_table(pa.table({"event_id": ids, "ts": ts,
+                             "user_id": np.arange(n, dtype=np.int64) % 4}),
+                   tmp_path / "events.parquet")
+    got = _canon(E.queries()["events_late_arrivals"](str(tmp_path))
+                 .to_pandas())
+    con = duckdb.connect()
+    con.execute("CREATE VIEW events AS SELECT * FROM read_parquet("
+                f"'{tmp_path}/events.parquet')")
+    want = _canon(con.sql(E.oracle_sql()["events_late_arrivals"]).df())
+    assert len(got) == len(want) > 0
+    assert list(got.columns) == list(want.columns)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                  check_exact=False, rtol=1e-9)

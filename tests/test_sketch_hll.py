@@ -141,3 +141,45 @@ def test_grouped_entropy_partitioning_independent(ray_session):
     for out in (a, b):
         got = out.sort_values("g").reset_index(drop=True)["entropy"]
         np.testing.assert_allclose(got, manual.values, atol=2e-6)
+
+
+@pytest.mark.parametrize("op", ["approx_count_distinct",
+                                "approx_frequencies"])
+def test_sketch_merge_salts_spread(ray_session, monkeypatch, op):
+    """Each batch's partial sketch takes its merge salt from its first
+    row's hash, so over 16 partials more than one salt shows (a uint64
+    ``%`` a Python int runs in float64 and made every salt 0), and the
+    merged answer equals the single-pass sketch."""
+    import ray.data
+
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.functions import cms
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines import relational
+
+    salts = []
+    real = relational.grouped_apply
+
+    def spy(ds, keys, fn, **kw):
+        if keys == ["__salt"]:
+            salts.extend(ds.to_pandas()["__salt"].tolist())
+        return real(ds, keys, fn, **kw)
+
+    monkeypatch.setattr(relational, "grouped_apply", spy)
+    # 16 blocks = 16 partials; every block's first value hashes to
+    # >= 2^58, where a float64 remainder mod 32 or 64 is always 0
+    df = pd.DataFrame({"v": np.arange(1001, 4201)})
+    ds = ray.data.from_pandas([df.iloc[i:i + 200]
+                               for i in range(0, 3200, 200)])
+    if op == "approx_count_distinct":
+        got = relational.approx_count_distinct(ds, ["v"], p=12).to_pandas()
+        h = pd.util.hash_pandas_object(df[["v"]], index=False).to_numpy(
+            np.uint64)
+        want = int(round(hll.estimate(hll.update_registers(h, 12))))
+        assert got["approx_distinct"].tolist() == [want]
+    else:
+        probes = [1001, 1007, 4200, 9999]
+        got = relational.approx_frequencies(ds, "v", probes).to_pandas()
+        want = cms.point_query(pd.Series(probes),
+                               cms.update_counts(df["v"]))
+        assert got["est"].tolist() == want.tolist()
+    assert len(salts) >= 16
+    assert len(set(salts)) > 1

@@ -3,7 +3,6 @@ peeling reference on random graphs."""
 
 import numpy as np
 import pandas as pd
-import pytest
 
 from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
     truss_decomposition,
@@ -91,9 +90,3 @@ def test_duplicate_reversed_edges_collapse(ray_session):
     a = _got(ray_session, [(0, 1), (1, 2), (0, 2)])
     b = _got(ray_session, [(0, 1), (1, 0), (1, 2), (0, 2), (2, 0)])
     assert a == b
-
-
-def test_oversize_raises(ray_session):
-    df = _edges([(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(ValueError):
-        truss_decomposition(_ds(ray_session, df), local_threshold=2)

@@ -25,16 +25,23 @@ from nlp_graphrag_with_qdrant_and_neo4j_ray import config
 from nlp_graphrag_with_qdrant_and_neo4j_ray.config import PipelineConfig
 
 CFG = PipelineConfig()
+# Ray's native hash join starts one aggregator actor per partition, and
+# each reserves ~0.9 GiB of the node's memory resource: sizing it like a
+# grouped_apply exchange asks for more than a 15 GB host has
+_NATIVE_JOIN_PARTITIONS = 8
 
 
 # --------------------------------------------------------------------------
 # helpers
 # --------------------------------------------------------------------------
 
-def _read(sf_dir: str, table: str):
+def _read(sf_dir: str, table: str, columns: list[str] | None = None):
+    """``<table>.parquet`` of ``sf_dir``; ``columns`` projects in the
+    read itself, so the Dataset keeps its footer row count."""
     import ray.data
 
-    return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"))
+    return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
+                                 columns=columns)
 
 
 def _round(x, ndigits: int = 6):
@@ -215,7 +222,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         and hosts, default ports, tracking params, fragments, www
         prefixes and multi-label public suffixes — every rule
         pipelines/web.py canonicalizes, replayable in SQL."""
-        ds = _read(sf_dir, "documents").select_columns(["doc_id", "source"])
+        ds = _read(sf_dir, "documents", columns=["doc_id", "source"])
 
         def mk(batch: pa.Table) -> pa.Table:
             rows = []
@@ -268,8 +275,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             cap_per_domain,
         )
 
-        return cap_per_domain(_messy_urls(sf_dir), 3,
-                              num_partitions=8).select_columns(
+        return cap_per_domain(_messy_urls(sf_dir), 3).select_columns(
             ["doc_id", "domain"])
 
     def _linked_pages(sf_dir: str):
@@ -280,7 +286,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         extractor must drop. Host shapes exercise www-prefixes and
         multi-label suffixes. The SQL oracle replays the arithmetic — the
         Ray side genuinely parses the HTML."""
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
         n_docs = docs.count()
 
         def host(i: int) -> str:
@@ -347,8 +353,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         edges = host_link_graph(_linked_pages(sf_dir))
-        return reciprocity(edges, "src_domain", "dst_domain",
-                           num_partitions=8).sort("node")
+        return reciprocity(edges, "src_domain", "dst_domain").sort("node")
 
     def events_time_weighted_value(sf_dir: str):
         """Time-weighted average value per user
@@ -380,7 +385,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return time_weighted_mean(
             ev.map_batches(to_us, batch_format="pyarrow"),
             ["user_id"], "ts_us", "value", tie_col="event_id",
-            num_partitions=32,
         )
 
     def web_anchor_texts(sf_dir: str):
@@ -395,7 +399,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             anchor_text_counts,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def mk(batch: pa.Table) -> pa.Table:
             rows = []
@@ -429,7 +433,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             url_block_filter,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def mk(batch: pa.Table) -> pa.Table:
             rows = []
@@ -463,7 +467,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             robots_filter,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def mk(batch: pa.Table) -> pa.Table:
             rows = []
@@ -492,8 +496,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             # site3.com has no robots row -> allow all
         ])
         return robots_filter(
-            docs.map_batches(mk, batch_format="pyarrow"), robots,
-            num_partitions=8)
+            docs.map_batches(mk, batch_format="pyarrow"), robots)
 
     def pages_html_metadata(sf_dir: str):
         """HTML metadata mining (pipelines/web.page_metadata): planted
@@ -505,7 +508,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             page_metadata,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def mk(batch: pa.Table) -> pa.Table:
             rows = []
@@ -540,7 +543,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             crawl_frontier,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def mk(batch: pa.Table) -> pa.Table:
             rows = []
@@ -557,8 +560,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.Table.from_pylist(rows)
 
         return crawl_frontier(
-            docs.map_batches(mk, batch_format="pyarrow"),
-            num_partitions=8)
+            docs.map_batches(mk, batch_format="pyarrow"))
 
     def pages_main_content(sf_dir: str):
         """jusText-style main-content extraction
@@ -572,7 +574,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             main_content,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
         ph = ("the sun is warm and the breeze is soft in the quiet "
               "garden of our town ")
         good = (ph * 3).strip()
@@ -613,7 +615,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             sitemap_urls,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def mk(batch: pa.Table) -> pa.Table:
             rows = []
@@ -657,7 +659,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             mirror_paths,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def mk(batch: pa.Table) -> pa.Table:
             rows = []
@@ -673,7 +675,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return mirror_paths(
             docs.map_batches(mk, batch_format="pyarrow"),
-            min_domains=3, num_partitions=8)
+            min_domains=3)
 
     def docs_boilerplate_scoped(sf_dir: str):
         """PER-SITE template removal (clean.strip_boilerplate with
@@ -687,7 +689,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             strip_boilerplate,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
         shared = "Follow us on social media."
 
         def mk(batch: pa.Table) -> pa.Table:
@@ -706,7 +708,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return strip_boilerplate(
             docs.map_batches(mk, batch_format="pyarrow"),
-            min_docs=20, scope_col="domain", num_partitions=8)
+            min_docs=20, scope_col="domain")
 
     def web_host_pagerank(sf_dir: str):
         """The classic crawl pipeline composed end-to-end: archives →
@@ -754,7 +756,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             dedup_recrawls,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
         epoch = _dt.datetime(2025, 3, 28)
 
         def mk(batch: pa.Table) -> pa.Table:
@@ -776,7 +778,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.Table.from_pylist(rows)
 
         pages = docs.map_batches(mk, batch_format="pyarrow")
-        return dedup_recrawls(pages, num_partitions=8).select_columns(
+        return dedup_recrawls(pages).select_columns(
             ["doc_id", "canonical_url", "url"])
 
     def pages_recrawl_dedup_windowed(sf_dir: str):
@@ -794,7 +796,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             dedup_recrawls_windowed,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
         epoch = _dt.datetime(2025, 3, 28)
 
         def mk(batch: pa.Table) -> pa.Table:
@@ -824,7 +826,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         pages = docs.map_batches(mk, batch_format="pyarrow")
         return dedup_recrawls_windowed(
-            pages, window_days=30, num_partitions=8
+            pages, window_days=30
         ).select_columns(["doc_id", "canonical_url", "window", "url"])
 
     def docs_stop_tokens(sf_dir: str):
@@ -837,8 +839,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             stop_tokens,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
-        return stop_tokens(docs, min_df_frac=0.10, num_partitions=8)
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+        return stop_tokens(docs, min_df_frac=0.10)
 
     def docs_c4_line_filtered(sf_dir: str):
         """C4 rule-based cleaning (pipelines/clean.c4_line_filter) over
@@ -852,7 +854,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             c4_line_filter,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def synth(batch: pa.Table) -> pa.Table:
             ids, texts = [], []
@@ -895,7 +897,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             gopher_quality,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
         line = ("the quick brown fox jumps over a lazy dog and then "
                 "that dog will have a quiet rest with friends today")
 
@@ -944,7 +946,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             paragraph_dedup,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
         b = "Subscribe to our newsletter for daily updates."
         d = "Copyright notice all rights reserved."
 
@@ -985,7 +987,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             line_dedup_within_doc,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
         nav = "Shared navigation menu item"
 
         def synth(batch: pa.Table) -> pa.Table:
@@ -1028,8 +1030,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         g = gopher_quality(docs, min_stopwords=0)
         q = ts.quality(docs)
 
@@ -1060,7 +1061,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return (f.groupby(["gopher_keep", "quality_keep"]).size()
                     .rename("n").reset_index())
 
-        cells = grouped_apply(u, ["doc_id"], census, num_partitions=8,
+        cells = grouped_apply(u, ["doc_id"], census,
                               batch_format="pandas")
 
         def fold(pdf):
@@ -1086,9 +1087,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             split_leakage,
         )
 
-        docs = assign_splits(_read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]))
-        return split_leakage(docs, prefix_tokens=8, num_partitions=8)
+        docs = assign_splits(_read(sf_dir, "documents",
+                                   columns=["doc_id", "text"]))
+        return split_leakage(docs, prefix_tokens=8)
 
     def docs_lang_f1(sf_dir: str):
         """Per-class precision / recall / F1 of the language-ID
@@ -1139,8 +1140,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         production path caps hot tokens via max_bucket). Exact mode
         here so the SQL oracle replays the full statistic: tf → idf →
         L2 normalize → shared-token self-join → threshold."""
-        docs = (_read(sf_dir, "documents")
-                .select_columns(["doc_id", "text"])
+        docs = (_read(sf_dir, "documents", columns=["doc_id", "text"])
                 .sort("doc_id").limit(200))
         return ts.tfidf_cosine_pairs(docs, threshold=0.7)
 
@@ -1156,7 +1156,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             random_walks,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
             ids = pc.cast(b.column("doc_id"), pa.int64())
@@ -1173,7 +1173,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return random_walks(
             docs.map_batches(edges, batch_format="pyarrow"),
-            walk_len=4, num_partitions=8)
+            walk_len=4)
 
     def docs_token_ids(sf_dir: str):
         """Vocabulary freeze + corpus encode
@@ -1230,8 +1230,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         at real scale you train on a sampled slice and score
         everything with the final weights (one map pass), which is
         this same operator."""
-        docs = (_read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]).sort("doc_id").limit(2000))
+        docs = (_read(sf_dir, "documents",
+                      columns=["doc_id", "text"]).sort("doc_id").limit(2000))
 
         def plant(b: pa.Table) -> pa.Table:
             ids = pc.cast(b.column("doc_id"), pa.int64()).to_numpy(
@@ -1276,7 +1276,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             url_block_filter,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
         line = ("the quick brown fox jumps over a lazy dog and then "
                 "that dog will have a quiet rest with friends today")
 
@@ -1324,7 +1324,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             pages, blocked_domains=("blocked.com",),
         ).filter(expr="keep == 1").select_columns(
             ["doc_id", "url", "html"])
-        live = robots_filter(past_urls, robots, num_partitions=8) \
+        live = robots_filter(past_urls, robots) \
             .filter(expr="allowed == 1")
 
         def extract(batch: pa.Table) -> pa.Table:
@@ -1354,8 +1354,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         def thunk():
             import datetime as _dt
 
-            docs = _read(sf_dir, "documents").select_columns(
-                ["doc_id", "text", "lang", "source"])
+            docs = _read(sf_dir, "documents",
+                         columns=["doc_id", "text", "lang", "source"])
             epoch = _dt.datetime(2025, 3, 28)
 
             def mk(batch: pa.Table) -> pa.Table:
@@ -1386,7 +1386,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             crawl_diff,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def old_pages(batch: pa.Table) -> pa.Table:
             rows = [{"url": f"https://c.example/d/doc-{r['doc_id']}"
@@ -1414,7 +1414,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         old_ds = docs.map_batches(old_pages, batch_format="pyarrow")
         new_ds = docs.map_batches(new_pages, batch_format="pyarrow")
-        return crawl_diff(old_ds, new_ds, num_partitions=8)
+        return crawl_diff(old_ds, new_ds)
 
     def docs_lang_rebalanced(sf_dir: str):
         """Measure→act mix rebalancing (pipelines/clean.
@@ -1427,7 +1427,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             rebalance_to_target,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id", "lang"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "lang"])
         targets = {"en": 0.5, "de": 0.125, "fr": 0.125, "es": 0.125,
                    "zh": 0.125}
         return rebalance_to_target(docs, "lang", targets)
@@ -1556,7 +1556,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                  "n_triples"])
             )
 
-        return grouped_apply(partials, ["doc_id"], agg, num_partitions=64,
+        return grouped_apply(partials, ["doc_id"], agg,
                              batch_format="pyarrow").sort("doc_id")
 
     def kg_edges(sf_dir: str):
@@ -1844,8 +1844,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             quality_scores as qrow,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text", "lang"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
         def fn(b: pa.Table) -> pa.Table:
             vals = [qrow(t)["quality"]
@@ -1870,7 +1869,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ranking_auc,
         )
 
-        return ranking_auc(_quality_scored(sf_dir), num_partitions=8)
+        return ranking_auc(_quality_scored(sf_dir))
 
     def docs_quality_calibration(sf_dir: str):
         """Reliability table of the quality score vs the lang == 'en'
@@ -1881,8 +1880,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             calibration_bins,
         )
 
-        return calibration_bins(_quality_scored(sf_dir), bins=10,
-                                num_partitions=8)
+        return calibration_bins(_quality_scored(sf_dir), bins=10)
 
     def docs_token_windows(sf_dir: str):
         """Long-document → training-context windows
@@ -1896,8 +1894,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             token_windows,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return token_windows(docs, window=32, stride=24).sort(
             ["doc_id", "window_idx"])
 
@@ -1911,8 +1908,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             length_buckets,
         )
 
-        return length_buckets(_read(sf_dir, "documents"),
-                              num_partitions=8)
+        return length_buckets(_read(sf_dir, "documents"))
 
     def docs_quality_filtered(sf_dir: str):
         """Percentile quality gating: keep documents whose quality score
@@ -2014,8 +2010,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        docs = (_read(sf_dir, "documents")
-                .select_columns(["doc_id", "text"])
+        docs = (_read(sf_dir, "documents", columns=["doc_id", "text"])
                 .sort("doc_id").limit(200))
 
         def grams(batch: pa.Table) -> pa.Table:
@@ -2045,7 +2040,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                      "doc_id_y": "doc_b"}))
 
         inter = grouped_apply(gram_ds, ["gram"], pair_counts,
-                              num_partitions=16, batch_format="pandas")
+                              batch_format="pandas")
 
         def finish(pdf) -> Any:
             s = ray.get(sizes_ref)
@@ -2059,7 +2054,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return g[keep][["doc_a", "doc_b", "jaccard"]]
 
         return grouped_apply(inter, ["doc_a", "doc_b"], finish,
-                             num_partitions=8,
                              batch_format="pandas").sort(["doc_a", "doc_b"])
 
     def docs_containment_pairs(sf_dir: str):
@@ -2078,8 +2072,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        docs = (_read(sf_dir, "documents")
-                .select_columns(["doc_id", "text"])
+        docs = (_read(sf_dir, "documents", columns=["doc_id", "text"])
                 .sort("doc_id").limit(200))
 
         def grams(batch: pa.Table) -> pa.Table:
@@ -2107,7 +2100,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                      "doc_id_y": "doc_b"}))
 
         inter = grouped_apply(gram_ds, ["gram"], pair_counts,
-                              num_partitions=16, batch_format="pandas")
+                              batch_format="pandas")
 
         def finish(pdf) -> Any:
             s = ray.get(sizes_ref)
@@ -2122,7 +2115,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return g[keep][["doc_a", "doc_b", "containment"]]
 
         return grouped_apply(inter, ["doc_a", "doc_b"], finish,
-                             num_partitions=8,
                              batch_format="pandas").sort(
             ["doc_a", "doc_b"])
 
@@ -2133,8 +2125,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         blocked all-pairs exchange (see similarity.exact_cosine_pairs
         for the scale contract: exact all-pairs is the verifier you run
         AFTER a candidate generator at corpus scale)."""
-        emb = _read(sf_dir, "embeddings").select_columns(
-            ["vec_id", "embedding"])
+        emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
         return sim.exact_cosine_pairs(emb, threshold=0.4,
                                       num_blocks=8).sort(["id_a", "id_b"])
 
@@ -2175,9 +2166,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "n_chars"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
         def bucketize(b: pa.Table) -> pa.Table:
             n = b.column("n_chars").to_numpy(zero_copy_only=False)
@@ -2202,7 +2191,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return grouped_apply(
             docs.map_batches(bucketize, batch_format="pyarrow",
                              batch_size=65536),
-            ["bucket"], chain, num_partitions=16,
+            ["bucket"], chain,
             batch_format="pandas",
         )
 
@@ -2220,7 +2209,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         their max-quality member (ties min doc_id), singleton buckets
         survive as their own cluster. The oracle recomputes clusters,
         quality and the argmax window directly."""
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def add_q(b: pa.Table) -> pa.Table:
             d = pc.cast(b.column("doc_id"), pa.int64()).to_numpy(
@@ -2342,8 +2331,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         combiner, and one exchange. Rows-only (k-means quantizer — not
         SQL-expressible); the truth side's exactness is pinned by the
         °-oracled embedding_knn_join."""
-        emb = _read(sf_dir, "embeddings").select_columns(
-            ["vec_id", "embedding"])
+        emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
         qv = _query_vec(sf_dir)
         return sim.ann_recall_eval(emb, dim=len(qv), k=10, n_queries=20,
                                    nlist=16, nprobe=4)
@@ -2366,7 +2354,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             columns=["vec_id", "embedding"],
             filter=(pc.field("vec_id") >= 5),
         )
-        return sim.knn_join(corpus, qids, qmat, k=3, num_partitions=8)
+        return sim.knn_join(corpus, qids, qmat, k=3)
 
     def embedding_knn_lsh(sf_dir: str):
         emb = _read(sf_dir, "embeddings")
@@ -2462,8 +2450,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             sample_video_frames,
         )
 
-        rows = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]).sort("doc_id").limit(24).take_all()
+        rows = _read(sf_dir, "documents", columns=["doc_id", "text"]) \
+            .sort("doc_id").limit(24).take_all()
         items = []
         for r in rows:
             seed = np.frombuffer(
@@ -2736,8 +2724,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             columns=["user_id", "ts"],
             filter=pc.field("ts") >= mid,
         ).select_columns(["user_id"])
-        return intersect_distinct(first, second, ["user_id"],
-                                  num_partitions=8)
+        return intersect_distinct(first, second, ["user_id"])
 
     def discontinued_part_suppliers(sf_dir: str):
         """SQL EXCEPT — (part, supplier) pairs shipped before 1997 and
@@ -2764,7 +2751,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             columns=cols + ["l_shipdate"],
             filter=pc.field("l_shipdate") >= cut,
         ).select_columns(cols)
-        return except_distinct(before, after, cols, num_partitions=16)
+        return except_distinct(before, after, cols)
 
     def lineitem_price_geomean(sf_dir: str):
         """Geometric mean per return flag — the multiplicative-average
@@ -2772,8 +2759,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         one tiny groupby; exp at the end."""
         from ray.data.aggregate import Sum
 
-        li = _read(sf_dir, "lineitem").select_columns(
-            ["l_returnflag", "l_extendedprice"])
+        li = _read(sf_dir, "lineitem",
+                   columns=["l_returnflag", "l_extendedprice"])
 
         def combine(b: pa.Table) -> pa.Table:
             ln = pc.ln(pc.cast(b.column("l_extendedprice"),
@@ -2809,7 +2796,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        orders = _read(sf_dir, "orders").select_columns(["o_custkey"])
+        orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
         def combine(pdf):
             return (pdf.groupby("o_custkey", as_index=False)
@@ -2820,7 +2807,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         counts = grouped_apply(
             orders.map_batches(combine, batch_format="pandas"),
-            ["o_custkey"], reduce_, num_partitions=8,
+            ["o_custkey"], reduce_,
             batch_format="pandas")
         # to_pandas, not take_all: row-based take_all over pandas
         # blocks converts per row (measured 9.6 s for 15k rows!)
@@ -2843,7 +2830,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
-        li = _read(sf_dir, "lineitem").select_columns(cols)
+        li = _read(sf_dir, "lineitem", columns=cols)
 
         def round_total(b: pa.Table) -> pa.Table:
             return b.set_column(
@@ -2866,8 +2853,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             json_extract_scalar,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["event_type", "props"])
+        ev = _read(sf_dir, "events", columns=["event_type", "props"])
         typed = json_extract_scalar(ev, "props", "k", "k_val")
 
         def combine(b: pa.Table) -> pa.Table:
@@ -2886,7 +2872,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             distinct_count,
         )
 
-        ev = _read(sf_dir, "events").select_columns(["user_id", "ts"])
+        ev = _read(sf_dir, "events", columns=["user_id", "ts"])
         size_us = 6 * 3600 * 1_000_000
 
         def window(b: pa.Table) -> pa.Table:
@@ -2898,7 +2884,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         keyed = ev.map_batches(window, batch_format="pyarrow")
         return distinct_count(keyed, ["window_us"], "user_id",
-                              "unique_users", num_partitions=8)
+                              "unique_users")
 
     def lineitem_qty_mad_by_flag(sf_dir: str):
         """Exact per-group median absolute deviation — the robust
@@ -2908,10 +2894,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_mad,
         )
 
-        li = _read(sf_dir, "lineitem").select_columns(
-            ["l_returnflag", "l_quantity"])
-        return grouped_mad(li, ["l_returnflag"], "l_quantity",
-                           num_partitions=4)
+        li = _read(sf_dir, "lineitem", columns=["l_returnflag", "l_quantity"])
+        return grouped_mad(li, ["l_returnflag"], "l_quantity")
 
     def events_type_transitions(sf_dir: str):
         """Markov transition counts over each user's event sequence —
@@ -2923,10 +2907,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
             window_lead,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["event_id", "user_id", "ts", "event_type"])
+        ev = _read(sf_dir, "events",
+                   columns=["event_id", "user_id", "ts", "event_type"])
         led = window_lead(ev, ["user_id"], "ts", "event_type",
-                          "next_type", "event_id", num_partitions=16)
+                          "next_type", "event_id")
 
         def combine(b: pa.Table) -> pa.Table:
             b = b.filter(pc.is_valid(b.column("next_type")))
@@ -2959,8 +2943,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             df["p"] = np.floor(p * 1e6 + 0.5) / 1e6
             return pa.Table.from_pandas(df, preserve_index=False)
 
-        return grouped_apply(counts, ["event_type"], normalize,
-                             num_partitions=4)
+        return grouped_apply(counts, ["event_type"], normalize)
 
     def top2_parts_per_brand_by_revenue(sf_dir: str):
         """Two-level top-k: revenue aggregates per (brand, part) —
@@ -3014,12 +2997,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 os.path.join(sf_dir, "lineitem.parquet"),
                 columns=["l_partkey", "l_extendedprice", "l_discount"],
             ).map_batches(combine, batch_format="pandas"),
-            ["p_brand", "l_partkey"], reduce_, num_partitions=8,
+            ["p_brand", "l_partkey"], reduce_,
             batch_format="pandas",
         )  # grouped_apply, not the slow native string-key Aggregate
 
         return window_topk(summed, ["p_brand"], "revenue_cents", 2,
-                           tie_col="l_partkey", num_partitions=8)
+                           tie_col="l_partkey")
 
     def events_user_running_max(sf_dir: str):
         """Running MAX(value) per user in event order — windowed_cumagg
@@ -3029,11 +3012,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
             windowed_cumagg,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["event_id", "user_id", "ts", "value"])
+        ev = _read(sf_dir, "events",
+                   columns=["event_id", "user_id", "ts", "value"])
         return windowed_cumagg(ev, ["user_id"], "ts", "value",
-                               "running_max", "event_id", agg="max",
-                               num_partitions=16)
+                               "running_max", "event_id", agg="max")
 
     def docs_normalized_text(sf_dir: str):
         """Canonical whitespace/case normalization — pure Arrow-kernel
@@ -3042,8 +3024,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             normalize_text,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return normalize_text(docs)
 
     def docs_bpe_vocab(sf_dir: str):
@@ -3060,9 +3041,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             word_counts,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["text"])
+        docs = _read(sf_dir, "documents", columns=["text"])
         wc = {r["word"]: r["n"]
-              for r in word_counts(docs, num_partitions=16,
+              for r in word_counts(docs,
                                    max_vocab=500_000).take_all()}
         merges = train_bpe(wc, 50)
         return ray.data.from_arrow(pa.table({
@@ -3082,12 +3063,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
             word_counts,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["text"])
+        docs = _read(sf_dir, "documents", columns=["text"])
         wc = {r["word"]: r["n"]
-              for r in word_counts(docs, num_partitions=16,
+              for r in word_counts(docs,
                                    max_vocab=500_000).take_all()}
         merges = train_bpe(wc, 50)
-        return bpe_apply(docs, merges, num_partitions=16)
+        return bpe_apply(docs, merges)
 
     def docs_bigram_logprob(sf_dir: str):
         """Bigram conditional LM score per doc — two exchanges, counts
@@ -3096,9 +3077,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             bigram_logprob,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"])
-        return bigram_logprob(docs, num_partitions=16)
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+        return bigram_logprob(docs)
 
     def docs_extracted_s_words(sf_dir: str):
         """Regex extraction to long form — every match with its 1-based
@@ -3108,8 +3088,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             extract_patterns,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return extract_patterns(docs, r"\bs\w+")
 
     def events_type_freq_cms(sf_dir: str):
@@ -3123,7 +3102,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             approx_frequencies,
         )
 
-        ev = _read(sf_dir, "events").select_columns(["event_type"])
+        ev = _read(sf_dir, "events", columns=["event_type"])
         probes = ["click", "error", "purchase", "signup", "view"]
         return approx_frequencies(ev, "event_type", probes)
 
@@ -3148,7 +3127,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         rem = clusters.map_batches(removals, batch_format="pyarrow")
         return except_distinct(docs.select_columns(["doc_id"]), rem,
-                               ["doc_id"], num_partitions=16)
+                               ["doc_id"])
 
     def docs_minhash_keep_best(sf_dir: str):
         """END-TO-END quality-aware near-dup dedup — the FineWeb-style
@@ -3197,7 +3176,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         rem = clusters.map_batches(removals, batch_format="pyarrow")
         return except_distinct(emb.select_columns(["vec_id"]), rem,
-                               ["vec_id"], num_partitions=16)
+                               ["vec_id"])
 
     # ---- relational operator coverage (A1-A5, O1-O5, J-patterns) ----
 
@@ -3304,14 +3283,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         small segment aggregate."""
         from ray.data.aggregate import Count, Sum
 
-        orders = _read(sf_dir, "orders").select_columns(
-            ["o_custkey", "o_totalprice"]
-        )
-        cust = _read(sf_dir, "customer").select_columns(
-            ["c_custkey", "c_mktsegment"]
-        )
+        orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
+        cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
         joined = orders.join(
-            cust, join_type="inner", num_partitions=16,
+            cust, join_type="inner",
+            num_partitions=_NATIVE_JOIN_PARTITIONS,
             on=("o_custkey",), right_on=("c_custkey",),
         )
         agg = joined.groupby("c_mktsegment").aggregate(
@@ -3355,8 +3331,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def part_topk_price(sf_dir: str):
         return (
-            _read(sf_dir, "part")
-            .select_columns(["p_partkey", "p_name", "p_retailprice"])
+            _read(sf_dir, "part",
+                  columns=["p_partkey", "p_name", "p_retailprice"])
             .sort(["p_retailprice", "p_partkey"], descending=[True, False])
             .limit(5)
         )
@@ -3500,9 +3476,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import ray
         from ray.data.aggregate import Max, Min
 
-        ds = _read(sf_dir, "supplier").select_columns(
-            ["s_suppkey", "s_acctbal"]
-        )
+        ds = _read(sf_dir, "supplier", columns=["s_suppkey", "s_acctbal"])
         bounds = ds.aggregate(Min("s_acctbal"), Max("s_acctbal"))
         lo, hi = bounds["min(s_acctbal)"], bounds["max(s_acctbal)"]
         ref = ray.put((lo, hi))
@@ -3566,7 +3540,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return out[["user_id", "n_events", "sum_value", "window_start_h"]]
 
         return grouped_apply(
-            _read(sf_dir, "events"), ["user_id"], windows, num_partitions=32,
+            _read(sf_dir, "events"), ["user_id"], windows,
                           batch_format="pandas")
 
     def events_gap_dedup(sf_dir: str):
@@ -3581,9 +3555,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        events = _read(sf_dir, "events").select_columns(
-            ["event_id", "ts", "user_id", "event_type"]
-        )
+        events = _read(sf_dir, "events",
+                       columns=["event_id", "ts", "user_id", "event_type"])
 
         def throttle(pdf: pd.DataFrame) -> pd.DataFrame:
             pdf = pdf.sort_values(["user_id", "event_type", "ts",
@@ -3595,7 +3568,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pdf.loc[keep, ["event_id", "user_id", "event_type"]]
 
         return grouped_apply(events, ["user_id"], throttle,
-                             num_partitions=32, batch_format="pandas")
+                             batch_format="pandas")
 
     def docs_graph_degree_hist(sf_dir: str):
         """Degree-distribution report (pipelines/graph.degree_histogram)
@@ -3607,7 +3580,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             degree_histogram,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
             ids = pc.cast(b.column("doc_id"), pa.int64())
@@ -3627,7 +3600,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return degree_histogram(
             docs.map_batches(edges, batch_format="pyarrow"),
-            num_partitions=8,
         )
 
     def docs_adamic_adar(sf_dir: str):
@@ -3643,7 +3615,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             link_scores,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
             ids = pc.cast(b.column("doc_id"), pa.int64())
@@ -3706,7 +3678,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             clustering_coefficient,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
             ids = pc.cast(b.column("doc_id"), pa.int64())
@@ -3795,8 +3767,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def explode(b: pa.Table) -> pa.Table:
             toks = pc.split_pattern(b.column("text"), " ")
@@ -3833,7 +3804,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         partials = grouped_apply(
             docs.map_batches(explode, batch_format="pyarrow"),
-            ["tok"], first_bucket, num_partitions=16,
+            ["tok"], first_bucket,
             batch_format="pyarrow")
 
         def fold(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -3857,7 +3828,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             node2vec_walks,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
             ids = pc.cast(b.column("doc_id"), pa.int64())
@@ -3879,7 +3850,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return node2vec_walks(
             docs.map_batches(edges, batch_format="pyarrow"),
-            walk_len=4, p=0.5, q=2.0, num_partitions=8)
+            walk_len=4, p=0.5, q=2.0)
 
     def customer_rfm_segments(sf_dir: str):
         """RFM segmentation — the classic recency/frequency/monetary
@@ -3896,8 +3867,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        orders = _read(sf_dir, "orders").select_columns(
-            ["o_custkey", "o_orderdate", "o_totalprice"])
+        orders = _read(sf_dir, "orders",
+                       columns=["o_custkey", "o_orderdate", "o_totalprice"])
 
         def partial(b: pa.Table) -> pa.Table:
             return b.group_by("o_custkey").aggregate(
@@ -3922,7 +3893,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         rfm = grouped_apply(
             orders.map_batches(partial, batch_format="pyarrow"),
-            ["o_custkey"], fold, num_partitions=16,
+            ["o_custkey"], fold,
             batch_format="pyarrow")
 
         def ntile4(pdf: pd.DataFrame, metric: str) -> np.ndarray:
@@ -3967,8 +3938,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["event_type", "ts", "event_id"])
+        ev = _read(sf_dir, "events", columns=["event_type", "ts", "event_id"])
 
         def quantiles(pdf: pd.DataFrame) -> pd.DataFrame:
             pdf = pdf.sort_values(["event_type", "ts", "event_id"],
@@ -3985,7 +3955,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return out
 
         return grouped_apply(ev, ["event_type"], quantiles,
-                             num_partitions=4, batch_format="pandas")
+                             batch_format="pandas")
 
     def docs_type_token_ratio(sf_dir: str):
         """Per-document type-token ratio (distinct / total whitespace
@@ -3993,8 +3963,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         corpus-level hapax share; low TTR flags repetitive templates.
         Pure vectorized map: tokens explode once per batch, both
         counts come from one arrow group_by."""
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def ttr(b: pa.Table) -> pa.Table:
             toks = pc.split_pattern(b.column("text"), " ")
@@ -4033,8 +4002,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        orders = _read(sf_dir, "orders").select_columns(
-            ["o_orderpriority", "o_orderdate"])
+        orders = _read(sf_dir, "orders",
+                       columns=["o_orderpriority", "o_orderdate"])
 
         def month_counts(b: pa.Table) -> pa.Table:
             m = pc.floor_temporal(b.column("o_orderdate"), unit="month")
@@ -4060,7 +4029,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return grouped_apply(
             orders.map_batches(month_counts, batch_format="pyarrow"),
-            ["o_orderpriority"], growth, num_partitions=4,
+            ["o_orderpriority"], growth,
             batch_format="pandas")
 
     def docs_hapax_ratio(sf_dir: str):
@@ -4075,7 +4044,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["text"])
+        docs = _read(sf_dir, "documents", columns=["text"])
 
         def tok_counts(b: pa.Table) -> pa.Table:
             toks = pc.list_flatten(
@@ -4096,7 +4065,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         partials = grouped_apply(
             docs.map_batches(tok_counts, batch_format="pyarrow"),
-            ["tok"], per_token, num_partitions=8,
+            ["tok"], per_token,
             batch_format="pyarrow")
 
         def fold(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -4127,8 +4096,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["event_type", "ts"])
+        ev = _read(sf_dir, "events", columns=["event_type", "ts"])
 
         def day_counts(b: pa.Table) -> pa.Table:
             day = pc.cast(pc.floor_temporal(b.column("ts"), unit="day"),
@@ -4153,7 +4121,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return grouped_apply(
             ev.map_batches(day_counts, batch_format="pyarrow"),
-            ["event_type"], fold, num_partitions=4,
+            ["event_type"], fold,
             batch_format="pandas")
 
     def events_late_arrivals(sf_dir: str):
@@ -4172,8 +4140,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["user_id", "ts", "event_id"])
+        ev = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
         late_by = pd.Timedelta(minutes=10)
 
         def audit(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -4200,7 +4167,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return out
 
         return grouped_apply(ev, ["user_id"], audit,
-                             num_partitions=16, batch_format="pandas")
+                             batch_format="pandas")
 
     def docs_skipgram_pairs(sf_dir: str):
         """(center, context, offset) skip-gram training pairs from the
@@ -4213,7 +4180,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             skipgram_pairs,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
             ids = pc.cast(b.column("doc_id"), pa.int64())
@@ -4231,8 +4198,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         walks = random_walks(
             docs.map_batches(edges, batch_format="pyarrow"),
-            walk_len=4, num_partitions=8)
-        return skipgram_pairs(walks, window=2, num_partitions=8)
+            walk_len=4)
+        return skipgram_pairs(walks, window=2)
 
     def docs_skipgram_negatives(sf_dir: str):
         """The complete word2vec training-data shape: skip-gram
@@ -4247,7 +4214,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             skipgram_negatives,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
             ids = pc.cast(b.column("doc_id"), pa.int64())
@@ -4265,9 +4232,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         walks = random_walks(
             docs.map_batches(edges, batch_format="pyarrow"),
-            walk_len=4, num_partitions=8)
-        return skipgram_negatives(walks, window=2, k_neg=3,
-                                  num_partitions=8)
+            walk_len=4)
+        return skipgram_negatives(walks, window=2, k_neg=3)
 
     def kg_edge_truss(sf_dir: str):
         """k-truss number per KG edge (Cohen 2008) — the edge-cohesion
@@ -4304,7 +4270,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["lang"])
+        docs = _read(sf_dir, "documents", columns=["lang"])
 
         def count_l(b: pa.Table) -> pa.Table:
             return b.group_by("lang").aggregate(
@@ -4316,7 +4282,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         counts = grouped_apply(
             docs.map_batches(count_l, batch_format="pyarrow"),
-            ["lang"], fold, num_partitions=4, batch_format="pyarrow")
+            ["lang"], fold, batch_format="pyarrow")
 
         def weights(pdf: pd.DataFrame) -> pd.DataFrame:
             pdf = pdf.drop(columns="__one").sort_values("lang")
@@ -4349,8 +4315,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         compression-ratio signal), the entropy fold is numpy."""
         from collections import Counter
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def entropy(b: pa.Table) -> pa.Table:
             ids, ents = [], []
@@ -4390,8 +4355,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "source"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "source"])
 
         def count_s(b: pa.Table) -> pa.Table:
             return b.group_by("source").aggregate(
@@ -4403,7 +4367,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         counts = grouped_apply(
             docs.map_batches(count_s, batch_format="pyarrow"),
-            ["source"], fold_c, num_partitions=4,
+            ["source"], fold_c,
             batch_format="pyarrow").to_pandas().sort_values("source")
         n = counts["n"].to_numpy(np.float64)
         p = n / n.sum()
@@ -4423,7 +4387,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pdf
 
         return grouped_apply(docs, ["source"], keys,
-                             num_partitions=8, batch_format="pandas")
+                             batch_format="pandas")
 
     def docs_readability(sf_dir: str):
         """Flesch-reading-ease-style readability per document — the
@@ -4431,8 +4395,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         Syllables are approximated as vowel-group runs (the standard
         regex proxy); sentences as [.!?]+ runs (min 1).  Pure
         vectorized regex map, zero exchanges."""
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def score(b: pa.Table) -> pa.Table:
             text = b.column("text")
@@ -4486,8 +4449,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             dim_truncation_recall,
         )
 
-        emb = _read(sf_dir, "embeddings").select_columns(
-            ["vec_id", "embedding"])
+        emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
         return dim_truncation_recall(emb, dims=(8, 16, 32, 64), k=10,
                                      query_mod=25)
 
@@ -4539,9 +4501,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             incremental_agg,
         )
 
-        orders = _read(sf_dir, "orders").select_columns(
-            ["o_orderkey", "o_custkey", "o_totalprice"]
-        )
+        orders = _read(sf_dir, "orders",
+                       columns=["o_orderkey", "o_custkey", "o_totalprice"])
 
         def split(keep_base: bool):
             def fn(b: pa.Table) -> pa.Table:
@@ -4577,7 +4538,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             lambda t: t.group_by(["o_custkey"]).aggregate(
                 [("sum_price", "sum"), ("n_orders", "sum")]
             ).rename_columns(["o_custkey", "sum_price", "n_orders"]),
-            num_partitions=16,
         )
         delta = orders.map_batches(split(False), batch_format="pyarrow")
 
@@ -4611,9 +4571,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             budget_head,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def score(batch: pa.Table) -> pa.Table:
             texts = batch.column("text").to_pylist()
@@ -4648,9 +4606,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             budget_head,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text", "lang"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
         def score(batch: pa.Table) -> pa.Table:
             texts = batch.column("text").to_pylist()
@@ -4683,7 +4639,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             gini_coefficient,
         )
 
-        orders = _read(sf_dir, "orders").select_columns(["o_custkey"])
+        orders = _read(sf_dir, "orders", columns=["o_custkey"])
         return gini_coefficient(orders, ["o_custkey"])
 
     def docs_sample_ks_audit(sf_dir: str):
@@ -4703,9 +4659,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ks_statistic,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def prep(batch: pa.Table) -> pa.Table:
             ids = batch.column("doc_id").to_pylist()
@@ -4785,7 +4739,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return grouped_apply(
             ray.data.read_parquet(lineage_dir).map_batches(
                 partial, batch_format="pyarrow"),
-            ["stage"], reduce_stage, num_partitions=4,
+            ["stage"], reduce_stage,
         )
 
     def docs_lang_confusion(sf_dir: str):
@@ -4803,9 +4757,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["text", "lang"]
-        )
+        docs = _read(sf_dir, "documents", columns=["text", "lang"])
 
         def detect(batch: pa.Table) -> pa.Table:
             det = [detect_language(t)
@@ -4824,7 +4776,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return grouped_apply(
             docs.map_batches(detect, batch_format="pyarrow"),
-            ["declared", "detected"], reduce_counts, num_partitions=8,
+            ["declared", "detected"], reduce_counts,
         )
 
     def orders_price_deciles(sf_dir: str):
@@ -4841,7 +4793,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             exact_quantiles,
         )
 
-        orders = _read(sf_dir, "orders").select_columns(["o_totalprice"])
+        orders = _read(sf_dir, "orders", columns=["o_totalprice"])
         qs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         vals = exact_quantiles(orders, "o_totalprice", qs)
         return ray.data.from_arrow(pa.table({
@@ -4866,7 +4818,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        orders = _read(sf_dir, "orders").select_columns(["o_totalprice"])
+        orders = _read(sf_dir, "orders", columns=["o_totalprice"])
         qs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         bounds = np.array(exact_quantiles(orders, "o_totalprice", qs))
 
@@ -4884,7 +4836,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return grouped_apply(
             orders.map_batches(assign, batch_format="pyarrow"),
-            ["bucket"], reduce_buckets, num_partitions=4,
+            ["bucket"], reduce_buckets,
         )
 
     def lineitem_fk_coverage(sf_dir: str):
@@ -4899,8 +4851,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             fk_coverage,
         )
 
-        li = _read(sf_dir, "lineitem").select_columns(["l_orderkey"])
-        orders = _read(sf_dir, "orders").select_columns(["o_orderkey"])
+        li = _read(sf_dir, "lineitem", columns=["l_orderkey"])
+        orders = _read(sf_dir, "orders", columns=["o_orderkey"])
 
         def drop_sevenths(b: pa.Table) -> pa.Table:
             ok = pc.cast(b.column("o_orderkey"), pa.int64())
@@ -4928,8 +4880,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["source", "text"])
+        docs = _read(sf_dir, "documents", columns=["source", "text"])
 
         def local(batch: pa.Table) -> pa.Table:
             srcs = batch.column("source").to_pylist()
@@ -4953,7 +4904,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         parts = grouped_apply(
             docs.map_batches(local, batch_format="pyarrow"),
-            ["source", "__h"], per_partition, num_partitions=16,
+            ["source", "__h"], per_partition,
         )
 
         def finish(tbl: pa.Table) -> pa.Table:
@@ -4969,7 +4920,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             })
 
         return grouped_apply(parts, ["source"],
-                             lambda t: finish(t), num_partitions=4)
+                             lambda t: finish(t))
 
     def docs_common_lines(sf_dir: str):
         """Top-20 lines by the number of DISTINCT documents containing
@@ -4982,8 +4933,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             distinct_count,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def explode(batch: pa.Table) -> pa.Table:
             split = pc.split_pattern(batch.column("text"), "\n")
@@ -5003,8 +4953,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return t.group_by(["line", "doc_id"]).aggregate([])
 
         pairs = docs.map_batches(explode, batch_format="pyarrow")
-        counted = distinct_count(pairs, ["line"], "doc_id", "n_docs",
-                                 num_partitions=16)
+        counted = distinct_count(pairs, ["line"], "doc_id", "n_docs")
 
         # each line is fully counted in ONE row, so per-block top-20
         # candidates + a blocks×20 driver merge give the exact global
@@ -5039,9 +4988,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_ks,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text", "lang"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
         def prep(batch: pa.Table) -> pa.Table:
             ids = batch.column("doc_id").to_pylist()
@@ -5058,7 +5005,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return grouped_ks(
             docs.map_batches(prep, batch_format="pyarrow"),
-            "lang", "ws_tokens", "in_sample", num_partitions=8,
+            "lang", "ws_tokens", "in_sample",
         )
 
     def docs_rendezvous_resharding(sf_dir: str):
@@ -5076,7 +5023,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def hrw(i: int, n: int) -> int:
             return max(
@@ -5129,9 +5076,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             analyze_table,
         )
 
-        orders = _read(sf_dir, "orders").select_columns(
-            ["o_orderkey", "o_custkey", "o_totalprice"]
-        )
+        orders = _read(sf_dir, "orders",
+                       columns=["o_orderkey", "o_custkey", "o_totalprice"])
         return analyze_table(
             orders, ["o_orderkey", "o_custkey", "o_totalprice"])
 
@@ -5145,9 +5091,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         uses."""
         import hashlib
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "source", "n_chars"]
-        )
+        docs = _read(sf_dir, "documents",
+                     columns=["doc_id", "source", "n_chars"])
 
         def sample(batch: pa.Table) -> pa.Table:
             ids = batch.column("doc_id").to_pylist()
@@ -5170,7 +5115,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ngram_decontaminate,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def split(want_bench: bool):
             def fn(b: pa.Table) -> pa.Table:
@@ -5210,7 +5155,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             triangle_count,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def build_edges(b: pa.Table) -> pa.Table:
             ids = b.column("doc_id").to_numpy(zero_copy_only=False)
@@ -5234,7 +5179,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             "src": pa.array([a for a, _ in k10], pa.int64()),
             "dst": pa.array([b for _, b in k10], pa.int64()),
         }))
-        return triangle_count(chain.union(clique), num_partitions=8)
+        return triangle_count(chain.union(clique))
 
     def token_pmi_pairs(sf_dir: str):
         """Document-level PMI for all pairs of a fixed 8-token
@@ -5247,7 +5192,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         vocab = ["batch", "hash", "join", "merge", "scan", "sort",
                  "table", "window"]
         return token_pmi(
-            _read(sf_dir, "documents").select_columns(["doc_id", "text"]),
+            _read(sf_dir, "documents", columns=["doc_id", "text"]),
             vocab,
         )
 
@@ -5261,9 +5206,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         return embedding_pca(
-            _read(sf_dir, "embeddings").select_columns(
-                ["vec_id", "embedding"]
-            ),
+            _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]),
             n_components=2,
         )
 
@@ -5276,9 +5219,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             kmeans_assign,
         )
 
-        emb = _read(sf_dir, "embeddings").select_columns(
-            ["vec_id", "embedding"]
-        )
+        emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
         dim = len(_query_vec(sf_dir))
         return kmeans_assign(emb, dim=dim, nlist=8)
 
@@ -5290,9 +5231,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             weighted_sample,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "n_chars"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
         return weighted_sample(docs, "n_chars", k=50)
 
     def q7_nation_volume(sf_dir: str):
@@ -5458,7 +5397,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         unioned = fact.map_batches(tag_fact, batch_format="pyarrow") \
             .union(orders.map_batches(tag_ord, batch_format="pyarrow"))
         partials = grouped_apply(unioned, ["k"], probe,
-                                 num_partitions=16,
                                  batch_format="pyarrow")
 
         names = {k: v for k, v in nat_ids.items()}
@@ -5481,7 +5419,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             })
 
         out = grouped_apply(partials, ["s_nat", "c_nat", "l_year"],
-                            final, num_partitions=4,
+                            final,
                             batch_format="pyarrow")
         # schema seed: an empty result (possible at tiny sf where the
         # two nations have no suppliers) must still carry the schema
@@ -5502,7 +5440,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         return bpe_pair_counts(
-            _read(sf_dir, "documents").select_columns(["doc_id", "text"]),
+            _read(sf_dir, "documents", columns=["doc_id", "text"]),
             k=20,
         )
 
@@ -5518,7 +5456,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             k_core,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def build_edges(b: pa.Table) -> pa.Table:
             ids = b.column("doc_id").to_numpy(zero_copy_only=False)
@@ -5537,7 +5475,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             "src": pa.array([a for a, _ in k10], pa.int64()),
             "dst": pa.array([b for _, b in k10], pa.int64()),
         }))
-        return k_core(chain.union(clique), k=5, num_partitions=8)
+        return k_core(chain.union(clique), k=5)
 
     def events_funnel(sf_dir: str):
         """Ordered view->click->purchase conversion funnel: stage i
@@ -5610,11 +5548,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 os.path.join(sf_dir, "orders.parquet"),
                 columns=["o_custkey"],
             ).map_batches(partial_counts, batch_format="pyarrow"),
-            ["o_custkey"], sum_counts, num_partitions=16,
+            ["o_custkey"], sum_counts,
             batch_format="pyarrow",
         )
         joined = left_join(cust, agg, "c_custkey", "o_custkey",
-                           ["o_custkey", "n"], num_partitions=16)
+                           ["o_custkey", "n"])
         return joined.map_batches(
             lambda b: pa.table({
                 "c_custkey": b.column("c_custkey"),
@@ -5639,7 +5577,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
         out = window_percent_rank(
             orders, ["o_orderpriority"], "o_totalprice",
-            num_partitions=8,
         )
         return out.map_batches(
             lambda b: b.select(["o_orderkey", "o_orderpriority",
@@ -5659,9 +5596,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ngram_overlap_exact,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         span = ("the quick brown fox jumps over the lazy dog while "
                 "seventeen astronauts quietly measure forty two "
                 "distinct orbital parameters during the long winter "
@@ -5694,7 +5629,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         bench = docs.map_batches(bench_side, batch_format="pyarrow")
         corpus = docs.map_batches(corpus_side, batch_format="pyarrow")
-        return ngram_overlap_exact(corpus, bench, n=8, num_partitions=16)
+        return ngram_overlap_exact(corpus, bench, n=8)
 
     def docs_stratified_sample(sf_dir: str):
         """Stratified deterministic sampling: per-group rates out of 16
@@ -5707,9 +5642,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import hashlib
 
         rates = {"en": 4}  # hex-digit threshold per lang; default 1
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "lang", "source"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "lang", "source"])
 
         def sample(batch: pa.Table) -> pa.Table:
             ids = batch.column("doc_id").to_pylist()
@@ -5734,7 +5667,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             redact_pii_array,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def redact(batch: pa.Table) -> pa.Table:
             ids = batch.column("doc_id")
@@ -5771,7 +5704,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         return repetition_scores(
-            _read(sf_dir, "documents").select_columns(["doc_id", "text"])
+            _read(sf_dir, "documents", columns=["doc_id", "text"])
         )
 
     def docs_packed_sequences(sf_dir: str):
@@ -5787,7 +5720,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             pack_sequences,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def prep(batch: pa.Table) -> pa.Table:
             split = pc.split_pattern(batch.column("text"), " ")
@@ -5813,7 +5746,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return pack_sequences(
             docs.map_batches(prep, batch_format="pyarrow"),
-            "shard", "n_tok", max_len=256, num_partitions=8,
+            "shard", "n_tok", max_len=256,
         )
 
     def docs_per_source_cap(sf_dir: str):
@@ -5825,12 +5758,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             window_topk,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "source"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "source"])
         return window_topk(docs, ["source"], "doc_id", 10,
-                           tie_col="doc_id", ascending=True,
-                           num_partitions=16)
+                           tie_col="doc_id", ascending=True)
 
     def customer_order_totals_outer(sf_dir: str):
         """Distributed FULL OUTER JOIN: per-customer order totals vs
@@ -5877,7 +5807,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         totals = grouped_apply(
             orders.map_batches(partial, batch_format="pyarrow"),
-            ["custkey"], final, num_partitions=16,
+            ["custkey"], final,
             batch_format="pyarrow",
         )
         cust = ray.data.read_parquet(
@@ -5886,8 +5816,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             filter=(pc.field("c_acctbal") > 5000.0),
         ).select_columns(["c_custkey", "c_name"])
         return full_outer_join(totals, cust, "custkey", "c_custkey",
-                               ["c_custkey", "c_name"],
-                               num_partitions=16)
+                               ["c_custkey", "c_name"])
 
     def events_prev_gap(sf_dir: str):
         """LAG window: microseconds since the same user's previous
@@ -5914,7 +5843,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         lagged = window_lag(
             ev.map_batches(to_us, batch_format="pyarrow"),
             ["user_id"], "ts_us", "ts_us", "prev_us",
-            tie_col="event_id", num_partitions=32,
+            tie_col="event_id",
         )
 
         def gap(pdf):
@@ -5948,8 +5877,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_orderstatus", "o_orderpriority"],
         )
-        return grouped_mode(orders, ["o_orderstatus"], "o_orderpriority",
-                            num_partitions=8)
+        return grouped_mode(orders, ["o_orderstatus"], "o_orderpriority")
 
     def lineitem_cube_qty(sf_dir: str):
         """GROUP BY CUBE over (returnflag, linestatus): all four
@@ -5966,7 +5894,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             columns=["l_returnflag", "l_linestatus", "l_quantity"],
         )
         return cube_sum(li, ["l_returnflag", "l_linestatus"],
-                        "l_quantity", num_partitions=16)
+                        "l_quantity")
 
     def lineitem_qty_quantile_sketch(sf_dir: str):
         """t-digest per-group quantiles (p50/p95) — the mergeable-sketch
@@ -5984,8 +5912,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             columns=["l_returnflag", "l_quantity"],
         )
         return grouped_quantile_sketch(li, ["l_returnflag"],
-                                       "l_quantity", [0.5, 0.95],
-                                       num_partitions=8)
+                                       "l_quantity", [0.5, 0.95])
 
     def docs_pagerank(sf_dir: str):
         """5-iteration PageRank (pipelines/graph.pagerank) on a
@@ -5997,7 +5924,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             pagerank,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
             ids = pc.cast(b.column("doc_id"), pa.int64())
@@ -6026,7 +5953,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             hits,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
             ids = pc.cast(b.column("doc_id"), pa.int64())
@@ -6058,7 +5985,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             bfs_depths,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
             ids = pc.cast(b.column("doc_id"), pa.int64())
@@ -6098,7 +6025,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             shortest_paths,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
             ids = pc.cast(b.column("doc_id"), pa.int64())
@@ -6140,7 +6067,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             degree_assortativity,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
             ids = pc.cast(b.column("doc_id"), pa.int64())
@@ -6166,8 +6093,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.table({"src": src, "dst": dst})
 
         return degree_assortativity(
-            docs.map_batches(edges, batch_format="pyarrow"),
-            num_partitions=8)
+            docs.map_batches(edges, batch_format="pyarrow"))
 
     def docs_token_cooccurrence(sf_dir: str):
         """Open-vocabulary co-occurrence PMI
@@ -6180,8 +6106,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             cooccurrence_pmi,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def long_tokens(b: pa.Table) -> pa.Table:
             toks = pc.split_pattern(b.column("text"), " ")
@@ -6195,8 +6120,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 pc.greater_equal(pc.utf8_length(flat), 5))
 
         items = docs.map_batches(long_tokens, batch_format="pyarrow")
-        return cooccurrence_pmi(items, "doc_id", "item", min_count=2,
-                                num_partitions=8)
+        return cooccurrence_pmi(items, "doc_id", "item", min_count=2)
 
     def kg_entity_cooccurrence(sf_dir: str):
         """Entity co-mention PMI over the real KG: linked triples
@@ -6223,7 +6147,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         pairs = cooccurrence_pmi(
             linked.map_batches(explode, batch_format="pyarrow"),
-            "chunk_id", "item", min_count=2, num_partitions=8)
+            "chunk_id", "item", min_count=2)
         return pairs.sort(["n_ab", "a", "b"], descending=[True, False,
                                                           False]).limit(100)
 
@@ -6339,8 +6263,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return b.rename_columns(["src", "dst"])
 
         neg = edge_negatives(
-            edges.map_batches(rename, batch_format="pyarrow"),
-            num_partitions=8)
+            edges.map_batches(rename, batch_format="pyarrow"))
         return neg.sort(["label", "src", "dst"])
 
     def embedding_label_centroids(sf_dir: str):
@@ -6352,9 +6275,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         return grouped_centroids(
-            _read(sf_dir, "embeddings").select_columns(
-                ["label", "embedding"]
-            )
+            _read(sf_dir, "embeddings", columns=["label", "embedding"])
         )
 
     def embedding_label_separation(sf_dir: str):
@@ -6372,9 +6293,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         return label_separation(
-            _read(sf_dir, "embeddings").select_columns(
-                ["label", "embedding"]
-            )
+            _read(sf_dir, "embeddings", columns=["label", "embedding"])
         )
 
     def embedding_label_outliers(sf_dir: str):
@@ -6390,9 +6309,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         return label_outliers(
-            _read(sf_dir, "embeddings").select_columns(
-                ["vec_id", "label", "embedding"]
-            )
+            _read(sf_dir, "embeddings",
+                  columns=["vec_id", "label", "embedding"])
         )
 
     def docs_zipf_slope(sf_dir: str):
@@ -6405,8 +6323,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             zipf_fit,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["text"])
-        return zipf_fit(docs, k=200, num_partitions=16)
+        docs = _read(sf_dir, "documents", columns=["text"])
+        return zipf_fit(docs, k=200)
 
     def lineitem_qty_var_by_flag(sf_dir: str):
         """Exact grouped sample variance + stddev — (n, Σx, Σx²)
@@ -6421,8 +6339,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_returnflag", "l_quantity"],
         )
-        return grouped_var(li, ["l_returnflag"], "l_quantity",
-                           num_partitions=8)
+        return grouped_var(li, ["l_returnflag"], "l_quantity")
 
     def orders_ntile4(sf_dir: str):
         """NTILE(4) of orders by total price within each priority
@@ -6438,8 +6355,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             columns=["o_orderkey", "o_orderpriority", "o_totalprice"],
         )
         return window_ntile(orders, ["o_orderpriority"], "o_totalprice",
-                            4, tie_col="o_orderkey",
-                            num_partitions=16)
+                            4, tie_col="o_orderkey")
 
     def docs_training_pipeline(sf_dir: str):
         """The full training-data prep chain as ONE streaming pipeline
@@ -6464,7 +6380,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         scored = repetition_scores(pii_redact(docs), append=True)
 
         def keep(batch: pa.Table) -> pa.Table:
@@ -6490,7 +6406,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         kept = grouped_apply(
             scored.map_batches(keep, batch_format="pyarrow"),
-            ["h"], dedup_part, num_partitions=16,
+            ["h"], dedup_part,
             batch_format="pandas",
         )
 
@@ -6507,7 +6423,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return pack_sequences(
             kept.map_batches(shard, batch_format="pyarrow"),
-            "shard", "n_tok", max_len=256, num_partitions=8,
+            "shard", "n_tok", max_len=256,
         )
 
     def kg_entity_ppr(sf_dir: str):
@@ -6592,7 +6508,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             bloom_anti_join,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def split(want_prev: bool):
             def fn(b: pa.Table) -> pa.Table:
@@ -6607,8 +6523,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         prev = docs.map_batches(split(True), batch_format="pyarrow") \
             .select_columns(["text"])
         new = docs.map_batches(split(False), batch_format="pyarrow")
-        return bloom_anti_join(new, prev, "text", "text",
-                               num_partitions=16)
+        return bloom_anti_join(new, prev, "text", "text")
 
     def docs_from_jsonl_roundtrip(sf_dir: str):
         """JSONL source coverage: the documents table is exported once
@@ -6622,9 +6537,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         marker = os.path.join(out_dir, "_SUCCESS")
         if not os.path.exists(marker):
             os.makedirs(out_dir, exist_ok=True)
-            docs = _read(sf_dir, "documents").select_columns(
-                ["doc_id", "text", "lang", "source"]
-            )
+            docs = _read(sf_dir, "documents",
+                         columns=["doc_id", "text", "lang", "source"])
             docs.write_json(out_dir)
             with open(marker, "w") as f:
                 f.write("ok")
@@ -6725,9 +6639,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         marker = os.path.join(out_dir, "_SUCCESS")
         if not os.path.exists(marker):
             os.makedirs(out_dir, exist_ok=True)
-            _read(sf_dir, "documents").select_columns(
-                ["doc_id", "text", "lang"]
-            ).write_parquet(out_dir, partition_cols=["lang"])
+            _read(sf_dir, "documents",
+                  columns=["doc_id", "text", "lang"]).write_parquet(
+                out_dir, partition_cols=["lang"])
             with open(marker, "w") as f:
                 f.write("ok")
         ds = ray.data.read_parquet(os.path.join(out_dir, "lang=en"))
@@ -6792,9 +6706,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         marker = os.path.join(out_dir, "_SUCCESS")
         if not os.path.exists(marker):
             os.makedirs(out_dir, exist_ok=True)
-            docs = _read(sf_dir, "documents").select_columns(
-                ["doc_id", "lang", "n_chars"]
-            )
+            docs = _read(sf_dir, "documents",
+                         columns=["doc_id", "lang", "n_chars"])
             docs.write_csv(out_dir)
             with open(marker, "w") as f:
                 f.write("ok")
@@ -6839,7 +6752,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 }
             )
 
-        return grouped_apply(ev, ["user_id"], roll, num_partitions=32,
+        return grouped_apply(ev, ["user_id"], roll,
                           batch_format="pandas")
 
     def customers_without_urgent_orders(sf_dir: str):
@@ -6850,16 +6763,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import anti_join
 
-        cust = _read(sf_dir, "customer").select_columns(
-            ["c_custkey", "c_name", "c_acctbal"]
-        )
+        cust = _read(sf_dir, "customer",
+                     columns=["c_custkey", "c_name", "c_acctbal"])
         urgent = ray.data.read_parquet(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_custkey", "o_orderpriority"],
             filter=(pc.field("o_orderpriority") == "1-URGENT"),
         )
-        return anti_join(cust, urgent, "c_custkey", "o_custkey",
-                         num_partitions=32)
+        return anti_join(cust, urgent, "c_custkey", "o_custkey")
 
     def events_asof_purchase_view(sf_dir: str):
         """As-of join: each purchase matched to the user's most recent
@@ -6883,7 +6794,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         joined = asof_join(
             purchases, views, by="user_id", right_by="user_id", on="ts",
             right_cols=["event_id", "value"], tie_col="event_id",
-            num_partitions=32,
         )
 
         def project(batch: pa.Table) -> pa.Table:
@@ -6924,7 +6834,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         joined = asof_join(
             views, purchases, by="user_id", right_by="user_id", on="ts",
             right_cols=["event_id", "value"], tie_col="event_id",
-            num_partitions=32, direction="forward",
+            direction="forward",
         )
 
         def project(batch: pa.Table) -> pa.Table:
@@ -6949,11 +6859,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         vectorized top-k."""
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import window_topk
 
-        orders = _read(sf_dir, "orders").select_columns(
-            ["o_custkey", "o_orderkey", "o_totalprice"]
-        )
+        orders = _read(sf_dir, "orders",
+                       columns=["o_custkey", "o_orderkey", "o_totalprice"])
         return window_topk(orders, ["o_custkey"], "o_totalprice", 3,
-                           tie_col="o_orderkey", num_partitions=32)
+                           tie_col="o_orderkey")
 
     def supplier_distinct_parts(sf_dir: str):
         """COUNT(DISTINCT l_partkey) per supplier: per-batch arrow
@@ -6966,8 +6875,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_suppkey", "l_partkey"],
         )
-        return distinct_count(li, ["l_suppkey"], "l_partkey", "n_parts",
-                              num_partitions=32)
+        return distinct_count(li, ["l_suppkey"], "l_partkey", "n_parts")
 
     def lineitem_qty_median(sf_dir: str):
         """Exact grouped median (SQL median() semantics): values-only
@@ -6981,7 +6889,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             columns=["l_returnflag", "l_quantity"],
         )
         return grouped_median(li, ["l_returnflag"], "l_quantity",
-                              "median_qty", num_partitions=8)
+                              "median_qty")
 
     def orders_price_band_join(sf_dir: str):
         """Broadcast range join: orders against a small OVERLAPPING
@@ -7071,8 +6979,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             columns=["o_orderpriority", "o_totalprice"],
         )
         return grouped_quantile(orders, ["o_orderpriority"], "o_totalprice",
-                                0.9, "p90_price", ndigits=4,
-                                num_partitions=8)
+                                0.9, "p90_price", ndigits=4)
 
     def orders_rollup(sf_dir: str):
         """GROUP BY ROLLUP(o_orderpriority, o_orderstatus): the raw
@@ -7090,7 +6997,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
         return rollup_sum(orders, ["o_orderpriority", "o_orderstatus"],
                           "o_totalprice", count_col="n",
-                          sum_col="sum_price", num_partitions=16)
+                          sum_col="sum_price")
 
     def urgent_high_value_custkeys(sf_dir: str):
         """Distinct-set INTERSECT: customers with a 1-URGENT order AND
@@ -7112,7 +7019,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             filter=(pc.field("o_totalprice") > 350000.0),
         ).select_columns(["o_custkey"])
         return distinct_set_op(urgent, high, "o_custkey", "o_custkey",
-                               mode="intersect", num_partitions=16)
+                               mode="intersect")
 
     def custkeys_never_urgent(sf_dir: str):
         """Distinct-set EXCEPT: customers who ordered but never at
@@ -7132,7 +7039,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             filter=(pc.field("o_orderpriority") == "1-URGENT"),
         ).select_columns(["o_custkey"])
         return distinct_set_op(all_ck, urgent, "o_custkey", "o_custkey",
-                               mode="except", num_partitions=16)
+                               mode="except")
 
     def orders_status_pivot(sf_dir: str):
         """Wide pivot (SUM(CASE WHEN) conditional aggregation): revenue
@@ -7149,8 +7056,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
         return pivot_sum(orders, "o_orderpriority", "o_orderstatus",
                          "o_totalprice", categories=["F", "O", "P"],
-                         out_cols=["status_f", "status_o", "status_p"],
-                         num_partitions=8)
+                         out_cols=["status_f", "status_o", "status_p"])
 
     def events_user_approx_distinct(sf_dir: str):
         """HyperLogLog approximate distinct users per event type (p=12,
@@ -7169,7 +7075,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             columns=["event_type", "user_id"],
         )
         return grouped_approx_distinct(ev, ["event_type"], "user_id",
-                                       "approx_users", num_partitions=8)
+                                       "approx_users")
 
     def urgent_lineitem_qty_by_flag(sf_dir: str):
         """Bloom-pruned EXACT semi-join (lineitem ⋉ urgent orders): the
@@ -7192,8 +7098,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             columns=["o_orderkey"],
             filter=(pc.field("o_orderpriority") == "1-URGENT"),
         )
-        hits = bloom_semi_join(li, urgent, "l_orderkey", "o_orderkey",
-                               num_partitions=32)
+        hits = bloom_semi_join(li, urgent, "l_orderkey", "o_orderkey")
         agg = hits.groupby("l_returnflag").aggregate(
             Count(alias_name="n"), Sum("l_quantity", alias_name="sum_qty")
         )
@@ -7247,7 +7152,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Exact global heavy hitters: top-20 whitespace tokens over the
         documents corpus. Per-batch arrow count combiner → one exchange
         of (token, partial count) → per-partition top-k → driver merge
-        of num_partitions×k candidates."""
+        of partitions×k candidates."""
         import ray.data
 
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
@@ -7266,7 +7171,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return heavy_hitters(
             docs.map_batches(explode, batch_format="pyarrow"),
-            "tok", 20, num_partitions=16,
+            "tok", 20,
         )
 
     def top_tokens_sketch(sf_dir: str):
@@ -7295,7 +7200,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return approx_heavy_hitters(
             docs.map_batches(explode, batch_format="pyarrow"),
-            "tok", 20, capacity=4096, num_partitions=16,
+            "tok", 20, capacity=4096,
         )
 
     def lineitem_qty_price_corr(sf_dir: str):
@@ -7313,7 +7218,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             columns=["l_returnflag", "l_quantity", "l_extendedprice"],
         )
         return grouped_corr(li, ["l_returnflag"], "l_quantity",
-                            "l_extendedprice", "r", num_partitions=8)
+                            "l_extendedprice", "r")
 
     def q3_shipping_priority(sf_dir: str):
         """TPC-H Q3 shape — three-table pipeline from the new building
@@ -7343,9 +7248,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                      "o_orderpriority"],
             filter=(pc.field("o_orderdate") < cut),
         )
-        orders_b = bloom_semi_join(orders, cust, "o_custkey", "c_custkey",
-                                   num_partitions=32).drop_columns(
-                                       ["o_custkey"])
+        orders_b = bloom_semi_join(orders, cust, "o_custkey",
+                                   "c_custkey").drop_columns(["o_custkey"])
         li = ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_orderkey", "l_extendedprice", "l_discount"],
@@ -7369,7 +7273,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             li.map_batches(revenue, batch_format="pyarrow"), orders_b,
             "l_orderkey", "o_orderkey",
             ["o_orderkey", "o_orderdate", "o_orderpriority"],
-            "rev", "revenue", num_partitions=32,
+            "rev", "revenue",
         )
         top = joined.sort(
             ["revenue", "o_orderdate", "l_orderkey"],
@@ -7402,7 +7306,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             columns=["user_id", "ts", "event_id", "value"],
         )
         out = windowed_cumsum(ev, ["user_id"], "ts", "value", "cum_value",
-                              tie_col="event_id", num_partitions=16)
+                              tie_col="event_id")
         return out.map_batches(
             lambda b: pa.table(
                 {
@@ -7508,7 +7412,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return agg.rename_columns(["n_nationkey", "rev"])
 
         partials = _copartition(li, orders, "l_orderkey", "o_orderkey",
-                                ["o_orderkey", "c_nat"], probe, 32)
+                                ["o_orderkey", "c_nat"], probe)
         final = partials.groupby("n_nationkey").aggregate(
             Sum("rev", alias_name="revenue")
         )
@@ -7550,8 +7454,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             columns=["c_custkey", "c_name"],
         )
         return skew_join(orders, cust, "o_custkey", "c_custkey",
-                         ["c_custkey", "c_name"], hot_threshold=12,
-                         num_partitions=16)
+                         ["c_custkey", "c_name"], hot_threshold=12)
 
     def events_value_zscore(sf_dir: str):
         """Per-group standardization without shuffling the fact table:
@@ -7562,12 +7465,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_standardize,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["event_id", "event_type", "value"]
-        )
+        ev = _read(sf_dir, "events",
+                   columns=["event_id", "event_type", "value"])
         return grouped_standardize(ev, ["event_type"], "value",
-                                   out_col="zscore", ndigits=4,
-                                   num_partitions=8)
+                                   out_col="zscore", ndigits=4)
 
     def docs_union_schema_evolution(sf_dir: str):
         """UNION ALL BY NAME over two corpus generations with different
@@ -7601,9 +7502,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             strip_boilerplate,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         hdr = "This website uses cookies to improve your experience."
         ftr = "Subscribe to our newsletter for updates!"
 
@@ -7623,7 +7522,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.table({"doc_id": ids, "text": txt})
 
         aug = docs.map_batches(augment, batch_format="pyarrow")
-        return strip_boilerplate(aug, min_docs=25, num_partitions=16)
+        return strip_boilerplate(aug, min_docs=25)
 
     def docs_substring_dedup(sf_dir: str):
         """Lee et al. 2022 exact-substring dedup over 8-token windows
@@ -7638,9 +7537,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             substring_dedup,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         ftr = ("click here to accept all cookies and continue to the "
                "requested page")
         hdr = ("breaking news update from our partner network "
@@ -7662,7 +7559,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.table({"doc_id": ids, "text": txt})
 
         aug = docs.map_batches(augment, batch_format="pyarrow")
-        return substring_dedup(aug, k=8, num_partitions=16)
+        return substring_dedup(aug, k=8)
 
     def docs_bm25_rank(sf_dir: str):
         """BM25 top-10 for the fixed query (sort, merge, window) over
@@ -7673,9 +7570,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             bm25_rank,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return bm25_rank(docs, ["sort", "merge", "window"], topk=10)
 
     def q10_returned_items(sf_dir: str):
@@ -7717,7 +7612,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         per_order = copartition_agg_join(
             li.map_batches(revenue, batch_format="pyarrow"), orders,
             "l_orderkey", "o_orderkey", ["o_orderkey", "o_custkey"],
-            "rev", "revenue", num_partitions=32,
+            "rev", "revenue",
         )
 
         def cpartial(b: pa.Table) -> pa.Table:
@@ -7732,7 +7627,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         per_cust = grouped_apply(
             per_order.map_batches(cpartial, batch_format="pyarrow"),
-            ["o_custkey"], csum, num_partitions=16,
+            ["o_custkey"], csum,
             batch_format="pyarrow",
         )
         top = per_cust.sort(["revenue", "o_custkey"],
@@ -7803,8 +7698,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.concat_tables([upd0, upd1, dele])
 
         changes = orders.map_batches(make_changes, batch_format="pyarrow")
-        return merge_into(orders, changes, "o_orderkey",
-                          num_partitions=16)
+        return merge_into(orders, changes, "o_orderkey")
 
     def orders_price_band_join_banded(sf_dir: str):
         """The big-big variant of orders_price_band_join: same
@@ -7830,7 +7724,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
         joined = banded_range_join(
             ds, ray.data.from_arrow(bands), "o_totalprice", "lo", "hi",
-            band_width=50000.0, keep_cols=["band"], num_partitions=16,
+            band_width=50000.0, keep_cols=["band"],
         )
         agg = joined.groupby("band").aggregate(
             Count(alias_name="n"),
@@ -7855,9 +7749,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             assign_splits,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "lang"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "lang"])
         return assign_splits(docs, id_col="doc_id")
 
     def docs_training_shards(sf_dir: str):
@@ -7873,9 +7765,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         out_dir = _kg_dir(sf_dir) + "-shards"
         return write_training_shards(
-            lambda: _read(sf_dir, "documents").select_columns(
-                ["doc_id", "text"]
-            ),
+            lambda: _read(sf_dir, "documents", columns=["doc_id", "text"]),
             out_dir,
             n_shards=8,
         )
@@ -7889,12 +7779,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             tumbling_window_agg,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["event_type", "ts", "value"]
-        )
+        ev = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
         return tumbling_window_agg(ev, ["event_type"], "ts",
-                                   width_us=300_000_000, value_col="value",
-                                   num_partitions=8)
+                                   width_us=300_000_000, value_col="value")
 
     def events_last_per_user(sf_dir: str):
         """Per-key argmax (latest event per user) — the per-batch
@@ -7904,11 +7791,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_argmax,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["user_id", "event_id", "ts", "event_type", "value"]
-        )
-        return grouped_argmax(ev, ["user_id"], ["ts", "event_id"],
-                              num_partitions=16)
+        ev = _read(sf_dir, "events", columns=["user_id", "event_id", "ts",
+                                              "event_type", "value"])
+        return grouped_argmax(ev, ["user_id"], ["ts", "event_id"])
 
     def events_gap_sessions(sf_dir: str):
         """Gap-based session windows (1 h inactivity closes a session):
@@ -7918,12 +7803,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             gap_sessions,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["user_id", "ts", "event_id"]
-        )
+        ev = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
         return gap_sessions(ev, key="user_id", ts_col="ts",
-                            gap_seconds=3600.0, order_col="event_id",
-                            num_partitions=16)
+                            gap_seconds=3600.0, order_col="event_id")
 
     def events_session_error_windows(sf_dir: str):
         """Interval (overlap) join: user sessions × 15-minute error
@@ -7939,12 +7821,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             interval_join,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["user_id", "ts", "event_id"]
-        )
+        ev = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
         sess = gap_sessions(ev, key="user_id", ts_col="ts",
-                            gap_seconds=3600.0, order_col="event_id",
-                            num_partitions=16)
+                            gap_seconds=3600.0, order_col="event_id")
         left = sess.map_batches(
             lambda t: t.rename_columns(
                 ["user_id", "session_id", "st", "en", "n_events"]
@@ -7960,14 +7839,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.table(
                 {"st": st, "en": en, "event_id": t.column("event_id")})
 
-        right = _read(sf_dir, "events").select_columns(
-            ["user_id", "ts", "event_id", "event_type"]
-        ).map_batches(error_windows, batch_format="pyarrow")
+        right = _read(sf_dir, "events",
+                      columns=["user_id", "ts", "event_id", "event_type"]
+                      ).map_batches(error_windows, batch_format="pyarrow")
         return interval_join(
             left, right, "st", "en",
             left_cols=["st", "en", "user_id", "session_id"],
             right_cols=["st", "en", "event_id"],
-            bucket_seconds=3600.0, num_partitions=16)
+            bucket_seconds=3600.0)
 
     def docs_reservoir_per_source(sf_dir: str):
         """Uniform 10-per-source document sample without randomness:
@@ -7978,11 +7857,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_hash_sample,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "source"]
-        )
-        return grouped_hash_sample(docs, ["source"], 10, "doc_id",
-                                   num_partitions=16)
+        docs = _read(sf_dir, "documents", columns=["doc_id", "source"])
+        return grouped_hash_sample(docs, ["source"], 10, "doc_id")
 
     def docs_weighted_sample_per_source(sf_dir: str):
         """Weighted 5-per-source sample (inclusion ∝ text length) via
@@ -7995,9 +7871,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_weighted_sample,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "source", "text"]
-        ).map_batches(
+        docs = _read(sf_dir, "documents",
+                     columns=["doc_id", "source", "text"]).map_batches(
             lambda b: pa.table({
                 "doc_id": b.column("doc_id"),
                 "source": b.column("source"),
@@ -8005,8 +7880,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             }),
             batch_format="pyarrow")
         return grouped_weighted_sample(
-            docs, ["source"], 5, "doc_id", "w",
-            num_partitions=16).select_columns(["doc_id", "source"])
+            docs, ["source"], 5, "doc_id", "w"
+        ).select_columns(["doc_id", "source"])
 
     def events_session_ids(sf_dir: str):
         """Sessionize-enrich: every event annotated with its gap-based
@@ -8016,12 +7891,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
             gap_sessions,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["user_id", "ts", "event_id"]
-        )
+        ev = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
         return gap_sessions(ev, key="user_id", ts_col="ts",
                             gap_seconds=3600.0, order_col="event_id",
-                            num_partitions=16, emit="events")
+                            emit="events")
 
     def events_session_conversions(sf_dir: str):
         """Within-session funnel: for every gap-based (1 h) session,
@@ -8036,9 +7909,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["user_id", "ts", "event_id", "event_type"]
-        )
+        ev = _read(sf_dir, "events",
+                   columns=["user_id", "ts", "event_id", "event_type"])
         gap = pd.Timedelta(seconds=3600.0)
 
         def verdict(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -8064,7 +7936,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return out
 
         return grouped_apply(ev, ["user_id"], verdict,
-                             num_partitions=16, batch_format="pandas")
+                             batch_format="pandas")
 
     def lineitem_price_winsorized(sf_dir: str):
         """Per-group winsorization (clip extendedprice into its
@@ -8075,12 +7947,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_winsorize,
         )
 
-        li = _read(sf_dir, "lineitem").select_columns(
-            ["l_returnflag", "l_extendedprice"]
-        )
+        li = _read(sf_dir, "lineitem",
+                   columns=["l_returnflag", "l_extendedprice"])
         return grouped_winsorize(li, ["l_returnflag"], "l_extendedprice",
-                                 q_lo=0.05, q_hi=0.95,
-                                 num_partitions=8)
+                                 q_lo=0.05, q_hi=0.95)
 
     def lineitem_price_regression(sf_dir: str):
         """Per-group OLS (extendedprice ~ quantity) via the
@@ -8089,11 +7959,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_regression,
         )
 
-        li = _read(sf_dir, "lineitem").select_columns(
-            ["l_returnflag", "l_quantity", "l_extendedprice"]
-        )
+        li = _read(sf_dir, "lineitem",
+                   columns=["l_returnflag", "l_quantity", "l_extendedprice"])
         return grouped_regression(li, ["l_returnflag"], "l_quantity",
-                                  "l_extendedprice", num_partitions=8)
+                                  "l_extendedprice")
 
     def events_daily_spine(sf_dir: str):
         """Zero-filled daily date spine per event_type (gap filling):
@@ -8103,8 +7972,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             fill_gaps,
         )
 
-        ev = _read(sf_dir, "events").select_columns(["event_type", "ts"])
-        return fill_gaps(ev, "event_type", "ts", num_partitions=8)
+        ev = _read(sf_dir, "events", columns=["event_type", "ts"])
+        return fill_gaps(ev, "event_type", "ts")
 
     def docs_train_ready_ids(sf_dir: str):
         """The curated-corpus-to-token-ids chain as ONE streaming
@@ -8117,8 +7986,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         driver check (LSH isn't SQL-replayable); every stage is
         individually oracled/tested. Output: (doc_id, ids_str,
         n_tokens) for every surviving document."""
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         q = ts.quality(docs)
 
         def gate(b: pa.Table) -> pa.Table:
@@ -8135,14 +8003,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
             bloom_semi_join,
         )
 
-        gated_docs = bloom_semi_join(docs, kept_q, "doc_id", "doc_id",
-                                     num_partitions=8)
+        gated_docs = bloom_semi_join(docs, kept_q, "doc_id", "doc_id")
         pairs = dd.minhash_lsh_pairs(
             gated_docs, threshold=0.5).select_columns(["doc_a", "doc_b"])
-        winners = dd.cluster_keep_best(kept_q, pairs, num_partitions=8)
+        winners = dd.cluster_keep_best(kept_q, pairs)
         survivors = bloom_semi_join(gated_docs, winners, "doc_id",
-                                    "doc_id", num_partitions=8)
-        enc = ts.token_ids_encode(survivors, num_partitions=8)
+                                    "doc_id")
+        enc = ts.token_ids_encode(survivors)
 
         def stringify(b: pa.Table) -> pa.Table:
             s = pc.binary_join(
@@ -8165,8 +8032,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             pseudonymize,
         )
 
-        cust = _read(sf_dir, "customer").select_columns(
-            ["c_custkey", "c_name", "c_mktsegment"])
+        cust = _read(sf_dir, "customer",
+                     columns=["c_custkey", "c_name", "c_mktsegment"])
         return pseudonymize(cust, ["c_name"], salt="v1")
 
     def orders_fd_violations(sf_dir: str):
@@ -8181,8 +8048,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         return fd_violations(_read(sf_dir, "orders"),
-                             "o_custkey", "o_orderpriority",
-                             num_partitions=8)
+                             "o_custkey", "o_orderpriority")
 
     def events_daily_cusum(sf_dir: str):
         """One-sided CUSUM level-shift monitor
@@ -8195,9 +8061,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             cusum_changepoints,
         )
 
-        ev = _read(sf_dir, "events").select_columns(["event_type", "ts"])
-        return cusum_changepoints(ev, "event_type", "ts",
-                                  num_partitions=8)
+        ev = _read(sf_dir, "events", columns=["event_type", "ts"])
+        return cusum_changepoints(ev, "event_type", "ts")
 
     def events_daily_locf(sf_dir: str):
         """Forward-filled daily value series per event_type
@@ -8210,10 +8075,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             locf_fill,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["event_type", "ts", "value"])
-        return locf_fill(ev, "event_type", "ts", "value",
-                         num_partitions=8)
+        ev = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
+        return locf_fill(ev, "event_type", "ts", "value")
 
     def events_hopping_counts(sf_dir: str):
         """Hopping event-time windows (2 h size, 1 h hop): the overlap
@@ -8223,11 +8086,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
             hopping_window_agg,
         )
 
-        ev = _read(sf_dir, "events").select_columns(["event_type", "ts"])
+        ev = _read(sf_dir, "events", columns=["event_type", "ts"])
         return hopping_window_agg(ev, ["event_type"], "ts",
                                   size_us=7_200_000_000,
-                                  hop_us=3_600_000_000,
-                                  num_partitions=8)
+                                  hop_us=3_600_000_000)
 
     def q18_large_orders(sf_dir: str):
         """TPC-H Q18 (large-volume customers): lineitem quantity is
@@ -8242,23 +8104,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
             inner_join,
         )
 
-        li = _read(sf_dir, "lineitem").select_columns(
-            ["l_orderkey", "l_quantity"]
-        )
-        orders = _read(sf_dir, "orders").select_columns(
-            ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
-        )
+        li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
+        orders = _read(sf_dir, "orders",
+                       columns=["o_orderkey", "o_custkey", "o_orderdate",
+                                "o_totalprice"])
         joined = copartition_agg_join(
             li, orders, "l_orderkey", "o_orderkey",
             ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
-            "l_quantity", "sum_qty", num_partitions=32,
+            "l_quantity", "sum_qty",
         )
         big = joined.filter(expr="sum_qty > 250")
-        cust = _read(sf_dir, "customer").select_columns(
-            ["c_custkey", "c_name"]
-        )
+        cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
         out = inner_join(big, cust, "o_custkey", "c_custkey",
-                         ["c_custkey", "c_name"], num_partitions=16)
+                         ["c_custkey", "c_name"])
         return (
             out.sort(["o_totalprice", "l_orderkey"],
                      descending=[True, False])
@@ -8286,10 +8144,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             unigram_logprob,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]
-        )
-        return unigram_logprob(docs, num_partitions=16)
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+        return unigram_logprob(docs)
 
     def docs_ppl_buckets(sf_dir: str):
         """CCNet per-language perplexity terciles
@@ -8301,10 +8157,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ccnet_ppl_buckets,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text", "lang"]
-        )
-        return ccnet_ppl_buckets(docs, num_partitions=16)
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
+        return ccnet_ppl_buckets(docs)
 
     def docs_dsir_weights(sf_dir: str):
         """DSIR importance weights
@@ -8319,9 +8173,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             dsir_logratio,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text", "lang"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
         def flag(b: pa.Table) -> pa.Table:
             return pa.table({
@@ -8331,7 +8183,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             })
 
         docs = docs.map_batches(flag, batch_format="pyarrow")
-        return dsir_logratio(docs, num_partitions=16)
+        return dsir_logratio(docs)
 
     def docs_source_kl_drift(sf_dir: str):
         """Per-source unigram-distribution drift
@@ -8345,11 +8197,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             unigram_kl_drift,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["source", "text"]
-        )
-        return unigram_kl_drift(docs, group_col="source",
-                                num_partitions=16)
+        docs = _read(sf_dir, "documents", columns=["source", "text"])
+        return unigram_kl_drift(docs, group_col="source")
 
     def docs_phrase_matches(sf_dir: str):
         """Exact phrase scan (pipelines/textstats.phrase_matches):
@@ -8362,9 +8211,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             phrase_matches,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return phrase_matches(docs, ["the", "group"])
 
     def docs_nb_lang_predict(sf_dir: str):
@@ -8379,10 +8226,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             nb_train_predict,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text", "lang"]
-        )
-        return nb_train_predict(docs, num_partitions=16)
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
+        return nb_train_predict(docs)
 
     def docs_winnowed_fingerprints(sf_dir: str):
         """Winnowing fingerprint selection
@@ -8397,9 +8242,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             winnow_fingerprints,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return winnow_fingerprints(docs, k=3, w=4)
 
     def docs_source_overlap_matrix(sf_dir: str):
@@ -8414,10 +8257,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             source_ngram_overlap,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["source", "text"]
-        )
-        return source_ngram_overlap(docs, n=3, num_partitions=16)
+        docs = _read(sf_dir, "documents", columns=["source", "text"])
+        return source_ngram_overlap(docs, n=3)
 
     def docs_global_shuffle(sf_dir: str):
         """Deterministic seeded global training shuffle
@@ -8430,8 +8271,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             global_shuffle_positions,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(["doc_id"])
-        return global_shuffle_positions(docs, seed=42, num_partitions=16)
+        docs = _read(sf_dir, "documents", columns=["doc_id"])
+        return global_shuffle_positions(docs, seed=42)
 
     def docs_domain_quality_filter(sf_dir: str):
         """Domain-level quality gate (pipelines/clean.domain_quality_filter
@@ -8443,11 +8284,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             domain_quality_filter,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "source", "text"]
-        )
-        return domain_quality_filter(docs, domain_col="source",
-                                     num_partitions=16)
+        docs = _read(sf_dir, "documents", columns=["doc_id", "source", "text"])
+        return domain_quality_filter(docs, domain_col="source")
 
     def docs_mojibake_fixed(sf_dir: str):
         """Encoding repair (pipelines/clean.fix_mojibake — the ftfy /
@@ -8462,9 +8300,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             fix_mojibake,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def corrupt(batch: pa.Table) -> pa.Table:
             ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
@@ -8499,10 +8335,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             validation_report,
         )
 
-        orders = _read(sf_dir, "orders").select_columns(
-            ["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
-             "o_orderpriority"]
-        )
+        orders = _read(sf_dir, "orders",
+                       columns=["o_orderkey", "o_custkey", "o_orderstatus",
+                                "o_totalprice", "o_orderpriority"])
         return validation_report(orders, [
             {"col": "o_orderstatus", "check": "not_null"},
             {"col": "o_totalprice", "check": "range",
@@ -8527,9 +8362,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             zorder_sort,
         )
 
-        orders = _read(sf_dir, "orders").select_columns(
-            ["o_orderkey", "o_custkey", "o_totalprice"]
-        )
+        orders = _read(sf_dir, "orders",
+                       columns=["o_orderkey", "o_custkey", "o_totalprice"])
 
         def bin_dims(batch: pa.Table) -> pa.Table:
             tp_bin = pc.cast(
@@ -8558,9 +8392,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             flagged_word_ratio,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return flagged_word_ratio(docs, ["slow", "spam", "big", "junk"])
 
     def docs_compression_ratio(sf_dir: str):
@@ -8574,9 +8406,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             compression_ratio,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return compression_ratio(docs)
 
     def docs_corpus_profile(sf_dir: str):
@@ -8591,9 +8421,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             corpus_profile,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text", "lang"]
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
         return corpus_profile(docs)
 
     def docs_script_fractions(sf_dir: str):
@@ -8608,8 +8436,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             script_fractions,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"])
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def synth(batch: pa.Table) -> pa.Table:
             ids, texts = [], []
@@ -8640,10 +8467,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             tfidf_top_terms,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text"]
-        )
-        return tfidf_top_terms(docs, k=3, num_partitions=16)
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+        return tfidf_top_terms(docs, k=3)
 
     def q14_promo_revenue(sf_dir: str):
         """TPC-H Q14 shape — promotion revenue share for one ship
@@ -8804,11 +8629,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             filter=pc.field("p_brand") != pa.scalar("Brand#45"),
         )
         joined = inner_join(pairs, part, "l_partkey", "p_partkey",
-                            ["p_partkey", "p_brand", "p_type", "p_size"],
-                            num_partitions=16)
+                            ["p_partkey", "p_brand", "p_type", "p_size"])
         return distinct_count(joined, ["p_brand", "p_type", "p_size"],
-                              "l_suppkey", "supplier_cnt",
-                              num_partitions=16)
+                              "l_suppkey", "supplier_cnt")
 
     def customer_name_fuzzy_pairs(sf_dir: str):
         """Edit-distance-≤1 fuzzy self-join over customer names —
@@ -8820,8 +8643,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             edit1_fuzzy_pairs,
         )
 
-        cust = _read(sf_dir, "customer").select_columns(["c_name"])
-        return edit1_fuzzy_pairs(cust, "c_name", num_partitions=16)
+        cust = _read(sf_dir, "customer", columns=["c_name"])
+        return edit1_fuzzy_pairs(cust, "c_name")
 
     def q4_order_priority(sf_dir: str):
         """TPC-H Q4 shape — per-priority count of orders with a late
@@ -8892,7 +8715,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         parts = _copartition(
             li_max, orders, "l_orderkey", "o_orderkey",
             ["o_orderkey", "o_orderdate", "o_orderpriority"],
-            probe, 16,
+            probe,
         )
 
         def finish(tbl: pa.Table) -> pa.Table:
@@ -9008,7 +8831,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         parts = _copartition(
             li_cnt, orders, "l_orderkey", "o_orderkey",
-            ["o_orderkey", "o_orderpriority"], probe, 16,
+            ["o_orderkey", "o_orderpriority"], probe,
         )
 
         def finish(tbl: pa.Table) -> pa.Table:
@@ -9076,7 +8899,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         parts = _copartition(
             cust, ord_cnt, "c_custkey", "o_custkey",
-            ["o_custkey", "__c"], probe, 16,
+            ["o_custkey", "__c"], probe,
         )
 
         def finish(tbl: pa.Table) -> pa.Table:
@@ -9142,7 +8965,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         revenue = grouped_apply(
             li.map_batches(partial, batch_format="pyarrow"),
-            ["l_suppkey"], reduce_, num_partitions=16,
+            ["l_suppkey"], reduce_,
             batch_format="pyarrow",
         ).materialize()
         rmax = revenue.max("total_revenue")
@@ -9206,7 +9029,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         v = grouped_apply(
             li.map_batches(partial, batch_format="pyarrow"),
-            ["l_partkey"], reduce_, num_partitions=16,
+            ["l_partkey"], reduce_,
             batch_format="pyarrow",
         ).materialize()
         thresh = (v.sum("value") or 0.0) * 0.0005
@@ -9265,7 +9088,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         partials = grouped_apply(
             li.map_batches(prune, batch_format="pyarrow"),
-            ["l_partkey"], per_part, num_partitions=16,
+            ["l_partkey"], per_part,
             batch_format="pandas",
         )
         total = partials.sum("__s") or 0.0
@@ -9341,7 +9164,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         best = grouped_apply(
             li.map_batches(combine, batch_format="pyarrow"),
-            ["l_partkey"], argmin, num_partitions=16,
+            ["l_partkey"], argmin,
             batch_format="pandas",
         )
 
@@ -9402,8 +9225,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             columns=["o_custkey"],
             filter=pc.field("o_orderpriority") == pa.scalar("1-URGENT"),
         )
-        idle = bloom_anti_join(rich, urgent, "c_custkey", "o_custkey",
-                               num_partitions=16)
+        idle = bloom_anti_join(rich, urgent, "c_custkey", "o_custkey")
 
         def with_cntry(batch: pa.Table) -> pa.Table:
             ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
@@ -9423,7 +9245,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return grouped_apply(
             idle.map_batches(with_cntry, batch_format="pyarrow"),
-            ["cntry"], agg, num_partitions=4, batch_format="pyarrow",
+            ["cntry"], agg, batch_format="pyarrow",
         )
 
     def q21_waiting_suppliers(sf_dir: str):
@@ -9499,7 +9321,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         parts = _copartition(
             li_max, orders, "l_orderkey", "o_orderkey",
-            ["o_orderkey", "o_orderdate"], probe, 16,
+            ["o_orderkey", "o_orderdate"], probe,
         )
 
         def reduce_(tbl: pa.Table) -> pa.Table:
@@ -9508,7 +9330,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ).rename_columns(["l_suppkey", "numwait"])
 
         summed = grouped_apply(parts, ["l_suppkey"], reduce_,
-                               num_partitions=4, batch_format="pyarrow")
+                               batch_format="pyarrow")
 
         supp = pq.read_table(
             os.path.join(sf_dir, "supplier.parquet"),
@@ -9539,10 +9361,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             unpivot,
         )
 
-        li = _read(sf_dir, "lineitem").select_columns(
-            ["l_orderkey", "l_linenumber", "l_quantity",
-             "l_extendedprice", "l_tax"]
-        )
+        li = _read(sf_dir, "lineitem",
+                   columns=["l_orderkey", "l_linenumber", "l_quantity",
+                            "l_extendedprice", "l_tax"])
         return unpivot(li, ["l_orderkey", "l_linenumber"],
                        ["l_quantity", "l_extendedprice", "l_tax"])
 
@@ -9554,11 +9375,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
             window_lead,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["event_id", "user_id", "ts", "event_type"]
-        )
+        ev = _read(sf_dir, "events",
+                   columns=["event_id", "user_id", "ts", "event_type"])
         return window_lead(ev, ["user_id"], "ts", "event_type",
-                           "next_type", "event_id", num_partitions=16)
+                           "next_type", "event_id")
 
     def orders_price_dense_rank(sf_dir: str):
         """DENSE_RANK() window — order price rank within each
@@ -9568,12 +9388,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
             window_dense_rank,
         )
 
-        orders = _read(sf_dir, "orders").select_columns(
-            ["o_orderkey", "o_orderpriority", "o_totalprice"]
-        )
+        orders = _read(sf_dir, "orders",
+                       columns=["o_orderkey", "o_orderpriority",
+                                "o_totalprice"])
         return window_dense_rank(orders, ["o_orderpriority"],
-                                 "o_totalprice", out_col="price_rank",
-                                 num_partitions=8)
+                                 "o_totalprice", out_col="price_rank")
 
     def orders_price_rank(sf_dir: str):
         """RANK() window (ties share, gaps remain) — DENSE_RANK's
@@ -9582,11 +9401,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
             window_rank,
         )
 
-        orders = _read(sf_dir, "orders").select_columns(
-            ["o_orderkey", "o_orderpriority", "o_totalprice"]
-        )
+        orders = _read(sf_dir, "orders",
+                       columns=["o_orderkey", "o_orderpriority",
+                                "o_totalprice"])
         return window_rank(orders, ["o_orderpriority"], "o_totalprice",
-                           out_col="price_rank", num_partitions=8)
+                           out_col="price_rank")
 
     def orders_price_cume_dist(sf_dir: str):
         """CUME_DIST() window — fraction of the priority class at or
@@ -9596,12 +9415,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
             window_cume_dist,
         )
 
-        orders = _read(sf_dir, "orders").select_columns(
-            ["o_orderkey", "o_orderpriority", "o_totalprice"]
-        )
+        orders = _read(sf_dir, "orders",
+                       columns=["o_orderkey", "o_orderpriority",
+                                "o_totalprice"])
         return window_cume_dist(orders, ["o_orderpriority"],
-                                "o_totalprice", out_col="cd",
-                                num_partitions=8)
+                                "o_totalprice", out_col="cd")
 
     def events_first_last_value(sf_dir: str):
         """Ordered FIRST/LAST per user — each batch ships at most two
@@ -9610,11 +9428,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_first_last,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["event_id", "user_id", "ts", "value"]
-        )
+        ev = _read(sf_dir, "events",
+                   columns=["event_id", "user_id", "ts", "value"])
         return grouped_first_last(ev, ["user_id"], ["ts", "event_id"],
-                                  "value", num_partitions=16)
+                                  "value")
 
     def q8_market_share(sf_dir: str):
         """TPC-H Q8 shape — national market share: of all PROMO-part
@@ -9724,7 +9541,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return agg.rename_columns(["o_year", "vol", "share_vol"])
 
         partials = _copartition(li, orders, "l_orderkey", "o_orderkey",
-                                ["o_orderkey", "o_year"], probe, 32)
+                                ["o_orderkey", "o_year"], probe)
         final = partials.groupby("o_year").aggregate(
             Sum("vol", alias_name="vol"),
             Sum("share_vol", alias_name="share_vol"),
@@ -9750,7 +9567,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         nation map broadcast; lineitem slims map-side to (orderkey,
         nation, amount); ONE big-big orderkey exchange against the
         2-column orders read attaches the year and pre-aggregates per
-        (nation, year) in the partition probe."""
+        (nation, year) in the partition probe. Inputs carry two decimals,
+        so each amount is an exact integer of 1e-4 units: the sums are
+        exact whatever the partition count, and the round to cents is
+        half away from zero on the exact total."""
         import ray
         import ray.data
         from ray.data.aggregate import Sum
@@ -9792,7 +9612,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pd2.DataFrame({
                 "l_orderkey": pdf["l_orderkey"],
                 "nation": pdf["l_suppkey"].map(sm),
-                "amount": amount,
+                "amount": np.round(amount.to_numpy() * 10_000)
+                .astype(np.int64),
             })
 
         def ord_slim(pdf):
@@ -9817,7 +9638,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             if lt.num_rows == 0 or rt.num_rows == 0:
                 return pa.table({"nation": pa.array([], pa.string()),
                                  "o_year": pa.array([], pa.int64()),
-                                 "amount": pa.array([], pa.float64())})
+                                 "amount": pa.array([], pa.int64())})
             joined = lt.join(rt, keys=["l_orderkey"], join_type="inner")
             agg = joined.group_by(["nation", "o_year"]).aggregate(
                 [("amount", "sum")]
@@ -9825,16 +9646,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return agg.rename_columns(["nation", "o_year", "amount"])
 
         partials = _copartition(li, orders, "l_orderkey", "o_orderkey",
-                                ["o_orderkey", "o_year"], probe, 32)
+                                ["o_orderkey", "o_year"], probe)
         final = partials.groupby(["nation", "o_year"]).aggregate(
             Sum("amount", alias_name="sum_profit")
         )
 
         def finish(b: pa.Table) -> pa.Table:
+            units = b.column("sum_profit").to_numpy(zero_copy_only=False)
+            cents = np.sign(units) * ((np.abs(units) + 50) // 100)
             return b.set_column(
                 b.schema.get_field_index("sum_profit"), "sum_profit",
-                pc.round(b.column("sum_profit"), ndigits=2,
-                         round_mode="half_towards_infinity"),
+                pa.array(cents / 100.0, pa.float64()),
             )
 
         return final.map_batches(finish, batch_format="pyarrow")
@@ -9926,7 +9748,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             approx_count_distinct,
         )
 
-        orders = _read(sf_dir, "orders").select_columns(["o_custkey"])
+        orders = _read(sf_dir, "orders", columns=["o_custkey"])
         return approx_count_distinct(orders, ["o_custkey"], p=12)
 
     def events_user_types_approx_distinct(sf_dir: str):
@@ -9937,11 +9759,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             approx_count_distinct,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["user_id", "event_type"])
+        ev = _read(sf_dir, "events", columns=["user_id", "event_type"])
         return approx_count_distinct(ev, ["event_type"],
-                                     keys=["user_id"], p=12,
-                                     num_partitions=16)
+                                     keys=["user_id"], p=12)
 
     def events_type_entropy_by_user(sf_dir: str):
         """Shannon entropy of each user's event-type distribution —
@@ -9951,10 +9771,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_entropy,
         )
 
-        ev = _read(sf_dir, "events").select_columns(
-            ["user_id", "event_type"])
-        return grouped_entropy(ev, ["user_id"], "event_type",
-                               num_partitions=16)
+        ev = _read(sf_dir, "events", columns=["user_id", "event_type"])
+        return grouped_entropy(ev, ["user_id"], "event_type")
 
     def docs_exact_dedup_keep_best(sf_dir: str):
         """Dedup-keep-best composite — documents grouped by the md5
@@ -9970,8 +9788,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             grouped_apply,
         )
 
-        docs = _read(sf_dir, "documents").select_columns(
-            ["doc_id", "text", "n_chars"])
+        docs = _read(sf_dir, "documents",
+                     columns=["doc_id", "text", "n_chars"])
 
         def fp(pdf):
             pdf = pdf.copy()
@@ -9992,8 +9810,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         combined = docs.map_batches(fp, batch_format="pandas")
         return grouped_apply(combined, ["fingerprint"], keep_best,
-                             num_partitions=16,
-                          batch_format="pandas")
+                             batch_format="pandas")
 
     reg = {
         # KG pipeline

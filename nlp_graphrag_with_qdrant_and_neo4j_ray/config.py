@@ -56,9 +56,6 @@ class PipelineConfig:
                                       # wants 1.0 per actor)
     stage_version: str = "v1"
 
-    # output partitioning: number of hash partitions for partitioned writes
-    output_partitions: int = 16
-
     def versioned(self, stage: str) -> str:
         return f"{stage}@{self.stage_version}"
 

@@ -32,8 +32,7 @@ from ..stages.shuffle import grouped_apply
 END = "</w>"
 
 
-def word_counts(docs_ds, text_col: str = "text",
-                num_partitions: int = 16, max_vocab: int | None = None):
+def word_counts(docs_ds, text_col: str = "text", max_vocab: int | None = None):
     """Exact corpus word frequencies (word, n) — per-batch combiner,
     one hash exchange; output bounded by the vocabulary.
 
@@ -64,7 +63,6 @@ def word_counts(docs_ds, text_col: str = "text",
 
     partials = docs_ds.map_batches(partial, batch_format="pyarrow")
     counts = grouped_apply(partials, ["word"], reduce_,
-                           num_partitions=num_partitions,
                            batch_format="pyarrow")
     if max_vocab is None:
         return counts
@@ -131,7 +129,7 @@ def encode_word(word: str, ranks: dict[tuple[str, str], int]) -> list[str]:
 
 
 def bpe_apply(docs_ds, merges: list[tuple[str, str]],
-              text_col: str = "text", num_partitions: int = 16):
+              text_col: str = "text"):
     """Corpus piece frequencies (piece, n) under the learned merges.
     The rank dict broadcasts once; each batch encodes its DISTINCT
     words only and multiplies back by multiplicity; one exchange sums
@@ -167,5 +165,4 @@ def bpe_apply(docs_ds, merges: list[tuple[str, str]],
 
     partials = docs_ds.map_batches(partial, batch_format="pyarrow")
     return grouped_apply(partials, ["piece"], reduce_,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")

@@ -154,8 +154,7 @@ def repetition_scores(docs_ds, id_col: str = "doc_id",
 
 
 def pack_sequences(ds, shard_col: str, count_col: str,
-                   id_col: str = "doc_id", max_len: int = 256,
-                   num_partitions: int = 64):
+                   id_col: str = "doc_id", max_len: int = 256):
     """GPT-style concat-and-chunk sequence packing: within each shard,
     documents are laid end-to-end in ``id_col`` order and the token
     stream is cut every ``max_len`` tokens.  Emits one row per document
@@ -215,15 +214,13 @@ def pack_sequences(ds, shard_col: str, count_col: str,
         batch_format="pyarrow",
     )
     return grouped_apply(slim, [shard_col], pack,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
 def strip_boilerplate(docs, id_col: str = "doc_id",
                       text_col: str = "text", min_docs: int = 10,
                       out_col: str = "clean_text",
-                      scope_col: str | None = None,
-                      num_partitions: int = 64):
+                      scope_col: str | None = None):
     """CCNet/RefinedWeb-style boilerplate-line removal: a line that
     occurs in ``>= min_docs`` DISTINCT documents (cookie banners,
     nav menus, subscribe footers) is dropped from every document.
@@ -286,10 +283,8 @@ def strip_boilerplate(docs, id_col: str = "doc_id",
 
     exploded = docs.map_batches(explode, batch_format="pyarrow")
     marked = grouped_apply(exploded, count_keys, mark,
-                           num_partitions=num_partitions,
                            batch_format="pyarrow")
     return grouped_apply(marked, [id_col], assemble,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
@@ -704,8 +699,7 @@ def length_trim(counts_ds, lo: float = 0.05, hi: float = 0.95,
 
 def domain_quality_filter(docs_ds, domain_col: str = "source",
                           id_col: str = "doc_id", text_col: str = "text",
-                          drop_quantile: float = 0.25,
-                          num_partitions: int = 16):
+                          drop_quantile: float = 0.25):
     """Domain-level quality gating (the RefinedWeb / UT1 pattern
     applied to SIGNALS instead of a blocklist): score every document
     with the composite quality heuristic, average per DOMAIN, and drop
@@ -758,7 +752,7 @@ def domain_quality_filter(docs_ds, domain_col: str = "source",
 
     domain_means = grouped_apply(
         scored.map_batches(partial, batch_format="pyarrow"),
-        [domain_col], reduce_means, num_partitions=num_partitions,
+        [domain_col], reduce_means,
         batch_format="pyarrow",
     ).materialize()
     thr = exact_quantile(domain_means, "domain_quality", drop_quantile)
@@ -875,7 +869,7 @@ def fix_mojibake(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
 def budget_head(ds, order_col: str, count_col: str,
                 budget: float | dict, id_col: str = "doc_id",
                 group_col: str | None = None, descending: bool = True,
-                num_buckets: int = 256, num_partitions: int = 16,
+                num_buckets: int = 256,
                 cum_col: str = "cum_tokens"):
     """Data selection under a budget (the "best data until N tokens"
     step of training-set assembly): order the corpus by ``order_col``
@@ -982,8 +976,7 @@ def budget_head(ds, order_col: str, count_col: str,
         cols[cum_col] = pa.array(total[keep], pa.float64())
         return pa.table(cols)
 
-    return grouped_apply(keyed, part_keys, cut,
-                         num_partitions=num_partitions)
+    return grouped_apply(keyed, part_keys, cut)
 
 
 def pseudonymize(ds, cols: list[str], salt: str = "",
@@ -1068,7 +1061,7 @@ def token_windows(docs_ds, window: int = 64, stride: int = 48,
 
 
 def length_buckets(docs_ds, id_col: str = "doc_id",
-                   text_col: str = "text", num_partitions: int = 8):
+                   text_col: str = "text"):
     """Power-of-two length-bucket audit for dynamic batching: assign
     each document to the smallest 2^k bucket holding its non-empty
     whitespace token count, and report per bucket the doc count, total
@@ -1121,5 +1114,5 @@ def length_buckets(docs_ds, id_col: str = "doc_id",
     return grouped_apply(
         docs_ds.select_columns([id_col, text_col]).map_batches(
             partial, batch_format="pyarrow"),
-        ["bucket"], merge, num_partitions=num_partitions,
+        ["bucket"], merge,
     ).sort("bucket")

@@ -101,7 +101,7 @@ def minhash_signatures(docs_ds, num_perm: int = 128, shingle_k: int = 5,
 
 
 def _pair_candidates(keyed_ds, key_cols: list[str], id_col: str,
-                     max_bucket: int, num_partitions: int = 64):
+                     max_bucket: int):
     """Generic capped within-bucket candidate generation: rows sharing
     ``key_cols`` become pairs (ids sorted), each oversized bucket split by
     a secondary hash first.
@@ -144,7 +144,6 @@ def _pair_candidates(keyed_ds, key_cols: list[str], id_col: str,
         )
 
     return grouped_apply(keyed_ds, key_cols, partition_candidates,
-                         num_partitions=num_partitions,
                       batch_format="pandas")
 
 
@@ -319,7 +318,6 @@ def hamming_pairs(hash_ds, max_hamming: int = 3, id_col: str = "doc_id",
 
     exploded = hash_ds.map_batches(explode, batch_format="pyarrow")
     pairs = grouped_apply(exploded, ["band", "key"], partition_pairs,
-                          num_partitions=64,
                       batch_format="pandas")
     return pairs.groupby(["doc_a", "doc_b"]).aggregate(
         Min("hamming", alias_name="hamming")
@@ -329,7 +327,7 @@ def hamming_pairs(hash_ds, max_hamming: int = 3, id_col: str = "doc_id",
 # ----------------------- duplicate clusters (CC) ---------------------------
 
 def connected_components(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
-                         max_iters: int = 20, num_partitions: int = 16):
+                         max_iters: int = 20):
     """Near-dup pairs → duplicate CLUSTERS via distributed min-label
     propagation (the step after LSH pair detection in a training-data
     dedup pipeline: each component keeps one representative). Node ids
@@ -391,7 +389,7 @@ def connected_components(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
             ),
             batch_format="pyarrow",
         ),
-        ["node"], min_label, num_partitions=num_partitions,
+        ["node"], min_label,
         batch_format="pandas",
     ).materialize()
     prev = labels.aggregate(Sum("cluster_id"))["sum(cluster_id)"]
@@ -448,11 +446,9 @@ def connected_components(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
         )
         candidates = grouped_apply(
             edges.union(tagged), ["key"], propagate,
-            num_partitions=num_partitions,
                           batch_format="pandas")
         labels = grouped_apply(
             candidates, ["node"], min_label,
-            num_partitions=num_partitions,
                           batch_format="pandas").materialize()
         cur = labels.aggregate(Sum("cluster_id"))["sum(cluster_id)"]
         if cur == prev:
@@ -613,8 +609,7 @@ def _flat_tokens(ids_arr: pa.Array, texts: pa.Array):
 
 
 def substring_dedup(docs_ds, k: int = 8, id_col: str = "doc_id",
-                    text_col: str = "text", out_col: str = "clean_text",
-                    num_partitions: int = 64):
+                    text_col: str = "text", out_col: str = "clean_text"):
     """Exact duplicated-substring removal (the Lee et al. 2022
     "Deduplicating Training Data Makes Language Models Better" exact-
     substring rule, at whitespace-token granularity): every ``k``-token
@@ -700,7 +695,6 @@ def substring_dedup(docs_ds, k: int = 8, id_col: str = "doc_id",
 
     grams = docs_ds.map_batches(gram_rows, batch_format="pyarrow")
     marks = grouped_apply(grams, ["h1", "h2"], mark_dups,
-                          num_partitions=num_partitions,
                           batch_format="pyarrow")
 
     id_type = pa.int64()
@@ -802,7 +796,6 @@ def substring_dedup(docs_ds, k: int = 8, id_col: str = "doc_id",
         })
 
     return grouped_apply(unioned, [id_col], assemble,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
@@ -810,8 +803,7 @@ def ngram_overlap_exact(docs_ds, benchmark_ds, n: int = 8,
                         id_col: str = "doc_id", text_col: str = "text",
                         bench_text_col: str = "text",
                         overlap_col: str = "bench_overlap",
-                        nbits: int = 1 << 20, nhashes: int = 4,
-                        num_partitions: int = 64):
+                        nbits: int = 1 << 20, nhashes: int = 4):
     """EXACT benchmark n-gram overlap per document — the hard-verify
     companion to :func:`ngram_decontaminate` (whose Bloom mask can only
     over-count): for every document, the fraction of its DISTINCT
@@ -968,7 +960,6 @@ def ngram_overlap_exact(docs_ds, benchmark_ds, n: int = 8,
         return pa.Table.from_pandas(out, preserve_index=False)
 
     hits_ds = grouped_apply(unioned, ["h1", "h2"], verify,
-                            num_partitions=num_partitions,
                             batch_format="pyarrow")
 
     # final co-partition on id: totals ⋈ hits → fraction
@@ -1012,13 +1003,12 @@ def ngram_overlap_exact(docs_ds, benchmark_ds, n: int = 8,
         })
 
     return grouped_apply(unioned2, [id_col], fraction,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
 # ----------------------- edit-distance-1 fuzzy join ------------------------
 
-def edit1_fuzzy_pairs(ds, value_col: str, num_partitions: int = 64,
+def edit1_fuzzy_pairs(ds, value_col: str,
                       max_bucket: int = 256):
     """Exact edit-distance-≤1 self-join over the DISTINCT values of
     ``value_col`` — typo-level key canonicalization / entity blocking
@@ -1051,7 +1041,7 @@ def edit1_fuzzy_pairs(ds, value_col: str, num_partitions: int = 64,
 
     distinct = grouped_apply(
         ds.map_batches(local_distinct, batch_format="pyarrow"),
-        [value_col], part_distinct, num_partitions=num_partitions,
+        [value_col], part_distinct,
         batch_format="pyarrow",
     )
 
@@ -1109,7 +1099,6 @@ def edit1_fuzzy_pairs(ds, value_col: str, num_partitions: int = 64,
         return cand[keep]
 
     candidates = grouped_apply(variants, ["variant"], bucket_pairs,
-                               num_partitions=num_partitions,
                       batch_format="pandas")
 
     def pair_distinct(b: pa.Table) -> pa.Table:
@@ -1120,12 +1109,11 @@ def edit1_fuzzy_pairs(ds, value_col: str, num_partitions: int = 64,
         batch_format="pyarrow",
     )
     return grouped_apply(dedup_local, ["name_a", "name_b"], pair_distinct,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
 def dedup_eval(pred_pairs, true_pairs, a_col: str = "doc_a",
-               b_col: str = "doc_b", num_partitions: int = 16):
+               b_col: str = "doc_b"):
     """Evaluate a near-dup detector: precision/recall/F1 of predicted
     pairs against a ground-truth pair set — the measurement loop for
     tuning thresholds/bands on a labeled sample.
@@ -1160,15 +1148,12 @@ def dedup_eval(pred_pairs, true_pairs, a_col: str = "doc_a",
         return tbl.group_by(["lo", "hi"]).aggregate([])
 
     p = grouped_apply(p, ["lo", "hi"], distinct,
-                      num_partitions=num_partitions,
                       batch_format="pyarrow")
     t = grouped_apply(t, ["lo", "hi"], distinct,
-                      num_partitions=num_partitions,
                       batch_format="pyarrow")
     n_pred = p.count()
     n_true = t.count()
-    n_hit = intersect_distinct(p, t, ["lo", "hi"],
-                               num_partitions=num_partitions).count()
+    n_hit = intersect_distinct(p, t, ["lo", "hi"]).count()
     prec = n_hit / n_pred if n_pred else 0.0
     rec = n_hit / n_true if n_true else 0.0
     f1 = (2 * prec * rec / (prec + rec)) if (prec + rec) else 0.0
@@ -1183,8 +1168,7 @@ def dedup_eval(pred_pairs, true_pairs, a_col: str = "doc_a",
 
 
 def paragraph_dedup(docs_ds, id_col: str = "doc_id",
-                    text_col: str = "text", sep: str = "\n\n",
-                    num_partitions: int = 64):
+                    text_col: str = "text", sep: str = "\n\n"):
     """Corpus-wide exact PARAGRAPH dedup (the RefinedWeb / CCNet
     curation practice): split every document on ``sep``, keep each
     distinct paragraph's FIRST occurrence (lexicographic min of
@@ -1263,16 +1247,14 @@ def paragraph_dedup(docs_ds, id_col: str = "doc_id",
 
     exploded = docs_ds.map_batches(explode, batch_format="pyarrow")
     winners = grouped_apply(exploded, ["para"], first_occurrence,
-                            num_partitions=num_partitions,
                             batch_format="pandas")
     return grouped_apply(winners, [id_col], rebuild,
-                         num_partitions=num_partitions,
                          batch_format="pandas")
 
 
 def source_ngram_overlap(docs_ds, n: int = 3, group_col: str = "source",
                          id_col: str = "doc_id", text_col: str = "text",
-                         ndigits: int = 6, num_partitions: int = 64):
+                         ndigits: int = 6):
     """Pairwise n-gram Jaccard between SOURCES: for every pair of
     feeds, ``|grams_a ∩ grams_b| / |grams_a ∪ grams_b|`` over each
     source's set of distinct token n-grams (n-grams never cross a
@@ -1358,7 +1340,6 @@ def source_ngram_overlap(docs_ds, n: int = 3, group_col: str = "source",
         })
 
     partials = grouped_apply(g, ["gram"], per_gram_partition,
-                             num_partitions=num_partitions,
                              batch_format="pyarrow")
 
     def finish(tbl: pa.Table) -> pa.Table:
@@ -1466,7 +1447,7 @@ def line_dedup_within_doc(docs_ds, id_col: str = "doc_id",
 
 
 def cluster_keep_best(docs_ds, pairs_ds, quality_col: str = "quality",
-                      id_col: str = "doc_id", num_partitions: int = 16):
+                      id_col: str = "doc_id"):
     """Near-dup cluster REPRESENTATIVE selection by quality — the
     production dedup decision (RefinedWeb/FineWeb practice): after
     pair detection (MinHash-LSH / SimHash) and clustering, keep ONE
@@ -1493,7 +1474,7 @@ def cluster_keep_best(docs_ds, pairs_ds, quality_col: str = "quality",
     """
     from ..stages.shuffle import grouped_apply
 
-    cc = connected_components(pairs_ds, num_partitions=num_partitions)
+    cc = connected_components(pairs_ds)
 
     def doc_rows(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -1527,7 +1508,6 @@ def cluster_keep_best(docs_ds, pairs_ds, quality_col: str = "quality",
         })
 
     labeled = grouped_apply(unioned, [id_col], attach,
-                            num_partitions=num_partitions,
                             batch_format="pandas")
 
     def local_best(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -1540,14 +1520,12 @@ def cluster_keep_best(docs_ds, pairs_ds, quality_col: str = "quality",
                                        preserve_index=False),
         batch_format="pyarrow", batch_size=65536)
     return grouped_apply(pre, ["cluster_id"], local_best,
-                         num_partitions=num_partitions,
                          batch_format="pandas")
 
 
 def split_leakage(docs_with_split, id_col: str = "doc_id",
                   text_col: str = "text", split_col: str = "split",
-                  prefix_tokens: int | None = None,
-                  num_partitions: int = 8):
+                  prefix_tokens: int | None = None):
     """Train/val/test LEAKAGE audit: content fingerprints that appear
     in MORE THAN ONE split — near-identical documents straddling the
     split boundary inflate eval scores exactly like external
@@ -1595,6 +1573,6 @@ def split_leakage(docs_with_split, id_col: str = "doc_id",
 
     return grouped_apply(
         docs_with_split.map_batches(fp_rows, batch_format="pyarrow"),
-        ["fingerprint"], fold, num_partitions=num_partitions,
+        ["fingerprint"], fold,
         batch_format="pandas",
     ).sort("fingerprint")

@@ -30,7 +30,7 @@ def _round6(x: float) -> float:
 
 
 def ranking_auc(ds, score_col: str = "score", label_col: str = "pos",
-                ndigits: int = 3, num_partitions: int = 16):
+                ndigits: int = 3):
     """ROC-AUC of ``score_col`` ranking ``label_col`` (0/1), by the
     Mann-Whitney rank statistic with average-rank tie handling:
     ``AUC = Σ_s np(s)·(cum_nn(<s) + nn(s)/2) / (NP·NN)``.
@@ -63,7 +63,7 @@ def ranking_auc(ds, score_col: str = "score", label_col: str = "pos",
 
     rows = grouped_apply(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["score"], merge, num_partitions=num_partitions,
+        ["score"], merge,
     ).take_all()  # bounded: ≤ 10^ndigits + 1 distinct rounded scores
 
     if rows:
@@ -88,8 +88,7 @@ def ranking_auc(ds, score_col: str = "score", label_col: str = "pos",
 
 
 def calibration_bins(ds, score_col: str = "score",
-                     label_col: str = "pos", bins: int = 10,
-                     num_partitions: int = 8):
+                     label_col: str = "pos", bins: int = 10):
     """Reliability table: fixed-width score bins
     (``min(floor(score·bins), bins-1)``, clamped at 0) with per-bin
     count, positive count, and positive fraction — the calibration
@@ -122,7 +121,7 @@ def calibration_bins(ds, score_col: str = "score",
 
     return grouped_apply(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["bin"], merge, num_partitions=num_partitions,
+        ["bin"], merge,
     ).sort("bin")
 
 

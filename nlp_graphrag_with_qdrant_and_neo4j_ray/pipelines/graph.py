@@ -27,8 +27,7 @@ from .. import config
 from ..stages.shuffle import grouped_apply
 
 
-def out_degrees(edges_ds, src_col: str = "src", dst_col: str = "dst",
-                num_partitions: int = 16):
+def out_degrees(edges_ds, src_col: str = "src", dst_col: str = "dst"):
     """(node, out_degree) — per-batch count combiner, one exchange."""
 
     def partial(b: pa.Table) -> pa.Table:
@@ -45,7 +44,7 @@ def out_degrees(edges_ds, src_col: str = "src", dst_col: str = "dst",
     slim = edges_ds.map_batches(lambda b: b.select([src_col]),
                                 batch_format="pyarrow")
     return grouped_apply(slim.map_batches(partial, batch_format="pyarrow"),
-                         [src_col], final, num_partitions=num_partitions,
+                         [src_col], final,
                          batch_format="pyarrow")
 
 
@@ -259,8 +258,7 @@ def label_propagation(edges_ds, src_col: str = "src",
 _KIND = "__kind"
 
 
-def canonical_edges(edges_ds, src_col: str, dst_col: str,
-                    num_partitions: int = 16):
+def canonical_edges(edges_ds, src_col: str, dst_col: str):
     """Distinct canonical (a < b) undirected edges — reversed
     duplicates collapse, self-loops drop; per-batch combiner dedup
     then one exchange."""
@@ -278,12 +276,12 @@ def canonical_edges(edges_ds, src_col: str, dst_col: str,
 
     return grouped_apply(
         edges_ds.map_batches(canon, batch_format="pyarrow"),
-        ["a", "b"], dedup, num_partitions=num_partitions,
+        ["a", "b"], dedup,
         batch_format="pyarrow",
     )
 
 
-def edge_degrees(edges, num_partitions: int = 16):
+def edge_degrees(edges):
     """(node, deg) over a canonical edge list — per-batch count
     combiner, one exchange."""
 
@@ -305,13 +303,12 @@ def edge_degrees(edges, num_partitions: int = 16):
 
     return grouped_apply(
         edges.map_batches(deg_partial, batch_format="pyarrow"),
-        ["node"], deg_sum, num_partitions=num_partitions,
+        ["node"], deg_sum,
         batch_format="pyarrow",
     )
 
 
-def attach_degree(edge_tbl, degrees, key_name: str, deg_out: str,
-                  num_partitions: int = 16):
+def attach_degree(edge_tbl, degrees, key_name: str, deg_out: str):
     """Join (node, deg) onto one endpoint of an (a, b[, da]) edge table
     via a co-partitioned union exchange — degrees are O(V) rows and
     never broadcast."""
@@ -353,13 +350,12 @@ def attach_degree(edge_tbl, degrees, key_name: str, deg_out: str,
         edge_tbl.map_batches(tag_edge, batch_format="pyarrow").union(
             degrees.map_batches(tag_deg, batch_format="pyarrow")
         ),
-        ["k"], join, num_partitions=num_partitions,
+        ["k"], join,
         batch_format="pyarrow",
     )
 
 
-def triangle_count(edges_ds, src_col: str = "src", dst_col: str = "dst",
-                   num_partitions: int = 16):
+def triangle_count(edges_ds, src_col: str = "src", dst_col: str = "dst"):
     """Exact global triangle count of the UNDIRECTED graph (duplicate,
     reversed and self-loop edges tolerated) — the compact-forward /
     degree-orientation algorithm: every edge is directed from its
@@ -375,12 +371,11 @@ def triangle_count(edges_ds, src_col: str = "src", dst_col: str = "dst",
     broadcast) → wedge generation grouped by source → wedge⋈edge
     closure keyed on the (ordered) wedge endpoints.  Returns a 1-row
     Dataset ``(n_triangles)``."""
-    edges = canonical_edges(
-        edges_ds, src_col, dst_col, num_partitions
-    ).materialize()  # consumed three times: degrees + join + closure
-    degrees = edge_degrees(edges, num_partitions)
-    with_da = attach_degree(edges, degrees, "a", "da", num_partitions)
-    with_db = attach_degree(with_da, degrees, "b", "db", num_partitions)
+    # consumed three times: degrees + join + closure
+    edges = canonical_edges(edges_ds, src_col, dst_col).materialize()
+    degrees = edge_degrees(edges)
+    with_da = attach_degree(edges, degrees, "a", "da")
+    with_db = attach_degree(with_da, degrees, "b", "db")
 
     # ---- orient: from lower (deg, id) endpoint to higher ----
     def orient(b: pa.Table) -> pa.Table:
@@ -421,7 +416,6 @@ def triangle_count(edges_ds, src_col: str = "src", dst_col: str = "dst",
                          "y": pa.array(np.concatenate(ys))})
 
     wedge_ds = grouped_apply(oriented, ["u"], wedges,
-                             num_partitions=num_partitions,
                              batch_format="pyarrow")
 
     # ---- closure: wedge (x, y) closes iff oriented edge x→y exists ----
@@ -453,7 +447,7 @@ def triangle_count(edges_ds, src_col: str = "src", dst_col: str = "dst",
         wedge_ds.map_batches(tag_w, batch_format="pyarrow").union(
             oriented.map_batches(tag_e, batch_format="pyarrow")
         ),
-        ["x", "y"], close, num_partitions=num_partitions,
+        ["x", "y"], close,
         batch_format="pyarrow",
     )
 
@@ -470,7 +464,7 @@ def triangle_count(edges_ds, src_col: str = "src", dst_col: str = "dst",
 
 
 def k_core(edges_ds, k: int, src_col: str = "src", dst_col: str = "dst",
-           max_rounds: int = 50, num_partitions: int = 16):
+           max_rounds: int = 50):
     """The ``k``-core of the undirected graph — the maximal subgraph in
     which every node has degree ≥ k — by distributed iterative peeling:
     each round recomputes degrees over the SURVIVING edge list, joins
@@ -483,8 +477,7 @@ def k_core(edges_ds, k: int, src_col: str = "src", dst_col: str = "dst",
     degrees; empty (but schema-stable) when no k-core exists."""
     import ray.data
 
-    edges = canonical_edges(edges_ds, src_col, dst_col,
-                            num_partitions).materialize()
+    edges = canonical_edges(edges_ds, src_col, dst_col).materialize()
     prev = edges.count()
     seed = ray.data.from_arrow(pa.table({
         "node": pa.array([], pa.int64()),
@@ -494,11 +487,9 @@ def k_core(edges_ds, k: int, src_col: str = "src", dst_col: str = "dst",
         return seed
 
     for _ in range(max_rounds):
-        degrees = edge_degrees(edges, num_partitions)
-        with_da = attach_degree(edges, degrees, "a", "da",
-                                num_partitions)
-        with_db = attach_degree(with_da, degrees, "b", "db",
-                                num_partitions)
+        degrees = edge_degrees(edges)
+        with_da = attach_degree(edges, degrees, "a", "da")
+        with_db = attach_degree(with_da, degrees, "b", "db")
 
         def keep(b: pa.Table) -> pa.Table:
             m = pc.and_(
@@ -517,11 +508,11 @@ def k_core(edges_ds, k: int, src_col: str = "src", dst_col: str = "dst",
 
     if edges.count() == 0:
         return seed
-    return edge_degrees(edges, num_partitions).union(seed)
+    return edge_degrees(edges).union(seed)
 
 
 def degree_histogram(edges_ds, src_col: str = "src",
-                     dst_col: str = "dst", num_partitions: int = 16):
+                     dst_col: str = "dst"):
     """Degree-distribution report — ``(degree, n_nodes)`` over TOTAL
     degree (out + in, parallel edges counted): the first structural
     summary anyone asks of a materialized graph (power-law check, hub
@@ -550,7 +541,7 @@ def degree_histogram(edges_ds, src_col: str = "src",
 
     per_node = grouped_apply(
         edges_ds.map_batches(endpoint_counts, batch_format="pyarrow"),
-        ["node"], node_totals, num_partitions=num_partitions,
+        ["node"], node_totals,
     )
 
     def degree_counts(b: pa.Table) -> pa.Table:
@@ -566,13 +557,13 @@ def degree_histogram(edges_ds, src_col: str = "src",
 
     return grouped_apply(
         per_node.map_batches(degree_counts, batch_format="pyarrow"),
-        ["degree"], hist, num_partitions=max(num_partitions // 4, 1),
+        ["degree"], hist,
     )
 
 
 def random_walks(edges_ds, walk_len: int = 4, src_col: str = "src",
                  dst_col: str = "dst", mult_a: int = 2654435761,
-                 mult_b: int = 40503, num_partitions: int = 16):
+                 mult_b: int = 40503):
     """DeepWalk-style WALK CORPUS over an edge list — the sampling
     step graph-embedding pipelines feed to a skip-gram trainer
     (Perozzi et al. 2014) — with a DETERMINISTIC next-hop rule so the
@@ -618,7 +609,7 @@ def random_walks(edges_ds, walk_len: int = 4, src_col: str = "src",
 
     frontier = grouped_apply(
         edges.map_batches(starts, batch_format="pyarrow"),
-        ["walk_id"], dedup_starts, num_partitions=num_partitions,
+        ["walk_id"], dedup_starts,
         batch_format="pandas",
     ).materialize()
     visited = [frontier]
@@ -654,7 +645,7 @@ def random_walks(edges_ds, walk_len: int = 4, src_col: str = "src",
             })
 
         frontier = grouped_apply(
-            unioned, ["key"], hop, num_partitions=num_partitions,
+            unioned, ["key"], hop,
             batch_format="pandas",
         ).materialize()
         visited.append(frontier)
@@ -727,7 +718,7 @@ _CO_PAIR, _CO_MARG, _CO_GROUPS = np.int8(0), np.int8(1), np.int8(2)
 
 def cooccurrence_pmi(ds, group_col: str, item_col: str,
                      min_count: int = 1, max_items_per_group: int = 256,
-                     ndigits: int = 6, num_partitions: int = 64):
+                     ndigits: int = 6):
     """Document-level co-occurrence PMI over an OPEN item vocabulary:
     ``pmi(a,b) = log2(N · n_ab / (n_a · n_b))`` where ``n_ab`` counts
     groups containing both items (presence, not frequency), ``n_x``
@@ -827,7 +818,6 @@ def cooccurrence_pmi(ds, group_col: str, item_col: str,
         })
 
     tagged = grouped_apply(deduped, [group_col], per_group,
-                           num_partitions=num_partitions,
                            batch_format="pyarrow").materialize()
 
     def of_kind(kind: int):
@@ -848,7 +838,6 @@ def cooccurrence_pmi(ds, group_col: str, item_col: str,
             pc.greater_equal(out.column("n_ab"), min_count))
 
     pairs = grouped_apply(of_kind(int(_CO_PAIR)), ["a", "b"], sum_pairs,
-                          num_partitions=num_partitions,
                           batch_format="pyarrow")
 
     # two named copies of the marginal exchange (item-cardinality
@@ -867,15 +856,13 @@ def cooccurrence_pmi(ds, group_col: str, item_col: str,
             of_kind(int(_CO_MARG)).map_batches(
                 lambda b: b.drop_columns(["b"]),
                 batch_format="pyarrow"),
-            ["a"], sum_marg, num_partitions=num_partitions,
+            ["a"], sum_marg,
             batch_format="pyarrow")
 
     joined = inner_join(pairs, marg_named("n_a"), "a", "item",
-                        ["item", "n_a"],
-                        num_partitions=num_partitions)
+                        ["item", "n_a"])
     joined = inner_join(joined, marg_named("n_b"), "b", "item",
-                        ["item", "n_b"],
-                        num_partitions=num_partitions)
+                        ["item", "n_b"])
 
     def finish(b: pa.Table) -> pa.Table:
         n_ab = pc.cast(b.column("n_ab"), pa.float64())
@@ -960,8 +947,7 @@ def bfs_depths(edges_ds, seeds_ds, src_col: str = "src",
 
 # ---- link reciprocity ------------------------------------------------------
 
-def reciprocity(edges_ds, src_col: str = "src", dst_col: str = "dst",
-                num_partitions: int = 16):
+def reciprocity(edges_ds, src_col: str = "src", dst_col: str = "dst"):
     """Per-node link reciprocity over a directed edge list: for every
     node with at least one out-edge, its distinct out-neighbor count,
     how many of those neighbors link back, and the reciprocated
@@ -1010,7 +996,7 @@ def reciprocity(edges_ds, src_col: str = "src", dst_col: str = "dst",
 
     node_rows = grouped_apply(
         edges_ds.map_batches(pair_rows, batch_format="pyarrow"),
-        ["a", "b"], fold_pairs, num_partitions=num_partitions,
+        ["a", "b"], fold_pairs,
     )
 
     def fold_nodes(tbl: pa.Table) -> pa.Table:
@@ -1024,15 +1010,13 @@ def reciprocity(edges_ds, src_col: str = "src", dst_col: str = "dst",
             6, round_mode="half_towards_infinity")
         return g.append_column("reciprocity", ratio)
 
-    return grouped_apply(node_rows, ["node"], fold_nodes,
-                         num_partitions=num_partitions)
+    return grouped_apply(node_rows, ["node"], fold_nodes)
 
 
 # ---- degree assortativity --------------------------------------------------
 
 def degree_assortativity(edges_ds, src_col: str = "src",
-                         dst_col: str = "dst",
-                         num_partitions: int = 16, ndigits: int = 6):
+                         dst_col: str = "dst", ndigits: int = 6):
     """Out-in degree assortativity (Newman 2002): the Pearson
     correlation, over directed edges, between the source's OUT-degree
     and the destination's IN-degree — do hubs link to hubs (assortative
@@ -1047,8 +1031,8 @@ def degree_assortativity(edges_ds, src_col: str = "src",
     keyed by ``src`` reduces each source u to (out-deg c_u, Σy, Σy²)
     and each PARTITION to a single six-sum partial row, since
     Σ_edges x = Σ_u c_u², Σ_edges x² = Σ_u c_u³ and
-    Σ_edges xy = Σ_u c_u·Σy(u). The driver folds ≤ num_partitions
-    rows. Partials accumulate as PYTHON ints serialized as strings —
+    Σ_edges xy = Σ_u c_u·Σy(u). The driver folds one row per
+    partition. Partials accumulate as PYTHON ints serialized as strings —
     c³ sums overflow int64 near 10^6-degree hubs, and exactness is
     what lets the single final float expression (mirroring the SQL
     oracle's DOUBLE cast order) hash identically.
@@ -1068,7 +1052,7 @@ def degree_assortativity(edges_ds, src_col: str = "src",
 
     deg_in = grouped_apply(
         edges_ds.map_batches(dpart, batch_format="pyarrow"),
-        ["k"], dsum, num_partitions=num_partitions)
+        ["k"], dsum)
 
     def tag_edge(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -1094,7 +1078,7 @@ def degree_assortativity(edges_ds, src_col: str = "src",
     pairs = grouped_apply(
         edges_ds.map_batches(tag_edge, batch_format="pyarrow").union(
             deg_in.map_batches(tag_deg, batch_format="pyarrow")),
-        ["k"], join, num_partitions=num_partitions,
+        ["k"], join,
         batch_format="pandas")
 
     out_fields = ["n", "sx", "sy", "sxy", "sxx", "syy"]
@@ -1117,7 +1101,6 @@ def degree_assortativity(edges_ds, src_col: str = "src",
                              for f, v in zip(out_fields, vals)})
 
     rows = grouped_apply(pairs, ["src"], fold,
-                         num_partitions=num_partitions,
                          batch_format="pandas").take_all()
     tot = {f: sum(int(r[f]) for r in rows) for f in out_fields}
     n, sx, sy = tot["n"], tot["sx"], tot["sy"]
@@ -1138,8 +1121,12 @@ def degree_assortativity(edges_ds, src_col: str = "src",
 
 # ---- negative edge sampling (KG-embedding training) ------------------------
 
-def edge_negatives(edges_ds, src_col: str = "src", dst_col: str = "dst",
-                   num_partitions: int = 16):
+# tails roll within each dst-hash partition, so the count is part of
+# the sampler's definition: fixed, not sized from the input
+_NEGATIVE_PARTS = 8
+
+
+def edge_negatives(edges_ds, src_col: str = "src", dst_col: str = "dst"):
     """Deterministic corrupt-tail NEGATIVE sampling for KG-embedding /
     link-prediction training (the TransE recipe: one corrupted edge
     per true edge): each edge's tail is replaced with another observed
@@ -1151,9 +1138,9 @@ def edge_negatives(edges_ds, src_col: str = "src", dst_col: str = "dst",
     tails are permuted WITHIN each dst-hash partition (sort by a
     stable row hash, roll by one), which both preserves the observed
     tail distribution (degree-proportional corruption, the standard
-    practice) and keeps the permutation deterministic and
-    partition-count-reproducible for a fixed ``num_partitions``; the
-    truth filter is ONE (src,dst)-keyed anti-join exchange. Output:
+    practice) and keeps the permutation deterministic (the count is
+    ``_NEGATIVE_PARTS``, whatever the input size); the truth filter is
+    ONE (src,dst)-keyed anti-join exchange. Output:
     ``(src, dst, label:int8)``.
     """
     from ..stages.shuffle import _hash_rows
@@ -1180,7 +1167,7 @@ def edge_negatives(edges_ds, src_col: str = "src", dst_col: str = "dst",
                          "dst": pa.array(cand[keep])})
 
     cands = grouped_apply(base, ["dst"], corrupt,
-                          num_partitions=num_partitions)
+                          num_partitions=_NEGATIVE_PARTS)
 
     K_TRUE, K_CAND = np.int8(1), np.int8(0)
 
@@ -1206,8 +1193,7 @@ def edge_negatives(edges_ds, src_col: str = "src", dst_col: str = "dst",
 
     unioned = base.map_batches(tag(K_TRUE), batch_format="pyarrow").union(
         cands.map_batches(tag(K_CAND), batch_format="pyarrow"))
-    return grouped_apply(unioned, ["src", "dst"], anti,
-                         num_partitions=num_partitions)
+    return grouped_apply(unioned, ["src", "dst"], anti)
 
 
 # ---- bounded-hop weighted shortest paths (Bellman-Ford rounds) -------------
@@ -1571,8 +1557,15 @@ def _source_sampled(solver: str, edges_ds, src_col: str, dst_col: str,
     indptr, indices = _csr(a, b, nv)
     if sources is not None:
         lookup = {v: i for i, v in enumerate(uniques)}
+        if not len(sources):
+            raise ValueError(f"{solver}: sources is empty")
+        for s in sources:
+            if s not in lookup:
+                raise ValueError(f"{solver}: source {s!r} is not a node")
         src_codes = np.array([lookup[s] for s in sources], np.int64)
     else:
+        if k_sources < 1:
+            raise ValueError(f"{solver}: k_sources must be >= 1")
         k = min(int(k_sources), nv)
         src_codes = np.unique(
             np.round(np.linspace(0, nv - 1, k)).astype(np.int64))
@@ -1771,7 +1764,7 @@ def truss_decomposition(edges_ds, src_col: str = "src",
 def node2vec_walks(edges_ds, walk_len: int = 4, p: float = 1.0,
                    q: float = 1.0, src_col: str = "src",
                    dst_col: str = "dst", mult_a: int = 2654435761,
-                   mult_b: int = 40503, num_partitions: int = 16):
+                   mult_b: int = 40503):
     """node2vec biased walk corpus (Grover & Leskovec 2016) — the
     second-order sibling of :func:`random_walks`: from node u (having
     arrived from ``prev``) each out-neighbor x is weighted ``1/p`` if
@@ -1823,7 +1816,7 @@ def node2vec_walks(edges_ds, walk_len: int = 4, p: float = 1.0,
 
     frontier = grouped_apply(
         edges.map_batches(starts, batch_format="pyarrow"),
-        ["walk_id"], dedup_starts, num_partitions=num_partitions,
+        ["walk_id"], dedup_starts,
         batch_format="pandas",
     ).materialize()
     visited = [frontier.drop_columns(["prev"])]
@@ -1888,7 +1881,6 @@ def node2vec_walks(edges_ds, walk_len: int = 4, p: float = 1.0,
             return out
 
         cands = grouped_apply(unioned, ["key"], expand,
-                              num_partitions=num_partitions,
                               batch_format="pandas")
 
         def cand_rows(batch: pa.Table) -> pa.Table:
@@ -1972,7 +1964,6 @@ def node2vec_walks(edges_ds, walk_len: int = 4, p: float = 1.0,
             return pd.concat(outs, ignore_index=True)
 
         frontier = grouped_apply(unioned2, ["key"], pick,
-                                 num_partitions=num_partitions,
                                  batch_format="pandas").materialize()
         visited.append(frontier.drop_columns(["prev"]))
 
@@ -1984,7 +1975,7 @@ def node2vec_walks(edges_ds, walk_len: int = 4, p: float = 1.0,
 
 def skipgram_pairs(walks_ds, window: int = 2,
                    walk_col: str = "walk_id", step_col: str = "step",
-                   node_col: str = "node", num_partitions: int = 16):
+                   node_col: str = "node"):
     """(center, context, offset) training pairs from a walk corpus —
     the windowing step between :func:`random_walks` /
     :func:`node2vec_walks` and a skip-gram embedding trainer
@@ -2032,14 +2023,14 @@ def skipgram_pairs(walks_ds, window: int = 2,
 
     return grouped_apply(
         walks_ds.select_columns([walk_col, step_col, node_col]),
-        [walk_col], pairs, num_partitions=num_partitions,
+        [walk_col], pairs,
         batch_format="pandas")
 
 
 def skipgram_negatives(walks_ds, window: int = 2, k_neg: int = 3,
                        walk_col: str = "walk_id", step_col: str = "step",
                        node_col: str = "node", mult_a: int = 2654435761,
-                       mult_b: int = 40503, num_partitions: int = 16):
+                       mult_b: int = 40503):
     """Skip-gram pairs WITH deterministic negative sampling — the
     complete word2vec training-data shape (Mikolov et al. 2013):
     every (center, context, offset) window pair from
@@ -2056,8 +2047,7 @@ def skipgram_negatives(walks_ds, window: int = 2, k_neg: int = 3,
     import ray
 
     pairs = skipgram_pairs(walks_ds, window=window, walk_col=walk_col,
-                           step_col=step_col, node_col=node_col,
-                           num_partitions=num_partitions)
+                           step_col=step_col, node_col=node_col)
 
     def count_nodes(batch: pa.Table) -> pa.Table:
         return (batch.select([node_col])
@@ -2070,7 +2060,7 @@ def skipgram_negatives(walks_ds, window: int = 2, k_neg: int = 3,
 
     counts = grouped_apply(
         walks_ds.map_batches(count_nodes, batch_format="pyarrow"),
-        ["node"], fold_counts, num_partitions=num_partitions,
+        ["node"], fold_counts,
         batch_format="pyarrow").to_pandas().sort_values("node")
     nodes = counts["node"].to_numpy(np.int64)
     # weights quantized to integer micro-units so the cumulative

@@ -274,13 +274,12 @@ def merge_kg(tables_a: dict, tables_b: dict) -> dict:
     alias pair BRIDGES the two corpora (tested equality on stable
     corpora in tests/test_kg_merge.py). A bridging alias yields two
     entity ids a rebuild would merge — the standard
-    incremental-vs-recanonicalize trade-off. Each exchange is sized
-    from the two sides' row counts (``stages.shuffle.partitions_for``)."""
-    from ..stages.shuffle import grouped_apply, partitions_for
+    incremental-vs-recanonicalize trade-off. ``grouped_apply`` sizes
+    each exchange from the union, so from the two sides' row counts."""
+    from ..stages.shuffle import grouped_apply
 
     def union(name: str):
-        a, b = tables_a[name], tables_b[name]
-        return a.union(b), partitions_for(a, b)
+        return tables_a[name].union(tables_b[name])
 
     out: dict = {}
     for name in ("documents", "chunks", "terms", "triples",
@@ -294,9 +293,8 @@ def merge_kg(tables_a: dict, tables_b: dict) -> dict:
         )
         return agg.rename_columns(["term", "term_type", "chunk_count"])
 
-    ds, parts = union("term_nodes")
     out["term_nodes"] = grouped_apply(
-        ds, ["term", "term_type"], merge_term_nodes, num_partitions=parts)
+        union("term_nodes"), ["term", "term_type"], merge_term_nodes)
 
     def merge_entities(tbl: pa.Table) -> pa.Table:
         folded = fold_entities(pa.table({
@@ -312,9 +310,8 @@ def merge_kg(tables_a: dict, tables_b: dict) -> dict:
                            value_set=tbl.column("name"))
         return entity_rows(folded, tbl.column("embedding").take(rows))
 
-    ds, parts = union("entity_nodes")
     out["entity_nodes"] = grouped_apply(
-        ds, ["entity_id"], merge_entities, num_partitions=parts)
+        union("entity_nodes"), ["entity_id"], merge_entities)
 
     def merge_edges(tbl: pa.Table) -> pa.Table:
         folded = fold_edges(tbl)
@@ -324,7 +321,5 @@ def merge_kg(tables_a: dict, tables_b: dict) -> dict:
         return folded.select(EDGE_KEYS + ["chunk_id", "weight"]) \
             .append_column("pred_embedding", emb)
 
-    ds, parts = union("edges")
-    out["edges"] = grouped_apply(
-        ds, EDGE_KEYS, merge_edges, num_partitions=parts)
+    out["edges"] = grouped_apply(union("edges"), EDGE_KEYS, merge_edges)
     return out

@@ -264,7 +264,7 @@ def term_search(terms_ds, query: str, k: int = 10,
     def agg_topk(pdf: pd.DataFrame) -> pd.DataFrame:
         """Per-partition final sum + local top-k (per-chunk totals are
         complete within a hash partition, so the global top-k is the
-        top-k of ≤ num_partitions × k local winners — no full sort of
+        top-k of ≤ partitions × k local winners — no full sort of
         the matched-chunk set)."""
         s = pdf.groupby("chunk_id", sort=False)["score"].sum().reset_index()
         return s.sort_values(["score", "chunk_id"],
@@ -274,7 +274,7 @@ def term_search(terms_ds, query: str, k: int = 10,
         grouped_apply(
             terms_ds.map_batches(match, batch_format="pyarrow",
                                  batch_size=262144),
-            ["chunk_id"], agg_topk, num_partitions=64,
+            ["chunk_id"], agg_topk,
             batch_format="pandas",
         )
         .sort(["score", "chunk_id"], descending=[True, False])
@@ -375,7 +375,7 @@ def term_search_all(terms_ds, query: str, k: int = 10,
         grouped_apply(
             terms_ds.map_batches(match, batch_format="pyarrow",
                                  batch_size=262144),
-            ["chunk_id"], coverage_topk, num_partitions=64,
+            ["chunk_id"], coverage_topk,
             batch_format="pandas",
         )
         .sort(["score", "chunk_id"], descending=[True, False])

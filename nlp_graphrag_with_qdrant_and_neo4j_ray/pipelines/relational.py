@@ -40,6 +40,9 @@ import pyarrow.compute as pc
 from ..stages.shuffle import grouped_apply
 
 _SIDE = "__side"
+# a salted sketch merge folds at most 64 (HLL) or 32 (CMS) one-row
+# partials whatever the input size, so its exchange count is fixed
+_SALT_PARTS = 8
 
 
 def _pad_to(batch: pa.Table, schema: pa.Schema) -> pa.Table:
@@ -76,7 +79,7 @@ def _arrow_schema(ds) -> pa.Schema:
 
 
 def _copartition(left, right, key: str, right_key: str, right_cols: list[str],
-                 partition_fn, num_partitions: int):
+                 partition_fn):
     """Union-join co-partition: rename the right side's key to the left's,
     pad both sides to the combined schema, tag with ``__side``, exchange
     once on the key, and hand each partition's (left_tbl, right_tbl) to
@@ -131,12 +134,10 @@ def _copartition(left, right, key: str, right_key: str, right_cols: list[str],
         return partition_fn(lt, rt)
 
     return grouped_apply(unioned, [key], per_partition,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
-def anti_join(left, right, left_key: str, right_key: str,
-              num_partitions: int = 64):
+def anti_join(left, right, left_key: str, right_key: str):
     """Rows of ``left`` whose ``left_key`` appears nowhere in
     ``right[right_key]`` — a distributed NOT EXISTS.  One hash exchange;
     the right side ships only its key column."""
@@ -151,12 +152,12 @@ def anti_join(left, right, left_key: str, right_key: str,
         return lt.filter(mask)
 
     return _copartition(left, right, left_key, right_key, [right_key],
-                        probe, num_partitions)
+                        probe)
 
 
 def asof_join(left, right, by: str, right_by: str, on: str,
               right_cols: list[str], tie_col: str,
-              suffix: str = "_r", num_partitions: int = 64,
+              suffix: str = "_r",
               direction: str = "backward"):
     """For every left row, the most recent right row of the same ``by``
     key with ``right.on`` STRICTLY before ``left.on`` (inner semantics:
@@ -206,12 +207,11 @@ def asof_join(left, right, by: str, right_by: str, on: str,
         return pa.Table.from_pandas(joined, preserve_index=False)
 
     return _copartition(left, right, by, right_by, [right_by, on] + keep,
-                        probe, num_partitions)
+                        probe)
 
 
 def window_topk(ds, keys: list[str], order_col: str, k: int,
-                tie_col: str, ascending: bool = False,
-                num_partitions: int = 64):
+                tie_col: str, ascending: bool = False):
     """Top-``k`` rows per distinct ``keys`` by ``order_col`` (ties break
     toward ascending ``tie_col``) — ROW_NUMBER() <= k as data movement.
     A per-batch combiner truncates each input batch to its own local
@@ -225,12 +225,10 @@ def window_topk(ds, keys: list[str], order_col: str, k: int,
 
     combined = ds.map_batches(local_topk, batch_format="pandas")
     return grouped_apply(combined, keys, local_topk,
-                         num_partitions=num_partitions,
                       batch_format="pandas")
 
 
-def distinct_count(ds, keys: list[str], value_col: str, out_col: str,
-                   num_partitions: int = 64):
+def distinct_count(ds, keys: list[str], value_col: str, out_col: str):
     """COUNT(DISTINCT value) per ``keys``.  Per-batch arrow ``group_by``
     over (keys, value) is the combiner — the exchange ships only deduped
     pairs — then each partition counts distinct values per key."""
@@ -248,7 +246,6 @@ def distinct_count(ds, keys: list[str], value_col: str, out_col: str,
 
     combined = ds.map_batches(local_distinct, batch_format="pyarrow")
     return grouped_apply(combined, keys, count_partition,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
@@ -313,8 +310,7 @@ def broadcast_range_join(ds, intervals: pa.Table, value_col: str,
 
 
 def grouped_quantile(ds, keys: list[str], value_col: str, q: float,
-                     out_col: str, ndigits: int = 6,
-                     num_partitions: int = 64):
+                     out_col: str, ndigits: int = 6):
     """Exact per-group quantile with linear interpolation (the SQL
     ``quantile_cont`` convention; ``q=0.5`` reduces to
     :func:`grouped_median`).  Same exchange shape as the median: only
@@ -333,14 +329,13 @@ def grouped_quantile(ds, keys: list[str], value_col: str, q: float,
     slim = ds.map_batches(
         lambda b: b.select(keys + [value_col]), batch_format="pyarrow"
     )
-    return grouped_apply(slim, keys, quant, num_partitions=num_partitions,
+    return grouped_apply(slim, keys, quant,
                       batch_format="pandas")
 
 
 def rollup_sum(ds, keys: list[str], value_col: str,
                sentinel: str = "ALL", count_col: str = "n",
-               sum_col: str = "sum_value", ndigits: int = 2,
-               num_partitions: int = 64):
+               sum_col: str = "sum_value", ndigits: int = 2):
     """GROUP BY ROLLUP(keys): count + sum at every prefix level of
     ``keys`` (finest → … → grand total), rolled-up key columns filled
     with ``sentinel``.
@@ -362,7 +357,7 @@ def rollup_sum(ds, keys: list[str], value_col: str,
         lambda b: b.select(keys + [value_col]), batch_format="pyarrow"
     )
     levels = [
-        grouped_apply(slim, keys, finest, num_partitions=num_partitions,
+        grouped_apply(slim, keys, finest,
                       batch_format="pyarrow")
     ]
     for depth in range(len(keys) - 1, -1, -1):
@@ -383,7 +378,7 @@ def rollup_sum(ds, keys: list[str], value_col: str,
 
         if sub:
             levels.append(
-                grouped_apply(prev, sub, coarsen, num_partitions=8,
+                grouped_apply(prev, sub, coarsen,
                               batch_format="pyarrow")
             )
         else:
@@ -429,7 +424,7 @@ def rollup_sum(ds, keys: list[str], value_col: str,
 
 
 def distinct_set_op(left, right, left_key: str, right_key: str,
-                    mode: str = "intersect", num_partitions: int = 64):
+                    mode: str = "intersect"):
     """Distinct-set INTERSECT / EXCEPT on a key column (SQL bag-free set
     semantics).  Per-batch arrow distinct is the combiner on both sides,
     so the exchange ships deduped keys only; each partition then keeps
@@ -458,12 +453,12 @@ def distinct_set_op(left, right, left_key: str, right_key: str,
         return ld.filter(mask)
 
     return _copartition(left_d, right_d, left_key, right_key, [right_key],
-                        probe, num_partitions)
+                        probe)
 
 
 def pivot_sum(ds, key: str, pivot_col: str, value_col: str,
               categories: list[str], out_cols: list[str] | None = None,
-              ndigits: int = 2, num_partitions: int = 64):
+              ndigits: int = 2):
     """Wide pivot: one output row per ``key``, one column per category
     holding ``sum(value_col) where pivot_col == category`` (SQL's
     SUM(CASE WHEN …) conditional-aggregation shape).  ``categories`` is
@@ -496,7 +491,6 @@ def pivot_sum(ds, key: str, pivot_col: str, value_col: str,
 
     combined = ds.map_batches(partial, batch_format="pyarrow")
     return grouped_apply(combined, [key], widen,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
@@ -559,8 +553,7 @@ def _hll_estimate(regs: np.ndarray) -> np.ndarray:
 
 
 def grouped_approx_distinct(ds, keys: list[str], value_col: str,
-                            out_col: str, precision: int = 12,
-                            num_partitions: int = 64):
+                            out_col: str, precision: int = 12):
     """Approximate COUNT(DISTINCT value) per group via HyperLogLog —
     the sketch path next to the exact :func:`distinct_count`.  Standard
     error ≈ 1.04/sqrt(2^precision) (~1.6% at p=12).  Deterministic: the
@@ -610,12 +603,11 @@ def grouped_approx_distinct(ds, keys: list[str], value_col: str,
     )
     combined = slim.map_batches(partial, batch_format="pandas")
     return grouped_apply(combined, keys, merge,
-                         num_partitions=num_partitions,
                       batch_format="pandas")
 
 
 def grouped_median(ds, keys: list[str], value_col: str, out_col: str,
-                   ndigits: int = 6, num_partitions: int = 64):
+                   ndigits: int = 6):
     """Exact per-group median (linear-interpolated on even counts, the
     SQL ``median()`` convention).  Ships only (keys, value) through one
     exchange; see the module docstring for the sketch-based path at
@@ -633,7 +625,7 @@ def grouped_median(ds, keys: list[str], value_col: str, out_col: str,
     slim = ds.map_batches(
         lambda b: b.select(keys + [value_col]), batch_format="pyarrow"
     )
-    return grouped_apply(slim, keys, med, num_partitions=num_partitions,
+    return grouped_apply(slim, keys, med,
                       batch_format="pandas")
 
 
@@ -703,8 +695,7 @@ def _bloom_prefilter(mask_ref, left_key: str, nbits: int, nhashes: int,
 
 
 def bloom_semi_join(left, right, left_key: str, right_key: str,
-                    nbits: int = 1 << 23, nhashes: int = 4,
-                    num_partitions: int = 64):
+                    nbits: int = 1 << 23, nhashes: int = 4):
     """EXACT semi-join (rows of ``left`` whose key exists in ``right``)
     with a broadcast Bloom filter as the shuffle pruner.
 
@@ -734,12 +725,11 @@ def bloom_semi_join(left, right, left_key: str, right_key: str,
         )
 
     return _copartition(pruned, right, left_key, right_key, [right_key],
-                        probe, num_partitions)
+                        probe)
 
 
 def bloom_anti_join(left, right, left_key: str, right_key: str,
-                    nbits: int = 1 << 23, nhashes: int = 4,
-                    num_partitions: int = 64):
+                    nbits: int = 1 << 23, nhashes: int = 4):
     """EXACT anti-join (rows of ``left`` whose key does NOT exist in
     ``right``) with the Bloom mask inverted as the shuffle pruner — the
     incremental-dedup shape: dedupe a new crawl against an existing
@@ -760,8 +750,7 @@ def bloom_anti_join(left, right, left_key: str, right_key: str,
         _bloom_prefilter(mask_ref, left_key, nbits, nhashes, want=True),
         batch_format="pyarrow",
     )
-    verified_new = anti_join(candidates, right, left_key, right_key,
-                             num_partitions=num_partitions)
+    verified_new = anti_join(candidates, right, left_key, right_key)
     return definite_new.union(verified_new)
 
 
@@ -790,13 +779,13 @@ def grouped_concat(ds, keys: list[str], value_col: str, order_col: str,
     return grouped_apply(slim, keys, concat, batch_format="pandas")
 
 
-def heavy_hitters(ds, value_col: str, k: int, count_col: str = "n",
-                  num_partitions: int = 64) -> pa.Table:
+def heavy_hitters(ds, value_col: str, k: int,
+                  count_col: str = "n") -> pa.Table:
     """EXACT global top-``k`` most frequent values (ties break toward the
     smaller value).  Per-batch arrow ``group_by`` count is the combiner —
     the exchange ships one (value, partial count) per batch per distinct
     value — then each partition sums its values' counts and keeps its own
-    local top-k; the driver merges ``num_partitions × k`` candidate rows
+    local top-k; the driver merges ``partitions × k`` candidate rows
     (correct because a value's total count lives entirely in one
     partition).  Returns a pyarrow Table (small by construction).  The
     sketch path at unbounded vocabularies is Misra-Gries/Space-Saving;
@@ -820,7 +809,6 @@ def heavy_hitters(ds, value_col: str, k: int, count_col: str = "n",
 
     combined = ds.map_batches(partial, batch_format="pyarrow")
     candidates = grouped_apply(combined, [value_col], local_topk,
-                               num_partitions=num_partitions,
                                batch_format="pyarrow").take_all()
     tbl = pa.Table.from_pylist(candidates) if candidates else pa.table(
         {value_col: pa.array([], pa.string()),
@@ -836,8 +824,7 @@ def heavy_hitters(ds, value_col: str, k: int, count_col: str = "n",
 
 
 def grouped_corr(ds, keys: list[str], x_col: str, y_col: str,
-                 out_col: str, ndigits: int = 6,
-                 num_partitions: int = 64):
+                 out_col: str, ndigits: int = 6):
     """Exact per-group Pearson correlation via the sufficient-statistics
     combiner: each batch reduces to (n, Σx, Σy, Σx², Σy², Σxy) per key,
     partials merge by addition after one exchange — the textbook
@@ -884,13 +871,12 @@ def grouped_corr(ds, keys: list[str], x_col: str, y_col: str,
     )
     combined = slim.map_batches(partial, batch_format="pyarrow")
     return grouped_apply(combined, keys, finish,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
 def grouped_var(ds, keys: list[str], value_col: str,
                 var_col: str = "var_samp", std_col: str = "stddev",
-                ndigits: int = 6, num_partitions: int = 64):
+                ndigits: int = 6):
     """Exact per-group sample variance + stddev via the same
     sufficient-statistics combiner as :func:`grouped_corr` — each batch
     reduces to (n, Σx, Σx²) per key, partials merge by addition after
@@ -927,13 +913,11 @@ def grouped_var(ds, keys: list[str], value_col: str,
     )
     combined = slim.map_batches(partial, batch_format="pyarrow")
     return grouped_apply(combined, keys, finish,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
 def window_ntile(ds, keys: list[str], order_col: str, tiles: int,
-                 tie_col: str, out_col: str = "tile",
-                 num_partitions: int = 64):
+                 tie_col: str, out_col: str = "tile"):
     """SQL ``NTILE(tiles) OVER (PARTITION BY keys ORDER BY order_col,
     tie_col)`` — the first ``n % tiles`` buckets get ``⌈n/tiles⌉`` rows
     (exact SQL semantics, 1-based).  Same exchange shape as
@@ -957,13 +941,13 @@ def window_ntile(ds, keys: list[str], order_col: str, tiles: int,
         return out
 
     slim = ds.map_batches(lambda b: b.select(cols), batch_format="pyarrow")
-    return grouped_apply(slim, keys, ntile, num_partitions=num_partitions,
+    return grouped_apply(slim, keys, ntile,
                       batch_format="pandas")
 
 
 def copartition_agg_join(fact, dim, key: str, dim_key: str,
                          dim_cols: list[str], value_col: str,
-                         sum_col: str, num_partitions: int = 64):
+                         sum_col: str):
     """Fused big-big aggregate⋈join on one key: the fact side is
     pre-aggregated per batch (combiner), both sides co-partition in ONE
     union exchange, and each partition sums fact partials per key and
@@ -993,12 +977,11 @@ def copartition_agg_join(fact, dim, key: str, dim_key: str,
 
     combined = fact.map_batches(partial, batch_format="pyarrow")
     return _copartition(combined, dim, key, dim_key, [dim_key] + keep,
-                        probe, num_partitions)
+                        probe)
 
 
 def windowed_cumsum(ds, keys: list[str], order_col: str, value_col: str,
-                    out_col: str, tie_col: str, ndigits: int = 6,
-                    num_partitions: int = 64):
+                    out_col: str, tie_col: str, ndigits: int = 6):
     """Per-key running total — SQL ``SUM(value) OVER (PARTITION BY keys
     ORDER BY order_col, tie_col ROWS UNBOUNDED PRECEDING)``.  A window
     that orders the WHOLE group needs the group in one place: (keys,
@@ -1020,13 +1003,12 @@ def windowed_cumsum(ds, keys: list[str], order_col: str, value_col: str,
         return out
 
     slim = ds.map_batches(lambda b: b.select(cols), batch_format="pyarrow")
-    return grouped_apply(slim, keys, cumsum, num_partitions=num_partitions,
+    return grouped_apply(slim, keys, cumsum,
                       batch_format="pandas")
 
 
 def windowed_cumagg(ds, keys: list[str], order_col: str, value_col: str,
-                    out_col: str, tie_col: str, agg: str = "max",
-                    num_partitions: int = 64):
+                    out_col: str, tie_col: str, agg: str = "max"):
     """Per-key running ``max``/``min``/``count`` — SQL ``AGG(value)
     OVER (PARTITION BY keys ORDER BY order_col, tie_col ROWS UNBOUNDED
     PRECEDING)``; :func:`windowed_cumsum`'s shape with the accumulator
@@ -1048,12 +1030,12 @@ def windowed_cumagg(ds, keys: list[str], order_col: str, value_col: str,
         return out
 
     slim = ds.map_batches(lambda b: b.select(cols), batch_format="pyarrow")
-    return grouped_apply(slim, keys, run, num_partitions=num_partitions,
+    return grouped_apply(slim, keys, run,
                       batch_format="pandas")
 
 
 def grouped_mode(ds, keys: list[str], value_col: str,
-                 count_col: str = "n", num_partitions: int = 64):
+                 count_col: str = "n"):
     """Per-group modal value (ties break toward the smallest value) with
     its count.  Per-batch partial counts combine before the one exchange
     — only distinct (keys, value, count) triples ship, so a hot value
@@ -1079,13 +1061,12 @@ def grouped_mode(ds, keys: list[str], value_col: str,
     )
     combined = slim.map_batches(partial, batch_format="pandas")
     return grouped_apply(combined, keys, final,
-                         num_partitions=num_partitions,
                       batch_format="pandas")
 
 
 def cube_sum(ds, keys: list[str], value_col: str, sentinel: str = "ALL",
              count_col: str = "n", sum_col: str = "sum_value",
-             ndigits: int = 2, num_partitions: int = 64):
+             ndigits: int = 2):
     """GROUP BY CUBE(keys): count + sum for EVERY subset of ``keys``
     (2^len levels), absent key columns filled with ``sentinel``.  Like
     :func:`rollup_sum`, the raw data is aggregated exactly once into the
@@ -1103,7 +1084,6 @@ def cube_sum(ds, keys: list[str], value_col: str, sentinel: str = "ALL",
         lambda b: b.select(keys + [value_col]), batch_format="pyarrow"
     )
     finest_ds = grouped_apply(slim, keys, finest,
-                              num_partitions=num_partitions,
                               batch_format="pyarrow")
 
     def pad(level_keys: tuple[str, ...]):
@@ -1139,7 +1119,7 @@ def cube_sum(ds, keys: list[str], value_col: str, sentinel: str = "ALL",
 
         if sub:
             lvl = grouped_apply(finest_ds, list(sub), coarsen,
-                                num_partitions=8, batch_format="pyarrow")
+                                batch_format="pyarrow")
         else:
             rows = finest_ds.map_batches(
                 coarsen, batch_format="pyarrow"
@@ -1159,8 +1139,7 @@ def cube_sum(ds, keys: list[str], value_col: str, sentinel: str = "ALL",
 
 
 def grouped_quantile_sketch(ds, keys: list[str], value_col: str,
-                            qs: list[float], delta: float = 200.0,
-                            num_partitions: int = 64):
+                            qs: list[float], delta: float = 200.0):
     """Per-group quantiles via the merging t-digest
     (functions/tdigest.py) — the scale path :func:`grouped_quantile`'s
     contract points to: a group never needs to fit anywhere.  Each batch
@@ -1209,12 +1188,11 @@ def grouped_quantile_sketch(ds, keys: list[str], value_col: str,
     )
     sketched = slim.map_batches(sketch, batch_format="pandas")
     return grouped_apply(sketched, keys, finalize,
-                         num_partitions=num_partitions,
                       batch_format="pandas")
 
 
 def full_outer_join(left, right, left_key: str, right_key: str,
-                    right_cols: list[str], num_partitions: int = 64):
+                    right_cols: list[str]):
     """Distributed FULL OUTER JOIN — both sides hash-co-partition on
     the key (one exchange, the union-join pattern), each partition runs
     Arrow's hash join locally with ``join_type="full outer"`` (key
@@ -1233,12 +1211,11 @@ def full_outer_join(left, right, left_key: str, right_key: str,
         return joined.select(out_names)
 
     return _copartition(left, right, left_key, right_key,
-                        [right_key] + out_right, probe, num_partitions)
+                        [right_key] + out_right, probe)
 
 
 def window_lag(ds, keys: list[str], order_col: str, value_col: str,
-               out_col: str, tie_col: str, periods: int = 1,
-               num_partitions: int = 64):
+               out_col: str, tie_col: str, periods: int = 1):
     """SQL ``LAG(value, periods) OVER (PARTITION BY keys ORDER BY
     order_col, tie_col)`` — null for each key's first ``periods`` rows.
     Same shape as :func:`windowed_cumsum`: one exchange on the keys,
@@ -1254,13 +1231,12 @@ def window_lag(ds, keys: list[str], order_col: str, value_col: str,
         return out
 
     slim = ds.map_batches(lambda b: b.select(cols), batch_format="pyarrow")
-    return grouped_apply(slim, keys, lag, num_partitions=num_partitions,
+    return grouped_apply(slim, keys, lag,
                       batch_format="pandas")
 
 
 def approx_heavy_hitters(ds, value_col: str, k: int, capacity: int = 4096,
-                         count_col: str = "n",
-                         num_partitions: int = 64) -> pa.Table:
+                         count_col: str = "n") -> pa.Table:
     """Misra-Gries/Space-Saving heavy hitters with an exact recount —
     the sketch path next to the exact :func:`heavy_hitters` for
     UNBOUNDED vocabularies (URLs, n-grams) where shipping every distinct
@@ -1308,7 +1284,7 @@ def approx_heavy_hitters(ds, value_col: str, k: int, capacity: int = 4096,
 
     parts = grouped_apply(
         ds.map_batches(sketch, batch_format="pandas"),
-        [value_col], merge_truncate, num_partitions=num_partitions,
+        [value_col], merge_truncate,
         batch_format="pandas",
     ).take_all()
     if not parts:
@@ -1330,7 +1306,6 @@ def approx_heavy_hitters(ds, value_col: str, k: int, capacity: int = 4096,
 
     exact = grouped_apply(ds.map_batches(recount, batch_format="pandas"),
                           [value_col], total,
-                          num_partitions=num_partitions,
                           batch_format="pandas").take_all()
     tbl = pa.Table.from_pylist(exact) if exact else pa.table(
         {value_col: pa.array([], pa.string()),
@@ -1347,7 +1322,7 @@ def approx_heavy_hitters(ds, value_col: str, k: int, capacity: int = 4096,
 
 
 def inner_join(left, right, key: str, right_key: str,
-               right_cols: list[str], num_partitions: int = 64):
+               right_cols: list[str]):
     """Plain co-partitioned inner equi-join: both sides hash-exchange
     once on the key, each partition runs one local Arrow hash join.
     Per-key fan-in must fit a partition — for skewed keys use
@@ -1373,12 +1348,11 @@ def inner_join(left, right, key: str, right_key: str,
         )
 
     return _copartition(left, right, key, right_key, [right_key] + keep,
-                        probe, num_partitions)
+                        probe)
 
 
 def skew_join(left, right, key: str, right_key: str,
-              right_cols: list[str], hot_threshold: int = 1_000_000,
-              num_partitions: int = 64):
+              right_cols: list[str], hot_threshold: int = 1_000_000):
     """Skew-handled inner equi-join — the head keys of a Zipf-distributed
     fact table never enter the exchange.
 
@@ -1416,12 +1390,11 @@ def skew_join(left, right, key: str, right_key: str,
 
     hot_rows = grouped_apply(
         left.map_batches(kpartial, batch_format="pyarrow"), [key], ksum,
-        num_partitions=num_partitions, batch_format="pyarrow",
+        batch_format="pyarrow",
     ).take_all()
 
     if not hot_rows:
-        return inner_join(left, right, key, right_key, right_cols,
-                          num_partitions=num_partitions)
+        return inner_join(left, right, key, right_key, right_cols)
 
     key_type = _arrow_schema(left).field(key).type
     hot_arr = pc.cast(pa.array([r[key] for r in hot_rows]), key_type)
@@ -1471,13 +1444,12 @@ def skew_join(left, right, key: str, right_key: str,
         batch_format="pyarrow",
     )
     cold_joined = inner_join(left_cold, right_cold, key, right_key,
-                             right_cols, num_partitions=num_partitions)
+                             right_cols)
     return cold_joined.union(hot_joined)
 
 
 def grouped_standardize(ds, keys: list[str], value_col: str,
-                        out_col: str = "zscore", ndigits: int = 4,
-                        num_partitions: int = 64):
+                        out_col: str = "zscore", ndigits: int = 4):
     """Per-group z-score ``(x − μ_g) / σ_g`` (σ = sample stddev) without
     shuffling the fact table: the same (n, Σx, Σx²) sufficient-stats
     combiner as :func:`grouped_var` reduces each batch to one tiny row
@@ -1519,7 +1491,6 @@ def grouped_standardize(ds, keys: list[str], value_col: str,
         lambda b: b.select(keys + [value_col]), batch_format="pyarrow"
     ).map_batches(partial, batch_format="pyarrow")
     stats_rows = grouped_apply(combined, keys, finish,
-                               num_partitions=num_partitions,
                                batch_format="pyarrow").take_all()
     stats = pd.DataFrame(stats_rows)
     stats_ref = ray.put(stats)
@@ -1536,7 +1507,7 @@ def grouped_standardize(ds, keys: list[str], value_col: str,
     return ds.map_batches(standardize, batch_format="pandas")
 
 
-def union_by_name(datasets, num_partitions: int | None = None):
+def union_by_name(datasets):
     """UNION ALL BY NAME with schema evolution: the merged schema takes
     each column's first-seen type in first-seen order; every input pads
     missing columns with typed nulls and casts the rest — the streaming
@@ -1565,7 +1536,7 @@ def union_by_name(datasets, num_partitions: int | None = None):
 
 
 def merge_into(snapshot, changes, key: str, op_col: str = "op",
-               version_col: str = "version", num_partitions: int = 64):
+               version_col: str = "version"):
     """Apply a changelog to a snapshot (the incremental-pipeline MERGE
     primitive): ``changes`` carries the snapshot's columns plus
     ``op_col`` ('U' upsert / 'D' delete) and ``version_col``; the
@@ -1595,12 +1566,12 @@ def merge_into(snapshot, changes, key: str, op_col: str = "op",
         )
 
     return _copartition(snapshot, changes, key, key, change_cols,
-                        probe, num_partitions)
+                        probe)
 
 
 def banded_range_join(points, intervals, value_col: str, lo_col: str,
                       hi_col: str, band_width: float,
-                      keep_cols: list[str], num_partitions: int = 64):
+                      keep_cols: list[str]):
     """Big-big range join (``lo <= value < hi``) WITHOUT a broadcast:
     both sides band by ``floor(value / band_width)`` — each interval
     replicates to every band it overlaps, each point belongs to exactly
@@ -1663,15 +1634,13 @@ def banded_range_join(points, intervals, value_col: str, lo_col: str,
     def _probe_wrap(lt: pa.Table, rt: pa.Table) -> pa.Table:
         return probe(lt, rt)
 
-    return _copartition(pts, ivs, _BAND, _BAND, iv_cols, _probe_wrap,
-                        num_partitions)
+    return _copartition(pts, ivs, _BAND, _BAND, iv_cols, _probe_wrap)
 
 
 def tumbling_window_agg(ds, keys: list[str], ts_col: str,
                         width_us: int, value_col: str,
                         win_col: str = "win", count_col: str = "n",
-                        sum_col: str = "sum_value", ndigits: int = 6,
-                        num_partitions: int = 64):
+                        sum_col: str = "sum_value", ndigits: int = 6):
     """Tumbling event-time windows — count + sum per (keys, window),
     where ``window = epoch_us(ts) // width_us``.  Window assignment is
     a pure vectorized map, so this is just a grouped aggregate with a
@@ -1707,7 +1676,6 @@ def tumbling_window_agg(ds, keys: list[str], ts_col: str,
 
     combined = ds.map_batches(assign, batch_format="pyarrow")
     return grouped_apply(combined, keys + [win_col], finish,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
@@ -1801,7 +1769,7 @@ def exact_quantile(ds, value_col: str, q: float,
 
 
 def left_join(left, right, left_key: str, right_key: str,
-              right_cols: list[str], num_partitions: int = 64):
+              right_cols: list[str]):
     """Distributed LEFT OUTER JOIN — the one-exchange union-join
     pattern (:func:`full_outer_join`), with Arrow's local
     ``join_type="left outer"``: every left row survives, unmatched
@@ -1819,12 +1787,11 @@ def left_join(left, right, left_key: str, right_key: str,
         return joined.select(out_names)
 
     return _copartition(left, right, left_key, right_key,
-                        [right_key] + out_right, probe, num_partitions)
+                        [right_key] + out_right, probe)
 
 
 def window_percent_rank(ds, keys: list[str], order_col: str,
-                        out_col: str = "pct_rank",
-                        num_partitions: int = 64, ndigits: int = 6):
+                        out_col: str = "pct_rank", ndigits: int = 6):
     """SQL ``PERCENT_RANK() OVER (PARTITION BY keys ORDER BY
     order_col)`` — (rank-1)/(n-1) with ties sharing the minimum rank,
     0.0 for single-row groups.  One exchange on the keys; the
@@ -1844,13 +1811,12 @@ def window_percent_rank(ds, keys: list[str], order_col: str,
         out[out_col] = np.floor(val * scale + 0.5) / scale
         return out
 
-    return grouped_apply(ds, keys, pr, num_partitions=num_partitions,
+    return grouped_apply(ds, keys, pr,
                       batch_format="pandas")
 
 
 def funnel_counts(events, stages: list[str], user_col: str = "user_id",
-                  type_col: str = "event_type", ts_col: str = "ts",
-                  num_partitions: int = 16):
+                  type_col: str = "event_type", ts_col: str = "ts"):
     """Ordered funnel analysis: how many users reach each stage IN
     ORDER — stage i counts users with a ``stages[i]`` event at or after
     their first qualifying ``stages[i-1]`` event (the classic
@@ -1874,8 +1840,11 @@ def funnel_counts(events, stages: list[str], user_col: str = "user_id",
         for i, st in enumerate(stages):
             ev = pdf[pdf[type_col] == st][[user_col, ts_col]]
             if i > 0:
-                ev = ev.merge(cur.rename("__prev"), left_on=user_col,
-                              right_index=True, how="inner")
+                # merge on a column: an index merge names the result's
+                # index user_col when ``ev`` is empty, and the groupby
+                # below then finds user_col twice
+                ev = ev.merge(cur.rename("__prev").reset_index(),
+                              on=user_col, how="inner")
                 ev = ev[ev[ts_col] >= ev["__prev"]]
             cur = ev.groupby(user_col)[ts_col].min()
             counts.append(len(cur))
@@ -1887,7 +1856,7 @@ def funnel_counts(events, stages: list[str], user_col: str = "user_id",
 
     partials = grouped_apply(
         events.map_batches(slim, batch_format="pyarrow"),
-        [user_col], per_partition, num_partitions=num_partitions,
+        [user_col], per_partition,
         batch_format="pyarrow",
     )
 
@@ -1902,12 +1871,12 @@ def funnel_counts(events, stages: list[str], user_col: str = "user_id",
         })
 
     return grouped_apply(partials, ["stage_idx"], reduce_,
-                         num_partitions=4, batch_format="pyarrow")
+                         batch_format="pyarrow")
 
 
 def retention_counts(events, user_col: str = "user_id",
                      ts_col: str = "ts", bucket_us: int = 7 * 86_400_000_000,
-                     max_offset: int = 3, num_partitions: int = 16):
+                     max_offset: int = 3):
     """Cohort retention: users are cohorted by the time bucket of their
     FIRST event (epoch-microsecond floor division by ``bucket_us``) and
     counted in every later bucket they return in, as (cohort, offset)
@@ -1942,7 +1911,7 @@ def retention_counts(events, user_col: str = "user_id",
 
     partials = grouped_apply(
         events.map_batches(slim, batch_format="pyarrow"),
-        [user_col], per_user, num_partitions=num_partitions,
+        [user_col], per_user,
         batch_format="pyarrow",
     )
 
@@ -1955,11 +1924,10 @@ def retention_counts(events, user_col: str = "user_id",
         })
 
     return grouped_apply(partials, ["cohort", "offset"], reduce_,
-                         num_partitions=4, batch_format="pyarrow")
+                         batch_format="pyarrow")
 
 
-def grouped_argmax(ds, keys: list[str], order_cols: list[str],
-                   num_partitions: int = 64):
+def grouped_argmax(ds, keys: list[str], order_cols: list[str]):
     """One row per key group: the row with the LEXICOGRAPHIC MAX of
     ``order_cols`` — SQL ``QUALIFY row_number() OVER (PARTITION BY keys
     ORDER BY order_cols DESC) = 1`` (the "latest event per user" /
@@ -1977,12 +1945,11 @@ def grouped_argmax(ds, keys: list[str], order_cols: list[str],
 
     combined = ds.map_batches(local_max, batch_format="pandas")
     return grouped_apply(combined, keys, local_max,
-                         num_partitions=num_partitions,
                       batch_format="pandas")
 
 
 def grouped_regression(ds, keys: list[str], x_col: str, y_col: str,
-                       ndigits: int = 6, num_partitions: int = 64):
+                       ndigits: int = 6):
     """Exact per-group simple linear regression (OLS y = a·x + b) via
     the same sufficient-statistics combiner as :func:`grouped_corr`:
     each batch reduces to (n, Σx, Σy, Σx², Σy², Σxy) per key, partials
@@ -2033,12 +2000,10 @@ def grouped_regression(ds, keys: list[str], x_col: str, y_col: str,
     )
     combined = slim.map_batches(partial, batch_format="pyarrow")
     return grouped_apply(combined, keys, finish,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
-def fill_gaps(ds, key_col: str, ts_col: str, out_col: str = "n",
-              num_partitions: int = 32):
+def fill_gaps(ds, key_col: str, ts_col: str, out_col: str = "n"):
     """Zero-filled daily date spine: counts per (key, day) with EVERY
     day between the global min and max emitted per key, missing days as
     0 — the gap-filling step dashboards/trend models need (SQL:
@@ -2076,14 +2041,12 @@ def fill_gaps(ds, key_col: str, ts_col: str, out_col: str = "n",
 
     combined = ds.map_batches(partial, batch_format="pyarrow")
     return grouped_apply(combined, [key_col], fill,
-                         num_partitions=num_partitions,
                       batch_format="pandas")
 
 
 def hopping_window_agg(ds, keys: list[str], ts_col: str,
                        size_us: int, hop_us: int, out_col: str = "n",
-                       window_col: str = "window_start",
-                       num_partitions: int = 32):
+                       window_col: str = "window_start"):
     """Hopping (sliding) event-time windows: size ``size_us``, advancing
     by ``hop_us`` (size must be a multiple of hop) — each event lands in
     exactly size/hop windows.  The overlap is materialized by a
@@ -2125,7 +2088,6 @@ def hopping_window_agg(ds, keys: list[str], ts_col: str,
 
     combined = ds.map_batches(explode, batch_format="pyarrow")
     return grouped_apply(combined, keys + [window_col], reduce_,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
@@ -2157,19 +2119,17 @@ def unpivot(ds, id_cols: list[str], value_cols: list[str],
 
 
 def window_lead(ds, keys: list[str], order_col: str, value_col: str,
-                out_col: str, tie_col: str, periods: int = 1,
-                num_partitions: int = 64):
+                out_col: str, tie_col: str, periods: int = 1):
     """SQL ``LEAD(value, periods) OVER (PARTITION BY keys ORDER BY
     order_col, tie_col)`` — null for each key's last ``periods`` rows.
     Same single-exchange shape as :func:`window_lag` (a lead IS a lag
     with negated shift)."""
     return window_lag(ds, keys, order_col, value_col, out_col, tie_col,
-                      periods=-periods, num_partitions=num_partitions)
+                      periods=-periods)
 
 
 def window_dense_rank(ds, keys: list[str], order_col: str,
-                      out_col: str = "dense_rank",
-                      num_partitions: int = 64):
+                      out_col: str = "dense_rank"):
     """SQL ``DENSE_RANK() OVER (PARTITION BY keys ORDER BY order_col)``
     — consecutive rank values, ties share one rank.  One exchange on
     the keys; the per-partition kernel is a single vectorized pandas
@@ -2184,14 +2144,13 @@ def window_dense_rank(ds, keys: list[str], order_col: str,
         )
         return out
 
-    return grouped_apply(ds, keys, dr, num_partitions=num_partitions,
+    return grouped_apply(ds, keys, dr,
                       batch_format="pandas")
 
 
 def grouped_first_last(ds, keys: list[str], order_cols: list[str],
                        value_col: str, first_col: str = "first_val",
-                       last_col: str = "last_val",
-                       num_partitions: int = 64):
+                       last_col: str = "last_val"):
     """Per-group FIRST/LAST value by an explicit order — SQL
     ``first(value ORDER BY order_cols)`` / ``last(...)`` per key.
 
@@ -2221,13 +2180,11 @@ def grouped_first_last(ds, keys: list[str], order_cols: list[str],
 
     combined = ds.map_batches(local, batch_format="pandas")
     return grouped_apply(combined, keys, final,
-                         num_partitions=num_partitions,
                       batch_format="pandas")
 
 
 def approx_count_distinct(ds, cols: list[str], keys: list[str] | None = None,
-                          p: int = 12, out_col: str = "approx_distinct",
-                          num_partitions: int = 64):
+                          p: int = 12, out_col: str = "approx_distinct"):
     """Approximate COUNT(DISTINCT cols) via HyperLogLog
     (functions/hll.py) — globally, or per ``keys`` group.
 
@@ -2274,7 +2231,7 @@ def approx_count_distinct(ds, cols: list[str], keys: list[str] | None = None,
 
         partials = grouped_apply(
             ds.map_batches(local, batch_format="pandas"),
-            ["__salt"], merge_salt, num_partitions=8,
+            ["__salt"], merge_salt, num_partitions=_SALT_PARTS,
             batch_format="pandas")
         # ≤64 rows × 4 KB — bounded fold, independent of corpus size
         acc = hll.new_registers(p)
@@ -2312,13 +2269,11 @@ def approx_count_distinct(ds, cols: list[str], keys: list[str] | None = None,
 
     combined = ds.map_batches(local_grouped, batch_format="pandas")
     return grouped_apply(combined, keys, merge_keys,
-                         num_partitions=num_partitions,
                       batch_format="pandas")
 
 
 def grouped_entropy(ds, keys: list[str], value_col: str,
-                    out_col: str = "entropy", ndigits: int = 6,
-                    num_partitions: int = 64):
+                    out_col: str = "entropy", ndigits: int = 6):
     """Shannon entropy (bits) of ``value_col``'s distribution within
     each ``keys`` group — SQL ``-SUM(p * log2(p))`` over per-group
     value frequencies.
@@ -2349,7 +2304,6 @@ def grouped_entropy(ds, keys: list[str], value_col: str,
 
     combined = ds.map_batches(combine, batch_format="pandas")
     return grouped_apply(combined, keys, part,
-                         num_partitions=num_partitions,
                       batch_format="pandas")
 
 
@@ -2371,8 +2325,7 @@ def _tagged_distinct_union(left, right, cols: list[str]):
     )
 
 
-def intersect_distinct(left, right, cols: list[str],
-                       num_partitions: int = 64):
+def intersect_distinct(left, right, cols: list[str]):
     """SQL ``INTERSECT`` (set semantics) on ``cols`` — distinct tuples
     present on BOTH sides.  Scale shape: per-batch distinct combiners on
     each side, ONE co-partitioned exchange on the value tuple, local
@@ -2390,12 +2343,11 @@ def intersect_distinct(left, right, cols: list[str],
         return keep.select(cols)
 
     return grouped_apply(_tagged_distinct_union(left, right, cols), cols,
-                         part, num_partitions=num_partitions,
+                         part,
                          batch_format="pyarrow")
 
 
-def except_distinct(left, right, cols: list[str],
-                    num_partitions: int = 64):
+def except_distinct(left, right, cols: list[str]):
     """SQL ``EXCEPT`` (set semantics) — distinct ``cols`` tuples on the
     left and NOT on the right.  Same single-exchange shape as
     :func:`intersect_distinct`."""
@@ -2406,7 +2358,7 @@ def except_distinct(left, right, cols: list[str],
         return keep.select(cols)
 
     return grouped_apply(_tagged_distinct_union(left, right, cols), cols,
-                         part, num_partitions=num_partitions,
+                         part,
                          batch_format="pyarrow")
 
 
@@ -2448,7 +2400,7 @@ def approx_frequencies(ds, col: str, probes: list, depth: int = 4,
 
     partials = grouped_apply(
         ds.map_batches(local, batch_format="pandas"),
-        ["__salt"], merge_salt, num_partitions=8,
+        ["__salt"], merge_salt, num_partitions=_SALT_PARTS,
         batch_format="pandas")
     acc = cms.new_counts(depth, width)
     for row in partials.take_all():  # ≤32 rows — bounded fold
@@ -2463,7 +2415,7 @@ def approx_frequencies(ds, col: str, probes: list, depth: int = 4,
 
 
 def grouped_mad(ds, keys: list[str], value_col: str, out_col: str = "mad",
-                ndigits: int = 6, num_partitions: int = 64):
+                ndigits: int = 6):
     """Per-group median absolute deviation (the robust spread measure):
     ``median(|x - median(x)|)`` with the interpolated median on both
     passes (numpy/DuckDB ``mad()`` convention).  Exact — a group's
@@ -2484,11 +2436,10 @@ def grouped_mad(ds, keys: list[str], value_col: str, out_col: str = "mad",
     slim = ds.map_batches(lambda b: b.select(cols),
                           batch_format="pyarrow")
     return grouped_apply(slim, keys, part,
-                         num_partitions=num_partitions,
                       batch_format="pandas")
 
 
-def profile_numeric(ds, cols: list[str], num_partitions: int = 4):
+def profile_numeric(ds, cols: list[str]):
     """Column profiling (the data-quality / stats-collection pass) for
     numeric columns: one streaming pass emits per-column
     (n_rows, n_nulls, min, max, total) — each batch reduces to
@@ -2525,12 +2476,11 @@ def profile_numeric(ds, cols: list[str], num_partitions: int = 4):
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
     return grouped_apply(partials, ["column"], merge,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
 def window_rank(ds, keys: list[str], order_col: str,
-                out_col: str = "rank", num_partitions: int = 64):
+                out_col: str = "rank"):
     """SQL ``RANK() OVER (PARTITION BY keys ORDER BY order_col)`` —
     ties share a rank and leave gaps (pandas ``rank(method="min")``);
     :func:`window_dense_rank`'s sibling, same one-exchange shape."""
@@ -2544,13 +2494,12 @@ def window_rank(ds, keys: list[str], order_col: str,
         )
         return out
 
-    return grouped_apply(ds, keys, rk, num_partitions=num_partitions,
+    return grouped_apply(ds, keys, rk,
                       batch_format="pandas")
 
 
 def window_cume_dist(ds, keys: list[str], order_col: str,
-                     out_col: str = "cume_dist",
-                     num_partitions: int = 64, ndigits: int = 6):
+                     out_col: str = "cume_dist", ndigits: int = 6):
     """SQL ``CUME_DIST() OVER (PARTITION BY keys ORDER BY order_col)``
     — count(rows ≤ current)/n, ties sharing the MAX rank;
     :func:`window_percent_rank`'s sibling, same one-exchange shape and
@@ -2566,11 +2515,11 @@ def window_cume_dist(ds, keys: list[str], order_col: str,
         out[out_col] = np.floor(val * scale + 0.5) / scale
         return out
 
-    return grouped_apply(ds, keys, cd, num_partitions=num_partitions,
+    return grouped_apply(ds, keys, cd,
                       batch_format="pandas")
 
 
-def validation_report(ds, rules: list[dict], num_partitions: int = 16,
+def validation_report(ds, rules: list[dict],
                       ndigits: int = 6):
     """Column-level data-quality audit (the Great-Expectations / dbt-test
     pattern): evaluate declarative ``rules`` over the whole dataset and
@@ -2653,7 +2602,7 @@ def validation_report(ds, rules: list[dict], num_partitions: int = 16,
 
         parts.append(grouped_apply(
             ds.map_batches(local_distinct, batch_format="pyarrow"),
-            ["__v"], count_partition, num_partitions=num_partitions,
+            ["__v"], count_partition,
         ))
 
     unioned = parts[0]
@@ -2753,8 +2702,7 @@ def zorder_sql_expr(cols: list[str], bits: int = 8) -> str:
 
 def incremental_agg(base_agg, delta_ds, keys: list[str], value_col: str,
                     sum_col: str = "sum_val", cnt_col: str = "n",
-                    weight_col: str | None = None,
-                    num_partitions: int = 16):
+                    weight_col: str | None = None):
     """Incremental maintenance of a SUM/COUNT materialized aggregate
     (the self-maintainable-view refresh): given the STORED aggregate
     table ``base_agg`` = ``(keys…, sum_col, cnt_col)`` and a DELTA of
@@ -2804,12 +2752,10 @@ def incremental_agg(base_agg, delta_ds, keys: list[str], value_col: str,
             g.column_names.index(cnt_col), cnt_col,
             pc.cast(g.column(cnt_col), pa.int64()))
 
-    return grouped_apply(unioned, keys, merge,
-                         num_partitions=num_partitions)
+    return grouped_apply(unioned, keys, merge)
 
 
-def gini_coefficient(ds, keys: list[str], ndigits: int = 6,
-                     num_partitions: int = 16):
+def gini_coefficient(ds, keys: list[str], ndigits: int = 6):
     """Gini coefficient of the per-key row-count distribution — ONE
     scalar answering "how skewed is this key?" before you hash-join or
     groupby on it (0 = perfectly uniform, →1 = one key owns
@@ -2839,7 +2785,7 @@ def gini_coefficient(ds, keys: list[str], ndigits: int = 6,
 
     hist = grouped_apply(
         ds.map_batches(partial, batch_format="pyarrow"),
-        keys, per_key, num_partitions=num_partitions,
+        keys, per_key,
     )
 
     def finish(tbl: pa.Table) -> pa.Table:
@@ -2868,8 +2814,7 @@ def gini_coefficient(ds, keys: list[str], ndigits: int = 6,
         ["__one"], finish, num_partitions=1)
 
 
-def ks_statistic(ds, value_col: str, flag_col: str, ndigits: int = 6,
-                 num_partitions: int = 16):
+def ks_statistic(ds, value_col: str, flag_col: str, ndigits: int = 6):
     """Exact two-sample Kolmogorov–Smirnov statistic between the rows
     where ``flag_col`` is true and those where it's false — the
     sample-representativeness audit: after carving a dev sample out of
@@ -2899,7 +2844,7 @@ def ks_statistic(ds, value_col: str, flag_col: str, ndigits: int = 6,
 
     hist = grouped_apply(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["v"], per_value, num_partitions=num_partitions,
+        ["v"], per_value,
     )
 
     def finish(tbl: pa.Table) -> pa.Table:
@@ -3040,8 +2985,7 @@ def exact_quantiles(ds, value_col: str, qs: list[float],
 
 
 def locf_fill(ds, key_col: str, ts_col: str, value_col: str,
-              out_col: str = "filled_val", ndigits: int = 6,
-              num_partitions: int = 32):
+              out_col: str = "filled_val", ndigits: int = 6):
     """Last-observation-carried-forward daily series per key (the
     gap-FILLING sibling of :func:`fill_gaps`'s zero-fill): the daily
     MEAN of ``value_col`` per key on observed days, forward-filled
@@ -3082,12 +3026,10 @@ def locf_fill(ds, key_col: str, ts_col: str, value_col: str,
 
     combined = ds.map_batches(partial, batch_format="pyarrow")
     return grouped_apply(combined, [key_col], fill,
-                         num_partitions=num_partitions,
                          batch_format="pandas")
 
 
-def fk_coverage(child, parent, fk: str, pk: str, ndigits: int = 6,
-                num_partitions: int = 16):
+def fk_coverage(child, parent, fk: str, pk: str, ndigits: int = 6):
     """Cross-table referential-integrity audit (the FK sibling of the
     single-table :func:`validation_report`): ONE row —
     ``(n_child_rows, n_child_keys, n_matched_keys, n_orphan_rows,
@@ -3128,7 +3070,7 @@ def fk_coverage(child, parent, fk: str, pk: str, ndigits: int = 6,
     parts = _copartition(
         child.map_batches(child_partial, batch_format="pyarrow"),
         parent.map_batches(parent_partial, batch_format="pyarrow"),
-        fk, pk, [pk, "__rows"], counters, num_partitions,
+        fk, pk, [pk, "__rows"], counters,
     )
 
     def finish(tbl: pa.Table) -> pa.Table:
@@ -3156,7 +3098,7 @@ def fk_coverage(child, parent, fk: str, pk: str, ndigits: int = 6,
 
 
 def grouped_ks(ds, group_col: str, value_col: str, flag_col: str,
-               ndigits: int = 6, num_partitions: int = 16):
+               ndigits: int = 6):
     """Per-group two-sample KS (the stratified form of
     :func:`ks_statistic`): one row per group — did the carved sample
     stay representative WITHIN each language / source, not just
@@ -3205,10 +3147,10 @@ def grouped_ks(ds, group_col: str, value_col: str, flag_col: str,
 
     return grouped_apply(
         ds.map_batches(partial, batch_format="pyarrow"),
-        [group_col], per_group, num_partitions=num_partitions)
+        [group_col], per_group)
 
 
-def analyze_table(ds, cols: list[str], num_partitions: int = 16):
+def analyze_table(ds, cols: list[str]):
     """``ANALYZE TABLE`` — the planner-statistics pass: one row per
     column with ``(col, n_rows, n_nulls, n_distinct, min_val,
     max_val)`` (values as float64; give it numeric columns).  These are
@@ -3291,8 +3233,7 @@ def analyze_table(ds, cols: list[str], num_partitions: int = 16):
             "mx": pa.array([r[5] for r in out], pa.float64()),
         })
 
-    parts = grouped_apply(unioned, ["col", "kind", "v"], per_partition,
-                          num_partitions=num_partitions)
+    parts = grouped_apply(unioned, ["col", "kind", "v"], per_partition)
 
     def finish(tbl: pa.Table) -> pa.Table:
         df = tbl.drop_columns(["__one"]).to_pandas().groupby(
@@ -3313,8 +3254,7 @@ def analyze_table(ds, cols: list[str], num_partitions: int = 16):
 
 def time_weighted_mean(ds, keys: list[str], order_col: str,
                        value_col: str, tie_col: str,
-                       unit: float = 1_000_000.0, ndigits: int = 6,
-                       num_partitions: int = 64):
+                       unit: float = 1_000_000.0, ndigits: int = 6):
     """Time-weighted average per key: each row's ``value_col`` is held
     from its ``order_col`` instant until the key's NEXT row, and the
     mean weights each value by that holding duration — the TWAP / mean
@@ -3361,13 +3301,12 @@ def time_weighted_mean(ds, keys: list[str], order_col: str,
         return out
 
     return grouped_apply(ds.select_columns(cols), keys, per_partition,
-                         num_partitions=num_partitions,
                          batch_format="pandas")
 
 
 def cusum_changepoints(ds, key_col: str, ts_col: str,
                        slack: float = 0.5, threshold: float = 4.0,
-                       ndigits: int = 6, num_partitions: int = 32):
+                       ndigits: int = 6):
     """One-sided CUSUM level-shift detection over each key's DAILY
     count series — the classic sequential change-point monitor (Page
     1954) a pipeline runs over its event feeds to catch volume
@@ -3427,11 +3366,10 @@ def cusum_changepoints(ds, key_col: str, ts_col: str,
         })
 
     return grouped_apply(partials, [key_col], scan,
-                         num_partitions=num_partitions,
                          batch_format="pandas")
 
 
-def fd_violations(ds, lhs: str, rhs: str, num_partitions: int = 32):
+def fd_violations(ds, lhs: str, rhs: str):
     """Functional-dependency PROFILING (the dbt/Great-Expectations
     uniqueness generalization): does ``lhs → rhs`` hold — i.e. does
     every lhs value map to exactly one rhs value?  Output is ONE row:
@@ -3463,7 +3401,6 @@ def fd_violations(ds, lhs: str, rhs: str, num_partitions: int = 32):
         })
 
     parts = grouped_apply(pairs, ["lhs"], per_key,
-                          num_partitions=num_partitions,
                           batch_format="pandas")
 
     def fold(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -3485,7 +3422,7 @@ def fd_violations(ds, lhs: str, rhs: str, num_partitions: int = 32):
 
 
 def gap_sessions(ds, key: str, ts_col: str, gap_seconds: float,
-                 order_col: str, num_partitions: int = 64,
+                 order_col: str,
                  emit: str = "sessions"):
     """Gap-based session windows (the streaming "session window"
     sibling of the tumbling/hopping aggregates): per ``key``, events
@@ -3525,7 +3462,7 @@ def gap_sessions(ds, key: str, ts_col: str, gap_seconds: float,
 
     return grouped_apply(
         ds.select_columns([key, ts_col, order_col]), [key], sessions,
-        num_partitions=num_partitions, batch_format="pandas")
+        batch_format="pandas")
 
 
 _BUCKET = "__ibucket"
@@ -3534,7 +3471,7 @@ _BUCKET = "__ibucket"
 def interval_join(left, right, start_col: str, end_col: str,
                   left_cols: list[str], right_cols: list[str],
                   bucket_seconds: float = 3600.0, suffix: str = "_b",
-                  num_partitions: int = 64, chunk: int = 512):
+                  chunk: int = 512):
     """Overlap (range) join of two interval tables: every (L, R) pair
     with ``L.start <= R.end AND R.start <= L.end`` (closed intervals).
     Both sides must carry ``start_col``/``end_col`` (timestamp[us] or
@@ -3684,7 +3621,6 @@ def interval_join(left, right, start_col: str, end_col: str,
         return pa.concat_tables(out_parts)
 
     return grouped_apply(unioned, [_BUCKET], per_bucket,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
@@ -3692,8 +3628,7 @@ _KNUTH = np.uint64(2654435761)
 _PRIO = "__prio"
 
 
-def grouped_hash_sample(ds, keys: list[str], k: int, id_col: str,
-                        num_partitions: int = 64):
+def grouped_hash_sample(ds, keys: list[str], k: int, id_col: str):
     """Uniform k-per-group sample WITHOUT randomness: priority =
     Knuth multiplicative hash of ``id_col`` (``id * 2654435761 mod
     2^32``), keep the ``k`` smallest priorities per group (bottom-k ==
@@ -3717,14 +3652,13 @@ def grouped_hash_sample(ds, keys: list[str], k: int, id_col: str,
 
     sampled = window_topk(
         ds.map_batches(add_prio, batch_format="pyarrow"),
-        keys, _PRIO, k, tie_col=id_col, ascending=True,
-        num_partitions=num_partitions)
+        keys, _PRIO, k, tie_col=id_col, ascending=True)
     return sampled.map_batches(
         lambda b: b.drop_columns([_PRIO]), batch_format="pyarrow")
 
 
 def grouped_weighted_sample(ds, keys: list[str], k: int, id_col: str,
-                            weight_col: str, num_partitions: int = 64):
+                            weight_col: str):
     """Weighted k-per-group sample without replacement, without
     randomness — the Efraimidis–Spirakis A-ES scheme with a HASH in
     place of the RNG: ``u = (knuth_hash(id) + 0.5) / 2^32``,
@@ -3751,16 +3685,14 @@ def grouped_weighted_sample(ds, keys: list[str], k: int, id_col: str,
 
     sampled = window_topk(
         ds.map_batches(add_prio, batch_format="pyarrow"),
-        keys, _PRIO, k, tie_col=id_col, ascending=True,
-        num_partitions=num_partitions)
+        keys, _PRIO, k, tie_col=id_col, ascending=True)
     return sampled.map_batches(
         lambda b: b.drop_columns([_PRIO]), batch_format="pyarrow")
 
 
 def grouped_winsorize(ds, keys: list[str], value_col: str,
                       q_lo: float = 0.05, q_hi: float = 0.95,
-                      out_col: str | None = None, ndigits: int = 6,
-                      num_partitions: int = 64):
+                      out_col: str | None = None, ndigits: int = 6):
     """Per-group winsorization: clip ``value_col`` into its group's
     ``[quantile(q_lo), quantile(q_hi)]`` (SQL ``quantile_cont``
     convention, bounds rounded to ``ndigits``).  Output = input rows +
@@ -3781,15 +3713,19 @@ def grouped_winsorize(ds, keys: list[str], value_col: str,
         # NaN != NaN, so a NaN key would never find its own bounds row
         return tuple(None if pd.isna(v) else v for v in vals)
 
-    def both(pdf: pd.DataFrame) -> pd.DataFrame:
-        g = pdf.groupby(keys, sort=True, dropna=False)[value_col]
+    def both(t: pa.Table) -> pa.Table:
+        g = t.to_pandas().groupby(keys, sort=True, dropna=False)[value_col]
         lo = g.quantile(q_lo)
         hi = g.quantile(q_hi)
         out = lo.reset_index(name="__lo")
         out["__hi"] = hi.to_numpy()
         out["__lo"] = np.round(out["__lo"].to_numpy(), ndigits)
         out["__hi"] = np.round(out["__hi"].to_numpy(), ndigits)
-        return out
+        out = pa.Table.from_pandas(out, preserve_index=False)
+        # a partition whose keys are all null comes back from pandas as
+        # float NaN: keep the input key types so partitions concatenate
+        return out.cast(pa.schema([t.schema.field(k) for k in keys]
+                                  + list(out.schema)[len(keys):]))
 
     def slim_batch(b: pa.Table) -> pa.Table:
         # NaN → null before the exchange hashes the keys, or a NaN and
@@ -3804,9 +3740,7 @@ def grouped_winsorize(ds, keys: list[str], value_col: str,
         return b
 
     slim = ds.map_batches(slim_batch, batch_format="pyarrow")
-    bounds = grouped_apply(slim, keys, both,
-                           num_partitions=num_partitions,
-                           batch_format="pandas").to_pandas()
+    bounds = grouped_apply(slim, keys, both).to_pandas()
     lut = {key_of(r[k] for k in keys): (r["__lo"], r["__hi"])
            for r in bounds.to_dict("records")}
 

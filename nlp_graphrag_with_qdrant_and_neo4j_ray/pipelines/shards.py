@@ -234,8 +234,7 @@ def write_wet_archives(pages_thunk, out_dir: str, n_shards: int = 8,
 
 
 def global_shuffle_positions(docs, seed: int = 42, id_col: str = "doc_id",
-                             num_buckets: int = 256,
-                             num_partitions: int = 16):
+                             num_buckets: int = 256):
     """Deterministic seeded GLOBAL shuffle with contiguous positions —
     the "shuffle the corpus before training" step, as a distributed
     zip-with-index: every row gets ``shuffle_pos`` = its rank in the
@@ -304,5 +303,4 @@ def global_shuffle_positions(docs, seed: int = 42, id_col: str = "doc_id",
         return out
 
     return grouped_apply(keyed, ["__bucket"], rank_partition,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")

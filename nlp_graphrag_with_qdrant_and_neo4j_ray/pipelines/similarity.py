@@ -222,7 +222,6 @@ def _reduce_cluster_partials(partials_ds, keys: list[str]) -> list[dict]:
     # to_pandas, not take_all: row-based take_all over pandas blocks
     # converts per row — measured ~0.6 ms/row, meaningful × iterations
     return grouped_apply(partials_ds, keys, reduce_,
-                         num_partitions=8,
                       batch_format="pandas").to_pandas().to_dict("records")
 
 
@@ -707,14 +706,12 @@ def cosine_near_dup_pairs(embeddings_ds, dim: int, threshold: float = 0.95,
     from ..stages.shuffle import grouped_apply
 
     return grouped_apply(bucketed, ["bucket"], partition_pairs,
-                         num_partitions=64,
                       batch_format="pandas")
 
 
 def grouped_centroids(embeddings_ds, label_col: str = "label",
                       emb_col: str = "embedding",
-                      out_col: str = "centroid", ndigits: int = 6,
-                      num_partitions: int = 8):
+                      out_col: str = "centroid", ndigits: int = 6):
     """Per-label embedding centroid (the class-prototype computation
     behind centroid classifiers, cluster summaries and
     embedding-drift monitoring), emitted LONG-FORM as
@@ -759,7 +756,6 @@ def grouped_centroids(embeddings_ds, label_col: str = "label",
 
     sk = embeddings_ds.map_batches(partial, batch_format="pyarrow")
     out = grouped_apply(sk, [label_col], final,
-                        num_partitions=num_partitions,
                       batch_format="pandas")
 
     def rounded(b: pa.Table) -> pa.Table:
@@ -775,7 +771,7 @@ def grouped_centroids(embeddings_ds, label_col: str = "label",
 
 def knn_join(corpus_ds, query_ids, query_matrix, k: int = 3,
              id_col: str = "vec_id", emb_col: str = "embedding",
-             qid_col: str = "qid", num_partitions: int = 16):
+             qid_col: str = "qid"):
     """Vector similarity JOIN: for every query vector, the exact cosine
     top-k rows of the corpus — the broadcast nearest-neighbor join
     (query side small by contract, e.g. a probe set or a centroid
@@ -832,7 +828,6 @@ def knn_join(corpus_ds, query_ids, query_matrix, k: int = 3,
         partial, batch_format="pyarrow", batch_size=8192
     )
     return grouped_apply(partials, [qid_col], merge,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
@@ -840,7 +835,7 @@ def ann_recall_eval(embeddings_ds, dim: int, k: int = 10,
                     n_queries: int = 20, nlist: int = 16, nprobe: int = 4,
                     bits: int = 8, probe_radius: int = 2, seed: int = 42,
                     id_col: str = "vec_id", emb_col: str = "embedding",
-                    num_partitions: int = 8, ndigits: int = 4,
+                    ndigits: int = 4,
                     m: int = 8, nbits: int = 6, rerank_factor: int = 4):
     """Recall@k of the ANN detectors against exact truth — the ANN
     family's tuning-loop query (the `dedup_eval` pattern): how much
@@ -994,7 +989,7 @@ def ann_recall_eval(embeddings_ds, dim: int, k: int = 10,
     top = grouped_apply(
         embeddings_ds.map_batches(partial, batch_format="pyarrow",
                                   batch_size=8192),
-        ["method", "qid"], merge, num_partitions=num_partitions,
+        ["method", "qid"], merge,
         batch_format="pyarrow",
     ).take_all()
 
@@ -1422,8 +1417,7 @@ def knn_ivfpq(embeddings_ds, query_vec, dim: int, k: int = 10,
 
 
 def label_separation(embeddings_ds, label_col: str = "label",
-                     emb_col: str = "embedding", ndigits: int = 6,
-                     num_partitions: int = 8):
+                     emb_col: str = "embedding", ndigits: int = 6):
     """Embedding-space cluster-separation audit: per label, the mean
     cosine of members to their own centroid (cohesion) vs the highest
     mean cosine to any OTHER label's centroid (the nearest confusable
@@ -1528,8 +1522,7 @@ def label_separation(embeddings_ds, label_col: str = "label",
 
 def label_outliers(embeddings_ds, label_col: str = "label",
                    emb_col: str = "embedding", id_col: str = "vec_id",
-                   z_thresh: float = -2.0, ndigits: int = 6,
-                   num_partitions: int = 8):
+                   z_thresh: float = -2.0, ndigits: int = 6):
     """Per-point label-noise mining: each vector's cosine to its OWN
     label centroid, z-scored within the label, with points more than
     ``|z_thresh|`` standard deviations BELOW their label's mean
@@ -1628,7 +1621,6 @@ def label_outliers(embeddings_ds, label_col: str = "label",
         })
 
     return grouped_apply(scored, [label_col], per_label,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
@@ -1697,7 +1689,7 @@ def dim_truncation_recall(embeddings_ds, dims=(8, 16, 32, 64),
                           k: int = 10, query_mod: int = 25,
                           id_col: str = "vec_id",
                           emb_col: str = "embedding",
-                          ndigits: int = 6, num_partitions: int = 8):
+                          ndigits: int = 6):
     """Matryoshka-style dimension-truncation audit: for each prefix
     dimensionality in ``dims``, the cosine top-``k`` recall against
     the full-dimension truth over a deterministic query subset
@@ -1777,7 +1769,7 @@ def dim_truncation_recall(embeddings_ds, dims=(8, 16, 32, 64),
 
     topk = grouped_apply(
         slim.map_batches(partial, batch_format="pyarrow"),
-        ["dim", "qid"], merge, num_partitions=num_partitions,
+        ["dim", "qid"], merge,
         batch_format="pandas")
 
     def recall(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -1802,8 +1794,7 @@ def dim_truncation_recall(embeddings_ds, dims=(8, 16, 32, 64),
 
 def knn_label_ndcg(embeddings_ds, k: int = 10, query_mod: int = 25,
                    id_col: str = "vec_id", emb_col: str = "embedding",
-                   label_col: str = "label", ndigits: int = 6,
-                   num_partitions: int = 8):
+                   label_col: str = "label", ndigits: int = 6):
     """Graded retrieval quality: nDCG@k of exact cosine top-k with
     label-match relevance (rel = 1 when the neighbor shares the
     query's label) — the standard IR metric over the embedding space,
@@ -1900,6 +1891,6 @@ def knn_label_ndcg(embeddings_ds, k: int = 10, query_mod: int = 25,
 
     merged = grouped_apply(
         slim.map_batches(partial, batch_format="pyarrow"),
-        ["qid"], fold, num_partitions=num_partitions,
+        ["qid"], fold,
         batch_format="pandas")
     return merged

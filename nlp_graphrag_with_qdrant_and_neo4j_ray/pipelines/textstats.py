@@ -201,7 +201,7 @@ def bm25_rank(docs_ds, terms: list[str], id_col: str = "doc_id",
 
 
 def bpe_pair_counts(docs_ds, k: int = 20, id_col: str = "doc_id",
-                    text_col: str = "text", num_partitions: int = 16):
+                    text_col: str = "text"):
     """The counting step of BPE tokenizer training: global frequencies
     of ADJACENT CHARACTER PAIRS inside whitespace tokens, top-``k`` by
     (count desc, pair asc).  One merge round of Sennrich-style BPE is
@@ -255,7 +255,7 @@ def bpe_pair_counts(docs_ds, k: int = 20, id_col: str = "doc_id",
 
     summed = grouped_apply(
         docs_ds.map_batches(partial, batch_format="pyarrow"),
-        ["pair"], merge, num_partitions=num_partitions,
+        ["pair"], merge,
         batch_format="pyarrow",
     )
     return summed.sort(["n", "pair"], descending=[True, False]).limit(k)
@@ -367,7 +367,7 @@ def _tf_table(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
 
 
 def unigram_logprob(docs_ds, id_col: str = "doc_id", text_col: str = "text",
-                    ndigits: int = 6, num_partitions: int = 64):
+                    ndigits: int = 6):
     """Per-document mean unigram log2-probability — the corpus-level
     language-model score filters like CCNet/Gopher threshold on
     (documents whose tokens are globally rare score low).
@@ -409,7 +409,6 @@ def unigram_logprob(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         })
 
     scored = grouped_apply(tf, ["tok"], per_token_partition,
-                           num_partitions=num_partitions,
                            batch_format="pyarrow")
 
     def mean_partial(batch: pa.Table) -> pa.Table:
@@ -433,14 +432,13 @@ def unigram_logprob(docs_ds, id_col: str = "doc_id", text_col: str = "text",
 
     return grouped_apply(
         scored.map_batches(mean_partial, batch_format="pyarrow"),
-        [id_col], mean_reduce, num_partitions=num_partitions,
+        [id_col], mean_reduce,
         batch_format="pyarrow",
     )
 
 
 def tfidf_top_terms(docs_ds, k: int = 5, id_col: str = "doc_id",
-                    text_col: str = "text", ndigits: int = 6,
-                    num_partitions: int = 64):
+                    text_col: str = "text", ndigits: int = 6):
     """Per-document top-``k`` terms by TF-IDF (smooth idf
     ``ln((1+N)/(1+df)) + 1``, sklearn's convention) — the keyword
     extraction / topic-labeling primitive.
@@ -483,10 +481,8 @@ def tfidf_top_terms(docs_ds, k: int = 5, id_col: str = "doc_id",
         })
 
     scored = grouped_apply(tf, ["tok"], per_token_partition,
-                           num_partitions=num_partitions,
                            batch_format="pyarrow")
-    return window_topk(scored, [id_col], "score", k, tie_col="tok",
-                       num_partitions=num_partitions)
+    return window_topk(scored, [id_col], "score", k, tie_col="tok")
 
 
 def _bigram_tf_table(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
@@ -514,7 +510,7 @@ def _bigram_tf_table(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
 
 
 def bigram_logprob(docs_ds, id_col: str = "doc_id", text_col: str = "text",
-                   ndigits: int = 6, num_partitions: int = 64):
+                   ndigits: int = 6):
     """Per-document mean bigram CONDITIONAL log2-probability
     log2 p(b|a) = log2(c(a,b) / c(a,·)) — the next LM-filter step after
     :func:`unigram_logprob`: word-salad text that passes a unigram
@@ -564,7 +560,6 @@ def bigram_logprob(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         })
 
     scored = grouped_apply(tf, ["a"], per_context_partition,
-                           num_partitions=num_partitions,
                            batch_format="pyarrow")
 
     def mean_partial(batch: pa.Table) -> pa.Table:
@@ -588,14 +583,13 @@ def bigram_logprob(docs_ds, id_col: str = "doc_id", text_col: str = "text",
 
     return grouped_apply(
         scored.map_batches(mean_partial, batch_format="pyarrow"),
-        [id_col], mean_reduce, num_partitions=num_partitions,
+        [id_col], mean_reduce,
         batch_format="pyarrow",
     )
 
 
 def ccnet_ppl_buckets(docs_ds, id_col: str = "doc_id",
-                      text_col: str = "text", lang_col: str = "lang",
-                      num_partitions: int = 64):
+                      text_col: str = "text", lang_col: str = "lang"):
     """CCNet-style per-language perplexity bucketing (Wenzek et al.
     2020): score every document with the corpus unigram LM
     (:func:`unigram_logprob`), then split each LANGUAGE's documents
@@ -616,16 +610,14 @@ def ccnet_ppl_buckets(docs_ds, id_col: str = "doc_id",
 
     from .relational import inner_join, window_ntile
 
-    scores = unigram_logprob(docs_ds, id_col, text_col,
-                             num_partitions=num_partitions)
+    scores = unigram_logprob(docs_ds, id_col, text_col)
     langs = docs_ds.map_batches(
         lambda b: b.select([id_col, lang_col]), batch_format="pyarrow"
     )
     joined = inner_join(scores, langs, id_col, id_col,
-                        [id_col, lang_col],
-                        num_partitions=num_partitions)
+                        [id_col, lang_col])
     tiled = window_ntile(joined, [lang_col], "mean_logprob", 3,
-                         tie_col=id_col, num_partitions=num_partitions)
+                         tie_col=id_col)
     names = pa.array(["tail", "middle", "head"])
 
     def label(batch: pa.Table) -> pa.Table:
@@ -721,7 +713,7 @@ def _tf_flag_table(batch: pa.Table, id_col: str, text_col: str,
 
 def dsir_logratio(docs_ds, target_col: str = "is_target",
                   id_col: str = "doc_id", text_col: str = "text",
-                  ndigits: int = 6, num_partitions: int = 64):
+                  ndigits: int = 6):
     """DSIR importance weights (Xie et al. 2023, "Data Selection for
     Language Models via Importance Resampling"): score EVERY document
     with the per-token mean log-likelihood ratio
@@ -775,7 +767,6 @@ def dsir_logratio(docs_ds, target_col: str = "is_target",
         return pa.table({"v": pa.array([int(n)], pa.int64())})
 
     vocab = grouped_apply(tf, ["tok"], local_vocab,
-                          num_partitions=num_partitions,
                           batch_format="pyarrow")
     v = float(vocab.sum("v") or 0.0)
 
@@ -801,7 +792,6 @@ def dsir_logratio(docs_ds, target_col: str = "is_target",
         })
 
     scored = grouped_apply(tf, ["tok"], per_token_partition,
-                           num_partitions=num_partitions,
                            batch_format="pyarrow")
 
     def mean_partial(batch: pa.Table) -> pa.Table:
@@ -824,7 +814,7 @@ def dsir_logratio(docs_ds, target_col: str = "is_target",
 
     return grouped_apply(
         scored.map_batches(mean_partial, batch_format="pyarrow"),
-        [id_col], mean_reduce, num_partitions=num_partitions,
+        [id_col], mean_reduce,
         batch_format="pyarrow",
     )
 
@@ -914,7 +904,7 @@ def compression_ratio(docs_ds, id_col: str = "doc_id",
 
 def corpus_profile(docs_ds, id_col: str = "doc_id",
                    text_col: str = "text", lang_col: str = "lang",
-                   num_partitions: int = 16, ndigits: int = 6):
+                   ndigits: int = 6):
     """One-row corpus report card in a SINGLE pass over the documents:
     ``(n_docs, n_empty, total_chars, total_ws_tokens, max_chars,
     mean_chars, n_distinct_texts, n_langs, top_lang, top_lang_n)`` —
@@ -980,7 +970,7 @@ def corpus_profile(docs_ds, id_col: str = "doc_id",
     folded = grouped_apply(
         docs_ds.map_batches(partial, batch_format="pyarrow",
                             batch_size=8192),
-        ["kind", "key"], fold, num_partitions=num_partitions,
+        ["kind", "key"], fold,
     )
 
     def finish(tbl: pa.Table) -> pa.Table:
@@ -1025,7 +1015,7 @@ def corpus_profile(docs_ds, id_col: str = "doc_id",
 
 def unigram_kl_drift(docs_ds, group_col: str = "source",
                      id_col: str = "doc_id", text_col: str = "text",
-                     ndigits: int = 6, num_partitions: int = 64):
+                     ndigits: int = 6):
     """Per-group KL divergence ``KL(P_g || Q)`` between each group's
     Laplace-smoothed unigram distribution and the corpus MLE
     distribution — the distribution-drift monitor a crawl pipeline runs
@@ -1106,7 +1096,6 @@ def unigram_kl_drift(docs_ds, group_col: str = "source",
         return pa.concat_tables([g.cast(glob.schema), glob])
 
     stats = grouped_apply(gt, ["tok"], per_token_partition,
-                          num_partitions=num_partitions,
                           batch_format="pyarrow")
 
     def finish(tbl: pa.Table) -> pa.Table:
@@ -1195,8 +1184,7 @@ def phrase_matches(docs_ds, phrase: list[str], id_col: str = "doc_id",
 
 
 def nb_train_predict(docs_ds, label_col: str = "lang",
-                     id_col: str = "doc_id", text_col: str = "text",
-                     num_partitions: int = 64):
+                     id_col: str = "doc_id", text_col: str = "text"):
     """Distributed multinomial Naive Bayes, trained and served in one
     pipeline: documents with an even id train per-label token counts
     (the classic closed-form text classifier — all training is
@@ -1308,7 +1296,6 @@ def nb_train_predict(docs_ds, label_col: str = "lang",
         return pa.concat_tables(parts)
 
     stats = grouped_apply(tf, ["tok"], per_token_partition,
-                          num_partitions=num_partitions,
                           batch_format="pyarrow").materialize()
 
     def _null_rows(b: pa.Table) -> pa.Table:
@@ -1376,7 +1363,6 @@ def nb_train_predict(docs_ds, label_col: str = "lang",
 
     docrows = stats.map_batches(_doc_rows, batch_format="pyarrow")
     return grouped_apply(docrows, [id_col], score_partition,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")
 
 
@@ -1439,8 +1425,7 @@ def winnow_fingerprints(docs_ds, k: int = 3, w: int = 4,
 
 
 def zipf_fit(docs_ds, k: int = 200, id_col: str = "doc_id",
-             text_col: str = "text", ndigits: int = 6,
-             num_partitions: int = 16):
+             text_col: str = "text", ndigits: int = 6):
     """Zipf rank-frequency fit over the top-``k`` tokens: OLS of
     ``ln(freq)`` on ``ln(rank)`` (rank by frequency descending, token
     ascending on ties) — the one-row corpus-health scalar (natural text
@@ -1465,7 +1450,7 @@ def zipf_fit(docs_ds, k: int = 200, id_col: str = "doc_id",
     hh = heavy_hitters(
         docs_ds.select_columns([text_col]).map_batches(
             explode, batch_format="pyarrow"),
-        "tok", k, num_partitions=num_partitions,
+        "tok", k,
     )
     n = hh.column("n").to_numpy(zero_copy_only=False).astype(np.float64)
     order = pc.sort_indices(
@@ -1687,8 +1672,7 @@ def logreg_train_predict(docs_ds, pos_label: str, label_col: str = "lang",
 
 def log_odds_terms(docs_ds, group_col: str = "source", k: int = 5,
                    alpha: float = 0.01, id_col: str = "doc_id",
-                   text_col: str = "text", ndigits: int = 6,
-                   num_partitions: int = 64):
+                   text_col: str = "text", ndigits: int = 6):
     """Per-group DISTINCTIVE vocabulary via weighted log-odds with an
     (uninformative uniform) Dirichlet prior — Monroe, Colaresi &
     Quinn 2008 ("Fightin' Words"), the standard corpus-comparison
@@ -1754,7 +1738,6 @@ def log_odds_terms(docs_ds, group_col: str = "source", k: int = 5,
         return pa.concat_tables([out, vrow])
 
     counts = grouped_apply(partials, ["tok"], per_token_partition,
-                           num_partitions=num_partitions,
                            batch_format="pyarrow").materialize()
 
     v_total = sum(
@@ -1801,14 +1784,12 @@ def log_odds_terms(docs_ds, group_col: str = "source", k: int = 5,
                                        preserve_index=False),
         batch_format="pyarrow", batch_size=65536)
     return grouped_apply(pre, [group_col], topk,
-                         num_partitions=num_partitions,
                          batch_format="pandas")
 
 
 def tfidf_cosine_pairs(docs_ds, threshold: float = 0.8,
                        id_col: str = "doc_id", text_col: str = "text",
-                       ndigits: int = 6, max_bucket: int | None = None,
-                       num_partitions: int = 64):
+                       ndigits: int = 6, max_bucket: int | None = None):
     """Sparse TF-IDF cosine SIMILARITY JOIN over token space — the
     inverted-index all-pairs algorithm (Broder-style pair generation;
     the lexical sibling of the embedding-space near-dup join): every
@@ -1860,7 +1841,6 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.8,
         })
 
     weighted = grouped_apply(tf, ["tok"], attach_idf,
-                             num_partitions=num_partitions,
                              batch_format="pandas")
 
     def normalize(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -1872,7 +1852,6 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.8,
         return out
 
     unit = grouped_apply(weighted, [id_col], normalize,
-                         num_partitions=num_partitions,
                          batch_format="pandas")
 
     def pair_partials(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -1904,7 +1883,6 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.8,
         })
 
     partials = grouped_apply(unit, ["tok"], pair_partials,
-                             num_partitions=num_partitions,
                              batch_format="pandas")
 
     def reduce_pairs(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -1918,13 +1896,11 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.8,
         return out[out["cosine"] >= threshold]
 
     return grouped_apply(partials, ["doc_a", "doc_b"], reduce_pairs,
-                         num_partitions=num_partitions,
                          batch_format="pandas")
 
 
 def token_ids_encode(docs_ds, vocab_size: int | None = None,
                      id_col: str = "doc_id", text_col: str = "text",
-                     num_partitions: int = 64,
                      return_vocab: bool = False):
     """Vocabulary freeze + corpus ENCODE — the "turn text into token
     ids" step a training pipeline runs right before sequence packing:
@@ -1965,7 +1941,7 @@ def token_ids_encode(docs_ds, vocab_size: int | None = None,
     counts = grouped_apply(
         docs_ds.select_columns([id_col, text_col]).map_batches(
             tok_partials, batch_format="pyarrow"),
-        ["tok"], sum_counts, num_partitions=num_partitions,
+        ["tok"], sum_counts,
         batch_format="pandas",
     ).materialize()
 
@@ -1995,7 +1971,6 @@ def token_ids_encode(docs_ds, vocab_size: int | None = None,
         return pd.DataFrame({"tok": pdf["tok"].to_numpy(), "tid": tid})
 
     vocab = grouped_apply(counts, ["c"], assign_ids,
-                          num_partitions=num_partitions,
                           batch_format="pandas")
 
     # ---- encode: (doc, pos, tok) meets its vocab row on the token ----
@@ -2033,7 +2008,6 @@ def token_ids_encode(docs_ds, vocab_size: int | None = None,
         return m[[id_col, "pos", "tid"]]
 
     hits = grouped_apply(unioned, ["tok"], lookup,
-                         num_partitions=num_partitions,
                          batch_format="pandas")
 
     # ---- reassemble ordered id lists per doc (empty docs rejoin) ----
@@ -2052,7 +2026,6 @@ def token_ids_encode(docs_ds, vocab_size: int | None = None,
         })
 
     encoded = grouped_apply(hits, [id_col], rebuild,
-                            num_partitions=num_partitions,
                             batch_format="pandas")
 
     # docs whose every token was empty-filtered (or empty docs) emit
@@ -2090,8 +2063,7 @@ def token_ids_encode(docs_ds, vocab_size: int | None = None,
 
 
 def decode_token_ids(encoded_ds, vocab_ds, id_col: str = "doc_id",
-                     out_col: str = "text_rt",
-                     num_partitions: int = 64):
+                     out_col: str = "text_rt"):
     """DECODE — the inverse of :func:`token_ids_encode`: id lists back
     to space-joined token text. Because the encoder's tokenization is
     a single-space split with empties dropped, decode(encode(text))
@@ -2156,7 +2128,6 @@ def decode_token_ids(encoded_ds, vocab_ds, id_col: str = "doc_id",
         return m[[id_col, "pos", "tok"]]
 
     hits = grouped_apply(unioned, ["tid"], lookup,
-                         num_partitions=num_partitions,
                          batch_format="pandas")
 
     def rebuild(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -2166,7 +2137,6 @@ def decode_token_ids(encoded_ds, vocab_ds, id_col: str = "doc_id",
                              out_col: g.to_numpy()})
 
     decoded = grouped_apply(hits, [id_col], rebuild,
-                            num_partitions=num_partitions,
                             batch_format="pandas")
 
     def empties(b: pa.Table) -> pa.Table:
@@ -2182,7 +2152,7 @@ def decode_token_ids(encoded_ds, vocab_ds, id_col: str = "doc_id",
 
 def stop_tokens(docs_ds, min_df_frac: float = 0.5,
                 id_col: str = "doc_id", text_col: str = "text",
-                ndigits: int = 6, num_partitions: int = 64):
+                ndigits: int = 6):
     """Corpus-driven STOPWORD discovery: tokens whose document
     frequency exceeds ``min_df_frac`` of the corpus — the df-pruning
     feed for the inverted-index joins (``tfidf_cosine_pairs``'s skew
@@ -2217,5 +2187,4 @@ def stop_tokens(docs_ds, min_df_frac: float = 0.5,
         return s
 
     return grouped_apply(partials, ["tok"], reduce_df,
-                         num_partitions=num_partitions,
                          batch_format="pandas")

@@ -148,8 +148,7 @@ def domain_counts(ds, url_col: str = "url"):
     )
 
 
-def cap_per_domain(ds, max_per_domain: int, url_col: str = "url",
-                   num_partitions: int = 64):
+def cap_per_domain(ds, max_per_domain: int, url_col: str = "url"):
     """Keep at most ``max_per_domain`` rows per registrable domain,
     chosen by a deterministic content-free rank (md5 of the url, ties
     by url) so the sample is reproducible and unbiased by crawl order —
@@ -190,8 +189,7 @@ def cap_per_domain(ds, max_per_domain: int, url_col: str = "url",
         return part.filter(pa.array(keep)).drop_columns(["_rank"])
 
     derived = ds.map_batches(derive, batch_format="pyarrow")
-    return grouped_apply(derived, ["domain"], head_per_domain,
-                         num_partitions=num_partitions)
+    return grouped_apply(derived, ["domain"], head_per_domain)
 
 
 def extract_link_edges(ds, url_col: str = "url", html_col: str = "html"):
@@ -273,8 +271,7 @@ def host_link_graph(ds, url_col: str = "url", html_col: str = "html"):
     )
 
 
-def dedup_recrawls(ds, url_col: str = "url", ts_col: str = "warc_ts",
-                   num_partitions: int = 64):
+def dedup_recrawls(ds, url_col: str = "url", ts_col: str = "warc_ts"):
     """Collapse re-crawls of the same resource: canonicalize urls, keep
     the LATEST capture per canonical url (ties broken by the raw url,
     ascending). This is WHY crawl pipelines canonicalize — the same page
@@ -304,12 +301,11 @@ def dedup_recrawls(ds, url_col: str = "url", ts_col: str = "warc_ts",
         return part.filter(pa.array(keep))
 
     derived = ds.map_batches(derive, batch_format="pyarrow")
-    return grouped_apply(derived, ["canonical_url"], keep_latest,
-                         num_partitions=num_partitions)
+    return grouped_apply(derived, ["canonical_url"], keep_latest)
 
 
 def crawl_diff(old_ds, new_ds, url_col: str = "url",
-               text_col: str = "text", num_partitions: int = 64):
+               text_col: str = "text"):
     """Diff two crawl snapshots by CANONICAL url + content fingerprint:
     ``added`` (only in new), ``removed`` (only in old), ``changed``
     (both, md5(text) differs), ``unchanged``. The incremental-crawl
@@ -355,7 +351,6 @@ def crawl_diff(old_ds, new_ds, url_col: str = "url",
         return pd.DataFrame({"canonical_url": both, "status": status})
 
     return grouped_apply(union, ["canonical_url"], diff,
-                         num_partitions=num_partitions,
                          batch_format="pandas")
 
 
@@ -414,8 +409,7 @@ def url_block_filter(ds, blocked_domains: tuple[str, ...] = (),
 
 
 def robots_filter(pages, robots, agent: str = "*", url_col: str = "url",
-                  robots_col: str = "robots_txt",
-                  num_partitions: int = 64):
+                  robots_col: str = "robots_txt"):
     """Crawl-politeness filtering (RFC 9309, via
     ``functions/robots.py``): join every page with its registrable
     domain's robots.txt and keep the most-specific-rule verdict for
@@ -475,7 +469,7 @@ def robots_filter(pages, robots, agent: str = "*", url_col: str = "url",
     derived = pages.map_batches(derive, batch_format="pyarrow")
     rb = robots.map_batches(derive_robots, batch_format="pyarrow")
     return _copartition(derived, rb, "domain", "domain",
-                        ["domain", robots_col], probe, num_partitions)
+                        ["domain", robots_col], probe)
 
 
 def page_metadata(pages, url_col: str = "url", html_col: str = "html"):
@@ -508,8 +502,7 @@ def page_metadata(pages, url_col: str = "url", html_col: str = "html"):
     return pages.map_batches(mine, batch_format="pyarrow")
 
 
-def crawl_frontier(pages, url_col: str = "url", html_col: str = "html",
-                   num_partitions: int = 64):
+def crawl_frontier(pages, url_col: str = "url", html_col: str = "html"):
     """Frontier discovery — the crawl loop's next-fetch list: anchor
     targets the corpus has SEEN but not FETCHED, ranked by referring
     evidence (distinct referring registrable domains, then total
@@ -544,8 +537,7 @@ def crawl_frontier(pages, url_col: str = "url", html_col: str = "html",
         derive, batch_format="pyarrow")
     crawled = pages.map_batches(crawled_set, batch_format="pyarrow")
     frontier = bloom_anti_join(discovered, crawled, "frontier_url",
-                               "crawled_url",
-                               num_partitions=num_partitions)
+                               "crawled_url")
     pair = frontier.groupby(["frontier_url", "src_domain"]).aggregate(
         Count(alias_name="n"))
     return pair.groupby("frontier_url").aggregate(
@@ -614,8 +606,7 @@ def sitemap_urls(sitemaps, url_col: str = "url", xml_col: str = "xml"):
     return sitemaps.map_batches(explode, batch_format="pyarrow")
 
 
-def mirror_paths(pages, min_domains: int = 3, url_col: str = "url",
-                 num_partitions: int = 64):
+def mirror_paths(pages, min_domains: int = 3, url_col: str = "url"):
     """Mirror detection — the same path+query served by many
     registrable domains is the signature of mirrored sites (software
     archives, wiki dumps, spam farms), which multiply near-duplicate
@@ -711,8 +702,7 @@ def host_cocitation(ds, url_col: str = "url", html_col: str = "html",
 
 def dedup_recrawls_windowed(ds, window_days: int = 30,
                             url_col: str = "url",
-                            ts_col: str = "warc_ts",
-                            num_partitions: int = 64):
+                            ts_col: str = "warc_ts"):
     """Temporal-corpus re-crawl collapse: keep the latest capture per
     canonical url WITHIN EACH ``window_days`` window (epoch-aligned
     UTC buckets) instead of one capture forever — the semantics
@@ -752,4 +742,4 @@ def dedup_recrawls_windowed(ds, window_days: int = 30,
 
     derived = ds.map_batches(derive, batch_format="pyarrow")
     return grouped_apply(derived, ["canonical_url", "window"],
-                         keep_latest, num_partitions=num_partitions)
+                         keep_latest)

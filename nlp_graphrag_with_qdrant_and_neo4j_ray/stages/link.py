@@ -433,17 +433,17 @@ def entity_nodes(linked_ds, cfg: PipelineConfig):
     sees at most level 1's input)."""
     from .shuffle import grouped_apply, partitions_for
 
-    num_partitions = partitions_for(linked_ds, per_row=2)
+    parts = partitions_for(linked_ds, per_row=2)
     partials = linked_ds.map_batches(
         partial_entities, batch_format="pyarrow", batch_size=65536
     )
     level1 = grouped_apply(
         partials, ["entity_id", "salt"],
         lambda tbl: fold_entities(tbl, ["entity_id", "salt"]),
-        num_partitions)
+        num_partitions=parts)
     return grouped_apply(
         level1, ["entity_id"], make_final_entity_partition(cfg),
-        num_partitions)
+        num_partitions=parts)
 
 
 # ------------------------------ edges --------------------------------------
@@ -488,16 +488,13 @@ def edges(linked_ds, cfg: PipelineConfig, with_pred_embedding: bool = True):
     finding 6; pandas-vs-arrow measurement in BASELINE.md).
     The exchange is sized from the linked-triple count (the combiner
     emits at most one row per triple)."""
-    from .shuffle import grouped_apply, partitions_for
+    from .shuffle import grouped_apply
 
     partials = linked_ds.map_batches(
         partial_edges, batch_format="pyarrow", batch_size=65536
     )
 
-    agg = grouped_apply(
-        partials, EDGE_KEYS, fold_edges,
-        num_partitions=partitions_for(linked_ds),
-    )
+    agg = grouped_apply(partials, EDGE_KEYS, fold_edges)
     model, dim = cfg.embedding_model, cfg.vector_size
 
     def add_pred_embedding(batch: pa.Table) -> pa.Table:

@@ -267,7 +267,7 @@ def partial_distinct_terms(batch: pa.Table) -> pa.Table:
     )
 
 
-def term_nodes(terms_ds, cfg: PipelineConfig, num_partitions: int | None = None,
+def term_nodes(terms_ds, cfg: PipelineConfig,
                batch_size: int = 262144):
     """terms edge list → distinct Term node table with chunk_count.
 
@@ -279,12 +279,9 @@ def term_nodes(terms_ds, cfg: PipelineConfig, num_partitions: int | None = None,
     sides of the exchange stay Arrow (zero-copy from the object store;
     the local aggregate is ``pa.Table.group_by`` — measured against the
     pandas round-trip in BASELINE.md, VERDICT r2 finding 6).
-    ``num_partitions=None`` sizes the exchange from the terms row count,
-    which bounds the combiner's partials."""
-    from .shuffle import grouped_apply, partitions_for
-
-    if num_partitions is None:
-        num_partitions = partitions_for(terms_ds)
+    The exchange is sized from the terms row count, which bounds the
+    combiner's partials."""
+    from .shuffle import grouped_apply
 
     partials = terms_ds.map_batches(
         partial_distinct_terms, batch_format="pyarrow", batch_size=batch_size
@@ -321,5 +318,4 @@ def term_nodes(terms_ds, cfg: PipelineConfig, num_partitions: int | None = None,
         return out.set_column(1, "term_type", names)
 
     return grouped_apply(partials, ["term", "term_type"], agg_partition,
-                         num_partitions=num_partitions,
                          batch_format="pyarrow")

@@ -61,7 +61,6 @@ def verify_pairs(
     id_col: str = "doc_id",
     payload_col: str = "text",
     payload_type: pa.DataType | None = None,
-    num_partitions: int = 64,
     a_col: str = "doc_a",
     b_col: str = "doc_b",
 ):
@@ -161,7 +160,6 @@ def verify_pairs(
         )
 
     matched = grouped_apply(pay.union(req), ["key"], join_partition,
-                            num_partitions=num_partitions,
                       batch_format="pandas")
 
     def per_pair_partition(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -180,7 +178,6 @@ def verify_pairs(
         )
 
     return grouped_apply(matched, ["pair_a", "pair_b"], per_pair_partition,
-                         num_partitions=num_partitions,
                       batch_format="pandas")
 
 

@@ -10,18 +10,27 @@ group-dispatch overhead on 500 docs). The scalable shape is:
     per partition: ONE vectorized local groupby over keys  (map_groups)
 
 One shuffle, one function call per non-empty partition, local group
-logic fully vectorized. Each call has a fixed cost, so the partition
-count is sized from the input, not fixed (Spark AQE's post-shuffle
-coalescing, the same idea):
+logic fully vectorized. Each call has a fixed cost, so every exchange
+is sized from its input by one rule, not by its caller (Spark AQE's
+post-shuffle coalescing, the same idea):
 
     partitions_for(rows) = min(MAX_PARTITIONS,
         max(cluster CPUs, ceil(rows / ROWS_PER_PARTITION)))
 
-``rows`` comes from metadata alone (Parquet footers of a checkpoint
-read, block metadata of a materialized handoff) — sizing never executes
-a Dataset. A lazy partial is bounded by its source (two entity mentions
-per linked triple, ``per_row=2``); an input of unknown size gets the
-cap. The count never changes an output row: every fold is per key.
+``rows`` comes from metadata alone — sizing never executes a Dataset.
+An input whose own count is known (Parquet footers of a read, block
+metadata of a materialized handoff) gives it exactly; a lazy input (a
+map, a projection, a union) is sized from the row counts of its
+plan's source leaves, so a union sums its sides; a Parquet read with a
+pushed-down filter counts its files' footer rows. Only a source of
+unknown size (a streaming datasource) gives the cap. A caller passes a count
+only where its own structure sets one: a global fold
+(``num_partitions=1``), a salted merge over a fixed salt range, one
+partition per shard or block pair, a fold whose output depends on the
+count (the alias-spill file contract, negative sampling), or a spine
+exchange whose input fans out from its source (two entity mentions per
+linked triple, ``partitions_for(..., per_row=2)``). Elsewhere the
+count never changes an output row: every fold is per key.
 Skew note: a hot KEY still lands in one partition, but per-key work
 here is per-row-linear (the combiners upstream cap per-key row counts),
 so partitions stay balanced; key-salting (see stages/link.py) handles
@@ -55,14 +64,47 @@ ROWS_PER_PARTITION = 4096
 MAX_PARTITIONS = 256
 
 
+def _leaf_rows(op) -> int | None:
+    """Rows a source leaf emits at most: its own metadata count, or for
+    a Parquet read with a pushed-down filter (Ray drops the count then)
+    the footer row count of the files it reads, since a filter only
+    removes rows."""
+    n = op.infer_metadata().num_rows
+    if n is None:
+        files = getattr(getattr(op, "_datasource", None), "_metadata", None)
+        if files and all(m is not None for m in files):
+            n = sum(m.num_rows for m in files)
+    return n
+
+
+def _source_rows(ds) -> int | None:
+    """Rows of ``ds`` from metadata alone: its own count when known
+    (Parquet footers of a read, block metadata of a materialized
+    Dataset), else the summed counts of its plan's source leaves (a
+    lazy map counts what it reads, a union both sides). None
+    when a source's size is unknown without running it. Never executes
+    a Dataset."""
+    n = ds._meta_count()
+    if n is not None:
+        return n
+    total, ops = 0, [ds._logical_plan.dag]
+    while ops:
+        op = ops.pop()
+        if op.input_dependencies:
+            ops.extend(op.input_dependencies)
+            continue
+        n = _leaf_rows(op)
+        if n is None:
+            return None
+        total += n
+    return total
+
+
 def _known_rows(datasets) -> int | None:
-    """Total rows of ``datasets`` from metadata alone — Parquet footers
-    for a ``read_parquet``, block metadata for a materialized Dataset —
-    or None when any of them is unknown without running it (a lazy map
-    or a union). Never executes a Dataset."""
+    """Total source rows of ``datasets``, or None when any is unknown."""
     total = 0
     for ds in datasets:
-        n = ds._meta_count()
+        n = _source_rows(ds)
         if n is None:
             return None
         total += n
@@ -80,7 +122,7 @@ def partitions_for(*datasets, per_row: int = 1) -> int:
     ``per_row`` rows per row of ``datasets`` (two entity mentions per
     linked triple): one partition per ``ROWS_PER_PARTITION`` rows, at
     least one per cluster CPU, at most ``MAX_PARTITIONS`` — and
-    ``MAX_PARTITIONS`` when a dataset's size is unknown without running
+    ``MAX_PARTITIONS`` when a source's size is unknown without running
     it."""
     rows = _known_rows(datasets)
     if rows is None:
@@ -131,16 +173,17 @@ def _arrow_block(out: pa.Table | pd.DataFrame) -> pa.Table:
     return out.replace_schema_metadata(None)
 
 
-def grouped_apply(ds, keys: list[str], partition_fn, num_partitions: int = 64,
+def grouped_apply(ds, keys: list[str], partition_fn,
+                  num_partitions: int | None = None,
                   batch_size: int = 65536, batch_format: str = "pyarrow"):
     """Hash-partition ``ds`` on ``keys`` and hand each WHOLE partition to
     ``partition_fn`` (which does its own local groupby over ``keys``) —
     for logic that vectorizes across groups (aggregations, windowing).
 
     ``num_partitions`` is the number of ``partition_fn`` calls (empty
-    partitions are never called). The KG spine passes
-    ``partitions_for(<its input>)`` so the count follows the input;
-    other callers pass their own count.
+    partitions are never called). ``None`` — every caller but the few
+    the module docstring names — sizes it from the input with
+    ``partitions_for(ds)``.
 
     The partition column is computed from the KEY columns only (same
     ``_hash_rows`` everywhere — no pandas materialization) and appended to
@@ -153,8 +196,10 @@ def grouped_apply(ds, keys: list[str], partition_fn, num_partitions: int = 64,
     kernels (``merge_asof``-style, ``ngroup`` folds) and converts once
     on partition entry and once on exit. A partition fn that needs its
     partition's number recomputes it as ``_hash_rows(<one row>, keys) %
-    num_partitions``.
+    num_partitions``, so it passes its count explicitly.
     """
+    if num_partitions is None:
+        num_partitions = partitions_for(ds)
 
     # both sides strip b'pandas' schema metadata (see _arrow_block):
     # inputs read from pandas-written files or built with from_pandas

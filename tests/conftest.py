@@ -22,3 +22,16 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def fixed_partitions(monkeypatch):
+    """``fixed_partitions(n)`` gives every sized exchange ``n``
+    partitions: operators size through ``stages.shuffle.partitions_for``
+    when they build their plan, so a count sweep pins it there."""
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.stages import shuffle
+
+    def pin(parts: int):
+        monkeypatch.setattr(shuffle, "partitions_for", lambda *_a, **_k: parts)
+
+    return pin

@@ -194,3 +194,17 @@ def test_harmonic_path_hand_values(ray_session):
                           k_sources=100).to_pandas()
     got = dict(zip(out["node"], out["harmonic"]))
     assert got == {0: 1.5, 1: 2.0, 2: 1.5}
+
+
+@pytest.mark.parametrize("solver", ["betweenness_sample", "harmonic_sample"])
+def test_bad_sources_raise_value_error(ray_session, solver):
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines import graph
+
+    ds = _ds(ray_session, _edges([(0, 1), (1, 2), (2, 3)]))
+    fn = getattr(graph, solver)
+    with pytest.raises(ValueError, match="sources is empty"):
+        fn(ds, sources=[])
+    with pytest.raises(ValueError, match="source 9 is not a node"):
+        fn(ds, sources=[1, 9])
+    with pytest.raises(ValueError, match="k_sources"):
+        fn(ds, k_sources=0)

@@ -142,7 +142,7 @@ def test_reciprocity_hand_graph(ray_session):
     edges = [("a", "b"), ("b", "a"), ("a", "c"), ("c", "c"),
              ("a", "b")]
     e, _ = _dss(ray_session, edges, ["a"])
-    got = _recip_dict(reciprocity(e, num_partitions=3))
+    got = _recip_dict(reciprocity(e))
     assert got == {"a": (2, 1, 0.5), "b": (1, 1, 1.0)}
 
 
@@ -150,9 +150,9 @@ def test_reciprocity_int_nodes_partition_independence(ray_session):
     rng = np.random.default_rng(3)
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 25, (150, 2))]
     e, _ = _dss(ray_session, edges, [0], blocks=2)
-    a = _recip_dict(reciprocity(e, num_partitions=2))
+    a = _recip_dict(reciprocity(e))
     e2, _ = _dss(ray_session, edges, [0], blocks=6)
-    b = _recip_dict(reciprocity(e2, num_partitions=7))
+    b = _recip_dict(reciprocity(e2))
     # driver reference
     de = {(s, t) for s, t in edges if s != t}
     ref = {}
@@ -194,7 +194,7 @@ def test_assortativity_matches_reference(ray_session):
     rng = np.random.default_rng(21)
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 30, (250, 2))]
     e, _ = _dss(ray_session, edges, [0])
-    got = degree_assortativity(e, num_partitions=4).to_pylist()[0]
+    got = degree_assortativity(e).to_pylist()[0]
     assert got["n_edges"] == len(edges)
     assert got["assortativity"] == pytest.approx(
         _ref_assort(edges), abs=1e-9)
@@ -204,7 +204,7 @@ def test_assortativity_zero_variance_is_null(ray_session):
     # a perfect cycle: every out-degree and in-degree is 1
     edges = [(0, 1), (1, 2), (2, 0)]
     e, _ = _dss(ray_session, edges, [0])
-    got = degree_assortativity(e, num_partitions=2).to_pylist()[0]
+    got = degree_assortativity(e).to_pylist()[0]
     assert got == {"n_edges": 3, "assortativity": None}
 
 
@@ -212,9 +212,9 @@ def test_assortativity_partition_independence(ray_session):
     rng = np.random.default_rng(29)
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 15, (120, 2))]
     e, _ = _dss(ray_session, edges, [0], blocks=2)
-    a = degree_assortativity(e, num_partitions=2).to_pylist()[0]
+    a = degree_assortativity(e).to_pylist()[0]
     e2, _ = _dss(ray_session, edges, [0], blocks=5)
-    b = degree_assortativity(e2, num_partitions=7).to_pylist()[0]
+    b = degree_assortativity(e2).to_pylist()[0]
     assert a == b
 
 
@@ -230,7 +230,7 @@ def test_edge_negatives_properties(ray_session):
     edges = sorted({(int(a), int(b))
                     for a, b in rng.integers(0, 40, (200, 2))})
     e, _ = _dss(ray_session, edges, [0], blocks=3)
-    out = edge_negatives(e, num_partitions=4).to_pandas()
+    out = edge_negatives(e).to_pandas()
     true_set = set(edges)
     pos = out[out.label == 1]
     neg = out[out.label == 0]
@@ -249,10 +249,10 @@ def test_edge_negatives_deterministic(ray_session):
     rng = np.random.default_rng(37)
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 30, (120, 2))]
     e, _ = _dss(ray_session, edges, [0], blocks=2)
-    a = edge_negatives(e, num_partitions=4).to_pandas().sort_values(
+    a = edge_negatives(e).to_pandas().sort_values(
         ["label", "src", "dst"]).reset_index(drop=True)
     e2, _ = _dss(ray_session, edges, [0], blocks=5)
-    b = edge_negatives(e2, num_partitions=4).to_pandas().sort_values(
+    b = edge_negatives(e2).to_pandas().sort_values(
         ["label", "src", "dst"]).reset_index(drop=True)
     import pandas as pd
 

@@ -138,7 +138,7 @@ def test_bpe_pair_counts_matches_counter(ray_session):
     ds = ray.data.from_pandas(pd.DataFrame({
         "doc_id": range(len(docs)), "text": docs,
     })).repartition(3)
-    got = bpe_pair_counts(ds, k=5, num_partitions=2).to_pandas()
+    got = bpe_pair_counts(ds, k=5).to_pandas()
     assert list(map(tuple, got.values.tolist())) == want
 
 

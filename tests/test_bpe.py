@@ -64,11 +64,11 @@ def test_distributed_word_counts_and_apply(ray_session):
     })
     ds = ray.data.from_pandas(df)
     wc = {r["word"]: r["n"]
-          for r in word_counts(ds, num_partitions=3).take_all()}
+          for r in word_counts(ds).take_all()}
     assert wc == {"low": 3, "lower": 1, "newest": 3, "widest": 2}
 
     merges = train_bpe(wc, 6)
-    pieces = bpe_apply(ds, merges, num_partitions=3).to_pandas()
+    pieces = bpe_apply(ds, merges).to_pandas()
     got = dict(zip(pieces["piece"], pieces["n"]))
     # exact reference: encode each word locally, multiply by count
     ranks = {p: i for i, p in enumerate(merges)}
@@ -87,7 +87,7 @@ def test_word_counts_max_vocab_exact_topk(ray_session):
     df = pd.DataFrame({"text": ["a a a a b b b c c d", "d a b e"]})
     ds = ray.data.from_pandas(df)
     top = {(r["word"], r["n"])
-           for r in word_counts(ds, num_partitions=3,
+           for r in word_counts(ds,
                                 max_vocab=2).take_all()}
     # counts complete BEFORE the cap: a=5, b=4 win over c=2, d=2, e=1
     assert top == {("a", 5), ("b", 4)}
@@ -156,7 +156,7 @@ def test_token_ids_partition_independent(ray_session):
     ds = _enc_ds(ray_session, docs)
     one = token_ids_encode(ds).sort("doc_id").take_all()
     many = token_ids_encode(
-        ds.repartition(7), num_partitions=5).sort("doc_id").take_all()
+        ds.repartition(7)).sort("doc_id").take_all()
     assert one == many
 
 
@@ -176,9 +176,9 @@ def test_decode_token_ids_roundtrip(ray_session):
         "text": ["the cat sat", "the  the cat", "", "dog"],
     })
     ds = ray.data.from_pandas(docs).repartition(3)
-    enc, vocab = token_ids_encode(ds, num_partitions=4,
+    enc, vocab = token_ids_encode(ds,
                                   return_vocab=True)
-    out = decode_token_ids(enc, vocab, num_partitions=4).to_pandas()
+    out = decode_token_ids(enc, vocab).to_pandas()
     got = out.set_index("doc_id")["text_rt"].to_dict()
     # decode == whitespace-squeezed source
     assert got == {0: "the cat sat", 1: "the the cat", 2: "", 3: "dog"}
@@ -199,8 +199,8 @@ def test_decode_token_ids_oov_dropped(ray_session):
     })
     ds = ray.data.from_pandas(docs)
     # vocab_size=1 keeps only the most frequent token 'a'
-    enc, vocab = token_ids_encode(ds, vocab_size=1, num_partitions=2,
+    enc, vocab = token_ids_encode(ds, vocab_size=1,
                                   return_vocab=True)
-    out = decode_token_ids(enc, vocab, num_partitions=2).to_pandas()
+    out = decode_token_ids(enc, vocab).to_pandas()
     got = out.set_index("doc_id")["text_rt"].to_dict()
     assert got == {0: "a a a", 1: "a"}

@@ -98,8 +98,7 @@ def test_pack_sequences_layout(ray_session):
         "n_tok": np.int64([100, 300, 50, 256, 6]),
     })
     out = pack_sequences(ray.data.from_pandas(df).repartition(3),
-                         "shard", "n_tok", max_len=256,
-                         num_partitions=4).to_pandas()
+                         "shard", "n_tok", max_len=256).to_pandas()
     out = out.sort_values(["doc_id", "pack_id"]).reset_index(drop=True)
     # token conservation per doc
     per_doc = out.groupby("doc_id")["seg_len"].sum()
@@ -118,7 +117,8 @@ def test_pack_sequences_layout(ray_session):
         assert p["pack_offset"].tolist() == [0] + ends[:-1]
 
 
-def test_pack_sequences_partitioning_independent(ray_session):
+def test_pack_sequences_partitioning_independent(ray_session,
+                                                 fixed_partitions):
     import ray.data
 
     rng = np.random.default_rng(7)
@@ -129,9 +129,9 @@ def test_pack_sequences_partitioning_independent(ray_session):
     })
     outs = []
     for parts in (1, 7):
+        fixed_partitions(parts)
         out = pack_sequences(ray.data.from_pandas(df).repartition(parts),
-                             "shard", "n_tok", max_len=128,
-                             num_partitions=3).to_pandas()
+                             "shard", "n_tok", max_len=128).to_pandas()
         outs.append(out.sort_values(["shard", "pack_id", "doc_id",
                                      "seg_start"])
                     .reset_index(drop=True))
@@ -202,7 +202,8 @@ class TestC4LineFilter:
 
 
 class TestRebalanceToTarget:
-    def test_binding_group_kept_whole_and_mix_hits_target(self, ray_session):
+    def test_binding_group_kept_whole_and_mix_hits_target(self, ray_session,
+                                                          fixed_partitions):
         import ray.data
 
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
@@ -214,6 +215,7 @@ class TestRebalanceToTarget:
                 + [{"doc_id": 5000 + i, "lang": "xx"} for i in range(50)])
         targets = {"en": 0.5, "de": 0.5}
         for parts in (1, 6):
+            fixed_partitions(parts)
             ds = ray.data.from_items(rows).repartition(parts)
             out = rebalance_to_target(ds, "lang", targets).take_all()
             by_lang = {}
@@ -251,8 +253,7 @@ def test_domain_quality_filter_drops_spam_domains(ray_session):
     # quantile_disc(0.5) of 4 domain means = the 2nd smallest (the
     # lowest prose mean), so the spam domain falls below it and the
     # three prose domains tie at-or-above it.
-    out = domain_quality_filter(ds, drop_quantile=0.5,
-                                num_partitions=2).take_all()
+    out = domain_quality_filter(ds, drop_quantile=0.5).take_all()
     kept_domains = {r["source"] for r in out}
     assert kept_domains == {"site1", "site2", "site3"}
     assert len(out) == 15
@@ -332,8 +333,7 @@ class TestBudgetHead:
     ]
 
     def test_running_total_cutoff(self, ray_session):
-        out = self._run(self.ROWS, 650.0, num_buckets=4,
-                        num_partitions=2)
+        out = self._run(self.ROWS, 650.0, num_buckets=4)
         # order 0,1,2,... cum 100,300,600,1000 -> keep first three
         assert [r["doc_id"] for r in out] == [0, 1, 2]
         assert [r["cum_tokens"] for r in out] == [100.0, 300.0, 600.0]
@@ -375,8 +375,7 @@ def test_budget_head_per_group(ray_session):
     ds = ray.data.from_items(rows, override_num_blocks=3)
     out = budget_head(ds, "score", "toks",
                       budget={"en": 350.0, "de": 200.0},
-                      group_col="g", num_buckets=4,
-                      num_partitions=3).take_all()
+                      group_col="g", num_buckets=4).take_all()
     by_g = {}
     for r in out:
         by_g.setdefault(r["g"], []).append(r["doc_id"])
@@ -481,8 +480,7 @@ def test_fd_violations_detects_and_clears(ray_session):
     })
     ds = ray_session.data.from_arrow(big)
     one = fd_violations(ds, "k", "v").take_all()
-    many = fd_violations(ds.repartition(7), "k", "v",
-                         num_partitions=3).take_all()
+    many = fd_violations(ds.repartition(7), "k", "v").take_all()
     assert one == many
 
 
@@ -543,7 +541,7 @@ def test_length_buckets(ray_session):
     })
     # token counts: 1, 2, 3, 0, 5 -> buckets 1, 2, 4, 1, 8
     ds = ray.data.from_pandas(docs).repartition(3)
-    out = length_buckets(ds, num_partitions=2).to_pandas()
+    out = length_buckets(ds).to_pandas()
     got = out.set_index("bucket").to_dict("index")
     assert got == {
         1: {"n_docs": 2, "total_tokens": 1, "padding_waste": 1},

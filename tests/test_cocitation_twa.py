@@ -83,11 +83,9 @@ def test_twa_hand_computed(ray_session):
 
 def test_twa_partition_independent(ray_session):
     a = (time_weighted_mean(_events().repartition(1), ["user_id"],
-                            "ts_us", "value", tie_col="event_id",
-                            num_partitions=1)
+                            "ts_us", "value", tie_col="event_id")
          .to_pandas().reset_index(drop=True))
     b = (time_weighted_mean(_events().repartition(4), ["user_id"],
-                            "ts_us", "value", tie_col="event_id",
-                            num_partitions=7)
+                            "ts_us", "value", tie_col="event_id")
          .to_pandas().reset_index(drop=True))
     assert a.equals(b)

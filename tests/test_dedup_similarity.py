@@ -367,8 +367,7 @@ def test_connected_components_long_chain_pointer_jumping(ray_session):
     pairs = [(i, i + 1) for i in range(1000, 1300)]
     ds = ray.data.from_items([{"doc_a": a, "doc_b": b} for a, b in pairs])
     got = {r["node"]: r["cluster_id"]
-           for r in connected_components(ds, max_iters=12,
-                                         num_partitions=8).take_all()}
+           for r in connected_components(ds, max_iters=12).take_all()}
     assert got == {n: 1000 for n in range(1000, 1301)}
 
 
@@ -489,7 +488,7 @@ def test_grouped_centroids_matches_numpy(ray_session):
         "embedding": list(vecs),
     })
     out = grouped_centroids(
-        ray.data.from_arrow(tbl).repartition(5), num_partitions=3
+        ray.data.from_arrow(tbl).repartition(5)
     ).to_pandas()
     assert len(out) == 3 * 8
     for lab in range(3):
@@ -625,7 +624,7 @@ def test_cluster_keep_best_partition_independent(ray_session):
     b = cluster_keep_best(
         ray_session.data.from_arrow(docs).repartition(7),
         ray_session.data.from_arrow(pairs).repartition(5),
-        num_partitions=3).sort("doc_id").take_all()
+    ).sort("doc_id").take_all()
     assert a == b
     assert len(a) == 10
     # python reference: per chain of 4, argmax quality then min id
@@ -650,14 +649,13 @@ def test_split_leakage(ray_session):
         "split": ["train", "val", "train", "train", "test"],
     })
     ds = ray.data.from_pandas(docs).repartition(3)
-    out = split_leakage(ds, num_partitions=2).to_pandas()
+    out = split_leakage(ds).to_pandas()
     # 'same text' normalizes identically across 3 docs in 2 splits
     assert len(out) == 1
     assert out.iloc[0]["n_splits"] == 2 and out.iloc[0]["n_docs"] == 3
     # prefix fingerprint: only the first token matters now
     docs2 = docs.assign(text=["a b", "a c", "d", "a e", "f"])
     ds2 = ray.data.from_pandas(docs2)
-    out2 = split_leakage(ds2, prefix_tokens=1,
-                         num_partitions=2).to_pandas()
+    out2 = split_leakage(ds2, prefix_tokens=1).to_pandas()
     assert len(out2) == 1 and out2.iloc[0]["n_docs"] == 3
     assert out2.iloc[0]["n_splits"] == 2

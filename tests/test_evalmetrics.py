@@ -35,8 +35,7 @@ def test_auc_matches_pairwise_reference(ray_session):
     rng = np.random.default_rng(5)
     scores = rng.random(300)
     labels = (scores + rng.normal(0, 0.3, 300) > 0.5).astype(int)
-    out = ranking_auc(_ds(ray_session, scores, labels),
-                      num_partitions=4).to_pylist()[0]
+    out = ranking_auc(_ds(ray_session, scores, labels)).to_pylist()[0]
     assert out["n_pos"] == int(labels.sum())
     assert out["n_neg"] == int((1 - labels).sum())
     assert out["auc"] == pytest.approx(
@@ -45,17 +44,16 @@ def test_auc_matches_pairwise_reference(ray_session):
 
 def test_auc_perfect_reversed_constant(ray_session):
     scores = [0.9, 0.8, 0.2, 0.1]
-    assert ranking_auc(_ds(ray_session, scores, [1, 1, 0, 0]),
-                       num_partitions=2).to_pylist()[0]["auc"] == 1.0
-    assert ranking_auc(_ds(ray_session, scores, [0, 0, 1, 1]),
-                       num_partitions=2).to_pylist()[0]["auc"] == 0.0
-    assert ranking_auc(_ds(ray_session, [0.5] * 6, [1, 0, 1, 0, 1, 0]),
-                       num_partitions=2).to_pylist()[0]["auc"] == 0.5
+    def auc(scores, labels):
+        return ranking_auc(_ds(ray_session, scores, labels)).to_pylist()[0]["auc"]
+
+    assert auc(scores, [1, 1, 0, 0]) == 1.0
+    assert auc(scores, [0, 0, 1, 1]) == 0.0
+    assert auc([0.5] * 6, [1, 0, 1, 0, 1, 0]) == 0.5
 
 
 def test_auc_degenerate_class_is_null(ray_session):
-    out = ranking_auc(_ds(ray_session, [0.1, 0.9], [1, 1]),
-                      num_partitions=2).to_pylist()[0]
+    out = ranking_auc(_ds(ray_session, [0.1, 0.9], [1, 1])).to_pylist()[0]
     assert out["auc"] is None
     assert out["n_neg"] == 0
 
@@ -64,8 +62,7 @@ def test_auc_tie_quantization(ray_session):
     # distinct raw scores that collide after 3-digit rounding
     scores = [0.1231, 0.1234, 0.9]
     labels = [1, 0, 1]
-    got = ranking_auc(_ds(ray_session, scores, labels),
-                      num_partitions=2).to_pylist()[0]["auc"]
+    got = ranking_auc(_ds(ray_session, scores, labels)).to_pylist()[0]["auc"]
     assert got == _ref_auc(scores, labels) == 0.75
 
 
@@ -73,18 +70,15 @@ def test_auc_partition_independence(ray_session):
     rng = np.random.default_rng(9)
     scores = rng.random(200)
     labels = rng.integers(0, 2, 200)
-    a = ranking_auc(_ds(ray_session, scores, labels, 2),
-                    num_partitions=2).to_pylist()[0]
-    b = ranking_auc(_ds(ray_session, scores, labels, 7),
-                    num_partitions=9).to_pylist()[0]
+    a = ranking_auc(_ds(ray_session, scores, labels, 2)).to_pylist()[0]
+    b = ranking_auc(_ds(ray_session, scores, labels, 7)).to_pylist()[0]
     assert a == b
 
 
 def test_calibration_bins(ray_session):
     scores = [0.05, 0.05, 0.15, 0.95, 1.0, -0.2]
     labels = [0, 1, 1, 1, 1, 0]
-    out = calibration_bins(_ds(ray_session, scores, labels),
-                           num_partitions=3).to_pandas()
+    out = calibration_bins(_ds(ray_session, scores, labels)).to_pandas()
     got = out.set_index("bin")[["n", "n_pos", "frac_pos"]]
     # 1.0 clamps into bin 9; -0.2 clamps into bin 0
     assert got.loc[0].tolist() == [3, 1, round(1 / 3, 6)]

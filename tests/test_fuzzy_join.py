@@ -74,7 +74,7 @@ def name_pool():
 def test_edit1_fuzzy_pairs_matches_bruteforce(ray_session, name_pool):
     ds = ray.data.from_arrow(pa.table({"name": name_pool}))
     got = (
-        edit1_fuzzy_pairs(ds, "name", num_partitions=4)
+        edit1_fuzzy_pairs(ds, "name")
         .to_pandas()
         .sort_values(["name_a", "name_b"])
         .reset_index(drop=True)
@@ -92,4 +92,4 @@ def test_edit1_fuzzy_pairs_matches_bruteforce(ray_session, name_pool):
 
 def test_edit1_fuzzy_pairs_empty(ray_session):
     ds = ray.data.from_arrow(pa.table({"name": pa.array([], pa.string())}))
-    assert edit1_fuzzy_pairs(ds, "name", num_partitions=2).count() == 0
+    assert edit1_fuzzy_pairs(ds, "name").count() == 0

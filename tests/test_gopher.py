@@ -250,7 +250,6 @@ class TestCorpusProfile:
 
         return corpus_profile(
             ray.data.from_items(self.ROWS, override_num_blocks=blocks),
-            num_partitions=3,
         ).take_all()[0]
 
     def test_card_values(self, ray_session):

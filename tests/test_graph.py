@@ -35,7 +35,7 @@ def _edges_ds(ray_session, edges, blocks=3, cols=("src", "dst")):
 
 def test_out_degrees(ray_session):
     edges = [(0, 1), (0, 2), (0, 1), (3, 0)]
-    out = out_degrees(_edges_ds(ray_session, edges), num_partitions=4) \
+    out = out_degrees(_edges_ds(ray_session, edges)) \
         .to_pandas()
     assert out.set_index("src")["out_degree"].to_dict() == {0: 3, 3: 1}
 
@@ -242,7 +242,7 @@ def test_triangle_count_matches_matrix_reference(ray_session):
         "src": pa.array(src, pa.int64()),
         "dst": pa.array(dst, pa.int64()),
     })).repartition(5)
-    got = triangle_count(ds, num_partitions=4).to_pandas()
+    got = triangle_count(ds).to_pandas()
     assert got.n_triangles.tolist() == [want]
     assert want > 100  # the graph is non-trivial
 
@@ -260,7 +260,7 @@ def test_triangle_count_no_triangles(ray_session):
         "src": pa.array([0, 1, 2, 3, 5], pa.int64()),
         "dst": pa.array([1, 2, 3, 4, 5], pa.int64()),
     }))
-    got = triangle_count(ds, num_partitions=2).to_pandas()
+    got = triangle_count(ds).to_pandas()
     assert got.n_triangles.tolist() == [0]
 
 
@@ -300,12 +300,12 @@ def test_k_core_matches_brute_peeling(ray_session):
         "dst": pa.array(dst, pa.int64()),
     })).repartition(4)
     for k in (2, 3, 4, 30):
-        got = k_core(ds, k, num_partitions=4).to_pandas()
+        got = k_core(ds, k).to_pandas()
         want = _brute_kcore(raw, k)
         got_d = {int(r.node): int(r.deg) for r in got.itertuples()}
         assert got_d == want, k
     # the K6 clique survives k=4 with within-core degrees >= 5... at least 5
-    got = k_core(ds, 5, num_partitions=4).to_pandas()
+    got = k_core(ds, 5).to_pandas()
     assert set(got.node) >= set(range(100, 106))
 
 
@@ -373,7 +373,7 @@ def test_label_propagation_local_equals_distributed(ray_session):
 
 
 class TestDegreeHistogram:
-    def _hist(self, edges, blocks=2, **kw):
+    def _hist(self, edges, blocks=2):
         import ray.data
 
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
@@ -384,23 +384,25 @@ class TestDegreeHistogram:
             [{"src": s, "dst": d} for s, d in edges],
             override_num_blocks=blocks)
         return {r["degree"]: r["n_nodes"]
-                for r in degree_histogram(ds, **kw).take_all()}
+                for r in degree_histogram(ds).take_all()}
 
     def test_hand_graph(self, ray_session):
         # star: 0->1, 0->2, 0->3 plus a parallel edge 0->1
         edges = [(0, 1), (0, 2), (0, 3), (0, 1)]
-        hist = self._hist(edges, num_partitions=3)
+        hist = self._hist(edges)
         # node 0: degree 4 (parallel edges count); node 1: 2; 2,3: 1
         assert hist == {4: 1, 2: 1, 1: 2}
 
     def test_self_loop_counts_twice(self, ray_session):
-        hist = self._hist([(5, 5)], num_partitions=2)
+        hist = self._hist([(5, 5)])
         assert hist == {2: 1}
 
-    def test_partition_independence(self, ray_session):
+    def test_partition_independence(self, ray_session, fixed_partitions):
         edges = [(i, (i * i + 1) % 7) for i in range(40)]
-        assert (self._hist(edges, blocks=1, num_partitions=2)
-                == self._hist(edges, blocks=8, num_partitions=5))
+        fixed_partitions(2)
+        one = self._hist(edges, blocks=1)
+        fixed_partitions(5)
+        assert one == self._hist(edges, blocks=8)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +465,8 @@ def test_random_walks_parallel_edges_dedup_and_partition_independent(
     ds = _pairs_ds(ray_session, pairs)
     key = lambda r: (r["walk_id"], r["step"])
     one = sorted(random_walks(ds, walk_len=4).take_all(), key=key)
-    many = sorted(random_walks(ds.repartition(7), walk_len=4,
-                               num_partitions=3).take_all(), key=key)
+    many = sorted(random_walks(ds.repartition(7), walk_len=4).take_all(),
+                  key=key)
     assert one == many
     assert len(one) == 20 * 4
 
@@ -563,7 +565,7 @@ def _co_replay(rows, min_count=1, cap=256):
     }
 
 
-def test_cooccurrence_pmi_matches_replay(ray_session):
+def test_cooccurrence_pmi_matches_replay(ray_session, fixed_partitions):
     import ray.data
 
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
@@ -579,11 +581,11 @@ def test_cooccurrence_pmi_matches_replay(ray_session):
     ]
     want = _co_replay(rows, min_count=1)
     for blocks, parts in ((1, 2), (4, 5)):
+        fixed_partitions(parts)
         ds = ray.data.from_items(
             [{"g": g, "item": it} for g, it in rows]
         ).repartition(blocks)
-        out = cooccurrence_pmi(ds, "g", "item", min_count=1,
-                               num_partitions=parts).take_all()
+        out = cooccurrence_pmi(ds, "g", "item", min_count=1).take_all()
         got = {(r["a"], r["b"]): (r["n_ab"], r["pmi"]) for r in out}
         assert got == want, (blocks, parts)
 
@@ -601,8 +603,7 @@ def test_cooccurrence_pmi_cap_and_min_count(ray_session):
             (2, "a"), (2, "b"), (2, "z")]
     ds = ray.data.from_items([{"g": g, "item": it} for g, it in rows])
     out = cooccurrence_pmi(ds, "g", "item", min_count=2,
-                           max_items_per_group=2,
-                           num_partitions=3).take_all()
+                           max_items_per_group=2).take_all()
     want = _co_replay(rows, min_count=2, cap=2)
     got = {(r["a"], r["b"]): (r["n_ab"], r["pmi"]) for r in out}
     assert got == want

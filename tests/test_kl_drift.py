@@ -57,7 +57,7 @@ def _ds(docs):
 
 
 def test_matches_grid_reimplementation(ray_session):
-    got = unigram_kl_drift(_ds(DOCS), num_partitions=5).to_pandas()
+    got = unigram_kl_drift(_ds(DOCS)).to_pandas()
     want = py_kl(DOCS)
     assert len(got) == len(want)
     for _, row in got.iterrows():
@@ -67,15 +67,15 @@ def test_matches_grid_reimplementation(ray_session):
 
 
 def test_partition_independent(ray_session):
-    a = (unigram_kl_drift(_ds(DOCS).repartition(1), num_partitions=1)
+    a = (unigram_kl_drift(_ds(DOCS).repartition(1))
          .to_pandas().sort_values("source").reset_index(drop=True))
-    b = (unigram_kl_drift(_ds(DOCS).repartition(7), num_partitions=11)
+    b = (unigram_kl_drift(_ds(DOCS).repartition(7))
          .to_pandas().sort_values("source").reset_index(drop=True))
     assert a.equals(b)
 
 
 def test_disjoint_vocab_group_most_drifted(ray_session):
-    got = (unigram_kl_drift(_ds(DOCS), num_partitions=4)
+    got = (unigram_kl_drift(_ds(DOCS))
            .to_pandas().set_index("source")["kl"])
     # 'd' shares no token with the rest of the corpus: largest KL.
     assert got["d"] == got.max()
@@ -175,8 +175,7 @@ def test_log_odds_partition_independent(ray_session):
     ds = ray_session.data.from_arrow(tbl)
     key = lambda r: (r["source"], r["token"])
     one = sorted(log_odds_terms(ds, k=3).take_all(), key=key)
-    many = sorted(log_odds_terms(ds.repartition(7), k=3,
-                                 num_partitions=5).take_all(), key=key)
+    many = sorted(log_odds_terms(ds.repartition(7), k=3).take_all(), key=key)
     assert one == many
 
 
@@ -242,8 +241,7 @@ def test_tfidf_cosine_threshold_and_partition_independence(ray_session):
     one = sorted(tfidf_cosine_pairs(ds, threshold=0.5).take_all(),
                  key=key)
     many = sorted(tfidf_cosine_pairs(
-        ds.repartition(7), threshold=0.5,
-        num_partitions=5).take_all(), key=key)
+        ds.repartition(7), threshold=0.5).take_all(), key=key)
     assert one == many
     assert one  # threshold keeps the same-residue near-identical docs
     assert all(r["cosine"] >= 0.5 for r in one)

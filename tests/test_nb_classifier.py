@@ -71,7 +71,7 @@ def _ds(docs):
 
 
 def test_matches_python_reimplementation(ray_session):
-    got = nb_train_predict(_ds(DOCS), num_partitions=5).to_pandas()
+    got = nb_train_predict(_ds(DOCS)).to_pandas()
     want = py_nb(DOCS)
     assert len(got) == len(want)
     for _, row in got.iterrows():
@@ -81,15 +81,15 @@ def test_matches_python_reimplementation(ray_session):
 
 
 def test_separable_vocab_classifies_perfectly(ray_session):
-    got = nb_train_predict(_ds(DOCS), num_partitions=4).to_pandas()
+    got = nb_train_predict(_ds(DOCS)).to_pandas()
     assert (got["pred_lang"] == got["true_lang"]).all()
     assert 9 not in set(got["doc_id"])  # all-OOV doc dropped
 
 
 def test_partition_independent(ray_session):
-    a = (nb_train_predict(_ds(DOCS).repartition(1), num_partitions=1)
+    a = (nb_train_predict(_ds(DOCS).repartition(1))
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    b = (nb_train_predict(_ds(DOCS).repartition(7), num_partitions=9)
+    b = (nb_train_predict(_ds(DOCS).repartition(7))
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert a.equals(b)
 
@@ -101,5 +101,5 @@ def test_prior_breaks_empty_evidence_ties(ray_session):
         0: ("x", "en"), 2: ("x", "en"), 4: ("x", "fr"),
         1: ("x", "en"),
     }
-    got = nb_train_predict(_ds(docs), num_partitions=3).to_pandas()
+    got = nb_train_predict(_ds(docs)).to_pandas()
     assert list(got["pred_lang"]) == ["en"]

@@ -70,8 +70,7 @@ def _ref(pairs, walk_len, p, q):
 
 def _got(ray_session, pairs, walk_len=4, p=1.0, q=1.0, blocks=3):
     out = node2vec_walks(_ds(ray_session, _edges(pairs), blocks),
-                         walk_len=walk_len, p=p, q=q,
-                         num_partitions=4).to_pandas()
+                         walk_len=walk_len, p=p, q=q).to_pandas()
     return sorted(zip(out["walk_id"], out["step"], out["node"]))
 
 
@@ -134,7 +133,7 @@ def test_skipgram_pairs_window_semantics(ray_session):
         "node": np.array([10, 11, 12, 13, 20, 21], np.int64),
     })
     out = skipgram_pairs(ray.data.from_pandas(walks).repartition(2),
-                         window=2, num_partitions=3).to_pandas()
+                         window=2).to_pandas()
     got = set(zip(out["center"], out["context"], out["offset"]))
     want = set()
     seqs = {1: [10, 11, 12, 13], 2: [20, 21]}
@@ -162,11 +161,9 @@ def test_skipgram_negatives_deterministic_and_distributed(ray_session):
         "node": rng.integers(0, 12, 160).astype(np.int64),
     })
     a = skipgram_negatives(ray.data.from_pandas(walks).repartition(1),
-                           window=2, k_neg=3,
-                           num_partitions=1).to_pandas()
+                           window=2, k_neg=3).to_pandas()
     b = skipgram_negatives(ray.data.from_pandas(walks).repartition(7),
-                           window=2, k_neg=3,
-                           num_partitions=5).to_pandas()
+                           window=2, k_neg=3).to_pandas()
     key = ["center", "context", "offset", "neg_rank", "negative"]
     pd.testing.assert_frame_equal(
         a[key].sort_values(key).reset_index(drop=True),
@@ -191,7 +188,6 @@ def test_skipgram_negatives_follow_unigram_power(ray_session):
                          1 + np.arange(200) % 7).astype(np.int64),
     })
     out = skipgram_negatives(ray.data.from_pandas(walks).repartition(3),
-                             window=1, k_neg=5,
-                             num_partitions=3).to_pandas()
+                             window=1, k_neg=5).to_pandas()
     share0 = (out["negative"] == 0).mean()
     assert share0 > 0.4  # 75% of visits, ^0.75-damped, still dominant

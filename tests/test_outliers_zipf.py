@@ -83,9 +83,9 @@ def test_outliers_match_reimplementation_and_flag(ray_session):
 
 def test_outliers_partition_independent(ray_session):
     ds, *_ = _emb_ds()
-    a = (label_outliers(ds.repartition(1), num_partitions=1)
+    a = (label_outliers(ds.repartition(1))
          .to_pandas().sort_values("vec_id").reset_index(drop=True))
-    b = (label_outliers(ds.repartition(7), num_partitions=5)
+    b = (label_outliers(ds.repartition(7))
          .to_pandas().sort_values("vec_id").reset_index(drop=True))
     assert a.equals(b)
 
@@ -110,6 +110,6 @@ def test_zipf_partition_independent(ray_session):
         "doc_id": [0, 1, 2], "text": texts})).repartition(1)
     ds3 = rd.from_arrow(pa.table({
         "doc_id": [0, 1, 2], "text": texts})).repartition(3)
-    a = zipf_fit(ds1, k=10, num_partitions=1).to_pandas()
-    b = zipf_fit(ds3, k=10, num_partitions=7).to_pandas()
+    a = zipf_fit(ds1, k=10).to_pandas()
+    b = zipf_fit(ds3, k=10).to_pandas()
     assert a.equals(b)

@@ -77,7 +77,7 @@ class TestParagraphDedup:
         ds = ray_session.data.from_arrow(tbl)
         one = paragraph_dedup(ds).sort("doc_id").take_all()
         many = paragraph_dedup(
-            ds.repartition(7), num_partitions=5).sort("doc_id").take_all()
+            ds.repartition(7)).sort("doc_id").take_all()
         assert one == many
 
 

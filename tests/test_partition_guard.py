@@ -1,66 +1,90 @@
-"""The KG spine sizes its exchanges from the input
-(``stages/shuffle.partitions_for``); a fixed ``num_partitions=<int>``
-must not come back in its modules. ``spill_partitions`` — the
-spilled-alias file contract — is a different knob and is not checked.
-The linking and KG-merge modules fold in Arrow only: no
-``batch_format="pandas"`` there."""
+"""Every exchange is sized from its input (``stages/shuffle.py``): no
+public function of the package or of ``__ray_entry__.py`` takes a
+``num_partitions`` knob — ``grouped_apply``, the exchange primitive,
+is the one function that does — and no partition count is an int
+literal other than ``1`` (a global fold). A count the code's own
+structure sets is a named constant or an expression.
+``spill_partitions`` — the spilled-alias file contract — is a
+different knob and is not checked. The linking and KG-merge modules
+fold in Arrow only: no ``batch_format="pandas"`` there."""
 
 import ast
 import pathlib
 
-PACKAGE = (pathlib.Path(__file__).resolve().parent.parent
-           / "nlp_graphrag_with_qdrant_and_neo4j_ray")
-SPINE = ("stages/link.py", "stages/ngram.py", "pipelines/kg.py")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "nlp_graphrag_with_qdrant_and_neo4j_ray"
+SOURCES = sorted(PACKAGE.rglob("*.py")) + [ROOT / "__ray_entry__.py"]
+PRIMITIVE = (PACKAGE / "stages" / "shuffle.py", "grouped_apply")
 ARROW_ONLY = ("stages/link.py", "pipelines/kg.py")
 
 
-def _int_literal(node) -> bool:
+def _fixed_literal(node) -> bool:
     return (isinstance(node, ast.Constant) and isinstance(node.value, int)
-            and not isinstance(node.value, bool))
+            and not isinstance(node.value, bool) and node.value != 1)
+
+
+def _params(fn) -> list:
+    """``(arg, default or None)`` for every parameter of ``fn``."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    defaults = [None] * (len(pos) - len(a.defaults)) + list(a.defaults)
+    return list(zip(pos, defaults)) + list(zip(a.kwonlyargs, a.kw_defaults))
 
 
 def _fixed_counts(path: pathlib.Path) -> list[int]:
-    """Lines where a partition count is an int literal: a
+    """Lines where a partition count is an int literal other than 1: a
     ``num_partitions=`` keyword, a ``num_partitions`` parameter default,
     or ``grouped_apply``'s positional count."""
     bad = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Call):
             bad += [kw.value.lineno for kw in node.keywords
-                    if kw.arg == "num_partitions" and _int_literal(kw.value)]
+                    if kw.arg == "num_partitions" and _fixed_literal(kw.value)]
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if (name == "grouped_apply" and len(node.args) > 3
-                    and _int_literal(node.args[3])):
+                    and _fixed_literal(node.args[3])):
                 bad.append(node.args[3].lineno)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            a = node.args
-            pos = a.posonlyargs + a.args
-            pairs = list(zip(pos[len(pos) - len(a.defaults):], a.defaults))
-            pairs += [(k, d) for k, d in zip(a.kwonlyargs, a.kw_defaults)
-                      if d is not None]
-            bad += [d.lineno for arg, d in pairs
-                    if arg.arg == "num_partitions" and _int_literal(d)]
+            bad += [d.lineno for arg, d in _params(node)
+                    if arg.arg == "num_partitions" and _fixed_literal(d)]
     return bad
 
 
-def test_spine_has_no_fixed_partition_count():
-    bad = [f"{rel}:{line}" for rel in SPINE
-           for line in _fixed_counts(PACKAGE / rel)]
-    assert not bad, "fixed partition count on the KG spine: " + ", ".join(bad)
+def _knobs(path: pathlib.Path) -> list[str]:
+    """Public functions of ``path`` that take ``num_partitions``."""
+    return [f"{node.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+            and (path, node.name) != PRIMITIVE
+            and any(arg.arg == "num_partitions" for arg, _ in _params(node))]
 
 
-def test_guard_sees_each_form():
-    src = ("def f(ds, num_partitions=16):\n"
-           "    grouped_apply(ds, ['k'], g, 8)\n"
-           "    grouped_apply(ds, ['k'], g, num_partitions=256)\n"
-           "    grouped_apply(ds, ['k'], g, num_partitions=n)\n"
-           "    _spill_alias(ds, d, spill_partitions=64)\n")
-    import tempfile
+def test_no_fixed_partition_count():
+    bad = [f"{p.relative_to(ROOT)}:{line}" for p in SOURCES
+           for line in _fixed_counts(p)]
+    assert not bad, "fixed partition count: " + ", ".join(bad)
 
-    with tempfile.TemporaryDirectory() as d:
-        p = pathlib.Path(d) / "m.py"
-        p.write_text(src)
-        assert sorted(_fixed_counts(p)) == [1, 2, 3]
+
+def test_no_public_partition_knob():
+    bad = [f"{p.relative_to(ROOT)}:{fn}" for p in SOURCES for fn in _knobs(p)]
+    assert not bad, "num_partitions parameter: " + ", ".join(bad)
+
+
+def test_guard_sees_each_form(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("def f(ds, num_partitions=16):\n"
+                 "    grouped_apply(ds, ['k'], g, 8)\n"
+                 "    grouped_apply(ds, ['k'], g, num_partitions=256)\n"
+                 "    grouped_apply(ds, ['k'], g, num_partitions=n)\n"
+                 "    _spill_alias(ds, d, spill_partitions=64)\n"
+                 "    grouped_apply(ds, ['k'], g, num_partitions=1)\n"
+                 "def g(ds, *, num_partitions=None):\n"
+                 "    pass\n"
+                 "def _h(ds, num_partitions):\n"
+                 "    pass\n")
+    assert sorted(_fixed_counts(p)) == [1, 2, 3]
+    assert _knobs(p) == ["f:1", "g:7"]
 
 
 def _pandas_formats(path: pathlib.Path) -> list[int]:

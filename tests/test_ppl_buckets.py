@@ -52,7 +52,7 @@ def run(ray_session, docs: dict[int, tuple[str, str]]):
     })
     ds = ray_session.data.from_arrow(tbl)
     return {r["doc_id"]: r
-            for r in ccnet_ppl_buckets(ds, num_partitions=4).take_all()}
+            for r in ccnet_ppl_buckets(ds).take_all()}
 
 
 CORPUS = {
@@ -99,5 +99,5 @@ class TestPplBuckets:
         ds = ray_session.data.from_arrow(tbl)
         one = ccnet_ppl_buckets(ds).sort("doc_id").take_all()
         many = ccnet_ppl_buckets(
-            ds.repartition(5), num_partitions=3).sort("doc_id").take_all()
+            ds.repartition(5)).sort("doc_id").take_all()
         assert one == many

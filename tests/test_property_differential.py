@@ -37,7 +37,7 @@ def test_window_lag_matches_pandas(ray_session, df):
     )
 
     got = window_lag(ray.data.from_pandas(df), ["k"], "v", "v",
-                     "prev_v", "id", num_partitions=3).to_pandas()
+                     "prev_v", "id").to_pandas()
     s = df.sort_values(["k", "v", "id"], kind="stable")
     expected = s.assign(prev_v=s.groupby("k")["v"].shift(1))
     cols = ["k", "v", "id", "prev_v"]
@@ -62,13 +62,11 @@ def test_intersect_except_match_python_sets(ray_session, a, b):
     sa = set(map(tuple, a[["k", "v"]].itertuples(index=False)))
     sb = set(map(tuple, b[["k", "v"]].itertuples(index=False)))
 
-    gi = intersect_distinct(left, right, ["k", "v"],
-                            num_partitions=3).to_pandas()
+    gi = intersect_distinct(left, right, ["k", "v"]).to_pandas()
     got_i = set(map(tuple, gi.itertuples(index=False))) if len(gi) else set()
     assert got_i == (sa & sb)
 
-    ge = except_distinct(left, right, ["k", "v"],
-                         num_partitions=3).to_pandas()
+    ge = except_distinct(left, right, ["k", "v"]).to_pandas()
     got_e = set(map(tuple, ge.itertuples(index=False))) if len(ge) else set()
     assert got_e == (sa - sb)
 
@@ -83,8 +81,7 @@ def test_grouped_first_last_matches_pandas(ray_session, df):
     )
 
     got = grouped_first_last(
-        ray.data.from_pandas(df), ["k"], ["v", "id"], "v",
-        num_partitions=3).to_pandas()
+        ray.data.from_pandas(df), ["k"], ["v", "id"], "v").to_pandas()
     s = df.sort_values(["k", "v", "id"], kind="stable")
     f = s.drop_duplicates("k", keep="first")[["k", "v"]]
     la = s.drop_duplicates("k", keep="last")[["k", "v"]]
@@ -131,8 +128,7 @@ def test_budget_head_matches_pandas_running_sum(ray_session, df, budget):
         "toks": (df["k"] + 1).astype(np.float64),   # positive counts
     })
     got = budget_head(ray.data.from_pandas(rows), "score", "toks",
-                      float(budget), num_buckets=7,
-                      num_partitions=3).to_pandas()
+                      float(budget), num_buckets=7).to_pandas()
     s = rows.sort_values(["score", "doc_id"],
                          ascending=[False, True], kind="stable")
     cum = s["toks"].cumsum()
@@ -165,7 +161,7 @@ def test_incremental_agg_matches_full_recompute(ray_session, df):
     got = incremental_agg(
         ray.data.from_pandas(base_agg),
         ray.data.from_pandas(delta.rename(columns={"v": "val"})),
-        ["k"], "val", num_partitions=3).to_pandas()
+        ["k"], "val").to_pandas()
     full = (df.groupby("k")["v"].agg(["sum", "size"]).reset_index()
             .rename(columns={"sum": "sum_val", "size": "n"}))
     pd.testing.assert_frame_equal(
@@ -185,8 +181,7 @@ def test_degree_histogram_matches_pandas(ray_session, df):
 
     edges = pd.DataFrame({"src": df["k"].astype(np.int64),
                           "dst": df["v"].astype(np.int64)})
-    got = degree_histogram(ray.data.from_pandas(edges),
-                           num_partitions=3).to_pandas()
+    got = degree_histogram(ray.data.from_pandas(edges)).to_pandas()
     deg = pd.concat([edges["src"], edges["dst"]]).value_counts()
     expected = (deg.value_counts().rename_axis("degree")
                 .reset_index(name="n_nodes"))
@@ -212,7 +207,7 @@ def test_validation_report_matches_pandas(ray_session, df):
             {"col": "k", "check": "in_set", "values": [0, 1]},
             {"col": "id", "check": "unique"},
             {"col": "k", "check": "unique"},
-        ], num_partitions=3).take_all()}
+        ]).take_all()}
     n = len(df)
     assert got[("v", "range")]["n_violations"] == int(
         (~df["v"].between(-10, 10)).sum())
@@ -287,7 +282,7 @@ def test_token_ids_matches_python(ray_session, docs):
         "text": pa.array(list(texts.values()), pa.large_string()),
     }))
     got = {r["doc_id"]: r for r in token_ids_encode(
-        ds, num_partitions=3).take_all()}
+        ds).take_all()}
 
     counts = Counter()
     for t in texts.values():
@@ -335,7 +330,7 @@ def test_cusum_matches_python(ray_session, rows):
     }))
     got = {(r["event_type"], r["day"].day): (r["cusum"], r["flag"])
            for r in cusum_changepoints(
-               ds, "event_type", "ts", num_partitions=3).take_all()}
+               ds, "event_type", "ts").take_all()}
 
     per = {}
     for et, day, copies in rows:
@@ -391,8 +386,8 @@ def test_cooccurrence_pmi_matches_python(ray_session, rows, min_count,
 
     ds = ray.data.from_items([{"g": g, "item": it} for g, it in rows])
     out = cooccurrence_pmi(ds.repartition(3), "g", "item",
-                           min_count=min_count, max_items_per_group=cap,
-                           num_partitions=3).take_all()
+                           min_count=min_count,
+                           max_items_per_group=cap).take_all()
     got = {(r["a"], r["b"]): (r["n_ab"], r["pmi"]) for r in out}
     assert got == want
 
@@ -475,7 +470,7 @@ def test_dedup_recrawls_windowed_matches_python(ray_session, caps,
 
     out = dedup_recrawls_windowed(
         ray.data.from_items(rows).repartition(3),
-        window_days=window_days, num_partitions=3).take_all()
+        window_days=window_days).take_all()
     got = sorted((r["canonical_url"], r["window"], r["url"])
                  for r in out)
     assert got == want
@@ -510,8 +505,7 @@ def test_gap_sessions_matches_pandas_reference(ray_session, ev, gap_s):
     )
 
     got = gap_sessions(ray.data.from_pandas(ev).repartition(3),
-                       "user_id", "ts", float(gap_s), "event_id",
-                       num_partitions=3).to_pandas()
+                       "user_id", "ts", float(gap_s), "event_id").to_pandas()
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     prev = s.groupby("user_id")["ts"].shift(1)
     brk = (prev.isna() | (s["ts"] - prev
@@ -560,7 +554,7 @@ def test_interval_join_matches_all_pairs(ray_session, left, right, bucket):
         ray.data.from_pandas(left).repartition(2),
         ray.data.from_pandas(right).repartition(2), "st", "en",
         left_cols=["st", "en", "lid"], right_cols=["st", "en", "rid"],
-        bucket_seconds=bucket, num_partitions=3).take_all()
+        bucket_seconds=bucket).take_all()
     want = set()
     for _, l in left.iterrows():
         for _, r in right.iterrows():
@@ -666,8 +660,7 @@ def test_hash_sample_property(ray_session, df, k):
     )
 
     got = grouped_hash_sample(
-        ray.data.from_pandas(df).repartition(3), ["k"], k, "id",
-        num_partitions=3).to_pandas()
+        ray.data.from_pandas(df).repartition(3), ["k"], k, "id").to_pandas()
     prio = (df["id"].to_numpy(np.uint64)
             * np.uint64(2654435761)) & np.uint64(0xFFFFFFFF)
     want = (df.assign(__p=prio.astype(np.int64))

@@ -34,7 +34,7 @@ def test_anti_join_exact(ray_session):
                          "name": [f"c{i}" for i in range(20)]})
     right = pd.DataFrame({"rk": np.array([1, 3, 3, 5, 19], dtype=np.int64)})
     out = anti_join(_ds(ray_session, left), _ds(ray_session, right, 2),
-                    "k", "rk", num_partitions=4).to_pandas()
+                    "k", "rk").to_pandas()
     expected = left[~left["k"].isin(right["rk"])]
     pd.testing.assert_frame_equal(_sorted(out), _sorted(expected))
 
@@ -43,7 +43,7 @@ def test_anti_join_empty_right(ray_session):
     left = pd.DataFrame({"k": np.arange(5, dtype=np.int64)})
     right = pd.DataFrame({"rk": pd.Series([], dtype="int64")})
     out = anti_join(_ds(ray_session, left), _ds(ray_session, right, 1),
-                    "k", "rk", num_partitions=4).to_pandas()
+                    "k", "rk").to_pandas()
     assert sorted(out["k"]) == list(range(5))
 
 
@@ -70,7 +70,6 @@ def test_asof_join_strict_prior_and_ties(ray_session):
         _ds(ray_session, left, 2), _ds(ray_session, right, 2),
         by="user", right_by="user", on="ts",
         right_cols=["event_id", "value"], tie_col="event_id",
-        num_partitions=4,
     ).to_pandas()
     got = out.set_index("event_id")["event_id_r"].to_dict()
     assert got == {101: 11, 102: 13}
@@ -87,7 +86,7 @@ def test_window_topk_with_ties(ray_session):
         "score": rng.randint(0, 4, 200).astype(np.float64),
     })
     out = window_topk(_ds(ray_session, df, 5), ["k"], "score", 3,
-                      tie_col="id", num_partitions=4).to_pandas()
+                      tie_col="id").to_pandas()
     expected = (
         df.sort_values(["score", "id"], ascending=[False, True],
                        kind="stable")
@@ -103,8 +102,7 @@ def test_distinct_count_cross_batch(ray_session):
         "k": np.int64([1] * 30 + [2] * 30),
         "v": np.int64(list(range(10)) * 3 + [7] * 30),
     })
-    out = distinct_count(_ds(ray_session, df, 6), ["k"], "v", "n",
-                         num_partitions=4).to_pandas()
+    out = distinct_count(_ds(ray_session, df, 6), ["k"], "v", "n").to_pandas()
     got = out.set_index("k")["n"].to_dict()
     assert got == {1: 10, 2: 1}
 
@@ -133,7 +131,6 @@ def test_asof_join_random_vs_quadratic_reference(ray_session):
         _ds(ray_session, left, 4), _ds(ray_session, right, 5),
         by="user", right_by="user", on="ts",
         right_cols=["event_id", "value"], tie_col="event_id",
-        num_partitions=4,
     ).to_pandas()
     got = out.set_index("event_id")["event_id_r"].to_dict()
 
@@ -169,8 +166,7 @@ def test_grouped_median_interpolates_even_counts(ray_session):
         "g": ["a", "a", "a", "a", "b", "b", "b"],
         "x": [1.0, 2.0, 10.0, 4.0, 5.0, 1.0, 3.0],
     })
-    out = grouped_median(_ds(ray_session, df, 3), ["g"], "x", "m",
-                         num_partitions=4).to_pandas()
+    out = grouped_median(_ds(ray_session, df, 3), ["g"], "x", "m").to_pandas()
     got = out.set_index("g")["m"].to_dict()
     assert got == pytest.approx({"a": 3.0, "b": 3.0})
 
@@ -183,8 +179,8 @@ def test_grouped_quantile_matches_pandas(ray_session):
         "g": rng.choice(list("abcd"), 200),
         "x": np.round(rng.uniform(0, 100, 200), 3),
     })
-    out = grouped_quantile(_ds(ray_session, df, 4), ["g"], "x", 0.9, "p90",
-                           num_partitions=4).to_pandas()
+    out = grouped_quantile(_ds(ray_session, df, 4), ["g"], "x", 0.9,
+                           "p90").to_pandas()
     expected = df.groupby("g")["x"].quantile(0.9)
     got = out.set_index("g")["p90"].to_dict()
     assert got == pytest.approx({k: round(v, 6) for k, v in expected.items()})
@@ -200,7 +196,7 @@ def test_rollup_sum_all_levels(ray_session):
         "x": np.round(rng.uniform(0, 10, 50), 2),
     })
     out = rollup_sum(_ds(ray_session, df, 3), ["a", "b"], "x",
-                     count_col="n", sum_col="s", num_partitions=4).to_pandas()
+                     count_col="n", sum_col="s").to_pandas()
 
     finest = df.groupby(["a", "b"]).agg(n=("x", "size"), s=("x", "sum"))
     lvl1 = df.groupby("a").agg(n=("x", "size"), s=("x", "sum"))
@@ -225,11 +221,11 @@ def test_distinct_set_ops(ray_session):
     right = pd.DataFrame({"rk": np.array([2, 2, 4, 6], dtype=np.int64)})
     inter = distinct_set_op(_ds(ray_session, left, 3),
                             _ds(ray_session, right, 2), "k", "rk",
-                            mode="intersect", num_partitions=4).to_pandas()
+                            mode="intersect").to_pandas()
     assert sorted(inter["k"]) == [2, 4]
     exc = distinct_set_op(_ds(ray_session, left, 3),
                           _ds(ray_session, right, 2), "k", "rk",
-                          mode="except", num_partitions=4).to_pandas()
+                          mode="except").to_pandas()
     assert sorted(exc["k"]) == [1, 3, 5]
     with pytest.raises(ValueError):
         distinct_set_op(_ds(ray_session, left), _ds(ray_session, right),
@@ -294,8 +290,7 @@ def test_pivot_sum_matches_conditional_aggregation(ray_session):
     })
     out = pivot_sum(_ds(ray_session, df, 4), "k", "cat", "v",
                     categories=["x", "y", "z"],
-                    out_cols=["sum_x", "sum_y", "sum_z"],
-                    num_partitions=4).to_pandas()
+                    out_cols=["sum_x", "sum_y", "sum_z"]).to_pandas()
     for _, r in out.iterrows():
         for cat, col in zip("xyz", ["sum_x", "sum_y", "sum_z"]):
             want = df[(df["k"] == r["k"]) & (df["cat"] == cat)]["v"].sum()
@@ -303,8 +298,7 @@ def test_pivot_sum_matches_conditional_aggregation(ray_session):
     assert sorted(out["k"]) == ["a", "b", "c"]
     # a category absent from the data still yields its (zero) column
     out2 = pivot_sum(_ds(ray_session, df, 2), "k", "cat", "v",
-                     categories=["x", "missing"],
-                     num_partitions=2).to_pandas()
+                     categories=["x", "missing"]).to_pandas()
     assert (out2["missing"] == 0.0).all()
     with pytest.raises(ValueError):
         pivot_sum(_ds(ray_session, df, 2), "k", "cat", "v",
@@ -329,7 +323,7 @@ def test_grouped_approx_distinct_accuracy_and_partition_independence(ray_session
     for blocks in (2, 7):
         out = grouped_approx_distinct(
             _ds(ray_session, df.sample(frac=1.0, random_state=blocks), blocks),
-            ["g"], "u", "approx", num_partitions=4,
+            ["g"], "u", "approx",
         ).to_pandas()
         got = out.set_index("g")["approx"].to_dict()
         for g, n in exact.items():
@@ -351,16 +345,14 @@ def test_bloom_semi_join_exact_and_no_false_positives(ray_session):
     })
     right = pd.DataFrame({"rk": rng.integers(0, 500, 300).astype(np.int64)})
     out = bloom_semi_join(_ds(ray_session, left, 4),
-                          _ds(ray_session, right, 2), "k", "rk",
-                          num_partitions=8).to_pandas()
+                          _ds(ray_session, right, 2), "k", "rk").to_pandas()
     expected = left[left["k"].isin(right["rk"])]
     pd.testing.assert_frame_equal(_sorted(out), _sorted(expected))
     # a tiny, saturating mask still gives EXACT results (the co-partition
     # probe removes every bloom false positive)
     out_tiny = bloom_semi_join(_ds(ray_session, left, 4),
                                _ds(ray_session, right, 2), "k", "rk",
-                               nbits=64, nhashes=2,
-                               num_partitions=8).to_pandas()
+                               nbits=64, nhashes=2).to_pandas()
     pd.testing.assert_frame_equal(_sorted(out_tiny), _sorted(expected))
 
 
@@ -372,8 +364,7 @@ def test_bloom_semi_join_string_keys_empty_result(ray_session):
     left = pd.DataFrame({"k": ["a", "b", "c", "d"]})
     right = pd.DataFrame({"rk": ["x", "y"]})
     out = bloom_semi_join(_ds(ray_session, left, 2),
-                          _ds(ray_session, right, 1), "k", "rk",
-                          num_partitions=4).to_pandas()
+                          _ds(ray_session, right, 1), "k", "rk").to_pandas()
     assert len(out) == 0
 
 
@@ -404,7 +395,7 @@ def test_heavy_hitters_exact_counts_and_ties(ray_session):
     vals = [f"w{i:02d}" for i in range(40) for _ in range(40 - i)]
     rng.shuffle(vals)
     ds = ray.data.from_pandas(pd.DataFrame({"tok": vals})).repartition(5)
-    top = heavy_hitters(ds, "tok", 7, num_partitions=6)
+    top = heavy_hitters(ds, "tok", 7)
     assert top.column("tok").to_pylist() == [f"w{i:02d}" for i in range(7)]
     assert top.column("n").to_pylist() == [40 - i for i in range(7)]
 
@@ -420,8 +411,8 @@ def test_grouped_corr_matches_numpy(ray_session):
     x = rng.normal(size=n) * 100
     y = 3 * x + rng.normal(size=n) * 50
     df = pd.DataFrame({"g": g, "x": x, "y": y})
-    out = grouped_corr(_ds(ray_session, df, 4), ["g"], "x", "y", "r",
-                       num_partitions=4).to_pandas()
+    out = grouped_corr(_ds(ray_session, df, 4), ["g"], "x", "y",
+                       "r").to_pandas()
     got = dict(zip(out["g"], out["r"]))
     for key, grp in df.groupby("g"):
         want = np.corrcoef(grp["x"], grp["y"])[0, 1]
@@ -444,7 +435,6 @@ def test_copartition_agg_join_q3_shape(ray_session):
     out = copartition_agg_join(
         _ds(ray_session, fact, 3), _ds(ray_session, dim, 2),
         "ok", "o_ok", ["o_ok", "prio"], "rev", "revenue",
-        num_partitions=4,
     ).to_pandas()
     got = {r.ok: (r.revenue, r.prio) for r in out.itertuples()}
     assert got == {1: (15.0, "a"), 2: (7.0, "b"), 3: (6.0, "c")}
@@ -464,7 +454,7 @@ def test_windowed_cumsum_matches_pandas(ray_session):
         "v": rng.normal(size=n),
     })
     out = windowed_cumsum(_ds(ray_session, df, 4), ["u"], "t", "v", "cum",
-                          tie_col="i", num_partitions=4).to_pandas()
+                          tie_col="i").to_pandas()
     ref = df.sort_values(["u", "t", "i"], kind="stable").copy()
     ref["cum"] = np.round(ref.groupby("u")["v"].cumsum().to_numpy(), 6)
     got = out.sort_values(["u", "t", "i"]).reset_index(drop=True)
@@ -486,9 +476,8 @@ def test_approx_heavy_hitters_matches_exact_when_bound_holds(ray_session):
     vals = head + tail
     rng.shuffle(vals)
     ds = ray.data.from_pandas(pd.DataFrame({"v": vals})).repartition(6)
-    exact = heavy_hitters(ds, "v", 10, num_partitions=8)
-    approx = approx_heavy_hitters(ds, "v", 10, capacity=256,
-                                  num_partitions=8)
+    exact = heavy_hitters(ds, "v", 10)
+    approx = approx_heavy_hitters(ds, "v", 10, capacity=256)
     assert approx.equals(exact)   # identical values AND exact counts
 
 
@@ -500,7 +489,7 @@ def test_approx_heavy_hitters_small_capacity_still_counts_exactly(ray_session):
 
     vals = ["a"] * 100 + ["b"] * 60 + ["c"] * 30 + [f"x{i}" for i in range(50)]
     ds = ray.data.from_pandas(pd.DataFrame({"v": vals})).repartition(3)
-    top = approx_heavy_hitters(ds, "v", 2, capacity=8, num_partitions=4)
+    top = approx_heavy_hitters(ds, "v", 2, capacity=8)
     assert top.column("v").to_pylist() == ["a", "b"]
     assert top.column("n").to_pylist() == [100, 60]  # recount is exact
 
@@ -522,7 +511,7 @@ def test_full_outer_join_matches_pandas(ray_session):
     out = full_outer_join(
         ray.data.from_pandas(left).repartition(3),
         ray.data.from_pandas(right).repartition(2),
-        "k", "rk", ["rk", "rv"], num_partitions=4,
+        "k", "rk", ["rk", "rv"],
     ).to_pandas()
     ref = left.merge(right.rename(columns={"rk": "k"}), on="k",
                      how="outer")
@@ -562,8 +551,7 @@ def test_window_lag_matches_pandas(ray_session):
         "v": rng.normal(size=80),
     })
     out = window_lag(ray.data.from_pandas(df).repartition(5),
-                     ["u"], "t", "v", "prev_v", tie_col="i",
-                     num_partitions=4).to_pandas()
+                     ["u"], "t", "v", "prev_v", tie_col="i").to_pandas()
     ref = df.sort_values(["u", "t", "i"], kind="stable")
     ref = ref.assign(prev_v=ref.groupby("u")["v"].shift(1))
     got = out.sort_values(["u", "t", "i"]).reset_index(drop=True)
@@ -586,7 +574,7 @@ def test_grouped_mode_matches_pandas(ray_session):
         "v": ["x", "x", "y", "y", "z", "w", "q", "p", "q", "p"],
     })
     out = grouped_mode(ray.data.from_pandas(df).repartition(4),
-                       ["k"], "v", num_partitions=3).to_pandas() \
+                       ["k"], "v").to_pandas() \
         .sort_values("k").reset_index(drop=True)
     # a: x and y tie at 2 -> smaller value 'x'; b: p/q tie -> 'p'
     assert out.values.tolist() == [["a", "x", 2], ["b", "p", 2]]
@@ -605,7 +593,7 @@ def test_cube_sum_matches_pandas(ray_session):
         "x": rng.integers(1, 50, 300).astype(np.float64),
     })
     out = cube_sum(ray.data.from_pandas(df).repartition(5), ["a", "b"],
-                   "x", num_partitions=4).to_pandas()
+                   "x").to_pandas()
     # 2x3 finest + 2 (a) + 3 (b) + 1 total = 12 rows
     assert len(out) == 12
     ref = {}
@@ -642,7 +630,7 @@ def test_grouped_var_matches_pandas(ray_session):
     df = pd.concat([df, pd.DataFrame({"g": ["solo"], "x": [5.0]})],
                    ignore_index=True)
     out = grouped_var(ray.data.from_pandas(df).repartition(4), ["g"],
-                      "x", num_partitions=3).to_pandas() \
+                      "x").to_pandas() \
         .set_index("g")
     ref = df.groupby("g")["x"].var()
     for g in "abc":
@@ -666,7 +654,7 @@ def test_window_ntile_exact_sql_semantics(ray_session):
         "id": np.arange(12, dtype=np.int64),
     })
     out = window_ntile(ray.data.from_pandas(df).repartition(3), ["g"],
-                       "v", 3, tie_col="id", num_partitions=2) \
+                       "v", 3, tie_col="id") \
         .to_pandas().sort_values(["g", "v", "id"])
     a = out[out["g"] == "a"]["tile"].tolist()
     assert a == [1, 1, 1, 1, 2, 2, 2, 3, 3, 3]
@@ -694,12 +682,12 @@ def test_bloom_anti_join_exact_with_forced_collisions(ray_session):
     got = bloom_anti_join(
         ray.data.from_pandas(left).repartition(4),
         ray.data.from_pandas(right).repartition(3),
-        "k", "rk", nbits=64, nhashes=2, num_partitions=4,
+        "k", "rk", nbits=64, nhashes=2,
     ).to_pandas()
     ref = anti_join(
         ray.data.from_pandas(left).repartition(4),
         ray.data.from_pandas(right).repartition(3),
-        "k", "rk", num_partitions=4,
+        "k", "rk",
     ).to_pandas()
     got = got.sort_values(["k", "v"]).reset_index(drop=True)
     ref = ref.sort_values(["k", "v"]).reset_index(drop=True)
@@ -731,7 +719,7 @@ def test_asof_join_forward_strict_and_ties(ray_session):
         _ds(ray_session, left, 2), _ds(ray_session, right, 2),
         by="user", right_by="user", on="ts",
         right_cols=["event_id", "value"], tie_col="event_id",
-        num_partitions=4, direction="forward",
+        direction="forward",
     ).to_pandas()
     got = out.set_index("event_id")["event_id_r"].to_dict()
     assert got == {100: 11, 101: 13}

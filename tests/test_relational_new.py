@@ -48,14 +48,14 @@ def test_skew_join_matches_plain_join(ray_session):
 
     # hot path actually taken: threshold 100 makes key 0 hot
     out_hot = skew_join(_ds(ray_session, left), _ds(ray_session, right, 2),
-                        "k", "rk", ["rk", "name"], hot_threshold=100,
-                        num_partitions=4).to_pandas()
+                        "k", "rk", ["rk", "name"],
+                        hot_threshold=100).to_pandas()
     pd.testing.assert_frame_equal(_sorted(out_hot), _sorted(expected))
 
     # threshold high: falls back to the plain co-partitioned join
     out_cold = skew_join(_ds(ray_session, left), _ds(ray_session, right, 2),
-                         "k", "rk", ["rk", "name"], hot_threshold=10_000,
-                         num_partitions=4).to_pandas()
+                         "k", "rk", ["rk", "name"],
+                         hot_threshold=10_000).to_pandas()
     pd.testing.assert_frame_equal(_sorted(out_cold), _sorted(expected))
 
 
@@ -66,8 +66,7 @@ def test_skew_join_hot_key_missing_from_right(ray_session):
     right = pd.DataFrame({"rk": np.int64([1, 2]),
                           "name": ["a", "b"]})
     out = skew_join(_ds(ray_session, left), _ds(ray_session, right, 1),
-                    "k", "rk", ["rk", "name"], hot_threshold=10,
-                    num_partitions=4).to_pandas()
+                    "k", "rk", ["rk", "name"], hot_threshold=10).to_pandas()
     expected = left.merge(right, left_on="k", right_on="rk").drop(
         columns=["rk"])
     pd.testing.assert_frame_equal(_sorted(out), _sorted(expected))
@@ -78,7 +77,7 @@ def test_inner_join_duplicate_right_keys(ray_session):
     right = pd.DataFrame({"rk": np.int64([1, 1, 3]),
                           "tag": ["x", "y", "z"]})
     out = inner_join(_ds(ray_session, left), _ds(ray_session, right, 2),
-                     "k", "rk", ["rk", "tag"], num_partitions=4).to_pandas()
+                     "k", "rk", ["rk", "tag"]).to_pandas()
     expected = left.merge(right, left_on="k", right_on="rk").drop(
         columns=["rk"])
     pd.testing.assert_frame_equal(_sorted(out), _sorted(expected))
@@ -91,8 +90,7 @@ def test_grouped_standardize_matches_pandas(ray_session):
         "x": rng.normal(100.0, 25.0, 300),
     })
     out = grouped_standardize(_ds(ray_session, df), ["g"], "x",
-                              out_col="z", ndigits=4,
-                              num_partitions=4).to_pandas()
+                              out_col="z", ndigits=4).to_pandas()
     mu = df.groupby("g")["x"].transform("mean")
     sd = df.groupby("g")["x"].transform("std")
     expected = df.copy()
@@ -105,7 +103,7 @@ def test_grouped_standardize_matches_pandas(ray_session):
 def test_grouped_standardize_singleton_group_null(ray_session):
     df = pd.DataFrame({"g": ["a", "a", "b"], "x": [1.0, 3.0, 5.0]})
     out = grouped_standardize(_ds(ray_session, df, 1), ["g"], "x",
-                              out_col="z", num_partitions=2).to_pandas()
+                              out_col="z").to_pandas()
     assert np.isnan(out.loc[out["g"] == "b", "z"]).all()
     a = out[out["g"] == "a"].sort_values("x")["z"].to_numpy()
     np.testing.assert_allclose(a, [-0.7071, 0.7071], atol=1e-4)
@@ -135,7 +133,7 @@ def test_strip_boilerplate_exact(ray_session):
     # doc 11 is ONLY boilerplate
     docs.loc[11, "text"] = hdr
     out = strip_boilerplate(
-        _ds(ray_session, docs), min_docs=5, num_partitions=4
+        _ds(ray_session, docs), min_docs=5
     ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert len(out) == 12
     for i in range(11):
@@ -149,7 +147,7 @@ def test_strip_boilerplate_threshold_not_met(ray_session):
         "text": ["common\nbody0", "common\nbody1", "only2"],
     })
     out = strip_boilerplate(
-        _ds(ray_session, docs, 1), min_docs=5, num_partitions=2
+        _ds(ray_session, docs, 1), min_docs=5
     ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert out["clean_text"].tolist() == ["common\nbody0",
                                           "common\nbody1", "only2"]
@@ -167,7 +165,6 @@ def test_strip_boilerplate_scoped_per_site(ray_session):
     })
     out = strip_boilerplate(
         _ds(ray_session, docs), min_docs=3, scope_col="domain",
-        num_partitions=4,
     ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     # a.com: 6 docs share the line (>= 3) -> dropped site-wide
     for i in range(6):
@@ -177,7 +174,7 @@ def test_strip_boilerplate_scoped_per_site(ray_session):
     assert out.loc[7, "clean_text"] == "body 7"
     # corpus-global mode would have dropped it everywhere
     glob = strip_boilerplate(
-        _ds(ray_session, docs), min_docs=3, num_partitions=4
+        _ds(ray_session, docs), min_docs=3
     ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert glob.loc[6, "clean_text"] == "body 6"
 
@@ -194,7 +191,7 @@ def test_merge_into_latest_wins_and_delete(ray_session):
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import merge_into
 
     out = merge_into(_ds(ray_session, snap), _ds(ray_session, changes, 2),
-                     "k", num_partitions=4).to_pandas()
+                     "k").to_pandas()
     expected = pd.DataFrame({"k": np.int64([1, 2, 4, 9]),
                              "v": ["a", "b_new", "d", "inserted"]})
     pd.testing.assert_frame_equal(_sorted(out), _sorted(expected))
@@ -218,7 +215,6 @@ def test_banded_range_join_matches_bruteforce(ray_session):
     out = banded_range_join(
         _ds(ray_session, pts), ray.data.from_pandas(ivs), "x",
         "lo", "hi", band_width=10.0, keep_cols=["name"],
-        num_partitions=4,
     ).to_pandas()
     rows = []
     for _, p in pts.iterrows():
@@ -240,7 +236,6 @@ def test_banded_range_join_boundary_semantics(ray_session):
     out = banded_range_join(
         _ds(ray_session, pts, 1), ray.data.from_pandas(ivs), "x",
         "lo", "hi", band_width=7.0, keep_cols=["name"],
-        num_partitions=2,
     ).to_pandas()
     assert out["x"].tolist() == [10.0]  # lo inclusive, hi exclusive
 
@@ -258,7 +253,7 @@ def test_tumbling_window_agg_matches_pandas(ray_session):
                        "v": rng.uniform(0, 10, 500)})
     out = tumbling_window_agg(
         _ds(ray_session, df), ["g"], "ts", width_us=300_000_000,
-        value_col="v", num_partitions=4,
+        value_col="v",
     ).to_pandas()
     ref = df.copy()
     ref["win"] = ref["ts"].astype("int64") // 300_000_000
@@ -299,8 +294,7 @@ def test_left_join_unmatched_rows_null(ray_session):
     right = _ds(ray_session, pd.DataFrame({
         "rk": [2, 4, 9], "rv": [20, 40, 90],
     }))
-    got = _sorted(left_join(left, right, "k", "rk", ["rk", "rv"],
-                            num_partitions=4).to_pandas())
+    got = _sorted(left_join(left, right, "k", "rk", ["rk", "rv"]).to_pandas())
     want = _sorted(
         pd.DataFrame({"k": [1, 2, 3, 4], "lv": list("abcd")})
         .merge(pd.DataFrame({"k": [2, 4, 9], "rv": [20, 40, 90]}),
@@ -319,8 +313,7 @@ def test_window_percent_rank_ties(ray_session):
         "v": [10.0, 10.0, 20.0, 30.0, 30.0, 7.0, 1.0, 2.0, 3.0, 4.0],
         "i": range(10),
     })
-    got = window_percent_rank(_ds(ray_session, df), ["g"], "v",
-                              num_partitions=3).to_pandas()
+    got = window_percent_rank(_ds(ray_session, df), ["g"], "v").to_pandas()
     got = got.sort_values("i").reset_index(drop=True)
     # group a (n=5): ranks min-method [1,1,3,4,4] -> (r-1)/4
     np.testing.assert_allclose(
@@ -356,8 +349,7 @@ def test_funnel_counts_ordering_semantics(ray_session):
     ]
     df = pd.DataFrame(rows, columns=["user_id", "event_type", "ts"])
     got = funnel_counts(_ds(ray_session, df, blocks=3),
-                        ["view", "click", "purchase"],
-                        num_partitions=3).to_pandas() \
+                        ["view", "click", "purchase"]).to_pandas() \
         .sort_values("stage_idx")
     assert got.stage.tolist() == ["view", "click", "purchase"]
     # view: u1,u2,u3,u5; click-after-view: u1,u3,u5; purchase: u1,u5
@@ -379,8 +371,7 @@ def test_retention_counts_cohorts(ray_session):
     ]
     df = pd.DataFrame(rows, columns=["user_id", "ts"])
     got = retention_counts(_ds(ray_session, df, blocks=3),
-                           ts_col="ts", bucket_us=B, max_offset=3,
-                           num_partitions=3).to_pandas()
+                           ts_col="ts", bucket_us=B, max_offset=3).to_pandas()
     got_d = {(int(r.cohort), int(r.offset)): int(r.n_users)
              for r in got.itertuples()}
     assert got_d == {
@@ -416,7 +407,7 @@ class TestValidationReport:
             {"col": "s", "check": "in_set",
              "values": ["1-HIGH", "2-MED"]},
             {"col": "k", "check": "unique"},
-        ], num_partitions=2)
+        ])
         assert rep[("c", "not_null")]["n_violations"] == 1
         # 99.0 out of range, -3.0 below, None never satisfies
         assert rep[("v", "range")]["n_violations"] == 3
@@ -452,8 +443,7 @@ class TestValidationReport:
             ds = ray.data.from_items(rows, override_num_blocks=blocks)
             outs.append(sorted(
                 tuple(sorted(r.items()))
-                for r in validation_report(ds, rules,
-                                           num_partitions=3).take_all()
+                for r in validation_report(ds, rules).take_all()
             ))
         assert outs[0] == outs[1]
 
@@ -532,8 +522,7 @@ class TestIncrementalAgg:
             {"k": "b", "v": 7.0, "w": -1},
         ], override_num_blocks=2)
         out = {r["k"]: r for r in incremental_agg(
-            base_agg, delta, ["k"], "v", weight_col="w",
-            num_partitions=3).take_all()}
+            base_agg, delta, ["k"], "v", weight_col="w").take_all()}
         assert out["a"] == {"k": "a", "sum_val": 14.0, "n": 3}
         assert out["b"] == {"k": "b", "sum_val": 3.0, "n": 1}
         assert out["d"] == {"k": "d", "sum_val": 9.0, "n": 1}
@@ -570,7 +559,7 @@ class TestGiniCoefficient:
         return gini_coefficient(ds, ["k"], **kw).take_all()[0]
 
     def test_uniform_is_zero(self, ray_session):
-        out = self._gini([i % 5 for i in range(50)], num_partitions=2)
+        out = self._gini([i % 5 for i in range(50)])
         assert out["gini"] == 0.0
         assert out["n_keys"] == 5 and out["n_rows"] == 50
 
@@ -578,7 +567,7 @@ class TestGiniCoefficient:
         import numpy as np
 
         keys = [0] * 50 + [1] * 10 + [2] * 5 + [3] * 1
-        out = self._gini(keys, num_partitions=3)
+        out = self._gini(keys)
         x = np.sort(np.array([50, 10, 5, 1], float))
         n = len(x)
         expected = ((2 * np.arange(1, n + 1) - n - 1) * x).sum() / (
@@ -604,7 +593,7 @@ class TestKSStatistic:
     def test_identical_distributions_zero(self, ray_session):
         rows = ([{"v": float(i % 7), "s": True} for i in range(70)]
                 + [{"v": float(i % 7), "s": False} for i in range(70)])
-        out = self._ks(rows, num_partitions=2)
+        out = self._ks(rows)
         assert out["ks"] == 0.0
         assert out["n_sample"] == 70 and out["n_rest"] == 70
 
@@ -625,7 +614,7 @@ class TestKSStatistic:
         fa = np.searchsorted(np.sort(a), vals, side="right") / len(a)
         fb = np.searchsorted(np.sort(b), vals, side="right") / len(b)
         expected = round(float(np.abs(fa - fb).max()), 6)
-        assert self._ks(rows, num_partitions=4)["ks"] == expected
+        assert self._ks(rows)["ks"] == expected
 
 
 class TestExactQuantiles:
@@ -693,7 +682,7 @@ def test_locf_fill_carries_forward_and_leading_nulls(ray_session):
     out = {(r["k"], r["day"].day): r["filled_val"]
            for r in locf_fill(
                ray.data.from_items(rows, override_num_blocks=2),
-               "k", "ts", "v", num_partitions=2).take_all()}
+               "k", "ts", "v").take_all()}
     assert len(out) == 15                      # 3 keys x 5 days
     assert out[("a", 1)] == 2.0                # mean of 1 and 3
     assert out[("a", 2)] == 2.0 and out[("a", 3)] == 2.0   # carried
@@ -715,8 +704,7 @@ def test_fk_coverage_counts(ray_session):
         override_num_blocks=3)
     parent = ray.data.from_items(
         [{"pk": k} for k in [1, 2, 2, 5]], override_num_blocks=2)
-    out = fk_coverage(child, parent, "fk", "pk",
-                      num_partitions=3).take_all()[0]
+    out = fk_coverage(child, parent, "fk", "pk").take_all()[0]
     assert out["n_child_rows"] == 10
     assert out["n_child_keys"] == 4          # 1, 2, 3, 9
     assert out["n_matched_keys"] == 2        # 1 and 2
@@ -736,7 +724,7 @@ def test_analyze_table_with_nulls(ray_session):
             for i in range(30)]
     out = {r["col"]: r for r in analyze_table(
         ray.data.from_items(rows, override_num_blocks=3),
-        ["a", "b"], num_partitions=3).take_all()}
+        ["a", "b"]).take_all()}
     assert out["a"] == {"col": "a", "n_rows": 30, "n_nulls": 0,
                         "n_distinct": 5, "min_val": 0.0,
                         "max_val": 4.0}

@@ -42,7 +42,7 @@ def test_grouped_argmax_latest_per_user(ray_session):
         .drop_duplicates(subset=["user_id"], keep="last")
     )
     got = grouped_argmax(_ds(ray_session, ev), ["user_id"],
-                         ["ts", "event_id"], num_partitions=4).to_pandas()
+                         ["ts", "event_id"]).to_pandas()
     pd.testing.assert_frame_equal(_sorted(got), _sorted(expected))
 
 
@@ -53,8 +53,8 @@ def test_grouped_argmax_tie_broken_by_second_order_col(ray_session):
         "tie": [2, 9, 1],
         "payload": ["a", "b", "c"],
     })
-    got = grouped_argmax(_ds(ray_session, df, 3), ["k"], ["o", "tie"],
-                         num_partitions=2).to_pandas()
+    got = grouped_argmax(_ds(ray_session, df, 3), ["k"],
+                         ["o", "tie"]).to_pandas()
     assert got["payload"].tolist() == ["b"]
 
 
@@ -65,8 +65,7 @@ def test_grouped_regression_matches_numpy(ray_session):
         "x": rng.normal(size=400),
     })
     df["y"] = 2.5 * df["x"] + rng.normal(scale=0.3, size=400) + df["g"]
-    got = grouped_regression(_ds(ray_session, df), ["g"], "x", "y",
-                             num_partitions=4).to_pandas()
+    got = grouped_regression(_ds(ray_session, df), ["g"], "x", "y").to_pandas()
     for _, row in got.iterrows():
         sub = df[df["g"] == row["g"]]
         slope, intercept = np.polyfit(sub["x"], sub["y"], 1)
@@ -79,8 +78,8 @@ def test_grouped_regression_matches_numpy(ray_session):
 def test_grouped_regression_degenerate_constant_x(ray_session):
     df = pd.DataFrame({"g": [1, 1, 1], "x": [2.0, 2.0, 2.0],
                        "y": [1.0, 2.0, 3.0]})
-    got = grouped_regression(_ds(ray_session, df, 1), ["g"], "x", "y",
-                             num_partitions=2).to_pandas()
+    got = grouped_regression(_ds(ray_session, df, 1), ["g"], "x",
+                             "y").to_pandas()
     assert np.isnan(got["slope"].iloc[0]) and np.isnan(got["r2"].iloc[0])
 
 
@@ -91,8 +90,7 @@ def test_fill_gaps_emits_zero_days(ray_session):
             ["2024-01-01 05:00", "2024-01-04 09:00", "2024-01-02 00:00"]
         ).astype("datetime64[us]"),
     })
-    got = fill_gaps(_ds(ray_session, ev, 2), "t", "ts",
-                    num_partitions=2).to_pandas()
+    got = fill_gaps(_ds(ray_session, ev, 2), "t", "ts").to_pandas()
     # 2 keys x 4 days, zeros included
     assert len(got) == 8
     assert got["n"].sum() == 3
@@ -107,7 +105,7 @@ def test_hopping_window_counts_each_event_k_times(ray_session):
     hop, size = 3_600_000_000, 2 * 3_600_000_000
     got = hopping_window_agg(
         _ds(ray_session, ev[["user_id", "ts"]]), ["user_id"], "ts",
-        size_us=size, hop_us=hop, num_partitions=4,
+        size_us=size, hop_us=hop,
     ).to_pandas()
     assert got["n"].sum() == 2 * len(ev)
     # reference: each event in windows floor(ts/hop)-j for j in {0,1}
@@ -155,7 +153,7 @@ def test_window_lead_matches_pandas_shift(ray_session):
                               kind="stable").copy()
     expected["next_v"] = expected.groupby("user_id")["v"].shift(-1)
     got = window_lead(_ds(ray_session, ev), ["user_id"], "ts", "v",
-                      "next_v", "event_id", num_partitions=4).to_pandas()
+                      "next_v", "event_id").to_pandas()
     pd.testing.assert_frame_equal(_sorted(got), _sorted(expected))
 
 
@@ -169,7 +167,7 @@ def test_window_dense_rank_ties_share_rank(ray_session):
         "v": [10.0, 10.0, 20.0, 30.0, 30.0, 1.0, 1.0, 2.0],
     })
     got = window_dense_rank(_ds(ray_session, df), ["g"], "v",
-                            out_col="r", num_partitions=3).to_pandas()
+                            out_col="r").to_pandas()
     expected = df.copy()
     expected["r"] = df.groupby("g")["v"].rank(method="dense").astype(
         np.int64)
@@ -188,8 +186,7 @@ def test_grouped_first_last_ordered(ray_session):
     expected = f.rename(columns={"v": "first_val"}).merge(
         la.rename(columns={"v": "last_val"}), on="user_id")
     got = grouped_first_last(_ds(ray_session, ev), ["user_id"],
-                             ["ts", "event_id"], "v",
-                             num_partitions=4).to_pandas()
+                             ["ts", "event_id"], "v").to_pandas()
     pd.testing.assert_frame_equal(_sorted(got), _sorted(expected))
 
 
@@ -208,8 +205,7 @@ def test_windowed_cumagg_min_max_count(ray_session):
         expected = s.copy()
         expected["out"] = ref.to_numpy()
         got = windowed_cumagg(_ds(ray_session, ev), ["user_id"], "ts",
-                              "v", "out", "event_id", agg=agg,
-                              num_partitions=4).to_pandas()
+                              "v", "out", "event_id", agg=agg).to_pandas()
         pd.testing.assert_frame_equal(_sorted(got),
                                       _sorted(expected),
                                       check_dtype=False)
@@ -231,7 +227,7 @@ def test_window_rank_ties_share_with_gaps(ray_session):
         "v": [10.0, 10.0, 20.0, 30.0, 30.0, 1.0, 1.0, 2.0],
     })
     got = window_rank(_ds(ray_session, df), ["g"], "v",
-                      out_col="r", num_partitions=3).to_pandas()
+                      out_col="r").to_pandas()
     expected = df.copy()
     expected["r"] = df.groupby("g")["v"].rank(method="min").astype(
         np.int64)
@@ -272,8 +268,8 @@ def test_cusum_flags_planted_level_shift(ray_session):
     rows = [("a", d, 10 + (d % 2)) for d in range(20)]
     rows += [("a", d, 30) for d in range(20, 30)]
     out = sorted(cusum_changepoints(
-        _cusum_events(ray_session, rows), "event_type", "ts",
-        num_partitions=4).take_all(), key=lambda r: r["day"])
+        _cusum_events(ray_session, rows), "event_type", "ts").take_all(),
+        key=lambda r: r["day"])
     flags = [r["flag"] for r in out]
     assert len(out) == 30
     assert all(f == 0 for f in flags[:20])     # quiet regime never fires
@@ -311,6 +307,5 @@ def test_cusum_partition_independent(ray_session):
     one = sorted(cusum_changepoints(
         ds, "event_type", "ts").take_all(), key=key)
     many = sorted(cusum_changepoints(
-        ds.repartition(7), "event_type", "ts",
-        num_partitions=3).take_all(), key=key)
+        ds.repartition(7), "event_type", "ts").take_all(), key=key)
     assert one == many

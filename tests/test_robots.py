@@ -85,7 +85,7 @@ class TestRobotsFilter:
 
         pages, robots = self.mk(ray_session)
         out = {r["url"]: r for r in
-               robots_filter(pages, robots, num_partitions=4).take_all()}
+               robots_filter(pages, robots).take_all()}
         assert out["https://a.com/private/x"]["allowed"] == 0
         assert out["https://www.a.com/private/ok/x"]["allowed"] == 1
         assert out["https://a.com/pub"]["allowed"] == 1
@@ -111,16 +111,17 @@ class TestRobotsFilter:
         assert star["allowed"] == 1
         assert bot["allowed"] == 0
 
-    def test_partition_independent(self, ray_session):
+    def test_partition_independent(self, ray_session, fixed_partitions):
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
             robots_filter,
         )
 
         pages, robots = self.mk(ray_session)
-        one = robots_filter(pages, robots,
-                            num_partitions=1).sort("url").take_all()
-        many = robots_filter(pages.repartition(3), robots,
-                             num_partitions=7).sort("url").take_all()
+        fixed_partitions(1)
+        one = robots_filter(pages, robots).sort("url").take_all()
+        fixed_partitions(7)
+        many = robots_filter(pages.repartition(3),
+                             robots).sort("url").take_all()
         assert one == many
 
 

@@ -42,24 +42,23 @@ def _sample_ref(df: pd.DataFrame, k: int) -> pd.DataFrame:
 
 def test_hash_sample_matches_reference(ray_session):
     df = _docs()
-    got = grouped_hash_sample(_ds(ray_session, df), ["g"], 7, "id",
-                              num_partitions=4).to_pandas()
+    got = grouped_hash_sample(_ds(ray_session, df), ["g"], 7, "id").to_pandas()
     pd.testing.assert_frame_equal(_sorted(got), _sorted(_sample_ref(df, 7)))
 
 
 def test_hash_sample_partition_independent(ray_session):
     df = _docs(n=250, groups=3)
-    a = grouped_hash_sample(_ds(ray_session, df, 1), ["g"], 5, "id",
-                            num_partitions=1).to_pandas()
-    b = grouped_hash_sample(_ds(ray_session, df, 8), ["g"], 5, "id",
-                            num_partitions=6).to_pandas()
+    a = grouped_hash_sample(_ds(ray_session, df, 1), ["g"], 5,
+                            "id").to_pandas()
+    b = grouped_hash_sample(_ds(ray_session, df, 8), ["g"], 5,
+                            "id").to_pandas()
     pd.testing.assert_frame_equal(_sorted(a), _sorted(b))
 
 
 def test_hash_sample_small_groups_keep_all_rows(ray_session):
     df = _docs(n=12, groups=4)  # 3 rows per group < k
-    got = grouped_hash_sample(_ds(ray_session, df, 2), ["g"], 10, "id",
-                              num_partitions=2).to_pandas()
+    got = grouped_hash_sample(_ds(ray_session, df, 2), ["g"], 10,
+                              "id").to_pandas()
     pd.testing.assert_frame_equal(_sorted(got), _sorted(df))
 
 
@@ -77,7 +76,7 @@ def test_weighted_sample_matches_reference(ray_session):
     df = _docs()
     df["w"] = 1.0 + (df["id"].to_numpy() % 17).astype(np.float64)
     got = grouped_weighted_sample(_ds(ray_session, df), ["g"], 6, "id",
-                                  "w", num_partitions=4).to_pandas()
+                                  "w").to_pandas()
     pd.testing.assert_frame_equal(_sorted(got),
                                   _sorted(_weighted_ref(df, 6)))
 
@@ -88,7 +87,7 @@ def test_weighted_sample_drops_nonpositive_weights(ray_session):
     df.loc[df["id"] % 3 == 0, "w"] = 0.0
     df.loc[df["id"] % 5 == 0, "w"] = -2.0
     got = grouped_weighted_sample(_ds(ray_session, df), ["g"], 100, "id",
-                                  "w", num_partitions=2).to_pandas()
+                                  "w").to_pandas()
     bad = set(df.loc[df["w"] <= 0, "id"])
     assert not (set(got["id"]) & bad)
     pd.testing.assert_frame_equal(_sorted(got),
@@ -104,7 +103,7 @@ def test_weighted_sample_biases_toward_heavy_rows(ray_session):
         "w": np.where(np.arange(200) < 100, 100.0, 1.0),
     })
     got = grouped_weighted_sample(_ds(ray_session, df), ["g"], 20, "id",
-                                  "w", num_partitions=2).to_pandas()
+                                  "w").to_pandas()
     assert (got["id"] < 100).sum() >= 15
 
 
@@ -118,8 +117,7 @@ def _winsor_ref(df, q_lo, q_hi):
 def test_winsorize_matches_reference(ray_session):
     df = _docs()
     got = grouped_winsorize(_ds(ray_session, df), ["g"], "v",
-                            q_lo=0.1, q_hi=0.9,
-                            num_partitions=4).to_pandas()
+                            q_lo=0.1, q_hi=0.9).to_pandas()
     pd.testing.assert_frame_equal(_sorted(got),
                                   _sorted(_winsor_ref(df, 0.1, 0.9)))
 
@@ -127,8 +125,7 @@ def test_winsorize_matches_reference(ray_session):
 def test_winsorize_interior_values_untouched(ray_session):
     df = _docs(n=200, groups=2)
     got = grouped_winsorize(_ds(ray_session, df), ["g"], "v",
-                            q_lo=0.0, q_hi=1.0,
-                            num_partitions=2).to_pandas()
+                            q_lo=0.0, q_hi=1.0).to_pandas()
     # bounds round to 6 digits, so the group extremes themselves may
     # move by up to 5e-7 — interior rows are bit-identical
     np.testing.assert_allclose(got["v_w"].to_numpy(),
@@ -141,8 +138,7 @@ def test_winsorize_clips_planted_outliers(ray_session):
         "v": np.r_[np.linspace(0, 1, 98), 1e9, -1e9],
     })
     got = grouped_winsorize(_ds(ray_session, df, 3), ["g"], "v",
-                            q_lo=0.05, q_hi=0.95,
-                            num_partitions=2).to_pandas()
+                            q_lo=0.05, q_hi=0.95).to_pandas()
     assert got["v_w"].max() < 2.0
     assert got["v_w"].min() > -1.0
 
@@ -163,8 +159,7 @@ def test_winsorize_null_and_nan_keys_are_groups(ray_session):
         "v": np.sin(i * 0.37) * 100,
     })
     got = grouped_winsorize(_ds(ray_session, df), ["g", "h"], "v",
-                            q_lo=0.1, q_hi=0.9,
-                            num_partitions=3).to_pandas()
+                            q_lo=0.1, q_hi=0.9).to_pandas()
     t = pa.Table.from_pandas(df, preserve_index=False)  # noqa: F841
     want = duckdb.sql("""
         SELECT id, LEAST(GREATEST(v, round(quantile_cont(v, 0.1) OVER w, 6)),
@@ -196,8 +191,7 @@ def test_winsorize_nan_and_null_float_key_are_one_group(ray_session):
                   "h": h, "v": np.sin(i * 0.37) * 100})
     assert h.null_count and pc.any(pc.is_nan(h)).as_py()
     got = grouped_winsorize(ray.data.from_arrow(t).repartition(4),
-                            ["g", "h"], "v", q_lo=0.1, q_hi=0.9,
-                            num_partitions=16).to_pandas()
+                            ["g", "h"], "v", q_lo=0.1, q_hi=0.9).to_pandas()
     want = duckdb.sql("""
         SELECT id, LEAST(GREATEST(v, round(quantile_cont(v, 0.1) OVER w, 6)),
                          round(quantile_cont(v, 0.9) OVER w, 6)) AS v_w

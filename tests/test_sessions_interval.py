@@ -51,7 +51,7 @@ def _sessions_ref(ev: pd.DataFrame, gap_s: float) -> pd.DataFrame:
 def test_gap_sessions_matches_pandas(ray_session):
     ev = _events(np.random.default_rng(11))
     got = gap_sessions(_ds(ray_session, ev), "user_id", "ts", 3600.0,
-                       "event_id", num_partitions=4).to_pandas()
+                       "event_id").to_pandas()
     pd.testing.assert_frame_equal(_sorted(got),
                                   _sorted(_sessions_ref(ev, 3600.0)))
 
@@ -65,7 +65,7 @@ def test_gap_sessions_boundary_gap_not_a_break(ray_session):
     ev = pd.DataFrame({"user_id": [1, 1, 1], "ts": ts,
                        "event_id": [0, 1, 2]})
     got = gap_sessions(_ds(ray_session, ev, 2), "user_id", "ts", 3600.0,
-                       "event_id", num_partitions=2).to_pandas()
+                       "event_id").to_pandas()
     got = got.sort_values("session_id").reset_index(drop=True)
     assert got["session_id"].tolist() == [1, 2]
     assert got["n_events"].tolist() == [2, 1]
@@ -74,16 +74,16 @@ def test_gap_sessions_boundary_gap_not_a_break(ray_session):
 def test_gap_sessions_partition_independent(ray_session):
     ev = _events(np.random.default_rng(5), n=120, users=3)
     a = gap_sessions(_ds(ray_session, ev, 1), "user_id", "ts", 1800.0,
-                     "event_id", num_partitions=1).to_pandas()
+                     "event_id").to_pandas()
     b = gap_sessions(_ds(ray_session, ev, 6), "user_id", "ts", 1800.0,
-                     "event_id", num_partitions=7).to_pandas()
+                     "event_id").to_pandas()
     pd.testing.assert_frame_equal(_sorted(a), _sorted(b))
 
 
 def test_gap_sessions_emit_events_annotates_rows(ray_session):
     ev = _events(np.random.default_rng(17), n=150, users=4)
     got = gap_sessions(_ds(ray_session, ev), "user_id", "ts", 3600.0,
-                       "event_id", num_partitions=3,
+                       "event_id",
                        emit="events").to_pandas()
     assert len(got) == len(ev)
     # per-event ids must aggregate to exactly the session rows
@@ -132,7 +132,7 @@ def test_interval_join_matches_all_pairs_reference(ray_session):
     got = interval_join(
         _ds(ray_session, left), _ds(ray_session, right, 2), "st", "en",
         left_cols=["st", "en", "lid"], right_cols=["st", "en", "rid"],
-        bucket_seconds=3600.0, num_partitions=5).to_pandas()
+        bucket_seconds=3600.0).to_pandas()
     exp = _overlap_ref(left, right)
     pd.testing.assert_frame_equal(_sorted(got), _sorted(exp))
 
@@ -145,7 +145,7 @@ def test_interval_join_no_duplicate_pairs_across_buckets(ray_session):
     got = interval_join(
         _ds(ray_session, left), _ds(ray_session, right), "st", "en",
         left_cols=["st", "en", "lid"], right_cols=["st", "en", "rid"],
-        bucket_seconds=600.0, num_partitions=3).to_pandas()
+        bucket_seconds=600.0).to_pandas()
     assert not got.duplicated(["lid", "rid_b"]).any()
     exp = _overlap_ref(left, right)
     pd.testing.assert_frame_equal(_sorted(got), _sorted(exp))
@@ -166,7 +166,7 @@ def test_interval_join_no_overlap_is_empty_with_the_output_schema(ray_session):
         _ds(ray_session, point("lid", 0), 2),
         _ds(ray_session, point("rid", 1), 2), "st", "en",
         left_cols=["st", "en", "lid"], right_cols=["st", "en", "rid"],
-        bucket_seconds=600.0, num_partitions=3).materialize()
+        bucket_seconds=600.0).materialize()
     assert got.take_all() == []
     assert got.schema().names == ["st", "en", "lid", "st_b", "en_b", "rid_b"]
 
@@ -190,7 +190,7 @@ def test_interval_join_touching_endpoints_inclusive(ray_session):
     got = interval_join(
         _ds(ray_session, left, 1), _ds(ray_session, right, 1), "st", "en",
         left_cols=["st", "en", "lid"], right_cols=["st", "en", "rid"],
-        bucket_seconds=3600.0, num_partitions=2).to_pandas()
+        bucket_seconds=3600.0).to_pandas()
     assert got["rid_b"].tolist() == [0]
 
 
@@ -201,7 +201,7 @@ def test_interval_join_empty_side_yields_empty(ray_session):
     got = interval_join(
         _ds(ray_session, left), _ds(ray_session, right, 1), "st", "en",
         left_cols=["st", "en", "lid"], right_cols=["st", "en", "rid"],
-        bucket_seconds=3600.0, num_partitions=2)
+        bucket_seconds=3600.0)
     # Ray reports no schema for all-empty datasets (to_pandas drops the
     # columns too) — assert emptiness, not the unknowable column list
     assert got.count() == 0
@@ -221,7 +221,7 @@ def test_interval_join_numeric_columns(ray_session):
     got = interval_join(
         _ds(ray_session, left), _ds(ray_session, right), "st", "en",
         left_cols=["st", "en", "lid"], right_cols=["st", "en", "rid"],
-        bucket_seconds=5.0, num_partitions=3).to_pandas()
+        bucket_seconds=5.0).to_pandas()
     # reference on the same microsecond-quantized endpoints the engine
     # compares (floats are rounded to integer microseconds internally)
     ql, qr = left.copy(), right.copy()

@@ -18,8 +18,7 @@ def test_intersect_distinct_set_semantics(ray_session):
     left = pd.DataFrame({"k": [1, 1, 2, 3, 3, 3], "v": list("aabccc")})
     right = pd.DataFrame({"k": [1, 3, 3, 4], "v": list("acca")})
     got = intersect_distinct(_ds(ray_session, left),
-                             _ds(ray_session, right), ["k", "v"],
-                             num_partitions=3).to_pandas()
+                             _ds(ray_session, right), ["k", "v"]).to_pandas()
     got = set(map(tuple, got[["k", "v"]].itertuples(index=False)))
     # (1,'a') and (3,'c') on both sides; duplicates collapse
     assert got == {(1, "a"), (3, "c")}
@@ -33,8 +32,7 @@ def test_except_distinct_set_semantics(ray_session):
     left = pd.DataFrame({"k": [1, 1, 2, 3], "v": list("aabc")})
     right = pd.DataFrame({"k": [3, 4], "v": list("cd")})
     got = except_distinct(_ds(ray_session, left),
-                          _ds(ray_session, right), ["k", "v"],
-                          num_partitions=3).to_pandas()
+                          _ds(ray_session, right), ["k", "v"]).to_pandas()
     got = set(map(tuple, got[["k", "v"]].itertuples(index=False)))
     # (3,'c') removed; right-only (4,'d') never appears; dups collapse
     assert got == {(1, "a"), (2, "b")}

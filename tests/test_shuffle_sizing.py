@@ -1,10 +1,14 @@
-"""Input-sized exchanges on the KG spine (``stages/shuffle.partitions_for``):
-the rule's counts at the design point and at crawl scale, sizing from
-metadata without running a Dataset, and identical output rows at one
-partition, at the sized count and at the cap."""
+"""Input-sized exchanges (``stages/shuffle.partitions_for``): the
+rule's counts at the design point and at crawl scale, sizing from
+metadata without running a Dataset (a lazy input by its plan's source
+leaves), and identical KG-spine output rows at one partition, at the
+sized count and at the cap."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -24,10 +28,15 @@ CFG = PipelineConfig()
 
 
 class _Sized:
-    """A stand-in Dataset whose row count is known from metadata."""
+    """A stand-in Dataset read from one source of ``rows`` rows (None:
+    unknown without running it)."""
 
     def __init__(self, rows):
         self.rows = rows
+        leaf = SimpleNamespace(
+            input_dependencies=[],
+            infer_metadata=lambda: SimpleNamespace(num_rows=rows))
+        self._logical_plan = SimpleNamespace(dag=leaf)
 
     def _meta_count(self):
         return self.rows
@@ -135,7 +144,28 @@ def _rows(ds) -> list:
                   for r in ds.take_all())
 
 
+def _unsized_source(d):
+    """A streaming WARC read: its row count is unknown until it runs."""
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.warc import (
+        encode_wet_pages,
+    )
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.sources.warc import (
+        read_warc_as_pages,
+    )
+
+    import datetime
+
+    path = d / "pages.wet.gz"
+    path.write_bytes(encode_wet_pages([{
+        "url": "https://crawl.example/doc-0",
+        "warc_ts": datetime.datetime(2025, 3, 28),
+        "text": "one page", "lang": "en", "html": b"<p>one page</p>",
+    }]))
+    return read_warc_as_pages([str(path)])
+
+
 def test_sizing_runs_no_dataset(spine_inputs, monkeypatch, cpus):
+    import ray.data
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.kg import merge_kg
@@ -145,23 +175,38 @@ def test_sizing_runs_no_dataset(spine_inputs, monkeypatch, cpus):
     linked, terms = spine_inputs["linked"], spine_inputs["terms"]
     mat = linked.materialize()
     lazy = linked.map_batches(lambda b: b)
+    small = ray.data.from_arrow(pa.table({"k": [1, 2, 3]}))
+    unsized = _unsized_source(spine_inputs["dir"])
+    filtered = ray.data.read_parquet(
+        str(spine_inputs["dir"] / "linked.parquet"),
+        filter=pc.field("pred") == "is")
 
     def refuse(*_a, **_k):
         raise AssertionError("a Dataset ran while sizing an exchange")
 
     monkeypatch.setattr(StreamingExecutor, "execute", refuse)
     # footers of a Parquet read and block metadata of a materialized
-    # Dataset give exact counts (3,000 rows each); a lazy map has none
+    # Dataset give exact counts (3,000 rows each); a lazy map counts its
+    # source's rows, a lazy union both sources' rows
     cpus(1)
     monkeypatch.setattr(shuffle, "ROWS_PER_PARTITION", 1000)
     assert partitions_for(linked) == 3
     assert partitions_for(mat) == 3
     assert partitions_for(linked, mat) == 6
     assert partitions_for(linked, per_row=2) == 6
-    assert partitions_for(lazy) == MAX_PARTITIONS
+    assert partitions_for(lazy) == 3
+    assert partitions_for(lazy.union(mat.map_batches(lambda b: b))) == 6
+    assert shuffle._source_rows(
+        lazy.select_columns(["subj"]).union(small)) == 3003
+    # a filtered read has no count, but its files' footers bound it
+    assert partitions_for(filtered.map_batches(lambda b: b)) == 3
+    # only a source whose size is unknown without running it gets the cap
+    assert partitions_for(unsized.map_batches(lambda b: b)) == MAX_PARTITIONS
+    assert partitions_for(lazy.union(unsized)) == MAX_PARTITIONS
     # building each sized spine stage only plans it, whether its input
-    # size is known or not (a lazy input gets the cap)
-    for src, trm in ((linked, terms), (lazy, terms.map_batches(lambda b: b))):
+    # size is known or not
+    for src, trm in ((linked, terms), (lazy, terms.map_batches(lambda b: b)),
+                     (unsized, terms)):
         entity_nodes(src, CFG)
         edges(src, CFG)
         term_nodes(trm, CFG)
@@ -169,14 +214,9 @@ def test_sizing_runs_no_dataset(spine_inputs, monkeypatch, cpus):
         merge_kg(tables, tables)
 
 
-def _fixed(monkeypatch, parts: int):
-    """Every spine exchange gets ``parts`` partitions: the stages import
-    ``partitions_for`` from ``stages.shuffle`` when they run."""
-    monkeypatch.setattr(shuffle, "partitions_for", lambda *_a, **_k: parts)
-
-
 @pytest.mark.parametrize("stage", ["entity_nodes", "edges", "term_nodes"])
-def test_partition_count_never_changes_rows(spine_inputs, stage, monkeypatch):
+def test_partition_count_never_changes_rows(spine_inputs, stage,
+                                            fixed_partitions):
     from nlp_graphrag_with_qdrant_and_neo4j_ray.stages import link, ngram
 
     fn, src, per_row = {
@@ -189,11 +229,12 @@ def test_partition_count_never_changes_rows(spine_inputs, stage, monkeypatch):
     want = _rows(fn(ds, CFG))
     assert want
     for parts in (1, MAX_PARTITIONS):
-        _fixed(monkeypatch, parts)
+        fixed_partitions(parts)
         assert _rows(fn(ds, CFG)) == want, parts
 
 
-def test_merge_kg_partition_count_never_changes_rows(spine_inputs, monkeypatch):
+def test_merge_kg_partition_count_never_changes_rows(spine_inputs,
+                                                     fixed_partitions):
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.kg import merge_kg
     from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.link import edges, entity_nodes
     from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.ngram import term_nodes
@@ -219,7 +260,7 @@ def test_merge_kg_partition_count_never_changes_rows(spine_inputs, monkeypatch):
     want = {name: _rows(sized[name])
             for name in ("term_nodes", "entity_nodes", "edges")}
     for parts in (1, MAX_PARTITIONS):
-        _fixed(monkeypatch, parts)
+        fixed_partitions(parts)
         merged = merge_kg(a, b)
         for name, rows in want.items():
             assert rows, name

@@ -97,7 +97,7 @@ def test_approx_count_distinct_grouped(ray_session):
     exact = df.groupby("g")["v"].nunique()
     got = approx_count_distinct(
         _ds(ray_session, df), ["v"], keys=["g"], p=12,
-        num_partitions=4).to_pandas().set_index("g")["approx_distinct"]
+    ).to_pandas().set_index("g")["approx_distinct"]
     assert sorted(got.index) == ["a", "b", "c"]
     for g in "abc":
         assert abs(got[g] - exact[g]) / exact[g] < 0.06
@@ -113,8 +113,7 @@ def test_grouped_entropy_matches_manual(ray_session):
         "g": ["a"] * 8 + ["b"] * 3,
         "v": ["w", "x", "y", "z"] * 2 + ["only"] * 3,
     })
-    got = grouped_entropy(_ds(ray_session, df), ["g"], "v",
-                          num_partitions=3).to_pandas()
+    got = grouped_entropy(_ds(ray_session, df), ["g"], "v").to_pandas()
     got = got.set_index("g")["entropy"]
     assert got["a"] == pytest.approx(2.0, abs=1e-9)
     assert got["b"] == pytest.approx(0.0, abs=1e-9)
@@ -131,10 +130,8 @@ def test_grouped_entropy_partitioning_independent(ray_session):
         "v": rng.choice(list("abcdefg"), size=5_000,
                         p=[0.4, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05]),
     })
-    a = grouped_entropy(_ds(ray_session, df), ["g"], "v",
-                        num_partitions=2).to_pandas()
-    b = grouped_entropy(_ds(ray_session, df), ["g"], "v",
-                        num_partitions=16).to_pandas()
+    a = grouped_entropy(_ds(ray_session, df), ["g"], "v").to_pandas()
+    b = grouped_entropy(_ds(ray_session, df), ["g"], "v").to_pandas()
     counts = df.groupby(["g", "v"]).size()
     probs = counts / counts.groupby(level=0).transform("sum")
     manual = (-probs * np.log2(probs)).groupby(level=0).sum().round(6)

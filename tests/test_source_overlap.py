@@ -53,7 +53,7 @@ def _ds(docs):
 
 
 def test_matches_python_reimplementation(ray_session):
-    got = source_ngram_overlap(_ds(DOCS), n=3, num_partitions=7).to_pandas()
+    got = source_ngram_overlap(_ds(DOCS), n=3).to_pandas()
     want = py_overlap(DOCS)
     assert len(got) == len(want)
     for _, r in got.iterrows():
@@ -63,7 +63,7 @@ def test_matches_python_reimplementation(ray_session):
 
 
 def test_mirror_pair_ranks_highest_and_zero_pairs_omitted(ray_session):
-    got = source_ngram_overlap(_ds(DOCS), n=3, num_partitions=4).to_pandas()
+    got = source_ngram_overlap(_ds(DOCS), n=3).to_pandas()
     top = got.sort_values("jaccard", ascending=False).iloc[0]
     assert {top["src_a"], top["src_b"]} == {"feedA", "mirror1"}
     # feedB and feedC share no trigram with anyone: absent entirely.
@@ -72,8 +72,8 @@ def test_mirror_pair_ranks_highest_and_zero_pairs_omitted(ray_session):
 
 
 def test_partition_independent(ray_session):
-    a = (source_ngram_overlap(_ds(DOCS).repartition(1), num_partitions=1)
+    a = (source_ngram_overlap(_ds(DOCS).repartition(1))
          .to_pandas().reset_index(drop=True))
-    b = (source_ngram_overlap(_ds(DOCS).repartition(8), num_partitions=9)
+    b = (source_ngram_overlap(_ds(DOCS).repartition(8))
          .to_pandas().reset_index(drop=True))
     assert a.equals(b)

@@ -34,13 +34,13 @@ def _brute(docs: dict[int, str], k: int) -> dict[int, tuple[str, int]]:
     return out
 
 
-def _run(ray_session, docs: dict[int, str], k: int, parts: int = 4):
+def _run(ray_session, docs: dict[int, str], k: int):
     import ray.data
 
     ds = ray.data.from_pandas(pd.DataFrame({
         "doc_id": list(docs.keys()), "text": list(docs.values()),
     }))
-    res = substring_dedup(ds, k=k, num_partitions=parts).to_pandas()
+    res = substring_dedup(ds, k=k).to_pandas()
     return {
         int(r.doc_id): (r.clean_text, int(r.n_removed))
         for r in res.itertuples()
@@ -98,14 +98,15 @@ def test_short_docs_and_multispace(ray_session):
 
 
 @pytest.mark.parametrize("parts", [2, 16])
-def test_random_corpus_matches_brute(ray_session, parts):
+def test_random_corpus_matches_brute(ray_session, fixed_partitions, parts):
     rng = np.random.default_rng(7)
     vocab = [f"w{i}" for i in range(12)]
     docs = {}
     for d in range(40):
         n = int(rng.integers(0, 30))
         docs[d] = " ".join(rng.choice(vocab, size=n))
-    got = _run(ray_session, docs, k=5, parts=parts)
+    fixed_partitions(parts)
+    got = _run(ray_session, docs, k=5)
     assert got == _brute(docs, 5)
 
 
@@ -145,8 +146,7 @@ def test_ngram_overlap_exact_matches_brute(ray_session, nbits):
         "doc_id": list(corpus), "text": list(corpus.values()),
     }))
     bds = ray.data.from_pandas(pd.DataFrame({"text": bench}))
-    got = ngram_overlap_exact(cds, bds, n=4, nbits=nbits,
-                              num_partitions=4).to_pandas()
+    got = ngram_overlap_exact(cds, bds, n=4, nbits=nbits).to_pandas()
     want = _brute_overlap(corpus, bench, 4)
     got_d = {int(r.doc_id): r.bench_overlap for r in got.itertuples()}
     assert got_d == want

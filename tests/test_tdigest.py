@@ -66,13 +66,11 @@ def test_grouped_quantile_sketch_close_to_exact(ray_session):
         "v": rng.lognormal(0, 1.5, 30_000),
     })
     ds = ray.data.from_pandas(df).repartition(8)
-    sk = grouped_quantile_sketch(ds, ["k"], "v", [0.5, 0.95],
-                                 num_partitions=4).to_pandas() \
+    sk = grouped_quantile_sketch(ds, ["k"], "v", [0.5, 0.95]).to_pandas() \
         .sort_values("k").reset_index(drop=True)
     assert sk["k"].tolist() == [0, 1, 2, 3]
     for q, col in ((0.5, "q0.5"), (0.95, "q0.95")):
-        exact = grouped_quantile(ds, ["k"], "v", q, "x",
-                                 num_partitions=4).to_pandas() \
+        exact = grouped_quantile(ds, ["k"], "v", q, "x").to_pandas() \
             .set_index("k")["x"]
         for k in range(4):
             grp = df[df["k"] == k]["v"].to_numpy()

@@ -119,7 +119,7 @@ def test_term_nodes_exact_when_batches_split_chunks(ray_session):
         got = {
             (r["term"], r["term_type"]): r["chunk_count"]
             for r in term_nodes(ray.data.from_arrow(tbl), PipelineConfig(),
-                                num_partitions=4, batch_size=bs).take_all()
+                                batch_size=bs).take_all()
         }
         assert got == want, f"batch_size={bs}: {got} != {want}"
 
@@ -212,7 +212,7 @@ def test_unigram_logprob_matches_naive(ray_session):
     )
     out = {
         r["doc_id"]: r
-        for r in unigram_logprob(ds, num_partitions=4).take_all()
+        for r in unigram_logprob(ds).take_all()
     }
 
     counts: dict[str, int] = {}
@@ -245,7 +245,7 @@ def test_tfidf_top_terms_matches_naive(ray_session):
     ds = ray.data.from_items(
         [{"doc_id": i, "text": t} for i, t in texts.items()]
     )
-    got = tfidf_top_terms(ds, k=2, num_partitions=4).take_all()
+    got = tfidf_top_terms(ds, k=2).take_all()
 
     n_docs = len(texts)
     df: dict[str, int] = {}
@@ -280,7 +280,7 @@ def test_tfidf_top_terms_matches_naive(ray_session):
     assert got_sets == want
 
 
-def test_dsir_logratio_matches_naive(ray_session):
+def test_dsir_logratio_matches_naive(ray_session, fixed_partitions):
     import math
 
     import ray.data
@@ -301,9 +301,10 @@ def test_dsir_logratio_matches_naive(ray_session):
          for i, (t, f) in texts.items()]
     )
     for parts in (1, 4):
+        fixed_partitions(parts)
         out = {
             r["doc_id"]: r
-            for r in dsir_logratio(ds, num_partitions=parts).take_all()
+            for r in dsir_logratio(ds).take_all()
         }
 
         ct: dict[str, int] = {}
@@ -329,7 +330,7 @@ def test_dsir_logratio_matches_naive(ray_session):
         assert out[2]["dsir_llr"] > out[3]["dsir_llr"]
 
 
-def test_stop_tokens_matches_naive(ray_session):
+def test_stop_tokens_matches_naive(ray_session, fixed_partitions):
     import ray.data
 
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
@@ -347,11 +348,11 @@ def test_stop_tokens_matches_naive(ray_session):
         [{"doc_id": i, "text": t} for i, t in texts.items()]
     )
     for parts in (1, 4):
+        fixed_partitions(parts)
         out = {
             r["tok"]: r
             for r in stop_tokens(
-                ds.repartition(parts), min_df_frac=0.3,
-                num_partitions=4).take_all()
+                ds.repartition(parts), min_df_frac=0.3).take_all()
         }
         # df: the=3, cat=2, dog=2 — all > 0.3*5=1.5; everything else df=1
         assert set(out) == {"the", "cat", "dog"}, parts

@@ -103,7 +103,8 @@ class TestDistributed:
         want["domain"] = want.url.str.extract(r"(site\d\.(?:co\.uk|com))")
         assert got == want.groupby("domain").size().to_dict()
 
-    def test_cap_matches_pandas_and_partition_independent(self, ray_session):
+    def test_cap_matches_pandas_and_partition_independent(self, ray_session,
+                                                          fixed_partitions):
         import ray.data
 
         def local_cap(rows, k):
@@ -116,9 +117,10 @@ class TestDistributed:
 
         want = local_cap(_messy(), 4)
         for parts in (1, 5):
+            fixed_partitions(parts)
             ds = ray.data.from_items(_messy()).repartition(parts)
             got = {r["doc_id"]
-                   for r in cap_per_domain(ds, 4, num_partitions=4).take_all()}
+                   for r in cap_per_domain(ds, 4).take_all()}
             assert got == want
 
     def test_cap_noop_when_groups_small(self, ray_session):
@@ -193,7 +195,7 @@ class TestLinkGraph:
 
 
 class TestRecrawlDedup:
-    def test_latest_capture_survives(self, ray_session):
+    def test_latest_capture_survives(self, ray_session, fixed_partitions):
         import datetime
 
         import ray.data
@@ -215,9 +217,10 @@ class TestRecrawlDedup:
             {"url": "https://b.com/q", "warc_ts": t0, "v": "only"},
         ]
         for parts in (1, 4):
+            fixed_partitions(parts)
             ds = ray.data.from_items(rows).repartition(parts)
             got = {r["canonical_url"]: r["v"]
-                   for r in dedup_recrawls(ds, num_partitions=4).take_all()}
+                   for r in dedup_recrawls(ds).take_all()}
             assert got == {"https://a.com/p?id=9": "newest",
                            "https://b.com/q": "only"}
 
@@ -241,7 +244,7 @@ class TestRecrawlDedup:
 
 
 class TestCrawlDiff:
-    def test_all_statuses(self, ray_session):
+    def test_all_statuses(self, ray_session, fixed_partitions):
         import ray.data
 
         from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
@@ -260,10 +263,10 @@ class TestCrawlDiff:
             {"url": "https://a.com/fresh", "text": "hi"},
         ])
         for parts in (1, 3):
+            fixed_partitions(parts)
             got = {r["canonical_url"]: r["status"]
                    for r in crawl_diff(old.repartition(parts),
-                                       new.repartition(parts),
-                                       num_partitions=4).take_all()}
+                                       new.repartition(parts)).take_all()}
             assert got == {
                 "https://a.com/keep": "unchanged",
                 "https://a.com/edit": "changed",
@@ -439,7 +442,7 @@ class TestCrawlFrontier:
             {"url": "https://a.com/2", "html": b""},
         ])
         out = {r["frontier_url"]: r
-               for r in crawl_frontier(pages, num_partitions=4)
+               for r in crawl_frontier(pages)
                .take_all()}
         # only the never-fetched target survives; the tracking-param
         # variant collapses onto the clean canonical
@@ -460,7 +463,7 @@ class TestCrawlFrontier:
             {"url": "https://a.com/2",
              "html": b'<a href="https://a.com/1">y</a>'},
         ])
-        assert crawl_frontier(pages, num_partitions=2).count() == 0
+        assert crawl_frontier(pages).count() == 0
 
 
 class TestSitemaps:
@@ -535,8 +538,7 @@ class TestMirrorPaths:
              {"url": "https://a.com/m"}]  # same domain again: 1 domain
         )
         out = {r["path"]: r
-               for r in mirror_paths(pages, min_domains=3,
-                                     num_partitions=4).take_all()}
+               for r in mirror_paths(pages, min_domains=3).take_all()}
         assert set(out) == {"/m"}
         assert out["/m"]["n_domains"] == 3
         assert out["/m"]["n_pages"] == 4
@@ -582,7 +584,8 @@ class TestSitemapProperty:
 
 
 class TestRecrawlDedupWindowed:
-    def test_within_window_collapses_across_survives(self, ray_session):
+    def test_within_window_collapses_across_survives(self, ray_session,
+                                                     fixed_partitions):
         import datetime
 
         import ray.data
@@ -605,9 +608,10 @@ class TestRecrawlDedupWindowed:
             {"url": "https://b.com/q", "warc_ts": t0, "v": "only"},
         ]
         for parts in (1, 4):
+            fixed_partitions(parts)
             ds = ray.data.from_items(rows).repartition(parts)
             out = dedup_recrawls_windowed(
-                ds, window_days=30, num_partitions=4).take_all()
+                ds, window_days=30).take_all()
             got = sorted((r["canonical_url"], r["v"]) for r in out)
             assert got == [
                 ("https://a.com/p?id=9", "newer"),

@@ -3541,7 +3541,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return grouped_apply(
             _read(sf_dir, "events"), ["user_id"], windows,
-                          batch_format="pandas")
+            batch_format="pandas")
 
     def events_gap_dedup(sf_dir: str):
         """Gap-based event throttle (the telemetry/debounce hygiene
@@ -6753,7 +6753,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             )
 
         return grouped_apply(ev, ["user_id"], roll,
-                          batch_format="pandas")
+                             batch_format="pandas")
 
     def customers_without_urgent_orders(sf_dir: str):
         """Distributed anti-join (NOT EXISTS): customers with no

@@ -144,7 +144,7 @@ def _pair_candidates(keyed_ds, key_cols: list[str], id_col: str,
         )
 
     return grouped_apply(keyed_ds, key_cols, partition_candidates,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def minhash_lsh_pairs(docs_ds, num_perm: int = 128, num_bands: int = 16,
@@ -318,7 +318,7 @@ def hamming_pairs(hash_ds, max_hamming: int = 3, id_col: str = "doc_id",
 
     exploded = hash_ds.map_batches(explode, batch_format="pyarrow")
     pairs = grouped_apply(exploded, ["band", "key"], partition_pairs,
-                      batch_format="pandas")
+                          batch_format="pandas")
     return pairs.groupby(["doc_a", "doc_b"]).aggregate(
         Min("hamming", alias_name="hamming")
     )
@@ -446,10 +446,10 @@ def connected_components(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
         )
         candidates = grouped_apply(
             edges.union(tagged), ["key"], propagate,
-                          batch_format="pandas")
+            batch_format="pandas")
         labels = grouped_apply(
             candidates, ["node"], min_label,
-                          batch_format="pandas").materialize()
+            batch_format="pandas").materialize()
         cur = labels.aggregate(Sum("cluster_id"))["sum(cluster_id)"]
         if cur == prev:
             break
@@ -1099,7 +1099,7 @@ def edit1_fuzzy_pairs(ds, value_col: str,
         return cand[keep]
 
     candidates = grouped_apply(variants, ["variant"], bucket_pairs,
-                      batch_format="pandas")
+                               batch_format="pandas")
 
     def pair_distinct(b: pa.Table) -> pa.Table:
         return b.group_by(["name_a", "name_b"]).aggregate([])

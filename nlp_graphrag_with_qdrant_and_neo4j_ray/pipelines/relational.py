@@ -225,7 +225,7 @@ def window_topk(ds, keys: list[str], order_col: str, k: int,
 
     combined = ds.map_batches(local_topk, batch_format="pandas")
     return grouped_apply(combined, keys, local_topk,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def distinct_count(ds, keys: list[str], value_col: str, out_col: str):
@@ -330,7 +330,7 @@ def grouped_quantile(ds, keys: list[str], value_col: str, q: float,
         lambda b: b.select(keys + [value_col]), batch_format="pyarrow"
     )
     return grouped_apply(slim, keys, quant,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def rollup_sum(ds, keys: list[str], value_col: str,
@@ -603,7 +603,7 @@ def grouped_approx_distinct(ds, keys: list[str], value_col: str,
     )
     combined = slim.map_batches(partial, batch_format="pandas")
     return grouped_apply(combined, keys, merge,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def grouped_median(ds, keys: list[str], value_col: str, out_col: str,
@@ -626,7 +626,7 @@ def grouped_median(ds, keys: list[str], value_col: str, out_col: str,
         lambda b: b.select(keys + [value_col]), batch_format="pyarrow"
     )
     return grouped_apply(slim, keys, med,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +942,7 @@ def window_ntile(ds, keys: list[str], order_col: str, tiles: int,
 
     slim = ds.map_batches(lambda b: b.select(cols), batch_format="pyarrow")
     return grouped_apply(slim, keys, ntile,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def copartition_agg_join(fact, dim, key: str, dim_key: str,
@@ -1004,7 +1004,7 @@ def windowed_cumsum(ds, keys: list[str], order_col: str, value_col: str,
 
     slim = ds.map_batches(lambda b: b.select(cols), batch_format="pyarrow")
     return grouped_apply(slim, keys, cumsum,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def windowed_cumagg(ds, keys: list[str], order_col: str, value_col: str,
@@ -1031,7 +1031,7 @@ def windowed_cumagg(ds, keys: list[str], order_col: str, value_col: str,
 
     slim = ds.map_batches(lambda b: b.select(cols), batch_format="pyarrow")
     return grouped_apply(slim, keys, run,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def grouped_mode(ds, keys: list[str], value_col: str,
@@ -1061,7 +1061,7 @@ def grouped_mode(ds, keys: list[str], value_col: str,
     )
     combined = slim.map_batches(partial, batch_format="pandas")
     return grouped_apply(combined, keys, final,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def cube_sum(ds, keys: list[str], value_col: str, sentinel: str = "ALL",
@@ -1188,7 +1188,7 @@ def grouped_quantile_sketch(ds, keys: list[str], value_col: str,
     )
     sketched = slim.map_batches(sketch, batch_format="pandas")
     return grouped_apply(sketched, keys, finalize,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def full_outer_join(left, right, left_key: str, right_key: str,
@@ -1232,7 +1232,7 @@ def window_lag(ds, keys: list[str], order_col: str, value_col: str,
 
     slim = ds.map_batches(lambda b: b.select(cols), batch_format="pyarrow")
     return grouped_apply(slim, keys, lag,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def approx_heavy_hitters(ds, value_col: str, k: int, capacity: int = 4096,
@@ -1812,7 +1812,7 @@ def window_percent_rank(ds, keys: list[str], order_col: str,
         return out
 
     return grouped_apply(ds, keys, pr,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def funnel_counts(events, stages: list[str], user_col: str = "user_id",
@@ -1945,7 +1945,7 @@ def grouped_argmax(ds, keys: list[str], order_cols: list[str]):
 
     combined = ds.map_batches(local_max, batch_format="pandas")
     return grouped_apply(combined, keys, local_max,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def grouped_regression(ds, keys: list[str], x_col: str, y_col: str,
@@ -2041,7 +2041,7 @@ def fill_gaps(ds, key_col: str, ts_col: str, out_col: str = "n"):
 
     combined = ds.map_batches(partial, batch_format="pyarrow")
     return grouped_apply(combined, [key_col], fill,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def hopping_window_agg(ds, keys: list[str], ts_col: str,
@@ -2145,7 +2145,7 @@ def window_dense_rank(ds, keys: list[str], order_col: str,
         return out
 
     return grouped_apply(ds, keys, dr,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def grouped_first_last(ds, keys: list[str], order_cols: list[str],
@@ -2180,7 +2180,7 @@ def grouped_first_last(ds, keys: list[str], order_cols: list[str],
 
     combined = ds.map_batches(local, batch_format="pandas")
     return grouped_apply(combined, keys, final,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def approx_count_distinct(ds, cols: list[str], keys: list[str] | None = None,
@@ -2269,7 +2269,7 @@ def approx_count_distinct(ds, cols: list[str], keys: list[str] | None = None,
 
     combined = ds.map_batches(local_grouped, batch_format="pandas")
     return grouped_apply(combined, keys, merge_keys,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def grouped_entropy(ds, keys: list[str], value_col: str,
@@ -2304,7 +2304,7 @@ def grouped_entropy(ds, keys: list[str], value_col: str,
 
     combined = ds.map_batches(combine, batch_format="pandas")
     return grouped_apply(combined, keys, part,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def _tagged_distinct_union(left, right, cols: list[str]):
@@ -2436,7 +2436,7 @@ def grouped_mad(ds, keys: list[str], value_col: str, out_col: str = "mad",
     slim = ds.map_batches(lambda b: b.select(cols),
                           batch_format="pyarrow")
     return grouped_apply(slim, keys, part,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def profile_numeric(ds, cols: list[str]):
@@ -2495,7 +2495,7 @@ def window_rank(ds, keys: list[str], order_col: str,
         return out
 
     return grouped_apply(ds, keys, rk,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def window_cume_dist(ds, keys: list[str], order_col: str,
@@ -2516,7 +2516,7 @@ def window_cume_dist(ds, keys: list[str], order_col: str,
         return out
 
     return grouped_apply(ds, keys, cd,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def validation_report(ds, rules: list[dict],
@@ -2636,12 +2636,14 @@ def validation_report(ds, rules: list[dict],
 
     # the reduce input is O(rules × map-tasks + rules × partitions)
     # tiny rows — one single-partition exchange finishes the report.
-    return grouped_apply(unioned.map_batches(
+    tagged = unioned.map_batches(
         lambda b: b.append_column("__one", pa.array([0] * b.num_rows,
                                                     pa.int64())),
         batch_format="pyarrow",
-    ), ["__one"], lambda t: finish(t.drop_columns(["__one"])),
-        num_partitions=1)
+    )
+    return grouped_apply(tagged, ["__one"],
+                         lambda t: finish(t.drop_columns(["__one"])),
+                         num_partitions=1)
 
 
 def zorder_sort(ds, cols: list[str], bits: int = 8,

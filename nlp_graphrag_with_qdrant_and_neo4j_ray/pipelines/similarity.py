@@ -222,7 +222,7 @@ def _reduce_cluster_partials(partials_ds, keys: list[str]) -> list[dict]:
     # to_pandas, not take_all: row-based take_all over pandas blocks
     # converts per row — measured ~0.6 ms/row, meaningful × iterations
     return grouped_apply(partials_ds, keys, reduce_,
-                      batch_format="pandas").to_pandas().to_dict("records")
+                         batch_format="pandas").to_pandas().to_dict("records")
 
 
 def ensure_ivf_centroids(index_dir: str, embeddings_ds, dim: int,
@@ -706,7 +706,7 @@ def cosine_near_dup_pairs(embeddings_ds, dim: int, threshold: float = 0.95,
     from ..stages.shuffle import grouped_apply
 
     return grouped_apply(bucketed, ["bucket"], partition_pairs,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def grouped_centroids(embeddings_ds, label_col: str = "label",
@@ -756,7 +756,7 @@ def grouped_centroids(embeddings_ds, label_col: str = "label",
 
     sk = embeddings_ds.map_batches(partial, batch_format="pyarrow")
     out = grouped_apply(sk, [label_col], final,
-                      batch_format="pandas")
+                        batch_format="pandas")
 
     def rounded(b: pa.Table) -> pa.Table:
         return pa.table({

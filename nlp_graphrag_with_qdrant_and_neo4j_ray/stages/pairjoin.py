@@ -160,7 +160,7 @@ def verify_pairs(
         )
 
     matched = grouped_apply(pay.union(req), ["key"], join_partition,
-                      batch_format="pandas")
+                            batch_format="pandas")
 
     def per_pair_partition(pdf: pd.DataFrame) -> pd.DataFrame:
         out = []
@@ -178,7 +178,7 @@ def verify_pairs(
         )
 
     return grouped_apply(matched, ["pair_a", "pair_b"], per_pair_partition,
-                      batch_format="pandas")
+                         batch_format="pandas")
 
 
 def pairs_payload_type(items_ds, payload_col: str) -> pa.DataType:

@@ -21,8 +21,11 @@ post-shuffle coalescing, the same idea):
 An input whose own count is known (Parquet footers of a read, block
 metadata of a materialized handoff) gives it exactly; a lazy input (a
 map, a projection, a union) is sized from the row counts of its
-plan's source leaves, so a union sums its sides; a Parquet read with a
-pushed-down filter counts its files' footer rows. Only a source of
+plan's source leaves, so a union sums its sides. What a filter keeps
+(a ``filter`` op, or a Parquet read with a pushed-down filter) and what
+an earlier exchange's fold emits are unknown without running them and
+usually far fewer rows than their sources, so they add no rows: an
+exchange fed only by them gets the CPU floor. Only a source of
 unknown size (a streaming datasource) gives the cap. A caller passes a count
 only where its own structure sets one: a global fold
 (``num_partitions=1``), a salted merge over a fixed salt range, one
@@ -50,9 +53,14 @@ graph operators.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+from ray.data._internal.datasource.parquet_datasource import ParquetDatasource
+from ray.data._internal.logical.operators.map_operator import Filter
+from ray.data._internal.logical.operators.read_operator import Read
 
 _PART = "__part"
 
@@ -64,36 +72,42 @@ ROWS_PER_PARTITION = 4096
 MAX_PARTITIONS = 256
 
 
-def _leaf_rows(op) -> int | None:
-    """Rows a source leaf emits at most: its own metadata count, or for
-    a Parquet read with a pushed-down filter (Ray drops the count then)
-    the footer row count of the files it reads, since a filter only
-    removes rows."""
-    n = op.infer_metadata().num_rows
-    if n is None:
-        files = getattr(getattr(op, "_datasource", None), "_metadata", None)
-        if files and all(m is not None for m in files):
-            n = sum(m.num_rows for m in files)
-    return n
+# the fold of every grouped_apply built in this process: what it emits
+# is unknown until it runs, so sizing adds nothing for it
+_FOLDS = weakref.WeakSet()
+
+
+def _adds_no_rows(op) -> bool:
+    """True for an op whose output rows metadata cannot tell and whose
+    source rows would overstate them: a filter (a ``filter`` op, or a
+    Parquet read with a pushed-down filter, for which Ray drops the
+    footer count) or an earlier exchange's fold."""
+    if op in _FOLDS or isinstance(op, Filter):
+        return True
+    return (isinstance(op, Read)
+            and isinstance(op._datasource, ParquetDatasource)
+            and op._datasource._to_batches_kwargs.get("filter") is not None)
 
 
 def _source_rows(ds) -> int | None:
     """Rows of ``ds`` from metadata alone: its own count when known
     (Parquet footers of a read, block metadata of a materialized
     Dataset), else the summed counts of its plan's source leaves (a
-    lazy map counts what it reads, a union both sides). None
-    when a source's size is unknown without running it. Never executes
-    a Dataset."""
+    lazy map counts what it reads, a union both sides), counting
+    nothing below a filter or an earlier fold. None when a source's
+    size is unknown without running it. Never executes a Dataset."""
     n = ds._meta_count()
     if n is not None:
         return n
     total, ops = 0, [ds._logical_plan.dag]
     while ops:
         op = ops.pop()
+        if _adds_no_rows(op):
+            continue
         if op.input_dependencies:
             ops.extend(op.input_dependencies)
             continue
-        n = _leaf_rows(op)
+        n = op.infer_metadata().num_rows
         if n is None:
             return None
         total += n
@@ -183,7 +197,8 @@ def grouped_apply(ds, keys: list[str], partition_fn,
     ``num_partitions`` is the number of ``partition_fn`` calls (empty
     partitions are never called). ``None`` — every caller but the few
     the module docstring names — sizes it from the input with
-    ``partitions_for(ds)``.
+    ``partitions_for(ds)``. The output is registered as a fold, so an
+    exchange fed by it adds no rows for it when it is sized.
 
     The partition column is computed from the KEY columns only (same
     ``_hash_rows`` everywhere — no pandas materialization) and appended to
@@ -217,9 +232,11 @@ def grouped_apply(ds, keys: list[str], partition_fn,
             part = part.to_pandas()
         return _arrow_block(partition_fn(part))
 
-    return (
+    out = (
         ds.map_batches(add_part_arrow, batch_format="pyarrow",
                        batch_size=batch_size)
         .groupby(_PART)
         .map_groups(per_partition, batch_format="pyarrow")
     )
+    _FOLDS.add(out._logical_plan.dag)
+    return out

@@ -146,12 +146,15 @@ def test_reciprocity_hand_graph(ray_session):
     assert got == {"a": (2, 1, 0.5), "b": (1, 1, 1.0)}
 
 
-def test_reciprocity_int_nodes_partition_independence(ray_session):
+def test_reciprocity_int_nodes_partition_independence(ray_session,
+                                                      fixed_partitions):
     rng = np.random.default_rng(3)
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 25, (150, 2))]
     e, _ = _dss(ray_session, edges, [0], blocks=2)
+    fixed_partitions(2)
     a = _recip_dict(reciprocity(e))
     e2, _ = _dss(ray_session, edges, [0], blocks=6)
+    fixed_partitions(7)
     b = _recip_dict(reciprocity(e2))
     # driver reference
     de = {(s, t) for s, t in edges if s != t}
@@ -208,12 +211,15 @@ def test_assortativity_zero_variance_is_null(ray_session):
     assert got == {"n_edges": 3, "assortativity": None}
 
 
-def test_assortativity_partition_independence(ray_session):
+def test_assortativity_partition_independence(ray_session,
+                                              fixed_partitions):
     rng = np.random.default_rng(29)
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 15, (120, 2))]
     e, _ = _dss(ray_session, edges, [0], blocks=2)
+    fixed_partitions(2)
     a = degree_assortativity(e).to_pylist()[0]
     e2, _ = _dss(ray_session, edges, [0], blocks=5)
+    fixed_partitions(7)
     b = degree_assortativity(e2).to_pylist()[0]
     assert a == b
 

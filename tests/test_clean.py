@@ -446,7 +446,7 @@ class TestPseudonymize:
         assert out[0]["id"] == 0 and out[1]["name"] is None
 
 
-def test_fd_violations_detects_and_clears(ray_session):
+def test_fd_violations_detects_and_clears(ray_session, fixed_partitions):
     import pyarrow as pa
 
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
@@ -479,7 +479,9 @@ def test_fd_violations_detects_and_clears(ray_session):
                       pa.string()),
     })
     ds = ray_session.data.from_arrow(big)
+    fixed_partitions(1)
     one = fd_violations(ds, "k", "v").take_all()
+    fixed_partitions(3)
     many = fd_violations(ds.repartition(7), "k", "v").take_all()
     assert one == many
 

@@ -81,10 +81,12 @@ def test_twa_hand_computed(ray_session):
     assert (r["user_id"], r["n_intervals"], r["twa_value"]) == (1, 2, 17.5)
 
 
-def test_twa_partition_independent(ray_session):
+def test_twa_partition_independent(ray_session, fixed_partitions):
+    fixed_partitions(1)
     a = (time_weighted_mean(_events().repartition(1), ["user_id"],
                             "ts_us", "value", tie_col="event_id")
          .to_pandas().reset_index(drop=True))
+    fixed_partitions(7)
     b = (time_weighted_mean(_events().repartition(4), ["user_id"],
                             "ts_us", "value", tie_col="event_id")
          .to_pandas().reset_index(drop=True))

@@ -66,11 +66,13 @@ def test_auc_tie_quantization(ray_session):
     assert got == _ref_auc(scores, labels) == 0.75
 
 
-def test_auc_partition_independence(ray_session):
+def test_auc_partition_independence(ray_session, fixed_partitions):
     rng = np.random.default_rng(9)
     scores = rng.random(200)
     labels = rng.integers(0, 2, 200)
+    fixed_partitions(2)
     a = ranking_auc(_ds(ray_session, scores, labels, 2)).to_pylist()[0]
+    fixed_partitions(9)
     b = ranking_auc(_ds(ray_session, scores, labels, 7)).to_pylist()[0]
     assert a == b
 

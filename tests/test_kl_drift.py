@@ -66,9 +66,11 @@ def test_matches_grid_reimplementation(ray_session):
         assert row["kl"] == kl
 
 
-def test_partition_independent(ray_session):
+def test_partition_independent(ray_session, fixed_partitions):
+    fixed_partitions(1)
     a = (unigram_kl_drift(_ds(DOCS).repartition(1))
          .to_pandas().sort_values("source").reset_index(drop=True))
+    fixed_partitions(11)
     b = (unigram_kl_drift(_ds(DOCS).repartition(7))
          .to_pandas().sort_values("source").reset_index(drop=True))
     assert a.equals(b)
@@ -158,7 +160,7 @@ def test_log_odds_numpy_reference(ray_session):
         assert out[(s, tok)] == pytest.approx(z, abs=1e-9), (s, tok)
 
 
-def test_log_odds_partition_independent(ray_session):
+def test_log_odds_partition_independent(ray_session, fixed_partitions):
     import pyarrow as pa
 
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
@@ -174,7 +176,9 @@ def test_log_odds_partition_independent(ray_session):
     })
     ds = ray_session.data.from_arrow(tbl)
     key = lambda r: (r["source"], r["token"])
+    fixed_partitions(1)
     one = sorted(log_odds_terms(ds, k=3).take_all(), key=key)
+    fixed_partitions(5)
     many = sorted(log_odds_terms(ds.repartition(7), k=3).take_all(), key=key)
     assert one == many
 
@@ -230,7 +234,8 @@ def test_tfidf_cosine_matches_numpy(ray_session):
     assert (0, 2) not in out and (1, 2) not in out
 
 
-def test_tfidf_cosine_threshold_and_partition_independence(ray_session):
+def test_tfidf_cosine_threshold_and_partition_independence(
+        ray_session, fixed_partitions):
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
         tfidf_cosine_pairs,
     )
@@ -238,8 +243,10 @@ def test_tfidf_cosine_threshold_and_partition_independence(ray_session):
     docs = [(i, f"shared token{i % 4} extra{i % 2}") for i in range(24)]
     ds = _tfidf_ds(ray_session, docs)
     key = lambda r: (r["doc_a"], r["doc_b"])
+    fixed_partitions(1)
     one = sorted(tfidf_cosine_pairs(ds, threshold=0.5).take_all(),
                  key=key)
+    fixed_partitions(5)
     many = sorted(tfidf_cosine_pairs(
         ds.repartition(7), threshold=0.5).take_all(), key=key)
     assert one == many

@@ -86,9 +86,11 @@ def test_separable_vocab_classifies_perfectly(ray_session):
     assert 9 not in set(got["doc_id"])  # all-OOV doc dropped
 
 
-def test_partition_independent(ray_session):
+def test_partition_independent(ray_session, fixed_partitions):
+    fixed_partitions(1)
     a = (nb_train_predict(_ds(DOCS).repartition(1))
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    fixed_partitions(9)
     b = (nb_train_predict(_ds(DOCS).repartition(7))
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert a.equals(b)

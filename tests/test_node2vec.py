@@ -147,7 +147,8 @@ def test_skipgram_pairs_window_semantics(ray_session):
     assert len(out) == len(want)  # no duplicate emissions
 
 
-def test_skipgram_negatives_deterministic_and_distributed(ray_session):
+def test_skipgram_negatives_deterministic_and_distributed(ray_session,
+                                                          fixed_partitions):
     import ray.data
 
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
@@ -160,8 +161,10 @@ def test_skipgram_negatives_deterministic_and_distributed(ray_session):
         "step": np.tile(np.arange(4, dtype=np.int64), 40),
         "node": rng.integers(0, 12, 160).astype(np.int64),
     })
+    fixed_partitions(1)
     a = skipgram_negatives(ray.data.from_pandas(walks).repartition(1),
                            window=2, k_neg=3).to_pandas()
+    fixed_partitions(5)
     b = skipgram_negatives(ray.data.from_pandas(walks).repartition(7),
                            window=2, k_neg=3).to_pandas()
     key = ["center", "context", "offset", "neg_rank", "negative"]

@@ -81,10 +81,12 @@ def test_outliers_match_reimplementation_and_flag(ray_session):
     assert (flagged["z"] <= -2.0).all()
 
 
-def test_outliers_partition_independent(ray_session):
+def test_outliers_partition_independent(ray_session, fixed_partitions):
     ds, *_ = _emb_ds()
+    fixed_partitions(1)
     a = (label_outliers(ds.repartition(1))
          .to_pandas().sort_values("vec_id").reset_index(drop=True))
+    fixed_partitions(5)
     b = (label_outliers(ds.repartition(7))
          .to_pandas().sort_values("vec_id").reset_index(drop=True))
     assert a.equals(b)
@@ -104,12 +106,14 @@ def test_zipf_exact_power_law(ray_session):
     assert out["r2"].iloc[0] > 0.999
 
 
-def test_zipf_partition_independent(ray_session):
+def test_zipf_partition_independent(ray_session, fixed_partitions):
     texts = ["a a a a b b c", "a a b c d", "b a a c d e"]
     ds1 = rd.from_arrow(pa.table({
         "doc_id": [0, 1, 2], "text": texts})).repartition(1)
     ds3 = rd.from_arrow(pa.table({
         "doc_id": [0, 1, 2], "text": texts})).repartition(3)
+    fixed_partitions(1)
     a = zipf_fit(ds1, k=10).to_pandas()
+    fixed_partitions(7)
     b = zipf_fit(ds3, k=10).to_pandas()
     assert a.equals(b)

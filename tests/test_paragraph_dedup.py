@@ -65,7 +65,7 @@ class TestParagraphDedup:
         assert out[0]["text"] == "a|dup"
         assert out[1]["text"] == "b"
 
-    def test_partition_independent(self, ray_session):
+    def test_partition_independent(self, ray_session, fixed_partitions):
         docs = {
             i: (f"Unique {i}.\n\n{B}" if i % 2 else f"{B}\n\nTail {i}.")
             for i in range(30)
@@ -75,7 +75,9 @@ class TestParagraphDedup:
             "text": pa.array(list(docs.values()), pa.large_string()),
         })
         ds = ray_session.data.from_arrow(tbl)
+        fixed_partitions(1)
         one = paragraph_dedup(ds).sort("doc_id").take_all()
+        fixed_partitions(5)
         many = paragraph_dedup(
             ds.repartition(7)).sort("doc_id").take_all()
         assert one == many

@@ -269,7 +269,7 @@ def test_cusum_flags_planted_level_shift(ray_session):
     rows += [("a", d, 30) for d in range(20, 30)]
     out = sorted(cusum_changepoints(
         _cusum_events(ray_session, rows), "event_type", "ts").take_all(),
-        key=lambda r: r["day"])
+                 key=lambda r: r["day"])
     flags = [r["flag"] for r in out]
     assert len(out) == 30
     assert all(f == 0 for f in flags[:20])     # quiet regime never fires

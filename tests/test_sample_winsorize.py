@@ -46,10 +46,12 @@ def test_hash_sample_matches_reference(ray_session):
     pd.testing.assert_frame_equal(_sorted(got), _sorted(_sample_ref(df, 7)))
 
 
-def test_hash_sample_partition_independent(ray_session):
+def test_hash_sample_partition_independent(ray_session, fixed_partitions):
     df = _docs(n=250, groups=3)
+    fixed_partitions(1)
     a = grouped_hash_sample(_ds(ray_session, df, 1), ["g"], 5,
                             "id").to_pandas()
+    fixed_partitions(6)
     b = grouped_hash_sample(_ds(ray_session, df, 8), ["g"], 5,
                             "id").to_pandas()
     pd.testing.assert_frame_equal(_sorted(a), _sorted(b))

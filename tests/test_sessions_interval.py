@@ -71,10 +71,12 @@ def test_gap_sessions_boundary_gap_not_a_break(ray_session):
     assert got["n_events"].tolist() == [2, 1]
 
 
-def test_gap_sessions_partition_independent(ray_session):
+def test_gap_sessions_partition_independent(ray_session, fixed_partitions):
     ev = _events(np.random.default_rng(5), n=120, users=3)
+    fixed_partitions(1)
     a = gap_sessions(_ds(ray_session, ev, 1), "user_id", "ts", 1800.0,
                      "event_id").to_pandas()
+    fixed_partitions(7)
     b = gap_sessions(_ds(ray_session, ev, 6), "user_id", "ts", 1800.0,
                      "event_id").to_pandas()
     pd.testing.assert_frame_equal(_sorted(a), _sorted(b))

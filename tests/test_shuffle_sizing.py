@@ -198,8 +198,16 @@ def test_sizing_runs_no_dataset(spine_inputs, monkeypatch, cpus):
     assert partitions_for(lazy.union(mat.map_batches(lambda b: b))) == 6
     assert shuffle._source_rows(
         lazy.select_columns(["subj"]).union(small)) == 3003
-    # a filtered read has no count, but its files' footers bound it
-    assert partitions_for(filtered.map_batches(lambda b: b)) == 3
+    # what a filter keeps and what an earlier exchange's fold emits are
+    # unknown and usually far fewer rows than their sources: they add
+    # nothing, so only the other side of a union counts
+    assert partitions_for(filtered.map_batches(lambda b: b)) == 1
+    assert partitions_for(filtered.union(linked)) == 3
+    assert partitions_for(
+        linked.filter(expr="pred == 'is'").union(mat)) == 3
+    fold = shuffle.grouped_apply(linked, ["subj"], lambda t: t)
+    assert partitions_for(fold) == 1
+    assert partitions_for(fold.map_batches(lambda b: b).union(linked)) == 3
     # only a source whose size is unknown without running it gets the cap
     assert partitions_for(unsized.map_batches(lambda b: b)) == MAX_PARTITIONS
     assert partitions_for(lazy.union(unsized)) == MAX_PARTITIONS

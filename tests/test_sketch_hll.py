@@ -119,7 +119,8 @@ def test_grouped_entropy_matches_manual(ray_session):
     assert got["b"] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_grouped_entropy_partitioning_independent(ray_session):
+def test_grouped_entropy_partitioning_independent(ray_session,
+                                                  fixed_partitions):
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
         grouped_entropy,
     )
@@ -130,7 +131,9 @@ def test_grouped_entropy_partitioning_independent(ray_session):
         "v": rng.choice(list("abcdefg"), size=5_000,
                         p=[0.4, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05]),
     })
+    fixed_partitions(2)
     a = grouped_entropy(_ds(ray_session, df), ["g"], "v").to_pandas()
+    fixed_partitions(16)
     b = grouped_entropy(_ds(ray_session, df), ["g"], "v").to_pandas()
     counts = df.groupby(["g", "v"]).size()
     probs = counts / counts.groupby(level=0).transform("sum")

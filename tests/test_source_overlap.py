@@ -71,9 +71,11 @@ def test_mirror_pair_ranks_highest_and_zero_pairs_omitted(ray_session):
     assert "feedB" not in present and "feedC" not in present
 
 
-def test_partition_independent(ray_session):
+def test_partition_independent(ray_session, fixed_partitions):
+    fixed_partitions(1)
     a = (source_ngram_overlap(_ds(DOCS).repartition(1))
          .to_pandas().reset_index(drop=True))
+    fixed_partitions(9)
     b = (source_ngram_overlap(_ds(DOCS).repartition(8))
          .to_pandas().reset_index(drop=True))
     assert a.equals(b)

@@ -23,6 +23,7 @@ import pyarrow.compute as pc
 
 from nlp_graphrag_with_qdrant_and_neo4j_ray import config
 from nlp_graphrag_with_qdrant_and_neo4j_ray.config import PipelineConfig
+from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.rounding import sql_round
 
 CFG = PipelineConfig()
 # Ray's native hash join starts one aggregator actor per partition, and
@@ -42,15 +43,6 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
 
     return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
                                  columns=columns)
-
-
-def _round(x, ndigits: int = 6):
-    """Round half away from zero like DuckDB's ``round()`` (``np.round``
-    rounds half to even): a float for a scalar, else a float64 array."""
-    out = pc.round(pa.array(np.atleast_1d(np.asarray(x, np.float64))),
-                   ndigits=ndigits, round_mode="half_towards_infinity")
-    out = out.to_numpy(zero_copy_only=False)
-    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def _kg_dir(sf_dir: str) -> str:
@@ -1042,8 +1034,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             })
 
         def q_rows(b: pa.Table) -> pa.Table:
-            qr = pc.round(b.column("quality"), ndigits=6,
-                          round_mode="half_towards_infinity")
+            qr = sql_round(b.column("quality"), 6)
             keep = pc.cast(pc.greater_equal(qr, 0.75), pa.int64())
             return pa.table({
                 "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
@@ -1595,7 +1586,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         hits = q.vector_topk(src, "Who founded Hugging Face?",
                              k=10, cfg=CFG).take_all()
         for r in hits:
-            r["score"] = round(r["score"], 6)
+            r["score"] = sql_round(r["score"], 6)
         return pa.Table.from_pylist(hits) if hits else pa.table(
             {"chunk_id": pa.array([], pa.string()),
              "payload_text": pa.array([], pa.string()),
@@ -1663,7 +1654,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return pa.table({
             "chunk_id": pa.array([r["chunk_id"] for r in hits],
                                  pa.string()),
-            "score": pa.array([round(r["score"], 6) for r in hits],
+            "score": pa.array([sql_round(r["score"], 6) for r in hits],
                               pa.float64()),
         })
 
@@ -1718,7 +1709,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         rows = q.hybrid_retrieve(src, _term_index(sf_dir),
                                  "Hugging Face company", k=10, cfg=CFG)
         for r in rows:
-            r["score"] = round(r["score"], 6)
+            r["score"] = sql_round(r["score"], 6)
         return pa.Table.from_pylist(rows)
 
     def kg_hybrid_retrieve_ivf(sf_dir: str):
@@ -1741,7 +1732,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                  "Hugging Face company", k=10, cfg=CFG,
                                  vec_hits=vec)
         for r in rows:
-            r["score"] = round(r["score"], 6)
+            r["score"] = sql_round(r["score"], 6)
         return pa.Table.from_pylist(rows)
 
     def kg_context_windows(sf_dir: str):
@@ -1828,8 +1819,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 if pa.types.is_floating(col.type):
                     # ties away from zero — matches DuckDB round() so the
                     # SQL oracle hashes identically
-                    col = pc.round(col, ndigits=6,
-                                   round_mode="half_towards_infinity")
+                    col = sql_round(col, 6)
                 out[name] = col
             return pa.table(out)
 
@@ -1849,8 +1839,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         def fn(b: pa.Table) -> pa.Table:
             vals = [qrow(t)["quality"]
                     for t in b.column("text").to_pylist()]
-            score = pc.round(pa.array(vals, pa.float64()), 6,
-                             round_mode="half_towards_infinity")
+            score = sql_round(pa.array(vals, pa.float64()), 6)
             pos = pc.cast(pc.equal(b.column("lang"), "en"), pa.int64())
             return pa.table({"score": score, "pos": pos})
 
@@ -1926,8 +1915,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         def slim(batch: pa.Table) -> pa.Table:
             return pa.table({
                 "doc_id": batch.column("doc_id"),
-                "quality": pc.round(batch.column("quality"), ndigits=6,
-                                    round_mode="half_towards_infinity"),
+                "quality": sql_round(batch.column("quality"), 6),
             })
 
         narrow = ds.map_batches(slim, batch_format="pyarrow").materialize()
@@ -2050,7 +2038,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             c = g["c"].to_numpy()
             jac = c / (na + nb - c)
             keep = jac >= 0.5  # filter on the UNROUNDED value (as SQL)
-            g["jaccard"] = np.floor(jac * 1e6 + 0.5) / 1e6
+            g["jaccard"] = sql_round(jac, 6)
             return g[keep][["doc_a", "doc_b", "jaccard"]]
 
         return grouped_apply(inter, ["doc_a", "doc_b"], finish,
@@ -2111,7 +2099,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             c = g["c"].to_numpy()
             cont = c / np.minimum(na, nb)
             keep = cont >= 0.8  # filter on the UNROUNDED value (as SQL)
-            g["containment"] = np.floor(cont * 1e6 + 0.5) / 1e6
+            g["containment"] = sql_round(cont, 6)
             return g[keep][["doc_a", "doc_b", "containment"]]
 
         return grouped_apply(inter, ["doc_a", "doc_b"], finish,
@@ -2241,7 +2229,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return pa.table(
             {
                 "vec_id": pa.array([r["vec_id"] for r in hits], pa.int64()),
-                "score": pa.array([round(r["score"], 6) for r in hits],
+                "score": pa.array([sql_round(r["score"], 6) for r in hits],
                                   pa.float64()),
             }
         )
@@ -2267,7 +2255,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                           iters=3, codebooks=books).take_all()
         return pa.table({
             "vec_id": pa.array([r["vec_id"] for r in hits], pa.int64()),
-            "adc_dist": pa.array([round(r["adc_dist"], 6) for r in hits],
+            "adc_dist": pa.array([sql_round(r["adc_dist"], 6) for r in hits],
                                  pa.float64()),
         })
 
@@ -2291,7 +2279,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ).take_all()
         return pa.table({
             "vec_id": pa.array([r["vec_id"] for r in hits], pa.int64()),
-            "adc_dist": pa.array([round(r["adc_dist"], 6) for r in hits],
+            "adc_dist": pa.array([sql_round(r["adc_dist"], 6) for r in hits],
                                  pa.float64()),
         })
 
@@ -2317,7 +2305,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ).take_all()
         return pa.table({
             "vec_id": pa.array([r["vec_id"] for r in hits], pa.int64()),
-            "score": pa.array([round(r["score"], 6) for r in hits],
+            "score": pa.array([sql_round(r["score"], 6) for r in hits],
                               pa.float64()),
         })
 
@@ -2363,7 +2351,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return pa.table(
             {
                 "vec_id": pa.array([r["vec_id"] for r in hits], pa.int64()),
-                "score": pa.array([round(r["score"], 6) for r in hits],
+                "score": pa.array([sql_round(r["score"], 6) for r in hits],
                                   pa.float64()),
             }
         )
@@ -2390,7 +2378,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return pa.table(
             {
                 "vec_id": pa.array([r["vec_id"] for r in hits], pa.int64()),
-                "score": pa.array([round(r["score"], 6) for r in hits],
+                "score": pa.array([sql_round(r["score"], 6) for r in hits],
                                   pa.float64()),
             }
         )
@@ -2781,8 +2769,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                  pc.cast(b.column("n"), pa.float64())))
             return pa.table({
                 "l_returnflag": b.column("l_returnflag"),
-                "geomean": pc.round(g, ndigits=4,
-                                    round_mode="half_towards_infinity"),
+                "geomean": sql_round(g, 4),
             })
 
         return summed.map_batches(finish, batch_format="pyarrow")
@@ -2835,8 +2822,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         def round_total(b: pa.Table) -> pa.Table:
             return b.set_column(
                 b.schema.get_field_index("total"), "total",
-                pc.round(b.column("total"), ndigits=2,
-                         round_mode="half_towards_infinity"),
+                sql_round(b.column("total"), 2),
             )
 
         return profile_numeric(li, cols).map_batches(
@@ -2940,7 +2926,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             df = tbl.to_pandas()
             tot = df.groupby("event_type")["n"].transform("sum")
             p = df["n"].to_numpy(np.float64) / tot.to_numpy(np.float64)
-            df["p"] = np.floor(p * 1e6 + 0.5) / 1e6
+            df["p"] = sql_round(p, 6)
             return pa.Table.from_pandas(df, preserve_index=False)
 
         return grouped_apply(counts, ["event_type"], normalize)
@@ -2975,7 +2961,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             bm = ray.get(brand_ref)
             rev = (pdf["l_extendedprice"]
                    * (1.0 - pdf["l_discount"]) * 100.0)
-            cents = np.floor(rev + 0.5).astype(np.int64)
+            cents = sql_round(rev).astype(np.int64)
             out = pd2.DataFrame({
                 "p_brand": pdf["l_partkey"].map(bm),
                 "l_partkey": pdf["l_partkey"],
@@ -3148,8 +3134,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         def slim(b: pa.Table) -> pa.Table:
             return pa.table({
                 "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
-                "quality": pc.round(b.column("quality"), ndigits=6,
-                                    round_mode="half_towards_infinity"),
+                "quality": sql_round(b.column("quality"), 6),
             })
 
         return dd.cluster_keep_best(
@@ -3218,8 +3203,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 {
                     "l_returnflag": batch.column("l_returnflag"),
                     "l_linestatus": batch.column("l_linestatus"),
-                    "sum_qty": pc.round(batch.column("sum_qty"), ndigits=2),
-                    "sum_revenue": pc.round(batch.column("sum_revenue"), ndigits=2),
+                    "sum_qty": sql_round(batch.column("sum_qty"), 2),
+                    "sum_revenue": sql_round(batch.column("sum_revenue"), 2),
                     "count_order": batch.column("count_order"),
                 }
             )
@@ -3246,7 +3231,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 {
                     "o_custkey": batch.column("o_custkey"),
                     "n_orders": batch.column("n_orders"),
-                    "total_spent": pc.round(batch.column("total_spent"), ndigits=2),
+                    "total_spent": sql_round(batch.column("total_spent"), 2),
                 }
             )
 
@@ -3299,7 +3284,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 {
                     "c_mktsegment": b.column("c_mktsegment"),
                     "n_orders": b.column("n_orders"),
-                    "revenue": pc.round(b.column("revenue"), ndigits=2),
+                    "revenue": sql_round(b.column("revenue"), 2),
                 }
             ),
             batch_format="pyarrow",
@@ -3356,7 +3341,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 {
                     "l_returnflag": b.column("l_returnflag"),
                     "n": b.column("n"),
-                    "sum_qty": pc.round(b.column("sum_qty"), ndigits=2),
+                    "sum_qty": sql_round(b.column("sum_qty"), 2),
                 }
             ),
             batch_format="pyarrow",
@@ -3416,7 +3401,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 {
                     "n_name": b.column("n_name"),
                     "n_suppliers": b.column("n_suppliers"),
-                    "total_acctbal": pc.round(b.column("total_acctbal"), ndigits=2),
+                    "total_acctbal": sql_round(b.column("total_acctbal"), 2),
                 }
             ),
             batch_format="pyarrow",
@@ -3492,9 +3477,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.table(
                 {
                     "s_suppkey": batch.column("s_suppkey"),
-                    "acctbal_norm": pc.round(
-                        normed, ndigits=6, round_mode="half_towards_infinity"
-                    ),
+                    "acctbal_norm": sql_round(normed, 6),
                 }
             )
 
@@ -3512,7 +3495,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 {
                     "event_type": batch.column("event_type"),
                     "n": batch.column("n"),
-                    "sum_value": pc.round(batch.column("sum_value"), ndigits=2),
+                    "sum_value": sql_round(batch.column("sum_value"), 2),
                 }
             )
 
@@ -3536,7 +3519,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 .agg(n_events=("event_id", "size"), sum_value=("value", "sum"))
                 .reset_index()
             )
-            out["sum_value"] = out["sum_value"].round(2)
+            out["sum_value"] = sql_round(out["sum_value"], 2)
             return out[["user_id", "n_events", "sum_value", "window_start_h"]]
 
         return grouped_apply(
@@ -3885,9 +3868,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "recency": agg.column("recency_max"),
                 "frequency": pc.cast(agg.column("frequency_sum"),
                                      pa.int64()),
-                "monetary": pc.round(
-                    agg.column("monetary_sum"), ndigits=2,
-                    round_mode="half_towards_infinity"),
+                "monetary": sql_round(agg.column("monetary_sum"), 2),
                 "__all": pa.array(np.zeros(agg.num_rows, np.int64)),
             })
 
@@ -3950,8 +3931,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                    .quantile([0.5, 0.9]).unstack())
             out.columns = ["p50_s", "p90_s"]
             out = out.reset_index()
-            out["p50_s"] = _round(out["p50_s"])
-            out["p90_s"] = _round(out["p90_s"])
+            out["p50_s"] = sql_round(out["p50_s"], 6)
+            out["p90_s"] = sql_round(out["p90_s"], 6)
             return out
 
         return grouped_apply(ev, ["event_type"], quantiles,
@@ -3985,8 +3966,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                     pa.int64()),
                 "n_types": pc.cast(agg.column("count_all"),
                                    pa.int64()),
-                "ttr": pc.round(pc.divide(n_types, n_toks), ndigits=6,
-                                round_mode="half_towards_infinity"),
+                "ttr": sql_round(pc.divide(n_types, n_toks), 6),
             })
 
         return docs.map_batches(ttr, batch_format="pyarrow")
@@ -4023,8 +4003,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             g["n"] = g["n"].astype("int64")
             g["prev_n"] = prev.astype(np.float64)
             with np.errstate(divide="ignore", invalid="ignore"):
-                g["growth"] = _round(
-                    (g["n"] - prev) / prev.astype(np.float64))
+                g["growth"] = sql_round(
+                    (g["n"] - prev) / prev.astype(np.float64), 6)
             return g
 
         return grouped_apply(
@@ -4073,7 +4053,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             h = int(pdf["n_hapax"].sum())
             return pd.DataFrame({
                 "n_distinct_tokens": [d], "n_hapax": [h],
-                "hapax_ratio": [round(h / d, 6) if d else 0.0],
+                "hapax_ratio": [sql_round(h / d, 6) if d else 0.0],
             })
 
         return grouped_apply(
@@ -4114,9 +4094,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             out = g.agg(n_days="size", mean_daily="mean",
                         var_daily="var").reset_index()
             out["n_days"] = out["n_days"].astype("int64")
-            out["fano"] = _round(out["var_daily"] / out["mean_daily"])
-            out["mean_daily"] = _round(out["mean_daily"])
-            out["var_daily"] = _round(out["var_daily"])
+            out["fano"] = sql_round(out["var_daily"] / out["mean_daily"], 6)
+            out["mean_daily"] = sql_round(out["mean_daily"], 6)
+            out["var_daily"] = sql_round(out["var_daily"], 6)
             return out
 
         return grouped_apply(
@@ -4162,8 +4142,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             prevmax = cmax.groupby(pdf["user_id"], sort=False).shift(1)
             lag = prevmax - pdf["ts"]
             out = pdf[lag > late_by].drop(columns="__arr").copy()
-            out["late_by_s"] = _round(
-                lag[lag > late_by].dt.total_seconds())
+            out["late_by_s"] = sql_round(
+                lag[lag > late_by].dt.total_seconds(), 6)
             return out
 
         return grouped_apply(ev, ["user_id"], audit,
@@ -4293,9 +4273,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pd.DataFrame({
                 "lang": pdf["lang"].to_numpy(),
                 "n_docs": pdf["n"].astype("int64").to_numpy(),
-                "p": _round(p),
-                "weight": _round(w),
-                "boost": _round(w / p),
+                "p": sql_round(p, 6),
+                "weight": sql_round(w, 6),
+                "boost": sql_round(w / p, 6),
             })
 
         return grouped_apply(
@@ -4331,9 +4311,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 ents.append(float(-(p * np.log2(p)).sum()))
             return pa.table({
                 "doc_id": pa.array(ids, pa.int64()),
-                "trigram_entropy": pc.round(
-                    pa.array(ents, pa.float64()), ndigits=6,
-                    round_mode="half_towards_infinity"),
+                "trigram_entropy": sql_round(pa.array(ents, pa.float64()), 6),
             })
 
         return docs.map_batches(entropy, batch_format="pyarrow")
@@ -4372,7 +4350,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         n = counts["n"].to_numpy(np.float64)
         p = n / n.sum()
         w = p ** 0.3
-        w = _round(w / w.sum())
+        w = sql_round(w / w.sum(), 6)
         wmap = dict(zip(counts["source"], w))
 
         def keys(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -4383,7 +4361,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 np.float64)
             wt = pdf["source"].map(wmap).to_numpy(np.float64)
             pdf["src_rank"] = r.astype(np.int64)
-            pdf["mix_key"] = _round((r + 0.5) / wt)
+            pdf["mix_key"] = sql_round((r + 0.5) / wt, 6)
             return pdf
 
         return grouped_apply(docs, ["source"], keys,
@@ -4420,8 +4398,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "n_words": pc.cast(words, pa.int64()),
                 "n_sentences": pc.cast(sents, pa.int64()),
                 "n_syllable_groups": pc.cast(syll, pa.int64()),
-                "flesch": pc.round(pa.array(flesch), ndigits=6,
-                                   round_mode="half_towards_infinity"),
+                "flesch": sql_round(pa.array(flesch), 6),
             })
 
         return docs.map_batches(score, batch_format="pyarrow")
@@ -4549,8 +4526,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         def round6(b: pa.Table) -> pa.Table:
             return b.set_column(
                 b.column_names.index("sum_price"), "sum_price",
-                pc.round(b.column("sum_price"), 6,
-                         round_mode="half_towards_infinity"))
+                sql_round(b.column("sum_price"), 6))
 
         return refreshed.map_batches(round6, batch_format="pyarrow")
 
@@ -4578,7 +4554,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.table({
                 "doc_id": batch.column("doc_id"),
                 "quality": pa.array(
-                    [round(quality_scores(t)["quality"], 6)
+                    [sql_round(quality_scores(t)["quality"], 6)
                      for t in texts], pa.float64()),
                 "ws_tokens": pa.array(
                     [float(ws_token_count(t)) for t in texts],
@@ -4614,7 +4590,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "doc_id": batch.column("doc_id"),
                 "lang": batch.column("lang"),
                 "quality": pa.array(
-                    [round(quality_scores(t)["quality"], 6)
+                    [sql_round(quality_scores(t)["quality"], 6)
                      for t in texts], pa.float64()),
                 "ws_tokens": pa.array(
                     [float(ws_token_count(t)) for t in texts],
@@ -4914,9 +4890,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "source": pa.array(df["source"], pa.string()),
                 "n_rows": pa.array(df["n_rows"], pa.int64()),
                 "n_distinct": pa.array(df["n_distinct"], pa.int64()),
-                "dup_rate": pa.array(
-                    np.floor(dup.to_numpy() * 1e6 + 0.5) / 1e6,
-                    pa.float64()),
+                "dup_rate": pa.array(sql_round(dup, 6), pa.float64()),
             })
 
         return grouped_apply(parts, ["source"],
@@ -5049,13 +5023,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
             df = tbl.drop_columns(["__one"]).to_pandas().sum()
             n = int(df["n_docs"])
             mh, mm = int(df["moved_hrw"]), int(df["moved_mod"])
-            r6 = lambda x: float(np.floor(x * 1e6 + 0.5) / 1e6)  # noqa: E731
             return pa.table({
                 "n_docs": pa.array([n], pa.int64()),
                 "moved_hrw": pa.array([mh], pa.int64()),
                 "moved_mod": pa.array([mm], pa.int64()),
-                "hrw_frac": pa.array([r6(mh / n)], pa.float64()),
-                "mod_frac": pa.array([r6(mm / n)], pa.float64()),
+                "hrw_frac": pa.array([sql_round(mh / n, 6)], pa.float64()),
+                "mod_frac": pa.array([sql_round(mm / n, 6)], pa.float64()),
             })
 
         return grouped_apply(
@@ -5413,9 +5386,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     [names[int(x)] for x in g["c_nat"]], pa.string()
                 ),
                 "l_year": pa.array(g["l_year"].to_numpy(np.int64)),
-                "revenue": pc.round(
-                    pa.array(g["vol"].to_numpy(np.float64)), 2
-                ),
+                "revenue": pa.array(sql_round(g["vol"], 2)),
             })
 
         out = grouped_apply(partials, ["s_nat", "c_nat", "l_year"],
@@ -5799,10 +5770,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.table({
                 "custkey": g.column("custkey"),
                 "order_cnt": pc.cast(g.column("__cnt_sum"), pa.int64()),
-                "total_price": pc.round(
-                    g.column("__sum_sum"), 2,
-                    round_mode="half_towards_infinity",
-                ),
+                "total_price": sql_round(g.column("__sum_sum"), 2),
             })
 
         totals = grouped_apply(
@@ -6748,7 +6716,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pd.DataFrame(
                 {
                     "event_id": pdf["event_id"].to_numpy(),
-                    "rolling_mean_3": _round(rm),
+                    "rolling_mean_3": sql_round(rm, 6),
                 }
             )
 
@@ -6922,7 +6890,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 {
                     "band": b.column("band"),
                     "n": b.column("n"),
-                    "sum_price": pc.round(b.column("sum_price"), ndigits=2),
+                    "sum_price": sql_round(b.column("sum_price"), 2),
                 }
             ),
             batch_format="pyarrow",
@@ -7107,7 +7075,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 {
                     "l_returnflag": b.column("l_returnflag"),
                     "n": b.column("n"),
-                    "sum_qty": pc.round(b.column("sum_qty"), ndigits=2),
+                    "sum_qty": sql_round(b.column("sum_qty"), 2),
                 }
             ),
             batch_format="pyarrow",
@@ -7283,7 +7251,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             lambda b: pa.table(
                 {
                     "l_orderkey": b.column("l_orderkey"),
-                    "revenue": pc.round(b.column("revenue"), ndigits=2),
+                    "revenue": sql_round(b.column("revenue"), 2),
                     "o_orderdate": b.column("o_orderdate"),
                     "o_orderpriority": b.column("o_orderpriority"),
                 }
@@ -7425,7 +7393,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                          b.column("n_nationkey").to_pylist()],
                         pa.string(),
                     ),
-                    "revenue": pc.round(b.column("revenue"), ndigits=2),
+                    "revenue": sql_round(b.column("revenue"), 2),
                 }
             )
 
@@ -7655,7 +7623,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             "c_name": pa.array(
                 [r["c_name"] for r in cust_rows], pa.string()),
             "revenue": pa.array(
-                [round(rev_by_key[r["c_custkey"]], 2)
+                [sql_round(rev_by_key[r["c_custkey"]], 2)
                  for r in cust_rows], pa.float64()),
             "c_acctbal": pa.array(
                 [r["c_acctbal"] for r in cust_rows], pa.float64()),
@@ -7734,7 +7702,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             lambda b: pa.table({
                 "band": b.column("band"),
                 "n": b.column("n"),
-                "sum_price": pc.round(b.column("sum_price"), ndigits=2),
+                "sum_price": sql_round(b.column("sum_price"), 2),
             }),
             batch_format="pyarrow",
         )
@@ -7990,8 +7958,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         q = ts.quality(docs)
 
         def gate(b: pa.Table) -> pa.Table:
-            qr = pc.round(b.column("quality"), ndigits=6,
-                          round_mode="half_towards_infinity")
+            qr = sql_round(b.column("quality"), 6)
             return pa.table({
                 "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
                 "quality": qr,
@@ -8522,7 +8489,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         promo_sum = parts.sum("__promo") or 0.0
         total_sum = parts.sum("__total") or 0.0
         share = 100.0 * promo_sum / total_sum if total_sum else 0.0
-        return pd.DataFrame({"promo_revenue": [round(share, 6)]})
+        return pd.DataFrame({"promo_revenue": [sql_round(share, 6)]})
 
     def q19_disjunctive_revenue(sf_dir: str):
         """TPC-H Q19 shape — revenue under three OR'd (brand, size,
@@ -8531,7 +8498,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         arrays probed with searchsorted; the whole disjunction
         evaluates vectorized inside the map and the result is one
         scalar aggregate.  Zero exchanges."""
-        import pandas as pd
         import pyarrow.parquet as pq
         import ray
         import ray.data
@@ -8578,11 +8544,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 | ((b == "Brand#34") & (s >= 1) & (s <= 15)
                    & (qty >= 20) & (qty <= 30))
             )
-            return pa.table({"__rev": pa.array([float(rev[m].sum())])})
+            return pa.table({"__rev": pa.array([float(rev[m].sum())]),
+                             "__n": pa.array([int(m.sum())])})
 
-        total = li.map_batches(
-            partial, batch_format="pyarrow").sum("__rev") or 0.0
-        return pd.DataFrame({"revenue": [round(total, 2)]})
+        sums = li.map_batches(
+            partial, batch_format="pyarrow").sum(["__rev", "__n"])
+        # SUM over no qualifying row is NULL, as in SQL
+        total = sums["sum(__rev)"] if sums and sums["sum(__n)"] else None
+        return pa.table({"revenue": pa.array([sql_round(total, 2)],
+                                             pa.float64())})
 
     def q16_supplier_part_counts(sf_dir: str):
         """TPC-H Q16 shape — distinct supplier count per part
@@ -8759,7 +8729,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         total = li.map_batches(
             partial, batch_format="pyarrow").sum("__rev") or 0.0
-        return pd.DataFrame({"revenue": [_round(total, 2)]})
+        return pd.DataFrame({"revenue": [sql_round(total, 2)]})
 
     def q12_priority_by_returnflag(sf_dir: str):
         """TPC-H Q12 shape — high/low-priority lineitem counts per
@@ -8959,8 +8929,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ).rename_columns(["l_suppkey", "total_revenue"])
             return summed.set_column(
                 1, "total_revenue",
-                pc.round(summed.column("total_revenue"), ndigits=2,
-                         round_mode="half_towards_infinity"),
+                sql_round(summed.column("total_revenue"), 2),
             )
 
         revenue = grouped_apply(
@@ -9039,7 +9008,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 pc.greater(batch.column("value"), thresh)
             )
 
-        return v.map_batches(keep, batch_format="pyarrow")
+        # at most 1 / 0.0005 = 2,000 parts clear the bar, so the result
+        # comes back as one table: a Dataset with no rows would lose its
+        # columns in to_pandas()
+        kept = ray.get(
+            v.map_batches(keep, batch_format="pyarrow").to_arrow_refs())
+        return pa.concat_tables([pa.table({
+            "l_partkey": pa.array([], pa.int64()),
+            "value": pa.array([], pa.float64()),
+        }), *kept])
 
     def q17_small_quantity_revenue(sf_dir: str):
         """TPC-H Q17 — revenue from below-20%-of-part-average-quantity
@@ -9093,7 +9070,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
         total = partials.sum("__s") or 0.0
         return pd.DataFrame(
-            {"avg_yearly": [_round(total / 7.0, 2)]}
+            {"avg_yearly": [sql_round(total / 7.0, 2)]}
         )
 
     def q2_min_cost_supplier(sf_dir: str):
@@ -9239,8 +9216,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ).rename_columns(["cntry", "numcust", "totacctbal"])
             return out.set_column(
                 2, "totacctbal",
-                pc.round(out.column("totacctbal"), ndigits=2,
-                         round_mode="half_towards_infinity"),
+                sql_round(out.column("totacctbal"), 2),
             )
 
         return grouped_apply(
@@ -9548,10 +9524,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         def finish(b: pa.Table) -> pa.Table:
-            share = pc.round(
-                pc.divide(b.column("share_vol"), b.column("vol")),
-                ndigits=6, round_mode="half_towards_infinity",
-            )
+            share = sql_round(
+                pc.divide(b.column("share_vol"), b.column("vol")), 6)
             return pa.table({"o_year": b.column("o_year"),
                              "mkt_share": share})
 
@@ -9612,7 +9586,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pd2.DataFrame({
                 "l_orderkey": pdf["l_orderkey"],
                 "nation": pdf["l_suppkey"].map(sm),
-                "amount": np.round(amount.to_numpy() * 10_000)
+                "amount": sql_round(amount.to_numpy() * 10_000)
                 .astype(np.int64),
             })
 

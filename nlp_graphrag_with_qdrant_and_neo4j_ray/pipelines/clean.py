@@ -23,6 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.rounding import sql_round
 from ..stages.shuffle import grouped_apply
 
 # RE2-compatible patterns (no lookahead/backrefs) — pyarrow's
@@ -128,17 +129,14 @@ def repetition_scores(docs_ds, id_col: str = "doc_id",
         docs = n.index.to_numpy()
         n_np = n.to_numpy(np.float64)
         nbig = np.maximum(n_np - 1.0, 1.0)  # divisor; n==1 → frac 0/1
-        frac = lambda num, den: pc.round(  # noqa: E731
-            pa.array(num / den, pa.float64()), 6,
-            round_mode="half_towards_infinity",
-        )
         scores = {
             "n_tokens": pa.array(n.to_numpy(np.int64)),
-            "distinct_frac": frac(nun.to_numpy(np.float64), n_np),
-            "top_token_frac": frac(top.to_numpy(np.float64), n_np),
-            "top_bigram_frac": frac(
-                topbg.fillna(0.0).to_numpy(np.float64), nbig
-            ),
+            "distinct_frac": pa.array(
+                sql_round(nun.to_numpy(np.float64) / n_np, 6)),
+            "top_token_frac": pa.array(
+                sql_round(top.to_numpy(np.float64) / n_np, 6)),
+            "top_bigram_frac": pa.array(
+                sql_round(topbg.fillna(0.0).to_numpy(np.float64) / nbig, 6)),
         }
         if append:
             out = batch.take(pa.array(docs))
@@ -560,38 +558,30 @@ def gopher_quality(ds, id_col: str = "doc_id", text_col: str = "text",
         ).astype(np.float64)
 
         denom = np.maximum(n_words, 1).astype(np.float64)
-        rnd = lambda num, den: pc.round(  # noqa: E731
-            pa.array(num / den, pa.float64()), 6,
-            round_mode="half_towards_infinity",
-        )
-        mean_len = rnd(total_chars, denom)
-        sym_ratio = rnd(symbols, denom)
-        bullet_frac = rnd(bullet_lines, n_lines.astype(np.float64))
-        ellip_frac = rnd(ellip_lines, n_lines.astype(np.float64))
-        alpha_frac = rnd(alpha_words, denom)
+        mean_len = sql_round(total_chars / denom, 6)
+        sym_ratio = sql_round(symbols / denom, 6)
+        bullet_frac = sql_round(bullet_lines / n_lines.astype(np.float64), 6)
+        ellip_frac = sql_round(ellip_lines / n_lines.astype(np.float64), 6)
+        alpha_frac = sql_round(alpha_words / denom, 6)
 
-        ml = mean_len.to_numpy(zero_copy_only=False)
         keep = (
             (n_words >= min_words) & (n_words <= max_words)
-            & (ml >= min_mean_word_len) & (ml <= max_mean_word_len)
-            & (sym_ratio.to_numpy(zero_copy_only=False)
-               <= max_symbol_ratio)
-            & (bullet_frac.to_numpy(zero_copy_only=False)
-               < max_bullet_frac)
-            & (ellip_frac.to_numpy(zero_copy_only=False)
-               < max_ellipsis_frac)
-            & (alpha_frac.to_numpy(zero_copy_only=False)
-               >= min_alpha_frac)
+            & (mean_len >= min_mean_word_len)
+            & (mean_len <= max_mean_word_len)
+            & (sym_ratio <= max_symbol_ratio)
+            & (bullet_frac < max_bullet_frac)
+            & (ellip_frac < max_ellipsis_frac)
+            & (alpha_frac >= min_alpha_frac)
             & (n_stop >= min_stopwords)
         )
         return pa.table({
             id_col: batch.column(id_col),
             "n_words": pa.array(n_words),
-            "mean_word_len": mean_len,
-            "symbol_ratio": sym_ratio,
-            "bullet_frac": bullet_frac,
-            "ellipsis_frac": ellip_frac,
-            "alpha_frac": alpha_frac,
+            "mean_word_len": pa.array(mean_len),
+            "symbol_ratio": pa.array(sym_ratio),
+            "bullet_frac": pa.array(bullet_frac),
+            "ellipsis_frac": pa.array(ellip_frac),
+            "alpha_frac": pa.array(alpha_frac),
             "n_stopwords": pa.array(n_stop),
             "keep": pa.array(keep.astype(np.int64)),
         })
@@ -722,8 +712,8 @@ def domain_quality_filter(docs_ds, domain_col: str = "source",
     from .relational import exact_quantile
 
     def score(batch: pa.Table) -> pa.Table:
-        qs = [round(quality_scores(t)["quality"], 6)
-              for t in batch.column(text_col).to_pylist()]
+        qs = sql_round([quality_scores(t)["quality"]
+                        for t in batch.column(text_col).to_pylist()], 6)
         return pa.table({
             id_col: batch.column(id_col),
             domain_col: batch.column(domain_col),
@@ -747,7 +737,7 @@ def domain_quality_filter(docs_ds, domain_col: str = "source",
         n = g.column("__n_sum").to_numpy(zero_copy_only=False)
         return pa.table({
             domain_col: g.column(domain_col),
-            "domain_quality": pa.array(np.round(s / n, 6), pa.float64()),
+            "domain_quality": pa.array(sql_round(s / n, 6), pa.float64()),
         })
 
     domain_means = grouped_apply(

@@ -39,6 +39,7 @@ from ..functions.dedup import (
     shingles,
     simhash64,
 )
+from ..functions.rounding import sql_round
 from ..functions.textstats import content_hash
 from ..stages.pairjoin import verify_pairs
 
@@ -566,7 +567,7 @@ def ngram_decontaminate(docs_ds, benchmark_ds, id_col: str = "doc_id",
                 hit &= bits[pos] > 0
             fracs[i] = hit.mean()
         out = batch.append_column(
-            overlap_col, pa.array(np.round(fracs, 6), pa.float64())
+            overlap_col, pa.array(sql_round(fracs, 6), pa.float64())
         )
         return out.filter(pa.array(fracs <= max_overlap))
 
@@ -996,10 +997,7 @@ def ngram_overlap_exact(docs_ds, benchmark_ds, n: int = 8,
                         0.0)
         return pa.table({
             id_col: pa.array(tot.index.to_numpy(), pa.int64()),
-            overlap_col: pc.round(
-                pa.array(frac, pa.float64()), 6,
-                round_mode="half_towards_infinity",
-            ),
+            overlap_col: pa.array(sql_round(frac, 6), pa.float64()),
         })
 
     return grouped_apply(unioned2, [id_col], fraction,
@@ -1161,9 +1159,9 @@ def dedup_eval(pred_pairs, true_pairs, a_col: str = "doc_a",
         "n_pred": pa.array([n_pred], pa.int64()),
         "n_true": pa.array([n_true], pa.int64()),
         "n_hit": pa.array([n_hit], pa.int64()),
-        "precision": pa.array([round(prec, 6)], pa.float64()),
-        "recall": pa.array([round(rec, 6)], pa.float64()),
-        "f1": pa.array([round(f1, 6)], pa.float64()),
+        "precision": pa.array([sql_round(prec, 6)], pa.float64()),
+        "recall": pa.array([sql_round(rec, 6)], pa.float64()),
+        "f1": pa.array([sql_round(f1, 6)], pa.float64()),
     }))
 
 
@@ -1359,7 +1357,7 @@ def source_ngram_overlap(docs_ds, n: int = 3, group_col: str = "source",
             nc_out.append(int(nc))
             na_out.append(na)
             nb_out.append(nb)
-            jac.append(round(nc / (na + nb - nc), ndigits))
+            jac.append(sql_round(nc / (na + nb - nc), ndigits))
         return pa.table({
             "src_a": pa.array(a_out, pa.string()),
             "src_b": pa.array(b_out, pa.string()),

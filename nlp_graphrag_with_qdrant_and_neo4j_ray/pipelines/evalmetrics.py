@@ -21,12 +21,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.rounding import sql_round
 from ..stages.shuffle import grouped_apply
-
-
-def _round6(x: float) -> float:
-    return pc.round(pa.array([x], pa.float64()), 6,
-                    round_mode="half_towards_infinity")[0].as_py()
 
 
 def ranking_auc(ds, score_col: str = "score", label_col: str = "pos",
@@ -45,8 +41,7 @@ def ranking_auc(ds, score_col: str = "score", label_col: str = "pos",
     """
 
     def partial(b: pa.Table) -> pa.Table:
-        sc = pc.round(pc.cast(b.column(score_col), pa.float64()),
-                      ndigits, round_mode="half_towards_infinity")
+        sc = sql_round(b.column(score_col), ndigits)
         t = pa.table({
             "score": sc,
             "np": pc.cast(b.column(label_col), pa.int64()),
@@ -79,7 +74,7 @@ def ranking_auc(ds, score_col: str = "score", label_col: str = "pos",
     else:
         cum_nn = np.concatenate([[0], np.cumsum(nn_arr)[:-1]])
         num2 = int((np_arr * (2 * cum_nn + nn_arr)).sum())
-        auc = _round6(num2 / (2.0 * n_pos * n_neg))
+        auc = sql_round(num2 / (2.0 * n_pos * n_neg), 6)
     return pa.table({
         "auc": pa.array([auc], pa.float64()),
         "n_pos": pa.array([n_pos], pa.int64()),
@@ -113,10 +108,9 @@ def calibration_bins(ds, score_col: str = "score",
         g = tbl.group_by(["bin"]).aggregate([("n_pos", "sum"),
                                              ("n", "sum")])
         g = g.rename_columns(["bin", "n_pos", "n"])
-        frac = pc.round(
+        frac = sql_round(
             pc.divide(pc.cast(g.column("n_pos"), pa.float64()),
-                      pc.cast(g.column("n"), pa.float64())),
-            6, round_mode="half_towards_infinity")
+                      pc.cast(g.column("n"), pa.float64())), 6)
         return g.append_column("frac_pos", frac)
 
     return grouped_apply(
@@ -151,16 +145,11 @@ def cohens_kappa(census_ds, a_col: str, b_col: str, n_col: str = "n"):
         pe = float(g1 * q1 + (n - g1) * (n - q1)) / (n * n)
         kappa = None if pe == 1.0 else (po - pe) / (1.0 - pe)
 
-    def r6(x):
-        if x is None:
-            return None
-        return _round6(x)
-
     return pa.table({
         "n_docs": pa.array([n], pa.int64()),
-        "po": pa.array([r6(po)], pa.float64()),
-        "pe": pa.array([r6(pe)], pa.float64()),
-        "kappa": pa.array([r6(kappa)], pa.float64()),
+        "po": pa.array([sql_round(po, 6)], pa.float64()),
+        "pe": pa.array([sql_round(pe, 6)], pa.float64()),
+        "kappa": pa.array([sql_round(kappa, 6)], pa.float64()),
     })
 
 
@@ -196,9 +185,9 @@ def classification_prf(confusion_ds, true_col: str = "declared",
         out["tp"].append(tp)
         out["pred_n"].append(pred_n)
         out["true_n"].append(true_n)
-        out["precision"].append(None if p is None else _round6(p))
-        out["recall"].append(None if rc is None else _round6(rc))
-        out["f1"].append(None if f1 is None else _round6(f1))
+        out["precision"].append(sql_round(p, 6))
+        out["recall"].append(sql_round(rc, 6))
+        out["f1"].append(sql_round(f1, 6))
     return pa.table({
         "label": pa.array(out["label"]),
         "tp": pa.array(out["tp"], pa.int64()),

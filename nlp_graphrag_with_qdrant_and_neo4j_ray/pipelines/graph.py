@@ -24,6 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import config
+from ..functions.rounding import sql_round
 from ..stages.shuffle import grouped_apply
 
 
@@ -157,8 +158,7 @@ def _pagerank_local(tbl: pa.Table, src_col: str, dst_col: str,
         r = base + damping * c
     return pa.table({
         "node": _node_array(nodes, tbl, src_col),
-        rank_col: pc.round(pa.array(r, pa.float64()), ndigits,
-                           round_mode="half_towards_infinity"),
+        rank_col: pa.array(sql_round(r, ndigits), pa.float64()),
     })
 
 
@@ -679,10 +679,8 @@ def _hits_local(tbl: pa.Table, src_col: str, dst_col: str,
         h /= h.sum() or 1.0
     return pa.table({
         "node": _node_array(nodes, tbl, src_col),
-        auth_col: pc.round(pa.array(a, pa.float64()), ndigits,
-                           round_mode="half_towards_infinity"),
-        hub_col: pc.round(pa.array(h, pa.float64()), ndigits,
-                          round_mode="half_towards_infinity"),
+        auth_col: pa.array(sql_round(a, ndigits), pa.float64()),
+        hub_col: pa.array(sql_round(h, ndigits), pa.float64()),
     })
 
 
@@ -875,8 +873,7 @@ def cooccurrence_pmi(ds, group_col: str, item_col: str,
             "a": b.column("a"),
             "b": b.column("b"),
             "n_ab": pc.cast(b.column("n_ab"), pa.int64()),
-            "pmi": pc.round(pmi, ndigits,
-                            round_mode="half_towards_infinity"),
+            "pmi": sql_round(pmi, ndigits),
         })
 
     return joined.map_batches(finish, batch_format="pyarrow")
@@ -1004,10 +1001,9 @@ def reciprocity(edges_ds, src_col: str = "src", dst_col: str = "dst"):
                                               ("rec", "sum")])
         g = g.rename_columns(["node", "out_deg", "reciprocated"])
         g = g.filter(pc.greater(g.column("out_deg"), 0))
-        ratio = pc.round(
+        ratio = sql_round(
             pc.divide(pc.cast(g.column("reciprocated"), pa.float64()),
-                      pc.cast(g.column("out_deg"), pa.float64())),
-            6, round_mode="half_towards_infinity")
+                      pc.cast(g.column("out_deg"), pa.float64())), 6)
         return g.append_column("reciprocity", ratio)
 
     return grouped_apply(node_rows, ["node"], fold_nodes)
@@ -1109,10 +1105,8 @@ def degree_assortativity(edges_ds, src_col: str = "src",
     if n == 0 or d1 <= 0 or d2 <= 0:
         r = None
     else:
-        r = pc.round(pa.array(
-            [float(n * sxy - sx * sy)
-             / math.sqrt(float(d1) * float(d2))], pa.float64()),
-            ndigits, round_mode="half_towards_infinity")[0].as_py()
+        r = sql_round(float(n * sxy - sx * sy)
+                      / math.sqrt(float(d1) * float(d2)), ndigits)
     return pa.table({
         "n_edges": pa.array([n], pa.int64()),
         "assortativity": pa.array([r], pa.float64()),
@@ -1360,14 +1354,13 @@ def _link_scores_local(tbl: pa.Table, src_col: str, dst_col: str,
     uk, cn, aa, ra = uk[nonadj], cn[nonadj], aa[nonadj], ra[nonadj]
     x, y = uk // nv, uk % nv
     jac = cn.astype(np.float64) / (deg[x] + deg[y] - cn)
-    rnd = dict(ndigits=ndigits, round_mode="half_towards_infinity")
     return pa.table({
         "node_a": pa.array(uniques[x]),
         "node_b": pa.array(uniques[y]),
         "cn": pa.array(cn),
-        "aa": pc.round(pa.array(aa), **rnd),
-        "ra": pc.round(pa.array(ra), **rnd),
-        "jaccard": pc.round(pa.array(jac), **rnd),
+        "aa": pa.array(sql_round(aa, ndigits)),
+        "ra": pa.array(sql_round(ra, ndigits)),
+        "jaccard": pa.array(sql_round(jac, ndigits)),
     })
 
 
@@ -1445,8 +1438,7 @@ def _clustering_local(tbl: pa.Table, src_col: str, dst_col: str,
     return pa.table({
         "node": pa.array(uniques),
         "n_tri": pa.array(n_tri),
-        "lcc": pc.round(pa.array(lcc), ndigits=ndigits,
-                        round_mode="half_towards_infinity"),
+        "lcc": pa.array(sql_round(lcc, ndigits)),
     })
 
 
@@ -1568,7 +1560,7 @@ def _source_sampled(solver: str, edges_ds, src_col: str, dst_col: str,
             raise ValueError(f"{solver}: k_sources must be >= 1")
         k = min(int(k_sources), nv)
         src_codes = np.unique(
-            np.round(np.linspace(0, nv - 1, k)).astype(np.int64))
+            sql_round(np.linspace(0, nv - 1, k)).astype(np.int64))
     k = len(src_codes)
 
     csr_ref = ray.put((indptr, indices))
@@ -1587,8 +1579,7 @@ def _source_sampled(solver: str, edges_ds, src_col: str, dst_col: str,
         acc = acc * (nv / k) * scale
     return rd.from_arrow(pa.table({
         "node": pa.array(uniques),
-        out_col: pc.round(pa.array(acc), ndigits=ndigits,
-                          round_mode="half_towards_infinity"),
+        out_col: pa.array(sql_round(acc, ndigits)),
     }))
 
 

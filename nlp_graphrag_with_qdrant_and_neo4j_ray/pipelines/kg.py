@@ -22,6 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
+from ..functions.rounding import sql_round
 from ..stages import embedding as emb_stage
 from ..stages import tripletstage as tri_stage
 from ..stages.chunking import make_chunk_fn
@@ -107,7 +108,7 @@ def build_kg(
         else:
             ds = checkpointed(out_dir, name, compute, resume=resume,
                               read_back=read_back)
-        stage_wall[name] = round(time.perf_counter() - t0, 3)
+        stage_wall[name] = sql_round(time.perf_counter() - t0, 3)
         return ds
 
     def parallel(*branches):

@@ -37,6 +37,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.rounding import sql_round
 from ..stages.shuffle import grouped_apply
 
 _SIDE = "__side"
@@ -323,7 +324,7 @@ def grouped_quantile(ds, keys: list[str], value_col: str, q: float,
             .quantile(q)
             .reset_index(name=out_col)
         )
-        out[out_col] = np.round(out[out_col].to_numpy(), ndigits)
+        out[out_col] = sql_round(out[out_col], ndigits)
         return out
 
     slim = ds.map_batches(
@@ -408,8 +409,8 @@ def rollup_sum(ds, keys: list[str], value_col: str,
                     cols[k] = pa.array([sentinel] * batch.num_rows,
                                        pa.string())
             cols[count_col] = pc.cast(batch.column(count_col), pa.int64())
-            cols[sum_col] = pc.round(
-                pc.cast(batch.column(sum_col), pa.float64()), ndigits=ndigits
+            cols[sum_col] = sql_round(
+                pc.cast(batch.column(sum_col), pa.float64()), ndigits
             )
             return pa.table(cols)
 
@@ -486,7 +487,7 @@ def pivot_sum(ds, key: str, pivot_col: str, value_col: str,
         wide = wide.reindex(columns=categories, fill_value=0.0)
         out = pd.DataFrame({key: wide.index.to_numpy()})
         for cat, name in zip(categories, out_cols):
-            out[name] = np.round(wide[cat].astype(float).to_numpy(), ndigits)
+            out[name] = sql_round(wide[cat].astype(float).to_numpy(), ndigits)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     combined = ds.map_batches(partial, batch_format="pyarrow")
@@ -595,7 +596,7 @@ def grouped_approx_distinct(ds, keys: list[str], value_col: str,
             merged = stack.max(axis=0)
             est = float(_hll_estimate(merged[None, :])[0])
             kv = kv if isinstance(kv, tuple) else (kv,)
-            rows.append((*kv, int(round(est))))
+            rows.append((*kv, int(sql_round(est))))
         return pd.DataFrame(rows, columns=keys + [out_col])
 
     slim = ds.map_batches(
@@ -619,7 +620,7 @@ def grouped_median(ds, keys: list[str], value_col: str, out_col: str,
             .median()
             .reset_index(name=out_col)
         )
-        out[out_col] = np.round(out[out_col].to_numpy(), ndigits)
+        out[out_col] = sql_round(out[out_col], ndigits)
         return out
 
     slim = ds.map_batches(
@@ -863,7 +864,7 @@ def grouped_corr(ds, keys: list[str], x_col: str, y_col: str,
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.where(denom > 0, cov / denom, np.nan)
         out = g[keys].copy()
-        out[out_col] = np.round(r, ndigits)
+        out[out_col] = sql_round(r, ndigits)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     slim = ds.map_batches(
@@ -904,8 +905,8 @@ def grouped_var(ds, keys: list[str], value_col: str,
                          np.nan)
             v = np.maximum(v, 0.0)  # clamp negative rounding residue
         out = g[keys].copy()
-        out[var_col] = np.round(v, ndigits)
-        out[std_col] = np.round(np.sqrt(v), ndigits)
+        out[var_col] = sql_round(v, ndigits)
+        out[std_col] = sql_round(np.sqrt(v), ndigits)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     slim = ds.map_batches(
@@ -995,7 +996,7 @@ def windowed_cumsum(ds, keys: list[str], order_col: str, value_col: str,
     def cumsum(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values(keys + [order_col, tie_col], kind="stable")
         out = pdf.copy()
-        out[out_col] = np.round(
+        out[out_col] = sql_round(
             pdf.groupby(keys, sort=False, dropna=False)[value_col]
             .cumsum().to_numpy(),
             ndigits,
@@ -1096,10 +1097,8 @@ def cube_sum(ds, keys: list[str], value_col: str, sentinel: str = "ALL",
                     cols[k] = pa.array([sentinel] * batch.num_rows,
                                        pa.string())
             cols[count_col] = pc.cast(batch.column(count_col), pa.int64())
-            cols[sum_col] = pc.round(
-                pc.cast(batch.column(sum_col), pa.float64()),
-                ndigits=ndigits, round_mode="half_towards_infinity",
-            )
+            cols[sum_col] = sql_round(
+                pc.cast(batch.column(sum_col), pa.float64()), ndigits)
             return pa.table(cols)
 
         return fn
@@ -1501,7 +1500,7 @@ def grouped_standardize(ds, keys: list[str], value_col: str,
         z = (m[value_col].to_numpy(dtype=np.float64)
              - m["__mu"].to_numpy()) / m["__sd"].to_numpy()
         out = pdf.copy()
-        out[out_col] = np.round(z, ndigits)
+        out[out_col] = sql_round(z, ndigits)
         return out
 
     return ds.map_batches(standardize, batch_format="pandas")
@@ -1671,7 +1670,7 @@ def tumbling_window_agg(ds, keys: list[str], ts_col: str,
             **{k: agg.column(k) for k in keys},
             win_col: agg.column(win_col),
             count_col: pc.cast(agg.column("__n"), pa.int64()),
-            sum_col: pc.round(agg.column("__v"), ndigits=ndigits),
+            sum_col: sql_round(agg.column("__v"), ndigits),
         })
 
     combined = ds.map_batches(assign, batch_format="pyarrow")
@@ -1805,10 +1804,7 @@ def window_percent_rank(ds, keys: list[str], order_col: str,
         out = pdf.copy()
         denom = np.maximum(n.to_numpy(np.float64) - 1.0, 1.0)
         val = (rank.to_numpy(np.float64) - 1.0) / denom
-        # round half AWAY from zero (values are non-negative) so the
-        # result hashes identically to DuckDB's round()
-        scale = 10.0 ** ndigits
-        out[out_col] = np.floor(val * scale + 0.5) / scale
+        out[out_col] = sql_round(val, ndigits)
         return out
 
     return grouped_apply(ds, keys, pr,
@@ -1990,9 +1986,9 @@ def grouped_regression(ds, keys: list[str], x_col: str, y_col: str,
                           np.nan)
         intercept = (sy - slope * sx) / n
         out = g[keys].copy()
-        out["slope"] = np.round(slope, ndigits)
-        out["intercept"] = np.round(intercept, ndigits)
-        out["r2"] = np.round(r2, ndigits)
+        out["slope"] = sql_round(slope, ndigits)
+        out["intercept"] = sql_round(intercept, ndigits)
+        out["r2"] = sql_round(r2, ndigits)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     slim = ds.map_batches(
@@ -2239,7 +2235,7 @@ def approx_count_distinct(ds, cols: list[str], keys: list[str] | None = None,
             acc = hll.merge_registers(
                 acc, np.frombuffer(row["__regs"], np.uint8))
         return ray.data.from_arrow(pa.table({
-            out_col: pa.array([int(round(hll.estimate(acc)))], pa.int64())
+            out_col: pa.array([int(sql_round(hll.estimate(acc)))], pa.int64())
         }))
 
     def local_grouped(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -2264,7 +2260,7 @@ def approx_count_distinct(ds, cols: list[str], keys: list[str] | None = None,
             for b in g["__regs"]:
                 acc = hll.merge_registers(acc, np.frombuffer(b, np.uint8))
             kv = kv if isinstance(kv, tuple) else (kv,)
-            rows.append(kv + (int(round(hll.estimate(acc))),))
+            rows.append(kv + (int(sql_round(hll.estimate(acc))),))
         return pd.DataFrame(rows, columns=keys + [out_col])
 
     combined = ds.map_batches(local_grouped, batch_format="pandas")
@@ -2298,8 +2294,7 @@ def grouped_entropy(ds, keys: list[str], value_col: str,
         g["__plogp"] = -prob * np.log2(prob)
         ent = g.groupby(keys, sort=False, dropna=False, as_index=False)[
             "__plogp"].sum()
-        scale = 10.0 ** ndigits
-        ent[out_col] = np.floor(ent["__plogp"] * scale + 0.5) / scale
+        ent[out_col] = sql_round(ent["__plogp"], ndigits)
         return ent.drop(columns=["__plogp"])
 
     combined = ds.map_batches(combine, batch_format="pandas")
@@ -2430,7 +2425,7 @@ def grouped_mad(ds, keys: list[str], value_col: str, out_col: str = "mad",
         pdf = pdf.assign(__dev=(pdf[value_col] - med).abs())
         out = pdf.groupby(keys, sort=False, dropna=False,
                           as_index=False)["__dev"].median()
-        out[out_col] = out["__dev"].round(ndigits)
+        out[out_col] = sql_round(out["__dev"], ndigits)
         return out.drop(columns=["__dev"])
 
     slim = ds.map_batches(lambda b: b.select(cols),
@@ -2511,8 +2506,7 @@ def window_cume_dist(ds, keys: list[str], order_col: str,
         n = grp.transform("size")
         out = pdf.copy()
         val = rank.to_numpy(np.float64) / n.to_numpy(np.float64)
-        scale = 10.0 ** ndigits
-        out[out_col] = np.floor(val * scale + 0.5) / scale
+        out[out_col] = sql_round(val, ndigits)
         return out
 
     return grouped_apply(ds, keys, cd,
@@ -2611,7 +2605,6 @@ def validation_report(ds, rules: list[dict],
 
     cols = pa.array([c for c, _ in meta], pa.string())
     checks = pa.array([k for _, k in meta], pa.string())
-    scale = 10.0 ** ndigits
 
     def finish(tbl: pa.Table) -> pa.Table:
         g = tbl.group_by(["rule_id"]).aggregate(
@@ -2623,8 +2616,8 @@ def validation_report(ds, rules: list[dict],
         dist = g.column("distinct_sum").to_numpy(zero_copy_only=False)
         is_u = np.isin(rid, np.array(unique_ids, dtype=rid.dtype))
         viol[is_u] = n[is_u] - dist[is_u]
-        frac = np.floor(np.divide(viol, n, out=np.zeros_like(viol, float),
-                                  where=n > 0) * scale + 0.5) / scale
+        frac = sql_round(np.divide(viol, n, out=np.zeros_like(viol, float),
+                                   where=n > 0), ndigits)
         order = np.argsort(rid, kind="stable")
         return pa.table({
             "col": cols.take(pa.array(rid[order])),
@@ -2773,7 +2766,6 @@ def gini_coefficient(ds, keys: list[str], ndigits: int = 6):
     through one key exchange; their HISTOGRAM (count value →
     multiplicity) pre-combines again and folds on a single partition —
     O(distinct count values) tiny rows, never the keys themselves."""
-    scale = 10.0 ** ndigits
 
     def partial(b: pa.Table) -> pa.Table:
         g = b.group_by(keys).aggregate([([], "count_all")])
@@ -2802,8 +2794,7 @@ def gini_coefficient(ds, keys: list[str], ndigits: int = 6):
                     - (n + 1.0) * m)).sum()
         gini = num / (n * tot) if n and tot else 0.0
         return pa.table({
-            "gini": pa.array([np.floor(gini * scale + 0.5) / scale],
-                             pa.float64()),
+            "gini": pa.array([sql_round(gini, ndigits)], pa.float64()),
             "n_keys": pa.array([int(n)], pa.int64()),
             "n_rows": pa.array([int(tot)], pa.int64()),
         })
@@ -2830,7 +2821,6 @@ def ks_statistic(ds, value_col: str, flag_col: str, ndigits: int = 6):
     single partition where the sorted cumulative fractions give the
     exact supremum (for discrete data the ECDF gap is maximal at an
     observed value, so scanning distinct values is exact)."""
-    scale = 10.0 ** ndigits
 
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({
@@ -2863,8 +2853,7 @@ def ks_statistic(ds, value_col: str, flag_col: str, ndigits: int = 6):
                     - piv[False].cumsum() / nb).abs()
             ks = float(diff.max())
         return pa.table({
-            "ks": pa.array([np.floor(ks * scale + 0.5) / scale],
-                           pa.float64()),
+            "ks": pa.array([sql_round(ks, ndigits)], pa.float64()),
             "n_sample": pa.array([int(na)], pa.int64()),
             "n_rest": pa.array([int(nb)], pa.int64()),
         })
@@ -2999,7 +2988,6 @@ def locf_fill(ds, key_col: str, ts_col: str, value_col: str,
     ONE key exchange; the global day grid is two scalar aggregates;
     each partition reindexes its keys' mean series and ``ffill``s
     vectorized.  Output is the spine itself (keys × days)."""
-    scale = 10.0 ** ndigits
 
     def partial(batch: pa.Table) -> pa.Table:
         day = pc.floor_temporal(batch.column(ts_col), unit="day")
@@ -3019,7 +3007,7 @@ def locf_fill(ds, key_col: str, ts_col: str, value_col: str,
     def fill(pdf: pd.DataFrame) -> pd.DataFrame:
         g = pdf.groupby([key_col, "day"], sort=False).agg(
             s=("__s", "sum"), n=("__n", "sum")).reset_index()
-        g["mean"] = np.floor(g["s"] / g["n"] * scale + 0.5) / scale
+        g["mean"] = sql_round(g["s"] / g["n"], ndigits)
         m = (g.set_index([key_col, "day"])["mean"]
              .unstack("day").reindex(columns=days).ffill(axis=1))
         long = m.stack(future_stack=True).rename(out_col).reset_index()
@@ -3043,7 +3031,6 @@ def fk_coverage(child, parent, fk: str, pk: str, ndigits: int = 6):
     union exchange on the key (the :func:`_copartition` shape), each
     partition emits four counters, and a single-partition fold adds
     them — no join output is ever materialized."""
-    scale = 10.0 ** ndigits
 
     def child_partial(b: pa.Table) -> pa.Table:
         g = b.group_by([fk]).aggregate([([], "count_all")])
@@ -3081,14 +3068,13 @@ def fk_coverage(child, parent, fk: str, pk: str, ndigits: int = 6):
         nmk, nor = int(df["n_matched_keys"]), int(df["n_orphan_rows"])
         rc = (ncr - nor) / ncr if ncr else 1.0
         kc = nmk / nck if nck else 1.0
-        r6 = lambda x: np.floor(x * scale + 0.5) / scale  # noqa: E731
         return pa.table({
             "n_child_rows": pa.array([ncr], pa.int64()),
             "n_child_keys": pa.array([nck], pa.int64()),
             "n_matched_keys": pa.array([nmk], pa.int64()),
             "n_orphan_rows": pa.array([nor], pa.int64()),
-            "row_coverage": pa.array([r6(rc)], pa.float64()),
-            "key_coverage": pa.array([r6(kc)], pa.float64()),
+            "row_coverage": pa.array([sql_round(rc, ndigits)], pa.float64()),
+            "key_coverage": pa.array([sql_round(kc, ndigits)], pa.float64()),
         })
 
     return grouped_apply(
@@ -3111,7 +3097,6 @@ def grouped_ks(ds, group_col: str, value_col: str, flag_col: str,
     ONE group-keyed exchange co-locates each group's value histogram
     (O(distinct values per group) rows, never the rows themselves) and
     the per-partition fold computes each group's exact supremum."""
-    scale = 10.0 ** ndigits
 
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({
@@ -3138,8 +3123,7 @@ def grouped_ks(ds, group_col: str, value_col: str, flag_col: str,
             else:
                 ks = float((piv[True].cumsum() / na
                             - piv[False].cumsum() / nb).abs().max())
-            rows.append((gkey, np.floor(ks * scale + 0.5) / scale,
-                         na, nb))
+            rows.append((gkey, sql_round(ks, ndigits), na, nb))
         return pa.table({
             group_col: pa.array([r[0] for r in rows]),
             "ks": pa.array([r[1] for r in rows], pa.float64()),
@@ -3296,10 +3280,8 @@ def time_weighted_mean(ds, keys: list[str], order_col: str,
         ).reset_index()
         out = agg[keys].copy()
         out["n_intervals"] = agg["n_intervals"].astype(np.int64)
-        out["twa_value"] = np.asarray(pc.round(
-            pa.array(agg["vw"].to_numpy() / agg["w"].to_numpy(),
-                     pa.float64()),
-            ndigits, round_mode="half_towards_infinity"))
+        out["twa_value"] = sql_round(
+            agg["vw"].to_numpy() / agg["w"].to_numpy(), ndigits)
         return out
 
     return grouped_apply(ds.select_columns(cols), keys, per_partition,
@@ -3363,7 +3345,7 @@ def cusum_changepoints(ds, key_col: str, ts_col: str,
             key_col: g[key_col].to_numpy(),
             "day": g["day"].to_numpy(),
             "n": g["n"].to_numpy(np.int64),
-            "cusum": np.round(s, ndigits),
+            "cusum": sql_round(s, ndigits),
             "flag": (s > threshold).astype(np.int64),
         })
 
@@ -3494,13 +3476,13 @@ def interval_join(left, right, start_col: str, end_col: str,
     """
     lcar = [c for c in left_cols if c not in (start_col, end_col)]
     rcar = [c for c in right_cols if c not in (start_col, end_col)]
-    w_us = int(round(bucket_seconds * 1_000_000))
+    w_us = int(sql_round(bucket_seconds * 1_000_000))
 
     def _us(col: pa.ChunkedArray) -> np.ndarray:
         if pa.types.is_timestamp(col.type):
             return pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False)
         return pc.cast(
-            pc.round(pc.multiply(pc.cast(col, pa.float64()), 1_000_000)),
+            sql_round(pc.multiply(pc.cast(col, pa.float64()), 1_000_000)),
             pa.int64()).to_numpy(zero_copy_only=False)
 
     def replicate(cols: list[str], side: int):
@@ -3721,8 +3703,8 @@ def grouped_winsorize(ds, keys: list[str], value_col: str,
         hi = g.quantile(q_hi)
         out = lo.reset_index(name="__lo")
         out["__hi"] = hi.to_numpy()
-        out["__lo"] = np.round(out["__lo"].to_numpy(), ndigits)
-        out["__hi"] = np.round(out["__hi"].to_numpy(), ndigits)
+        out["__lo"] = sql_round(out["__lo"], ndigits)
+        out["__hi"] = sql_round(out["__hi"], ndigits)
         out = pa.Table.from_pandas(out, preserve_index=False)
         # a partition whose keys are all null comes back from pandas as
         # float NaN: keep the input key types so partitions concatenate

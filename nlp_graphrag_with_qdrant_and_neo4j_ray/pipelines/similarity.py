@@ -25,6 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import config
+from ..functions.rounding import sql_round
 from ..state.checkpoint import rows_at_most
 
 
@@ -627,7 +628,7 @@ def exact_cosine_pairs(embeddings_ds, threshold: float,
                     {
                         "id_a": pa.array(lo, pa.int64()),
                         "id_b": pa.array(hi, pa.int64()),
-                        "cosine": pa.array(np.round(vals, ndigits),
+                        "cosine": pa.array(sql_round(vals, ndigits),
                                            pa.float64()),
                     }
                 )
@@ -762,8 +763,7 @@ def grouped_centroids(embeddings_ds, label_col: str = "label",
         return pa.table({
             label_col: pc.cast(b.column(label_col), pa.int64()),
             "dim": pc.cast(b.column("dim"), pa.int64()),
-            out_col: pc.round(b.column(out_col), ndigits,
-                              round_mode="half_towards_infinity"),
+            out_col: sql_round(b.column(out_col), ndigits),
         })
 
     return out.map_batches(rounded, batch_format="pyarrow")
@@ -821,7 +821,7 @@ def knn_join(corpus_ds, query_ids, query_matrix, k: int = 3,
         )
         top = pdf.groupby(qid_col, sort=True).head(k).copy()
         top["rnk"] = top.groupby(qid_col, sort=False).cumcount() + 1
-        top["score"] = top["score"].round(6)
+        top["score"] = sql_round(top["score"], 6)
         return pa.Table.from_pandas(top, preserve_index=False)
 
     partials = corpus_ds.map_batches(
@@ -1006,7 +1006,7 @@ def ann_recall_eval(embeddings_ds, dim: int, k: int = 10,
         denom = sum(len(t) for t in truth.values())
         rows.append({
             "method": method,
-            "recall_at_k": round(hits / denom, ndigits) if denom else 1.0,
+            "recall_at_k": sql_round(hits / denom, ndigits) if denom else 1.0,
             "n_queries": len(truth),
             "k": k,
         })
@@ -1072,7 +1072,7 @@ def embedding_pca(ds, n_components: int = 2, id_col: str = "vec_id",
         p = (m - mu_) @ W_
         out = {id_col: batch.column(id_col)}
         for j in range(W_.shape[1]):
-            out[f"pc{j}"] = pa.array(np.round(p[:, j], ndigits),
+            out[f"pc{j}"] = pa.array(sql_round(p[:, j], ndigits),
                                      pa.float64())
         return pa.table(out)
 
@@ -1502,8 +1502,7 @@ def label_separation(embeddings_ds, label_col: str = "label",
         for name in t.column_names:
             col = t.column(name)
             if pa.types.is_float64(col.type):
-                col = pc.round(col, ndigits,
-                               round_mode="half_towards_infinity")
+                col = sql_round(col, ndigits)
             cols[name] = col
         return pa.table(cols)
 
@@ -1610,13 +1609,10 @@ def label_outliers(embeddings_ds, label_col: str = "label",
         return pa.table({
             id_col: pa.array(res[id_col].to_numpy(), pa.int64()),
             label_col: pa.array(res[label_col].to_numpy(), pa.int64()),
-            "cos_own": pc.round(
-                pa.array(res["cos_own"].to_numpy(), pa.float64()),
-                ndigits, round_mode="half_towards_infinity"),
-            "z": pc.round(
+            "cos_own": pa.array(sql_round(res["cos_own"], ndigits)),
+            "z": sql_round(
                 pa.array([None if np.isnan(v) else float(v)
-                          for v in zvals], pa.float64()),
-                ndigits, round_mode="half_towards_infinity"),
+                          for v in zvals], pa.float64()), ndigits),
             "flagged": pa.array(flagged, pa.bool_()),
         })
 
@@ -1678,8 +1674,7 @@ def hard_negatives(embeddings_ds, id_col: str = "vec_id",
             id_col: pa.array(qids[keep]),
             "neg_id": pa.array(cids[best][keep]),
             "neg_label": pa.array(clabels[best][keep]),
-            "score": pc.round(pa.array(score[keep]), ndigits=ndigits,
-                              round_mode="half_towards_infinity"),
+            "score": pa.array(sql_round(score[keep], ndigits)),
         })
 
     return slim.map_batches(mine, batch_format="pyarrow")
@@ -1778,7 +1773,7 @@ def dim_truncation_recall(embeddings_ds, dims=(8, 16, 32, 64),
         out = []
         for d, g in pdf.groupby("dim"):
             hit = g.merge(truth, on=["qid", "cid"], how="inner")
-            out.append({"dim": int(d), "recall_at_k": round(
+            out.append({"dim": int(d), "recall_at_k": sql_round(
                 len(hit) / (k * n_q), ndigits)})
         return pd.DataFrame(out)
 
@@ -1884,9 +1879,9 @@ def knn_label_ndcg(embeddings_ds, k: int = 10, query_mod: int = 25,
         with np.errstate(divide="ignore", invalid="ignore"):
             nd = np.where(out["idcg"] > 0,
                           out["dcg"] / out["idcg"], 0.0)
-        out["dcg"] = np.round(out["dcg"].to_numpy(), ndigits)
-        out["idcg"] = np.round(out["idcg"].to_numpy(), ndigits)
-        out["ndcg"] = np.round(nd, ndigits)
+        out["dcg"] = sql_round(out["dcg"], ndigits)
+        out["idcg"] = sql_round(out["idcg"], ndigits)
+        out["ndcg"] = sql_round(nd, ndigits)
         return out
 
     merged = grouped_apply(

@@ -6,6 +6,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.rounding import sql_round
 from ..functions.textstats import (
     bpe_ish_token_count,
     detect_language,
@@ -194,7 +195,7 @@ def bm25_rank(docs_ds, terms: list[str], id_col: str = "doc_id",
     def round6(batch: pa.Table) -> pa.Table:
         return pa.table({
             id_col: batch.column(id_col),
-            "score": pc.round(batch.column("score"), 6),
+            "score": sql_round(batch.column("score"), 6),
         })
 
     return ranked.map_batches(round6, batch_format="pyarrow")
@@ -321,9 +322,7 @@ def token_pmi(docs_ds, vocab: list[str], min_pairs: int = 1,
     df_a = co[ia, ia].astype(np.float64)
     df_b = co[ib, ib].astype(np.float64)
     pmi = np.log(n_docs * npairs.astype(np.float64) / (df_a * df_b))
-    scale = 10.0 ** ndigits
-    pmi = np.where(pmi >= 0, np.floor(pmi * scale + 0.5),
-                   np.ceil(pmi * scale - 0.5)) / scale
+    pmi = sql_round(pmi, ndigits)
     import ray.data
 
     # emit pairs in lexicographic (tok_a < tok_b) orientation however
@@ -426,7 +425,7 @@ def unigram_logprob(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         return pa.table({
             id_col: g.column(id_col),
             "n_tokens": pc.cast(g.column("__n_sum"), pa.int64()),
-            "mean_logprob": pa.array(np.round(s / n, ndigits),
+            "mean_logprob": pa.array(sql_round(s / n, ndigits),
                                      pa.float64()),
         })
 
@@ -477,7 +476,7 @@ def tfidf_top_terms(docs_ds, k: int = 5, id_col: str = "doc_id",
             id_col: tbl.column(id_col),
             "tok": tbl.column("tok"),
             "tf": pc.cast(tbl.column("tf"), pa.int64()),
-            "score": pa.array(np.round(tfv * idf, ndigits), pa.float64()),
+            "score": pa.array(sql_round(tfv * idf, ndigits), pa.float64()),
         })
 
     scored = grouped_apply(tf, ["tok"], per_token_partition,
@@ -577,7 +576,7 @@ def bigram_logprob(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         return pa.table({
             id_col: g.column(id_col),
             "n_bigrams": pc.cast(g.column("__n_sum"), pa.int64()),
-            "mean_logprob": pa.array(np.round(s / n, ndigits),
+            "mean_logprob": pa.array(sql_round(s / n, ndigits),
                                      pa.float64()),
         })
 
@@ -672,12 +671,9 @@ def script_fractions(docs_ds, id_col: str = "doc_id",
         out = {id_col: batch.column(id_col),
                "n_chars": pa.array(n)}
         for name, _ in _SCRIPTS:
-            out[f"{name}_frac"] = pc.round(
-                pa.array(counts[name] / denom), ndigits,
-                round_mode="half_towards_infinity")
-        out["digit_frac"] = pc.round(
-            pa.array(digits / denom), ndigits,
-            round_mode="half_towards_infinity")
+            out[f"{name}_frac"] = pa.array(
+                sql_round(counts[name] / denom, ndigits))
+        out["digit_frac"] = pa.array(sql_round(digits / denom, ndigits))
         out["dominant_script"] = pa.array(dominant, pa.string())
         return pa.table(out)
 
@@ -809,7 +805,7 @@ def dsir_logratio(docs_ds, target_col: str = "is_target",
         return pa.table({
             id_col: g.column(id_col),
             "n_tokens": pc.cast(g.column("__n_sum"), pa.int64()),
-            "dsir_llr": pa.array(np.round(s / n, ndigits), pa.float64()),
+            "dsir_llr": pa.array(sql_round(s / n, ndigits), pa.float64()),
         })
 
     return grouped_apply(
@@ -833,7 +829,6 @@ def flagged_word_ratio(docs_ds, words: list[str], id_col: str = "doc_id",
     against the broadcast-by-closure word set, per-doc folds via
     ``np.bincount``; no exchange, no per-row Python."""
     wl = pa.array(sorted({w.lower() for w in words}), pa.string())
-    scale = 10.0 ** ndigits
 
     def fn(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -849,8 +844,8 @@ def flagged_word_ratio(docs_ds, words: list[str], id_col: str = "doc_id",
                         minlength=batch.num_rows).astype(np.int64)
         f = np.bincount(doc_idx, weights=flagged & nonempty,
                         minlength=batch.num_rows).astype(np.int64)
-        ratio = np.floor(np.divide(f, n, out=np.zeros(len(n)),
-                                   where=n > 0) * scale + 0.5) / scale
+        ratio = sql_round(np.divide(f, n, out=np.zeros(len(n)),
+                                    where=n > 0), ndigits)
         return pa.table({
             id_col: batch.column(id_col),
             "n_tokens": pa.array(n),
@@ -879,8 +874,6 @@ def compression_ratio(docs_ds, id_col: str = "doc_id",
     against the stdlib."""
     import zlib
 
-    scale = 10.0 ** ndigits
-
     def fn(batch: pa.Table) -> pa.Table:
         ratios, nb, nc = [], [], []
         for t in batch.column(text_col).to_pylist():
@@ -889,7 +882,7 @@ def compression_ratio(docs_ds, id_col: str = "doc_id",
                 ratios.append(0.0); nb.append(0); nc.append(0)
                 continue
             c = len(zlib.compress(b, level))
-            ratios.append(np.floor(c / len(b) * scale + 0.5) / scale)
+            ratios.append(sql_round(c / len(b), ndigits))
             nb.append(len(b)); nc.append(c)
         return pa.table({
             id_col: batch.column(id_col),
@@ -924,8 +917,6 @@ def corpus_profile(docs_ds, id_col: str = "doc_id",
     from ..stages.shuffle import grouped_apply
 
     import pyarrow.compute as pc
-
-    scale = 10.0 ** ndigits
 
     def partial(batch: pa.Table) -> pa.Table:
         texts_arr = batch.column(text_col)
@@ -982,8 +973,7 @@ def corpus_profile(docs_ds, id_col: str = "doc_id",
         langs = (df[df["kind"] == "lang"].groupby("key")["n"].sum()
                  .reset_index().sort_values(["n", "key"],
                                             ascending=[False, True]))
-        mean_chars = (np.floor(sums["total_chars"] / sums["n_docs"]
-                               * scale + 0.5) / scale
+        mean_chars = (sql_round(sums["total_chars"] / sums["n_docs"], ndigits)
                       if sums["n_docs"] else 0.0)
         return pa.table({
             "n_docs": pa.array([sums["n_docs"]], pa.int64()),
@@ -1115,7 +1105,7 @@ def unigram_kl_drift(docs_ds, group_col: str = "source",
             group_col: pa.array(g[group_col].tolist(), pa.string()),
             "n_tokens": pa.array(
                 g["ng"].to_numpy().astype(np.int64), pa.int64()),
-            "kl": pa.array(np.round(kl, ndigits), pa.float64()),
+            "kl": pa.array(sql_round(kl, ndigits), pa.float64()),
         })
 
     return grouped_apply(
@@ -1467,15 +1457,11 @@ def zipf_fit(docs_ds, k: int = 200, id_col: str = "doc_id",
     intercept = my - slope * mx
     r2 = (sxy * sxy) / (sxx * syy) if syy > 0 else 1.0
 
-    def _r(v: float) -> float:
-        return float(pc.round(pa.scalar(v, pa.float64()), ndigits,
-                              round_mode="half_towards_infinity").as_py())
-
     return pa.table({
         "k": pa.array([len(y)], pa.int64()),
-        "slope": pa.array([_r(slope)], pa.float64()),
-        "intercept": pa.array([_r(intercept)], pa.float64()),
-        "r2": pa.array([_r(r2)], pa.float64()),
+        "slope": pa.array([sql_round(slope, ndigits)], pa.float64()),
+        "intercept": pa.array([sql_round(intercept, ndigits)], pa.float64()),
+        "r2": pa.array([sql_round(r2, ndigits)], pa.float64()),
     })
 
 
@@ -1664,7 +1650,7 @@ def logreg_train_predict(docs_ds, pos_label: str, label_col: str = "lang",
             id_col: pa.array(ids[test], pa.int64()),
             "true_y": pa.array(y[test].astype(np.int64)),
             "pred_y": pa.array((p[test] >= 0.5).astype(np.int64)),
-            "p": pa.array(np.round(p[test], ndigits), pa.float64()),
+            "p": pa.array(sql_round(p[test], ndigits), pa.float64()),
         })
 
     return feats.map_batches(score, batch_format="pyarrow")
@@ -1767,7 +1753,7 @@ def log_odds_terms(docs_ds, group_col: str = "source", k: int = 5,
         return pa.table({
             group_col: batch.column(group_col),
             "token": batch.column("tok"),
-            "zscore": pa.array(np.round(z, ndigits), pa.float64()),
+            "zscore": pa.array(sql_round(z, ndigits), pa.float64()),
         })
 
     scored = data.map_batches(zmap, batch_format="pyarrow")
@@ -1890,7 +1876,7 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.8,
         # upstream partition arrival order (run-to-run determinism)
         pdf = pdf.sort_values(["doc_a", "doc_b", "p"], kind="mergesort")
         agg = pdf.groupby(["doc_a", "doc_b"], sort=True)["p"].sum()
-        cos = np.round(agg.to_numpy(), ndigits)
+        cos = sql_round(agg, ndigits)
         out = agg.reset_index()[["doc_a", "doc_b"]]
         out["cosine"] = cos
         return out[out["cosine"] >= threshold]
@@ -2182,7 +2168,7 @@ def stop_tokens(docs_ds, min_df_frac: float = 0.5,
     def reduce_df(pdf: pd.DataFrame) -> pd.DataFrame:
         s = pdf.groupby("tok", sort=False)["df"].sum().reset_index()
         s = s[s["df"] > floor]
-        s["df_frac"] = np.round(
+        s["df_frac"] = sql_round(
             s["df"].to_numpy(np.float64) / n_docs, ndigits)
         return s
 

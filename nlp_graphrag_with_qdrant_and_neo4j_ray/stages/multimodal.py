@@ -26,6 +26,8 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from ..functions.rounding import sql_round
+
 MEDIA_SCHEMA = pa.schema(
     [
         ("media_id", pa.string()),
@@ -536,7 +538,7 @@ class ResizeImage(DecodeImage):
                     "synthetic fixture"
                 )
             small = area_resize(arr, self.out_h, self.out_w)
-            out = np.clip(np.floor(small + 0.5), 0, 255).astype(np.uint8)
+            out = np.clip(sql_round(small), 0, 255).astype(np.uint8)
             ids.append(mid)
             payloads.append(encode_png(out))
         return pa.table(

@@ -53,6 +53,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..functions.rounding import sql_round
+
 _now = _time.perf_counter
 
 SUCCESS = "_SUCCESS"
@@ -360,7 +362,7 @@ def ensure_term_index(out_dir: str, terms_ds, num_buckets: int | None = None,
     terms_ds.map_batches(
         write_batch, batch_format="pyarrow", batch_size=2_097_152
     ).materialize()
-    write_s = round(_now() - t_write0, 3)
+    write_s = sql_round(_now() - t_write0, 3)
 
     # compaction: aggregate each bucket's raw occurrence rows to postings
     # (term, term_type, chunk_id, tf) + exact df + BM25, one sorted file
@@ -438,7 +440,7 @@ def ensure_term_index(out_dir: str, terms_ds, num_buckets: int | None = None,
         .map_batches(compact, batch_format="pyarrow", batch_size=1)
         .take_all()
     )  # one row per bucket — small by construction
-    compact_s = round(_now() - t_compact0, 3)
+    compact_s = sql_round(_now() - t_compact0, 3)
     pq.write_table(
         pa.Table.from_pylist(
             manifest_rows,

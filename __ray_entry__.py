@@ -11,19 +11,154 @@ here calls ``ray.init()`` / ``ray.shutdown()``.
 
 from __future__ import annotations
 
+import datetime
+import glob
 import hashlib
+import json
 import os
+import sqlite3
 import tempfile
+from collections import Counter
 from collections.abc import Callable
+from pathlib import Path
 from typing import Any
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pds
+import pyarrow.parquet as pq
+import ray
+import ray.data
+from ray.data.aggregate import Count, Max, Min, Sum
 
 from nlp_graphrag_with_qdrant_and_neo4j_ray import config
 from nlp_graphrag_with_qdrant_and_neo4j_ray.config import PipelineConfig
+from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.avro import (
+    write_avro_file,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.html import (
+    extract_text, render_html,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.media import (
+    encode_avi, encode_mp4_raw, encode_png, encode_wav,
+)
 from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.rounding import sql_round
+from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.textstats import (
+    content_hash, detect_language, quality_scores as qrow, ws_token_count,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.tokenize import STOPWORDS
+from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.triples import (
+    sanitize_relation,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.warc import (
+    encode_warc_pages, encode_wet_pages,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines import (
+    dedup as dd, query as q, similarity as sim, textstats as ts,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.bpe import (
+    bpe_apply, train_bpe, word_counts,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
+    PII_PATTERNS as _pii, assign_splits, budget_head, c4_line_filter,
+    domain_quality_filter, extract_patterns, fix_mojibake, gopher_quality,
+    json_extract_scalar, length_buckets, length_trim, normalize_text,
+    pack_sequences, pii_redact, pseudonymize, rebalance_to_target,
+    redact_pii_array, repetition_scores, strip_boilerplate, token_windows,
+    weighted_sample,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.dedup import (
+    edit1_fuzzy_pairs, hamming_pairs, line_dedup_within_doc,
+    ngram_decontaminate, ngram_overlap_exact, paragraph_dedup,
+    source_ngram_overlap, split_leakage, substring_dedup,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.evalmetrics import (
+    calibration_bins, classification_prf, cohens_kappa, ranking_auc,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
+    _bfs_local, _clustering_local, _hits_local, _link_scores_local, _lpa_local,
+    _pagerank_local, betweenness_sample, bfs_depths, clustering_coefficient,
+    cooccurrence_pmi, degree_assortativity, degree_histogram, edge_negatives,
+    harmonic_sample, hits, k_core, label_propagation, link_scores,
+    node2vec_walks, pagerank, random_walks, reciprocity, shortest_paths,
+    skipgram_negatives, skipgram_pairs, triangle_count, truss_decomposition,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.kg import build_kg
+from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.query import (
+    query_entities,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
+    _copartition, analyze_table, anti_join, approx_count_distinct,
+    approx_frequencies, approx_heavy_hitters, asof_join, banded_range_join,
+    bloom_anti_join, bloom_semi_join, broadcast_range_join,
+    copartition_agg_join, cube_sum, cusum_changepoints, distinct_count,
+    distinct_set_op, exact_quantile, exact_quantiles, except_distinct,
+    fd_violations, fill_gaps, fk_coverage, full_outer_join, funnel_counts,
+    gap_sessions, gini_coefficient, grouped_approx_distinct, grouped_argmax,
+    grouped_concat, grouped_corr, grouped_entropy, grouped_first_last,
+    grouped_hash_sample, grouped_ks, grouped_mad, grouped_median, grouped_mode,
+    grouped_quantile, grouped_quantile_sketch, grouped_regression,
+    grouped_standardize, grouped_var, grouped_weighted_sample,
+    grouped_winsorize, heavy_hitters, hopping_window_agg, incremental_agg,
+    inner_join, intersect_distinct, interval_join, ks_statistic, left_join,
+    locf_fill, merge_into, pivot_sum, profile_numeric, retention_counts,
+    rollup_sum, skew_join, time_weighted_mean, tumbling_window_agg,
+    union_by_name, unpivot, validation_report, window_cume_dist,
+    window_dense_rank, window_lag, window_lead, window_ntile,
+    window_percent_rank, window_rank, window_topk, windowed_cumagg,
+    windowed_cumsum, zorder_sort, zorder_sql_expr as _zexpr,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.shards import (
+    global_shuffle_positions, write_training_shards, write_wet_archives,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.similarity import (
+    dim_truncation_recall, embedding_pca, ensure_ivf_index, grouped_centroids,
+    hard_negatives, kmeans_assign, knn_label_ndcg, label_outliers,
+    label_separation,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
+    bigram_logprob, bm25_rank, bpe_pair_counts, ccnet_ppl_buckets,
+    compression_ratio, corpus_profile, dsir_logratio, flagged_word_ratio,
+    nb_train_predict, phrase_matches, script_fractions, stop_tokens,
+    tfidf_top_terms, token_pmi, unigram_kl_drift, unigram_logprob,
+    winnow_fingerprints, zipf_fit,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
+    add_url_columns, anchor_text_counts, cap_per_domain, crawl_diff,
+    crawl_frontier, dedup_recrawls, dedup_recrawls_windowed, domain_counts,
+    host_cocitation, host_link_graph, main_content, mirror_paths,
+    page_metadata, robots_filter, sitemap_urls, url_block_filter,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.sources.avro import read_avro
+from nlp_graphrag_with_qdrant_and_neo4j_ray.sources.orc import (
+    read_orc, write_orc_file,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.sources.pages import (
+    pages_from_documents,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.sources.warc import (
+    read_warc_as_pages,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.extract import (
+    make_extract_fn,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.link import (
+    edges_alias_fanout,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.multimodal import (
+    MEDIA_SCHEMA, audio_fingerprints, audio_spectrograms, augment_images,
+    decode_audio, decode_images, image_phash, resize_images,
+    sample_video_frames, synth_media_dataset,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import grouped_apply
+from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.termindex import (
+    ensure_term_index,
+)
+from nlp_graphrag_with_qdrant_and_neo4j_ray.state.checkpoint import (
+    checkpointed, rows_at_most,
+)
 
 CFG = PipelineConfig()
 # Ray's native hash join starts one aggregator actor per partition, and
@@ -39,8 +174,6 @@ _NATIVE_JOIN_PARTITIONS = 8
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     """``<table>.parquet`` of ``sf_dir``; ``columns`` projects in the
     read itself, so the Dataset keeps its footer row count."""
-    import ray.data
-
     return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
                                  columns=columns)
 
@@ -59,14 +192,6 @@ def _warc_fixture(sf_dir: str, fmt: str, n_shards: int = 4) -> list[str]:
     stat fingerprint; the build is a bounded local pass over the small
     testdata table — fixture GENERATION is test scaffolding, the read
     path under test is the streaming datasource."""
-    import datetime as _dt
-
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.html import render_html
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.warc import (
-        encode_warc_pages,
-        encode_wet_pages,
-    )
-
     src = os.path.join(sf_dir, "documents.parquet")
     st = os.stat(src)
     tag = hashlib.blake2b(f"{sf_dir}:{fmt}".encode(), digest_size=6).hexdigest()
@@ -79,17 +204,16 @@ def _warc_fixture(sf_dir: str, fmt: str, n_shards: int = 4) -> list[str]:
             return paths
     except OSError:
         pass
-    import pyarrow.parquet as pq
 
     tbl = pq.read_table(src, columns=["doc_id", "text", "lang", "source"])
-    epoch = _dt.datetime(2025, 3, 28)
+    epoch = datetime.datetime(2025, 3, 28)
     shards: list[list[dict]] = [[] for _ in range(n_shards)]
     for r in tbl.sort_by("doc_id").to_pylist():
         did = f"{r['source']}-{r['doc_id']}"
         url = f"https://crawl.example/{r['source']}/{did}"
         row = {
             "url": url,
-            "warc_ts": epoch + _dt.timedelta(seconds=int(r["doc_id"])),
+            "warc_ts": epoch + datetime.timedelta(seconds=int(r["doc_id"])),
             "text": r["text"] or "",
             "lang": r["lang"],
             "html": render_html(did, r["text"] or ""),
@@ -111,9 +235,6 @@ def _kg_tables(sf_dir: str):
     """Build (or resume from checkpoint) the KG over this sf_dir's
     documents table mapped into the pages schema. Cached across queries
     within one driver session via the per-stage checkpoints."""
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.kg import build_kg
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.sources.pages import pages_from_documents
-
     return build_kg(
         lambda: pages_from_documents(sf_dir, augment=True),
         _kg_dir(sf_dir),
@@ -133,24 +254,16 @@ def _kg_local_table(sf_dir: str, name: str, columns: list[str],
     serving query pays zero Ray Dataset executions. Only ever reads a
     published checkpoint (`_SUCCESS` present), so it can never observe
     a half-written table."""
-    import glob as _glob
-
-    import pyarrow.parquet as _pq
-
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.state.checkpoint import (
-        rows_at_most,
-    )
-
     if not config.KG_LOCAL_SERVE:
         return None
     d = os.path.join(_kg_dir(sf_dir), name)
     if not os.path.exists(os.path.join(d, "_SUCCESS")):
         _kg_tables(sf_dir)
-    files = sorted(_glob.glob(os.path.join(d, "*.parquet")))
+    files = sorted(glob.glob(os.path.join(d, "*.parquet")))
     if not files or not rows_at_most(files, max_rows):
         return None
     return pa.concat_tables([
-        _pq.read_table(f, columns=columns) for f in files
+        pq.read_table(f, columns=columns) for f in files
     ])
 
 
@@ -186,17 +299,6 @@ def entry() -> Any:
 # --------------------------------------------------------------------------
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines import dedup as dd
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines import similarity as sim
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines import textstats as ts
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines import query as q
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.sources.pages import pages_from_documents
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.extract import make_extract_fn
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.multimodal import (
-        decode_images,
-        synth_media_dataset,
-    )
-
     # ---- KG pipeline stages (S1, M1-M7, T1-T3, J1, A4-A5, §2.7) ----
 
     def kg_extract_documents(sf_dir: str):
@@ -242,20 +344,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         (pipelines/web.py): vectorized pyarrow regex kernels; the
         oracle reconstructs the expected canonical form rule-by-rule
         in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            add_url_columns,
-        )
-
         return add_url_columns(_messy_urls(sf_dir)).select_columns(
             ["doc_id", "canonical_url", "domain"])
 
     def pages_domain_counts(sf_dir: str):
         """Docs per registrable domain — map-side derive, small
         groupby."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            domain_counts,
-        )
-
         return domain_counts(_messy_urls(sf_dir))
 
     def docs_domain_capped(sf_dir: str):
@@ -263,10 +357,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         registrable domain, picked by deterministic md5(url) rank —
         one hash-partition exchange, group heads vectorized per
         partition. Oracle replays the rank with row_number()."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            cap_per_domain,
-        )
-
         return cap_per_domain(_messy_urls(sf_dir), 3).select_columns(
             ["doc_id", "domain"])
 
@@ -309,10 +399,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         extraction with RFC 3986 relative resolution, noise-scheme
         filtering, eTLD+1 mapping, pre-combined two-key groupby). The
         oracle replays the planted link arithmetic in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            host_link_graph,
-        )
-
         return host_link_graph(_linked_pages(sf_dir))
 
     def web_host_cocitation(sf_dir: str):
@@ -323,10 +409,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         one pre-combined two-key groupby.  The oracle replays the
         planted-anchor arithmetic; the Ray side genuinely parses the
         HTML."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            host_cocitation,
-        )
-
         return host_cocitation(_linked_pages(sf_dir))
 
     def web_host_reciprocity(sf_dir: str):
@@ -337,13 +419,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         farms. Self-loops (the relative anchors) drop; int64 counts +
         one division, so the oracle (same formula over the planted
         link arithmetic) hashes exactly."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            reciprocity,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            host_link_graph,
-        )
-
         edges = host_link_graph(_linked_pages(sf_dir))
         return reciprocity(edges, "src_domain", "dst_domain").sort("node")
 
@@ -355,12 +430,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         irregular streams.  One user-keyed exchange; ts rides as
         epoch-us int64 for exact parity; the oracle replays the lead
         window and duration weighting."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            time_weighted_mean,
-        )
-
         ev = ray.data.read_parquet(
             os.path.join(sf_dir, "events.parquet"),
             columns=["user_id", "event_id", "ts", "value"],
@@ -387,10 +456,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         host, and noise anchors (mailto:, #fragment) that must drop.
         The oracle replays the planted arithmetic; the Ray side
         genuinely parses the HTML."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            anchor_text_counts,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def mk(batch: pa.Table) -> pa.Table:
@@ -421,10 +486,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the path (doc_id%8 uppercased — matching is case-insensitive),
         the rest are clean. The oracle replays the arithmetic and the
         substring counting in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            url_block_filter,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def mk(batch: pa.Table) -> pa.Table:
@@ -455,10 +516,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         NO robots row (RFC default allow). The oracle replays the
         longest-match precedence with a window over prefix matches;
         the Ray side genuinely parses the robots.txt text."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            robots_filter,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def mk(batch: pa.Table) -> pa.Table:
@@ -472,8 +529,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 rows.append({"doc_id": i,
                              "url": f"https://{host}{path}"})
             return pa.Table.from_pylist(rows)
-
-        import ray.data
 
         robots = ray.data.from_items([
             {"domain": "site0.com",
@@ -496,10 +551,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         attribute order on the description meta, and doc_id-arithmetic
         absence of each field. The oracle replays the expected strings;
         the Ray side genuinely parses the HTML."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            page_metadata,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def mk(batch: pa.Table) -> pa.Table:
@@ -531,10 +582,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         survive, canonicalized) and to noise anchors. 60 distinct
         frontier urls by doc_id arithmetic; the oracle replays counts
         and distinct referring domains in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            crawl_frontier,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def mk(batch: pa.Table) -> pa.Table:
@@ -562,10 +609,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         a good neighbor vs condemned after a bad one. The Ray side runs
         the real block classifier on real HTML; the oracle writes the
         expected output text per layout from the same literals."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            main_content,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
         ph = ("the sun is warm and the breeze is soft in the quiet "
               "garden of our town ")
@@ -603,10 +646,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the rest are urlsets whose entries carry arithmetic lastmod /
         priority presence (and one entity-escaped loc). The oracle
         replays the expected rows; the Ray side parses the XML."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            sitemap_urls,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def mk(batch: pa.Table) -> pa.Table:
@@ -647,10 +686,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         canonicalization), odd doc_ids serve unique paths that must
         fall under the min_domains floor. The oracle replays the
         grouping arithmetic."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            mirror_paths,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def mk(batch: pa.Table) -> pa.Table:
@@ -677,10 +712,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         line keeps it (1 < 20 within b.com) — the corpus-global
         variant would drop both. The oracle writes the expected texts
         from the same arithmetic."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            strip_boilerplate,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
         shared = "Follow us on social media."
 
@@ -708,13 +739,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         pipelines/graph.pagerank, n_links as edge weight). Rows-only
         check; the pagerank kernel itself is pinned by docs_pagerank's
         unrolled SQL oracle and tests/test_graph.py."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            pagerank,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            host_link_graph,
-        )
-
         g = host_link_graph(_linked_pages(sf_dir))
         return pagerank(g, src_col="src_domain", dst_col="dst_domain",
                         weight_col="n_links", iters=5).sort("node")
@@ -725,13 +749,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         authorities (the classic web-graph pair beside
         web_host_pagerank). Rows-only; the HITS kernel is pinned by
         docs_hits' unrolled SQL oracle and tests/test_graph.py."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            hits,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            host_link_graph,
-        )
-
         g = host_link_graph(_linked_pages(sf_dir))
         return hits(g, src_col="src_domain", dst_col="dst_domain",
                     iters=5).sort("node")
@@ -742,14 +759,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         RE-captured later under a different decoration of the SAME
         canonical url. Canonicalize → keep latest capture per canonical
         url. The oracle reconstructs which variant must survive."""
-        import datetime as _dt
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            dedup_recrawls,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
-        epoch = _dt.datetime(2025, 3, 28)
+        epoch = datetime.datetime(2025, 3, 28)
 
         def mk(batch: pa.Table) -> pa.Table:
             rows = []
@@ -759,13 +770,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 rows.append({
                     "doc_id": i,
                     "url": f"HTTPS://{host}:443{path}?utm_source=feed&id={i}",
-                    "warc_ts": epoch + _dt.timedelta(seconds=i),
+                    "warc_ts": epoch + datetime.timedelta(seconds=i),
                 })
                 if i % 4 == 0:  # later re-capture, same canonical url
                     rows.append({
                         "doc_id": i,
                         "url": f"https://{host}{path}?id={i}&utm_campaign=x#f",
-                        "warc_ts": epoch + _dt.timedelta(seconds=i + 500_000),
+                        "warc_ts": epoch + datetime.timedelta(seconds=i + 500_000),
                     })
             return pa.Table.from_pylist(rows)
 
@@ -782,21 +793,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         survive). The oracle recomputes the same epoch-aligned window
         and replays keep-latest with a window function, so bucket-edge
         cases are handled identically rather than assumed away."""
-        import datetime as _dt
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            dedup_recrawls_windowed,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
-        epoch = _dt.datetime(2025, 3, 28)
+        epoch = datetime.datetime(2025, 3, 28)
 
         def mk(batch: pa.Table) -> pa.Table:
             rows = []
             for r in batch.to_pylist():
                 i = int(r["doc_id"])
                 host, path = f"site{i % 5}.com", f"/d/doc-{i}"
-                base = epoch + _dt.timedelta(seconds=i)
+                base = epoch + datetime.timedelta(seconds=i)
                 rows.append({
                     "doc_id": i,
                     "url": f"HTTPS://{host}:443{path}?utm_source=feed&id={i}",
@@ -806,13 +811,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     rows.append({
                         "doc_id": i,
                         "url": f"https://{host}{path}?id={i}&utm_campaign=x#f",
-                        "warc_ts": base + _dt.timedelta(days=1),
+                        "warc_ts": base + datetime.timedelta(days=1),
                     })
                 if i % 4 == 0:  # re-capture 40 days later (next window)
                     rows.append({
                         "doc_id": i,
                         "url": f"https://{host}:443{path}?id={i}&utm_medium=z",
-                        "warc_ts": base + _dt.timedelta(days=40),
+                        "warc_ts": base + datetime.timedelta(days=40),
                     })
             return pa.Table.from_pylist(rows)
 
@@ -827,10 +832,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         10% of documents, with exact document frequency — the
         df-pruning feed for the inverted-index joins. Single-space
         tokenization, the shared SQL-expressible contract."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            stop_tokens,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return stop_tokens(docs, min_df_frac=0.10)
 
@@ -842,10 +843,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         brace / too-few-good-lines page-kill variants — every published
         rule fires. The oracle rebuilds the same lines and applies the
         same rules with DuckDB list kernels."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            c4_line_filter,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def synth(batch: pa.Table) -> pa.Table:
@@ -885,10 +882,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         all-bullet lines / ellipsis lines / 21-char mean words / no
         stopwords) or passing all seven. The oracle rebuilds the same
         pages and recomputes every signal with DuckDB list kernels."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            gopher_quality,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
         line = ("the quick brown fox jumps over a lazy dog and then "
                 "that dog will have a quiet rest with friends today")
@@ -934,10 +927,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         are boilerplate-ONLY so all but the first drop entirely). The
         oracle replays split → first-occurrence-by-(doc_id,para_idx) →
         ordered reassembly with window functions."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.dedup import (
-            paragraph_dedup,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
         b = "Subscribe to our newsletter for daily updates."
         d = "Copyright notice all rights reserved."
@@ -975,10 +964,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         blank lines (structure, never deduped). The oracle replays
         split → per-(doc, line) first-occurrence window → ordered
         reassembly."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.dedup import (
-            line_dedup_within_doc,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
         nav = "Shared navigation menu item"
 
@@ -1015,13 +1000,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         partition so the final exchange carries O(partitions × 4)
         rows. The oracle recomputes both signal families and the join
         in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            gopher_quality,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         g = gopher_quality(docs, min_stopwords=0)
         q = ts.quality(docs)
@@ -1071,13 +1049,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         external-benchmark case). One fingerprint-keyed exchange; the
         oracle replays the md5-slot split and the prefix md5 in
         SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            assign_splits,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.dedup import (
-            split_leakage,
-        )
-
         docs = assign_splits(_read(sf_dir, "documents",
                                    columns=["doc_id", "text"]))
         return split_leakage(docs, prefix_tokens=8)
@@ -1089,10 +1060,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         docs_lang_confusion° census) — the class-level report behind
         a per-language routing decision. Bounded |classes|² fold;
         fixed expressions over int counts mirror the SQL replay."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.evalmetrics import (
-            classification_prf,
-        )
-
         return classification_prf(docs_lang_confusion(sf_dir),
                                   true_col="declared",
                                   pred_col="detected")
@@ -1104,10 +1071,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the single number behind the agreement dashboard. The census
         fold is ≤4 rows; the divisions mirror the SQL replay
         operation-for-operation."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.evalmetrics import (
-            cohens_kappa,
-        )
-
         return cohens_kappa(docs_filter_agreement(sf_dir),
                             "gopher_keep", "quality_keep")
 
@@ -1143,10 +1106,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         SQL-replayable mixed-congruential rule (u·A + s·B) mod deg(u)
         over dst-sorted distinct adjacency. The oracle replays all
         three hops as chained window-numbered joins."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            random_walks,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
@@ -1253,20 +1212,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         WHERE over the Gopher signal SQL (doc_id%5 urls land on the
         blocked domain, doc_id%3 paths are robots-disallowed, the
         rest carry the doc_id%8 Gopher variant text)."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.html import (
-            extract_text,
-            render_html,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            gopher_quality,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            robots_filter,
-            url_block_filter,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
         line = ("the quick brown fox jumps over a lazy dog and then "
                 "that dog will have a quiet rest with friends today")
@@ -1336,18 +1281,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         of the streaming WARC source; curated corpora leave the engine
         in the same format they arrived in. Returns the manifest; the
         oracle replays the md5 shard assignment and byte counts."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.shards import (
-            write_wet_archives,
-        )
-
         out_dir = _kg_dir(sf_dir) + "-wet"
 
         def thunk():
-            import datetime as _dt
-
             docs = _read(sf_dir, "documents",
                          columns=["doc_id", "text", "lang", "source"])
-            epoch = _dt.datetime(2025, 3, 28)
+            epoch = datetime.datetime(2025, 3, 28)
 
             def mk(batch: pa.Table) -> pa.Table:
                 rows = []
@@ -1373,10 +1312,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         rewrites every 3rd's text, and adds a new url for every 7th.
         Oracle replays the arithmetic; removed beats changed when both
         rules hit (the doc isn't in B at all)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.web import (
-            crawl_diff,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def old_pages(batch: pa.Table) -> pa.Table:
@@ -1414,10 +1349,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         maximum corpus the targets allow. The oracle recomputes the
         group counts, the binding group, the per-group rates and the
         md5 thresholding entirely in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            rebalance_to_target,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "lang"])
         targets = {"en": 0.5, "de": 0.125, "fr": 0.125, "es": 0.125,
                    "zh": 0.125}
@@ -1432,10 +1363,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the url construction in SQL. Extends the reference's loose-file
         ingest seam (cli/main.py:115-156) to the archive format a
         100 TB web corpus actually arrives in."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.sources.warc import (
-            read_warc_as_pages,
-        )
-
         pages = read_warc_as_pages(_warc_fixture(sf_dir, "wet"),
                                    records_per_block=256)
         return _as_string(pages, ["url", "text", "lang"])
@@ -1446,10 +1373,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         stage; extracted text must be byte-identical to the source text
         column. Proves the whole archive path: gzip-member stream →
         record parse → HTTP split → html→text."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.sources.warc import (
-            read_warc_as_pages,
-        )
-
         pages = read_warc_as_pages(_warc_fixture(sf_dir, "warc"),
                                    records_per_block=256)
         docs = pages.map_batches(
@@ -1534,10 +1457,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             )
         )
 
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         def agg(batch: pa.Table) -> pa.Table:
             return (
                 batch.group_by("doc_id")
@@ -1560,10 +1479,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         UNWIND×3): every canonical edge fanned out across its endpoints'
         alias sets — the optional materialization for users who need the
         reference's similar-node cross-product edges."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.link import (
-            edges_alias_fanout,
-        )
-
         t = _kg_tables(sf_dir)
         return edges_alias_fanout(t["edges"], t["entity_nodes"])
 
@@ -1605,10 +1520,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         quantizer + the vectors written parquet-partitioned by list
         assignment, fingerprinted on the chunk_vectors checkpoint (stale
         KG → rebuild). Returns the per-list row manifest."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.similarity import (
-            ensure_ivf_index,
-        )
-
         t = _kg_tables(sf_dir)
         index_dir, fp = _vec_index_args(sf_dir)
         _, lists_path = ensure_ivf_index(
@@ -1617,9 +1528,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             dim=CFG.vector_size, nlist=16, id_col="chunk_id",
             emb_col="embedding", fingerprint=fp,
         )
-        import glob
-
-        import pyarrow.parquet as pq
 
         rows = []
         for d in sorted(glob.glob(os.path.join(lists_path, "list_id=*"))):
@@ -1667,10 +1575,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         Dataset and N-for-idf ride as thunks resolved only on a build
         (the ensure_ivf_index contract — was a ~0.7 s KG resume on
         EVERY serving call)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.termindex import (
-            ensure_term_index,
-        )
-
         if not os.path.exists(os.path.join(
                 _kg_dir(sf_dir), "terms", "_SUCCESS")):
             _kg_tables(sf_dir)  # cold: build the KG checkpoints once
@@ -1763,8 +1667,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         Small corpora serve in-process off the text-free chunk-meta
         projection (same Min + window semantics, zero Dataset
         executions)."""
-        from ray.data.aggregate import Min
-
         chunks = _chunks_meta_local(sf_dir)
         if chunks is not None:
             at1 = chunks.filter(pc.equal(chunks.column("chunk_index"), 1))
@@ -1830,10 +1732,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         (rounded 6, the quality_scores° contract) against the native
         lang == 'en' label — the scored dataset the evaluation
         operators grade."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.textstats import (
-            quality_scores as qrow,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
         def fn(b: pa.Table) -> pa.Table:
@@ -1854,10 +1752,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         higher? Integer-exact numerator, single float division, so
         the SQL oracle (same formula over the same rounded scores)
         hashes identically."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.evalmetrics import (
-            ranking_auc,
-        )
-
         return ranking_auc(_quality_scored(sf_dir))
 
     def docs_quality_calibration(sf_dir: str):
@@ -1865,10 +1759,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         label (pipelines/evalmetrics.calibration_bins): 10 fixed-width
         score bins with count, positives, and positive fraction — the
         calibration curve behind a quality-threshold choice."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.evalmetrics import (
-            calibration_bins,
-        )
-
         return calibration_bins(_quality_scored(sf_dir), bins=10)
 
     def docs_token_windows(sf_dir: str):
@@ -1879,10 +1769,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         text exactly. The splitting half of the packing story
         (docs_packed_sequences° packs short docs up; this splits long
         docs down)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            token_windows,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return token_windows(docs, window=32, stride=24).sort(
             ["doc_id", "window_idx"])
@@ -1893,10 +1779,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         length-grouped batching policy minimizes. Int64 end to end;
         the oracle replays the bucket assignment with a powers-table
         min-join (no float log in SQL)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            length_buckets,
-        )
-
         return length_buckets(_read(sf_dir, "documents"))
 
     def docs_quality_filtered(sf_dir: str):
@@ -1906,10 +1788,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         bracketing — no global sort; relational.exact_quantile) over a
         materialized narrow (doc_id, quality) table. quantile_disc
         semantics match DuckDB exactly."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            exact_quantile,
-        )
-
         ds = ts.quality(_read(sf_dir, "documents"))
 
         def slim(batch: pa.Table) -> pa.Table:
@@ -1926,10 +1804,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Percentile length trim (p5–p95 of whitespace token count):
         exact quantile_cont thresholds from a bounded count histogram —
         see clean.length_trim for the no-values-exchange scale story."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            length_trim,
-        )
-
         counts = ts.token_counts(_read(sf_dir, "documents")).select_columns(
             ["doc_id", "ws_tokens"]
         )
@@ -1961,10 +1835,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         `ngram_jaccard_dups` publishes it once per corpus and
         `simhash_vs_jaccard_eval` reuses it instead of recomputing the
         full LSH + verify chain inside the same bench run."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.state.checkpoint import (
-            checkpointed,
-        )
-
         def compute():
             docs = _read(sf_dir, "documents")
             cand = dd.minhash_lsh_pairs(docs, threshold=0.5).select_columns(
@@ -1992,12 +1862,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         rows in its partition — bounded here by the 200-doc subset
         (the unbounded variant needs stop-gram pruning, the same
         contract as the LSH bucket caps)."""
-        import ray
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         docs = (_read(sf_dir, "documents", columns=["doc_id", "text"])
                 .sort("doc_id").limit(200))
 
@@ -2054,12 +1918,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         baseline + gram-keyed exchange as docs_jaccard_exact_pairs;
         the production path pairs a MinHash candidate generator with
         this as the verifier."""
-        import ray
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         docs = (_read(sf_dir, "documents", columns=["doc_id", "text"])
                 .sort("doc_id").limit(200))
 
@@ -2148,12 +2006,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         propagation (the worst case for the CC loop), and the expected
         cluster of every chained node is its bucket's min doc_id,
         which DuckDB computes directly."""
-        import pandas as pd
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
         def bucketize(b: pa.Table) -> pa.Table:
@@ -2214,8 +2066,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Fetch the vec_id==0 query vector via a pruned expression-filter
         read (row-group stats prune; never a per-row Python lambda —
         VERDICT r2 finding 4)."""
-        import ray.data
-
         return ray.data.read_parquet(
             os.path.join(sf_dir, "embeddings.parquet"),
             columns=["vec_id", "embedding"],
@@ -2328,8 +2178,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Broadcast kNN join: vectors 0-4 are the query side, the rest
         the corpus; exact cosine top-3 per query with ascending-id tie
         break. Oracled by a DuckDB cross join over DOUBLE-cast lists."""
-        import ray.data
-
         probe = ray.data.read_parquet(
             os.path.join(sf_dir, "embeddings.parquet"),
             columns=["vec_id", "embedding"],
@@ -2389,8 +2237,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return sim.cosine_near_dup_pairs(emb, dim=dim, threshold=0.95)
 
     def embedding_label_counts(sf_dir: str):
-        from ray.data.aggregate import Count
-
         return (
             _read(sf_dir, "embeddings").groupby("label")
             .aggregate(Count(alias_name="n"))
@@ -2403,18 +2249,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
     def decode_audio_frames(sf_dir: str):
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.multimodal import decode_audio
-
         media = synth_media_dataset(200, "audio")
         return decode_audio(media, num_frames=16).select_columns(
             ["media_id", "sample_rate", "n_samples", "n_bytes"]
         )
 
     def sample_video_frames_q(sf_dir: str):
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.multimodal import (
-            sample_video_frames,
-        )
-
         media = synth_media_dataset(200, "video")
         return sample_video_frames(media, num_frames=8).select_columns(
             ["media_id", "width", "height", "n_frames_total", "n_bytes"]
@@ -2428,16 +2268,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         demuxed by the vendored container walkers and decoded to real
         pixels by the actor pool. Rows-only check; planted-frame pixel
         exactness is pinned by tests/test_files_media_refetch.py."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.media import (
-            encode_avi,
-            encode_mp4_raw,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.multimodal import (
-            sample_video_frames,
-        )
-
         rows = _read(sf_dir, "documents", columns=["doc_id", "text"]) \
             .sort("doc_id").limit(24).take_all()
         items = []
@@ -2467,16 +2297,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         (vendored codec, exact area-average block means); the
         thumbnailing step of a multimodal pipeline. Rows-only check;
         pixel exactness pinned by tests/test_resize.py."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.media import (
-            encode_png,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.multimodal import (
-            MEDIA_SCHEMA,
-            resize_images,
-        )
-
         def gen(batch: pa.Table) -> pa.Table:
             rows = []
             for i in batch.column("id").to_pylist():
@@ -2503,16 +2323,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         PNG payloads in AND out via the vendored codec.  Rows-only;
         pixel semantics pinned by tests/test_augment.py against a
         pure-numpy reference."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.media import (
-            encode_png,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.multimodal import (
-            MEDIA_SCHEMA,
-            augment_images,
-        )
-
         def gen(batch: pa.Table) -> pa.Table:
             rows = []
             for i in batch.column("id").to_pylist():
@@ -2540,19 +2350,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         re-encode per base image (ids 1000+i duplicate i), so expected
         pairs are known; rows-only driver check, exactness pinned by
         tests/test_phash.py."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.media import (
-            encode_png,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.dedup import (
-            hamming_pairs,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.multimodal import (
-            MEDIA_SCHEMA,
-            image_phash,
-        )
-
         n_base = 150
 
         def gen(batch: pa.Table) -> pa.Table:
@@ -2598,19 +2395,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         hamming-pair exchange. Planted dups: ids 1000+i are gain-
         changed noisy re-encodes of clip i; recall/precision pinned by
         tests/test_audio_fp.py."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.media import (
-            encode_wav,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.dedup import (
-            hamming_pairs,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.multimodal import (
-            MEDIA_SCHEMA,
-            audio_fingerprints,
-        )
-
         n_base = 120
 
         def clip(seed: int) -> np.ndarray:
@@ -2657,16 +2441,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         numpy-STFT stage emitting banded log-power spectra, dominant
         and centroid frequency. Tone recovery pinned by
         tests/test_audio_spectrogram.py."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.media import (
-            encode_wav,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.multimodal import (
-            MEDIA_SCHEMA,
-            audio_spectrograms,
-        )
-
         def gen(batch: pa.Table) -> pa.Table:
             rows = []
             for i in batch.column("id").to_pylist():
@@ -2693,14 +2467,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def events_users_both_halves(sf_dir: str):
         """SQL INTERSECT — distinct users active in BOTH halves of the
         month; per-side distinct combiners, one value-keyed exchange."""
-        import datetime
-
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            intersect_distinct,
-        )
-
         mid = datetime.datetime(2024, 1, 16)
         first = ray.data.read_parquet(
             os.path.join(sf_dir, "events.parquet"),
@@ -2719,14 +2485,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         never again after (the discontinued-relationship set); the
         anti-join shape's set-operation sibling, same one-exchange plan
         as INTERSECT, on a two-column value tuple."""
-        import datetime
-
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            except_distinct,
-        )
-
         cut = datetime.datetime(1997, 1, 1)
         cols = ["l_partkey", "l_suppkey"]
         before = ray.data.read_parquet(
@@ -2745,8 +2503,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Geometric mean per return flag — the multiplicative-average
         sufficient statistic (Σ ln x, n) rides a per-batch combiner +
         one tiny groupby; exp at the end."""
-        from ray.data.aggregate import Sum
-
         li = _read(sf_dir, "lineitem",
                    columns=["l_returnflag", "l_extendedprice"])
 
@@ -2779,10 +2535,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         skew_join threshold feeds on): per-key counts via one exchange,
         then (n_keys, max, p50 by the 1-based ceil(q·n) quantile_disc
         convention) from the key-cardinality-bounded count column."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
         def combine(pdf):
@@ -2812,10 +2564,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Column profiling / stats collection in one streaming pass —
         per-column (rows, nulls, min, max, total), each batch reduces
         to |cols| partial rows; the planner-statistics shape."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            profile_numeric,
-        )
-
         cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
         li = _read(sf_dir, "lineitem", columns=cols)
 
@@ -2833,12 +2581,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         int64 → per-type exact sum; JSON parse is a pure map stage
         (per-record by nature, like html→text), aggregation rides a
         per-batch combiner + one groupby."""
-        from ray.data.aggregate import Sum
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            json_extract_scalar,
-        )
-
         ev = _read(sf_dir, "events", columns=["event_type", "props"])
         typed = json_extract_scalar(ev, "props", "k", "k_val")
 
@@ -2854,10 +2596,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Distinct users per 6-hour tumbling window (the DAU-style
         metric): window key derived map-side, then the distinct-count
         operator's per-batch-dedup combiner + one exchange."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            distinct_count,
-        )
-
         ev = _read(sf_dir, "events", columns=["user_id", "ts"])
         size_us = 6 * 3600 * 1_000_000
 
@@ -2876,10 +2614,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Exact per-group median absolute deviation — the robust
         spread companion to `lineitem_qty_var_by_flag`°; one exchange,
         interpolated-median convention on both passes (DuckDB mad)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_mad,
-        )
-
         li = _read(sf_dir, "lineitem", columns=["l_returnflag", "l_quantity"])
         return grouped_mad(li, ["l_returnflag"], "l_quantity")
 
@@ -2887,12 +2621,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Markov transition counts over each user's event sequence —
         LEAD() per user (one exchange) then a counted groupby with a
         per-batch combiner; the session-mining primitive."""
-        from ray.data.aggregate import Sum
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            window_lead,
-        )
-
         ev = _read(sf_dir, "events",
                    columns=["event_id", "user_id", "ts", "event_type"])
         led = window_lead(ev, ["user_id"], "ts", "event_type",
@@ -2916,10 +2644,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from-type-keyed exchange that divides each row by its row-sum.
         Integer counts divide exactly the same in both engines, so the
         round-6 probabilities are oracle-stable."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         counts = events_type_transitions(sf_dir)
 
         def normalize(tbl: pa.Table) -> pa.Table:
@@ -2940,13 +2664,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         is order-independent and the ranking/oracle comparison is
         exact by construction — no float-summation-order boundary
         flips."""
-        import ray
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            window_topk,
-        )
-
         brand = dict(
             ray.data.read_parquet(
                 os.path.join(sf_dir, "part.parquet"),
@@ -2956,23 +2673,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         brand_ref = ray.put(brand)
 
         def combine(pdf):
-            import pandas as pd2
-
             bm = ray.get(brand_ref)
             rev = (pdf["l_extendedprice"]
                    * (1.0 - pdf["l_discount"]) * 100.0)
             cents = sql_round(rev).astype(np.int64)
-            out = pd2.DataFrame({
+            out = pd.DataFrame({
                 "p_brand": pdf["l_partkey"].map(bm),
                 "l_partkey": pdf["l_partkey"],
                 "revenue_cents": cents,
             })
             return out.groupby(["p_brand", "l_partkey"], sort=False,
                                as_index=False)["revenue_cents"].sum()
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
 
         def reduce_(pdf):
             return pdf.groupby(["p_brand", "l_partkey"], sort=False,
@@ -2994,10 +2705,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Running MAX(value) per user in event order — windowed_cumagg
         (cumsum's shape, accumulator swapped); one user-keyed
         exchange."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            windowed_cumagg,
-        )
-
         ev = _read(sf_dir, "events",
                    columns=["event_id", "user_id", "ts", "value"])
         return windowed_cumagg(ev, ["user_id"], "ts", "value",
@@ -3006,10 +2713,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def docs_normalized_text(sf_dir: str):
         """Canonical whitespace/case normalization — pure Arrow-kernel
         map, byte-exact RE2/DuckDB parity."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            normalize_text,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return normalize_text(docs)
 
@@ -3020,13 +2723,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         algorithm trains on the word-count dict; `bpe_pair_counts`° is
         the distributed per-round alternative). Returns the ordered
         merge table."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.bpe import (
-            train_bpe,
-            word_counts,
-        )
-
         docs = _read(sf_dir, "documents", columns=["text"])
         wc = {r["word"]: r["n"]
               for r in word_counts(docs,
@@ -3043,12 +2739,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         `docs_bpe_vocab` encodes the corpus — merge ranks broadcast
         once, each batch encodes its DISTINCT words only, one
         piece-keyed exchange sums counts."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.bpe import (
-            bpe_apply,
-            train_bpe,
-            word_counts,
-        )
-
         docs = _read(sf_dir, "documents", columns=["text"])
         wc = {r["word"]: r["n"]
               for r in word_counts(docs,
@@ -3059,10 +2749,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def docs_bigram_logprob(sf_dir: str):
         """Bigram conditional LM score per doc — two exchanges, counts
         co-located by the bigram's first token, no broadcast model."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            bigram_logprob,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return bigram_logprob(docs)
 
@@ -3070,10 +2756,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Regex extraction to long form — every match with its 1-based
         in-document ordinal; pure map stage, RE2 pattern, byte-exact
         DuckDB parity."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            extract_patterns,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return extract_patterns(docs, r"\bs\w+")
 
@@ -3084,10 +2766,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the estimate is provably exact unless two values collide in all
         4 rows ((1/4096)^4, deterministic) — so the SQL oracle is the
         EXACT count, a hard check of the sketch mechanics."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            approx_frequencies,
-        )
-
         ev = _read(sf_dir, "events", columns=["event_type"])
         probes = ["click", "error", "purchase", "signup", "view"]
         return approx_frequencies(ev, "event_type", probes)
@@ -3098,10 +2776,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         removes the rest. The full training-data dedup chain as one
         streaming composition of oracled/tested operators; returns the
         kept doc_id set."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            except_distinct,
-        )
-
         docs = _read(sf_dir, "documents")
         pairs = dd.minhash_lsh_pairs(docs, threshold=0.5).select_columns(
             ["doc_a", "doc_b"])
@@ -3144,10 +2818,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Semantic (embedding-space) dedup end-to-end: LSH-bucketed
         cosine near-dup pairs → connected components → keep min vec_id
         per cluster; the embedding analogue of `docs_minhash_deduped`."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            except_distinct,
-        )
-
         emb = _read(sf_dir, "embeddings")
         dim = len(emb.take(1)[0]["embedding"])
         pairs = sim.cosine_near_dup_pairs(
@@ -3166,22 +2836,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # ---- relational operator coverage (A1-A5, O1-O5, J-patterns) ----
 
     def lang_distribution(sf_dir: str):
-        from ray.data.aggregate import Count
-
         return _read(sf_dir, "documents").groupby("lang").aggregate(
             Count(alias_name="n")
         )
 
     def docs_by_source(sf_dir: str):
-        from ray.data.aggregate import Count, Sum
-
         return _read(sf_dir, "documents").groupby("source").aggregate(
             Count(alias_name="n_docs"), Sum("n_chars", alias_name="sum_chars")
         )
 
     def q1_pricing_summary(sf_dir: str):
-        from ray.data.aggregate import Count, Sum
-
         li = _read(sf_dir, "lineitem")
         li = li.map_batches(
             lambda b: b.append_column(
@@ -3218,9 +2882,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         attached via an id-pruned read of the dimension table. At high SF
         this never broadcasts the customer table or ships c_name per
         order row."""
-        import ray.data
-        from ray.data.aggregate import Count, Sum
-
         agg = _read(sf_dir, "orders").groupby("o_custkey").aggregate(
             Count(alias_name="n_orders"),
             Sum("o_totalprice", alias_name="total_spent"),
@@ -3266,8 +2927,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the fact⋈dim case where the dim side is too big to broadcast at
         scale: orders ⋈ customer on custkey, partitioned exchange, then a
         small segment aggregate."""
-        from ray.data.aggregate import Count, Sum
-
         orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
         cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
         joined = orders.join(
@@ -3292,9 +2951,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def nation_region_counts(sf_dir: str):
         """Broadcast dimension join nation ⋈ region → counts per region."""
-        import ray
-        from ray.data.aggregate import Count
-
         regions = {
             r["r_regionkey"]: r["r_name"] for r in _read(sf_dir, "region").take_all()
         }
@@ -3325,9 +2981,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def lineitem_filter_pruned(sf_dir: str):
         """Prune-at-the-read: column projection + row-group filter pushed
         into read_parquet, then a small aggregate."""
-        import ray.data
-        from ray.data.aggregate import Count, Sum
-
         ds = ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_returnflag", "l_quantity", "l_discount"],
@@ -3349,8 +3002,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def orders_by_priority_month(sf_dir: str):
         """Timestamp bucketing: per (order month, priority) counts."""
-        from ray.data.aggregate import Count
-
         ds = _read(sf_dir, "orders")
 
         def month(batch: pa.Table) -> pa.Table:
@@ -3374,9 +3025,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def supplier_nation_join(sf_dir: str):
         """Second broadcast-dim join shape: supplier ⋈ nation → totals."""
-        import ray
-        from ray.data.aggregate import Count, Sum
-
         nations = {
             r["n_nationkey"]: r["n_name"] for r in _read(sf_dir, "nation").take_all()
         }
@@ -3410,10 +3058,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def part_sanitized_names(sf_dir: str):
         """M6 scalar parity at table scale: the reference's (unused)
         relation sanitizer applied as a vectorized column transform."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.triples import (
-            sanitize_relation,
-        )
-
         def fn(batch: pa.Table) -> pa.Table:
             names = batch.column("p_name").to_pylist()
             return pa.table(
@@ -3432,10 +3076,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def capitalized_phrases(sf_dir: str):
         """M8 scalar parity at table scale: the query-entity heuristic
         regex (retrieval.py:332) counted per document."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.query import (
-            query_entities,
-        )
-
         def fn(batch: pa.Table) -> pa.Table:
             texts = batch.column("text").to_pylist()
             ents = [query_entities(t) for t in texts]
@@ -3458,9 +3098,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         distributed op — tiny global (min,max) aggregate broadcast into a
         vectorized map (the reference normalizes driver-side lists,
         retrieval.py:550-569)."""
-        import ray
-        from ray.data.aggregate import Max, Min
-
         ds = _read(sf_dir, "supplier", columns=["s_suppkey", "s_acctbal"])
         bounds = ds.aggregate(Min("s_acctbal"), Max("s_acctbal"))
         lo, hi = bounds["min(s_acctbal)"], bounds["max(s_acctbal)"]
@@ -3484,8 +3121,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return ds.map_batches(norm, batch_format="pyarrow", batch_size=8192)
 
     def events_by_type(sf_dir: str):
-        from ray.data.aggregate import Count, Sum
-
         agg = _read(sf_dir, "events").groupby("event_type").aggregate(
             Count(alias_name="n"), Sum("value", alias_name="sum_value")
         )
@@ -3505,10 +3140,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Streaming-shaped op: per-user tumbling 1-hour windows.
         Partition-wise (users hash-bucketed, one shuffle), window
         aggregation fully vectorized inside each partition."""
-        import pandas as pd
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import grouped_apply
-
         def windows(pdf: pd.DataFrame) -> pd.DataFrame:
             win = (
                 pdf["ts"].astype("datetime64[us]").astype("int64") // (3600 * 10**6)
@@ -3532,12 +3163,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         (user, type) or more than 60 s after the PREVIOUS event of the
         same (user, type) — LAG semantics, vectorized shift inside one
         user-keyed exchange; the oracle is the identical LAG window."""
-        import pandas as pd
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         events = _read(sf_dir, "events",
                        columns=["event_id", "ts", "user_id", "event_type"])
 
@@ -3559,10 +3184,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         docs_pagerank pins — total out+in degree per node, then
         (degree, n_nodes).  Two count-combined exchanges; the oracle
         replays the edge construction and both groupbys."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            degree_histogram,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
@@ -3594,10 +3215,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         (Liben-Nowell & Kleinberg 2003).  The oracle replays
         canonicalization, the wedge self-join, the existing-edge
         anti-join and both degree joins in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            link_scores,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
@@ -3631,11 +3248,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         cap): a deg-4000 hub emits 8 M wedge pairs each worth only
         1/ln(4000) ≈ 0.12 — on the bench KG the uncapped run is 65 M
         proposal rows, the capped one 24 k."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            _link_scores_local,
-            link_scores,
-        )
-
         tbl = _kg_edges_local(sf_dir)
         if tbl is not None:
             return _link_scores_local(tbl, "src_entity_id",
@@ -3657,10 +3269,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         credits all three corners.  The oracle replays
         canonicalization, the center self-join and the closure join
         in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            clustering_coefficient,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
@@ -3690,11 +3298,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         semantics are pinned by docs_clustering_coef's oracle and
         tests/test_clustering.py.  Small KGs solve in-process off the
         published checkpoint."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            _clustering_local,
-            clustering_coefficient,
-        )
-
         tbl = _kg_edges_local(sf_dir)
         if tbl is not None:
             return _clustering_local(tbl, "src_entity_id",
@@ -3715,11 +3318,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         dependency counts); exactness with all sources is pinned
         against an independent pure-python Brandes reference in
         tests/test_betweenness.py."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            betweenness_sample,
-        )
-        import ray.data
-
         tbl = _kg_edges_local(sf_dir)
         if tbl is not None:
             edges = ray.data.from_arrow(
@@ -3743,13 +3341,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         shingle-keyed exchange takes the global min, then
         per-partition O(buckets) counts fold through a
         single-partition cumsum — shingle occurrences never ship."""
-        import numpy as np
-        import pandas as pd
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def explode(b: pa.Table) -> pa.Table:
@@ -3807,10 +3398,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         Rows only (the second-order weighted pick has no tractable SQL
         form); exact semantics pinned by a python reference replaying
         every pick (tests/test_node2vec.py)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            node2vec_walks,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
@@ -3844,12 +3431,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         dimension-sized-output contract every RFM implementation
         shares; at larger customer counts the quantile-threshold
         variant (exact_quantiles) replaces exact NTILE."""
-        import pandas as pd
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         orders = _read(sf_dir, "orders",
                        columns=["o_custkey", "o_orderdate", "o_totalprice"])
 
@@ -3913,12 +3494,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         profile that sizes stream buffers; the quantile companion to
         events_burstiness' dispersion view.  One type-keyed exchange:
         lag + quantile both run vectorized inside the partition."""
-        import pandas as pd
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         ev = _read(sf_dir, "events", columns=["event_type", "ts", "event_id"])
 
         def quantiles(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -3976,12 +3551,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         trend view of the orders stream (lag window over the tiny
         (priority, month) aggregate).  One count exchange; lag +
         growth vectorized over O(priorities × months) rows."""
-        import pandas as pd
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         orders = _read(sf_dir, "orders",
                        columns=["o_orderpriority", "o_orderdate"])
 
@@ -4018,12 +3587,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         once (high on fresh diverse text, near zero on templated
         spam).  Per-batch token-count combiner, one token-keyed
         exchange, O(partitions) scalar fold."""
-        import pandas as pd
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         docs = _read(sf_dir, "documents", columns=["text"])
 
         def tok_counts(b: pa.Table) -> pa.Table:
@@ -4070,12 +3633,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         overdispersed streams that need headroom; ≈1 is Poisson-like.
         One (type, day) count exchange, then an O(types × days)
         variance fold."""
-        import pandas as pd
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         ev = _read(sf_dir, "events", columns=["event_type", "ts"])
 
         def day_counts(b: pa.Table) -> pa.Table:
@@ -4114,12 +3671,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         jitter of the event id — bounded out-of-orderness, the shape
         real collection pipelines produce.  One key exchange; the
         running max is a vectorized per-key cummax."""
-        import pandas as pd
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         ev = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
         late_by = pd.Timedelta(minutes=10)
 
@@ -4155,11 +3706,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         walk-keyed exchange + vectorized shifts. The oracle replays
         the whole chain: the three SQL walk hops, then the window
         self-join."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            random_walks,
-            skipgram_pairs,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
@@ -4189,11 +3735,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         quantized cumulative weight table (exact bin boundaries on
         both engines). The oracle replays walks → pairs → counts →
         cumulative table → range join."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            random_walks,
-            skipgram_negatives,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
@@ -4224,11 +3765,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         Ray task off the published checkpoint (same edge cap as the
         other graph solvers).  Rows only; semantics pinned by a
         brute-force peeling reference (tests/test_truss.py)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            truss_decomposition,
-        )
-        import ray.data
-
         tbl = _kg_edges_local(sf_dir)
         if tbl is not None:
             edges = ray.data.from_arrow(
@@ -4244,12 +3780,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         2020, α = 0.3): per language, w_l ∝ p_l^α normalized — the
         multilingual rebalance that upweights low-resource languages.
         One tiny count exchange; the α-scaling is an O(langs) fold."""
-        import pandas as pd
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         docs = _read(sf_dir, "documents", columns=["lang"])
 
         def count_l(b: pa.Table) -> pa.Table:
@@ -4293,8 +3823,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the high extreme).  Pure map, zero exchanges; per-doc counting
         is inherently per-record (same contract as the zlib
         compression-ratio signal), the entropy fold is numpy."""
-        from collections import Counter
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def entropy(b: pa.Table) -> pa.Table:
@@ -4327,12 +3855,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         exchange for the per-source ranks, a broadcast map for the
         keys; the global order is the consumer's sort (training
         shards are written key-sorted), never a global window."""
-        import pandas as pd
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "source"])
 
         def count_s(b: pa.Table) -> pa.Table:
@@ -4409,10 +3931,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the pair-construction step for triplet/contrastive training.
         Corpus broadcasts once (ray.put), one b×N matmul + masked
         argmax per batch, no exchange."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.similarity import (
-            hard_negatives,
-        )
-
         emb = _read(sf_dir, "embeddings")
         return hard_negatives(emb)
 
@@ -4422,10 +3940,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         id%25 query subset — how many dims serving can drop.  Query
         matrices broadcast once, per-batch matmul combiner, one
         (dim, qid) exchange, tiny recall fold."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.similarity import (
-            dim_truncation_recall,
-        )
-
         emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
         return dim_truncation_recall(emb, dims=(8, 16, 32, 64), k=10,
                                      query_mod=25)
@@ -4436,10 +3950,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         search surface the right class, the IR-metric complement to
         the recall-vs-brute ANN audits. Broadcast queries, matmul
         combiner, one qid exchange, per-query vectorized DCG/IDCG."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.similarity import (
-            knn_label_ndcg,
-        )
-
         emb = _read(sf_dir, "embeddings")
         return knn_label_ndcg(emb, k=10, query_mod=25)
 
@@ -4451,11 +3961,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         shape as kg_entity_betweenness (one ray.put CSR, O(V) vector
         folds); exactness with all sources pinned against a
         pure-python BFS reference in tests/test_betweenness.py."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            harmonic_sample,
-        )
-        import ray.data
-
         tbl = _kg_edges_local(sf_dir)
         if tbl is not None:
             edges = ray.data.from_arrow(
@@ -4474,10 +3979,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         10% as a CDC delta — compact base rows + pre-combined delta
         partials through ONE key exchange, the raw base never re-read.
         The oracle is the full recompute the refresh must equal."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            incremental_agg,
-        )
-
         orders = _read(sf_dir, "orders",
                        columns=["o_orderkey", "o_custkey", "o_totalprice"])
 
@@ -4503,10 +4004,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 [("sum_price", "sum"), ("n_orders", "sum")])
             return g.rename_columns(["o_custkey", "sum_price",
                                      "n_orders"])
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
 
         # the "stored view": a real aggregate of the base slice
         base_agg = grouped_apply(
@@ -4539,14 +4036,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         bucket-keyed exchange, no global sort).  Counts are
         integer-valued so float summation order cannot flip the
         budget boundary."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.textstats import (
-            quality_scores,
-            ws_token_count,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            budget_head,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def score(batch: pa.Table) -> pa.Table:
@@ -4554,7 +4043,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.table({
                 "doc_id": batch.column("doc_id"),
                 "quality": pa.array(
-                    [sql_round(quality_scores(t)["quality"], 6)
+                    [sql_round(qrow(t)["quality"], 6)
                      for t in texts], pa.float64()),
                 "ws_tokens": pa.array(
                     [float(ws_token_count(t)) for t in texts],
@@ -4574,14 +4063,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         Same bucketed prefix-sum, the driver fold is
         O(languages × buckets) numbers; the oracle is the
         PARTITION BY window running sum with a CASE budget."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.textstats import (
-            quality_scores,
-            ws_token_count,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            budget_head,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
         def score(batch: pa.Table) -> pa.Table:
@@ -4590,7 +4071,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "doc_id": batch.column("doc_id"),
                 "lang": batch.column("lang"),
                 "quality": pa.array(
-                    [sql_round(quality_scores(t)["quality"], 6)
+                    [sql_round(qrow(t)["quality"], 6)
                      for t in texts], pa.float64()),
                 "ws_tokens": pa.array(
                     [float(ws_token_count(t)) for t in texts],
@@ -4611,10 +4092,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         histogram of count values — O(distinct counts) rows reach the
         final partition, never the keys.  The oracle computes the same
         identity with a row_number window."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            gini_coefficient,
-        )
-
         orders = _read(sf_dir, "orders", columns=["o_custkey"])
         return gini_coefficient(orders, ["o_custkey"])
 
@@ -4626,15 +4103,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         carved sample still looks like the population.  Histogram of
         (value, side) counts rides the exchange; the oracle replays
         the cumulative-fraction supremum with SQL windows."""
-        import hashlib
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.textstats import (
-            ws_token_count,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            ks_statistic,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def prep(batch: pa.Table) -> pa.Table:
@@ -4664,8 +4132,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         driver check (partition granularity is an execution detail);
         the invariant audit cross-checks the counts against the
         checkpoints."""
-        import ray.data
-
         lineage_dir = os.path.join(_kg_dir(sf_dir), "lineage")
         if not os.path.isdir(lineage_dir):
             _kg_tables(sf_dir)  # cold: build the KG (writes lineage/)
@@ -4693,16 +4159,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         total = sum(os.stat(os.path.join(lineage_dir, n)).st_size
                     for n in names)
         if config.KG_LOCAL_SERVE and total <= config.LINEAGE_LOCAL_BYTES:
-            import pyarrow.dataset as pds
-
             return ray.data.from_arrow(partial(
                 pds.dataset(lineage_dir, format="parquet").to_table(
                     columns=["stage", "row_count_in", "row_count_out",
                              "triple_count"])))
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
 
         def reduce_stage(tbl: pa.Table) -> pa.Table:
             g = tbl.group_by(["stage"]).aggregate(
@@ -4726,13 +4186,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the heuristic, a pre-combined two-key groupby reduces.  The
         oracle composes the full SQL replay of the detector with the
         declared label."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.textstats import (
-            detect_language,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         docs = _read(sf_dir, "documents", columns=["text", "lang"])
 
         def detect(batch: pa.Table) -> pa.Table:
@@ -4763,12 +4216,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         sort, no shuffle; DuckDB quantile_disc semantics per cut.
         This is how a range partitioner prices its boundaries at
         100 TB."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            exact_quantiles,
-        )
-
         orders = _read(sf_dir, "orders", columns=["o_totalprice"])
         qs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         vals = exact_quantiles(orders, "o_totalprice", qs)
@@ -4785,15 +4232,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the balance a range exchange would see.  The oracle recomputes
         the boundaries with quantile_disc and the assignment with a
         boundary-count subquery."""
-        import numpy as np
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            exact_quantiles,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         orders = _read(sf_dir, "orders", columns=["o_totalprice"])
         qs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         bounds = np.array(exact_quantiles(orders, "o_totalprice", qs))
@@ -4823,10 +4261,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         distinct keys through ONE co-partitioned union exchange, four
         counters per partition, single-partition fold.  Oracle replays
         the planted filter with a LEFT JOIN."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            fk_coverage,
-        )
-
         li = _read(sf_dir, "lineitem", columns=["l_orderkey"])
         orders = _read(sf_dir, "orders", columns=["o_orderkey"])
 
@@ -4850,12 +4284,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         hash), per-partition distinct + row sums, tiny per-source fold
         (full text never rides the exchange).  Oracle:
         count(DISTINCT text) per source."""
-        import hashlib
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         docs = _read(sf_dir, "documents", columns=["source", "text"])
 
         def local(batch: pa.Table) -> pa.Table:
@@ -4903,10 +4331,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         local (line, doc) dedup, distinct-doc counting through the
         heavy-hitters exchange.  Oracle: unnest split lines, distinct
         doc counts, top 20 by (count desc, line)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            distinct_count,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def explode(batch: pa.Table) -> pa.Table:
@@ -4941,7 +4365,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             local_topk, batch_format="pyarrow").to_pandas()
         top = cands.sort_values(["n_docs", "line"],
                                 ascending=[False, True]).head(20)
-        import ray.data
 
         return ray.data.from_pandas(top.reset_index(drop=True))
 
@@ -4953,15 +4376,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         histogram combiner, one lang-keyed exchange, exact supremum
         per group; the oracle replays it with lang-partitioned
         windows."""
-        import hashlib
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.textstats import (
-            ws_token_count,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_ks,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
         def prep(batch: pa.Table) -> pa.Table:
@@ -4991,12 +4405,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         counters; md5 keeps it oracle-replayable — the oracle
         recomputes every assignment with a documents × shards cross
         join and argmax."""
-        import hashlib
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def hrw(i: int, n: int) -> int:
@@ -5045,10 +4453,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         decision starts from, as one operator: map-side stat folds +
         locally-deduped distinct streams through ONE shared
         (col, value) exchange.  Oracle: per-column SQL aggregates."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            analyze_table,
-        )
-
         orders = _read(sf_dir, "orders",
                        columns=["o_orderkey", "o_custkey", "o_totalprice"])
         return analyze_table(
@@ -5062,8 +4466,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         because the oracle needs DuckDB's md5(); the production sampler
         is the vectorized hash_pandas_object path the shuffle layer
         uses."""
-        import hashlib
-
         docs = _read(sf_dir, "documents",
                      columns=["doc_id", "source", "n_chars"])
 
@@ -5084,10 +4486,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         with the benchmark bloom mask (max_overlap=0). Rows-only —
         shingle hashing isn't SQL-expressible; semantics pinned by
         tests/test_dedup_similarity.py."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.dedup import (
-            ngram_decontaminate,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def split(want_bench: bool):
@@ -5122,12 +4520,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         K10 clique on ids 0-9; reversed duplicates are injected to
         exercise canonicalization. Oracled by a DuckDB 3-way self-join
         over the canonical a<b<c ordering."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            triangle_count,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def build_edges(b: pa.Table) -> pa.Table:
@@ -5158,10 +4550,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Document-level PMI for all pairs of a fixed 8-token
         vocabulary — per-batch presence-matrix outer products reduce
         the whole corpus to one 8x8 sufficient-statistics matrix."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            token_pmi,
-        )
-
         vocab = ["batch", "hash", "join", "merge", "scan", "sort",
                  "table", "window"]
         return token_pmi(
@@ -5174,10 +4562,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         constant-size sufficient-stats covariance + driver eigh +
         map-side projection. Rows-only (eigendecomposition isn't
         SQL-expressible); math pinned vs numpy in tests."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.similarity import (
-            embedding_pca,
-        )
-
         return embedding_pca(
             _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]),
             n_components=2,
@@ -5188,10 +4572,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         clusters, the IVF quantizer's training loop). Rows-only —
         iterative; init/assignment determinism pinned by the IVF
         tests."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.similarity import (
-            kmeans_assign,
-        )
-
         emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
         dim = len(_query_vec(sf_dir))
         return kmeans_assign(emb, dim=dim, nlist=8)
@@ -5200,10 +4580,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Deterministic weighted sample (A-Res, weight = n_chars):
         top-50 by md5-derived priority u^(1/w) — the draw replays
         byte-for-byte in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            weighted_sample,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
         return weighted_sample(docs, "n_chars", k=50)
 
@@ -5216,15 +4592,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         with orders; the customer-nation lookup and the opposite-
         nation filter run map-side; a final tiny exchange groups by
         (supp_nation, cust_nation, year)."""
-        import pandas as pd
-        import pyarrow.parquet as pq
-        import ray
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         nat = pq.read_table(
             os.path.join(sf_dir, "nation.parquet"),
             columns=["n_nationkey", "n_name"],
@@ -5406,10 +4773,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Top-20 adjacent character pairs inside whitespace tokens —
         the argmax table of one BPE training merge round; per-batch
         vectorized offset-slice counting + one pair-keyed exchange."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            bpe_pair_counts,
-        )
-
         return bpe_pair_counts(
             _read(sf_dir, "documents", columns=["doc_id", "text"]),
             k=20,
@@ -5421,12 +4784,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         but the clique, whose within-core degree is 9. Rows-only —
         iterative peeling isn't reasonably SQL-expressible; semantics
         pinned by tests/test_graph.py vs a brute peeling reference."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            k_core,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def build_edges(b: pa.Table) -> pa.Table:
@@ -5452,12 +4809,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Ordered view->click->purchase conversion funnel: stage i
         counts users whose stage-i event happens at or after their
         first qualifying stage-(i-1) event. One exchange on user_id."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            funnel_counts,
-        )
-
         ev = ray.data.read_parquet(
             os.path.join(sf_dir, "events.parquet"),
             columns=["user_id", "event_type", "ts"],
@@ -5469,12 +4820,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         week of their first event, counted in each later week they
         return (offsets 0-3). One user-keyed exchange + one tiny
         reduce."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            retention_counts,
-        )
-
         ev = ray.data.read_parquet(
             os.path.join(sf_dir, "events.parquet"),
             columns=["user_id", "ts"],
@@ -5486,16 +4831,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         for customers who never ordered — aggregate-before-join (the
         orders side reduces to (custkey, n) before the single
         co-partitioned exchange)."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            left_join,
-        )
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         cust = ray.data.read_parquet(
             os.path.join(sf_dir, "customer.parquet"),
             columns=["c_custkey", "c_name"],
@@ -5536,12 +4871,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def orders_price_percent_rank(sf_dir: str):
         """PERCENT_RANK() over order price within each priority class —
         min-rank tie semantics, one exchange on the priority key."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            window_percent_rank,
-        )
-
         orders = ray.data.read_parquet(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_orderkey", "o_orderpriority", "o_totalprice"],
@@ -5563,10 +4892,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         distinct-8-gram overlap fraction while clean docs are 0.0. The
         engine bloom-prunes before the exact co-partitioned verify;
         the oracle is a plain distinct-window join."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.dedup import (
-            ngram_overlap_exact,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         span = ("the quick brown fox jumps over the lazy dog while "
                 "seventeen astronauts quietly measure forty two "
@@ -5610,8 +4935,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         RNG state. The production path uses the vectorized
         hash_pandas_object; md5 here is solely for DuckDB oracle
         parity."""
-        import hashlib
-
         rates = {"en": 4}  # hex-digit threshold per lang; default 1
         docs = _read(sf_dir, "documents", columns=["doc_id", "lang", "source"])
 
@@ -5634,10 +4957,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         sides, then the engine's vectorized redaction chain
         (pipelines/clean.redact_pii_array) must byte-match DuckDB's
         regexp_replace — both are RE2."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            redact_pii_array,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def redact(batch: pa.Table) -> pa.Table:
@@ -5670,10 +4989,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Gopher-style repetition signals per document (token count,
         distinct fraction, top-token share, top-bigram share) — a pure
         map stage, one flatten + two vectorized groupbys per batch."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            repetition_scores,
-        )
-
         return repetition_scores(
             _read(sf_dir, "documents", columns=["doc_id", "text"])
         )
@@ -5685,12 +5000,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         end-to-end in doc_id order per shard, and the token stream cuts
         every 256 tokens — one segment row per (doc, pack) with offsets.
         One hash exchange; layout fully vectorized per partition."""
-        import hashlib as _hl
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            pack_sequences,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def prep(batch: pa.Table) -> pa.Table:
@@ -5706,7 +5015,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     doc_idx[empty], minlength=len(lens)
                 )
             shard = [
-                int(_hl.md5(str(i).encode()).hexdigest()[-1], 16) % 4
+                int(hashlib.md5(str(i).encode()).hexdigest()[-1], 16) % 4
                 for i in batch.column("doc_id").to_pylist()
             ]
             return pa.table({
@@ -5725,10 +5034,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         at most 10 docs per source, smallest doc_id first), expressed as
         the existing window_topk operator (combiner truncates each batch
         before the exchange)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            window_topk,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "source"])
         return window_topk(docs, ["source"], "doc_id", 10,
                            tie_col="doc_id", ascending=True)
@@ -5739,15 +5044,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         (customers with no orders; order totals whose customer fails the
         balance filter). Totals pre-aggregate per batch before the one
         co-partitioned exchange."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            full_outer_join,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         orders = ray.data.read_parquet(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_custkey", "o_totalprice"],
@@ -5790,12 +5086,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """LAG window: microseconds since the same user's previous
         event (null for each user's first) — ts carried as epoch-us
         int64 through the exchange for exact integer oracle parity."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            window_lag,
-        )
-
         ev = ray.data.read_parquet(
             os.path.join(sf_dir, "events.parquet"),
             columns=["user_id", "event_id", "ts"],
@@ -5815,8 +5105,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         def gap(pdf):
-            import pandas as pd
-
             # shift() degraded prev_us to float64+NaN; both epoch-us
             # values sit far below 2^53 so the difference is exact —
             # restore a nullable int64 for integer oracle parity
@@ -5835,12 +5123,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Per-group MODE (most frequent o_orderpriority per status,
         ties toward the smaller value) — per-batch count combiner, one
         exchange of distinct triples."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_mode,
-        )
-
         orders = ray.data.read_parquet(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_orderstatus", "o_orderpriority"],
@@ -5851,12 +5133,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """GROUP BY CUBE over (returnflag, linestatus): all four
         grouping sets from ONE pass over the raw data — coarser levels
         cascade off the finest aggregate."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            cube_sum,
-        )
-
         li = ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_returnflag", "l_linestatus", "l_quantity"],
@@ -5869,12 +5145,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         scale path for unbounded groups; semantics pinned by
         tests/test_tdigest.py (rank-error bound vs the exact operator),
         not SQL-expressible."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_quantile_sketch,
-        )
-
         li = ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_returnflag", "l_quantity"],
@@ -5888,10 +5158,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         pseudo-random out-edges per doc, both sides derive the identical
         edge list) — pins the one-task kernel's recurrence against an
         unrolled SQL oracle, like dup_clusters_chain does for CC."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            pagerank,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
@@ -5917,10 +5183,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         authorities with per-iteration L1 normalization, pinned
         against an unrolled SQL oracle (the same join pair per
         iteration)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            hits,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
@@ -5949,10 +5211,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         hop per query in core/retrieval.py; this is the corpus-wide
         batch form). Pinned against a recursive-CTE oracle: walks of
         length ≤ 4, MIN(d) per node = the same shortest distance."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            bfs_depths,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
@@ -5989,10 +5247,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         doc_id % 101 == 0 seeds. Recursive-CTE oracle enumerates
         (node, cost, hops ≤ 4) walks; MIN(cost) matches exactly
         (int64 throughout)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            shortest_paths,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
@@ -6031,10 +5285,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         accumulate exactly (Python-int partials) and the single final
         DOUBLE expression mirrors the oracle's cast order, so it
         hashes identically."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            degree_assortativity,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
 
         def edges(b: pa.Table) -> pa.Table:
@@ -6070,10 +5320,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         against a SQL replay of dedupe → cap → self-join pairs →
         marginal joins → log2 PMI. min_count=2 keeps the pair table
         tight."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            cooccurrence_pmi,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def long_tokens(b: pa.Table) -> pa.Table:
@@ -6096,10 +5342,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         open-vocabulary PMI exchange chain — the co-mention edge list
         GraphRAG relatedness expansion consumes (docs_token_cooccurrence°
         pins the operator; rows-only here)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            cooccurrence_pmi,
-        )
-
         linked = _kg_tables(sf_dir)["linked_triples"].select_columns(
             ["chunk_id", "src_entity_id", "dst_entity_id"])
 
@@ -6137,11 +5379,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         straight off the published checkpoint (same recurrence —
         graph._pagerank_local — zero Dataset executions; pinned
         equal to the Dataset path by tests/test_kg_local_serve.py)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            _pagerank_local,
-            pagerank,
-        )
-
         tbl = _kg_edges_local(sf_dir)
         if tbl is not None:
             return _pagerank_local(tbl, *_EDGE_COLS, iters=5,
@@ -6162,11 +5399,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         unrolled SQL oracle. Small KGs serve in-process off the
         published checkpoint (pinned equal to the Dataset path by
         tests/test_kg_local_serve.py)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            _hits_local,
-            hits,
-        )
-
         tbl = _kg_edges_local(sf_dir)
         if tbl is not None:
             return _hits_local(tbl, "src_entity_id", "dst_entity_id",
@@ -6186,11 +5418,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         recurrence against a recursive-CTE oracle. Small KGs serve
         in-process off the published checkpoint (the same _bfs_local
         kernel the Dataset path runs in one Ray task)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            _bfs_local,
-            bfs_depths,
-        )
-
         tbl = _kg_edges_local(sf_dir)
         if tbl is not None:
             seeds = sorted(
@@ -6220,10 +5447,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         DuckDB can't replay; properties (positives == edge multiset,
         negatives never true, determinism) pinned by
         tests/test_bfs.py."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            edge_negatives,
-        )
-
         edges = _kg_tables(sf_dir)["edges"].select_columns(
             ["src_entity_id", "dst_entity_id"])
 
@@ -6238,10 +5461,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Per-label embedding centroid, long-form (label, dim,
         centroid) — each batch reduces to one (Σvector, n) row per
         label before the exchange; raw vectors never shuffle."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.similarity import (
-            grouped_centroids,
-        )
-
         return grouped_centroids(
             _read(sf_dir, "embeddings", columns=["label", "embedding"])
         )
@@ -6256,10 +5475,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         raw vectors never shuffle; the oracle replays the
         labels × labels cosine matrix in SQL over DOUBLE-cast
         unnested embeddings."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.similarity import (
-            label_separation,
-        )
-
         return label_separation(
             _read(sf_dir, "embeddings", columns=["label", "embedding"])
         )
@@ -6272,10 +5487,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         mislabeled-sample shortlist.  Bounded centroid fold + one
         label-keyed exchange; the oracle replays centroids, cosines
         and the windowed z-score in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.similarity import (
-            label_outliers,
-        )
-
         return label_outliers(
             _read(sf_dir, "embeddings",
                   columns=["vec_id", "label", "embedding"])
@@ -6287,22 +5498,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the one-row corpus-health scalar (natural text ≈ slope −1).
         Rides the heavy-hitters combiner exchange; the oracle replays
         the fit with SQL regr_slope/regr_intercept/regr_r2."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            zipf_fit,
-        )
-
         docs = _read(sf_dir, "documents", columns=["text"])
         return zipf_fit(docs, k=200)
 
     def lineitem_qty_var_by_flag(sf_dir: str):
         """Exact grouped sample variance + stddev — (n, Σx, Σx²)
         sufficient-stats combiner, one tiny exchange."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_var,
-        )
-
         li = ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_returnflag", "l_quantity"],
@@ -6312,12 +5513,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def orders_ntile4(sf_dir: str):
         """NTILE(4) of orders by total price within each priority
         (exact SQL bucket-size semantics, pinned tie-break)."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            window_ntile,
-        )
-
         orders = ray.data.read_parquet(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_orderkey", "o_orderpriority", "o_totalprice"],
@@ -6334,20 +5529,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         exchange, texts never shuffle again) → GPT-style 256-token
         sequence packing.  Map stages fuse; the whole chain has two
         exchanges (dedup, pack-shard)."""
-        import hashlib as _hl
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.textstats import (
-            content_hash,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            pack_sequences,
-            pii_redact,
-            repetition_scores,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         scored = repetition_scores(pii_redact(docs), append=True)
 
@@ -6380,7 +5561,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         def shard(batch: pa.Table) -> pa.Table:
             s = [
-                int(_hl.md5(str(i).encode()).hexdigest()[-1], 16) % 4
+                int(hashlib.md5(str(i).encode()).hexdigest()[-1], 16) % 4
                 for i in batch.column("doc_id").to_pylist()
             ]
             return pa.table({
@@ -6400,16 +5581,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         entities are closest to the query's seed entities by weighted
         graph proximity). Top 20 by score; rows-only (iterative),
         semantics pinned by tests/test_graph.py."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            pagerank,
-        )
-
         tbl = _kg_edges_local(sf_dir)
         if tbl is not None:
-            from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-                _pagerank_local,
-            )
-
             # seeds: same (mention_count desc, entity_id asc) top-5 as
             # the Dataset sort below, in-process off the checkpoint
             ent = _kg_local_table(
@@ -6448,16 +5621,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         weighted, undirected KG edge list — the cluster layer above
         canonicalization (which entities form a topic group). Rows-only
         (iterative); semantics pinned by tests/test_graph.py."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-            label_propagation,
-        )
-
         tbl = _kg_edges_local(sf_dir)
         if tbl is not None:
-            from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
-                _lpa_local,
-            )
-
             return _lpa_local(tbl, *_EDGE_COLS, iters=5,
                               directed=False, label_col="community")
         edges = _kg_tables(sf_dir)["edges"].select_columns(
@@ -6472,10 +5637,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         existing corpus (doc_id % 3 == 0) by exact text match —
         bloom-negative rows (definitely new) skip the exchange
         entirely; only candidate duplicates pay the exact anti-join."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            bloom_anti_join,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def split(want_prev: bool):
@@ -6499,8 +5660,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         content fingerprint) and read back with ray.data.read_json —
         the Common-Crawl-adjacent ingestion format. Oracle: the same
         rows straight from parquet."""
-        import ray.data
-
         out_dir = os.path.join(_kg_dir(sf_dir), "jsonl-src")
         marker = os.path.join(out_dir, "_SUCCESS")
         if not os.path.exists(marker):
@@ -6525,13 +5684,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         files under /tmp and read back stripe-streamed through the
         custom FileBasedDatasource.  Oracle: the same rows straight
         from parquet."""
-        import pyarrow.parquet as pq
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.sources.orc import (
-            read_orc,
-            write_orc_file,
-        )
-
         out_dir = os.path.join(_kg_dir(sf_dir), "orc-src")
         marker = os.path.join(out_dir, "_SUCCESS")
         if not os.path.exists(marker):
@@ -6561,15 +5713,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         files under /tmp (alternating null/deflate codecs, multi-block)
         and read back block-streamed. Oracle: the same rows straight
         from parquet."""
-        import pyarrow.parquet as pq
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.avro import (
-            write_avro_file,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.sources.avro import (
-            read_avro,
-        )
-
         out_dir = os.path.join(_kg_dir(sf_dir), "avro-src")
         marker = os.path.join(out_dir, "_SUCCESS")
         if not os.path.exists(marker):
@@ -6601,8 +5744,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         lists ONLY the lang=en subdirectory — the other languages'
         files are never opened, the directory structure IS the filter.
         Oracle: WHERE lang = 'en' over the original parquet."""
-        import ray.data
-
         out_dir = os.path.join(_kg_dir(sf_dir), "hive-docs")
         marker = os.path.join(out_dir, "_SUCCESS")
         if not os.path.exists(marker):
@@ -6630,11 +5771,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         is the correct shape for this source (read_sql shards by key
         hash when the backend allows concurrent cursors).  Oracle: the
         same rows straight from parquet."""
-        import sqlite3
-
-        import pyarrow.parquet as pq
-        import ray.data
-
         db_dir = _kg_dir(sf_dir)
         os.makedirs(db_dir, exist_ok=True)
         db_path = os.path.join(db_dir, "docs.sqlite")
@@ -6668,8 +5804,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         once and read back with ray.data.read_csv (schema inferred) —
         text stays out of the CSV to keep the format round-trippable.
         Oracle: the same projection from parquet."""
-        import ray.data
-
         out_dir = os.path.join(_kg_dir(sf_dir), "csv-src")
         marker = os.path.join(out_dir, "_SUCCESS")
         if not os.path.exists(marker):
@@ -6694,12 +5828,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         user_id; the window itself is a vectorized pandas rolling pass
         per partition — the ordered-window complement of the tumbling
         windows in events_sessionized."""
-        import pandas as pd
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import grouped_apply
-
-        import ray.data
-
         ev = ray.data.read_parquet(
             os.path.join(sf_dir, "events.parquet"),
             columns=["user_id", "event_id", "ts", "value"],
@@ -6727,10 +5855,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Distributed anti-join (NOT EXISTS): customers with no
         1-URGENT order. Right side is pruned at the read to the key
         column + pushed filter."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import anti_join
-
         cust = _read(sf_dir, "customer",
                      columns=["c_custkey", "c_name", "c_acctbal"])
         urgent = ray.data.read_parquet(
@@ -6745,10 +5869,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         strictly-earlier view (ties on ts break toward the larger
         event_id). Co-partitioned on user_id, per-partition sorted
         merge_asof."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import asof_join
-
         path = os.path.join(sf_dir, "events.parquet")
         purchases = ray.data.read_parquet(
             path, columns=["event_id", "user_id", "ts", "event_type"],
@@ -6785,10 +5905,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         strictly-later purchase (time-to-conversion; ties on ts break
         toward the smaller event_id). Same one-exchange sorted
         merge_asof, direction flipped."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import asof_join
-
         path = os.path.join(sf_dir, "events.parquet")
         views = ray.data.read_parquet(
             path, columns=["event_id", "user_id", "ts", "event_type"],
@@ -6825,8 +5941,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Windowed rank (ROW_NUMBER() <= 3 per customer by price desc):
         per-batch combiner truncation, one exchange, partition-wise
         vectorized top-k."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import window_topk
-
         orders = _read(sf_dir, "orders",
                        columns=["o_custkey", "o_orderkey", "o_totalprice"])
         return window_topk(orders, ["o_custkey"], "o_totalprice", 3,
@@ -6835,10 +5949,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def supplier_distinct_parts(sf_dir: str):
         """COUNT(DISTINCT l_partkey) per supplier: per-batch arrow
         distinct combiner, deduped pairs through one exchange."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import distinct_count
-
         li = ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_suppkey", "l_partkey"],
@@ -6848,10 +5958,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def lineitem_qty_median(sf_dir: str):
         """Exact grouped median (SQL median() semantics): values-only
         exchange keyed by group."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import grouped_median
-
         li = ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_returnflag", "l_quantity"],
@@ -6863,13 +5969,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Broadcast range join: orders against a small OVERLAPPING
         interval table ('all' contains every other band, so rows
         multi-match), then a native aggregate per band."""
-        import ray.data
-        from ray.data.aggregate import Count, Sum
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            broadcast_range_join,
-        )
-
         bands = pa.table(
             {
                 "band": ["low", "mid", "high", "all"],
@@ -6899,9 +5998,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def order_price_histogram(sf_dir: str):
         """Fixed-width histogram: vectorized binning + native count
         aggregate (binning is the combiner's key)."""
-        import ray.data
-        from ray.data.aggregate import Count
-
         ds = ray.data.read_parquet(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_totalprice"],
@@ -6936,12 +6032,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def orders_price_p90_by_priority(sf_dir: str):
         """Exact grouped 90th percentile (quantile_cont semantics):
         values-only exchange keyed by group, linear interpolation."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_quantile,
-        )
-
         orders = ray.data.read_parquet(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_orderpriority", "o_totalprice"],
@@ -6953,12 +6043,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """GROUP BY ROLLUP(o_orderpriority, o_orderstatus): the raw
         table aggregates once; coarser levels cascade over the previous
         level's (tiny) result, never re-reading the input."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            rollup_sum,
-        )
-
         orders = ray.data.read_parquet(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_orderpriority", "o_orderstatus", "o_totalprice"],
@@ -6971,12 +6055,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Distinct-set INTERSECT: customers with a 1-URGENT order AND
         some order over 350k — deduped keys on both sides before the
         one co-partitioned exchange."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            distinct_set_op,
-        )
-
         path = os.path.join(sf_dir, "orders.parquet")
         urgent = ray.data.read_parquet(
             path, columns=["o_custkey", "o_orderpriority"],
@@ -6993,12 +6071,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Distinct-set EXCEPT: customers who ordered but never at
         1-URGENT priority (set semantics — contrast with the row-level
         anti-join customers_without_urgent_orders)."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            distinct_set_op,
-        )
-
         path = os.path.join(sf_dir, "orders.parquet")
         all_ck = ray.data.read_parquet(
             path, columns=["o_custkey"])
@@ -7014,10 +6086,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         per priority × order-status, columns declared up front; per-batch
         arrow partials are the combiner so the exchange ships one partial
         sum per (batch, key, category)."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import pivot_sum
-
         orders = ray.data.read_parquet(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_orderpriority", "o_orderstatus", "o_totalprice"],
@@ -7032,12 +6100,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         supplier_distinct_parts — registers, never values, ride the
         exchange. Deterministic under any partitioning (unit-tested
         against the exact count)."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_approx_distinct,
-        )
-
         ev = ray.data.read_parquet(
             os.path.join(sf_dir, "events.parquet"),
             columns=["event_type", "user_id"],
@@ -7050,13 +6112,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         urgent-order keys reduce to one broadcast bit mask that filters
         lineitem BEFORE the exchange; the co-partitioned is_in probe
         removes bloom false positives, then a native aggregate."""
-        import ray.data
-        from ray.data.aggregate import Count, Sum
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            bloom_semi_join,
-        )
-
         li = ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_orderkey", "l_returnflag", "l_quantity"],
@@ -7085,12 +6140,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Per-group ORDERED string_agg: nations per region name, the
         region dim broadcast into the map side, concat pinned by a full
         per-group sort after one exchange."""
-        import ray
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_concat,
-        )
-
         regions = {
             r["r_regionkey"]: r["r_name"]
             for r in _read(sf_dir, "region").take_all()
@@ -7121,12 +6170,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         documents corpus. Per-batch arrow count combiner → one exchange
         of (token, partial count) → per-partition top-k → driver merge
         of partitions×k candidates."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            heavy_hitters,
-        )
-
         docs = ray.data.read_parquet(
             os.path.join(sf_dir, "documents.parquet"), columns=["text"]
         )
@@ -7150,12 +6193,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         survive pass 1 on any remotely zipfian corpus (their frequency
         far exceeds N/4097; equality to the exact operator is also
         pinned by tests/test_relational.py)."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            approx_heavy_hitters,
-        )
-
         docs = ray.data.read_parquet(
             os.path.join(sf_dir, "documents.parquet"), columns=["text"]
         )
@@ -7175,12 +6212,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Exact grouped Pearson correlation via the sufficient-statistics
         combiner — (n, Σx, Σy, Σx², Σy², Σxy) per key per batch, merged
         by addition after one exchange."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_corr,
-        )
-
         li = ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_returnflag", "l_quantity", "l_extendedprice"],
@@ -7195,15 +6226,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         pre-aggregates revenue per orderkey per batch and meets orders in
         ONE fused co-partition aggregate⋈join exchange; global top-10 by
         revenue rides a sort over one small row per qualifying order."""
-        import datetime
-
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            bloom_semi_join,
-            copartition_agg_join,
-        )
-
         cut = datetime.datetime(1998, 6, 1)
         cust = ray.data.read_parquet(
             os.path.join(sf_dir, "customer.parquet"),
@@ -7263,12 +6285,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Per-user running total (SUM OVER ... ROWS UNBOUNDED
         PRECEDING): one exchange keyed by user, per-partition sort +
         vectorized cumsum."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            windowed_cumsum,
-        )
-
         ev = ray.data.read_parquet(
             os.path.join(sf_dir, "events.parquet"),
             columns=["user_id", "ts", "event_id", "value"],
@@ -7296,16 +6312,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         orderkey, where the partition probe joins, applies the
         c_nationkey = s_nationkey condition, and pre-aggregates revenue
         per nation — the final groupby sums a handful of partials."""
-        import datetime
-
-        import ray
-        import ray.data
-        from ray.data.aggregate import Sum
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            _copartition,
-        )
-
         lo = datetime.datetime(1996, 1, 1)
         hi = datetime.datetime(1999, 1, 1)
         nations = _read(sf_dir, "nation").take_all()
@@ -7336,9 +6342,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             smap = ray.get(supp_ref)
             nat = pdf["l_suppkey"].map(smap)
             keep = nat.notna()
-            import pandas as pd2
 
-            return pd2.DataFrame({
+            return pd.DataFrame({
                 "l_orderkey": pdf["l_orderkey"][keep],
                 "s_nat": nat[keep].astype("int64"),
                 "rev": (pdf["l_extendedprice"][keep]
@@ -7349,9 +6354,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             cmap = ray.get(cust_ref)
             nat = pdf["o_custkey"].map(cmap)
             keep = nat.notna()
-            import pandas as pd2
 
-            return pd2.DataFrame({
+            return pd.DataFrame({
                 "o_orderkey": pdf["o_orderkey"][keep],
                 "c_nat": nat[keep].astype("int64"),
             })
@@ -7407,12 +6411,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         corpus genuinely exercises BOTH paths; at web scale the same
         operator guards a domain- or entity-keyed join where head keys
         hold 1-10% of the corpus."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            skew_join,
-        )
-
         orders = ray.data.read_parquet(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_orderkey", "o_custkey", "o_totalprice"],
@@ -7429,10 +6427,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         (n, Σx, Σx²) combiner → one tiny stats exchange → broadcast →
         map-side z-score. The window-function answer with a
         broadcast-join execution shape."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_standardize,
-        )
-
         ev = _read(sf_dir, "events",
                    columns=["event_id", "event_type", "value"])
         return grouped_standardize(ev, ["event_type"], "value",
@@ -7442,10 +6436,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """UNION ALL BY NAME over two corpus generations with different
         schemas (metadata columns added/dropped between crawls): typed
         null padding + cast, no exchange."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            union_by_name,
-        )
-
         docs = _read(sf_dir, "documents")
 
         def even(b: pa.Table) -> pa.Table:
@@ -7466,10 +6456,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         header (doc_id%2=0) and subscribe footer (doc_id%3=0) are
         injected identically on both sides; lines in ≥25 distinct docs
         are stripped, bodies survive byte-exact."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            strip_boilerplate,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         hdr = "This website uses cookies to improve your experience."
         ftr = "Subscribe to our newsletter for updates!"
@@ -7501,10 +6487,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         keeps its copy, overlapping windows merge. doc 0 carries both
         spans and keeps both (keep-first); every other injected doc
         loses exactly its span."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.dedup import (
-            substring_dedup,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         ftr = ("click here to accept all cookies and continue to the "
                "requested page")
@@ -7534,10 +6516,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         whitespace tokens — pins the Lucene-style BM25 math the KG term
         index precomputes against an exact SQL oracle (k1=1.2,
         b=0.75)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            bm25_rank,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return bm25_rank(docs, ["sort", "merge", "window"], topk=10)
 
@@ -7548,15 +6526,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         take a second tiny exchange; the global top-20 then drives a
         pruned map-side lookup of customer + nation attributes (20
         keys — no broadcast of the full customer table)."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            copartition_agg_join,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         li = ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_orderkey", "l_extendedprice", "l_discount"],
@@ -7639,10 +6608,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         version of the same key), %10==7 rows a delete. The changelog is
         synthesized deterministically from the snapshot so DuckDB can
         state the merged result in closed form."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            merge_into,
-        )
-
         orders = _read(sf_dir, "orders")
 
         def make_changes(batch: pa.Table) -> pa.Table:
@@ -7674,13 +6639,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         through banded replication + one co-partitioned exchange
         instead of a broadcast — the scale path when the interval side
         can't broadcast. Identical oracle."""
-        import ray.data
-        from ray.data.aggregate import Count, Sum
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            banded_range_join,
-        )
-
         bands = pa.table({
             "band": ["low", "mid", "high", "all"],
             "lo": [0.0, 150000.0, 300000.0, 0.0],
@@ -7713,10 +6671,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         shuffle). md5 is per-row Python here ONLY for DuckDB oracle
         parity; the production splitter uses the vectorized
         hash_pandas_object path (same note as docs_hash_sample)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            assign_splits,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "lang"])
         return assign_splits(docs, id_col="doc_id")
 
@@ -7727,10 +6681,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         reads footers only and recomputes exactly the missing shards.
         Returns the manifest, which the DuckDB oracle replays from the
         raw table (shard = first 8 md5 hex chars mod 8)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.shards import (
-            write_training_shards,
-        )
-
         out_dir = _kg_dir(sf_dir) + "-shards"
         return write_training_shards(
             lambda: _read(sf_dir, "documents", columns=["doc_id", "text"]),
@@ -7743,10 +6693,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         assignment is a derived column, so the streaming window
         operator is a grouped aggregate (combiner + one tiny
         exchange)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            tumbling_window_agg,
-        )
-
         ev = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
         return tumbling_window_agg(ev, ["event_type"], "ts",
                                    width_us=300_000_000, value_col="value")
@@ -7755,10 +6701,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Per-key argmax (latest event per user) — the per-batch
         combiner keeps one row per user, so the single exchange ships
         O(users) rows; (ts, event_id) totally orders a user's events."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_argmax,
-        )
-
         ev = _read(sf_dir, "events", columns=["user_id", "event_id", "ts",
                                               "event_type", "value"])
         return grouped_argmax(ev, ["user_id"], ["ts", "event_id"])
@@ -7767,10 +6709,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Gap-based session windows (1 h inactivity closes a session):
         ONE hash exchange on user_id, then a single vectorized
         lag+cumsum+groupby per partition — no per-key Python."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            gap_sessions,
-        )
-
         ev = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
         return gap_sessions(ev, key="user_id", ts_col="ts",
                             gap_seconds=3600.0, order_col="event_id")
@@ -7781,14 +6719,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         1 h time buckets — each qualifying pair is emitted by exactly
         the bucket containing its first overlap instant, so there is
         no all-pairs scan and no dedup exchange."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            gap_sessions,
-            interval_join,
-        )
-
         ev = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
         sess = gap_sessions(ev, key="user_id", ts_col="ts",
                             gap_seconds=3600.0, order_col="event_id")
@@ -7821,10 +6751,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         bottom-k by a Knuth multiplicative hash of doc_id — the
         deterministic, partition-independent, resumable form of a
         per-group reservoir; ships ≤k rows per (batch, key)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_hash_sample,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "source"])
         return grouped_hash_sample(docs, ["source"], 10, "doc_id")
 
@@ -7833,18 +6759,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         hash-randomized A-ES priorities — the deterministic form of
         weighted sampling without replacement; ships ≤k rows per
         (batch, key) through one exchange."""
-        import pyarrow.compute as _pc
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_weighted_sample,
-        )
-
         docs = _read(sf_dir, "documents",
                      columns=["doc_id", "source", "text"]).map_batches(
             lambda b: pa.table({
                 "doc_id": b.column("doc_id"),
                 "source": b.column("source"),
-                "w": _pc.add(_pc.utf8_length(b.column("text")), 1),
+                "w": pc.add(pc.utf8_length(b.column("text")), 1),
             }),
             batch_format="pyarrow")
         return grouped_weighted_sample(
@@ -7855,10 +6775,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Sessionize-enrich: every event annotated with its gap-based
         (1 h) session id — same single exchange + vectorized
         lag/cumsum as events_gap_sessions, emitting per-event rows."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            gap_sessions,
-        )
-
         ev = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
         return gap_sessions(ev, key="user_id", ts_col="ts",
                             gap_seconds=3600.0, order_col="event_id",
@@ -7871,12 +6787,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         (vectorized lag+cumsum, gap_sessions semantics) AND reduces
         each session to its verdict in the same pass — session ids are
         per-key so no second exchange exists."""
-        import pandas as pd
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         ev = _read(sf_dir, "events",
                    columns=["user_id", "ts", "event_id", "event_type"])
         gap = pd.Timedelta(seconds=3600.0)
@@ -7911,10 +6821,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         returnflag group's [p05, p95]): one (key, value) exchange for
         the O(groups) bounds table, broadcast into a vectorized clip —
         the big table is never shuffled."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_winsorize,
-        )
-
         li = _read(sf_dir, "lineitem",
                    columns=["l_returnflag", "l_extendedprice"])
         return grouped_winsorize(li, ["l_returnflag"], "l_extendedprice",
@@ -7923,10 +6829,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def lineitem_price_regression(sf_dir: str):
         """Per-group OLS (extendedprice ~ quantity) via the
         sufficient-statistics combiner — O(groups) shuffle bytes."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_regression,
-        )
-
         li = _read(sf_dir, "lineitem",
                    columns=["l_returnflag", "l_quantity", "l_extendedprice"])
         return grouped_regression(li, ["l_returnflag"], "l_quantity",
@@ -7936,10 +6838,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Zero-filled daily date spine per event_type (gap filling):
         combiner pre-counts (type, day), one exchange, vectorized
         reindex against the broadcast global day range."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            fill_gaps,
-        )
-
         ev = _read(sf_dir, "events", columns=["event_type", "ts"])
         return fill_gaps(ev, "event_type", "ts")
 
@@ -7966,9 +6864,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         kept_q = q.map_batches(gate, batch_format="pyarrow")
         # near-dup pairs over the gated subset only (join docs back in)
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            bloom_semi_join,
-        )
 
         gated_docs = bloom_semi_join(docs, kept_q, "doc_id", "doc_id")
         pairs = dd.minhash_lsh_pairs(
@@ -7995,10 +6890,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         md5('v1' || name) 16-hex tokens — identity gone, joinability
         kept (equal names map to equal tokens under the shared salt).
         Zero exchanges; the oracle replays the digest in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            pseudonymize,
-        )
-
         cust = _read(sf_dir, "customer",
                      columns=["c_custkey", "c_name", "c_mktsegment"])
         return pseudonymize(cust, ["c_name"], salt="v1")
@@ -8010,10 +6901,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         at many priorities.) Local pair dedup → one lhs-keyed
         exchange → scalar fold; the oracle recomputes the per-key
         distinct counts in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            fd_violations,
-        )
-
         return fd_violations(_read(sf_dir, "orders"),
                              "o_custkey", "o_orderpriority")
 
@@ -8024,10 +6911,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         type's own mean/std, drift allowance 0.5, flag at S > 4. The
         reflected recursion vectorizes via the Lindley cumsum/running-
         min identity, which the oracle replays with SQL windows."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            cusum_changepoints,
-        )
-
         ev = _read(sf_dir, "events", columns=["event_type", "ts"])
         return cusum_changepoints(ev, "event_type", "ts")
 
@@ -8038,10 +6921,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         observation carried forward across missing days, NULL before a
         type's first day.  The oracle is the spine LEFT JOIN with
         last_value(x IGNORE NULLS) over the same grid."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            locf_fill,
-        )
-
         ev = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
         return locf_fill(ev, "event_type", "ts", "value")
 
@@ -8049,10 +6928,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Hopping event-time windows (2 h size, 1 h hop): the overlap
         explode collapses to partial counts per batch before the one
         exchange on (type, window_start)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            hopping_window_agg,
-        )
-
         ev = _read(sf_dir, "events", columns=["event_type", "ts"])
         return hopping_window_agg(ev, ["event_type"], "ts",
                                   size_us=7_200_000_000,
@@ -8064,13 +6939,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         copartition_agg_join exchange; the HAVING filter shrinks the
         result before the customer join (one more exchange); global
         top-100 by (totalprice desc, orderkey)."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            copartition_agg_join,
-            inner_join,
-        )
-
         li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
         orders = _read(sf_dir, "orders",
                        columns=["o_orderkey", "o_custkey", "o_orderdate",
@@ -8107,10 +6975,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         vocabulary: token counts (combiner + token-keyed exchange),
         tokens ⋈ counts co-partitioned on the token, per-doc mean via a
         sufficient-stats combiner."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            unigram_logprob,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return unigram_logprob(docs)
 
@@ -8120,10 +6984,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         unigram-LM score per doc, then equal-size head/middle/tail
         NTILE(3) within each language by descending mean log-prob. The
         oracle composes the unigram-logprob SQL with a window ntile."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            ccnet_ppl_buckets,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
         return ccnet_ppl_buckets(docs)
 
@@ -8136,10 +6996,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         rest, Laplace-smoothed over the shared vocabulary. The score a
         web-scale mixer resamples the raw crawl by. Token-keyed
         exchanges only — no broadcast vocabulary."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            dsir_logratio,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
         def flag(b: pa.Table) -> pa.Table:
@@ -8160,10 +7016,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         exchange; absent-token terms folded analytically (never
         materialized); the oracle recomputes the full vocabulary × group
         grid directly in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            unigram_kl_drift,
-        )
-
         docs = _read(sf_dir, "documents", columns=["source", "text"])
         return unigram_kl_drift(docs, group_col="source")
 
@@ -8174,10 +7026,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         quote-mining grep.  Pure stateless map, zero exchanges; the
         oracle replays it with positional self-joins on
         generate_subscripts coordinates."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            phrase_matches,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return phrase_matches(docs, ["the", "group"])
 
@@ -8189,10 +7037,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         Laplace smoothing and labeled with the argmax.  TWO exchanges,
         no broadcast vocabulary; the oracle replays priors, counts,
         OOV-drop and the argmax window in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            nb_train_predict,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
         return nb_train_predict(docs)
 
@@ -8205,10 +7049,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         characterization (a shingle is selected iff no strictly smaller
         hash within w-1 to the left and no smaller-or-equal hash within
         w-1 to the right leaves room for a window)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            winnow_fingerprints,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return winnow_fingerprints(docs, k=3, w=4)
 
@@ -8220,10 +7060,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         per-document dedup.  One gram-keyed exchange emitting bounded
         per-pair partials; the oracle replays the distinct-gram
         self-join in SQL."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.dedup import (
-            source_ngram_overlap,
-        )
-
         docs = _read(sf_dir, "documents", columns=["source", "text"])
         return source_ngram_overlap(docs, n=3)
 
@@ -8234,10 +7070,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         distributed zip-with-index via order-preserving 16-bit key-range
         buckets, O(buckets) driver ints, ONE bucket-keyed exchange. The
         oracle replays the permutation with a window row_number."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.shards import (
-            global_shuffle_positions,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id"])
         return global_shuffle_positions(docs, seed=42)
 
@@ -8247,10 +7079,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         per source, drop every doc of the bottom-quartile domains.
         Combiner + one domain-keyed exchange + exact_quantile threshold
         + broadcast kept-set filter."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            domain_quality_filter,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "source", "text"])
         return domain_quality_filter(docs, domain_col="source")
 
@@ -8263,10 +7091,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         signature vectorized and undo it exactly.  The oracle states
         the fixed point: repaired text == the injected pre-corruption
         text, with the marker count replayed from character counts."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-            fix_mojibake,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def corrupt(batch: pa.Table) -> pa.Table:
@@ -8298,10 +7122,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         hash-partitioned exchange (per-partition distinct counts sum
         exactly).  The oracle recomputes every rule with SQL
         aggregates."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            validation_report,
-        )
-
         orders = _read(sf_dir, "orders",
                        columns=["o_orderkey", "o_custkey", "o_orderstatus",
                                 "o_totalprice", "o_orderpriority"])
@@ -8325,10 +7145,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         file bucket.  The oracle replays the interleave bit-for-bit
         via zorder_sql_expr; sortedness and bucket locality are pinned
         by unit tests (ordering doesn't survive a hash compare)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            zorder_sort,
-        )
-
         orders = _read(sf_dir, "orders",
                        columns=["o_orderkey", "o_custkey", "o_totalprice"])
 
@@ -8355,10 +7171,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the flattened token stream with bincount per-doc folds.  The
         oracle recomputes token and hit counts with unnest +
         conditional aggregation."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            flagged_word_ratio,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return flagged_word_ratio(docs, ["slow", "spam", "big", "junk"])
 
@@ -8369,10 +7181,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         utf-8 byte size per document.  No SQL oracle (DuckDB has no
         zlib) — rows-only driver check; semantics pinned by unit tests
         against the stdlib."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            compression_ratio,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return compression_ratio(docs)
 
@@ -8384,10 +7192,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         tagged partial rows, two tiny exchanges (text hashes
         partitioned so per-partition distinct counts sum exactly).
         The oracle recomputes every field with SQL aggregates."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            corpus_profile,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
         return corpus_profile(docs)
 
@@ -8399,10 +7203,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         Both sides count with RE2's own \\p{Script} classes (pyarrow
         and DuckDB share the regex engine), so the oracle is
         table-exact."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            script_fractions,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
         def synth(batch: pa.Table) -> pa.Table:
@@ -8430,10 +7230,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         own row); df is one token-keyed exchange over deduped
         (doc, tok) pairs; the top-k rides window_topk's per-batch
         combiner."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.textstats import (
-            tfidf_top_terms,
-        )
-
         docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
         return tfidf_top_terms(docs, k=3)
 
@@ -8444,11 +7240,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         array (np.isin probe, no join exchange); every batch folds to
         two partial sums and the global reduce is one scalar
         aggregate.  Zero exchanges."""
-        import pandas as pd
-        import pyarrow.parquet as pq
-        import ray
-        import ray.data
-
         part = pq.read_table(
             os.path.join(sf_dir, "part.parquet"),
             columns=["p_partkey", "p_type"],
@@ -8498,10 +7289,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         arrays probed with searchsorted; the whole disjunction
         evaluates vectorized inside the map and the result is one
         scalar aggregate.  Zero exchanges."""
-        import pyarrow.parquet as pq
-        import ray
-        import ray.data
-
         part = pq.read_table(
             os.path.join(sf_dir, "part.parquet"),
             columns=["p_partkey", "p_brand", "p_size"],
@@ -8562,15 +7349,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         with the filtered part dim on the partkey (exchange 1), and
         the distinct count per (brand, type, size) ships only deduped
         pairs (exchange 2)."""
-        import pyarrow.parquet as pq
-        import ray
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            distinct_count,
-            inner_join,
-        )
-
         supp = pq.read_table(
             os.path.join(sf_dir, "supplier.parquet"),
             columns=["s_suppkey", "s_acctbal"],
@@ -8609,10 +7387,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         variant buckets (perfect recall at distance 1) + vectorized
         alignment verify; three narrow exchanges, pairs stay a
         Dataset."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.dedup import (
-            edit1_fuzzy_pairs,
-        )
-
         cust = _read(sf_dir, "customer", columns=["c_name"])
         return edit1_fuzzy_pairs(cust, "c_name")
 
@@ -8626,16 +7400,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the read; ONE co-partitioned exchange on the orderkey; the
         per-priority counts fold to ≤5 rows per partition before a
         tiny final reduce."""
-        import pandas as pd
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            _copartition,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         orders = ray.data.read_parquet(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
@@ -8701,9 +7465,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         at the read (shipdate year, discount band, quantity cap, four
         columns), each batch folds to one partial sum, and the global
         reduce is a single scalar aggregate.  Zero exchanges."""
-        import pandas as pd
-        import ray.data
-
         li = ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_extendedprice", "l_discount"],
@@ -8739,16 +7500,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         exchange with the slim orders dim on the orderkey; the
         conditional split (CASE WHEN priority IN high) is a vectorized
         mask inside the partition, folding to ≤3 rows each."""
-        import pandas as pd
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            _copartition,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         orders = ray.data.read_parquet(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_orderkey", "o_orderpriority"],
@@ -8822,15 +7573,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         coalesces unmatched customers to 0 and folds straight to the
         (c_count, custdist) histogram, so only ≤ partitions × distinct
         counts rows reach the tiny final reduce."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            _copartition,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         cust = ray.data.read_parquet(
             os.path.join(sf_dir, "customer.parquet"),
             columns=["c_custkey"],
@@ -8888,15 +7630,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         table); the max is a scalar aggregate broadcast into a
         vectorized equality filter; supplier names attach via a
         broadcast searchsorted lookup — no second exchange."""
-        import pandas as pd
-        import pyarrow.parquet as pq
-        import ray
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         li = ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_suppkey", "l_extendedprice", "l_discount"],
@@ -8975,12 +7708,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         vectorized map-side filter.  Quantities are integral doubles,
         so both sums are exact and the knife-edge is deterministic
         across engines."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         li = ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_partkey", "l_quantity"],
@@ -9027,15 +7754,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         slice, and the result folds to one partial sum per partition.
         Quantities are integral doubles, so the per-part average (and
         the 0.2·avg knife-edge) is bit-identical to the SQL engine's."""
-        import pandas as pd
-        import pyarrow.parquet as pq
-        import ray
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         part = pq.read_table(
             os.path.join(sf_dir, "part.parquet"),
             columns=["p_partkey", "p_brand"],
@@ -9081,15 +7799,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         to one (part, supplier, min cost) row per batch; the per-part
         argmin (tie-break on suppkey) happens inside ONE partkey-keyed
         exchange; names attach map-side from broadcast dims."""
-        import pandas as pd
-        import pyarrow.parquet as pq
-        import ray
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         part = pq.read_table(
             os.path.join(sf_dir, "part.parquet"),
             columns=["p_partkey", "p_name", "p_size"],
@@ -9173,15 +7882,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         :func:`bloom_anti_join`, so only bloom-positive customers ever
         shuffle; the final per-country count/sum is one exchange keyed
         by the 10-value country code."""
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            bloom_anti_join,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         cust = ray.data.read_parquet(
             os.path.join(sf_dir, "customer.parquet"),
             columns=["c_custkey", "c_acctbal"],
@@ -9235,18 +7935,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         logic vectorized per partition; the per-supplier counts fold
         through a second tiny exchange and names attach map-side from
         the broadcast supplier dim."""
-        import pandas as pd
-        import pyarrow.parquet as pq
-        import ray
-        import ray.data
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            _copartition,
-        )
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         orders = ray.data.read_parquet(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_orderkey", "o_orderdate"],
@@ -9333,10 +8021,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def lineitem_unpivot_measures(sf_dir: str):
         """UNPIVOT/melt — three lineitem measures to long form; a pure
         map stage (zero exchanges) streaming at read speed."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            unpivot,
-        )
-
         li = _read(sf_dir, "lineitem",
                    columns=["l_orderkey", "l_linenumber", "l_quantity",
                             "l_extendedprice", "l_tax"])
@@ -9347,10 +8031,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """LEAD() window — each event annotated with the user's next
         event type; one user-keyed exchange (window_lead = window_lag
         with negated shift)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            window_lead,
-        )
-
         ev = _read(sf_dir, "events",
                    columns=["event_id", "user_id", "ts", "event_type"])
         return window_lead(ev, ["user_id"], "ts", "event_type",
@@ -9360,10 +8040,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """DENSE_RANK() window — order price rank within each
         priority class, ties sharing one consecutive rank; one
         exchange on the priority key."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            window_dense_rank,
-        )
-
         orders = _read(sf_dir, "orders",
                        columns=["o_orderkey", "o_orderpriority",
                                 "o_totalprice"])
@@ -9373,10 +8049,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def orders_price_rank(sf_dir: str):
         """RANK() window (ties share, gaps remain) — DENSE_RANK's
         sibling; one exchange on the priority key."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            window_rank,
-        )
-
         orders = _read(sf_dir, "orders",
                        columns=["o_orderkey", "o_orderpriority",
                                 "o_totalprice"])
@@ -9387,10 +8059,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """CUME_DIST() window — fraction of the priority class at or
         below each order's price; PERCENT_RANK's sibling, one
         exchange."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            window_cume_dist,
-        )
-
         orders = _read(sf_dir, "orders",
                        columns=["o_orderkey", "o_orderpriority",
                                 "o_totalprice"])
@@ -9400,10 +8068,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def events_first_last_value(sf_dir: str):
         """Ordered FIRST/LAST per user — each batch ships at most two
         rows per user (its local first and last), one exchange."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_first_last,
-        )
-
         ev = _read(sf_dir, "events",
                    columns=["event_id", "user_id", "ts", "value"])
         return grouped_first_last(ev, ["user_id"], ["ts", "event_id"],
@@ -9423,16 +8087,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         partition probe joins and pre-aggregates (year, volume,
         share_volume) — the final groupby folds a handful of partials
         per year."""
-        import datetime
-
-        import ray
-        import ray.data
-        from ray.data.aggregate import Sum
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            _copartition,
-        )
-
         lo = datetime.datetime(1995, 1, 1)
         hi = datetime.datetime(1997, 1, 1)
         nations = _read(sf_dir, "nation").take_all()
@@ -9475,9 +8129,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             pdf = pdf[keep]
             vol = pdf["l_extendedprice"] * (1.0 - pdf["l_discount"])
             is_share = (pdf["l_suppkey"].map(sm) == share_key)
-            import pandas as pd2
 
-            return pd2.DataFrame({
+            return pd.DataFrame({
                 "l_orderkey": pdf["l_orderkey"],
                 "vol": vol,
                 "share_vol": vol.where(is_share, 0.0),
@@ -9486,9 +8139,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         def ord_slim(pdf):
             cs = ray.get(cust_ref)
             pdf = pdf[pdf["o_custkey"].isin(cs)]
-            import pandas as pd2
 
-            return pd2.DataFrame({
+            return pd.DataFrame({
                 "o_orderkey": pdf["o_orderkey"],
                 "o_year": pdf["o_orderdate"].dt.year.astype("int64"),
             })
@@ -9545,14 +8197,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         so each amount is an exact integer of 1e-4 units: the sums are
         exact whatever the partition count, and the round to cents is
         half away from zero on the exact total."""
-        import ray
-        import ray.data
-        from ray.data.aggregate import Sum
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            _copartition,
-        )
-
         names = {n["n_nationkey"]: n["n_name"]
                  for n in _read(sf_dir, "nation").take_all()}
         part_cost = dict(
@@ -9581,9 +8225,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             pdf, cost = pdf[keep], cost[keep]
             amount = (pdf["l_extendedprice"] * (1.0 - pdf["l_discount"])
                       - 0.5 * cost * pdf["l_quantity"])
-            import pandas as pd2
 
-            return pd2.DataFrame({
+            return pd.DataFrame({
                 "l_orderkey": pdf["l_orderkey"],
                 "nation": pdf["l_suppkey"].map(sm),
                 "amount": sql_round(amount.to_numpy() * 10_000)
@@ -9591,9 +8234,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             })
 
         def ord_slim(pdf):
-            import pandas as pd2
-
-            return pd2.DataFrame({
+            return pd.DataFrame({
                 "o_orderkey": pdf["o_orderkey"],
                 "o_year": pdf["o_orderdate"].dt.year.astype("int64"),
             })
@@ -9647,12 +8288,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         supplier keys collapse to a distinct set orders of magnitude
         under the supplier table, and the ASIA supplier name map joins
         map-side."""
-        import datetime
-
-        import ray
-        import ray.data
-        from ray.data.aggregate import Sum
-
         lo = datetime.datetime(1996, 1, 1)
         hi = datetime.datetime(1997, 1, 1)
         nations = _read(sf_dir, "nation").take_all()
@@ -9718,10 +8353,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         distinct-value exchange at any scale. Rows-only check (the
         estimate is ~1.6%-error by construction; the error bound is
         pinned by tests/test_sketch_hll.py)."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            approx_count_distinct,
-        )
-
         orders = _read(sf_dir, "orders", columns=["o_custkey"])
         return approx_count_distinct(orders, ["o_custkey"], p=12)
 
@@ -9729,10 +8360,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Grouped HLL — approximate distinct event types per user in
         ONE exchange of 4 KB-per-(batch,user) sketch rows; the exact
         companion shape is `supplier_distinct_parts`°."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            approx_count_distinct,
-        )
-
         ev = _read(sf_dir, "events", columns=["user_id", "event_type"])
         return approx_count_distinct(ev, ["event_type"],
                                      keys=["user_id"], p=12)
@@ -9741,10 +8368,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Shannon entropy of each user's event-type distribution —
         per-batch (user,type) count combiner, one user-keyed exchange,
         vectorized entropy."""
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-            grouped_entropy,
-        )
-
         ev = _read(sf_dir, "events", columns=["user_id", "event_type"])
         return grouped_entropy(ev, ["user_id"], "event_type")
 
@@ -9756,12 +8379,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         instead of keep-first. One exchange on the fingerprint; each
         batch pre-truncates to its local best per fingerprint, so the
         exchange ships ≤1 row per (batch, fingerprint)."""
-        import hashlib
-
-        from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
-            grouped_apply,
-        )
-
         docs = _read(sf_dir, "documents",
                      columns=["doc_id", "text", "n_chars"])
 
@@ -10138,13 +8755,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     oracled = set(oracle_sql())
     checked: set[str] = set()
     try:
-        import glob as _glob
-        import json as _json
-        from pathlib import Path as _Path
-
-        here = _Path(__file__).resolve().parent
-        for f in sorted(_glob.glob(str(here / "CORRECTNESS_r*.json"))):
-            checked.update(_json.load(open(f)))
+        here = Path(__file__).resolve().parent
+        for f in sorted(glob.glob(str(here / "CORRECTNESS_r*.json"))):
+            checked.update(json.load(open(f)))
     except Exception:
         pass  # no prior windows → plain oracled-first order
     return {
@@ -10191,8 +8804,6 @@ _WEB_URLS_CTE = """
 def _stopword_list_sql() -> str:
     """The vendored NLTK stopword list as a DuckDB list literal (the
     stopword_ratio oracle needs the same vocabulary)."""
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.functions.tokenize import STOPWORDS
-
     return "[" + ",".join(
         "'" + w.replace("'", "''") + "'" for w in sorted(STOPWORDS)
     ) + "]"
@@ -10243,10 +8854,6 @@ _QUALITY_ORACLE = """
 
 
 def oracle_sql() -> dict[str, str]:
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.clean import (
-        PII_PATTERNS as _pii,
-    )
-
     d = {
         # html→text byte-identity: extracted text must equal the source
         # text column exactly (the north_rule per-row invariant in SQL)
@@ -13718,9 +12325,6 @@ def oracle_sql() -> dict[str, str]:
         _vr.format(col="o_orderkey", check="unique",
                    viol="count(*) - count(DISTINCT o_orderkey)"),
     ])
-    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.relational import (
-        zorder_sql_expr as _zexpr,
-    )
 
     _zk = _zexpr(["ck", "tp_bin"], 8)
     d["orders_zorder_layout"] = (

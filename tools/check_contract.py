@@ -2,12 +2,25 @@
 against oracle_sql() via DuckDB (row count + order-insensitive value
 comparison), the way the graft driver does. Usage:
 
-    python tools/check_contract.py [sf_dir]
+    python tools/check_contract.py [sf_dir] [--results FILE] [--chunk N]
+
+The entries run in chunks of ``N``, each in a fresh subprocess with its
+own Ray session (one long session can abort inside Ray). Every entry
+appends one JSON line to the results file (default
+``.check_contract/<sf>.jsonl``): its status, row count, wall seconds and
+a digest of its canonical rows. A rerun skips the entries already
+recorded, so a killed run resumes where it stopped; delete the file to
+start over. Two results files (say, of two checkouts) compare entry by
+entry on ``digest``.
 """
 
 from __future__ import annotations
 
+import argparse
+import hashlib
+import json
 import os
+import subprocess
 import sys
 import time
 
@@ -18,6 +31,10 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
+ENTRY = "entry()"
+STARTED = "STARTED"
+# exit code of a worker that ran its chunk and left entries pending
+MORE = 3
 
 
 def to_pandas(res) -> pd.DataFrame:
@@ -36,8 +53,72 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(by=list(df.columns)).reset_index(drop=True)
 
 
-def main() -> None:
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
+def digest(df: pd.DataFrame) -> str:
+    """Hash of a canonical frame's column names and cell values (floats
+    bit for bit; ints of any width hash alike)."""
+    h = hashlib.blake2b(digest_size=16)
+    for c in df.columns:
+        h.update(str(c).encode() + b"\0")
+        try:
+            v = pd.util.hash_pandas_object(df[c], index=False).to_numpy()
+        except TypeError:  # unhashable cells (lists, arrays)
+            v = df[c].map(repr).to_numpy().astype(str)
+        h.update(v.tobytes())
+    return h.hexdigest()
+
+
+def check(name: str, fn, sf_dir: str, con, sqls: dict) -> dict:
+    """Run one entry and compare it with its oracle, if it has one."""
+    t0 = time.time()
+    try:
+        got = canon(to_pandas(fn(sf_dir)))
+    except Exception as e:  # noqa: BLE001
+        return {"status": f"RAY ERROR {type(e).__name__}: {e}"[:2000],
+                "seconds": round(time.time() - t0, 3)}
+    rec = {"rows": len(got), "digest": digest(got),
+           "seconds": round(time.time() - t0, 3)}
+    if name not in sqls:
+        return {"status": "rows-only", **rec}
+    want = canon(con.sql(sqls[name]).df())
+    status = "OK"
+    if len(got) != len(want):
+        status = f"ROWCOUNT {len(got)} vs {len(want)}"
+    elif list(got.columns) != list(want.columns):
+        status = f"COLS {list(got.columns)} vs {list(want.columns)}"
+    else:
+        try:
+            pd.testing.assert_frame_equal(
+                got, want, check_dtype=False, check_exact=False, rtol=1e-9
+            )
+        except AssertionError as e:
+            status = "VALUES differ: " + str(e).split("\n")[0]
+    return {"status": status, **rec}
+
+
+def load(path: str) -> tuple[dict, dict]:
+    """(final record per entry, STARTED count per entry) of a results file."""
+    final, started = {}, {}
+    if os.path.exists(path):
+        with open(path) as f:
+            for line in f:
+                try:
+                    r = json.loads(line)
+                except json.JSONDecodeError:  # a line cut by a crash
+                    continue
+                if r["status"] == STARTED:
+                    started[r["name"]] = started.get(r["name"], 0) + 1
+                else:
+                    final[r["name"]] = r
+    return final, started
+
+
+def append(path: str, rec: dict) -> None:
+    with open(path, "a") as f:
+        f.write(json.dumps(rec) + "\n")
+
+
+def worker(sf_dir: str, path: str, chunk: int) -> int:
+    """Run up to ``chunk`` unrecorded entries in one Ray session."""
     import ray
 
     ray.init(address="local", num_cpus=8, include_dashboard=False,
@@ -48,47 +129,75 @@ def main() -> None:
 
     import __ray_entry__ as E
 
-    t0 = time.time()
-    res = E.entry()
-    n = res.count() if hasattr(res, "count") else len(res)
-    print(f"entry(): {n} rows in {time.time()-t0:.1f}s")
-
     con = duckdb.connect()
     for t in TABLES:
         con.execute(
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
         )
-
     qs, sqls = E.queries(), E.oracle_sql()
-    failures = []
-    for name, fn in qs.items():
-        t0 = time.time()
-        try:
-            got = canon(to_pandas(fn(sf_dir)))
-        except Exception as e:  # noqa: BLE001
-            failures.append((name, f"RAY ERROR {type(e).__name__}: {e}"))
-            print(f"  {name}: RAY ERROR {e}")
-            continue
-        dt = time.time() - t0
-        if name not in sqls:
-            print(f"  {name}: rows-only {len(got)} rows ({dt:.1f}s)")
-            continue
-        want = canon(con.sql(sqls[name]).df())
-        status = "OK"
-        if len(got) != len(want):
-            status = f"ROWCOUNT {len(got)} vs {len(want)}"
-        elif list(got.columns) != list(want.columns):
-            status = f"COLS {list(got.columns)} vs {list(want.columns)}"
+    done, _ = load(path)
+    pending = [n for n in [ENTRY, *qs] if n not in done]
+    for name in pending[:chunk]:
+        append(path, {"name": name, "status": STARTED})
+        if name == ENTRY:
+            t0 = time.time()
+            res = E.entry()
+            n = res.count() if hasattr(res, "count") else len(res)
+            rec = {"status": "rows-only", "rows": n,
+                   "seconds": round(time.time() - t0, 3)}
         else:
-            try:
-                pd.testing.assert_frame_equal(
-                    got, want, check_dtype=False, check_exact=False, rtol=1e-9
-                )
-            except AssertionError as e:
-                status = "VALUES differ: " + str(e).split("\n")[0]
-        if status != "OK":
-            failures.append((name, status))
-        print(f"  {name}: {status} ({len(got)} rows, {dt:.1f}s)")
+            rec = check(name, qs[name], sf_dir, con, sqls)
+        append(path, {"name": name, **rec})
+        print(f"  {name}: {rec['status'][:300]} "
+              f"({rec.get('rows', '-')} rows, {rec['seconds']:.1f}s)", flush=True)
+    ray.shutdown()
+    return MORE if len(pending) > chunk else 0
+
+
+def run(sf_dir: str, path: str, chunk: int) -> int:
+    """Start workers until every entry is recorded; an entry whose
+    session died twice before recording it is recorded as a crash."""
+    while True:
+        before, _ = load(path)
+        r = subprocess.run([sys.executable, os.path.abspath(__file__), sf_dir,
+                            "--results", path, "--chunk", str(chunk),
+                            "--worker"])
+        if r.returncode == 0:
+            return 0
+        if r.returncode == MORE:
+            continue
+        after, started = load(path)
+        lost = [n for n, k in started.items() if n not in after]
+        if len(after) == len(before) and not lost:
+            return r.returncode  # died before its first entry
+        for name in lost:
+            if started[name] >= 2:
+                append(path, {"name": name,
+                              "status": f"SESSION CRASH (exit {r.returncode})"})
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.01")
+    ap.add_argument("--results", default=None)
+    ap.add_argument("--chunk", type=int, default=40)
+    ap.add_argument("--worker", action="store_true")
+    args = ap.parse_args()
+    sf_dir = args.sf_dir.rstrip("/")
+    path = args.results or os.path.join(
+        ".check_contract", os.path.basename(sf_dir) + ".jsonl")
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    if args.worker:
+        sys.exit(worker(sf_dir, path, args.chunk))
+    rc = run(sf_dir, path, args.chunk)
+    if rc:
+        print(f"worker failed (exit {rc}) before recording an entry")
+        sys.exit(rc)
+
+    records, _ = load(path)
+    failures = [(n, r["status"]) for n, r in records.items()
+                if r["status"] not in ("OK", "rows-only")]
+    print(f"{len(records)} entries recorded in {path}")
 
     # Cross-table invariant audit of the KG checkpoints this run built
     # (VERDICT r4 task 7): the conservation-law class of check that
@@ -96,6 +205,8 @@ def main() -> None:
     # covers combiner bugs that only fire at batch boundaries, so the
     # audit is part of every contract run, not a one-off.
     from check_invariants import main as invariants_main
+
+    import __ray_entry__ as E
 
     kg_dir = E._kg_dir(sf_dir)
     if os.path.isdir(kg_dir):
@@ -109,7 +220,6 @@ def main() -> None:
     print("\nFAILURES:", len(failures))
     for name, why in failures:
         print(" ", name, "->", why[:300])
-    ray.shutdown()
     sys.exit(1 if failures else 0)
 
 

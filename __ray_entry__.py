@@ -156,6 +156,9 @@ from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import grouped_apply
 from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.termindex import (
     ensure_term_index,
 )
+from nlp_graphrag_with_qdrant_and_neo4j_ray.state.broadcast import (
+    broadcast_lookup, lookup_batch,
+)
 from nlp_graphrag_with_qdrant_and_neo4j_ray.state.checkpoint import (
     checkpointed, rows_at_most,
 )
@@ -171,11 +174,38 @@ _NATIVE_JOIN_PARTITIONS = 8
 # helpers
 # --------------------------------------------------------------------------
 
-def _read(sf_dir: str, table: str, columns: list[str] | None = None):
-    """``<table>.parquet`` of ``sf_dir``; ``columns`` projects in the
-    read itself, so the Dataset keeps its footer row count."""
+def _read(sf_dir: str, table: str, columns: list[str] | None = None,
+          filter: pc.Expression | None = None):
+    """``<table>.parquet`` of ``sf_dir``; ``columns`` projects and
+    ``filter`` prunes in the read itself, so the Dataset keeps its footer
+    row count."""
     return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
-                                 columns=columns)
+                                 columns=columns, filter=filter)
+
+
+def _dim(sf_dir: str, table: str, columns: list[str],
+         filter: pc.Expression | None = None) -> pa.Table:
+    """A small ``<table>.parquet`` read on the driver, for
+    ``broadcast_lookup``."""
+    return pq.read_table(os.path.join(sf_dir, f"{table}.parquet"),
+                         columns=columns, filters=filter)
+
+
+def _table(ds) -> pa.Table:
+    """A small Dataset gathered on the driver (empty blocks carry no
+    schema and are skipped)."""
+    return pa.concat_tables([t for t in ray.get(ds.to_arrow_refs())
+                             if t.num_columns])
+
+
+def _asia_nations(sf_dir: str) -> pa.Table:
+    """``n_nationkey, n_name`` of the nations in region ASIA."""
+    asia = _dim(sf_dir, "region", ["r_regionkey"],
+                filter=pc.field("r_name") == "ASIA")
+    return _table(broadcast_lookup(
+        _read(sf_dir, "nation", columns=["n_nationkey", "n_name",
+                                         "n_regionkey"]),
+        asia, "n_regionkey", "r_regionkey", []))
 
 
 def _kg_dir(sf_dir: str) -> str:
@@ -1852,16 +1882,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         verified-truth checkpoint `simhash_vs_jaccard_eval` reuses."""
         return _truth_pairs(sf_dir)
 
-    def docs_jaccard_exact_pairs(sf_dir: str):
-        """EXACT all-pairs char-3-gram Jaccard ≥ 0.5 — the recall-1.0
-        text baseline next to the LSH detectors (the text analogue of
-        exact_cosine_pairs), SQL-oracled. Distribution: gram-keyed
-        exchange — |A∩B| is the per-(a,b) count of shared grams, so no
-        n² driver loop; per-doc gram-set sizes broadcast. Skew
-        contract: a gram shared by d docs contributes d(d-1)/2 pair
-        rows in its partition — bounded here by the 200-doc subset
-        (the unbounded variant needs stop-gram pruning, the same
-        contract as the LSH bucket caps)."""
+    def _gram_pairs(sf_dir: str):
+        """``doc_a < doc_b, c, na, nb`` over the first 200 documents:
+        ``c`` distinct char 3-grams shared, ``na`` / ``nb`` each doc's
+        distinct 3-grams. Gram-keyed exchange — |A∩B| is the per-(a,b)
+        count of shared grams, so no n² driver loop; the per-doc sizes
+        join by broadcast lookup. Skew contract: a gram shared by d
+        docs contributes d(d-1)/2 pair rows in its partition — bounded
+        here by the 200-doc subset (the unbounded variant needs
+        stop-gram pruning, the same contract as the LSH bucket
+        caps)."""
         docs = (_read(sf_dir, "documents", columns=["doc_id", "text"])
                 .sort("doc_id").limit(200))
 
@@ -1879,9 +1909,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                              "gram": pa.array(out, pa.string())})
 
         gram_ds = docs.map_batches(grams, batch_format="pyarrow")
-        sizes = {r["doc_id"]: r["count()"] for r in
-                 gram_ds.groupby("doc_id").count().take_all()}
-        sizes_ref = ray.put(sizes)
+        sizes = _table(gram_ds.groupby("doc_id").count())
 
         def pair_counts(pdf) -> Any:
             j = pdf.merge(pdf, on="gram")
@@ -1891,22 +1919,33 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     .rename(columns={"doc_id_x": "doc_a",
                                      "doc_id_y": "doc_b"}))
 
+        def pair_sum(pdf) -> Any:
+            return (pdf.groupby(["doc_a", "doc_b"], sort=False)["c"]
+                    .sum().reset_index())
+
         inter = grouped_apply(gram_ds, ["gram"], pair_counts,
                               batch_format="pandas")
+        pairs = grouped_apply(inter, ["doc_a", "doc_b"], pair_sum,
+                              batch_format="pandas")
+        for side, n in (("doc_a", "na"), ("doc_b", "nb")):
+            pairs = broadcast_lookup(pairs, sizes.rename_columns(
+                ["doc_id", n]), side, "doc_id", [n])
+        return pairs
+
+    def docs_jaccard_exact_pairs(sf_dir: str):
+        """EXACT all-pairs char-3-gram Jaccard ≥ 0.5 — the recall-1.0
+        text baseline next to the LSH detectors (the text analogue of
+        exact_cosine_pairs), SQL-oracled; pairs from ``_gram_pairs``."""
 
         def finish(pdf) -> Any:
-            s = ray.get(sizes_ref)
-            g = pdf.groupby(["doc_a", "doc_b"], sort=False)["c"].sum().reset_index()
-            na = g["doc_a"].map(s).to_numpy()
-            nb = g["doc_b"].map(s).to_numpy()
-            c = g["c"].to_numpy()
-            jac = c / (na + nb - c)
+            c = pdf["c"].to_numpy()
+            jac = c / (pdf["na"].to_numpy() + pdf["nb"].to_numpy() - c)
             keep = jac >= 0.5  # filter on the UNROUNDED value (as SQL)
-            g["jaccard"] = sql_round(jac, 6)
-            return g[keep][["doc_a", "doc_b", "jaccard"]]
+            pdf["jaccard"] = sql_round(jac, 6)
+            return pdf[keep][["doc_a", "doc_b", "jaccard"]]
 
-        return grouped_apply(inter, ["doc_a", "doc_b"], finish,
-                             batch_format="pandas").sort(["doc_a", "doc_b"])
+        return _gram_pairs(sf_dir).map_batches(
+            finish, batch_format="pandas").sort(["doc_a", "doc_b"])
 
     def docs_containment_pairs(sf_dir: str):
         """EXACT all-pairs char-3-gram CONTAINMENT ≥ 0.8 — the
@@ -1918,51 +1957,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         baseline + gram-keyed exchange as docs_jaccard_exact_pairs;
         the production path pairs a MinHash candidate generator with
         this as the verifier."""
-        docs = (_read(sf_dir, "documents", columns=["doc_id", "text"])
-                .sort("doc_id").limit(200))
-
-        def grams(batch: pa.Table) -> pa.Table:
-            ids, out = [], []
-            for did, txt in zip(batch.column("doc_id").to_pylist(),
-                                batch.column("text").to_pylist()):
-                t = (txt or "").lower()
-                gs = {t[i:i + 3] for i in range(max(len(t) - 2, 0))}
-                ids.extend([did] * len(gs))
-                out.extend(gs)
-            return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                             "gram": pa.array(out, pa.string())})
-
-        gram_ds = docs.map_batches(grams, batch_format="pyarrow")
-        sizes = {r["doc_id"]: r["count()"] for r in
-                 gram_ds.groupby("doc_id").count().take_all()}
-        sizes_ref = ray.put(sizes)
-
-        def pair_counts(pdf) -> Any:
-            j = pdf.merge(pdf, on="gram")
-            j = j[j["doc_id_x"] < j["doc_id_y"]]
-            return (j.groupby(["doc_id_x", "doc_id_y"], sort=False)
-                    .size().reset_index(name="c")
-                    .rename(columns={"doc_id_x": "doc_a",
-                                     "doc_id_y": "doc_b"}))
-
-        inter = grouped_apply(gram_ds, ["gram"], pair_counts,
-                              batch_format="pandas")
 
         def finish(pdf) -> Any:
-            s = ray.get(sizes_ref)
-            g = (pdf.groupby(["doc_a", "doc_b"], sort=False)["c"]
-                 .sum().reset_index())
-            na = g["doc_a"].map(s).to_numpy()
-            nb = g["doc_b"].map(s).to_numpy()
-            c = g["c"].to_numpy()
-            cont = c / np.minimum(na, nb)
+            c = pdf["c"].to_numpy()
+            cont = c / np.minimum(pdf["na"].to_numpy(), pdf["nb"].to_numpy())
             keep = cont >= 0.8  # filter on the UNROUNDED value (as SQL)
-            g["containment"] = sql_round(cont, 6)
-            return g[keep][["doc_a", "doc_b", "containment"]]
+            pdf["containment"] = sql_round(cont, 6)
+            return pdf[keep][["doc_a", "doc_b", "containment"]]
 
-        return grouped_apply(inter, ["doc_a", "doc_b"], finish,
-                             batch_format="pandas").sort(
-            ["doc_a", "doc_b"])
+        return _gram_pairs(sf_dir).map_batches(
+            finish, batch_format="pandas").sort(["doc_a", "doc_b"])
 
     def embedding_cosine_exact_pairs(sf_dir: str):
         """EXACT all-pairs cosine ≥ 0.4 over the embeddings table — the
@@ -2664,25 +2668,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         is order-independent and the ranking/oracle comparison is
         exact by construction — no float-summation-order boundary
         flips."""
-        brand = dict(
-            ray.data.read_parquet(
-                os.path.join(sf_dir, "part.parquet"),
-                columns=["p_partkey", "p_brand"],
-            ).to_pandas().itertuples(index=False, name=None)
-        )
-        brand_ref = ray.put(brand)
+        part = _dim(sf_dir, "part", ["p_partkey", "p_brand"])
+        li = _read(sf_dir, "lineitem",
+                   columns=["l_partkey", "l_extendedprice", "l_discount"])
 
         def combine(pdf):
-            bm = ray.get(brand_ref)
             rev = (pdf["l_extendedprice"]
                    * (1.0 - pdf["l_discount"]) * 100.0)
-            cents = sql_round(rev).astype(np.int64)
-            out = pd.DataFrame({
-                "p_brand": pdf["l_partkey"].map(bm),
-                "l_partkey": pdf["l_partkey"],
-                "revenue_cents": cents,
-            })
-            return out.groupby(["p_brand", "l_partkey"], sort=False,
+            pdf["revenue_cents"] = sql_round(rev).astype(np.int64)
+            return pdf.groupby(["p_brand", "l_partkey"], sort=False,
                                as_index=False)["revenue_cents"].sum()
 
         def reduce_(pdf):
@@ -2690,10 +2684,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                as_index=False)["revenue_cents"].sum()
 
         summed = grouped_apply(
-            ray.data.read_parquet(
-                os.path.join(sf_dir, "lineitem.parquet"),
-                columns=["l_partkey", "l_extendedprice", "l_discount"],
-            ).map_batches(combine, batch_format="pandas"),
+            broadcast_lookup(li, part, "l_partkey", "p_partkey", ["p_brand"])
+            .map_batches(combine, batch_format="pandas"),
             ["p_brand", "l_partkey"], reduce_,
             batch_format="pandas",
         )  # grouped_apply, not the slow native string-key Aggregate
@@ -2951,21 +2943,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def nation_region_counts(sf_dir: str):
         """Broadcast dimension join nation ⋈ region → counts per region."""
-        regions = {
-            r["r_regionkey"]: r["r_name"] for r in _read(sf_dir, "region").take_all()
-        }
-        ref = ray.put(regions)
-
-        def join(batch: pa.Table) -> pa.Table:
-            names = ray.get(ref)
-            keys = batch.column("n_regionkey").to_pandas()
-            return batch.append_column(
-                "r_name", pa.array(keys.map(names), pa.string())
-            )
-
+        region = _dim(sf_dir, "region", ["r_regionkey", "r_name"])
         return (
-            _read(sf_dir, "nation")
-            .map_batches(join, batch_format="pyarrow")
+            broadcast_lookup(_read(sf_dir, "nation"), region, "n_regionkey",
+                             "r_regionkey", ["r_name"], how="left")
             .groupby("r_name")
             .aggregate(Count(alias_name="n_nations"))
         )
@@ -3025,21 +3006,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def supplier_nation_join(sf_dir: str):
         """Second broadcast-dim join shape: supplier ⋈ nation → totals."""
-        nations = {
-            r["n_nationkey"]: r["n_name"] for r in _read(sf_dir, "nation").take_all()
-        }
-        ref = ray.put(nations)
-
-        def join(batch: pa.Table) -> pa.Table:
-            lut = ray.get(ref)
-            keys = batch.column("s_nationkey").to_pandas()
-            return batch.append_column(
-                "n_name", pa.array(keys.map(lut), pa.string())
-            )
-
+        nation = _dim(sf_dir, "nation", ["n_nationkey", "n_name"])
         agg = (
-            _read(sf_dir, "supplier")
-            .map_batches(join, batch_format="pyarrow")
+            broadcast_lookup(_read(sf_dir, "supplier"), nation, "s_nationkey",
+                             "n_nationkey", ["n_name"], how="left")
             .groupby("n_name")
             .aggregate(Count(alias_name="n_suppliers"),
                        Sum("s_acctbal", alias_name="total_acctbal"))
@@ -3101,16 +3071,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ds = _read(sf_dir, "supplier", columns=["s_suppkey", "s_acctbal"])
         bounds = ds.aggregate(Min("s_acctbal"), Max("s_acctbal"))
         lo, hi = bounds["min(s_acctbal)"], bounds["max(s_acctbal)"]
-        ref = ray.put((lo, hi))
 
         def norm(batch: pa.Table) -> pa.Table:
-            lo_, hi_ = ray.get(ref)
             v = batch.column("s_acctbal")
-            if hi_ == lo_:
+            if hi == lo:
                 normed = pc.multiply(pc.subtract(v, v), 0.0)
             else:
-                normed = pc.divide(pc.subtract(v, pa.scalar(lo_)),
-                                   pa.scalar(hi_ - lo_))
+                normed = pc.divide(pc.subtract(v, pa.scalar(lo)),
+                                   pa.scalar(hi - lo))
             return pa.table(
                 {
                     "s_suppkey": batch.column("s_suppkey"),
@@ -4585,73 +4553,32 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def q7_nation_volume(sf_dir: str):
         """TPC-H Q7 shape — cross-nation trade volume by year between
-        NATION_0 and NATION_1: supplier and customer nation maps
-        (filtered to the two nations) broadcast; lineitem prunes at
-        the read (shipdate window) and pre-aggregates per (orderkey,
-        supp_nation, year); ONE big-big fused aggregate⋈join exchange
-        with orders; the customer-nation lookup and the opposite-
-        nation filter run map-side; a final tiny exchange groups by
-        (supp_nation, cust_nation, year)."""
-        nat = pq.read_table(
-            os.path.join(sf_dir, "nation.parquet"),
-            columns=["n_nationkey", "n_name"],
-        )
-        keys = {
-            n: k for k, n in zip(
-                nat.column("n_nationkey").to_pylist(),
-                nat.column("n_name").to_pylist(),
-            ) if n in ("NATION_3", "NATION_8")
-        }
-        nat_ids = {v: k for k, v in keys.items()}  # nationkey -> name
-        supp = pq.read_table(
-            os.path.join(sf_dir, "supplier.parquet"),
-            columns=["s_suppkey", "s_nationkey"],
-        )
-        smap = {
-            s: n for s, n in zip(
-                supp.column("s_suppkey").to_pylist(),
-                supp.column("s_nationkey").to_pylist(),
-            ) if n in nat_ids
-        }
-        cust = pq.read_table(
-            os.path.join(sf_dir, "customer.parquet"),
-            columns=["c_custkey", "c_nationkey"],
-        )
-        cmap = {
-            c: n for c, n in zip(
-                cust.column("c_custkey").to_pylist(),
-                cust.column("c_nationkey").to_pylist(),
-            ) if n in nat_ids
-        }
-        smap_ref = ray.put(smap)
-        cmap_ref = ray.put(cmap)
+        NATION_3 and NATION_8: supplier and customer nations (filtered
+        to the two nations) are broadcast lookups; lineitem prunes at
+        the read (shipdate window), keeps the two nations' suppliers and
+        pre-aggregates per (orderkey, supp_nation, year); orders keep
+        the two nations' customers; ONE big-big fused aggregate⋈join
+        exchange runs the opposite-nation filter; a final tiny exchange
+        groups by (supp_nation, cust_nation, year)."""
+        nat = _dim(sf_dir, "nation", ["n_nationkey", "n_name"],
+                   filter=pc.field("n_name").isin(["NATION_3", "NATION_8"]))
+        keys = nat.column("n_nationkey").to_pylist()
+        supp = _dim(sf_dir, "supplier", ["s_suppkey", "s_nationkey"],
+                    filter=pc.field("s_nationkey").isin(keys))
+        cust = _dim(sf_dir, "customer", ["c_custkey", "c_nationkey"],
+                    filter=pc.field("c_nationkey").isin(keys))
 
-        li = ray.data.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"),
-            columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                     "l_discount", "l_shipdate"],
-            filter=(
-                (pc.field("l_shipdate")
-                 >= pa.scalar(pd.Timestamp("1996-01-01")))
-                & (pc.field("l_shipdate")
-                   < pa.scalar(pd.Timestamp("1999-01-01")))
-            ),
-        )
+        li = broadcast_lookup(
+            _read(sf_dir, "lineitem",
+                  columns=["l_orderkey", "l_suppkey", "l_extendedprice",
+                           "l_discount", "l_shipdate"],
+                  filter=((pc.field("l_shipdate")
+                           >= pa.scalar(pd.Timestamp("1996-01-01")))
+                          & (pc.field("l_shipdate")
+                             < pa.scalar(pd.Timestamp("1999-01-01"))))),
+            supp, "l_suppkey", "s_suppkey", ["s_nationkey"])
 
         def li_partial(batch: pa.Table) -> pa.Table:
-            sm = ray.get(smap_ref)
-            sk = batch.column("l_suppkey").to_numpy(zero_copy_only=False)
-            nat_arr = np.array([sm.get(int(s), -1) for s in sk],
-                               np.int64)
-            m = nat_arr >= 0
-            batch = batch.filter(pa.array(m))
-            if batch.num_rows == 0:
-                return pa.table({
-                    "l_orderkey": pa.array([], pa.int64()),
-                    "s_nat": pa.array([], pa.int64()),
-                    "l_year": pa.array([], pa.int64()),
-                    "vol": pa.array([], pa.float64()),
-                })
             year = pc.year(batch.column("l_shipdate"))
             vol = pc.multiply(
                 batch.column("l_extendedprice"),
@@ -4659,7 +4586,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             )
             t = pa.table({
                 "l_orderkey": batch.column("l_orderkey"),
-                "s_nat": pa.array(nat_arr[m]),
+                "s_nat": pc.cast(batch.column("s_nationkey"), pa.int64()),
                 "l_year": pc.cast(year, pa.int64()),
                 "vol": vol,
             })
@@ -4671,18 +4598,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
             )
 
         fact = li.map_batches(li_partial, batch_format="pyarrow")
-
-        orders = ray.data.read_parquet(
-            os.path.join(sf_dir, "orders.parquet"),
-            columns=["o_orderkey", "o_custkey"],
-        )
+        orders = broadcast_lookup(
+            _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"]),
+            cust, "o_custkey", "c_custkey", ["c_nationkey"])
 
         _S = "__side"
         usch = pa.schema([
             pa.field(_S, pa.int8()), pa.field("k", pa.int64()),
             pa.field("s_nat", pa.int64()), pa.field("l_year", pa.int64()),
             pa.field("vol", pa.float64()),
-            pa.field("o_custkey", pa.int64()),
+            pa.field("c_nat", pa.int64()),
         ])
 
         def tag_fact(b: pa.Table) -> pa.Table:
@@ -4692,7 +4617,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "s_nat": b.column("s_nat"),
                 "l_year": b.column("l_year"),
                 "vol": b.column("vol"),
-                "o_custkey": pa.nulls(b.num_rows, pa.int64()),
+                "c_nat": pa.nulls(b.num_rows, pa.int64()),
             }, schema=usch)
 
         def tag_ord(b: pa.Table) -> pa.Table:
@@ -4702,13 +4627,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "k": b.column("o_orderkey"),
                 "s_nat": z, "l_year": z,
                 "vol": pa.nulls(b.num_rows, pa.float64()),
-                "o_custkey": b.column("o_custkey"),
+                "c_nat": pc.cast(b.column("c_nationkey"), pa.int64()),
             }, schema=usch)
 
         def probe(t: pa.Table) -> pa.Table:
             pdf = t.to_pandas()
             f = pdf[pdf[_S] == 0]
-            o = pdf[pdf[_S] == 1][["k", "o_custkey"]]
+            o = pdf[pdf[_S] == 1][["k", "c_nat"]]
             if len(f) == 0 or len(o) == 0:
                 return pa.table({
                     "s_nat": pa.array([], pa.int64()),
@@ -4716,17 +4641,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     "l_year": pa.array([], pa.int64()),
                     "vol": pa.array([], pa.float64()),
                 })
-            cm = ray.get(cmap_ref)
             m = f.merge(o, on="k", how="inner",
                         suffixes=("", "_o"))
-            cnat = np.array([
-                cm.get(int(c), -1) for c in m["o_custkey_o"]
-            ], np.int64)
-            keep = (cnat >= 0) & (cnat != m["s_nat"].to_numpy())
-            m = m[keep]
+            m = m[m["c_nat_o"] != m["s_nat"]]
             out = pd.DataFrame({
                 "s_nat": m["s_nat"].to_numpy(np.int64),
-                "c_nat": cnat[keep],
+                "c_nat": m["c_nat_o"].to_numpy(np.int64),
                 "l_year": m["l_year"].to_numpy(np.int64),
                 "vol": m["vol"].to_numpy(np.float64),
             })
@@ -4739,7 +4659,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         partials = grouped_apply(unioned, ["k"], probe,
                                  batch_format="pyarrow")
 
-        names = {k: v for k, v in nat_ids.items()}
+        names = dict(zip(nat.column("n_nationkey").to_pylist(),
+                         nat.column("n_name").to_pylist()))
 
         def final(t: pa.Table) -> pa.Table:
             pdf = t.to_pandas()
@@ -6140,28 +6061,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Per-group ORDERED string_agg: nations per region name, the
         region dim broadcast into the map side, concat pinned by a full
         per-group sort after one exchange."""
-        regions = {
-            r["r_regionkey"]: r["r_name"]
-            for r in _read(sf_dir, "region").take_all()
-        }
-        ref = ray.put(regions)
-
-        def attach(batch: pa.Table) -> pa.Table:
-            rmap = ray.get(ref)
-            return pa.table(
-                {
-                    "r_name": pa.array(
-                        [rmap[k] for k in
-                         batch.column("n_regionkey").to_pylist()],
-                        pa.string(),
-                    ),
-                    "n_name": batch.column("n_name"),
-                }
-            )
-
-        nat = _read(sf_dir, "nation").map_batches(
-            attach, batch_format="pyarrow"
-        )
+        region = _dim(sf_dir, "region", ["r_regionkey", "r_name"])
+        nat = broadcast_lookup(
+            _read(sf_dir, "nation", columns=["n_regionkey", "n_name"]),
+            region, "n_regionkey", "r_regionkey", ["r_name"])
         return grouped_concat(nat, ["r_name"], "n_name", "n_name",
                               "nations")
 
@@ -6303,9 +6206,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
     def q5_nation_volume(sf_dir: str):
-        """TPC-H Q5 shape — six tables: region/nation/supplier/customer
-        are broadcast maps built from column-pruned reads (each ≤ the
-        supplier table, orders of magnitude under the fact tables; the
+        """TPC-H Q5 shape — six tables: supplier and customer, pruned to
+        the ASIA nations, are broadcast lookups (each ≤ the supplier
+        table, orders of magnitude under the fact tables; the
         co-partitioned path takes over when a dim outgrows a broadcast,
         as q3 demonstrates for customer); lineitem and orders are pruned
         to ASIA rows BEFORE the single big-big co-partition exchange on
@@ -6314,63 +6217,40 @@ def queries() -> dict[str, Callable[[str], Any]]:
         per nation — the final groupby sums a handful of partials."""
         lo = datetime.datetime(1996, 1, 1)
         hi = datetime.datetime(1999, 1, 1)
-        nations = _read(sf_dir, "nation").take_all()
-        regions = {r["r_regionkey"]: r["r_name"]
-                   for r in _read(sf_dir, "region").take_all()}
-        asia = {n["n_nationkey"] for n in nations
-                if regions[n["n_regionkey"]] == "ASIA"}
-        names = {n["n_nationkey"]: n["n_name"] for n in nations}
-        supp = {
-            r["s_suppkey"]: r["s_nationkey"]
-            for r in ray.data.read_parquet(
-                os.path.join(sf_dir, "supplier.parquet"),
-                columns=["s_suppkey", "s_nationkey"],
-            ).take_all()
-            if r["s_nationkey"] in asia
-        }
-        cust = {
-            r["c_custkey"]: r["c_nationkey"]
-            for r in ray.data.read_parquet(
-                os.path.join(sf_dir, "customer.parquet"),
-                columns=["c_custkey", "c_nationkey"],
-            ).take_all()
-            if r["c_nationkey"] in asia
-        }
-        supp_ref, cust_ref = ray.put(supp), ray.put(cust)
+        asia = _asia_nations(sf_dir)
+        keys = asia.column("n_nationkey").to_pylist()
+        supp = _dim(sf_dir, "supplier", ["s_suppkey", "s_nationkey"],
+                    filter=pc.field("s_nationkey").isin(keys))
+        cust = _dim(sf_dir, "customer", ["c_custkey", "c_nationkey"],
+                    filter=pc.field("c_nationkey").isin(keys))
 
-        def li_slim(pdf):
-            smap = ray.get(supp_ref)
-            nat = pdf["l_suppkey"].map(smap)
-            keep = nat.notna()
-
-            return pd.DataFrame({
-                "l_orderkey": pdf["l_orderkey"][keep],
-                "s_nat": nat[keep].astype("int64"),
-                "rev": (pdf["l_extendedprice"][keep]
-                        * (1.0 - pdf["l_discount"][keep])),
+        def li_slim(b: pa.Table) -> pa.Table:
+            return pa.table({
+                "l_orderkey": b.column("l_orderkey"),
+                "s_nat": pc.cast(b.column("s_nationkey"), pa.int64()),
+                "rev": pc.multiply(b.column("l_extendedprice"),
+                                   pc.subtract(1.0, b.column("l_discount"))),
             })
 
-        def ord_slim(pdf):
-            cmap = ray.get(cust_ref)
-            nat = pdf["o_custkey"].map(cmap)
-            keep = nat.notna()
-
-            return pd.DataFrame({
-                "o_orderkey": pdf["o_orderkey"][keep],
-                "c_nat": nat[keep].astype("int64"),
+        def ord_slim(b: pa.Table) -> pa.Table:
+            return pa.table({
+                "o_orderkey": b.column("o_orderkey"),
+                "c_nat": pc.cast(b.column("c_nationkey"), pa.int64()),
             })
 
-        li = ray.data.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"),
-            columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                     "l_discount"],
-        ).map_batches(li_slim, batch_format="pandas")
-        orders = ray.data.read_parquet(
-            os.path.join(sf_dir, "orders.parquet"),
-            columns=["o_orderkey", "o_custkey", "o_orderdate"],
-            filter=((pc.field("o_orderdate") >= lo)
-                    & (pc.field("o_orderdate") < hi)),
-        ).map_batches(ord_slim, batch_format="pandas")
+        li = broadcast_lookup(
+            _read(sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey",
+                                               "l_extendedprice",
+                                               "l_discount"]),
+            supp, "l_suppkey", "s_suppkey", ["s_nationkey"],
+        ).map_batches(li_slim, batch_format="pyarrow")
+        orders = broadcast_lookup(
+            _read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_custkey", "o_orderdate"],
+                  filter=((pc.field("o_orderdate") >= lo)
+                          & (pc.field("o_orderdate") < hi))),
+            cust, "o_custkey", "c_custkey", ["c_nationkey"],
+        ).map_batches(ord_slim, batch_format="pyarrow")
 
         def probe(lt: pa.Table, rt: pa.Table) -> pa.Table:
             if lt.num_rows == 0 or rt.num_rows == 0:
@@ -6385,23 +6265,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         partials = _copartition(li, orders, "l_orderkey", "o_orderkey",
                                 ["o_orderkey", "c_nat"], probe)
-        final = partials.groupby("n_nationkey").aggregate(
-            Sum("rev", alias_name="revenue")
+        final = broadcast_lookup(
+            partials.groupby("n_nationkey").aggregate(
+                Sum("rev", alias_name="revenue")),
+            asia, "n_nationkey", "n_nationkey", ["n_name"])
+        return final.map_batches(
+            lambda b: pa.table({
+                "n_name": b.column("n_name"),
+                "revenue": sql_round(b.column("revenue"), 2),
+            }),
+            batch_format="pyarrow",
         )
-
-        def finish(b: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "n_name": pa.array(
-                        [names[k] for k in
-                         b.column("n_nationkey").to_pylist()],
-                        pa.string(),
-                    ),
-                    "revenue": sql_round(b.column("revenue"), 2),
-                }
-            )
-
-        return final.map_batches(finish, batch_format="pyarrow")
 
     def orders_customer_skew_join(sf_dir: str):
         """Skew-handled fact⋈dim equi-join: head customers (≥12 orders
@@ -7236,93 +7110,62 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def q14_promo_revenue(sf_dir: str):
         """TPC-H Q14 shape — promotion revenue share for one ship
         month: lineitem prunes at the read (shipdate window + four
-        columns); the part dim collapses to a broadcast promo-partkey
-        array (np.isin probe, no join exchange); every batch folds to
-        two partial sums and the global reduce is one scalar
-        aggregate.  Zero exchanges."""
-        part = pq.read_table(
-            os.path.join(sf_dir, "part.parquet"),
-            columns=["p_partkey", "p_type"],
-        )
-        promo = pc.cast(
-            part.filter(pc.equal(part.column("p_type"), "PROMO"))
-            .column("p_partkey"), pa.int64(),
-        ).to_numpy(zero_copy_only=False)
-        promo_ref = ray.put(np.sort(promo))
-
-        li = ray.data.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"),
-            columns=["l_partkey", "l_extendedprice", "l_discount",
-                     "l_shipdate"],
-            filter=(
-                (pc.field("l_shipdate")
-                 >= pa.scalar(pd.Timestamp("1996-03-01")))
-                & (pc.field("l_shipdate")
-                   < pa.scalar(pd.Timestamp("1996-04-01")))
-            ),
-        )
+        columns); the part type joins by broadcast lookup (no join
+        exchange); every batch folds to two partial sums and the global
+        reduce is one scalar aggregate.  Zero exchanges. No qualifying
+        row (or a zero total) gives NULL, as SQL's SUM and division
+        do."""
+        li = _read(sf_dir, "lineitem",
+                   columns=["l_partkey", "l_extendedprice", "l_discount",
+                            "l_shipdate"],
+                   filter=((pc.field("l_shipdate")
+                            >= pa.scalar(pd.Timestamp("1996-03-01")))
+                           & (pc.field("l_shipdate")
+                              < pa.scalar(pd.Timestamp("1996-04-01")))))
 
         def partial(batch: pa.Table) -> pa.Table:
-            pk = batch.column("l_partkey").to_numpy(zero_copy_only=False)
             rev = (
                 batch.column("l_extendedprice").to_numpy(
                     zero_copy_only=False)
                 * (1.0 - batch.column("l_discount").to_numpy(
                     zero_copy_only=False))
             )
-            is_promo = np.isin(pk, ray.get(promo_ref))
+            is_promo = pc.fill_null(pc.equal(batch.column("p_type"),
+                                             "PROMO"), False).to_numpy(
+                zero_copy_only=False)
             return pa.table({
                 "__promo": pa.array([float(rev[is_promo].sum())]),
                 "__total": pa.array([float(rev.sum())]),
             })
 
-        parts = li.map_batches(partial, batch_format="pyarrow")
-        promo_sum = parts.sum("__promo") or 0.0
-        total_sum = parts.sum("__total") or 0.0
-        share = 100.0 * promo_sum / total_sum if total_sum else 0.0
-        return pd.DataFrame({"promo_revenue": [sql_round(share, 6)]})
+        sums = broadcast_lookup(
+            li, _dim(sf_dir, "part", ["p_partkey", "p_type"]),
+            "l_partkey", "p_partkey", ["p_type"],
+        ).map_batches(partial, batch_format="pyarrow").sum(
+            ["__promo", "__total"])
+        share = (100.0 * sums["sum(__promo)"] / sums["sum(__total)"]
+                 if sums and sums["sum(__total)"] else None)
+        return pa.table({"promo_revenue": pa.array([sql_round(share, 6)],
+                                                   pa.float64())})
 
     def q19_disjunctive_revenue(sf_dir: str):
         """TPC-H Q19 shape — revenue under three OR'd (brand, size,
         quantity-band) predicates: the quantity envelope prunes at the
-        read; part collapses to broadcast partkey→(brand, size) lookup
-        arrays probed with searchsorted; the whole disjunction
-        evaluates vectorized inside the map and the result is one
-        scalar aggregate.  Zero exchanges."""
-        part = pq.read_table(
-            os.path.join(sf_dir, "part.parquet"),
-            columns=["p_partkey", "p_brand", "p_size"],
-        ).sort_by("p_partkey")
-        pk_arr = pc.cast(part.column("p_partkey"), pa.int64()).to_numpy(
-            zero_copy_only=False)
-        brand_arr = np.asarray(part.column("p_brand").to_pylist())
-        size_arr = pc.cast(part.column("p_size"), pa.int64()).to_numpy(
-            zero_copy_only=False)
-        refs = ray.put((pk_arr, brand_arr, size_arr))
-
-        li = ray.data.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"),
-            columns=["l_partkey", "l_quantity", "l_extendedprice",
-                     "l_discount"],
-            filter=(
-                (pc.field("l_quantity") >= pa.scalar(1.0))
-                & (pc.field("l_quantity") <= pa.scalar(30.0))
-            ),
-        )
+        read; part's brand and size join by broadcast lookup; the whole
+        disjunction evaluates vectorized inside the map and the result
+        is one scalar aggregate.  Zero exchanges."""
+        li = _read(sf_dir, "lineitem",
+                   columns=["l_partkey", "l_quantity", "l_extendedprice",
+                            "l_discount"],
+                   filter=((pc.field("l_quantity") >= pa.scalar(1.0))
+                           & (pc.field("l_quantity") <= pa.scalar(30.0))))
 
         def partial(batch: pa.Table) -> pa.Table:
-            pk, brand, size = ray.get(refs)
-            lpk = batch.column("l_partkey").to_numpy(zero_copy_only=False)
-            qty = batch.column("l_quantity").to_numpy(zero_copy_only=False)
-            rev = (
-                batch.column("l_extendedprice").to_numpy(
-                    zero_copy_only=False)
-                * (1.0 - batch.column("l_discount").to_numpy(
-                    zero_copy_only=False))
-            )
-            idx = np.searchsorted(pk, lpk)
-            b = brand[idx]
-            s = size[idx]
+            b, s, qty, ext, disc = (
+                batch.column(c).to_numpy(zero_copy_only=False) for c in
+                ("p_brand", "p_size", "l_quantity", "l_extendedprice",
+                 "l_discount"))
+            rev = ext * (1.0 - disc)
             m = (
                 ((b == "Brand#12") & (s >= 1) & (s <= 5)
                  & (qty >= 1) & (qty <= 11))
@@ -7334,8 +7177,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.table({"__rev": pa.array([float(rev[m].sum())]),
                              "__n": pa.array([int(m.sum())])})
 
-        sums = li.map_batches(
-            partial, batch_format="pyarrow").sum(["__rev", "__n"])
+        sums = broadcast_lookup(
+            li, _dim(sf_dir, "part", ["p_partkey", "p_brand", "p_size"]),
+            "l_partkey", "p_partkey", ["p_brand", "p_size"],
+        ).map_batches(partial, batch_format="pyarrow").sum(["__rev", "__n"])
         # SUM over no qualifying row is NULL, as in SQL
         total = sums["sum(__rev)"] if sums and sums["sum(__n)"] else None
         return pa.table({"revenue": pa.array([sql_round(total, 2)],
@@ -7344,33 +7189,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def q16_supplier_part_counts(sf_dir: str):
         """TPC-H Q16 shape — distinct supplier count per part
         attribute triple, excluding negative-balance suppliers (the
-        NOT IN): the supplier exclusion set broadcasts (dim-sized);
-        lineitem dedupes (partkey, suppkey) per batch, co-partitions
-        with the filtered part dim on the partkey (exchange 1), and
-        the distinct count per (brand, type, size) ships only deduped
-        pairs (exchange 2)."""
-        supp = pq.read_table(
-            os.path.join(sf_dir, "supplier.parquet"),
-            columns=["s_suppkey", "s_acctbal"],
-        )
-        bad = pc.cast(
-            supp.filter(pc.less(supp.column("s_acctbal"), 0.0))
-            .column("s_suppkey"), pa.int64(),
-        ).to_numpy(zero_copy_only=False)
-        bad_ref = ray.put(np.sort(bad))
-
-        li = ray.data.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"),
-            columns=["l_partkey", "l_suppkey"],
-        )
-
-        def dedupe_filter(batch: pa.Table) -> pa.Table:
-            sk = batch.column("l_suppkey").to_numpy(zero_copy_only=False)
-            keep = ~np.isin(sk, ray.get(bad_ref))
-            t = batch.filter(pa.array(keep))
-            return t.group_by(["l_partkey", "l_suppkey"]).aggregate([])
-
-        pairs = li.map_batches(dedupe_filter, batch_format="pyarrow")
+        NOT IN): the supplier exclusion set is a broadcast anti-join
+        (dim-sized); lineitem dedupes (partkey, suppkey) per batch,
+        co-partitions with the filtered part dim on the partkey
+        (exchange 1), and the distinct count per (brand, type, size)
+        ships only deduped pairs (exchange 2)."""
+        bad = _dim(sf_dir, "supplier", ["s_suppkey"],
+                   filter=pc.field("s_acctbal") < 0.0)
+        pairs = broadcast_lookup(
+            _read(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"]),
+            bad, "l_suppkey", "s_suppkey", [], how="anti",
+        ).map_batches(
+            lambda t: t.group_by(["l_partkey", "l_suppkey"]).aggregate([]),
+            batch_format="pyarrow")
         part = ray.data.read_parquet(
             os.path.join(sf_dir, "part.parquet"),
             columns=["p_partkey", "p_brand", "p_type", "p_size"],
@@ -7488,9 +7319,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
             )
             return pa.table({"__rev": pa.array([float(rev.sum())])})
 
-        total = li.map_batches(
-            partial, batch_format="pyarrow").sum("__rev") or 0.0
-        return pd.DataFrame({"revenue": [sql_round(total, 2)]})
+        # SUM over no row is NULL, as in SQL (Dataset.sum gives None)
+        total = li.map_batches(partial, batch_format="pyarrow").sum("__rev")
+        return pa.table({"revenue": pa.array([sql_round(total, 2)],
+                                             pa.float64())})
 
     def q12_priority_by_returnflag(sf_dir: str):
         """TPC-H Q12 shape — high/low-priority lineitem counts per
@@ -7629,7 +7461,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         materializes ONCE (it is supplier-cardinality, never the fact
         table); the max is a scalar aggregate broadcast into a
         vectorized equality filter; supplier names attach via a
-        broadcast searchsorted lookup — no second exchange."""
+        broadcast lookup — no second exchange."""
         li = ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_suppkey", "l_extendedprice", "l_discount"],
@@ -7671,32 +7503,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
             batch_format="pyarrow",
         ).materialize()
         rmax = revenue.max("total_revenue")
-
-        supp = pq.read_table(
-            os.path.join(sf_dir, "supplier.parquet"),
-            columns=["s_suppkey", "s_name"],
-        ).sort_by("s_suppkey")
-        sk = pc.cast(supp.column("s_suppkey"), pa.int64()).to_numpy(
-            zero_copy_only=False)
-        names = np.asarray(supp.column("s_name").to_pylist())
-        supp_ref = ray.put((sk, names))
-
-        def pick(batch: pa.Table) -> pa.Table:
-            t = batch.filter(
-                pc.equal(batch.column("total_revenue"), rmax)
-            )
-            sk_a, names_a = ray.get(supp_ref)
-            keys = pc.cast(t.column("l_suppkey"), pa.int64()).to_numpy(
-                zero_copy_only=False)
-            idx = np.searchsorted(sk_a, keys)
-            return pa.table({
-                "s_suppkey": pa.array(keys, pa.int64()),
-                "s_name": pa.array(names_a[idx]
-                                   if len(keys) else [], pa.string()),
-                "total_revenue": t.column("total_revenue"),
-            })
-
-        return revenue.map_batches(pick, batch_format="pyarrow")
+        top = revenue.map_batches(
+            lambda b: b.filter(pc.equal(b.column("total_revenue"), rmax)),
+            batch_format="pyarrow")
+        named = broadcast_lookup(
+            top, _dim(sf_dir, "supplier", ["s_suppkey", "s_name"]),
+            "l_suppkey", "s_suppkey", ["s_name"])
+        return named.map_batches(
+            lambda b: pa.table({
+                "s_suppkey": pc.cast(b.column("l_suppkey"), pa.int64()),
+                "s_name": b.column("s_name"),
+                "total_revenue": b.column("total_revenue"),
+            }),
+            batch_format="pyarrow")
 
     def q11_important_parts(sf_dir: str):
         """TPC-H Q11 shape — parts whose total shipped quantity
@@ -7747,85 +7566,52 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def q17_small_quantity_revenue(sf_dir: str):
         """TPC-H Q17 — revenue from below-20%-of-part-average-quantity
-        orders (the correlated AVG subquery): the brand slice of part
-        collapses to a broadcast partkey array that prunes lineitem
-        map-side, the correlated per-part average and the row filter
-        both happen inside ONE partkey-keyed exchange over the pruned
-        slice, and the result folds to one partial sum per partition.
-        Quantities are integral doubles, so the per-part average (and
-        the 0.2·avg knife-edge) is bit-identical to the SQL engine's."""
-        part = pq.read_table(
-            os.path.join(sf_dir, "part.parquet"),
-            columns=["p_partkey", "p_brand"],
-        )
-        pks = np.sort(pc.cast(
-            part.filter(pc.equal(part.column("p_brand"), "Brand#23"))
-            .column("p_partkey"), pa.int64(),
-        ).to_numpy(zero_copy_only=False))
-        pks_ref = ray.put(pks)
-
-        li = ray.data.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"),
-            columns=["l_partkey", "l_quantity", "l_extendedprice"],
-        )
-
-        def prune(batch: pa.Table) -> pa.Table:
-            pk = batch.column("l_partkey").to_numpy(zero_copy_only=False)
-            return batch.filter(pa.array(np.isin(pk, ray.get(pks_ref))))
+        orders (the correlated AVG subquery): the brand slice of part is
+        a broadcast semi-join that prunes lineitem map-side, the
+        correlated per-part average and the row filter both happen
+        inside ONE partkey-keyed exchange over the pruned slice, and the
+        result folds to one partial sum (and row count) per partition;
+        no qualifying row gives NULL, as SQL's SUM does. Quantities are
+        integral doubles, so the per-part average (and the 0.2·avg
+        knife-edge) is bit-identical to the SQL engine's."""
+        part = _dim(sf_dir, "part", ["p_partkey"],
+                    filter=pc.field("p_brand") == "Brand#23")
+        li = _read(sf_dir, "lineitem",
+                   columns=["l_partkey", "l_quantity", "l_extendedprice"])
 
         def per_part(pdf: pd.DataFrame) -> pd.DataFrame:
             g = pdf.groupby("l_partkey", sort=False)["l_quantity"]
             avg = g.transform("sum") / g.transform("size")
             keep = pdf["l_quantity"] < 0.2 * avg
             return pd.DataFrame({
-                "__s": [float(pdf.loc[keep, "l_extendedprice"].sum())]
+                "__s": [float(pdf.loc[keep, "l_extendedprice"].sum())],
+                "__n": [int(keep.sum())],
             })
 
-        partials = grouped_apply(
-            li.map_batches(prune, batch_format="pyarrow"),
+        sums = grouped_apply(
+            broadcast_lookup(li, part, "l_partkey", "p_partkey", []),
             ["l_partkey"], per_part,
             batch_format="pandas",
-        )
-        total = partials.sum("__s") or 0.0
-        return pd.DataFrame(
-            {"avg_yearly": [sql_round(total / 7.0, 2)]}
-        )
+        ).sum(["__s", "__n"])
+        avg = sums["sum(__s)"] / 7.0 if sums and sums["sum(__n)"] else None
+        return pa.table({"avg_yearly": pa.array([sql_round(avg, 2)],
+                                                pa.float64())})
 
     def q2_min_cost_supplier(sf_dir: str):
         """TPC-H Q2 shape — the cheapest supplier per small part (the
         schema has no partsupp, so unit cost = MIN(extendedprice /
-        quantity) observed in lineitem): the size-filtered part dim
-        broadcasts as a pruning array + name lookup; lineitem combines
-        to one (part, supplier, min cost) row per batch; the per-part
+        quantity) observed in lineitem): the size-filtered part dim is
+        a broadcast semi-join that prunes lineitem; lineitem combines to
+        one (part, supplier, min cost) row per batch; the per-part
         argmin (tie-break on suppkey) happens inside ONE partkey-keyed
-        exchange; names attach map-side from broadcast dims."""
-        part = pq.read_table(
-            os.path.join(sf_dir, "part.parquet"),
-            columns=["p_partkey", "p_name", "p_size"],
-        ).sort_by("p_partkey")
-        part = part.filter(pc.less_equal(part.column("p_size"), 5))
-        pk_arr = pc.cast(part.column("p_partkey"), pa.int64()).to_numpy(
-            zero_copy_only=False)
-        pname_arr = np.asarray(part.column("p_name").to_pylist())
-        supp = pq.read_table(
-            os.path.join(sf_dir, "supplier.parquet"),
-            columns=["s_suppkey", "s_name"],
-        ).sort_by("s_suppkey")
-        sk_arr = pc.cast(supp.column("s_suppkey"), pa.int64()).to_numpy(
-            zero_copy_only=False)
-        sname_arr = np.asarray(supp.column("s_name").to_pylist())
-        dims_ref = ray.put((pk_arr, pname_arr, sk_arr, sname_arr))
-
-        li = ray.data.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"),
-            columns=["l_partkey", "l_suppkey", "l_quantity",
-                     "l_extendedprice"],
-        )
+        exchange; names attach map-side by broadcast lookup."""
+        part = _dim(sf_dir, "part", ["p_partkey", "p_name"],
+                    filter=pc.field("p_size") <= 5)
+        li = _read(sf_dir, "lineitem",
+                   columns=["l_partkey", "l_suppkey", "l_quantity",
+                            "l_extendedprice"])
 
         def combine(batch: pa.Table) -> pa.Table:
-            pk_a, _, _, _ = ray.get(dims_ref)
-            pk = batch.column("l_partkey").to_numpy(zero_copy_only=False)
-            batch = batch.filter(pa.array(np.isin(pk, pk_a)))
             cost = (
                 batch.column("l_extendedprice").to_numpy(
                     zero_copy_only=False)
@@ -7849,30 +7635,24 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return g.drop_duplicates(subset=["l_partkey"], keep="first")
 
         best = grouped_apply(
-            li.map_batches(combine, batch_format="pyarrow"),
+            broadcast_lookup(li, part, "l_partkey", "p_partkey", [])
+            .map_batches(combine, batch_format="pyarrow"),
             ["l_partkey"], argmin,
             batch_format="pandas",
         )
-
-        def attach(batch: pa.Table) -> pa.Table:
-            pk_a, pname_a, sk_a, sname_a = ray.get(dims_ref)
-            pk = pc.cast(batch.column("l_partkey"), pa.int64()).to_numpy(
-                zero_copy_only=False)
-            sk = pc.cast(batch.column("l_suppkey"), pa.int64()).to_numpy(
-                zero_copy_only=False)
-            has = len(pk) > 0
-            return pa.table({
-                "p_partkey": pa.array(pk, pa.int64()),
-                "p_name": pa.array(
-                    pname_a[np.searchsorted(pk_a, pk)] if has else [],
-                    pa.string()),
-                "s_name": pa.array(
-                    sname_a[np.searchsorted(sk_a, sk)] if has else [],
-                    pa.string()),
-                "unit_cost": batch.column("__cost"),
-            })
-
-        return best.map_batches(attach, batch_format="pyarrow")
+        best = broadcast_lookup(best, part, "l_partkey", "p_partkey",
+                                ["p_name"])
+        best = broadcast_lookup(
+            best, _dim(sf_dir, "supplier", ["s_suppkey", "s_name"]),
+            "l_suppkey", "s_suppkey", ["s_name"])
+        return best.map_batches(
+            lambda b: pa.table({
+                "p_partkey": pc.cast(b.column("l_partkey"), pa.int64()),
+                "p_name": b.column("p_name"),
+                "s_name": b.column("s_name"),
+                "unit_cost": b.column("__cost"),
+            }),
+            batch_format="pyarrow")
 
     def q22_idle_rich_customers(sf_dir: str):
         """TPC-H Q22 shape — above-average-balance customers with no
@@ -7933,8 +7713,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         need per-(order,supplier) maxima; ONE orderkey-keyed exchange
         joins the F-status orders and runs the whole sole-late-supplier
         logic vectorized per partition; the per-supplier counts fold
-        through a second tiny exchange and names attach map-side from
-        the broadcast supplier dim."""
+        through a second tiny exchange and names attach map-side by
+        broadcast lookup."""
         orders = ray.data.read_parquet(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_orderkey", "o_orderdate"],
@@ -7995,28 +7775,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         summed = grouped_apply(parts, ["l_suppkey"], reduce_,
                                batch_format="pyarrow")
-
-        supp = pq.read_table(
-            os.path.join(sf_dir, "supplier.parquet"),
-            columns=["s_suppkey", "s_name"],
-        ).sort_by("s_suppkey")
-        sk_arr = pc.cast(supp.column("s_suppkey"), pa.int64()).to_numpy(
-            zero_copy_only=False)
-        sname_arr = np.asarray(supp.column("s_name").to_pylist())
-        supp_ref = ray.put((sk_arr, sname_arr))
-
-        def attach(batch: pa.Table) -> pa.Table:
-            sk_a, sname_a = ray.get(supp_ref)
-            sk = pc.cast(batch.column("l_suppkey"), pa.int64()).to_numpy(
-                zero_copy_only=False)
-            return pa.table({
-                "s_name": pa.array(
-                    sname_a[np.searchsorted(sk_a, sk)]
-                    if len(sk) else [], pa.string()),
-                "numwait": batch.column("numwait"),
-            })
-
-        return summed.map_batches(attach, batch_format="pyarrow")
+        return broadcast_lookup(
+            summed, _dim(sf_dir, "supplier", ["s_suppkey", "s_name"]),
+            "l_suppkey", "s_suppkey", ["s_name"],
+        ).map_batches(lambda b: b.select(["s_name", "numwait"]),
+                      batch_format="pyarrow")
 
     def lineitem_unpivot_measures(sf_dir: str):
         """UNPIVOT/melt — three lineitem measures to long form; a pure
@@ -8078,84 +7841,58 @@ def queries() -> dict[str, Callable[[str], Any]]:
         revenue delivered to ASIA customers in the 1995-1996 order
         window, the share supplied by one nation (the lexicographically
         first ASIA nation, computed from data so the query is sf-dir
-        portable), per order year. Scale shape: region/nation/supplier
-        and the type-filtered part-key set are broadcast from pruned
-        reads (all bounded dims); the ASIA customer set broadcasts like
-        q5/q7 (co-partition takes over when customer outgrows a
-        broadcast, as q3 shows); lineitem and orders are pruned
-        map-side BEFORE the single big-big orderkey exchange whose
-        partition probe joins and pre-aggregates (year, volume,
-        share_volume) — the final groupby folds a handful of partials
-        per year."""
+        portable), per order year. Scale shape: the type-filtered part
+        keys, supplier nations and the ASIA customers are broadcast
+        lookups from pruned reads (all bounded dims; co-partition takes
+        over when customer outgrows a broadcast, as q3 shows); lineitem
+        and orders are pruned map-side BEFORE the single big-big
+        orderkey exchange whose partition probe joins and pre-aggregates
+        (year, volume, share_volume) — the final groupby folds a handful
+        of partials per year."""
         lo = datetime.datetime(1995, 1, 1)
         hi = datetime.datetime(1997, 1, 1)
-        nations = _read(sf_dir, "nation").take_all()
-        regions = {r["r_regionkey"]: r["r_name"]
-                   for r in _read(sf_dir, "region").take_all()}
-        asia = {n["n_nationkey"] for n in nations
-                if regions[n["n_regionkey"]] == "ASIA"}
-        share_key = min(
-            (n["n_nationkey"] for n in nations if n["n_nationkey"] in asia),
-            key=lambda k: next(n["n_name"] for n in nations
-                               if n["n_nationkey"] == k),
-        )
-        partkeys = set(
-            ray.data.read_parquet(
-                os.path.join(sf_dir, "part.parquet"),
-                columns=["p_partkey", "p_type"],
-                filter=pc.field("p_type") == "PROMO",
-            ).to_pandas()["p_partkey"]
-        )
-        supp = {
-            r["s_suppkey"]: r["s_nationkey"]
-            for r in ray.data.read_parquet(
-                os.path.join(sf_dir, "supplier.parquet"),
-                columns=["s_suppkey", "s_nationkey"],
-            ).take_all()
-        }
-        cdf = ray.data.read_parquet(
-            os.path.join(sf_dir, "customer.parquet"),
-            columns=["c_custkey", "c_nationkey"],
-            filter=pc.field("c_nationkey").isin(sorted(asia)),
-        ).to_pandas()
-        cust = set(cdf["c_custkey"])
-        part_ref, supp_ref, cust_ref = (
-            ray.put(partkeys), ray.put(supp), ray.put(cust))
+        asia = _asia_nations(sf_dir)
+        share_key = asia.sort_by("n_name").column("n_nationkey")[0].as_py()
+        part = _dim(sf_dir, "part", ["p_partkey"],
+                    filter=pc.field("p_type") == "PROMO")
+        supp = _dim(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+        cust = _dim(sf_dir, "customer", ["c_custkey"],
+                    filter=pc.field("c_nationkey").isin(
+                        asia.column("n_nationkey").to_pylist()))
 
-        def li_slim(pdf):
-            pk = ray.get(part_ref)
-            sm = ray.get(supp_ref)
-            keep = pdf["l_partkey"].isin(pk)
-            pdf = pdf[keep]
-            vol = pdf["l_extendedprice"] * (1.0 - pdf["l_discount"])
-            is_share = (pdf["l_suppkey"].map(sm) == share_key)
-
-            return pd.DataFrame({
-                "l_orderkey": pdf["l_orderkey"],
+        def li_slim(b: pa.Table) -> pa.Table:
+            vol = pc.multiply(b.column("l_extendedprice"),
+                              pc.subtract(1.0, b.column("l_discount")))
+            is_share = pc.fill_null(
+                pc.equal(b.column("s_nationkey"), share_key), False)
+            return pa.table({
+                "l_orderkey": b.column("l_orderkey"),
                 "vol": vol,
-                "share_vol": vol.where(is_share, 0.0),
+                "share_vol": pc.if_else(is_share, vol, 0.0),
             })
 
-        def ord_slim(pdf):
-            cs = ray.get(cust_ref)
-            pdf = pdf[pdf["o_custkey"].isin(cs)]
-
-            return pd.DataFrame({
-                "o_orderkey": pdf["o_orderkey"],
-                "o_year": pdf["o_orderdate"].dt.year.astype("int64"),
+        def ord_slim(b: pa.Table) -> pa.Table:
+            return pa.table({
+                "o_orderkey": b.column("o_orderkey"),
+                "o_year": pc.cast(pc.year(b.column("o_orderdate")),
+                                  pa.int64()),
             })
 
-        li = ray.data.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"),
-            columns=["l_orderkey", "l_partkey", "l_suppkey",
-                     "l_extendedprice", "l_discount"],
-        ).map_batches(li_slim, batch_format="pandas")
-        orders = ray.data.read_parquet(
-            os.path.join(sf_dir, "orders.parquet"),
-            columns=["o_orderkey", "o_custkey", "o_orderdate"],
-            filter=((pc.field("o_orderdate") >= lo)
-                    & (pc.field("o_orderdate") < hi)),
-        ).map_batches(ord_slim, batch_format="pandas")
+        li = broadcast_lookup(
+            broadcast_lookup(
+                _read(sf_dir, "lineitem",
+                      columns=["l_orderkey", "l_partkey", "l_suppkey",
+                               "l_extendedprice", "l_discount"]),
+                part, "l_partkey", "p_partkey", []),
+            supp, "l_suppkey", "s_suppkey", ["s_nationkey"], how="left",
+        ).map_batches(li_slim, batch_format="pyarrow")
+        orders = broadcast_lookup(
+            _read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_custkey", "o_orderdate"],
+                  filter=((pc.field("o_orderdate") >= lo)
+                          & (pc.field("o_orderdate") < hi))),
+            cust, "o_custkey", "c_custkey", [],
+        ).map_batches(ord_slim, batch_format="pyarrow")
 
         def probe(lt: pa.Table, rt: pa.Table) -> pa.Table:
             if lt.num_rows == 0 or rt.num_rows == 0:
@@ -8189,65 +7926,51 @@ def queries() -> dict[str, Callable[[str], Any]]:
         to the in-schema deterministic proxy 0.5 * p_retailprice
         (amount = l_extendedprice*(1-l_discount) -
         0.5*p_retailprice*l_quantity); the plan shape is Q9's. Scale
-        shape: part map (name-filtered, key→retailprice) and supplier
-        nation map broadcast; lineitem slims map-side to (orderkey,
+        shape: the name-filtered part's retailprice and the supplier's
+        nation are broadcast lookups; lineitem slims map-side to (orderkey,
         nation, amount); ONE big-big orderkey exchange against the
         2-column orders read attaches the year and pre-aggregates per
         (nation, year) in the partition probe. Inputs carry two decimals,
         so each amount is an exact integer of 1e-4 units: the sums are
         exact whatever the partition count, and the round to cents is
         half away from zero on the exact total."""
-        names = {n["n_nationkey"]: n["n_name"]
-                 for n in _read(sf_dir, "nation").take_all()}
-        part_cost = dict(
-            ray.data.read_parquet(
-                os.path.join(sf_dir, "part.parquet"),
-                columns=["p_partkey", "p_name", "p_retailprice"],
-                filter=pc.match_substring(pc.field("p_name"), "widget"),
-            )
-            .to_pandas()[["p_partkey", "p_retailprice"]]
-            .itertuples(index=False, name=None)
-        )
-        supp = {
-            r["s_suppkey"]: names[r["s_nationkey"]]
-            for r in ray.data.read_parquet(
-                os.path.join(sf_dir, "supplier.parquet"),
-                columns=["s_suppkey", "s_nationkey"],
-            ).take_all()
-        }
-        cost_ref, supp_ref = ray.put(part_cost), ray.put(supp)
+        part = _dim(sf_dir, "part", ["p_partkey", "p_retailprice"],
+                    filter=pc.match_substring(pc.field("p_name"), "widget"))
+        supp = lookup_batch(
+            _dim(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]),
+            _dim(sf_dir, "nation", ["n_nationkey", "n_name"]),
+            "s_nationkey", ["n_name"], "inner")
 
-        def li_slim(pdf):
-            cm = ray.get(cost_ref)
-            sm = ray.get(supp_ref)
-            cost = pdf["l_partkey"].map(cm)
-            keep = cost.notna()
-            pdf, cost = pdf[keep], cost[keep]
-            amount = (pdf["l_extendedprice"] * (1.0 - pdf["l_discount"])
-                      - 0.5 * cost * pdf["l_quantity"])
-
-            return pd.DataFrame({
-                "l_orderkey": pdf["l_orderkey"],
-                "nation": pdf["l_suppkey"].map(sm),
-                "amount": sql_round(amount.to_numpy() * 10_000)
-                .astype(np.int64),
+        def li_slim(b: pa.Table) -> pa.Table:
+            ext, disc, cost, qty = (
+                b.column(c).to_numpy(zero_copy_only=False) for c in
+                ("l_extendedprice", "l_discount", "p_retailprice",
+                 "l_quantity"))
+            amount = ext * (1.0 - disc) - 0.5 * cost * qty
+            return pa.table({
+                "l_orderkey": b.column("l_orderkey"),
+                "nation": b.column("n_name"),
+                "amount": sql_round(amount * 10_000).astype(np.int64),
             })
 
-        def ord_slim(pdf):
-            return pd.DataFrame({
-                "o_orderkey": pdf["o_orderkey"],
-                "o_year": pdf["o_orderdate"].dt.year.astype("int64"),
+        def ord_slim(b: pa.Table) -> pa.Table:
+            return pa.table({
+                "o_orderkey": b.column("o_orderkey"),
+                "o_year": pc.cast(pc.year(b.column("o_orderdate")),
+                                  pa.int64()),
             })
 
-        li = ray.data.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"),
-            columns=["l_orderkey", "l_partkey", "l_suppkey",
-                     "l_quantity", "l_extendedprice", "l_discount"],
-        ).map_batches(li_slim, batch_format="pandas")
-        orders = ray.data.read_parquet(
-            os.path.join(sf_dir, "orders.parquet"),
-            columns=["o_orderkey", "o_orderdate"],
-        ).map_batches(ord_slim, batch_format="pandas")
+        li = broadcast_lookup(
+            broadcast_lookup(
+                _read(sf_dir, "lineitem",
+                      columns=["l_orderkey", "l_partkey", "l_suppkey",
+                               "l_quantity", "l_extendedprice",
+                               "l_discount"]),
+                part, "l_partkey", "p_partkey", ["p_retailprice"]),
+            supp, "l_suppkey", "s_suppkey", ["n_name"], how="left",
+        ).map_batches(li_slim, batch_format="pyarrow")
+        orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"]
+                       ).map_batches(ord_slim, batch_format="pyarrow")
 
         def probe(lt: pa.Table, rt: pa.Table) -> pa.Table:
             if lt.num_rows == 0 or rt.num_rows == 0:
@@ -8282,48 +8005,33 @@ def queries() -> dict[str, Callable[[str], Any]]:
         correlation needs the absent partsupp table, so the HAVING
         threshold is the adaptation: sum(l_quantity) > 40 per
         (part, supplier)), restricted to ASIA. Scale shape: the
-        name-filtered part-key set broadcasts and prunes lineitem
-        map-side after a shipdate-pruned read; a per-batch (part,supp)
-        combiner pre-aggregates before the ONE exchange; the surviving
-        supplier keys collapse to a distinct set orders of magnitude
-        under the supplier table, and the ASIA supplier name map joins
-        map-side."""
+        name-filtered part keys are a broadcast semi-join that prunes
+        lineitem map-side after a shipdate-pruned read; a per-batch
+        (part,supp) combiner pre-aggregates before the ONE exchange; the
+        surviving supplier keys collapse to a distinct set orders of
+        magnitude under the supplier table, and the ASIA supplier names
+        join by broadcast lookup."""
         lo = datetime.datetime(1996, 1, 1)
         hi = datetime.datetime(1997, 1, 1)
-        nations = _read(sf_dir, "nation").take_all()
-        regions = {r["r_regionkey"]: r["r_name"]
-                   for r in _read(sf_dir, "region").take_all()}
-        asia = {n["n_nationkey"] for n in nations
-                if regions[n["n_regionkey"]] == "ASIA"}
-        partkeys = set(
-            ray.data.read_parquet(
-                os.path.join(sf_dir, "part.parquet"),
-                columns=["p_partkey", "p_name"],
-                filter=pc.starts_with(pc.field("p_name"), "large"),
-            ).to_pandas()["p_partkey"]
-        )
-        snames = {
-            r["s_suppkey"]: r["s_name"]
-            for r in _read(sf_dir, "supplier").take_all()
-            if r["s_nationkey"] in asia
-        }
-        part_ref, sname_ref = ray.put(partkeys), ray.put(snames)
+        part = _dim(sf_dir, "part", ["p_partkey"],
+                    filter=pc.starts_with(pc.field("p_name"), "large"))
+        supp = _dim(sf_dir, "supplier", ["s_suppkey", "s_name"],
+                    filter=pc.field("s_nationkey").isin(
+                        _asia_nations(sf_dir).column("n_nationkey")
+                        .to_pylist()))
 
         def combine(pdf):
-            pk = ray.get(part_ref)
-            pdf = pdf[pdf["l_partkey"].isin(pk)]
             return (pdf.groupby(["l_partkey", "l_suppkey"], sort=False,
                                 as_index=False)["l_quantity"].sum())
 
+        li = _read(sf_dir, "lineitem",
+                   columns=["l_partkey", "l_suppkey", "l_quantity",
+                            "l_shipdate"],
+                   filter=((pc.field("l_shipdate") >= lo)
+                           & (pc.field("l_shipdate") < hi)),
+                   ).drop_columns(["l_shipdate"])
         sums = (
-            ray.data.read_parquet(
-                os.path.join(sf_dir, "lineitem.parquet"),
-                columns=["l_partkey", "l_suppkey", "l_quantity",
-                         "l_shipdate"],
-                filter=((pc.field("l_shipdate") >= lo)
-                        & (pc.field("l_shipdate") < hi)),
-            )
-            .drop_columns(["l_shipdate"])
+            broadcast_lookup(li, part, "l_partkey", "p_partkey", [])
             .map_batches(combine, batch_format="pandas")
             .groupby(["l_partkey", "l_suppkey"])
             .aggregate(Sum("l_quantity", alias_name="qty"))
@@ -8331,18 +8039,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         def distinct_named(b: pa.Table) -> pa.Table:
-            sm = ray.get(sname_ref)
-            keys = sorted({
-                k for k in b.column("l_suppkey").to_pylist() if k in sm
-            })
+            t = b.group_by(["l_suppkey", "s_name"]).aggregate([])
             return pa.table({
-                "s_suppkey": pa.array(keys, pa.int64()),
-                "s_name": pa.array([sm[k] for k in keys], pa.string()),
+                "s_suppkey": pc.cast(t.column("l_suppkey"), pa.int64()),
+                "s_name": t.column("s_name"),
             })
 
         # per-partition distinct → global distinct: the surviving key
         # set is bounded by the supplier table, one tiny exchange
-        named = sums.map_batches(distinct_named, batch_format="pyarrow")
+        named = broadcast_lookup(sums, supp, "l_suppkey", "s_suppkey",
+                                 ["s_name"]).map_batches(
+            distinct_named, batch_format="pyarrow")
         return (named.groupby("s_suppkey")
                 .map_groups(lambda t: t.slice(0, 1),
                             batch_format="pyarrow"))

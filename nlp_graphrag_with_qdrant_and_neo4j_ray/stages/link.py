@@ -33,11 +33,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..config import PipelineConfig
 from ..functions.embed import get_embedder
 from ..functions.link import canonical_key, entity_id_for, merge_similar_keys
-from ..state.broadcast import BroadcastLookup, broadcast
+from ..state.broadcast import BroadcastLookup
 
 # process-global read-only embedder cache for map_groups workers (the
 # reference's utils/common.py:20 cache, but immutable)
@@ -175,7 +176,7 @@ def collect_alias_dict(triples_ds, cfg: PipelineConfig, max_aliases: int = 2_000
     if lineage is not None:
         lineage.record("alias-dict:broadcast", n_alias, len(alias), 0,
                        (_time.perf_counter() - t0) * 1e3)
-    return BroadcastLookup(broadcast(alias or None))
+    return BroadcastLookup(ray.put(alias or None))
 
 
 class SpilledAlias:
@@ -544,10 +545,6 @@ def edges_alias_fanout(edges_ds, entity_nodes_ds):
     max_aliases guard), broadcast once via ``ray.put``; the edge list
     streams past in one map. Returns (src_entity_id, dst_entity_id,
     pred, chunk_id, weight) with reference multiplicity."""
-    import ray
-
-    from ..functions.link import canonical_key, entity_id_for
-
     multi = entity_nodes_ds.map_batches(
         lambda b: b.filter(
             pc.greater(pc.list_value_length(b.column("aliases")), 1)

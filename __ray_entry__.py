@@ -1865,6 +1865,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         `ngram_jaccard_dups` publishes it once per corpus and
         `simhash_vs_jaccard_eval` reuses it instead of recomputing the
         full LSH + verify chain inside the same bench run."""
+
         def compute():
             docs = _read(sf_dir, "documents")
             cand = dd.minhash_lsh_pairs(docs, threshold=0.5).select_columns(
@@ -2301,6 +2302,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         (vendored codec, exact area-average block means); the
         thumbnailing step of a multimodal pipeline. Rows-only check;
         pixel exactness pinned by tests/test_resize.py."""
+
         def gen(batch: pa.Table) -> pa.Table:
             rows = []
             for i in batch.column("id").to_pylist():
@@ -2327,6 +2329,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         PNG payloads in AND out via the vendored codec.  Rows-only;
         pixel semantics pinned by tests/test_augment.py against a
         pure-numpy reference."""
+
         def gen(batch: pa.Table) -> pa.Table:
             rows = []
             for i in batch.column("id").to_pylist():
@@ -2445,6 +2448,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         numpy-STFT stage emitting banded log-power spectra, dominant
         and centroid frequency. Tone recovery pinned by
         tests/test_audio_spectrogram.py."""
+
         def gen(batch: pa.Table) -> pa.Table:
             rows = []
             for i in batch.column("id").to_pylist():
@@ -3028,6 +3032,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def part_sanitized_names(sf_dir: str):
         """M6 scalar parity at table scale: the reference's (unused)
         relation sanitizer applied as a vectorized column transform."""
+
         def fn(batch: pa.Table) -> pa.Table:
             names = batch.column("p_name").to_pylist()
             return pa.table(
@@ -3046,6 +3051,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def capitalized_phrases(sf_dir: str):
         """M8 scalar parity at table scale: the query-entity heuristic
         regex (retrieval.py:332) counted per document."""
+
         def fn(batch: pa.Table) -> pa.Table:
             texts = batch.column("text").to_pylist()
             ents = [query_entities(t) for t in texts]
@@ -3108,6 +3114,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Streaming-shaped op: per-user tumbling 1-hour windows.
         Partition-wise (users hash-bucketed, one shuffle), window
         aggregation fully vectorized inside each partition."""
+
         def windows(pdf: pd.DataFrame) -> pd.DataFrame:
             win = (
                 pdf["ts"].astype("datetime64[us]").astype("int64") // (3600 * 10**6)

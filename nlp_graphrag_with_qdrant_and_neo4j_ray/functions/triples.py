@@ -70,12 +70,6 @@ def sanitize_relation(rel: str) -> str:
     return re.sub(r"[^0-9a-zA-Z_ ]", "", rel).replace(" ", "_").upper()
 
 
-def normalize_entity(name: str) -> str:
-    """Cypher ``toLower`` applied at every Entity MERGE
-    (/root/reference/graphrag/core/triplets.py:355-363)."""
-    return name.lower()
-
-
 # ---------------------------------------------------------------------------
 # Deterministic grammar extractor (the hermetic default TripletModel)
 # ---------------------------------------------------------------------------

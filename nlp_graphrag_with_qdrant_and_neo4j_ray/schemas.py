@@ -134,11 +134,6 @@ EDGES = pa.schema(
 )
 
 
-def edges_with_embedding(dim: int) -> pa.Schema:
-    """EDGES + the predicate vector the reference stores on every
-    RELATES_TO edge (core/triplets.py:239-241,363-365)."""
-    return EDGES.append(pa.field("pred_embedding", pa.list_(pa.float32(), dim)))
-
 LINEAGE = pa.schema(
     [
         ("partition_id", pa.string()),

@@ -192,12 +192,6 @@ def page_row(corpus: str, idx: int) -> dict:
     }
 
 
-def pages_table(n: int, corpus: str = "tiny") -> pa.Table:
-    """Driver-side table for small fixtures (tests)."""
-    rows = [page_row(corpus, i) for i in range(n)]
-    return pa.Table.from_pylist(rows, schema=PAGES)
-
-
 def pages_dataset(n: int, corpus: str = "bench", override_num_blocks: int | None = None):
     """Distributed generation: ``ray.data.range(n)`` → row synthesis per
     batch. Scales to any n without driver-side materialization."""

@@ -55,10 +55,6 @@ def table_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def is_complete(out_dir: str, name: str) -> bool:
-    return os.path.exists(os.path.join(out_dir, name, SUCCESS))
-
-
 def rows_at_most(files: list[str], max_rows: int) -> bool:
     """True when the Parquet ``files`` hold at most ``max_rows`` rows in
     total, judged from their footers alone (a few KB of metadata I/O, no

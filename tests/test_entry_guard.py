@@ -15,20 +15,20 @@ def _sites():
     puts, imports = [], []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top:
-            imports.append(f"{node.lineno} {ast.unparse(node)[:60]}")
+            imports.append((node.lineno, ast.unparse(node)[:60]))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and node.func.attr == "put"
               and ast.unparse(node.func.value) == "ray"):
-            puts.append(str(node.lineno))
-    return puts, imports
+            puts.append(node.lineno)
+    return sorted(puts), sorted(imports)
 
 
 def test_no_ray_put_in_entry():
     puts, _ = _sites()
-    assert not puts, "ray.put in __ray_entry__.py at lines " + ", ".join(puts)
+    assert not puts, f"ray.put in __ray_entry__.py at lines {puts}"
 
 
 def test_entry_imports_at_module_level():
     _, imports = _sites()
     assert not imports, ("imports below module level in __ray_entry__.py: "
-                         + "; ".join(imports))
+                         + "; ".join(f"{n} {stmt}" for n, stmt in imports))

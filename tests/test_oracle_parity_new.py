@@ -213,6 +213,44 @@ def test_q19_no_qualifying_row_is_null(ray_session, oracle_con):
                                   check_exact=False, rtol=1e-9)
 
 
+@pytest.mark.parametrize("name", ["q6_forecast_revenue", "q14_promo_revenue",
+                                  "q17_small_quantity_revenue"])
+def test_empty_sum_is_null(ray_session, tmp_path, name):
+    """No lineitem row qualifies (shipped in 1990, no discount, no
+    Brand#23 or PROMO part): SUM over no row is NULL in SQL, and so is
+    each entry's one value, not 0.0."""
+    import datetime
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as E
+
+    pq.write_table(pa.table({
+        "l_partkey": pa.array([1, 2, 3, 1], pa.int64()),
+        "l_quantity": [5.0, 10.0, 1.0, 40.0],
+        "l_extendedprice": [100.0, 200.0, 300.0, 400.0],
+        "l_discount": [0.0, 0.0, 0.0, 0.0],
+        "l_shipdate": pa.array([datetime.datetime(1990, 1, d)
+                                for d in (1, 2, 3, 4)], pa.timestamp("us")),
+    }), tmp_path / "lineitem.parquet")
+    pq.write_table(pa.table({
+        "p_partkey": pa.array([1, 2, 3], pa.int64()),
+        "p_brand": ["Brand#11", "Brand#12", "Brand#13"],
+        "p_type": ["STANDARD", "SMALL", "LARGE"],
+    }), tmp_path / "part.parquet")
+    cc = _check_contract()
+    got = cc.canon(cc.to_pandas(E.queries()[name](str(tmp_path))))
+    con = duckdb.connect()
+    for t in ("lineitem", "part"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet("
+                    f"'{tmp_path}/{t}.parquet')")
+    want = cc.canon(con.sql(E.oracle_sql()[name]).df())
+    assert len(want) == 1 and want.iloc[:, 0].isna().all()
+    assert list(got.columns) == list(want.columns)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
 @pytest.mark.parametrize("heavy", [0.0, 100.0])
 def test_q11_result_keeps_columns(ray_session, tmp_path, heavy):
     """With 3,000 equal parts none clears 0.05% of the total quantity:

@@ -13,8 +13,9 @@ A from-scratch re-expression of the capabilities of the reference system
                   stateful actor-pool classes) built from ``functions``.
 - ``pipelines`` : end-to-end DAGs (KG construction, query layer, dedup,
                   similarity search) plus their output-table layouts.
-- ``state``     : lineage records, per-stage Parquet checkpoints,
-                  broadcast (``ray.put``) small-side lookup helpers.
+- ``state``     : lineage records, per-stage Parquet checkpoints, and
+                  ``broadcast_lookup``: a small table joined to a Dataset
+                  through one ``ray.put`` and an Arrow hash probe.
 
 This package NEVER calls ``ray.init()`` / ``ray.shutdown()`` — sessions are
 owned by the driver, ``bench.py``, or the test fixture.

@@ -3,9 +3,12 @@ against oracle_sql() via DuckDB (row count + order-insensitive value
 comparison), the way the graft driver does. Usage:
 
     python tools/check_contract.py [sf_dir] [--results FILE] [--chunk N]
+                                   [--stall SECONDS]
 
 The entries run in chunks of ``N``, each in a fresh subprocess with its
-own Ray session (one long session can abort inside Ray). Every entry
+own Ray session (one long session can abort inside Ray); a worker
+whose results file has not grown for ``--stall`` seconds is killed as
+hung. Every entry
 appends one JSON line to the results file (default
 ``.check_contract/<sf>.jsonl``): its status, row count, wall seconds and
 a digest of its canonical rows. A rerun skips the entries already
@@ -20,6 +23,7 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -154,26 +158,45 @@ def worker(sf_dir: str, path: str, chunk: int) -> int:
     return MORE if len(pending) > chunk else 0
 
 
-def run(sf_dir: str, path: str, chunk: int) -> int:
+def watch(p: subprocess.Popen, path: str, stall: float) -> int:
+    """Wait for worker ``p``. When the results file has not grown for
+    ``stall`` seconds (a hung Ray session), kill the worker's process
+    group, which holds the Ray processes it started."""
+    start = time.time()
+    while True:
+        try:
+            return p.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            pass
+        last = os.path.getmtime(path) if os.path.exists(path) else start
+        if time.time() - max(last, start) > stall:
+            os.killpg(p.pid, signal.SIGKILL)
+            return p.wait()
+
+
+def run(sf_dir: str, path: str, chunk: int, stall: float) -> int:
     """Start workers until every entry is recorded; an entry whose
-    session died twice before recording it is recorded as a crash."""
+    session died or hung twice before recording it is recorded as a
+    crash."""
     while True:
         before, _ = load(path)
-        r = subprocess.run([sys.executable, os.path.abspath(__file__), sf_dir,
-                            "--results", path, "--chunk", str(chunk),
-                            "--worker"])
-        if r.returncode == 0:
+        p = subprocess.Popen([sys.executable, os.path.abspath(__file__),
+                              sf_dir, "--results", path, "--chunk",
+                              str(chunk), "--worker"],
+                             start_new_session=True)
+        rc = watch(p, path, stall)
+        if rc == 0:
             return 0
-        if r.returncode == MORE:
+        if rc == MORE:
             continue
         after, started = load(path)
         lost = [n for n, k in started.items() if n not in after]
         if len(after) == len(before) and not lost:
-            return r.returncode  # died before its first entry
+            return rc  # died before its first entry
         for name in lost:
             if started[name] >= 2:
                 append(path, {"name": name,
-                              "status": f"SESSION CRASH (exit {r.returncode})"})
+                              "status": f"SESSION CRASH (exit {rc})"})
 
 
 def main() -> None:
@@ -181,6 +204,7 @@ def main() -> None:
     ap.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.01")
     ap.add_argument("--results", default=None)
     ap.add_argument("--chunk", type=int, default=40)
+    ap.add_argument("--stall", type=float, default=900.0)
     ap.add_argument("--worker", action="store_true")
     args = ap.parse_args()
     sf_dir = args.sf_dir.rstrip("/")
@@ -189,7 +213,7 @@ def main() -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     if args.worker:
         sys.exit(worker(sf_dir, path, args.chunk))
-    rc = run(sf_dir, path, args.chunk)
+    rc = run(sf_dir, path, args.chunk, args.stall)
     if rc:
         print(f"worker failed (exit {rc}) before recording an entry")
         sys.exit(rc)

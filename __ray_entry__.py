@@ -1938,15 +1938,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         text baseline next to the LSH detectors (the text analogue of
         exact_cosine_pairs), SQL-oracled; pairs from ``_gram_pairs``."""
 
-        def finish(pdf) -> Any:
-            c = pdf["c"].to_numpy()
-            jac = c / (pdf["na"].to_numpy() + pdf["nb"].to_numpy() - c)
+        def finish(b: pa.Table) -> pa.Table:
+            c, na, nb = (b.column(k).to_numpy() for k in ("c", "na", "nb"))
+            jac = c / (na + nb - c)
             keep = jac >= 0.5  # filter on the UNROUNDED value (as SQL)
-            pdf["jaccard"] = sql_round(jac, 6)
-            return pdf[keep][["doc_a", "doc_b", "jaccard"]]
+            return pa.table({"doc_a": b.column("doc_a").filter(keep),
+                             "doc_b": b.column("doc_b").filter(keep),
+                             "jaccard": sql_round(jac[keep], 6)})
 
         return _gram_pairs(sf_dir).map_batches(
-            finish, batch_format="pandas").sort(["doc_a", "doc_b"])
+            finish, batch_format="pyarrow").sort(["doc_a", "doc_b"])
 
     def docs_containment_pairs(sf_dir: str):
         """EXACT all-pairs char-3-gram CONTAINMENT ≥ 0.8 — the
@@ -1959,15 +1960,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the production path pairs a MinHash candidate generator with
         this as the verifier."""
 
-        def finish(pdf) -> Any:
-            c = pdf["c"].to_numpy()
-            cont = c / np.minimum(pdf["na"].to_numpy(), pdf["nb"].to_numpy())
+        def finish(b: pa.Table) -> pa.Table:
+            c, na, nb = (b.column(k).to_numpy() for k in ("c", "na", "nb"))
+            cont = c / np.minimum(na, nb)
             keep = cont >= 0.8  # filter on the UNROUNDED value (as SQL)
-            pdf["containment"] = sql_round(cont, 6)
-            return pdf[keep][["doc_a", "doc_b", "containment"]]
+            return pa.table({"doc_a": b.column("doc_a").filter(keep),
+                             "doc_b": b.column("doc_b").filter(keep),
+                             "containment": sql_round(cont[keep], 6)})
 
         return _gram_pairs(sf_dir).map_batches(
-            finish, batch_format="pandas").sort(["doc_a", "doc_b"])
+            finish, batch_format="pyarrow").sort(["doc_a", "doc_b"])
 
     def embedding_cosine_exact_pairs(sf_dir: str):
         """EXACT all-pairs cosine ≥ 0.4 over the embeddings table — the

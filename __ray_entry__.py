@@ -194,8 +194,9 @@ def _dim(sf_dir: str, table: str, columns: list[str],
 def _table(ds) -> pa.Table:
     """A small Dataset gathered on the driver (empty blocks carry no
     schema and are skipped)."""
-    return pa.concat_tables([t for t in ray.get(ds.to_arrow_refs())
-                             if t.num_columns])
+    return pa.concat_tables([
+        t for t in ds.iter_batches(batch_format="pyarrow", batch_size=None)
+        if t.num_columns])
 
 
 def _asia_nations(sf_dir: str) -> pa.Table:
@@ -1885,10 +1886,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def _gram_pairs(sf_dir: str):
         """``doc_a < doc_b, c, na, nb`` over the first 200 documents:
-        ``c`` distinct char 3-grams shared, ``na`` / ``nb`` each doc's
-        distinct 3-grams. Gram-keyed exchange — |A∩B| is the per-(a,b)
-        count of shared grams, so no n² driver loop; the per-doc sizes
-        join by broadcast lookup. Skew contract: a gram shared by d
+        ``c`` distinct char 3-grams the pair shares within one gram
+        partition, ``na`` / ``nb`` each doc's distinct 3-grams.
+        Gram-keyed exchange — |A∩B| is the per-(a,b) count of shared
+        grams, so no n² driver loop; the per-doc sizes join by
+        broadcast lookup. Skew contract: a gram shared by d
         docs contributes d(d-1)/2 pair rows in its partition — bounded
         here by the 200-doc subset (the unbounded variant needs
         stop-gram pruning, the same contract as the LSH bucket
@@ -1920,34 +1922,37 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     .rename(columns={"doc_id_x": "doc_a",
                                      "doc_id_y": "doc_b"}))
 
-        def pair_sum(pdf) -> Any:
-            return (pdf.groupby(["doc_a", "doc_b"], sort=False)["c"]
-                    .sum().reset_index())
-
-        inter = grouped_apply(gram_ds, ["gram"], pair_counts,
-                              batch_format="pandas")
-        pairs = grouped_apply(inter, ["doc_a", "doc_b"], pair_sum,
+        pairs = grouped_apply(gram_ds, ["gram"], pair_counts,
                               batch_format="pandas")
         for side, n in (("doc_a", "na"), ("doc_b", "nb")):
             pairs = broadcast_lookup(pairs, sizes.rename_columns(
                 ["doc_id", n]), side, "doc_id", [n])
         return pairs
 
+    def _gram_pair_apply(sf_dir: str, measure: Callable, threshold: float,
+                         out_col: str):
+        """``measure(c, na, nb)`` per pair of ``_gram_pairs``, summed
+        over grams in one (doc_a, doc_b) exchange; pairs at or above
+        ``threshold`` (on the UNROUNDED value, as SQL) keep it rounded
+        to 6 places."""
+
+        def finish(pdf) -> Any:
+            g = (pdf.groupby(["doc_a", "doc_b", "na", "nb"], sort=False)["c"]
+                 .sum().reset_index())
+            m = measure(g["c"].to_numpy(), g["na"].to_numpy(),
+                        g["nb"].to_numpy())
+            g[out_col] = sql_round(m, 6)
+            return g[m >= threshold][["doc_a", "doc_b", out_col]]
+
+        return grouped_apply(_gram_pairs(sf_dir), ["doc_a", "doc_b"], finish,
+                             batch_format="pandas").sort(["doc_a", "doc_b"])
+
     def docs_jaccard_exact_pairs(sf_dir: str):
         """EXACT all-pairs char-3-gram Jaccard ≥ 0.5 — the recall-1.0
         text baseline next to the LSH detectors (the text analogue of
         exact_cosine_pairs), SQL-oracled; pairs from ``_gram_pairs``."""
-
-        def finish(b: pa.Table) -> pa.Table:
-            c, na, nb = (b.column(k).to_numpy() for k in ("c", "na", "nb"))
-            jac = c / (na + nb - c)
-            keep = jac >= 0.5  # filter on the UNROUNDED value (as SQL)
-            return pa.table({"doc_a": b.column("doc_a").filter(keep),
-                             "doc_b": b.column("doc_b").filter(keep),
-                             "jaccard": sql_round(jac[keep], 6)})
-
-        return _gram_pairs(sf_dir).map_batches(
-            finish, batch_format="pyarrow").sort(["doc_a", "doc_b"])
+        return _gram_pair_apply(sf_dir, lambda c, na, nb: c / (na + nb - c),
+                                0.5, "jaccard")
 
     def docs_containment_pairs(sf_dir: str):
         """EXACT all-pairs char-3-gram CONTAINMENT ≥ 0.8 — the
@@ -1959,17 +1964,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         baseline + gram-keyed exchange as docs_jaccard_exact_pairs;
         the production path pairs a MinHash candidate generator with
         this as the verifier."""
-
-        def finish(b: pa.Table) -> pa.Table:
-            c, na, nb = (b.column(k).to_numpy() for k in ("c", "na", "nb"))
-            cont = c / np.minimum(na, nb)
-            keep = cont >= 0.8  # filter on the UNROUNDED value (as SQL)
-            return pa.table({"doc_a": b.column("doc_a").filter(keep),
-                             "doc_b": b.column("doc_b").filter(keep),
-                             "containment": sql_round(cont[keep], 6)})
-
-        return _gram_pairs(sf_dir).map_batches(
-            finish, batch_format="pyarrow").sort(["doc_a", "doc_b"])
+        return _gram_pair_apply(
+            sf_dir, lambda c, na, nb: c / np.minimum(na, nb), 0.8,
+            "containment")
 
     def embedding_cosine_exact_pairs(sf_dir: str):
         """EXACT all-pairs cosine ≥ 0.4 over the embeddings table — the

@@ -2,7 +2,7 @@
 against oracle_sql() via DuckDB (row count + order-insensitive value
 comparison), the way the graft driver does. Usage:
 
-    python tools/check_contract.py [sf_dir] [--results FILE] [--chunk N]
+    python tools/check_contract.py SF_DIR [--results FILE] [--chunk N]
                                    [--stall SECONDS]
 
 The entries run in chunks of ``N``, each in a fresh subprocess with its
@@ -201,7 +201,7 @@ def run(sf_dir: str, path: str, chunk: int, stall: float) -> int:
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.01")
+    ap.add_argument("sf_dir", help="testdata scale dir, e.g. .../sf0.01")
     ap.add_argument("--results", default=None)
     ap.add_argument("--chunk", type=int, default=40)
     ap.add_argument("--stall", type=float, default=900.0)

@@ -1886,11 +1886,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def _gram_pairs(sf_dir: str):
         """``doc_a < doc_b, c, na, nb`` over the first 200 documents:
-        ``c`` distinct char 3-grams the pair shares within one gram
-        partition, ``na`` / ``nb`` each doc's distinct 3-grams.
-        Gram-keyed exchange — |A∩B| is the per-(a,b) count of shared
-        grams, so no n² driver loop; the per-doc sizes join by
-        broadcast lookup. Skew contract: a gram shared by d
+        ``c`` distinct char 3-grams the pair shares, ``na`` / ``nb``
+        each doc's distinct 3-grams. Gram-keyed exchange, then a
+        (doc_a, doc_b) one — |A∩B| is the per-(a,b) count of shared
+        grams, so no n² driver loop; the per-doc sizes join the summed
+        pairs by broadcast lookup. Skew contract: a gram shared by d
         docs contributes d(d-1)/2 pair rows in its partition — bounded
         here by the 200-doc subset (the unbounded variant needs
         stop-gram pruning, the same contract as the LSH bucket
@@ -1922,8 +1922,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     .rename(columns={"doc_id_x": "doc_a",
                                      "doc_id_y": "doc_b"}))
 
-        pairs = grouped_apply(gram_ds, ["gram"], pair_counts,
-                              batch_format="pandas")
+        def total(pdf) -> Any:
+            return (pdf.groupby(["doc_a", "doc_b"], sort=False)["c"]
+                    .sum().reset_index())
+
+        pairs = grouped_apply(
+            grouped_apply(gram_ds, ["gram"], pair_counts,
+                          batch_format="pandas"),
+            ["doc_a", "doc_b"], total, batch_format="pandas")
         for side, n in (("doc_a", "na"), ("doc_b", "nb")):
             pairs = broadcast_lookup(pairs, sizes.rename_columns(
                 ["doc_id", n]), side, "doc_id", [n])
@@ -1931,21 +1937,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def _gram_pair_apply(sf_dir: str, measure: Callable, threshold: float,
                          out_col: str):
-        """``measure(c, na, nb)`` per pair of ``_gram_pairs``, summed
-        over grams in one (doc_a, doc_b) exchange; pairs at or above
-        ``threshold`` (on the UNROUNDED value, as SQL) keep it rounded
-        to 6 places."""
+        """``measure(c, na, nb)`` per pair of ``_gram_pairs``; pairs at
+        or above ``threshold`` (on the UNROUNDED value, as SQL) keep it
+        rounded to 6 places."""
 
-        def finish(pdf) -> Any:
-            g = (pdf.groupby(["doc_a", "doc_b", "na", "nb"], sort=False)["c"]
-                 .sum().reset_index())
-            m = measure(g["c"].to_numpy(), g["na"].to_numpy(),
-                        g["nb"].to_numpy())
-            g[out_col] = sql_round(m, 6)
-            return g[m >= threshold][["doc_a", "doc_b", out_col]]
+        def finish(b: pa.Table) -> pa.Table:
+            m = measure(*(b.column(c).to_numpy() for c in ("c", "na", "nb")))
+            return b.select(["doc_a", "doc_b"]).append_column(
+                out_col, pa.array(sql_round(m, 6))).filter(pa.array(m >= threshold))
 
-        return grouped_apply(_gram_pairs(sf_dir), ["doc_a", "doc_b"], finish,
-                             batch_format="pandas").sort(["doc_a", "doc_b"])
+        return (_gram_pairs(sf_dir).map_batches(finish, batch_format="pyarrow")
+                .sort(["doc_a", "doc_b"]))
 
     def docs_jaccard_exact_pairs(sf_dir: str):
         """EXACT all-pairs char-3-gram Jaccard ≥ 0.5 — the recall-1.0

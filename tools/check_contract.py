@@ -2,19 +2,18 @@
 against oracle_sql() via DuckDB (row count + order-insensitive value
 comparison), the way the graft driver does. Usage:
 
-    python tools/check_contract.py SF_DIR [--results FILE] [--chunk N]
-                                   [--stall SECONDS]
+    python tools/check_contract.py SF_DIR [--results FILE]
 
-The entries run in chunks of ``N``, each in a fresh subprocess with its
-own Ray session (one long session can abort inside Ray); a worker
-whose results file has not grown for ``--stall`` seconds is killed as
-hung. Every entry
-appends one JSON line to the results file (default
+The entries run in chunks of ``CHUNK``, each in a fresh subprocess with
+its own Ray session (one long session can abort inside Ray); a worker
+whose results file has not grown for ``STALL_S`` seconds is killed as
+hung. Every entry appends one JSON line to the results file (default
 ``.check_contract/<sf>.jsonl``): its status, row count, wall seconds and
 a digest of its canonical rows. A rerun skips the entries already
-recorded, so a killed run resumes where it stopped; delete the file to
-start over. Two results files (say, of two checkouts) compare entry by
-entry on ``digest``.
+recorded, so a killed run resumes where it stopped. The file's first
+line holds a digest of the code the entries run; a rerun with other
+code refuses to resume, and deleting the file starts over. Two results
+files (say, of two checkouts) compare entry by entry on ``digest``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ import time
 import duckdb
 import pandas as pd
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
@@ -39,6 +39,14 @@ ENTRY = "entry()"
 STARTED = "STARTED"
 # exit code of a worker that ran its chunk and left entries pending
 MORE = 3
+# entries per worker session: a Ray 2.49 session aborted after 32 and
+# after 244 entries of one sweep
+CHUNK = 40
+# A worker whose results file has not grown for this long is hung. At
+# sf0.1, the largest test scale, a worker wrote its first line 5 s after
+# it started and the slowest entry took 15.3 s (docs_train_ready_ids;
+# 8 Ray CPUs on one core): 300 s is a 15x margin over the two together.
+STALL_S = 300.0
 
 
 def to_pandas(res) -> pd.DataFrame:
@@ -99,6 +107,38 @@ def check(name: str, fn, sf_dir: str, con, sqls: dict) -> dict:
     return {"status": status, **rec}
 
 
+def source_digest() -> str:
+    """Hash of the code a results file's records depend on: the entry
+    module, the package and this file."""
+    pkg = os.path.join(ROOT, "nlp_graphrag_with_qdrant_and_neo4j_ray")
+    files = [os.path.join(d, f) for d, _, fs in os.walk(pkg)
+             for f in fs if f.endswith(".py")]
+    h = hashlib.blake2b(digest_size=16)
+    for f in sorted([os.path.join(ROOT, "__ray_entry__.py"),
+                     os.path.abspath(__file__), *files]):
+        h.update(os.path.relpath(f, ROOT).encode() + b"\0")
+        with open(f, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def open_results(path: str) -> None:
+    """Start ``path`` with the source digest, or exit when its records
+    were made by other code."""
+    src = source_digest()
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        append(path, {"source": src})
+        return
+    with open(path) as f:
+        try:
+            got = json.loads(f.readline()).get("source")
+        except json.JSONDecodeError:
+            got = None
+    if got != src:
+        sys.exit(f"{path} was recorded by other code (source {got}, now "
+                 f"{src}); delete it to start over")
+
+
 def load(path: str) -> tuple[dict, dict]:
     """(final record per entry, STARTED count per entry) of a results file."""
     final, started = {}, {}
@@ -108,6 +148,8 @@ def load(path: str) -> tuple[dict, dict]:
                 try:
                     r = json.loads(line)
                 except json.JSONDecodeError:  # a line cut by a crash
+                    continue
+                if "name" not in r:  # the source line
                     continue
                 if r["status"] == STARTED:
                     started[r["name"]] = started.get(r["name"], 0) + 1
@@ -121,8 +163,8 @@ def append(path: str, rec: dict) -> None:
         f.write(json.dumps(rec) + "\n")
 
 
-def worker(sf_dir: str, path: str, chunk: int) -> int:
-    """Run up to ``chunk`` unrecorded entries in one Ray session."""
+def worker(sf_dir: str, path: str) -> int:
+    """Run up to ``CHUNK`` unrecorded entries in one Ray session."""
     import ray
 
     ray.init(address="local", num_cpus=8, include_dashboard=False,
@@ -141,7 +183,7 @@ def worker(sf_dir: str, path: str, chunk: int) -> int:
     qs, sqls = E.queries(), E.oracle_sql()
     done, _ = load(path)
     pending = [n for n in [ENTRY, *qs] if n not in done]
-    for name in pending[:chunk]:
+    for name in pending[:CHUNK]:
         append(path, {"name": name, "status": STARTED})
         if name == ENTRY:
             t0 = time.time()
@@ -155,46 +197,58 @@ def worker(sf_dir: str, path: str, chunk: int) -> int:
         print(f"  {name}: {rec['status'][:300]} "
               f"({rec.get('rows', '-')} rows, {rec['seconds']:.1f}s)", flush=True)
     ray.shutdown()
-    return MORE if len(pending) > chunk else 0
+    return MORE if len(pending) > CHUNK else 0
 
 
-def watch(p: subprocess.Popen, path: str, stall: float) -> int:
+def worker_cmd(sf_dir: str, path: str) -> list[str]:
+    return [sys.executable, os.path.abspath(__file__), sf_dir,
+            "--results", path, "--worker"]
+
+
+def watch(p: subprocess.Popen, path: str) -> int:
     """Wait for worker ``p``. When the results file has not grown for
-    ``stall`` seconds (a hung Ray session), kill the worker's process
-    group, which holds the Ray processes it started."""
+    ``STALL_S`` seconds (a hung Ray session), or this process is
+    interrupted, kill the worker's process group, which holds the Ray
+    processes it started."""
     start = time.time()
-    while True:
-        try:
-            return p.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            pass
-        last = os.path.getmtime(path) if os.path.exists(path) else start
-        if time.time() - max(last, start) > stall:
-            os.killpg(p.pid, signal.SIGKILL)
-            return p.wait()
+    try:
+        while True:
+            try:
+                return p.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                pass
+            if time.time() - max(os.path.getmtime(path), start) > STALL_S:
+                return _kill(p)
+    except BaseException:
+        _kill(p)
+        raise
 
 
-def run(sf_dir: str, path: str, chunk: int, stall: float) -> int:
+def _kill(p: subprocess.Popen) -> int:
+    try:
+        os.killpg(p.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    return p.wait()
+
+
+def run(sf_dir: str, path: str) -> int:
     """Start workers until every entry is recorded; an entry whose
     session died or hung twice before recording it is recorded as a
-    crash."""
+    crash. Returns a worker's exit code when it recorded nothing."""
     while True:
-        before, _ = load(path)
-        p = subprocess.Popen([sys.executable, os.path.abspath(__file__),
-                              sf_dir, "--results", path, "--chunk",
-                              str(chunk), "--worker"],
-                             start_new_session=True)
-        rc = watch(p, path, stall)
+        size = os.path.getsize(path)
+        rc = watch(subprocess.Popen(worker_cmd(sf_dir, path),
+                                    start_new_session=True), path)
         if rc == 0:
             return 0
         if rc == MORE:
             continue
-        after, started = load(path)
-        lost = [n for n, k in started.items() if n not in after]
-        if len(after) == len(before) and not lost:
-            return rc  # died before its first entry
-        for name in lost:
-            if started[name] >= 2:
+        if os.path.getsize(path) == size:
+            return rc  # it cannot start, so another try would not either
+        final, started = load(path)
+        for name, k in started.items():
+            if name not in final and k >= 2:
                 append(path, {"name": name,
                               "status": f"SESSION CRASH (exit {rc})"})
 
@@ -203,17 +257,16 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("sf_dir", help="testdata scale dir, e.g. .../sf0.01")
     ap.add_argument("--results", default=None)
-    ap.add_argument("--chunk", type=int, default=40)
-    ap.add_argument("--stall", type=float, default=900.0)
     ap.add_argument("--worker", action="store_true")
     args = ap.parse_args()
     sf_dir = args.sf_dir.rstrip("/")
     path = args.results or os.path.join(
         ".check_contract", os.path.basename(sf_dir) + ".jsonl")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     if args.worker:
-        sys.exit(worker(sf_dir, path, args.chunk))
-    rc = run(sf_dir, path, args.chunk, args.stall)
+        sys.exit(worker(sf_dir, path))
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    open_results(path)
+    rc = run(sf_dir, path)
     if rc:
         print(f"worker failed (exit {rc}) before recording an entry")
         sys.exit(rc)

@@ -12,6 +12,7 @@ here calls ``ray.init()`` / ``ray.shutdown()``.
 from __future__ import annotations
 
 import datetime
+import functools
 import glob
 import hashlib
 import json
@@ -160,7 +161,7 @@ from nlp_graphrag_with_qdrant_and_neo4j_ray.state.broadcast import (
     broadcast_lookup, lookup_batch,
 )
 from nlp_graphrag_with_qdrant_and_neo4j_ray.state.checkpoint import (
-    checkpointed, rows_at_most,
+    checkpointed, rows_at_most, source_digest,
 )
 
 CFG = PipelineConfig()
@@ -209,8 +210,18 @@ def _asia_nations(sf_dir: str) -> pa.Table:
         asia, "n_regionkey", "r_regionkey", []))
 
 
+@functools.cache
+def _code_digest() -> str:
+    """Digest of this module and the package sources, once per process."""
+    return source_digest(os.path.abspath(__file__))
+
+
 def _kg_dir(sf_dir: str) -> str:
-    tag = hashlib.blake2b(sf_dir.encode(), digest_size=6).hexdigest()
+    """The KG checkpoint cache of ``sf_dir`` (built with resume), keyed
+    by the scale dir and the code, so two checkouts or two versions of
+    the code never resume each other's KG."""
+    tag = hashlib.blake2b(f"{sf_dir}\0{_code_digest()}".encode(),
+                          digest_size=6).hexdigest()
     return os.path.join(tempfile.gettempdir(), f"kgcache-{tag}")
 
 

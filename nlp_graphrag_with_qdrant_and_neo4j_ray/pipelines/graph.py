@@ -561,6 +561,28 @@ def degree_histogram(edges_ds, src_col: str = "src",
     )
 
 
+def _walk_ids(col: pa.ChunkedArray) -> pa.ChunkedArray:
+    """Integer (or all-null) node ids as int64; any other column passes
+    through for :func:`_walk_edges` to reject."""
+    if pa.types.is_integer(col.type) or pa.types.is_null(col.type):
+        return pc.cast(col, pa.int64())
+    return col
+
+
+def _walk_edges(edges_ds, undip, walker: str, cols: list[str]):
+    """``edges_ds`` through ``undip``, materialized, or ``ValueError``
+    naming the first of ``cols`` (src, dst) that is not an integer node
+    id column: the walk kernels hash and compare ids as int64."""
+    edges = edges_ds.map_batches(undip, batch_format="pyarrow").materialize()
+    schema = edges.schema()  # None for an empty edge list
+    types = dict(zip(schema.names, schema.types)) if schema else {}
+    for col, key in zip(cols, ("key", "dst")):
+        if key in types and types[key] != pa.int64():
+            raise ValueError(f"{walker} needs integer node ids: column "
+                             f"{col!r} is {types[key]}")
+    return edges
+
+
 def random_walks(edges_ds, walk_len: int = 4, src_col: str = "src",
                  dst_col: str = "dst", mult_a: int = 2654435761,
                  mult_b: int = 40503):
@@ -587,14 +609,13 @@ def random_walks(edges_ds, walk_len: int = 4, src_col: str = "src",
 
     def undip(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "key": pc.cast(batch.column(src_col), pa.int64()),
-            "dst": pc.cast(batch.column(dst_col), pa.int64()),
+            "key": _walk_ids(batch.column(src_col)),
+            "dst": _walk_ids(batch.column(dst_col)),
             "walk": pa.array([-1] * len(batch), pa.int64()),
             "step": pa.array([-1] * len(batch), pa.int64()),
         })
 
-    edges = edges_ds.map_batches(
-        undip, batch_format="pyarrow").materialize()
+    edges = _walk_edges(edges_ds, undip, "random_walks", [src_col, dst_col])
 
     def starts(batch: pa.Table) -> pa.Table:
         u = pc.unique(batch.column("key"))
@@ -1782,15 +1803,15 @@ def node2vec_walks(edges_ds, walk_len: int = 4, p: float = 1.0,
 
     def undip(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "key": pc.cast(batch.column(src_col), pa.int64()),
-            "dst": pc.cast(batch.column(dst_col), pa.int64()),
+            "key": _walk_ids(batch.column(src_col)),
+            "dst": _walk_ids(batch.column(dst_col)),
             "walk": pa.array([-1] * len(batch), pa.int64()),
             "step": pa.array([-1] * len(batch), pa.int64()),
             "prev": pa.array([-1] * len(batch), pa.int64()),
         })
 
-    edges = edges_ds.map_batches(
-        undip, batch_format="pyarrow").materialize()
+    edges = _walk_edges(edges_ds, undip, "node2vec_walks",
+                        [src_col, dst_col])
 
     def starts(batch: pa.Table) -> pa.Table:
         u = pc.unique(batch.column("key"))

@@ -27,6 +27,17 @@ operations over the Parquet tables build_kg materializes:
 - relationship search (retrieval.py:265-314): edges filtered by subject
   entity (+ case-insensitive predicate substring), with the chunk
   provenance the reference always returned as null.
+
+Serving from memory: every retrieval function also accepts the
+in-process ``pa.Table`` of a small checkpoint (`_kg_local_table`, the
+kgbench ``Server``) and a ``TermIndex`` handle, whose small matches are
+read with pyarrow (``TermIndex.matched_local``). The functions that
+return rows — ``hybrid_retrieve``, ``graph_retrieve``,
+``term_search(as_rows=True)`` and the context / chain / relationship
+lookups — then run no Dataset at all: wrapping a 10-row answer in
+``ray.data.from_arrow`` and taking it back cost ≈27 ms per call (1 CPU,
+1,276 chunk vectors; the scoring kernel itself took 1.6 ms).
+``vector_topk`` and ``vector_topk_ivf`` keep returning Datasets.
 """
 
 from __future__ import annotations
@@ -58,6 +69,27 @@ def embed_query(query: str, cfg: PipelineConfig = DEFAULT_CONFIG) -> np.ndarray:
     return np.asarray(emb.encode([query], prefix="query:")[0], dtype=np.float32)
 
 
+def vector_topk_table(tbl: pa.Table, query: str, k: int = 10,
+                      cfg: PipelineConfig = DEFAULT_CONFIG) -> pa.Table:
+    """Exact cosine top-k of an in-process ``chunk_vectors`` table (the
+    caller read a small checkpoint locally — `_kg_local_table`), with no
+    Dataset execution: float32 scores, ties kept in table order (stable
+    ``argsort``). Returns a ``pa.Table`` (chunk_id, payload_text,
+    score)."""
+    qv = embed_query(query, cfg)
+    mat = np.asarray(
+        tbl.column("embedding").combine_chunks().flatten()
+    ).reshape(tbl.num_rows, cfg.vector_size)
+    s = (mat.astype(np.float32) @ qv).astype(np.float64)
+    order = np.argsort(-s, kind="stable")[:k]
+    rows = pa.array(order)
+    return pa.table({
+        "chunk_id": tbl.column("chunk_id").combine_chunks().take(rows),
+        "payload_text": tbl.column("payload_text").combine_chunks().take(rows),
+        "score": pa.array(s[order]),
+    })
+
+
 def vector_topk(chunk_vectors_ds, query: str, k: int = 10,
                 cfg: PipelineConfig = DEFAULT_CONFIG):
     """Exact cosine top-k: per-batch matmul against the query vector,
@@ -66,28 +98,16 @@ def vector_topk(chunk_vectors_ds, query: str, k: int = 10,
     over ≤ blocks × k survivors. Global top-k == top-k of per-batch
     top-ks, exactly. Returns a Dataset (chunk_id, payload_text, score).
 
-    ``chunk_vectors_ds`` may also be an in-process ``pa.Table`` (the
-    caller read a small checkpoint locally — `_kg_local_table`): then
-    the same float32 scoring and top-k run without a Dataset execution;
-    identical row-wise math, wrapped back into a Dataset."""
-    qv = embed_query(query, cfg)
-
+    ``chunk_vectors_ds`` may also be an in-process ``pa.Table``: then
+    :func:`vector_topk_table` scores it and its answer is wrapped back
+    into a Dataset."""
     if isinstance(chunk_vectors_ds, pa.Table):
         import ray.data
 
-        tbl = chunk_vectors_ds
-        mat = np.asarray(
-            tbl.column("embedding").combine_chunks().flatten()
-        ).reshape(tbl.num_rows, cfg.vector_size)
-        s = (mat.astype(np.float32) @ qv).astype(np.float64)
-        order = np.argsort(-s, kind="stable")[:k]
-        return ray.data.from_arrow(pa.table({
-            "chunk_id": tbl.column("chunk_id").combine_chunks().take(
-                pa.array(order)),
-            "payload_text": tbl.column("payload_text").combine_chunks()
-            .take(pa.array(order)),
-            "score": pa.array(s[order]),
-        }))
+        return ray.data.from_arrow(
+            vector_topk_table(chunk_vectors_ds, query, k, cfg))
+
+    qv = embed_query(query, cfg)
 
     def score(batch: pa.Table) -> pa.Table:
         mat = np.asarray(batch.column("embedding").combine_chunks().flatten()
@@ -102,7 +122,9 @@ def vector_topk(chunk_vectors_ds, query: str, k: int = 10,
         )
         if scored.num_rows <= k:
             return scored
-        top = np.argpartition(-s, k - 1)[:k]
+        # stable, like vector_topk_table: of rows tied at the k-th
+        # score the earlier ones survive (argpartition kept either)
+        top = np.argsort(-s, kind="stable")[:k]
         return scored.take(pa.array(np.sort(top)))
 
     return (
@@ -180,8 +202,8 @@ def term_search(terms_ds, query: str, k: int = 10,
     """Query n-grams ⋈ terms (broadcast semi-join) → SUM(score) per chunk
     → top-k. Returns Dataset (chunk_id, score), or the same top-k as a
     ``list[dict]`` with ``as_rows=True`` (serving callers that consume
-    rows anyway skip a Dataset wrap+take round-trip — ~0.9 s of fixed
-    executor latency per call on a loaded host).
+    rows anyway skip a Dataset wrap+take round-trip — ≈27 ms per call
+    on 1 CPU).
 
     ``terms_ds`` may be the raw terms Dataset (full scan — batch-mode
     semantics) or a ``stages.termindex.TermIndex`` (serving mode: only
@@ -427,9 +449,14 @@ def hybrid_retrieve(chunk_vectors_ds, terms_ds, query: str, k: int = 10,
     ``vec_hits``: precomputed vector-leg hits (chunk_id, score) — the
     serving composition where the vector side comes from an ANN index
     (the reference's Qdrant leg is itself HNSW-approximate) instead of
-    the exact brute scan. When given, ``chunk_vectors_ds`` is unused."""
+    the exact brute scan. When given, ``chunk_vectors_ds`` is unused.
+    An in-process ``pa.Table`` is scored by :func:`vector_topk_table`
+    directly, the rows of ``vector_topk(...).take(k)`` without the
+    Dataset."""
     if vec_hits is not None:
         vec = vec_hits
+    elif isinstance(chunk_vectors_ds, pa.Table):
+        vec = vector_topk_table(chunk_vectors_ds, query, k, cfg).to_pylist()
     else:
         vec = vector_topk(chunk_vectors_ds, query, k, cfg).take(k)
     gra = graph_retrieve(terms_ds, query, k, cfg)

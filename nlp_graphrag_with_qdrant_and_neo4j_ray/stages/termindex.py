@@ -36,6 +36,12 @@ Scale/robustness (VERDICT r2 task 5, ADVICE r2):
 - part-file names hash the FULL batch content, so two distinct
   concurrent batches can never collide (retries still overwrite
   idempotently).
+
+Serving: a ``TermIndex`` handle is a snapshot of the index it was
+loaded from, and caches what its small-match reads decode up to
+``config.TERM_LOCAL_ROWS`` rows, so repeated queries on a long-lived
+handle (kgbench's ``Server``, the CLI REPL) read no file (see
+``TermIndex``).
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .. import config
 from ..functions.rounding import sql_round
 
 _now = _time.perf_counter
@@ -74,12 +81,27 @@ class TermIndex:
     """Handle to a built index directory; ``matched(terms)`` returns a
     Dataset of exactly the posting rows whose term is in the query set
     (columns ``term, term_type, chunk_id, tf, df, bm25``), reading only
-    the needed bucket directories."""
+    the needed bucket directories.
+
+    A handle is a snapshot of the index it was loaded from: it keeps
+    each probed bucket's file list and each file's footer statistics
+    (per row group: term min/max and row count), and ``matched_local``
+    keeps the row groups it decodes, up to ``config.TERM_LOCAL_ROWS``
+    rows in total — the same bound as one local match, read at call
+    time. Past that budget a row group is read as before and nothing is
+    evicted. A repeated query thus opens no file. A rebuilt index is
+    a new directory and ``ensure_term_index`` returns a new handle for
+    it; a handle held across the rebuild keeps serving its snapshot."""
 
     def __init__(self, path: str, num_buckets: int, total_chunks: int = 0):
         self.path = path
         self.num_buckets = num_buckets
         self.total_chunks = total_chunks
+        self._files: dict[int, list[str]] = {}  # bucket → part files
+        # part file → (schema, [(term min, term max, rows) per group])
+        self._footers: dict[str, tuple] = {}
+        self._groups: dict[tuple[str, int], pa.Table] = {}
+        self.cached_rows = 0
 
     @classmethod
     def load(cls, path: str) -> "TermIndex":
@@ -106,20 +128,56 @@ class TermIndex:
             )
         )
 
+    def _bucket_files(self, terms: list[str]) -> list[str]:
+        """The part files of the buckets ``terms`` hash to."""
+        files: list[str] = []
+        for b in sorted(set(term_buckets(terms, self.num_buckets))):
+            if b not in self._files:
+                d = self.bucket_dir(b)
+                self._files[b] = [
+                    os.path.join(d, f) for f in sorted(os.listdir(d))
+                    if f.endswith(".parquet")
+                ] if os.path.isdir(d) else []
+            files.extend(self._files[b])
+        return files
+
+    def _footer(self, path: str) -> tuple:
+        """(arrow schema, [(term min, term max, rows) per row group]) of
+        a part file; min/max are None where a group has no statistics."""
+        if path not in self._footers:
+            pf = pq.ParquetFile(path)
+            md = pf.metadata
+            col = pf.schema_arrow.names.index("term")
+            groups = []
+            for g in range(md.num_row_groups):
+                rg = md.row_group(g)
+                st = rg.column(col).statistics
+                lo, hi = ((st.min, st.max) if st is not None
+                          and st.min is not None and st.max is not None
+                          else (None, None))
+                groups.append((lo, hi, rg.num_rows))
+            self._footers[path] = (pf.schema_arrow, groups)
+        return self._footers[path]
+
+    def _read_groups(self, path: str, groups: list[int]) -> pa.Table:
+        """Row groups ``groups`` of a part file, the cached ones from
+        memory; a decoded one is kept while the budget allows."""
+        got = {g: self._groups.get((path, g)) for g in groups}
+        missing = [g for g, t in got.items() if t is None]
+        if missing:
+            pf = pq.ParquetFile(path)
+            for g in missing:
+                t = got[g] = pf.read_row_group(g)
+                if self.cached_rows + t.num_rows <= config.TERM_LOCAL_ROWS:
+                    self._groups[(path, g)] = t
+                    self.cached_rows += t.num_rows
+        return pa.concat_tables([got[g] for g in groups])
+
     def matched(self, terms: list[str]):
-        import pyarrow.compute as pc
         import ray.data
 
         terms = sorted(set(terms))
-        files: list[str] = []
-        for b in sorted(set(term_buckets(terms, self.num_buckets))):
-            d = self.bucket_dir(b)
-            if os.path.isdir(d):
-                files.extend(
-                    os.path.join(d, f)
-                    for f in sorted(os.listdir(d))
-                    if f.endswith(".parquet")
-                )
+        files = self._bucket_files(terms)
         if not terms or not files:
             return self._empty()
         return ray.data.read_parquet(
@@ -136,58 +194,42 @@ class TermIndex:
         read's filter pushdown; a query's few terms typically land in
         1-2 of a bucket's ~25 groups. Parquet string statistics are
         truncation-safe bounds (truncated max is incremented), so the
-        range check can only over-select, never miss."""
+        range check can only over-select, never miss. Footers and
+        decoded row groups come from the handle's cache (see the class
+        docstring)."""
         import bisect
 
-        import pyarrow.compute as pc
-        import pyarrow.parquet as pq
-
         terms = sorted(set(terms))
-        files: list[str] = []
-        for b in sorted(set(term_buckets(terms, self.num_buckets))):
-            d = self.bucket_dir(b)
-            if os.path.isdir(d):
-                files.extend(
-                    os.path.join(d, f)
-                    for f in sorted(os.listdir(d))
-                    if f.endswith(".parquet")
-                )
+        files = self._bucket_files(terms)
         if not terms or not files:
             return None
         picked: list[tuple] = []
         total = 0
         for f in files:
-            pf = pq.ParquetFile(f)
-            md = pf.metadata
-            try:
-                col = pf.schema_arrow.names.index("term")
-            except ValueError:  # pragma: no cover - defensive
-                return None
             groups = []
-            for g in range(md.num_row_groups):
-                st = md.row_group(g).column(col).statistics
-                if st is None or st.min is None or st.max is None:
+            for g, (lo, hi, rows) in enumerate(self._footer(f)[1]):
+                if lo is None:
                     hit = True  # no stats → must read
                 else:
                     # any wanted term inside [min, max]?
-                    i = bisect.bisect_left(terms, st.min)
-                    hit = i < len(terms) and terms[i] <= st.max
+                    i = bisect.bisect_left(terms, lo)
+                    hit = i < len(terms) and terms[i] <= hi
                 if hit:
                     groups.append(g)
-                    total += md.row_group(g).num_rows
+                    total += rows
                     if total > max_rows:
                         return None
             if groups:
-                picked.append((pf, groups))
+                picked.append((f, groups))
         value_set = pa.array(terms)
         parts = []
-        for pf, groups in picked:
-            t = pf.read_row_groups(groups)
+        for f, groups in picked:
+            t = self._read_groups(f, groups)
             parts.append(
                 t.filter(pc.is_in(t.column("term"), value_set=value_set))
             )
         if not parts:  # every row group pruned: empty match, known schema
-            parts = [pq.ParquetFile(files[0]).schema_arrow.empty_table()]
+            parts = [self._footer(files[0])[0].empty_table()]
         return pa.concat_tables(parts)
 
     def manifest(self):

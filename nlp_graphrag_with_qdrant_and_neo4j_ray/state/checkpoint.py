@@ -70,6 +70,25 @@ def rows_at_most(files: list[str], max_rows: int) -> bool:
     return True
 
 
+def source_digest(*extra: str) -> str:
+    """Hash of the code that checkpoints or recorded results depend on:
+    this package's Python sources plus the files ``extra``, each hashed
+    with its path relative to the package's parent directory, so two
+    checkouts of the same code agree."""
+    import hashlib
+
+    pkg = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    root = os.path.dirname(pkg)
+    files = [os.path.join(d, f) for d, _, fs in os.walk(pkg)
+             for f in fs if f.endswith(".py")]
+    h = hashlib.blake2b(digest_size=16)
+    for f in sorted([*map(os.path.abspath, extra), *files]):
+        h.update(os.path.relpath(f, root).encode() + b"\0")
+        with open(f, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
 def _publish(ds, path: str, write_kwargs: dict | None) -> None:
     """Write ``ds`` to ``path`` atomically (tmp dir → rename → _SUCCESS)."""
     tmp = path + ".__tmp__"

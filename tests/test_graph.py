@@ -471,6 +471,21 @@ def test_random_walks_parallel_edges_dedup_and_partition_independent(
     assert len(one) == 20 * 4
 
 
+def test_random_walks_rejects_string_ids(ray_session):
+    """The KG's ids are strings; the walk hashes int64 ids, so a string
+    id column is named in a ValueError, not a failed map task."""
+    import pyarrow as pa
+
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
+        random_walks,
+    )
+
+    ds = ray_session.data.from_arrow(pa.table({
+        "src_entity_id": ["e:a", "e:b"], "dst_entity_id": ["e:b", "e:a"]}))
+    with pytest.raises(ValueError, match="'src_entity_id' is string"):
+        random_walks(ds, src_col="src_entity_id", dst_col="dst_entity_id")
+
+
 # ---------------------------------------------------------------------------
 # HITS: hubs & authorities
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ behavior, determinism, DeepWalk equivalence at step 0."""
 
 import numpy as np
 import pandas as pd
+import pytest
 
 from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.graph import (
     node2vec_walks,
@@ -194,3 +195,11 @@ def test_skipgram_negatives_follow_unigram_power(ray_session):
                              window=1, k_neg=5).to_pandas()
     share0 = (out["negative"] == 0).mean()
     assert share0 > 0.4  # 75% of visits, ^0.75-damped, still dominant
+
+
+def test_rejects_string_ids(ray_session):
+    """String node ids (the KG's id type) raise a ValueError naming the
+    column and its type."""
+    df = pd.DataFrame({"src": [1, 2], "dst": ["e:b", "e:a"]})
+    with pytest.raises(ValueError, match="'dst' is string"):
+        node2vec_walks(_ds(ray_session, df, 1))

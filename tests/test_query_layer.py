@@ -441,3 +441,166 @@ def test_term_index_fingerprint_invalidation(kg, tmp_path):
     assert os.stat(compact).st_mtime_ns == m1
     ensure_term_index(d, kg["terms"], fingerprint="t2")   # stale: rebuild
     assert os.stat(compact).st_mtime_ns != m1
+
+
+def _table(ds):
+    """A Dataset materialized into one in-process ``pa.Table``."""
+    import pyarrow as pa
+    import ray
+
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+def _tied_vectors(kg, query: str, k: int):
+    """``chunk_vectors`` as a table plus one copy of its k-th best row
+    under another chunk_id, appended last: a tie at the k-th score."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.query import (
+        vector_topk_table,
+    )
+
+    tbl = _table(kg["chunk_vectors"].select_columns(
+        ["chunk_id", "payload_text", "embedding"]))
+    kth = vector_topk_table(tbl, query, k, CFG).column("chunk_id")[k - 1]
+    row = tbl.filter(pc.equal(tbl.column("chunk_id"), kth))
+    dup = row.set_column(0, "chunk_id", pa.array([kth.as_py() + "-copy"]))
+    return pa.concat_tables([tbl, dup]), kth.as_py()
+
+
+def test_hybrid_vector_leg_local_runs_no_dataset(kg, tmp_path, monkeypatch):
+    """Given in-process tables and a TermIndex, hybrid retrieval runs no
+    Dataset, and returns the rows of the Dataset-input path and of
+    ``vector_topk(tbl).take(k)`` — a tie at the k-th score included."""
+    import ray.data
+
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.query import (
+        hybrid_retrieve,
+        hybrid_retrieve_with_triplets,
+        vector_topk,
+        vector_topk_table,
+    )
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.termindex import (
+        ensure_term_index,
+    )
+
+    query, k = "Hugging Face company", 5
+    tbl, kth = _tied_vectors(kg, query, k)
+    edges = _table(kg["edges"])
+    idx = ensure_term_index(str(tmp_path), kg["terms"])
+
+    leg = vector_topk_table(tbl, query, k, CFG).to_pylist()
+    assert [r["chunk_id"] for r in leg][k - 1] == kth  # the first of the tie
+    assert leg[k - 1]["score"] == vector_topk_table(
+        tbl, query, k + 1, CFG).column("score")[k].as_py()
+    assert leg == vector_topk(tbl, query, k, CFG).take(k)
+    assert leg == vector_topk(ray.data.from_arrow(tbl), query, k,
+                              CFG).take(k)
+    want = hybrid_retrieve(ray.data.from_arrow(tbl), idx, query, k, CFG)
+    want_t = hybrid_retrieve_with_triplets(
+        ray.data.from_arrow(tbl), idx, edges, query, k, CFG)
+
+    def no_dataset(*_a, **_k):
+        raise AssertionError("a Dataset was built")
+
+    monkeypatch.setattr(ray.data, "from_arrow", no_dataset)
+    monkeypatch.setattr(ray.data, "read_parquet", no_dataset)
+    assert hybrid_retrieve(tbl, idx, query, k, CFG) == want
+    got_t = hybrid_retrieve_with_triplets(tbl, idx, edges, query, k, CFG)
+    assert got_t == want_t and got_t["triplets"]
+
+
+QUERIES = ("galaxy patrol research", "Hugging Face company", "mecha",
+           "galaxy", "patrol research designs")
+
+
+def _search_all(idx):
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.query import (
+        term_search,
+        term_search_all,
+    )
+
+    return [[term_search(idx, q, k=10, score="bm25", as_rows=True),
+             term_search(idx, q, k=10, score="ngram_order", as_rows=True),
+             term_search_all(idx, q, k=10, as_rows=True)]
+            for q in QUERIES]
+
+
+def test_term_index_cache_repeat_opens_no_file(kg, tmp_path, monkeypatch):
+    """A handle keeps its footers and decoded row groups: a repeated
+    query opens no Parquet file, and its results equal a fresh
+    handle's for bm25, ngram_order and term_search_all."""
+    import pyarrow.parquet as pq
+
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.termindex import (
+        TermIndex,
+        ensure_term_index,
+    )
+
+    idx = ensure_term_index(str(tmp_path), kg["terms"])
+    first = _search_all(idx)
+    opened = []
+    real = pq.ParquetFile
+
+    def counting(*a, **kw):
+        opened.append(a[0] if a else kw.get("source"))
+        return real(*a, **kw)
+
+    monkeypatch.setattr(pq, "ParquetFile", counting)
+    assert _search_all(idx) == first
+    assert opened == []
+    assert _search_all(TermIndex.load(idx.path)) == first
+    assert opened  # a fresh handle reads its footers and row groups
+
+
+def test_term_index_cache_budget(kg, tmp_path, monkeypatch):
+    """The decoded row groups a handle keeps never exceed
+    config.TERM_LOCAL_ROWS rows, and a budget too small for every
+    group changes no result."""
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.termindex import (
+        TermIndex,
+        ensure_term_index,
+    )
+
+    idx = ensure_term_index(str(tmp_path), kg["terms"])
+    want = _search_all(TermIndex.load(idx.path))
+    budget = 5000  # about two of the fixture's eight row groups
+    monkeypatch.setattr(config, "TERM_LOCAL_ROWS", budget)
+    small = TermIndex.load(idx.path)
+
+    def rounded(res):  # queries past the budget take the exchange path
+        return [[[(r["chunk_id"], round(r["score"], 9)) for r in rows]
+                 for rows in per_query] for per_query in res]
+
+    for _ in range(2):
+        assert rounded(_search_all(small)) == rounded(want)
+        assert 0 < small.cached_rows <= budget
+        assert small.cached_rows == sum(
+            t.num_rows for t in small._groups.values())
+    assert len(small._groups) < sum(len(small._footer(f)[1])
+                                    for f in small._footers)
+
+
+def test_term_index_warm_cache_keeps_zero_gate(kg, tmp_path, monkeypatch):
+    """TERM_LOCAL_ROWS = 0 still forces the distributed path on a handle
+    whose cache is warm."""
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.query import (
+        term_search,
+    )
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.termindex import (
+        ensure_term_index,
+    )
+
+    idx = ensure_term_index(str(tmp_path), kg["terms"])
+    query = "galaxy patrol research"
+    local = term_search(idx, query, k=10, as_rows=True)
+    assert idx.cached_rows > 0
+    calls = []
+    matched = idx.matched
+    monkeypatch.setattr(idx, "matched", lambda t: calls.append(t) or matched(t))
+    monkeypatch.setattr(config, "TERM_LOCAL_ROWS", 0)
+    dist = term_search(idx, query, k=10, as_rows=True)
+    assert calls
+    assert ([(r["chunk_id"], round(r["score"], 9)) for r in dist]
+            == [(r["chunk_id"], round(r["score"], 9)) for r in local])

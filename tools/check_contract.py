@@ -34,6 +34,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from nlp_graphrag_with_qdrant_and_neo4j_ray.state.checkpoint import (  # noqa: E402
+    source_digest as package_digest,
+)
+
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 ENTRY = "entry()"
 STARTED = "STARTED"
@@ -110,16 +114,8 @@ def check(name: str, fn, sf_dir: str, con, sqls: dict) -> dict:
 def source_digest() -> str:
     """Hash of the code a results file's records depend on: the entry
     module, the package and this file."""
-    pkg = os.path.join(ROOT, "nlp_graphrag_with_qdrant_and_neo4j_ray")
-    files = [os.path.join(d, f) for d, _, fs in os.walk(pkg)
-             for f in fs if f.endswith(".py")]
-    h = hashlib.blake2b(digest_size=16)
-    for f in sorted([os.path.join(ROOT, "__ray_entry__.py"),
-                     os.path.abspath(__file__), *files]):
-        h.update(os.path.relpath(f, ROOT).encode() + b"\0")
-        with open(f, "rb") as fh:
-            h.update(fh.read())
-    return h.hexdigest()
+    return package_digest(os.path.join(ROOT, "__ray_entry__.py"),
+                          os.path.abspath(__file__))
 
 
 def open_results(path: str) -> None:

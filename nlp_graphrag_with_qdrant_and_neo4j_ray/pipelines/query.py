@@ -37,7 +37,17 @@ return rows — ``hybrid_retrieve``, ``graph_retrieve``,
 lookups — then run no Dataset at all: wrapping a 10-row answer in
 ``ray.data.from_arrow`` and taking it back cost ≈27 ms per call (1 CPU,
 1,276 chunk vectors; the scoring kernel itself took 1.6 ms).
-``vector_topk`` and ``vector_topk_ivf`` keep returning Datasets.
+
+``vector_topk`` and ``vector_topk_ivf`` keep returning Datasets, so the
+ops that call them still pay that ≈25 ms round-trip: the exact vector
+top-k and the IVF vector leg of a hybrid query (kgbench's
+``vector_topk`` and ``hybrid_ivf`` ops), around kernels of a few ms.
+Their callers, kgbench's ``Server`` among them, take rows from the
+returned Dataset with ``.take(k)``; returning rows instead changes that
+interface and waits for the benchmark to change with it. The work
+below the round-trip is per query, not per index: a ``TermIndex`` finds
+a cached row group's terms by their sorted runs, and the process keeps
+each IVF index's list files and decoded lists (``similarity.knn_ivf``).
 """
 
 from __future__ import annotations

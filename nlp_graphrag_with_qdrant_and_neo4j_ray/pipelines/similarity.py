@@ -265,27 +265,101 @@ def ensure_ivf_centroids(index_dir: str, embeddings_ds, dim: int,
     return cents
 
 
-_IVF_PROC_CACHE: dict[str, tuple[np.ndarray, str]] = {}
+class _IvfSnapshot:
+    """One published IVF index as this process has read it: the
+    identity it was read under (the ``_SUCCESS`` marker's inode, its
+    mtime and its content), the centroids, each list's part files, the
+    row count of each part file decoded, and each decoded part file as
+    ``(ids, float32 matrix, float64 row norms)``. Decoded files are kept
+    while the snapshots in ``_IVF_PROC_CACHE`` hold at most
+    ``config.KNN_LOCAL_ROWS`` rows together, read at call time; past
+    that bound a file is read as before and nothing is evicted."""
+
+    def __init__(self, ident: tuple, cents: np.ndarray, lists_path: str):
+        self.ident = ident
+        self.cents = cents
+        self.lists_path = lists_path
+        self._files: dict[int, list[str]] = {}  # list id → part files
+        self._rows: dict[str, int] = {}  # decoded part file → rows
+        # (part file, id column, vector column) → (ids, matrix, norms)
+        self.decoded: dict[tuple[str, str, str], tuple] = {}
+        self.cached_rows = 0
+
+    def list_files(self, probes: list[int]) -> list[str]:
+        """The part files of the lists ``probes``, in probe order."""
+        import glob
+        import os
+
+        out = []
+        for i in probes:
+            if i not in self._files:
+                self._files[i] = sorted(glob.glob(os.path.join(
+                    self.lists_path, f"list_id={i}", "*.parquet")))
+            out.extend(self._files[i])
+        return out
+
+    def rows_at_most(self, paths: list[str], max_rows: int) -> bool:
+        """``state.checkpoint.rows_at_most``, opening only the footers of
+        files not yet decoded, so a repeated probe set opens no file."""
+        known = sum(self._rows.get(f, 0) for f in paths)
+        return known <= max_rows and rows_at_most(
+            [f for f in paths if f not in self._rows], max_rows - known)
+
+    def scored(self, paths: list[str], q: np.ndarray, id_col: str,
+               emb_col: str) -> tuple[pa.Array, np.ndarray]:
+        """(ids, cosine scores) of every row of ``paths``, in file order.
+
+        The files not yet decoded are read on up to 8 threads; then
+        each kept while the bound allows. Scoring is fused — einsum
+        accumulates the dot and the row norm in float64 straight off
+        the float32 matrix, so no 2×-size float64 temporary is ever
+        materialized (the scan is memory-bandwidth-bound; the fused
+        form measured 2.7× faster than normalize-then-gemv and agrees
+        with knn_brute to ~1e-16, far inside the round-6 contract). A
+        kept file's norms are computed once; its scores are the same
+        einsum on the same arrays, so a warm query's scores equal the
+        cold query's bit for bit."""
+        import pyarrow.parquet as pq
+
+        def decode(f: str) -> tuple:
+            t = pq.read_table(f, columns=[id_col, emb_col])
+            m = _as_matrix(t, emb_col)
+            nrm = np.sqrt(np.einsum("ij,ij->i", m, m, dtype=np.float64))
+            nrm[nrm == 0] = 1.0
+            return t.column(id_col).combine_chunks(), m, nrm
+
+        keys = [(f, id_col, emb_col) for f in paths]
+        got = {k: self.decoded.get(k) for k in keys}
+        missing = [k for k, d in got.items() if d is None]
+        if missing:
+            from concurrent.futures import ThreadPoolExecutor
+
+            others = sum(s.cached_rows for s in _IVF_PROC_CACHE.values()
+                         if s is not self)
+            with ThreadPoolExecutor(min(8, len(missing))) as ex:
+                for k, d in zip(missing,
+                                ex.map(decode, [k[0] for k in missing])):
+                    got[k] = d
+                    n = self._rows[k[0]] = len(d[0])
+                    if (others + self.cached_rows + n
+                            <= config.KNN_LOCAL_ROWS):
+                        self.decoded[k] = d
+                        self.cached_rows += n
+        parts = [got[k] for k in keys]
+        return (pa.concat_arrays([ids for ids, _, _ in parts]),
+                np.concatenate([np.einsum("ij,j->i", m, q, dtype=np.float64)
+                                / nrm for _, m, nrm in parts]))
 
 
-def ensure_ivf_index(index_dir: str, embeddings_ds, dim: int,
-                     nlist: int = 64, iters: int = 5,
-                     id_col: str = "vec_id", emb_col: str = "embedding",
-                     fingerprint: str = "", resume: bool = True):
-    """Full serving-mode IVF index: the quantizer PLUS the vectors
-    themselves written as parquet partitioned by list assignment
-    (``lists/list_id=<i>/``).  A query then reads ONLY its ``nprobe``
-    probed lists' partitions — the inverted-file read-pruning that makes
-    IVF sublinear — instead of re-scanning (and re-assigning) the whole
-    embeddings table per query, which is what the centroids-only cache
-    still did.  Same atomic-publish + fingerprint invalidation as the
-    term index.  Returns ``(centroids, lists_path)``.
+# marker path → the snapshot of the index last read or built there
+_IVF_PROC_CACHE: dict[str, _IvfSnapshot] = {}
 
-    ``embeddings_ds`` may be a zero-arg callable returning the Dataset
-    — it is resolved ONLY on a build, so a warm serving call never
-    constructs (or resumes) the source pipeline (VERDICT r4 task 3).
-    Warm centroids are also cached in-process keyed on the marker
-    content, skipping the np.load per query."""
+
+def _ivf_snapshot(index_dir: str, embeddings_ds, dim: int, nlist: int,
+                  iters: int, id_col: str, emb_col: str, fingerprint: str,
+                  resume: bool) -> _IvfSnapshot:
+    """:func:`ensure_ivf_index` returning the process's snapshot of the
+    index (see ``_IvfSnapshot``)."""
     import json
     import os
 
@@ -296,16 +370,32 @@ def ensure_ivf_index(index_dir: str, embeddings_ds, dim: int,
     marker = os.path.join(path, "_SUCCESS")
     want = json.dumps({"fingerprint": fingerprint, "tag": tag})
     lists_path = os.path.join(path, "lists")
+
+    def load() -> _IvfSnapshot | None:
+        """The snapshot of the published index if its marker matches
+        ``want``: the cached one while the marker is the file it was
+        read from, else a fresh one; None without a matching marker."""
+        try:
+            st = os.stat(marker)
+        except FileNotFoundError:
+            return None
+        snap = _IVF_PROC_CACHE.get(marker)
+        if snap is not None and snap.ident == (st.st_ino, st.st_mtime_ns,
+                                               want):
+            return snap
+        with open(marker) as f:
+            st = os.fstat(f.fileno())
+            if f.read() != want:
+                return None
+        snap = _IVF_PROC_CACHE[marker] = _IvfSnapshot(
+            (st.st_ino, st.st_mtime_ns, want),
+            np.load(os.path.join(path, "centroids.npy")), lists_path)
+        return snap
+
     if resume:
-        cached = _IVF_PROC_CACHE.get(marker)
-        if cached is not None and cached[1] == want:
-            return cached[0], lists_path
-        if os.path.exists(marker):
-            with open(marker) as f:
-                if f.read() == want:
-                    cents = np.load(os.path.join(path, "centroids.npy"))
-                    _IVF_PROC_CACHE[marker] = (cents, want)
-                    return cents, lists_path
+        snap = load()
+        if snap is not None:
+            return snap
 
     if callable(embeddings_ds):
         embeddings_ds = embeddings_ds()
@@ -340,7 +430,35 @@ def ensure_ivf_index(index_dir: str, embeddings_ds, dim: int,
     if os.path.exists(path):
         shutil.rmtree(path)
     os.rename(tmp, path)
-    return np.load(os.path.join(path, "centroids.npy")), lists_path
+    _IVF_PROC_CACHE.pop(marker, None)  # the build replaces the entry
+    return load()
+
+
+def ensure_ivf_index(index_dir: str, embeddings_ds, dim: int,
+                     nlist: int = 64, iters: int = 5,
+                     id_col: str = "vec_id", emb_col: str = "embedding",
+                     fingerprint: str = "", resume: bool = True):
+    """Full serving-mode IVF index: the quantizer PLUS the vectors
+    themselves written as parquet partitioned by list assignment
+    (``lists/list_id=<i>/``).  A query then reads ONLY its ``nprobe``
+    probed lists' partitions — the inverted-file read-pruning that makes
+    IVF sublinear — instead of re-scanning (and re-assigning) the whole
+    embeddings table per query, which is what the centroids-only cache
+    still did.  Same atomic-publish + fingerprint invalidation as the
+    term index.  Returns ``(centroids, lists_path)``.
+
+    ``embeddings_ds`` may be a zero-arg callable returning the Dataset
+    — it is resolved ONLY on a build, so a warm serving call never
+    constructs (or resumes) the source pipeline (VERDICT r4 task 3).
+    The process keeps one snapshot per index (centroids, list files,
+    decoded lists — see :func:`knn_ivf`), keyed by the ``_SUCCESS``
+    marker's inode and mtime as well as its content, so a warm call
+    skips the np.load, and a rebuild — here, which replaces the
+    snapshot, or by another process, which replaces the marker file —
+    is never served from the old one."""
+    snap = _ivf_snapshot(index_dir, embeddings_ds, dim, nlist, iters,
+                         id_col, emb_col, fingerprint, resume)
+    return snap.cents, snap.lists_path
 
 
 def knn_ivf(embeddings_ds, query_vec, dim: int, k: int = 10, nlist: int = 64,
@@ -357,74 +475,49 @@ def knn_ivf(embeddings_ds, query_vec, dim: int, k: int = 10, nlist: int = 64,
     in-process and assignment is a shuffle-free per-batch filter
     (batch mode). ``embeddings_ds`` may be a zero-arg callable — in
     serving mode it is only resolved on a cold index build, so a warm
-    query never constructs the source pipeline (VERDICT r4 task 3)."""
-    import os
+    query never constructs the source pipeline (VERDICT r4 task 3).
 
+    Serving mode keeps what a small probe decodes: the process's
+    snapshot of the index (``_IvfSnapshot``) holds each list's part-file
+    names, each decoded part file's row count and each decoded part
+    file (ids, float32 matrix, float64 row norms), the decoded ones up
+    to ``config.KNN_LOCAL_ROWS`` rows over all of the process's
+    snapshots — the same bound as one local probe set, read at call
+    time. Past it a file is read as before and nothing is evicted. A repeated probe set thus opens no
+    file, and its scores equal the cold query's bit for bit. A rebuilt
+    index gets a new snapshot (see :func:`ensure_ivf_index`)."""
     import ray
 
     q = np.asarray(query_vec, dtype=np.float64)
     q = q / (np.linalg.norm(q) or 1.0)
 
     if index_dir is not None:
-        cents, lists_path = ensure_ivf_index(
-            index_dir, embeddings_ds, dim, nlist, iters, id_col, emb_col,
-            fingerprint,
-        )
-        probes = np.argsort(-(cents @ q))[:nprobe].tolist()
-        import glob
-
-        paths = [
-            f for i in probes
-            for f in sorted(glob.glob(
-                os.path.join(lists_path, f"list_id={i}", "*.parquet")))
-        ]
+        snap = _ivf_snapshot(index_dir, embeddings_ds, dim, nlist, iters,
+                             id_col, emb_col, fingerprint, True)
+        probes = np.argsort(-(snap.cents @ q))[:nprobe].tolist()
+        paths = snap.list_files(probes)
         if not paths:  # pragma: no cover - defensive
             if callable(embeddings_ds):
                 embeddings_ds = embeddings_ds()
             return knn_brute(embeddings_ds, q, k, id_col, emb_col)
 
+        import ray.data
+
         # Small-probe fast path (the graph family's local-solve pattern):
         # when the probed lists are modest — known from the parquet
         # footers alone, a few KB of metadata reads — a full Ray Dataset
         # (plan + task launch + all-to-all sort) is pure fixed overhead
-        # on top of ~0.3 s of actual work. Read the probed partitions
-        # with pyarrow directly and take top-k in one matmul, with
+        # on top of ~0.3 s of actual work. Score the probed partitions
+        # in-process (``_IvfSnapshot.scored``) and take top-k with
         # knn_brute's exact (score desc, id asc) tie-break. Above the
         # threshold (100 TB serving: nprobe lists are GBs), the
         # distributed path below does the same math in parallel.
-        import pyarrow.parquet as pq
-
-        if rows_at_most(paths, config.KNN_LOCAL_ROWS):
-            from concurrent.futures import ThreadPoolExecutor
-
-            import ray.data
-
-            # one file at a time per thread: decompress overlaps the
-            # scoring and peak memory is one partition, not the probe
-            # set. Scoring is fused — einsum accumulates the dot and the
-            # row norm in float64 straight off the float32 matrix, so no
-            # 2×-size float64 temporary is ever materialized (this host
-            # is memory-bandwidth-bound; the fused form measured 2.7×
-            # faster than normalize-then-gemv and agrees with knn_brute
-            # to ~1e-16, far inside the round-6 contract).
-            def score_file(f: str):
-                t = pq.read_table(f, columns=[id_col, emb_col])
-                m = _as_matrix(t, emb_col)
-                dots = np.einsum("ij,j->i", m, q, dtype=np.float64)
-                nrm = np.sqrt(np.einsum("ij,ij->i", m, m,
-                                        dtype=np.float64))
-                nrm[nrm == 0] = 1.0
-                return t.column(id_col).combine_chunks(), dots / nrm
-
-            with ThreadPoolExecutor(min(8, len(paths))) as ex:
-                parts = list(ex.map(score_file, paths))
+        if snap.rows_at_most(paths, config.KNN_LOCAL_ROWS):
+            ids, scores = snap.scored(paths, q, id_col, emb_col)
             out = pa.table({
-                id_col: pa.concat_arrays([p[0] for p in parts]),
-                "score": pa.array(np.concatenate([p[1] for p in parts]),
-                                  pa.float64()),
+                id_col: ids, "score": pa.array(scores, pa.float64()),
             }).sort_by([("score", "descending"), (id_col, "ascending")])
             return ray.data.from_arrow(out.slice(0, k))
-        import ray.data
 
         candidates = ray.data.read_parquet(paths, columns=[id_col, emb_col])
         return knn_brute(candidates, q, k, id_col, emb_col)
@@ -467,9 +560,6 @@ def knn_ivfpq_rerank(embeddings_ds, query_vec, dim: int, k: int = 10,
     partition — the re-read is sublinear too, pruned to the probed
     lists and filtered to candidate ids at the parquet layer. Returns
     the knn_brute schema: Dataset (id, score) sorted (desc, id asc)."""
-    import glob
-    import os
-
     import pyarrow.parquet as pq
     import ray.data
 
@@ -484,18 +574,12 @@ def knn_ivfpq_rerank(embeddings_ds, query_vec, dim: int, k: int = 10,
     ).take_all()  # bounded: rerank_factor × k nominee rows
     cand_ids = [r[id_col] for r in cand]
 
-    cents, lists_path = ensure_ivf_index(
-        index_dir, embeddings_ds, dim, nlist, iters, id_col, emb_col,
-        fingerprint,
-    )
+    snap = _ivf_snapshot(index_dir, embeddings_ds, dim, nlist, iters,
+                         id_col, emb_col, fingerprint, True)
     q = np.asarray(query_vec, dtype=np.float64)
     q = q / (np.linalg.norm(q) or 1.0)
-    probes = np.argsort(-(cents @ q))[:nprobe].tolist()
-    paths = [
-        f for i in probes
-        for f in sorted(glob.glob(
-            os.path.join(lists_path, f"list_id={i}", "*.parquet")))
-    ]
+    probes = np.argsort(-(snap.cents @ q))[:nprobe].tolist()
+    paths = snap.list_files(probes)
     if not paths:  # pragma: no cover - defensive
         if callable(embeddings_ds):
             embeddings_ds = embeddings_ds()
@@ -507,7 +591,7 @@ def knn_ivfpq_rerank(embeddings_ds, query_vec, dim: int, k: int = 10,
     # its local fast path, a filtered Dataset scan of the probed
     # partitions above it.
     id_filter = pc.field(id_col).isin(cand_ids)
-    if rows_at_most(paths, config.KNN_LOCAL_ROWS):
+    if snap.rows_at_most(paths, config.KNN_LOCAL_ROWS):
         t = pa.concat_tables([
             pq.read_table(f, columns=[id_col, emb_col], filters=id_filter)
             for f in paths

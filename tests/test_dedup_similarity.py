@@ -408,6 +408,50 @@ def test_ensure_ivf_index_partitioned_serving(vectors_ds, tmp_path):
     assert np.array_equal(cents, cents2)
 
 
+def test_ivf_rebuild_replaces_process_cache(vectors_ds, tmp_path):
+    """A rebuilt IVF index is never served from the process's snapshot
+    of the old one: not after a rebuild here (resume=False, same
+    fingerprint, so the marker content is unchanged), nor after another
+    process replaced the index on disk."""
+    import os
+    import shutil
+
+    import ray.data
+
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.similarity import (
+        ensure_ivf_index,
+        knn_ivf,
+    )
+
+    ds, rows = vectors_ds
+    other = ray.data.from_items([
+        {"vec_id": r["vec_id"] + 1000, "embedding": r["embedding"][::-1]}
+        for r in rows])
+    kw = dict(dim=32, nlist=6, iters=2, fingerprint="fp")
+    q = np.asarray(rows[0]["embedding"])
+
+    def served(d):
+        return [r["vec_id"] for r in knn_ivf(
+            None, q, k=5, nprobe=2, index_dir=d, **kw).take_all()]
+
+    d = str(tmp_path / "ivfx")
+    first, _ = ensure_ivf_index(d, ds, **kw)
+    assert max(served(d)) < 1000  # warm: centroids and lists cached
+    rebuilt, _ = ensure_ivf_index(d, other, resume=False, **kw)
+    assert not np.allclose(first, rebuilt)
+    assert np.array_equal(ensure_ivf_index(d, None, **kw)[0], rebuilt)
+    assert min(served(d)) >= 1000
+
+    # another process publishes the first vectors' index over it
+    elsewhere = str(tmp_path / "elsewhere")
+    ensure_ivf_index(elsewhere, ds, **kw)
+    (tag,) = os.listdir(elsewhere)
+    shutil.rmtree(os.path.join(d, tag))
+    shutil.copytree(os.path.join(elsewhere, tag), os.path.join(d, tag))
+    assert np.array_equal(ensure_ivf_index(d, None, **kw)[0], first)
+    assert max(served(d)) < 1000
+
+
 def test_ngram_decontaminate_removes_contaminated(ray_session):
     import ray.data
 

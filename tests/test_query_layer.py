@@ -604,3 +604,198 @@ def test_term_index_warm_cache_keeps_zero_gate(kg, tmp_path, monkeypatch):
     assert calls
     assert ([(r["chunk_id"], round(r["score"], 9)) for r in dist]
             == [(r["chunk_id"], round(r["score"], 9)) for r in local])
+
+
+def _tiny_group_index(idx, dst, rows_per_group: int):
+    """A copy of the built index ``idx`` under ``dst`` whose compact
+    files are rewritten with ``rows_per_group``-row row groups."""
+    import os
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.termindex import (
+        TermIndex,
+    )
+
+    shutil.copytree(idx.path, dst)
+    for b in range(idx.num_buckets):
+        f = os.path.join(dst, f"bucket-{b}", "compact.parquet")
+        if os.path.exists(f):
+            pq.write_table(pq.read_table(f), f,
+                           row_group_size=rows_per_group)
+    return TermIndex.load(dst)
+
+
+def test_term_index_run_lookup_matches_filter(kg, tmp_path, monkeypatch):
+    """matched_local finds a cached group's terms by their sorted runs;
+    its rows equal the is_in filter of each probed bucket file row for
+    row — a run across two row groups, absent and duplicate terms,
+    every group pruned, and groups past the budget included — and the
+    distributed matched() rows as a set."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.termindex import (
+        ensure_term_index,
+        term_runs,
+    )
+
+    size = 64
+    src = ensure_term_index(str(tmp_path / "src"), kg["terms"])
+    probe = _tiny_group_index(src, str(tmp_path / "probe"), size)
+
+    spanning, present = None, []
+    for b in range(probe.num_buckets):
+        f = os.path.join(probe.bucket_dir(b), "compact.parquet")
+        if not os.path.exists(f):
+            continue
+        uniq, bounds = term_runs(pq.read_table(f))
+        present.append(uniq[len(uniq) // 2])
+        for t, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
+            if spanning is None and lo // size != (hi - 1) // size:
+                spanning = t
+    assert spanning is not None, "fixture needs a run across two groups"
+
+    def by_filter(idx, terms):
+        terms = sorted(set(terms))
+        parts = [pq.read_table(f) for f in idx._bucket_files(terms)]
+        return pa.concat_tables([
+            t.filter(pc.is_in(t.column("term"), value_set=pa.array(terms)))
+            for t in parts])
+
+    def rows(tbl):
+        return sorted(tuple(r.values()) for r in tbl.to_pylist())
+
+    queries = [
+        [spanning],
+        [spanning, *present[:3], "zz-no-such-term"],
+        [spanning, spanning, present[0], present[0]],
+        [""],  # below every group's term min: every group pruned
+    ]
+    for budget in (config.TERM_LOCAL_ROWS, 3 * size):
+        monkeypatch.setattr(config, "TERM_LOCAL_ROWS", budget)
+        idx = _tiny_group_index(src, str(tmp_path / f"tiny-{budget}"), size)
+        for _ in range(2):  # cold, then from the cache
+            for terms in queries:
+                got = idx.matched_local(terms, 10 ** 9)
+                want = by_filter(idx, terms)
+                assert got is not None
+                assert got.schema == want.schema
+                assert got.to_pylist() == want.to_pylist()
+                assert rows(got) == rows(pa.Table.from_pylist(
+                    idx.matched(terms).take_all(), schema=want.schema))
+        assert any(r is not None for r in idx._runs.values())
+        assert idx.cached_rows <= budget
+    assert not by_filter(idx, [""]).num_rows
+    assert term_runs(pa.table({"term": ["b", "a"]})) is None
+    assert term_runs(pa.table({"term": pa.array([], pa.string())})) is None
+    uniq, bounds = term_runs(pa.table({"term": ["a", "a", "b"]}))
+    assert uniq == ["a", "b"] and bounds.tolist() == [0, 2, 3]
+
+
+def _ivf_snapshot_of(index_dir: str):
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.similarity import (
+        _IVF_PROC_CACHE,
+    )
+
+    (snap,) = [s for m, s in _IVF_PROC_CACHE.items()
+               if m.startswith(index_dir)]
+    return snap
+
+
+def _ivf_queries(kg, idx):
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.query import (
+        vector_topk_ivf,
+    )
+
+    return [vector_topk_ivf(kg["chunk_vectors"], q, index_dir=idx, k=5,
+                            cfg=CFG).take_all() for q in QUERIES]
+
+
+def _rounded(res):
+    """Per-query top-k rows at the round-6 parity contract."""
+    return [[(r["chunk_id"], round(r["score"], 6)) for r in rows]
+            for rows in res]
+
+
+def test_vector_topk_ivf_cache_repeat_opens_no_file(kg, tmp_path,
+                                                    monkeypatch):
+    """The process keeps an IVF index's list files and decoded lists: a
+    repeated vector_topk_ivf query opens no Parquet file, and its
+    scores equal the cold call's bit for bit."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    idx = str(tmp_path / "vecindex")
+    cold = _ivf_queries(kg, idx)
+
+    def no_read(*_a, **_k):
+        raise AssertionError("a Parquet file was opened")
+
+    for name in ("read_table", "ParquetFile", "read_metadata"):
+        monkeypatch.setattr(pq, name, no_read)
+    monkeypatch.setattr(ray.data, "read_parquet", no_read)
+    assert _ivf_queries(kg, idx) == cold
+    assert _ivf_snapshot_of(idx).cached_rows > 0
+
+
+def test_vector_topk_ivf_cache_bound(kg, tmp_path, monkeypatch):
+    """The decoded lists the process keeps never exceed
+    config.KNN_LOCAL_ROWS rows over all its IVF snapshots, and a bound
+    too small for every probed file changes no score."""
+    import numpy as np
+
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines import similarity
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.query import (
+        embed_query,
+    )
+
+    idx = str(tmp_path / "vecindex")
+    want = _ivf_queries(kg, idx)
+    snap = _ivf_snapshot_of(idx)
+    probed = []
+    for q in QUERIES:
+        qv = embed_query(q, CFG).astype(np.float64)
+        qv /= np.linalg.norm(qv)
+        probes = np.argsort(-(snap.cents @ qv))[:8].tolist()
+        probed.append(sum(snap._rows[f] for f in snap.list_files(probes)))
+    bound = max(probed)  # every query stays on the local path
+    assert sum(snap._rows.values()) > bound
+
+    monkeypatch.setattr(config, "KNN_LOCAL_ROWS", bound)
+    monkeypatch.setattr(similarity, "_IVF_PROC_CACHE", {})
+    other = str(tmp_path / "other")
+    for _ in range(2):
+        assert _ivf_queries(kg, idx) == want
+        small = _ivf_snapshot_of(idx)
+        assert 0 < small.cached_rows <= bound
+        assert small.cached_rows == sum(
+            len(ids) for ids, _, _ in small.decoded.values())
+        assert len(small.decoded) < len(small._rows)
+        # a second index in the process shares the bound
+        assert _rounded(_ivf_queries(kg, other)) == _rounded(want)
+        assert sum(s.cached_rows for s in
+                   similarity._IVF_PROC_CACHE.values()) <= bound
+
+
+def test_vector_topk_ivf_warm_cache_keeps_zero_gate(kg, tmp_path,
+                                                    monkeypatch):
+    """KNN_LOCAL_ROWS = 0 still takes the distributed path when the
+    process's IVF cache is warm."""
+    import ray.data
+
+    idx = str(tmp_path / "vecindex")
+    local = _ivf_queries(kg, idx)
+    assert _ivf_snapshot_of(idx).cached_rows > 0
+    calls = []
+    read = ray.data.read_parquet
+    monkeypatch.setattr(ray.data, "read_parquet",
+                        lambda *a, **kw: calls.append(a) or read(*a, **kw))
+    monkeypatch.setattr(config, "KNN_LOCAL_ROWS", 0)
+    dist = _ivf_queries(kg, idx)
+    assert calls
+    assert _rounded(dist) == _rounded(local)

@@ -161,7 +161,7 @@ from nlp_graphrag_with_qdrant_and_neo4j_ray.state.broadcast import (
     broadcast_lookup, lookup_batch,
 )
 from nlp_graphrag_with_qdrant_and_neo4j_ray.state.checkpoint import (
-    checkpointed, rows_at_most, source_digest,
+    checkpointed, fingerprint, publish_dir, rows_at_most, source_digest,
 )
 
 CFG = PipelineConfig()
@@ -216,61 +216,76 @@ def _code_digest() -> str:
     return source_digest(os.path.abspath(__file__))
 
 
-def _kg_dir(sf_dir: str) -> str:
-    """The KG checkpoint cache of ``sf_dir`` (built with resume), keyed
-    by the scale dir and the code, so two checkouts or two versions of
-    the code never resume each other's KG."""
-    tag = hashlib.blake2b(f"{sf_dir}\0{_code_digest()}".encode(),
+def _cache_dir(kind: str, key: str) -> str:
+    """The ``/tmp`` cache dir ``<kind>-<tag>`` of ``key``, keyed by the
+    key and the code, so two checkouts or two versions of the code
+    never serve each other's artifacts."""
+    tag = hashlib.blake2b(f"{key}\0{_code_digest()}".encode(),
                           digest_size=6).hexdigest()
-    return os.path.join(tempfile.gettempdir(), f"kgcache-{tag}")
+    return os.path.join(tempfile.gettempdir(), f"{kind}-{tag}")
 
 
-def _warc_fixture(sf_dir: str, fmt: str, n_shards: int = 4) -> list[str]:
+def _kg_dir(sf_dir: str) -> str:
+    """The KG checkpoint cache of ``sf_dir`` (built with resume)."""
+    return _cache_dir("kgcache", sf_dir)
+
+
+def _emb_index(sf_dir: str) -> tuple[str, str]:
+    """The ANN index dir of ``sf_dir``'s embeddings table and the
+    table's fingerprint. The indexes are built from embeddings.parquet,
+    not from the KG, so they live apart from ``_kg_dir`` and a KG
+    rebuild forces no k-means retrain."""
+    return (_cache_dir("ivfcache", sf_dir),
+            fingerprint(os.path.join(sf_dir, "embeddings.parquet")))
+
+
+def _export(sf_dir: str, name: str, suffix: str,
+            write: Callable[[str], None]) -> list[str]:
+    """The entries ending in ``suffix`` of the export ``name`` in
+    ``sf_dir``'s KG dir, published once by ``write(dir)``: a killed
+    export is never read back, and its rerun starts from an empty dir."""
+    out_dir = os.path.join(_kg_dir(sf_dir), name)
+    publish_dir(out_dir, "ok", write)
+    return [os.path.join(out_dir, f) for f in sorted(os.listdir(out_dir))
+            if f.endswith(suffix)]
+
+
+def _warc_fixture(sf_dir: str, fmt: str) -> list[str]:
     """Deterministic WARC/WET fixture shards built from the sf_dir's
     documents table (FIXTURES.md pattern: real container bytes, no
     external data). ``fmt`` is ``"wet"`` (conversion records carrying
     text) or ``"warc"`` (response records carrying full HTTP captures of
-    render_html output). Cached under /tmp keyed on the source file's
-    stat fingerprint; the build is a bounded local pass over the small
+    render_html output). Cached under /tmp keyed on the scale dir, the
+    format and the code, and published under the source file's
+    fingerprint; the build is a bounded local pass over the small
     testdata table — fixture GENERATION is test scaffolding, the read
     path under test is the streaming datasource."""
     src = os.path.join(sf_dir, "documents.parquet")
-    st = os.stat(src)
-    tag = hashlib.blake2b(f"{sf_dir}:{fmt}".encode(), digest_size=6).hexdigest()
-    d = os.path.join(tempfile.gettempdir(), f"warcfix-{tag}")
-    marker = os.path.join(d, "_FINGERPRINT")
-    fp = f"{st.st_mtime_ns}:{st.st_size}:{fmt}:v1"
-    paths = [os.path.join(d, f"part-{s:02d}.{fmt}.gz") for s in range(n_shards)]
-    try:
-        if open(marker).read() == fp and all(os.path.exists(p) for p in paths):
-            return paths
-    except OSError:
-        pass
+    d = _cache_dir("warcfix", f"{sf_dir}\0{fmt}")
+    names = [f"part-{s:02d}.{fmt}.gz" for s in range(4)]
 
-    tbl = pq.read_table(src, columns=["doc_id", "text", "lang", "source"])
-    epoch = datetime.datetime(2025, 3, 28)
-    shards: list[list[dict]] = [[] for _ in range(n_shards)]
-    for r in tbl.sort_by("doc_id").to_pylist():
-        did = f"{r['source']}-{r['doc_id']}"
-        url = f"https://crawl.example/{r['source']}/{did}"
-        row = {
-            "url": url,
-            "warc_ts": epoch + datetime.timedelta(seconds=int(r["doc_id"])),
-            "text": r["text"] or "",
-            "lang": r["lang"],
-            "html": render_html(did, r["text"] or ""),
-        }
-        shards[int(r["doc_id"]) % n_shards].append(row)
-    os.makedirs(d, exist_ok=True)
-    enc = encode_wet_pages if fmt == "wet" else encode_warc_pages
-    for s, rows in enumerate(shards):
-        tmp = paths[s] + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(enc(rows, filename=os.path.basename(paths[s])))
-        os.replace(tmp, paths[s])
-    with open(marker, "w") as f:
-        f.write(fp)
-    return paths
+    def build(tmp: str) -> None:
+        tbl = pq.read_table(src, columns=["doc_id", "text", "lang", "source"])
+        epoch = datetime.datetime(2025, 3, 28)
+        shards: list[list[dict]] = [[] for _ in names]
+        for r in tbl.sort_by("doc_id").to_pylist():
+            did = f"{r['source']}-{r['doc_id']}"
+            url = f"https://crawl.example/{r['source']}/{did}"
+            row = {
+                "url": url,
+                "warc_ts": epoch + datetime.timedelta(seconds=int(r["doc_id"])),
+                "text": r["text"] or "",
+                "lang": r["lang"],
+                "html": render_html(did, r["text"] or ""),
+            }
+            shards[int(r["doc_id"]) % len(names)].append(row)
+        enc = encode_wet_pages if fmt == "wet" else encode_warc_pages
+        for name, rows in zip(names, shards):
+            with open(os.path.join(tmp, name), "wb") as f:
+                f.write(enc(rows, filename=name))
+
+    publish_dir(d, fingerprint(src), build)
+    return [os.path.join(d, n) for n in names]
 
 
 def _kg_tables(sf_dir: str):
@@ -1551,9 +1566,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def _vec_index_args(sf_dir: str):
         kg_dir = _kg_dir(sf_dir)
-        st = os.stat(os.path.join(kg_dir, "chunk_vectors", "_SUCCESS"))
-        return (os.path.join(kg_dir, "vecindex"),
-                f"{st.st_mtime_ns}:{st.st_size}")
+        return (os.path.join(kg_dir, "vecindex"), fingerprint(
+            os.path.join(kg_dir, "chunk_vectors", "_SUCCESS")))
 
     def kg_vector_index_build(sf_dir: str):
         """One-time IVF index build over the KG chunk vectors as its own
@@ -2110,13 +2124,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         tests/test_pq.py."""
         emb = _read(sf_dir, "embeddings")
         qv = _query_vec(sf_dir)
-        src = os.path.join(sf_dir, "embeddings.parquet")
-        st = os.stat(src)
-        tag = hashlib.blake2b(sf_dir.encode(), digest_size=6).hexdigest()
+        index_dir, fp = _emb_index(sf_dir)
         books = sim.ensure_pq_codebooks(
-            os.path.join(tempfile.gettempdir(), f"ivfcache-{tag}"),
-            emb, dim=len(qv), m=8, nbits=6, iters=3,
-            fingerprint=f"{st.st_mtime_ns}:{st.st_size}",
+            index_dir, emb, dim=len(qv), m=8, nbits=6, iters=3,
+            fingerprint=fp,
         )
         hits = sim.knn_pq(emb, qv, dim=len(qv), k=10, m=8, nbits=6,
                           iters=3, codebooks=books).take_all()
@@ -2134,15 +2145,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         reads × 384× candidate compression."""
         emb = _read(sf_dir, "embeddings")
         qv = _query_vec(sf_dir)
-        src = os.path.join(sf_dir, "embeddings.parquet")
-        st = os.stat(src)
-        tag = hashlib.blake2b(sf_dir.encode(), digest_size=6).hexdigest()
+        index_dir, fp = _emb_index(sf_dir)
         hits = sim.knn_ivfpq(
             emb, qv, dim=len(qv), k=10, nlist=16, nprobe=4, m=8,
-            nbits=6, iters=3,
-            index_dir=os.path.join(tempfile.gettempdir(),
-                                   f"ivfcache-{tag}"),
-            fingerprint=f"{st.st_mtime_ns}:{st.st_size}",
+            nbits=6, iters=3, index_dir=index_dir, fingerprint=fp,
         ).take_all()
         return pa.table({
             "vec_id": pa.array([r["vec_id"] for r in hits], pa.int64()),
@@ -2160,15 +2166,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         score."""
         emb = _read(sf_dir, "embeddings")
         qv = _query_vec(sf_dir)
-        src = os.path.join(sf_dir, "embeddings.parquet")
-        st = os.stat(src)
-        tag = hashlib.blake2b(sf_dir.encode(), digest_size=6).hexdigest()
+        index_dir, fp = _emb_index(sf_dir)
         hits = sim.knn_ivfpq_rerank(
             emb, qv, dim=len(qv), k=10, rerank_factor=4, nlist=16,
-            nprobe=4, m=8, nbits=6, iters=3,
-            index_dir=os.path.join(tempfile.gettempdir(),
-                                   f"ivfcache-{tag}"),
-            fingerprint=f"{st.st_mtime_ns}:{st.st_size}",
+            nprobe=4, m=8, nbits=6, iters=3, index_dir=index_dir,
+            fingerprint=fp,
         ).take_all()
         return pa.table({
             "vec_id": pa.array([r["vec_id"] for r in hits], pa.int64()),
@@ -2223,23 +2225,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def embedding_knn_ivf(sf_dir: str):
         """Serving-mode IVF: the k-means quantizer persists under a
-        per-sf index dir (fingerprinted on the source parquet) — queries
-        load centroids + probe; no per-query training (VERDICT r2
-        finding 2)."""
+        per-sf index dir (``_emb_index``) — queries load centroids +
+        probe; no per-query training (VERDICT r2 finding 2)."""
         emb = _read(sf_dir, "embeddings")
         qv = _query_vec(sf_dir)
-        src = os.path.join(sf_dir, "embeddings.parquet")
-        st = os.stat(src)
-        # the quantizer indexes embeddings.parquet, NOT the KG build —
-        # it lives in its own cache dir so KG rebuilds (which wipe
-        # _kg_dir) don't force a needless k-means retrain; staleness is
-        # covered by the source-table fingerprint in the marker
-        tag = hashlib.blake2b(sf_dir.encode(), digest_size=6).hexdigest()
-        hits = sim.knn_ivf(
-            emb, qv, dim=len(qv), k=10,
-            index_dir=os.path.join(tempfile.gettempdir(), f"ivfcache-{tag}"),
-            fingerprint=f"{st.st_mtime_ns}:{st.st_size}",
-        ).take_all()
+        index_dir, fp = _emb_index(sf_dir)
+        hits = sim.knn_ivf(emb, qv, dim=len(qv), k=10, index_dir=index_dir,
+                           fingerprint=fp).take_all()
         return pa.table(
             {
                 "vec_id": pa.array([r["vec_id"] for r in hits], pa.int64()),
@@ -5596,23 +5588,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def docs_from_jsonl_roundtrip(sf_dir: str):
         """JSONL source coverage: the documents table is exported once
-        to newline-delimited JSON under /tmp (deterministic, cached by
-        content fingerprint) and read back with ray.data.read_json —
+        to newline-delimited JSON in the KG cache dir (``_export``)
+        and read back with ray.data.read_json —
         the Common-Crawl-adjacent ingestion format. Oracle: the same
         rows straight from parquet."""
-        out_dir = os.path.join(_kg_dir(sf_dir), "jsonl-src")
-        marker = os.path.join(out_dir, "_SUCCESS")
-        if not os.path.exists(marker):
-            os.makedirs(out_dir, exist_ok=True)
-            docs = _read(sf_dir, "documents",
-                         columns=["doc_id", "text", "lang", "source"])
-            docs.write_json(out_dir)
-            with open(marker, "w") as f:
-                f.write("ok")
-        ds = ray.data.read_json(
-            [os.path.join(out_dir, f) for f in sorted(os.listdir(out_dir))
-             if f.endswith(".json")]
-        )
+        ds = ray.data.read_json(_export(
+            sf_dir, "jsonl-src", ".json", lambda d: _read(
+                sf_dir, "documents",
+                columns=["doc_id", "text", "lang", "source"]).write_json(d)))
         return ds.map_batches(
             lambda b: b.select(["doc_id", "text", "lang", "source"]),
             batch_format="pyarrow",
@@ -5624,10 +5607,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         files under /tmp and read back stripe-streamed through the
         custom FileBasedDatasource.  Oracle: the same rows straight
         from parquet."""
-        out_dir = os.path.join(_kg_dir(sf_dir), "orc-src")
-        marker = os.path.join(out_dir, "_SUCCESS")
-        if not os.path.exists(marker):
-            os.makedirs(out_dir, exist_ok=True)
+        def write(out_dir: str) -> None:
             t = pq.read_table(
                 os.path.join(sf_dir, "documents.parquet"),
                 columns=["doc_id", "text", "lang", "source"],
@@ -5639,12 +5619,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     t.slice(i * per, per),
                     os.path.join(out_dir, f"docs-{i:02d}.orc"),
                 )
-            with open(marker, "w") as f:
-                f.write("ok")
-        return read_orc(
-            [os.path.join(out_dir, f) for f in sorted(os.listdir(out_dir))
-             if f.endswith(".orc")]
-        )
+
+        return read_orc(_export(sf_dir, "orc-src", ".orc", write))
 
     def docs_from_avro_roundtrip(sf_dir: str):
         """Avro source coverage (sources/avro.read_avro over the
@@ -5653,10 +5629,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         files under /tmp (alternating null/deflate codecs, multi-block)
         and read back block-streamed. Oracle: the same rows straight
         from parquet."""
-        out_dir = os.path.join(_kg_dir(sf_dir), "avro-src")
-        marker = os.path.join(out_dir, "_SUCCESS")
-        if not os.path.exists(marker):
-            os.makedirs(out_dir, exist_ok=True)
+        def write(out_dir: str) -> None:
             t = pq.read_table(
                 os.path.join(sf_dir, "documents.parquet"),
                 columns=["doc_id", "text", "lang", "source"],
@@ -5670,12 +5643,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     codec="deflate" if i % 2 else "null",
                     records_per_block=64,
                 )
-            with open(marker, "w") as f:
-                f.write("ok")
-        return read_avro(
-            [os.path.join(out_dir, f) for f in sorted(os.listdir(out_dir))
-             if f.endswith(".avro")]
-        )
+
+        return read_avro(_export(sf_dir, "avro-src", ".avro", write))
 
     def docs_hive_partition_pruned(sf_dir: str):
         """Directory-partition pruning (the hive-layout contract the
@@ -5684,16 +5653,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         lists ONLY the lang=en subdirectory — the other languages'
         files are never opened, the directory structure IS the filter.
         Oracle: WHERE lang = 'en' over the original parquet."""
-        out_dir = os.path.join(_kg_dir(sf_dir), "hive-docs")
-        marker = os.path.join(out_dir, "_SUCCESS")
-        if not os.path.exists(marker):
-            os.makedirs(out_dir, exist_ok=True)
-            _read(sf_dir, "documents",
-                  columns=["doc_id", "text", "lang"]).write_parquet(
-                out_dir, partition_cols=["lang"])
-            with open(marker, "w") as f:
-                f.write("ok")
-        ds = ray.data.read_parquet(os.path.join(out_dir, "lang=en"))
+        (en,) = _export(
+            sf_dir, "hive-docs", "lang=en", lambda d: _read(
+                sf_dir, "documents", columns=["doc_id", "text", "lang"],
+            ).write_parquet(d, partition_cols=["lang"]))
+        ds = ray.data.read_parquet(en)
 
         def add_lang(b: pa.Table) -> pa.Table:
             cols = {n: b.column(n) for n in ("doc_id", "text")}
@@ -5711,17 +5675,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         is the correct shape for this source (read_sql shards by key
         hash when the backend allows concurrent cursors).  Oracle: the
         same rows straight from parquet."""
-        db_dir = _kg_dir(sf_dir)
-        os.makedirs(db_dir, exist_ok=True)
-        db_path = os.path.join(db_dir, "docs.sqlite")
-        marker = db_path + ".ok"
-        if not os.path.exists(marker):
+        def write(out_dir: str) -> None:
             t = pq.read_table(
                 os.path.join(sf_dir, "documents.parquet"),
                 columns=["doc_id", "text", "lang"],
             )
-            con = sqlite3.connect(db_path)
-            con.execute("DROP TABLE IF EXISTS documents")
+            con = sqlite3.connect(os.path.join(out_dir, "docs.sqlite"))
             con.execute("CREATE TABLE documents "
                         "(doc_id INTEGER, text TEXT, lang TEXT)")
             con.executemany(
@@ -5732,8 +5691,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             )
             con.commit()
             con.close()
-            with open(marker, "w") as f:
-                f.write("ok")
+
+        (db_path,) = _export(sf_dir, "sqlite-src", ".sqlite", write)
         return ray.data.read_sql(
             "SELECT doc_id, text, lang FROM documents",
             lambda: __import__("sqlite3").connect(db_path),
@@ -5744,19 +5703,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         once and read back with ray.data.read_csv (schema inferred) —
         text stays out of the CSV to keep the format round-trippable.
         Oracle: the same projection from parquet."""
-        out_dir = os.path.join(_kg_dir(sf_dir), "csv-src")
-        marker = os.path.join(out_dir, "_SUCCESS")
-        if not os.path.exists(marker):
-            os.makedirs(out_dir, exist_ok=True)
-            docs = _read(sf_dir, "documents",
-                         columns=["doc_id", "lang", "n_chars"])
-            docs.write_csv(out_dir)
-            with open(marker, "w") as f:
-                f.write("ok")
-        ds = ray.data.read_csv(
-            [os.path.join(out_dir, f) for f in sorted(os.listdir(out_dir))
-             if f.endswith(".csv")]
-        )
+        ds = ray.data.read_csv(_export(
+            sf_dir, "csv-src", ".csv", lambda d: _read(
+                sf_dir, "documents",
+                columns=["doc_id", "lang", "n_chars"]).write_csv(d)))
         return ds.map_batches(
             lambda b: b.select(["doc_id", "lang", "n_chars"]),
             batch_format="pyarrow",

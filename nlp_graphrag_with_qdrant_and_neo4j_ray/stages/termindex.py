@@ -9,8 +9,8 @@ S7: "partitioned + sorted Parquet replaces indexes") is satisfied by this
 second materialization: a query hashes its few terms to buckets, reads
 ONLY those bucket files, and pushes a ``term IN (...)`` filter into
 ``read_parquet`` so row-group statistics (sorted by term) prune within
-the bucket. Built once per KG dir, lazily, checkpoint-style (atomic
-publish + ``_SUCCESS``, resume skips).
+the bucket. Built once per KG dir, lazily, and published with
+``state.checkpoint.publish_dir`` (resume skips a matching marker).
 
 Scoring (VERDICT r2 task 4): the reference scores term hits with Lucene's
 fulltext relevance (``/root/reference/graphrag/core/retrieval.py:206-216``);
@@ -26,13 +26,15 @@ local by construction: a term's complete posting list lives in exactly
 one hash bucket, so compaction sees every chunk of every term it owns.
 
 Scale/robustness (VERDICT r2 task 5, ADVICE r2):
-- ``num_buckets`` auto-sizes to a rows-per-bucket target (fixed 64 made a
-  100 TB bucket ~1.5 TB; compaction memory is bounded by the target);
-  the bucket count is recorded in the ``_SUCCESS`` marker and the query
-  side always reads it from there.
-- the marker also records a source-table fingerprint (the terms
-  checkpoint's ``_SUCCESS`` mtime by default) — rebuilding the KG in
-  place invalidates the index instead of silently serving stale scores.
+- ``num_buckets`` auto-sizes to a rows-per-bucket target
+  (``ROWS_PER_BUCKET``; fixed 64 made a 100 TB bucket ~1.5 TB;
+  compaction memory is bounded by the target); the bucket count is
+  recorded in the index's ``index.json`` and the query side always
+  reads it from there.
+- the ``_SUCCESS`` marker holds a source-table fingerprint (the terms
+  checkpoint marker's ``state.checkpoint.fingerprint`` by default) —
+  rebuilding the KG in place invalidates the index instead of silently
+  serving stale scores.
 - part-file names hash the FULL batch content, so two distinct
   concurrent batches can never collide (retries still overwrite
   idempotently).
@@ -51,8 +53,6 @@ import bisect
 import json
 import math
 import os
-import shutil
-
 import time as _time
 
 import numpy as np
@@ -63,12 +63,16 @@ import pyarrow.parquet as pq
 
 from .. import config
 from ..functions.rounding import sql_round
+from ..state.checkpoint import SUCCESS, fingerprint as file_fingerprint, publish_dir
 
 _now = _time.perf_counter
 
-SUCCESS = "_SUCCESS"
 BM25_K1 = 1.2
 INDEX_VERSION = 2
+# target postings per bucket: the bucket count is rows / this
+ROWS_PER_BUCKET = 1_000_000
+# the index's build record: bucket count, N for idf, build times
+META = "index.json"
 
 
 def term_buckets(terms: list[str], num_buckets: int) -> list[int]:
@@ -154,9 +158,9 @@ class TermIndex:
 
     @classmethod
     def load(cls, path: str) -> "TermIndex":
-        with open(os.path.join(path, SUCCESS)) as f:
+        with open(os.path.join(path, META)) as f:
             meta = json.load(f)
-        return cls(path, meta["num_buckets"], meta.get("total_chunks", 0))
+        return cls(path, meta["num_buckets"], meta["total_chunks"])
 
     def bucket_dir(self, bucket: int) -> str:
         return os.path.join(self.path, f"bucket-{bucket}")
@@ -293,11 +297,11 @@ class TermIndex:
 
 
 def kg_fingerprint(out_dir: str) -> str:
-    """Default staleness fingerprint: the terms checkpoint's _SUCCESS
-    mtime (a KG rebuild rewrites it → index invalidates)."""
-    p = os.path.join(out_dir, "terms", SUCCESS)
+    """Default staleness fingerprint: the terms checkpoint marker's
+    ``state.checkpoint.fingerprint`` (a KG rebuild rewrites it → index
+    invalidates); "" before the KG is built."""
     try:
-        return str(os.stat(p).st_mtime_ns)
+        return file_fingerprint(os.path.join(out_dir, "terms", SUCCESS))
     except OSError:
         return ""
 
@@ -321,8 +325,7 @@ def _distinct_chunks(terms_ds) -> int:
     )
 
 
-def ensure_term_index(out_dir: str, terms_ds, num_buckets: int | None = None,
-                      resume: bool = True, rows_per_bucket: int = 1_000_000,
+def ensure_term_index(out_dir: str, terms_ds, resume: bool = True,
                       fingerprint: str | None = None,
                       total_chunks=None) -> TermIndex:
     """Build (or load) the by-term BM25 posting index for a KG dir.
@@ -341,42 +344,32 @@ def ensure_term_index(out_dir: str, terms_ds, num_buckets: int | None = None,
     Dataset — resolved only on a build, so a warm load never constructs
     (or resumes) the KG pipeline (the ensure_ivf_index contract)."""
     path = os.path.join(out_dir, "terms_by_term")
-    marker = os.path.join(path, SUCCESS)
     if fingerprint is None:
         fingerprint = kg_fingerprint(out_dir)
-    if resume and os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                meta = json.load(f)
-        except (json.JSONDecodeError, OSError):
-            meta = {}
-        if (meta.get("version") == INDEX_VERSION
-                and meta.get("fingerprint") == fingerprint
-                and (num_buckets is None
-                     or meta.get("num_buckets") == num_buckets)):
-            return TermIndex(path, meta["num_buckets"],
-                             meta.get("total_chunks", 0))
+    key = json.dumps({"fingerprint": fingerprint,
+                      "tag": f"terms_by_term-v{INDEX_VERSION}"})
+    publish_dir(path, key,
+                lambda tmp: _build_term_index(tmp, terms_ds, total_chunks),
+                resume)
+    return TermIndex.load(path)
 
+
+def _build_term_index(tmp: str, terms_ds, total_chunks) -> None:
+    """Write the index of :func:`ensure_term_index` into ``tmp``."""
     import hashlib
 
     import ray.data
 
-    if callable(terms_ds):  # build only — warm loads returned above
+    if callable(terms_ds):  # build only — warm loads never get here
         terms_ds = terms_ds()
-    if num_buckets is None:
-        n_rows = terms_ds.count()
-        num_buckets = int(max(8, min(65536,
-                                     math.ceil(n_rows / rows_per_bucket))))
+    num_buckets = int(max(8, min(65536, math.ceil(
+        terms_ds.count() / ROWS_PER_BUCKET))))
     if callable(total_chunks):
         total_chunks = int(total_chunks())
     if total_chunks is None:
         total_chunks = _distinct_chunks(terms_ds)
     n_chunks = int(total_chunks)
 
-    tmp = path + ".__tmp__"
-    for stale in (tmp, path):
-        if os.path.exists(stale):
-            shutil.rmtree(stale)
     for b in range(num_buckets):
         os.makedirs(os.path.join(tmp, f"bucket-{b}"), exist_ok=True)
 
@@ -410,7 +403,7 @@ def ensure_term_index(out_dir: str, terms_ds, num_buckets: int | None = None,
         # raw part is irrelevant: compaction re-reads each part fully
         # and produces the term-sorted compact file queries read, so a
         # (term, chunk_id) string sort here was pure waste (measured
-        # 31.5 s → see marker build_wall_s).
+        # 31.5 s → see index.json build_wall_s).
         agg = agg.sort_by([("bucket", "ascending")])
         bvals = agg.column("bucket").to_numpy()
         bounds = np.flatnonzero(np.diff(bvals)) + 1
@@ -542,14 +535,10 @@ def ensure_term_index(out_dir: str, terms_ds, num_buckets: int | None = None,
         ),
         os.path.join(tmp, "manifest.parquet"),
     )
-
-    os.rename(tmp, path)
-    with open(marker, "w") as f:
+    with open(os.path.join(tmp, META), "w") as f:
         json.dump(
-            {"version": INDEX_VERSION, "num_buckets": num_buckets,
-             "total_chunks": n_chunks, "fingerprint": fingerprint,
+            {"num_buckets": num_buckets, "total_chunks": n_chunks,
              "scoring": f"bm25(k1={BM25_K1},b=0)",
              "build_wall_s": {"write": write_s, "compact": compact_s}},
             f,
         )
-    return TermIndex(path, num_buckets, n_chunks)

@@ -2,12 +2,15 @@
 
 The reference has no checkpointing (a crash re-processes everything,
 converging only via Cypher MERGE idempotency — SURVEY.md §4.1). Here each
-stage's output table is a directory published atomically: write to
-``<name>.__tmp__``, rename to ``<name>``, then drop a ``_SUCCESS`` marker.
-On resume a stage whose ``_SUCCESS`` exists is loaded with
+stage's output table is a directory published atomically by
+:func:`publish_dir`, the one publish rule of the package: build into
+``<name>.__tmp__``, write its ``_SUCCESS`` marker, rename it to
+``<name>``. On resume a stage whose marker matches is loaded with
 ``read_parquet`` instead of recomputed, so a failed run skips finished
 stages (per-partition skip within a stage comes from the partitioned
-file layout + idempotent overwrite of the stage directory).
+file layout + idempotent overwrite of the stage directory). The serving
+indexes and the entry's cached fixtures publish through the same rule,
+keyed by :func:`fingerprint` of what they are built from.
 """
 
 from __future__ import annotations
@@ -89,17 +92,55 @@ def source_digest(*extra: str) -> str:
     return h.hexdigest()
 
 
-def _publish(ds, path: str, write_kwargs: dict | None) -> None:
-    """Write ``ds`` to ``path`` atomically (tmp dir → rename → _SUCCESS)."""
+def fingerprint(path: str) -> str:
+    """``mtime_ns:size`` of the file ``path``: the staleness key of what
+    is built from it (a rewrite changes it)."""
+    st = os.stat(path)
+    return f"{st.st_mtime_ns}:{st.st_size}"
+
+
+def published(path: str, key: str) -> bool:
+    """True when the directory ``path`` is published under ``key``: its
+    ``_SUCCESS`` marker holds exactly ``key``."""
+    try:
+        with open(os.path.join(path, SUCCESS)) as f:
+            return f.read() == key
+    except OSError:
+        return False
+
+
+def publish_dir(path: str, key: str, build: Callable[[str], None],
+                resume: bool = True) -> bool:
+    """Publish the directory ``path`` atomically, or keep it.
+
+    With ``resume``, a ``path`` already :func:`published` under ``key``
+    is kept and nothing is built (returns False). Otherwise the old
+    ``path`` and any temp dir a killed build left are removed first, so
+    a failed rebuild never leaves an older table published; then
+    ``build(tmp)`` fills the fresh temp dir ``<path>.__tmp__``, ``key``
+    is written as its ``_SUCCESS`` and the temp dir is renamed to
+    ``path`` (returns True). This is the only place in the package that
+    writes a marker or renames a directory into place
+    (``tests/test_publish_guard.py``)."""
+    if resume and published(path, key):
+        return False
     tmp = path + ".__tmp__"
     for stale in (tmp, path):
         if os.path.exists(stale):
             shutil.rmtree(stale)
+    os.makedirs(tmp)
+    build(tmp)
+    with open(os.path.join(tmp, SUCCESS), "w") as f:
+        f.write(key)
+    os.rename(tmp, path)
+    return True
+
+
+def _write_parquet(ds, tmp: str, write_kwargs: dict | None) -> None:
+    """The build of a checkpoint: ``ds`` written as Parquet into ``tmp``."""
     ds.write_parquet(tmp, **(write_kwargs or {}))
-    # an all-empty dataset writes no files (and possibly no directory);
-    # publish an explicit zero-row file so the checkpoint stays readable
-    # with a stable schema
-    os.makedirs(tmp, exist_ok=True)
+    # an all-empty dataset writes no files; publish an explicit zero-row
+    # file so the checkpoint stays readable with a stable schema
     if not any(f.endswith(".parquet") for f in os.listdir(tmp)):
         import pyarrow.parquet as pq
 
@@ -107,9 +148,6 @@ def _publish(ds, path: str, write_kwargs: dict | None) -> None:
         arrow_schema = getattr(schema, "base_schema", None) if schema else None
         if arrow_schema is not None:
             pq.write_table(arrow_schema.empty_table(), os.path.join(tmp, "empty.parquet"))
-    os.rename(tmp, path)
-    with open(os.path.join(path, SUCCESS), "w") as f:
-        f.write("ok")
 
 
 def checkpointed(
@@ -131,9 +169,8 @@ def checkpointed(
     import ray.data
 
     path = table_path(out_dir, name)
-    marker = os.path.join(path, SUCCESS)
-    if not (resume and os.path.exists(marker)):
-        _publish(compute(), path, write_kwargs)
+    publish_dir(path, "ok",
+                lambda tmp: _write_parquet(compute(), tmp, write_kwargs), resume)
     return ray.data.read_parquet(path) if read_back else None
 
 
@@ -190,8 +227,7 @@ def checkpointed_passthrough(
     import ray.data
 
     path = table_path(out_dir, name)
-    marker = os.path.join(path, SUCCESS)
-    if resume and os.path.exists(marker):
+    if resume and published(path, "ok"):
         return ray.data.read_parquet(path), (lambda: None)
 
     ds = compute().materialize()
@@ -199,7 +235,8 @@ def checkpointed_passthrough(
 
     def run() -> None:
         try:
-            _publish(ds, path, write_kwargs)
+            publish_dir(path, "ok",
+                        lambda tmp: _write_parquet(ds, tmp, write_kwargs), resume=False)
         except BaseException as e:  # re-raised at finalize()
             err.append(e)
 

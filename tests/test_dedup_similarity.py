@@ -328,30 +328,135 @@ def test_verify_pairs_empty_and_duplicate_candidates(docs_ds, ray_session):
     assert len(rows) == 1 and rows[0]["jaccard"] == 1.0
 
 
-def test_ivf_centroids_persist_and_invalidate(vectors_ds, tmp_path):
-    """Serving-mode quantizer: built once, reloaded from disk on the next
-    call (byte-identical), rebuilt when the source fingerprint changes."""
+def _publish_case(name):
+    """(published dir name, ``run(d, src, fp, resume)`` → what the
+    caller gets back, fingerprinted?) of one builder that publishes
+    through ``state.checkpoint.publish_dir``."""
     import os
 
+    import pyarrow.parquet as pq
+
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.similarity import (
-        ensure_ivf_centroids,
+        ensure_ivf_index, ensure_ivfpq_index, ensure_pq_codebooks,
+    )
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.termindex import (
+        ensure_term_index,
+    )
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.state.checkpoint import (
+        checkpointed,
     )
 
+    def term_index(d, src, fp, resume):
+        idx = ensure_term_index(d, src["terms"], resume=resume,
+                                fingerprint=fp, total_chunks=9)
+        return pq.read_table(
+            os.path.join(idx.path, "manifest.parquet")).to_pylist()
+
+    def checkpoint(d, src, fp, resume):
+        ds = checkpointed(d, "t", lambda: src["vectors"].select_columns(
+            ["vec_id"]), resume=resume)
+        return sorted(r["vec_id"] for r in ds.take_all())
+
+    vec = dict(dim=32, iters=2)
+    return {
+        "term_index": ("terms_by_term", term_index, True),
+        "ivf": ("ivfx-d32-n6-i2", lambda d, src, fp, resume: ensure_ivf_index(
+            d, src["vectors"], nlist=6, fingerprint=fp, resume=resume,
+            **vec)[0], True),
+        "pq": ("pq-d32-m4-b4-i2", lambda d, src, fp, resume: ensure_pq_codebooks(
+            d, src["vectors"], m=4, nbits=4, fingerprint=fp, resume=resume,
+            **vec), True),
+        "ivfpq": ("ivfpq-d32-n6-m4-b4-i2",
+                  lambda d, src, fp, resume: np.concatenate([
+                      a.ravel() for a in ensure_ivfpq_index(
+                          d, src["vectors"], nlist=6, m=4, nbits=4,
+                          fingerprint=fp, resume=resume, **vec)[:2]]),
+                  True),
+        "checkpointed": ("t", checkpoint, False),
+    }[name]
+
+
+def _boom(batch):
+    raise RuntimeError("build killed")
+
+
+@pytest.mark.parametrize("case", ["term_index", "ivf", "pq", "ivfpq",
+                                  "checkpointed"])
+def test_publish_rule(case, vectors_ds, tmp_path):
+    """Every builder publishes through one rule: a warm call is served
+    from disk (byte-identical, no data file rewritten); a new
+    fingerprint, a marker holding another key and ``resume=False``
+    rebuild; a build that raises leaves nothing published and the next
+    call rebuilds; a temp dir left by a killed build is neither served
+    nor in the way."""
+    import glob
+    import os
+    import shutil
+
+    import pyarrow as pa
+    import ray.data
+
+    name, run, keyed = _publish_case(case)
     ds, _rows = vectors_ds
+    terms = ray.data.from_arrow(pa.table({
+        "term": [f"t{i % 7}" for i in range(60)],
+        "term_type": ["unigram"] * 60,
+        "chunk_id": [f"c{i % 9}" for i in range(60)],
+    }))
+    good = {"vectors": ds, "terms": terms}
+    bad = {k: v.map_batches(_boom, batch_format="pyarrow")
+           for k, v in good.items()}
     d = str(tmp_path / "idx")
-    c1 = ensure_ivf_centroids(d, ds, dim=32, nlist=6, iters=2,
-                              fingerprint="v1")
-    npy = os.path.join(d, "ivf-d32-n6-i2", "centroids.npy")
-    assert os.path.exists(npy)
-    mtime = os.stat(npy).st_mtime_ns
-    c2 = ensure_ivf_centroids(d, ds, dim=32, nlist=6, iters=2,
-                              fingerprint="v1")
-    assert np.array_equal(c1, c2)
-    assert os.stat(npy).st_mtime_ns == mtime          # loaded, not rebuilt
-    c3 = ensure_ivf_centroids(d, ds, dim=32, nlist=6, iters=2,
-                              fingerprint="v2")       # stale → rebuild
-    assert np.array_equal(c1, c3)
-    assert os.stat(npy).st_mtime_ns != mtime
+    path = os.path.join(d, name)
+    marker = os.path.join(path, "_SUCCESS")
+    tmp = path + ".__tmp__"
+
+    def same(a, b):
+        return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+    def stamp():
+        """Identity of the published dir's first data file."""
+        (f, *_) = sorted(glob.glob(os.path.join(path, "**", "*.npy"),
+                                   recursive=True)
+                         + glob.glob(os.path.join(path, "**", "*.parquet"),
+                                     recursive=True))
+        st = os.stat(f)
+        return f, st.st_ino, st.st_mtime_ns
+
+    first = run(d, good, "v1", True)
+    assert os.path.exists(marker)
+    built = stamp()
+    assert same(run(d, good, "v1", True), first)
+    assert stamp() == built                       # loaded, not rebuilt
+    fp = "v1"
+    if keyed:
+        fp = "v2"
+        assert same(run(d, good, fp, True), first)  # stale → rebuild
+        assert stamp() != built
+        built = stamp()
+    with open(marker, "w") as f:                  # another key's marker
+        f.write("older")
+    assert same(run(d, good, fp, True), first)
+    assert stamp() != built
+    built = stamp()
+    assert same(run(d, good, fp, False), first)   # resume=False rebuilds
+    assert stamp() != built
+
+    with pytest.raises(Exception):
+        run(d, bad, fp, False)
+    assert not os.path.exists(marker) and not os.path.exists(path)
+    assert os.path.isdir(tmp)                     # what the kill left
+    assert same(run(d, good, fp, True), first)
+    assert os.path.exists(marker) and not os.path.exists(tmp)
+
+    # killed between writing the marker and the rename: the temp dir
+    # holds a complete marker, but only the published dir is served
+    shutil.copytree(path, tmp)
+    open(os.path.join(tmp, "junk.parquet"), "w").close()
+    shutil.rmtree(path)
+    assert same(run(d, good, fp, True), first)
+    assert os.path.exists(marker) and not os.path.exists(tmp)
+    assert not os.path.exists(os.path.join(path, "junk.parquet"))
 
 
 def test_connected_components_long_chain_pointer_jumping(ray_session):

@@ -388,21 +388,20 @@ def test_term_index_bm25_matches_oracle(kg, tmp_path):
         assert abs(got[c] - s) < 1e-9
 
 
-def test_term_index_tiny_bucket_budget(kg, tmp_path):
+def test_term_index_tiny_bucket_budget(kg, tmp_path, monkeypatch):
     """Scale-proofing (VERDICT r2 task 5): an artificially tiny
     rows-per-bucket budget must auto-size to many buckets (bounding
     per-bucket compaction memory) and return IDENTICAL query results."""
-    import os
-
     from nlp_graphrag_with_qdrant_and_neo4j_ray.pipelines.query import term_search
+    from nlp_graphrag_with_qdrant_and_neo4j_ray.stages import termindex
     from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.termindex import (
         TermIndex,
         ensure_term_index,
     )
 
     big = ensure_term_index(str(tmp_path / "big"), kg["terms"])
-    tiny = ensure_term_index(str(tmp_path / "tiny"), kg["terms"],
-                             rows_per_bucket=100)
+    monkeypatch.setattr(termindex, "ROWS_PER_BUCKET", 100)
+    tiny = ensure_term_index(str(tmp_path / "tiny"), kg["terms"])
     assert tiny.num_buckets > big.num_buckets
     # every bucket's compacted file is bounded by ~the budget
     mrows = {r["bucket"]: r["rows"] for r in tiny.manifest().take_all()}
@@ -415,7 +414,7 @@ def test_term_index_tiny_bucket_budget(kg, tmp_path):
         assert [(r["chunk_id"], round(r["score"], 9)) for r in a] == [
             (r["chunk_id"], round(r["score"], 9)) for r in b
         ]
-    # the query side reads num_buckets from the marker, not a default
+    # the query side reads num_buckets from the index, not a default
     loaded = TermIndex.load(tiny.path)
     assert loaded.num_buckets == tiny.num_buckets
 

@@ -153,7 +153,10 @@ from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.multimodal import (
     decode_audio, decode_images, image_phash, resize_images,
     sample_video_frames, synth_media_dataset,
 )
-from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import grouped_apply
+from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.shuffle import (
+    combine,
+    grouped_apply,
+)
 from nlp_graphrag_with_qdrant_and_neo4j_ray.stages.termindex import (
     ensure_term_index,
 )
@@ -1094,9 +1097,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return (pdf.groupby(["gopher_keep", "quality_keep"])["n"]
                     .sum().reset_index())
 
-        return grouped_apply(cells, ["gopher_keep", "quality_keep"],
-                             fold, num_partitions=1,
-                             batch_format="pandas")
+        return grouped_apply(cells, [], fold, batch_format="pandas")
 
     def docs_split_leakage(sf_dir: str):
         """Train/val/test leakage audit (pipelines/dedup.split_leakage
@@ -1506,12 +1507,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 }
             )
 
-        partials = t["chunks"].map_batches(
-            chunk_partials, batch_format="pyarrow", batch_size=65536
-        ).union(
-            t["triples"].map_batches(
-                triple_partials, batch_format="pyarrow", batch_size=65536
-            )
+        partials = combine(
+            t["chunks"], chunk_partials, batch_size=65536).union(
+            combine(t["triples"], triple_partials, batch_size=65536)
         )
 
         def agg(batch: pa.Table) -> pa.Table:
@@ -2518,7 +2516,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         li = _read(sf_dir, "lineitem",
                    columns=["l_returnflag", "l_extendedprice"])
 
-        def combine(b: pa.Table) -> pa.Table:
+        def partial(b: pa.Table) -> pa.Table:
             ln = pc.ln(pc.cast(b.column("l_extendedprice"),
                                pa.float64()))
             t = pa.table({"l_returnflag": b.column("l_returnflag"),
@@ -2527,7 +2525,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 [("__ln", "sum"), ([], "count_all")])
             return agg.rename_columns(["l_returnflag", "s", "n"])
 
-        summed = (li.map_batches(combine, batch_format="pyarrow")
+        summed = (li.map_batches(partial, batch_format="pyarrow")
                   .groupby("l_returnflag")
                   .aggregate(Sum("s", alias_name="s"),
                              Sum("n", alias_name="n")))
@@ -2549,7 +2547,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         convention) from the key-cardinality-bounded count column."""
         orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-        def combine(pdf):
+        def partial(pdf):
             return (pdf.groupby("o_custkey", as_index=False)
                     .size().rename(columns={"size": "n"}))
 
@@ -2557,7 +2555,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return (pdf.groupby("o_custkey", as_index=False)["n"].sum())
 
         counts = grouped_apply(
-            orders.map_batches(combine, batch_format="pandas"),
+            combine(orders, partial, batch_format="pandas"),
             ["o_custkey"], reduce_,
             batch_format="pandas")
         # to_pandas, not take_all: row-based take_all over pandas
@@ -2596,11 +2594,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ev = _read(sf_dir, "events", columns=["event_type", "props"])
         typed = json_extract_scalar(ev, "props", "k", "k_val")
 
-        def combine(b: pa.Table) -> pa.Table:
+        def partial(b: pa.Table) -> pa.Table:
             agg = b.group_by(["event_type"]).aggregate([("k_val", "sum")])
             return agg.rename_columns(["event_type", "k_sum"])
 
-        return (typed.map_batches(combine, batch_format="pyarrow")
+        return (typed.map_batches(partial, batch_format="pyarrow")
                 .groupby("event_type")
                 .aggregate(Sum("k_sum", alias_name="k_sum")))
 
@@ -2638,14 +2636,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         led = window_lead(ev, ["user_id"], "ts", "event_type",
                           "next_type", "event_id")
 
-        def combine(b: pa.Table) -> pa.Table:
+        def partial(b: pa.Table) -> pa.Table:
             b = b.filter(pc.is_valid(b.column("next_type")))
             agg = (b.select(["event_type", "next_type"])
                    .group_by(["event_type", "next_type"])
                    .aggregate([([], "count_all")]))
             return agg.rename_columns(["event_type", "next_type", "n"])
 
-        return (led.map_batches(combine, batch_format="pyarrow")
+        return (combine(led, partial)
                 .groupby(["event_type", "next_type"])
                 .aggregate(Sum("n", alias_name="n")))
 
@@ -2680,7 +2678,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         li = _read(sf_dir, "lineitem",
                    columns=["l_partkey", "l_extendedprice", "l_discount"])
 
-        def combine(pdf):
+        def partial(pdf):
             rev = (pdf["l_extendedprice"]
                    * (1.0 - pdf["l_discount"]) * 100.0)
             pdf["revenue_cents"] = sql_round(rev).astype(np.int64)
@@ -2692,8 +2690,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                as_index=False)["revenue_cents"].sum()
 
         summed = grouped_apply(
-            broadcast_lookup(li, part, "l_partkey", "p_partkey", ["p_brand"])
-            .map_batches(combine, batch_format="pandas"),
+            combine(broadcast_lookup(li, part, "l_partkey", "p_partkey",
+                                     ["p_brand"]),
+                    partial, batch_format="pandas"),
             ["p_brand", "l_partkey"], reduce_,
             batch_format="pandas",
         )  # grouped_apply, not the slow native string-key Aggregate
@@ -3367,8 +3366,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             out["cum_new"] = out["n_new"].cumsum().astype("int64")
             return out
 
-        return grouped_apply(partials, ["bucket"], fold,
-                             num_partitions=1, batch_format="pandas")
+        return grouped_apply(partials, [], fold, batch_format="pandas")
 
     def docs_node2vec_walks(sf_dir: str):
         """node2vec biased walk corpus (Grover & Leskovec 2016) over
@@ -3429,11 +3427,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "frequency": pc.cast(agg.column("frequency_sum"),
                                      pa.int64()),
                 "monetary": sql_round(agg.column("monetary_sum"), 2),
-                "__all": pa.array(np.zeros(agg.num_rows, np.int64)),
             })
 
         rfm = grouped_apply(
-            orders.map_batches(partial, batch_format="pyarrow"),
+            combine(orders, partial),
             ["o_custkey"], fold,
             batch_format="pyarrow")
 
@@ -3453,7 +3450,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return out
 
         def code(pdf: pd.DataFrame) -> pd.DataFrame:
-            pdf = pdf.drop(columns="__all").reset_index(drop=True)
+            pdf = pdf.reset_index(drop=True)
             pdf["r"] = ntile4(pdf, "recency")
             pdf["f"] = ntile4(pdf, "frequency")
             pdf["m"] = ntile4(pdf, "monetary")
@@ -3464,8 +3461,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # all three NTILEs need the GLOBAL rank order, so the
         # O(customers) aggregate folds through one partition — the
         # dimension-sized window every exact-NTILE implementation pays
-        return grouped_apply(rfm, ["__all"], code, num_partitions=1,
-                             batch_format="pandas")
+        return grouped_apply(rfm, [], code, batch_format="pandas")
 
     def events_interarrival_quantiles(sf_dir: str):
         """Inter-arrival time distribution per event type (p50 / p90
@@ -3556,7 +3552,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return g
 
         return grouped_apply(
-            orders.map_batches(month_counts, batch_format="pyarrow"),
+            combine(orders, month_counts),
             ["o_orderpriority"], growth,
             batch_format="pandas")
 
@@ -3598,13 +3594,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "hapax_ratio": [sql_round(h / d, 6) if d else 0.0],
             })
 
-        return grouped_apply(
-            partials.map_batches(
-                lambda b: b.append_column(
-                    "__one", pa.array(np.zeros(b.num_rows, np.int64))),
-                batch_format="pyarrow"),
-            ["__one"], lambda pdf: fold(pdf.drop(columns="__one")),
-            num_partitions=1, batch_format="pandas")
+        return grouped_apply(partials, [], fold, batch_format="pandas")
 
     def events_burstiness(sf_dir: str):
         """Traffic burstiness per event type: the Fano factor
@@ -3636,7 +3626,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return out
 
         return grouped_apply(
-            ev.map_batches(day_counts, batch_format="pyarrow"),
+            combine(ev, day_counts),
             ["event_type"], fold,
             batch_format="pandas")
 
@@ -3770,11 +3760,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return agg.rename_columns(["lang", "n"])
 
         counts = grouped_apply(
-            docs.map_batches(count_l, batch_format="pyarrow"),
+            combine(docs, count_l),
             ["lang"], fold, batch_format="pyarrow")
 
         def weights(pdf: pd.DataFrame) -> pd.DataFrame:
-            pdf = pdf.drop(columns="__one").sort_values("lang")
+            pdf = pdf.sort_values("lang")
             n = pdf["n"].to_numpy(np.float64)
             p = n / n.sum()
             w = p ** 0.3
@@ -3787,13 +3777,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "boost": sql_round(w / p, 6),
             })
 
-        return grouped_apply(
-            counts.map_batches(
-                lambda b: b.append_column(
-                    "__one", pa.array(np.zeros(b.num_rows, np.int64))),
-                batch_format="pyarrow"),
-            ["__one"], weights, num_partitions=1,
-            batch_format="pandas")
+        return grouped_apply(counts, [], weights, batch_format="pandas")
 
     def docs_trigram_entropy(sf_dir: str):
         """Character-trigram Shannon entropy per document — the
@@ -3845,7 +3829,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 [("n", "sum")]).rename_columns(["source", "n"])
 
         counts = grouped_apply(
-            docs.map_batches(count_s, batch_format="pyarrow"),
+            combine(docs, count_s),
             ["source"], fold_c,
             batch_format="pyarrow").to_pandas().sort_values("source")
         n = counts["n"].to_numpy(np.float64)
@@ -3986,7 +3970,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         # the "stored view": a real aggregate of the base slice
         base_agg = grouped_apply(
-            base_raw.map_batches(base_partial, batch_format="pyarrow"),
+            combine(base_raw, base_partial),
             ["o_custkey"],
             lambda t: t.group_by(["o_custkey"]).aggregate(
                 [("sum_price", "sum"), ("n_orders", "sum")]
@@ -4152,8 +4136,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                  "triples"])
 
         return grouped_apply(
-            ray.data.read_parquet(lineage_dir).map_batches(
-                partial, batch_format="pyarrow"),
+            combine(ray.data.read_parquet(lineage_dir), partial),
             ["stage"], reduce_stage,
         )
 
@@ -4183,7 +4166,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return g.rename_columns(["declared", "detected", "n"])
 
         return grouped_apply(
-            docs.map_batches(detect, batch_format="pyarrow"),
+            combine(docs, detect),
             ["declared", "detected"], reduce_counts,
         )
 
@@ -4228,7 +4211,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return g.rename_columns(["bucket", "n_rows"])
 
         return grouped_apply(
-            orders.map_batches(assign, batch_format="pyarrow"),
+            combine(orders, assign),
             ["bucket"], reduce_buckets,
         )
 
@@ -4286,7 +4269,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return pa.Table.from_pandas(agg, preserve_index=False)
 
         parts = grouped_apply(
-            docs.map_batches(local, batch_format="pyarrow"),
+            combine(docs, local),
             ["source", "__h"], per_partition,
         )
 
@@ -4407,7 +4390,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             })
 
         def finish(tbl: pa.Table) -> pa.Table:
-            df = tbl.drop_columns(["__one"]).to_pandas().sum()
+            df = tbl.to_pandas().sum()
             n = int(df["n_docs"])
             mh, mm = int(df["moved_hrw"]), int(df["moved_mod"])
             return pa.table({
@@ -4418,12 +4401,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "mod_frac": pa.array([sql_round(mm / n, 6)], pa.float64()),
             })
 
-        return grouped_apply(
-            docs.map_batches(assign, batch_format="pyarrow")
-            .map_batches(lambda b: b.append_column(
-                "__one", pa.array([0] * b.num_rows, pa.int64())),
-                batch_format="pyarrow"),
-            ["__one"], finish, num_partitions=1)
+        return grouped_apply(combine(docs, assign), [], finish)
 
     def orders_analyze(sf_dir: str):
         """ANALYZE TABLE (pipelines/relational.analyze_table): the
@@ -4608,7 +4586,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 ["l_orderkey", "s_nat", "l_year", "vol"]
             )
 
-        fact = li.map_batches(li_partial, batch_format="pyarrow")
+        fact = combine(li, li_partial)
         orders = broadcast_lookup(
             _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"]),
             cust, "o_custkey", "c_custkey", ["c_nationkey"])
@@ -4782,10 +4760,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # per-batch count combiner + one small exchange — never the
         # (slow) native Aggregate
         agg = grouped_apply(
-            ray.data.read_parquet(
+            combine(ray.data.read_parquet(
                 os.path.join(sf_dir, "orders.parquet"),
                 columns=["o_custkey"],
-            ).map_batches(partial_counts, batch_format="pyarrow"),
+            ), partial_counts),
             ["o_custkey"], sum_counts,
             batch_format="pyarrow",
         )
@@ -5002,7 +4980,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             })
 
         totals = grouped_apply(
-            orders.map_batches(partial, batch_format="pyarrow"),
+            combine(orders, partial),
             ["custkey"], final,
             batch_format="pyarrow",
         )
@@ -6406,7 +6384,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return agg.rename_columns(["o_custkey", "revenue"])
 
         per_cust = grouped_apply(
-            per_order.map_batches(cpartial, batch_format="pyarrow"),
+            combine(per_order, cpartial),
             ["o_custkey"], csum,
             batch_format="pyarrow",
         )
@@ -7221,7 +7199,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             )
             return agg.rename_columns(["l_orderkey", "max_ship"])
 
-        li_max = li.map_batches(li_combine, batch_format="pyarrow")
+        li_max = combine(li, li_combine)
 
         empty = pa.table({
             "o_orderpriority": pa.array([], pa.string()),
@@ -7257,8 +7235,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 [("__n", "sum")]
             ).rename_columns(["o_orderpriority", "order_count"])
 
-        return grouped_apply(parts, ["o_orderpriority"], finish,
-                             num_partitions=1, batch_format="pyarrow")
+        return grouped_apply(parts, [], finish)
 
     def q6_forecast_revenue(sf_dir: str):
         """TPC-H Q6 — forecast revenue change: every predicate prunes
@@ -7323,7 +7300,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 ["l_orderkey", "l_returnflag", "__c"]
             )
 
-        li_cnt = li.map_batches(li_combine, batch_format="pyarrow")
+        li_cnt = combine(li, li_combine)
 
         empty = pa.table({
             "l_returnflag": pa.array([], pa.string()),
@@ -7363,8 +7340,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 ["l_returnflag", "high_line_count", "low_line_count"]
             )
 
-        return grouped_apply(parts, ["l_returnflag"], finish,
-                             num_partitions=1, batch_format="pyarrow")
+        return grouped_apply(parts, [], finish)
 
     def q13_customer_distribution(sf_dir: str):
         """TPC-H Q13 — distribution of per-customer order counts
@@ -7389,7 +7365,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 [([], "count_all")]
             ).rename_columns(["o_custkey", "__c"])
 
-        ord_cnt = orders.map_batches(ord_combine, batch_format="pyarrow")
+        ord_cnt = combine(orders, ord_combine)
 
         def probe(lt: pa.Table, rt: pa.Table) -> pa.Table:
             # lt = customers (c_custkey); rt = order-count partials
@@ -7420,8 +7396,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 [("__n", "sum")]
             ).rename_columns(["c_count", "custdist"])
 
-        return grouped_apply(parts, ["c_count"], finish,
-                             num_partitions=1, batch_format="pyarrow")
+        return grouped_apply(parts, [], finish)
 
     def q15_top_supplier(sf_dir: str):
         """TPC-H Q15 — the top-revenue supplier for one ship quarter
@@ -7467,7 +7442,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             )
 
         revenue = grouped_apply(
-            li.map_batches(partial, batch_format="pyarrow"),
+            combine(li, partial),
             ["l_suppkey"], reduce_,
             batch_format="pyarrow",
         ).materialize()
@@ -7512,7 +7487,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ).rename_columns(["l_partkey", "value"])
 
         v = grouped_apply(
-            li.map_batches(partial, batch_format="pyarrow"),
+            combine(li, partial),
             ["l_partkey"], reduce_,
             batch_format="pyarrow",
         ).materialize()
@@ -7525,13 +7500,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         # at most 1 / 0.0005 = 2,000 parts clear the bar, so the result
         # comes back as one table: a Dataset with no rows would lose its
-        # columns in to_pandas()
+        # columns in to_pandas(), and an exchange's empty output block
+        # has no columns at all
         kept = ray.get(
             v.map_batches(keep, batch_format="pyarrow").to_arrow_refs())
         return pa.concat_tables([pa.table({
             "l_partkey": pa.array([], pa.int64()),
             "value": pa.array([], pa.float64()),
-        }), *kept])
+        }), *(t for t in kept if t.num_rows)])
 
     def q17_small_quantity_revenue(sf_dir: str):
         """TPC-H Q17 — revenue from below-20%-of-part-average-quantity
@@ -7580,7 +7556,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                    columns=["l_partkey", "l_suppkey", "l_quantity",
                             "l_extendedprice"])
 
-        def combine(batch: pa.Table) -> pa.Table:
+        def partial(batch: pa.Table) -> pa.Table:
             cost = (
                 batch.column("l_extendedprice").to_numpy(
                     zero_copy_only=False)
@@ -7604,8 +7580,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return g.drop_duplicates(subset=["l_partkey"], keep="first")
 
         best = grouped_apply(
-            broadcast_lookup(li, part, "l_partkey", "p_partkey", [])
-            .map_batches(combine, batch_format="pyarrow"),
+            combine(broadcast_lookup(li, part, "l_partkey", "p_partkey", []),
+                    partial),
             ["l_partkey"], argmin,
             batch_format="pandas",
         )
@@ -7701,7 +7677,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 ["l_orderkey", "l_suppkey", "max_ship"]
             )
 
-        li_max = li.map_batches(li_combine, batch_format="pyarrow")
+        li_max = combine(li, li_combine)
 
         empty = pa.table({
             "l_suppkey": pa.array([], pa.int64()),
@@ -7989,7 +7965,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                         _asia_nations(sf_dir).column("n_nationkey")
                         .to_pylist()))
 
-        def combine(pdf):
+        def partial(pdf):
             return (pdf.groupby(["l_partkey", "l_suppkey"], sort=False,
                                 as_index=False)["l_quantity"].sum())
 
@@ -8001,7 +7977,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                    ).drop_columns(["l_shipdate"])
         sums = (
             broadcast_lookup(li, part, "l_partkey", "p_partkey", [])
-            .map_batches(combine, batch_format="pandas")
+            .map_batches(partial, batch_format="pandas")
             .groupby(["l_partkey", "l_suppkey"])
             .aggregate(Sum("l_quantity", alias_name="qty"))
             .filter(expr="qty > 40")

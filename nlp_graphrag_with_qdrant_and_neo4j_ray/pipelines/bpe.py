@@ -44,7 +44,7 @@ def word_counts(docs_ds, text_col: str = "text", max_vocab: int | None = None):
     own top-``max_vocab``, and the final sort sees ≤ partitions×cap
     rows."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def batch_word_counts(batch: pa.Table) -> pa.Table:
         flat = pc.list_flatten(pc.split_pattern(batch.column(text_col),
                                                 " "))
         flat = flat.filter(pc.not_equal(flat, ""))
@@ -61,7 +61,7 @@ def word_counts(docs_ds, text_col: str = "text", max_vocab: int | None = None):
                               ).slice(0, max_vocab)
         return agg
 
-    partials = docs_ds.map_batches(partial, batch_format="pyarrow")
+    partials = docs_ds.map_batches(batch_word_counts, batch_format="pyarrow")
     counts = grouped_apply(partials, ["word"], reduce_,
                            batch_format="pyarrow")
     if max_vocab is None:
@@ -139,7 +139,7 @@ def bpe_apply(docs_ds, merges: list[tuple[str, str]],
     ranks = {p: i for i, p in enumerate(merges)}
     ranks_ref = ray.put(ranks)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def batch_piece_counts(batch: pa.Table) -> pa.Table:
         r = ray.get(ranks_ref)
         flat = pc.list_flatten(pc.split_pattern(batch.column(text_col),
                                                 " "))
@@ -163,6 +163,6 @@ def bpe_apply(docs_ds, merges: list[tuple[str, str]],
         agg = tbl.group_by(["piece"]).aggregate([("n", "sum")])
         return agg.rename_columns(["piece", "n"])
 
-    partials = docs_ds.map_batches(partial, batch_format="pyarrow")
+    partials = docs_ds.map_batches(batch_piece_counts, batch_format="pyarrow")
     return grouped_apply(partials, ["piece"], reduce_,
                          batch_format="pyarrow")

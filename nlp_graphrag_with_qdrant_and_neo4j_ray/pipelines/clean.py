@@ -24,7 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.rounding import sql_round
-from ..stages.shuffle import grouped_apply
+from ..stages.shuffle import combine, grouped_apply
 
 # RE2-compatible patterns (no lookahead/backrefs) — pyarrow's
 # replace_substring_regex and DuckDB's regexp_replace both run RE2, so
@@ -741,7 +741,7 @@ def domain_quality_filter(docs_ds, domain_col: str = "source",
         })
 
     domain_means = grouped_apply(
-        scored.map_batches(partial, batch_format="pyarrow"),
+        combine(scored, partial),
         [domain_col], reduce_means,
         batch_format="pyarrow",
     ).materialize()
@@ -1099,10 +1099,7 @@ def length_buckets(docs_ds, id_col: str = "doc_id",
         return g.rename_columns(["bucket", "n_docs", "total_tokens",
                                  "padding_waste"])
 
-    from ..stages.shuffle import grouped_apply
-
     return grouped_apply(
-        docs_ds.select_columns([id_col, text_col]).map_batches(
-            partial, batch_format="pyarrow"),
+        combine(docs_ds.select_columns([id_col, text_col]), partial),
         ["bucket"], merge,
     ).sort("bucket")

@@ -42,6 +42,7 @@ from ..functions.dedup import (
 from ..functions.rounding import sql_round
 from ..functions.textstats import content_hash
 from ..stages.pairjoin import verify_pairs
+from ..stages.shuffle import combine, grouped_apply
 
 
 # --------------------------- exact dedup -----------------------------------
@@ -113,7 +114,6 @@ def _pair_candidates(keyed_ds, key_cols: list[str], id_col: str,
     69 s of pure dispatch measured. ``transform('size')`` drops all
     singletons in one vectorized pass; only multi-occupancy buckets (a
     few hundred) reach the per-bucket pairing loop."""
-    from ..stages.shuffle import grouped_apply
 
     def partition_candidates(pdf: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -315,8 +315,6 @@ def hamming_pairs(hash_ds, max_hamming: int = 3, id_col: str = "doc_id",
 
     from ray.data.aggregate import Min
 
-    from ..stages.shuffle import grouped_apply
-
     exploded = hash_ds.map_batches(explode, batch_format="pyarrow")
     pairs = grouped_apply(exploded, ["band", "key"], partition_pairs,
                           batch_format="pandas")
@@ -351,8 +349,6 @@ def connected_components(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
     cluster_id = the component's smallest member id.
     """
     from ray.data.aggregate import Sum
-
-    from ..stages.shuffle import grouped_apply
 
     def undirect(batch: pa.Table) -> pa.Table:
         a = batch.column(a_col).combine_chunks()
@@ -692,8 +688,6 @@ def substring_dedup(docs_ds, k: int = 8, id_col: str = "doc_id",
             dup[[id_col, "p"]], preserve_index=False
         )
 
-    from ..stages.shuffle import grouped_apply
-
     grams = docs_ds.map_batches(gram_rows, batch_format="pyarrow")
     marks = grouped_apply(grams, ["h1", "h2"], mark_dups,
                           batch_format="pyarrow")
@@ -825,8 +819,6 @@ def ngram_overlap_exact(docs_ds, benchmark_ds, n: int = 8,
     exchange on id joins hits to totals.  Window text never leaves the
     tokenizing task."""
     import ray
-
-    from ..stages.shuffle import grouped_apply
 
     def _gram_hashes(ids, flat, k):
         """(ids_at_window_start, h1, h2) for every valid k-window."""
@@ -1029,7 +1021,6 @@ def edit1_fuzzy_pairs(ds, value_col: str,
     (3) verified-pair dedupe (a pair can fire under 2+ shared
     variants). Pairs stay a Dataset end-to-end.
     """
-    from ..stages.shuffle import grouped_apply
 
     def local_distinct(b: pa.Table) -> pa.Table:
         return b.select([value_col]).group_by([value_col]).aggregate([])
@@ -1038,7 +1029,7 @@ def edit1_fuzzy_pairs(ds, value_col: str,
         return b.group_by([value_col]).aggregate([])
 
     distinct = grouped_apply(
-        ds.map_batches(local_distinct, batch_format="pyarrow"),
+        combine(ds, local_distinct),
         [value_col], part_distinct,
         batch_format="pyarrow",
     )
@@ -1134,13 +1125,12 @@ def dedup_eval(pred_pairs, true_pairs, a_col: str = "doc_a",
             t = pa.table({"lo": lo, "hi": hi})
             return t.group_by(["lo", "hi"]).aggregate([])
 
-        return ds.map_batches(fn, batch_format="pyarrow")
+        return combine(ds, fn)
 
     p = canon(pred_pairs)
     t = canon(true_pairs)
     # distinct across batches before counting (per-batch distinct is
     # only a combiner)
-    from ..stages.shuffle import grouped_apply
 
     def distinct(tbl: pa.Table) -> pa.Table:
         return tbl.group_by(["lo", "hi"]).aggregate([])
@@ -1191,7 +1181,6 @@ def paragraph_dedup(docs_ds, id_col: str = "doc_id",
     filter shrinks it to one row.  No driver-side materialization.
     Reference has no counterpart (training-data curation surface).
     """
-    from ..stages.shuffle import grouped_apply
 
     def explode(batch: pa.Table) -> pa.Table:
         n = len(batch)
@@ -1271,8 +1260,6 @@ def source_ngram_overlap(docs_ds, n: int = 3, group_col: str = "source",
     capped the same way the LSH buckets are (a gram held by every
     source contributes one count to each of the bounded pairs)."""
     import pyarrow.compute as pc
-
-    from ..stages.shuffle import grouped_apply
 
     empty = pa.table({
         group_col: pa.array([], pa.string()),
@@ -1367,12 +1354,7 @@ def source_ngram_overlap(docs_ds, n: int = 3, group_col: str = "source",
             "jaccard": pa.array(jac, pa.float64()),
         })
 
-    return grouped_apply(
-        partials.map_batches(
-            lambda b: b.append_column(
-                "__card", pa.array([0] * b.num_rows, pa.int64())),
-            batch_format="pyarrow"),
-        ["__card"], finish, num_partitions=1)
+    return grouped_apply(partials, [], finish)
 
 
 def line_dedup_within_doc(docs_ds, id_col: str = "doc_id",
@@ -1470,7 +1452,6 @@ def cluster_keep_best(docs_ds, pairs_ds, quality_col: str = "quality",
     never O(docs). Text never rides any exchange.
     Reference has no counterpart (training-data curation surface).
     """
-    from ..stages.shuffle import grouped_apply
 
     cc = connected_components(pairs_ds)
 
@@ -1542,8 +1523,6 @@ def split_leakage(docs_with_split, id_col: str = "doc_id",
     against a SQL replay of the same md5/prefix rule."""
     import hashlib
 
-    from ..stages.shuffle import grouped_apply
-
     def fp_rows(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col).to_pylist()
         fps = []
@@ -1570,7 +1549,7 @@ def split_leakage(docs_with_split, id_col: str = "doc_id",
         return g
 
     return grouped_apply(
-        docs_with_split.map_batches(fp_rows, batch_format="pyarrow"),
+        combine(docs_with_split, fp_rows),
         ["fingerprint"], fold,
         batch_format="pandas",
     ).sort("fingerprint")

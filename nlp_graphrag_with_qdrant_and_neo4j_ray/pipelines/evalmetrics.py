@@ -22,7 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.rounding import sql_round
-from ..stages.shuffle import grouped_apply
+from ..stages.shuffle import combine, grouped_apply
 
 
 def ranking_auc(ds, score_col: str = "score", label_col: str = "pos",
@@ -57,7 +57,7 @@ def ranking_auc(ds, score_col: str = "score", label_col: str = "pos",
         return g.rename_columns(["score", "np", "n"])
 
     rows = grouped_apply(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        combine(ds, partial),
         ["score"], merge,
     ).take_all()  # bounded: ≤ 10^ndigits + 1 distinct rounded scores
 
@@ -114,7 +114,7 @@ def calibration_bins(ds, score_col: str = "score",
         return g.append_column("frac_pos", frac)
 
     return grouped_apply(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        combine(ds, partial),
         ["bin"], merge,
     ).sort("bin")
 

@@ -25,7 +25,7 @@ import pyarrow.compute as pc
 
 from .. import config
 from ..functions.rounding import sql_round
-from ..stages.shuffle import grouped_apply
+from ..stages.shuffle import combine, grouped_apply
 
 
 def out_degrees(edges_ds, src_col: str = "src", dst_col: str = "dst"):
@@ -44,7 +44,7 @@ def out_degrees(edges_ds, src_col: str = "src", dst_col: str = "dst"):
 
     slim = edges_ds.map_batches(lambda b: b.select([src_col]),
                                 batch_format="pyarrow")
-    return grouped_apply(slim.map_batches(partial, batch_format="pyarrow"),
+    return grouped_apply(combine(slim, partial),
                          [src_col], final,
                          batch_format="pyarrow")
 
@@ -275,7 +275,7 @@ def canonical_edges(edges_ds, src_col: str, dst_col: str):
         return t.group_by(["a", "b"]).aggregate([]).select(["a", "b"])
 
     return grouped_apply(
-        edges_ds.map_batches(canon, batch_format="pyarrow"),
+        combine(edges_ds, canon),
         ["a", "b"], dedup,
         batch_format="pyarrow",
     )
@@ -302,7 +302,7 @@ def edge_degrees(edges):
         })
 
     return grouped_apply(
-        edges.map_batches(deg_partial, batch_format="pyarrow"),
+        combine(edges, deg_partial),
         ["node"], deg_sum,
         batch_format="pyarrow",
     )
@@ -540,7 +540,7 @@ def degree_histogram(edges_ds, src_col: str = "src",
         })
 
     per_node = grouped_apply(
-        edges_ds.map_batches(endpoint_counts, batch_format="pyarrow"),
+        combine(edges_ds, endpoint_counts),
         ["node"], node_totals,
     )
 
@@ -556,7 +556,7 @@ def degree_histogram(edges_ds, src_col: str = "src",
         })
 
     return grouped_apply(
-        per_node.map_batches(degree_counts, batch_format="pyarrow"),
+        combine(per_node, degree_counts),
         ["degree"], hist,
     )
 
@@ -629,7 +629,7 @@ def random_walks(edges_ds, walk_len: int = 4, src_col: str = "src",
         return pdf.drop_duplicates("walk_id")
 
     frontier = grouped_apply(
-        edges.map_batches(starts, batch_format="pyarrow"),
+        combine(edges, starts),
         ["walk_id"], dedup_starts,
         batch_format="pandas",
     ).materialize()
@@ -774,7 +774,7 @@ def cooccurrence_pmi(ds, group_col: str, item_col: str,
             return t  # group_by on empty would drop the schema
         return t.group_by([group_col, item_col]).aggregate([])
 
-    deduped = ds.map_batches(distinct_map, batch_format="pyarrow")
+    deduped = combine(ds, distinct_map)
 
     def per_group(tbl: pa.Table) -> pa.Table:
         # explicit Arrow output types even on EMPTY partitions — a
@@ -1068,7 +1068,7 @@ def degree_assortativity(edges_ds, src_col: str = "src",
         return g.rename_columns(["k", "y"])
 
     deg_in = grouped_apply(
-        edges_ds.map_batches(dpart, batch_format="pyarrow"),
+        combine(edges_ds, dpart),
         ["k"], dsum)
 
     def tag_edge(b: pa.Table) -> pa.Table:
@@ -1827,7 +1827,7 @@ def node2vec_walks(edges_ds, walk_len: int = 4, p: float = 1.0,
         return pdf.drop_duplicates("walk_id")
 
     frontier = grouped_apply(
-        edges.map_batches(starts, batch_format="pyarrow"),
+        combine(edges, starts),
         ["walk_id"], dedup_starts,
         batch_format="pandas",
     ).materialize()
@@ -2071,7 +2071,7 @@ def skipgram_negatives(walks_ds, window: int = 2, k_neg: int = 3,
                 .rename_columns(["node", "n"]))
 
     counts = grouped_apply(
-        walks_ds.map_batches(count_nodes, batch_format="pyarrow"),
+        combine(walks_ds, count_nodes),
         ["node"], fold_counts,
         batch_format="pyarrow").to_pandas().sort_values("node")
     nodes = counts["node"].to_numpy(np.int64)

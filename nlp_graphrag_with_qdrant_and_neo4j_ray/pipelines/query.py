@@ -291,7 +291,7 @@ def term_search(terms_ds, query: str, k: int = 10,
 
     import pandas as pd
 
-    from ..stages.shuffle import grouped_apply
+    from ..stages.shuffle import combine, grouped_apply
 
     def agg_topk(pdf: pd.DataFrame) -> pd.DataFrame:
         """Per-partition final sum + local top-k (per-chunk totals are
@@ -304,8 +304,7 @@ def term_search(terms_ds, query: str, k: int = 10,
 
     ds = (
         grouped_apply(
-            terms_ds.map_batches(match, batch_format="pyarrow",
-                                 batch_size=262144),
+            combine(terms_ds, match, batch_size=262144),
             ["chunk_id"], agg_topk,
             batch_format="pandas",
         )
@@ -336,7 +335,7 @@ def term_search_all(terms_ds, query: str, k: int = 10,
     the top-k of ≤ partitions × k survivors."""
     import pandas as pd
 
-    from ..stages.shuffle import grouped_apply
+    from ..stages.shuffle import combine, grouped_apply
 
     uni, _, _ = extract_ngrams(query, cfg.remove_stopwords)
     need = sorted(set(uni))
@@ -405,8 +404,7 @@ def term_search_all(terms_ds, query: str, k: int = 10,
 
     ds = (
         grouped_apply(
-            terms_ds.map_batches(match, batch_format="pyarrow",
-                                 batch_size=262144),
+            combine(terms_ds, match, batch_size=262144),
             ["chunk_id"], coverage_topk,
             batch_format="pandas",
         )

@@ -38,7 +38,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.rounding import sql_round
-from ..stages.shuffle import grouped_apply
+from ..stages.shuffle import combine, grouped_apply
 
 _SIDE = "__side"
 # a salted sketch merge folds at most 64 (HLL) or 32 (CMS) one-row
@@ -224,7 +224,7 @@ def window_topk(ds, keys: list[str], order_col: str, k: int,
                               ascending=[ascending, True], kind="stable")
         return pdf.groupby(keys, sort=False, dropna=False).head(k)
 
-    combined = ds.map_batches(local_topk, batch_format="pandas")
+    combined = combine(ds, local_topk, batch_format="pandas")
     return grouped_apply(combined, keys, local_topk,
                          batch_format="pandas")
 
@@ -245,7 +245,7 @@ def distinct_count(ds, keys: list[str], value_col: str, out_col: str):
         )
         return counted.rename_columns(keys + [out_col])
 
-    combined = ds.map_batches(local_distinct, batch_format="pyarrow")
+    combined = combine(ds, local_distinct)
     return grouped_apply(combined, keys, count_partition,
                          batch_format="pyarrow")
 
@@ -441,8 +441,8 @@ def distinct_set_op(left, right, left_key: str, right_key: str,
     def local_distinct_r(batch: pa.Table) -> pa.Table:
         return batch.select([right_key]).group_by([right_key]).aggregate([])
 
-    left_d = left.map_batches(local_distinct_l, batch_format="pyarrow")
-    right_d = right.map_batches(local_distinct_r, batch_format="pyarrow")
+    left_d = combine(left, local_distinct_l)
+    right_d = combine(right, local_distinct_r)
 
     def probe(lt: pa.Table, rt: pa.Table) -> pa.Table:
         ld = lt.group_by([left_key]).aggregate([])
@@ -490,7 +490,7 @@ def pivot_sum(ds, key: str, pivot_col: str, value_col: str,
             out[name] = sql_round(wide[cat].astype(float).to_numpy(), ndigits)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    combined = ds.map_batches(partial, batch_format="pyarrow")
+    combined = combine(ds, partial)
     return grouped_apply(combined, [key], widen,
                          batch_format="pyarrow")
 
@@ -602,7 +602,7 @@ def grouped_approx_distinct(ds, keys: list[str], value_col: str,
     slim = ds.map_batches(
         lambda b: b.select(keys + [value_col]), batch_format="pyarrow"
     )
-    combined = slim.map_batches(partial, batch_format="pandas")
+    combined = combine(slim, partial, batch_format="pandas")
     return grouped_apply(combined, keys, merge,
                          batch_format="pandas")
 
@@ -808,7 +808,7 @@ def heavy_hitters(ds, value_col: str, k: int,
         )
         return summed.take(order.slice(0, k))
 
-    combined = ds.map_batches(partial, batch_format="pyarrow")
+    combined = combine(ds, partial)
     candidates = grouped_apply(combined, [value_col], local_topk,
                                batch_format="pyarrow").take_all()
     tbl = pa.Table.from_pylist(candidates) if candidates else pa.table(
@@ -870,7 +870,7 @@ def grouped_corr(ds, keys: list[str], x_col: str, y_col: str,
     slim = ds.map_batches(
         lambda b: b.select(keys + [x_col, y_col]), batch_format="pyarrow"
     )
-    combined = slim.map_batches(partial, batch_format="pyarrow")
+    combined = combine(slim, partial)
     return grouped_apply(combined, keys, finish,
                          batch_format="pyarrow")
 
@@ -912,7 +912,7 @@ def grouped_var(ds, keys: list[str], value_col: str,
     slim = ds.map_batches(
         lambda b: b.select(keys + [value_col]), batch_format="pyarrow"
     )
-    combined = slim.map_batches(partial, batch_format="pyarrow")
+    combined = combine(slim, partial)
     return grouped_apply(combined, keys, finish,
                          batch_format="pyarrow")
 
@@ -976,7 +976,7 @@ def copartition_agg_join(fact, dim, key: str, dim_key: str,
         summed = summed.rename_columns([key, sum_col])
         return summed.join(rt, keys=[key], join_type="inner")
 
-    combined = fact.map_batches(partial, batch_format="pyarrow")
+    combined = combine(fact, partial)
     return _copartition(combined, dim, key, dim_key, [dim_key] + keep,
                         probe)
 
@@ -1060,7 +1060,7 @@ def grouped_mode(ds, keys: list[str], value_col: str,
     slim = ds.map_batches(
         lambda b: b.select(keys + [value_col]), batch_format="pyarrow"
     )
-    combined = slim.map_batches(partial, batch_format="pandas")
+    combined = combine(slim, partial, batch_format="pandas")
     return grouped_apply(combined, keys, final,
                          batch_format="pandas")
 
@@ -1185,7 +1185,7 @@ def grouped_quantile_sketch(ds, keys: list[str], value_col: str,
     slim = ds.map_batches(
         lambda b: b.select(keys + [value_col]), batch_format="pyarrow"
     )
-    sketched = slim.map_batches(sketch, batch_format="pandas")
+    sketched = combine(slim, sketch, batch_format="pandas")
     return grouped_apply(sketched, keys, finalize,
                          batch_format="pandas")
 
@@ -1282,7 +1282,7 @@ def approx_heavy_hitters(ds, value_col: str, k: int, capacity: int = 4096,
         return g.iloc[:capacity].reset_index()
 
     parts = grouped_apply(
-        ds.map_batches(sketch, batch_format="pandas"),
+        combine(ds, sketch, batch_format="pandas"),
         [value_col], merge_truncate,
         batch_format="pandas",
     ).take_all()
@@ -1303,7 +1303,7 @@ def approx_heavy_hitters(ds, value_col: str, k: int, capacity: int = 4096,
         g = pdf.groupby(value_col, sort=True)["__c"].sum().reset_index()
         return g
 
-    exact = grouped_apply(ds.map_batches(recount, batch_format="pandas"),
+    exact = grouped_apply(combine(ds, recount, batch_format="pandas"),
                           [value_col], total,
                           batch_format="pandas").take_all()
     tbl = pa.Table.from_pylist(exact) if exact else pa.table(
@@ -1388,7 +1388,7 @@ def skew_join(left, right, key: str, right_key: str,
                                          pa.scalar(hot_threshold)))
 
     hot_rows = grouped_apply(
-        left.map_batches(kpartial, batch_format="pyarrow"), [key], ksum,
+        combine(left, kpartial), [key], ksum,
         batch_format="pyarrow",
     ).take_all()
 
@@ -1486,9 +1486,10 @@ def grouped_standardize(ds, keys: list[str], value_col: str,
         out["__sd"] = np.sqrt(v)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    combined = ds.map_batches(
+    slim = ds.map_batches(
         lambda b: b.select(keys + [value_col]), batch_format="pyarrow"
-    ).map_batches(partial, batch_format="pyarrow")
+    )
+    combined = combine(slim, partial)
     stats_rows = grouped_apply(combined, keys, finish,
                                batch_format="pyarrow").take_all()
     stats = pd.DataFrame(stats_rows)
@@ -1673,7 +1674,7 @@ def tumbling_window_agg(ds, keys: list[str], ts_col: str,
             sum_col: sql_round(agg.column("__v"), ndigits),
         })
 
-    combined = ds.map_batches(assign, batch_format="pyarrow")
+    combined = combine(ds, assign)
     return grouped_apply(combined, keys + [win_col], finish,
                          batch_format="pyarrow")
 
@@ -1994,7 +1995,7 @@ def grouped_regression(ds, keys: list[str], x_col: str, y_col: str,
     slim = ds.map_batches(
         lambda b: b.select(keys + [x_col, y_col]), batch_format="pyarrow"
     )
-    combined = slim.map_batches(partial, batch_format="pyarrow")
+    combined = combine(slim, partial)
     return grouped_apply(combined, keys, finish,
                          batch_format="pyarrow")
 
@@ -2035,7 +2036,7 @@ def fill_gaps(ds, key_col: str, ts_col: str, out_col: str = "n"):
         long[out_col] = long[out_col].astype(np.int64)
         return long
 
-    combined = ds.map_batches(partial, batch_format="pyarrow")
+    combined = combine(ds, partial)
     return grouped_apply(combined, [key_col], fill,
                          batch_format="pandas")
 
@@ -2226,7 +2227,7 @@ def approx_count_distinct(ds, cols: list[str], keys: list[str] | None = None,
             return pd.DataFrame(out, columns=["__salt", "__regs"])
 
         partials = grouped_apply(
-            ds.map_batches(local, batch_format="pandas"),
+            combine(ds, local, batch_format="pandas"),
             ["__salt"], merge_salt, num_partitions=_SALT_PARTS,
             batch_format="pandas")
         # ≤64 rows × 4 KB — bounded fold, independent of corpus size
@@ -2263,7 +2264,7 @@ def approx_count_distinct(ds, cols: list[str], keys: list[str] | None = None,
             rows.append(kv + (int(sql_round(hll.estimate(acc))),))
         return pd.DataFrame(rows, columns=keys + [out_col])
 
-    combined = ds.map_batches(local_grouped, batch_format="pandas")
+    combined = combine(ds, local_grouped, batch_format="pandas")
     return grouped_apply(combined, keys, merge_keys,
                          batch_format="pandas")
 
@@ -2280,7 +2281,7 @@ def grouped_entropy(ds, keys: list[str], value_col: str,
     fully vectorized per-partition count→probability→entropy pass.
     Rounded half-away-from-zero to match SQL ``round()``."""
 
-    def combine(pdf: pd.DataFrame) -> pd.DataFrame:
+    def partial(pdf: pd.DataFrame) -> pd.DataFrame:
         g = pdf.groupby(keys + [value_col], sort=False, dropna=False,
                         as_index=False).size()
         return g.rename(columns={"size": "__n"})
@@ -2297,7 +2298,7 @@ def grouped_entropy(ds, keys: list[str], value_col: str,
         ent[out_col] = sql_round(ent["__plogp"], ndigits)
         return ent.drop(columns=["__plogp"])
 
-    combined = ds.map_batches(combine, batch_format="pandas")
+    combined = combine(ds, partial, batch_format="pandas")
     return grouped_apply(combined, keys, part,
                          batch_format="pandas")
 
@@ -2394,7 +2395,7 @@ def approx_frequencies(ds, col: str, probes: list, depth: int = 4,
         return pd.DataFrame(out, columns=["__salt", "__cms"])
 
     partials = grouped_apply(
-        ds.map_batches(local, batch_format="pandas"),
+        combine(ds, local, batch_format="pandas"),
         ["__salt"], merge_salt, num_partitions=_SALT_PARTS,
         batch_format="pandas")
     acc = cms.new_counts(depth, width)
@@ -2469,7 +2470,7 @@ def profile_numeric(ds, cols: list[str]):
         return agg.rename_columns(
             ["column", "n_rows", "n_nulls", "min", "max", "total"])
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
+    partials = combine(ds, partial)
     return grouped_apply(partials, ["column"], merge,
                          batch_format="pyarrow")
 
@@ -2573,7 +2574,7 @@ def validation_report(ds, rules: list[dict],
             "distinct": pa.array(dist, pa.int64()),
         })
 
-    parts = [ds.map_batches(partial, batch_format="pyarrow")]
+    parts = [combine(ds, partial)]
 
     for i in unique_ids:
         col = rules[i]["col"]
@@ -2595,7 +2596,7 @@ def validation_report(ds, rules: list[dict],
             })
 
         parts.append(grouped_apply(
-            ds.map_batches(local_distinct, batch_format="pyarrow"),
+            combine(ds, local_distinct),
             ["__v"], count_partition,
         ))
 
@@ -2628,15 +2629,8 @@ def validation_report(ds, rules: list[dict],
         })
 
     # the reduce input is O(rules × map-tasks + rules × partitions)
-    # tiny rows — one single-partition exchange finishes the report.
-    tagged = unioned.map_batches(
-        lambda b: b.append_column("__one", pa.array([0] * b.num_rows,
-                                                    pa.int64())),
-        batch_format="pyarrow",
-    )
-    return grouped_apply(tagged, ["__one"],
-                         lambda t: finish(t.drop_columns(["__one"])),
-                         num_partitions=1)
+    # tiny rows — one global fold finishes the report.
+    return grouped_apply(unioned, [], finish)
 
 
 def zorder_sort(ds, cols: list[str], bits: int = 8,
@@ -2735,7 +2729,7 @@ def incremental_agg(base_agg, delta_ds, keys: list[str], value_col: str,
         )
 
     unioned = base_agg.map_batches(norm_base, batch_format="pyarrow").union(
-        delta_ds.map_batches(delta_partial, batch_format="pyarrow"))
+        combine(delta_ds, delta_partial))
 
     def merge(tbl: pa.Table) -> pa.Table:
         g = tbl.group_by(keys).aggregate([(sum_col, "sum"),
@@ -2778,12 +2772,12 @@ def gini_coefficient(ds, keys: list[str], ndigits: int = 6):
         return h.rename_columns(["v", "m"])
 
     hist = grouped_apply(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        combine(ds, partial),
         keys, per_key,
     )
 
     def finish(tbl: pa.Table) -> pa.Table:
-        df = tbl.drop_columns(["__one"]).to_pandas().groupby(
+        df = tbl.to_pandas().groupby(
             "v", as_index=False)["m"].sum().sort_values("v")
         v = df["v"].to_numpy(np.float64)
         m = df["m"].to_numpy(np.float64)
@@ -2799,12 +2793,7 @@ def gini_coefficient(ds, keys: list[str], ndigits: int = 6):
             "n_rows": pa.array([int(tot)], pa.int64()),
         })
 
-    return grouped_apply(
-        hist.map_batches(
-            lambda b: b.append_column(
-                "__one", pa.array([0] * b.num_rows, pa.int64())),
-            batch_format="pyarrow"),
-        ["__one"], finish, num_partitions=1)
+    return grouped_apply(hist, [], finish)
 
 
 def ks_statistic(ds, value_col: str, flag_col: str, ndigits: int = 6):
@@ -2835,12 +2824,12 @@ def ks_statistic(ds, value_col: str, flag_col: str, ndigits: int = 6):
         return g.rename_columns(["v", "s", "m"])
 
     hist = grouped_apply(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        combine(ds, partial),
         ["v"], per_value,
     )
 
     def finish(tbl: pa.Table) -> pa.Table:
-        df = tbl.drop_columns(["__one"]).to_pandas()
+        df = tbl.to_pandas()
         piv = (df.pivot_table(index="v", columns="s", values="m",
                               aggfunc="sum", fill_value=0)
                .reindex(columns=[True, False], fill_value=0)
@@ -2858,12 +2847,7 @@ def ks_statistic(ds, value_col: str, flag_col: str, ndigits: int = 6):
             "n_rest": pa.array([int(nb)], pa.int64()),
         })
 
-    return grouped_apply(
-        hist.map_batches(
-            lambda b: b.append_column(
-                "__one", pa.array([0] * b.num_rows, pa.int64())),
-            batch_format="pyarrow"),
-        ["__one"], finish, num_partitions=1)
+    return grouped_apply(hist, [], finish)
 
 
 def exact_quantiles(ds, value_col: str, qs: list[float],
@@ -3014,7 +2998,7 @@ def locf_fill(ds, key_col: str, ts_col: str, value_col: str,
         long.columns = [key_col, "day", out_col]
         return long
 
-    combined = ds.map_batches(partial, batch_format="pyarrow")
+    combined = combine(ds, partial)
     return grouped_apply(combined, [key_col], fill,
                          batch_format="pandas")
 
@@ -3057,13 +3041,13 @@ def fk_coverage(child, parent, fk: str, pk: str, ndigits: int = 6):
         })
 
     parts = _copartition(
-        child.map_batches(child_partial, batch_format="pyarrow"),
-        parent.map_batches(parent_partial, batch_format="pyarrow"),
+        combine(child, child_partial),
+        combine(parent, parent_partial),
         fk, pk, [pk, "__rows"], counters,
     )
 
     def finish(tbl: pa.Table) -> pa.Table:
-        df = tbl.drop_columns(["__one"]).to_pandas().sum()
+        df = tbl.to_pandas().sum()
         ncr, nck = int(df["n_child_rows"]), int(df["n_child_keys"])
         nmk, nor = int(df["n_matched_keys"]), int(df["n_orphan_rows"])
         rc = (ncr - nor) / ncr if ncr else 1.0
@@ -3077,12 +3061,7 @@ def fk_coverage(child, parent, fk: str, pk: str, ndigits: int = 6):
             "key_coverage": pa.array([sql_round(kc, ndigits)], pa.float64()),
         })
 
-    return grouped_apply(
-        parts.map_batches(
-            lambda b: b.append_column(
-                "__one", pa.array([0] * b.num_rows, pa.int64())),
-            batch_format="pyarrow"),
-        ["__one"], finish, num_partitions=1)
+    return grouped_apply(parts, [], finish)
 
 
 def grouped_ks(ds, group_col: str, value_col: str, flag_col: str,
@@ -3132,7 +3111,7 @@ def grouped_ks(ds, group_col: str, value_col: str, flag_col: str,
         })
 
     return grouped_apply(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        combine(ds, partial),
         [group_col], per_group)
 
 
@@ -3189,8 +3168,8 @@ def analyze_table(ds, cols: list[str]):
             }))
         return pa.concat_tables(frames)
 
-    unioned = ds.map_batches(partial, batch_format="pyarrow").union(
-        ds.map_batches(distinct_partial, batch_format="pyarrow"))
+    unioned = combine(ds, partial).union(
+        combine(ds, distinct_partial))
 
     def per_partition(tbl: pa.Table) -> pa.Table:
         df = tbl.to_pandas()
@@ -3222,7 +3201,7 @@ def analyze_table(ds, cols: list[str]):
     parts = grouped_apply(unioned, ["col", "kind", "v"], per_partition)
 
     def finish(tbl: pa.Table) -> pa.Table:
-        df = tbl.drop_columns(["__one"]).to_pandas().groupby(
+        df = tbl.to_pandas().groupby(
             "col", as_index=False).agg(
             n_rows=("n_rows", "sum"), n_nulls=("n_nulls", "sum"),
             n_distinct=("n_distinct", "sum"),
@@ -3230,12 +3209,7 @@ def analyze_table(ds, cols: list[str]):
         return pa.Table.from_pandas(
             df.sort_values("col"), preserve_index=False)
 
-    return grouped_apply(
-        parts.map_batches(
-            lambda b: b.append_column(
-                "__one", pa.array([0] * b.num_rows, pa.int64())),
-            batch_format="pyarrow"),
-        ["__one"], finish, num_partitions=1)
+    return grouped_apply(parts, [], finish)
 
 
 def time_weighted_mean(ds, keys: list[str], order_col: str,
@@ -3320,8 +3294,7 @@ def cusum_changepoints(ds, key_col: str, ts_col: str,
         agg = t.group_by([key_col, "day"]).aggregate([([], "count_all")])
         return agg.rename_columns([key_col, "day", "n"])
 
-    partials = ds.select_columns([key_col, ts_col]).map_batches(
-        partial, batch_format="pyarrow")
+    partials = combine(ds.select_columns([key_col, ts_col]), partial)
 
     def scan(pdf: pd.DataFrame) -> pd.DataFrame:
         g = (pdf.groupby([key_col, "day"], sort=True)["n"].sum()
@@ -3372,8 +3345,7 @@ def fd_violations(ds, lhs: str, rhs: str):
         })
         return t.group_by(["lhs", "rhs"]).aggregate([])
 
-    pairs = ds.select_columns([lhs, rhs]).map_batches(
-        local_pairs, batch_format="pyarrow")
+    pairs = combine(ds.select_columns([lhs, rhs]), local_pairs)
 
     def per_key(pdf: pd.DataFrame) -> pd.DataFrame:
         dd = pdf.drop_duplicates(["lhs", "rhs"])
@@ -3397,12 +3369,7 @@ def fd_violations(ds, lhs: str, rhs: str):
             "fd_holds": [int(pdf["n_violating"].sum() == 0)],
         })
 
-    tagged = parts.map_batches(
-        lambda b: b.append_column(
-            "__one", pa.array([0] * b.num_rows, pa.int64())),
-        batch_format="pyarrow")
-    return grouped_apply(tagged, ["__one"], fold, num_partitions=1,
-                         batch_format="pandas")
+    return grouped_apply(parts, [], fold, batch_format="pandas")
 
 
 def gap_sessions(ds, key: str, ts_col: str, gap_seconds: float,

@@ -26,6 +26,7 @@ import pyarrow.compute as pc
 
 from .. import config
 from ..functions.rounding import sql_round
+from ..stages.shuffle import combine, grouped_apply
 from ..state.checkpoint import SUCCESS, publish_dir, rows_at_most
 
 
@@ -141,8 +142,7 @@ def _min_k_rows(ds, k: int, id_col: str, emb_col: str) -> list[dict]:
     def partial(batch: pa.Table) -> pa.Table:
         return batch.select([id_col, emb_col]).sort_by(id_col).slice(0, k)
 
-    reduced = ds.map_batches(partial, batch_format="pyarrow",
-                             batch_size=8192)
+    reduced = ds.map_batches(partial, batch_format="pyarrow", batch_size=8192)
     return reduced.sort(id_col).limit(k).take_all()
 
 
@@ -203,7 +203,6 @@ def _reduce_cluster_partials(partials_ds, keys: list[str]) -> list[dict]:
     """Merge per-block (keys…, sum:list, count) partial rows through
     ONE keyed exchange (associative elementwise-sum), returning the
     bounded per-key list — never O(blocks) rows on the driver."""
-    from ..stages.shuffle import grouped_apply
 
     def reduce_(pdf: pd.DataFrame) -> pd.DataFrame:
         def fold(g: pd.DataFrame) -> pd.Series:
@@ -668,8 +667,6 @@ def exact_cosine_pairs(embeddings_ds, threshold: float,
             return empty
         return pa.concat_tables(frames)
 
-    from ..stages.shuffle import grouped_apply
-
     replicated = embeddings_ds.map_batches(
         replicate, batch_format="pyarrow", batch_size=8192
     )
@@ -735,8 +732,6 @@ def cosine_near_dup_pairs(embeddings_ds, dim: int, threshold: float = 0.95,
             return empty
         return pd.concat(frames, ignore_index=True)
 
-    from ..stages.shuffle import grouped_apply
-
     return grouped_apply(bucketed, ["bucket"], partition_pairs,
                          batch_format="pandas")
 
@@ -756,8 +751,6 @@ def grouped_centroids(embeddings_ds, label_col: str = "label",
     — never the raw vectors; the final divide + dim-explode is
     vectorized per partition."""
     import pandas as pd
-
-    from ..stages.shuffle import grouped_apply
 
     def partial(batch: pa.Table) -> pd.DataFrame:
         m = _as_matrix(batch, emb_col).astype(np.float64)
@@ -786,7 +779,7 @@ def grouped_centroids(embeddings_ds, label_col: str = "label",
             if rows else np.array([]),
         })
 
-    sk = embeddings_ds.map_batches(partial, batch_format="pyarrow")
+    sk = combine(embeddings_ds, partial)
     out = grouped_apply(sk, [label_col], final,
                         batch_format="pandas")
 
@@ -816,8 +809,6 @@ def knn_join(corpus_ds, query_ids, query_matrix, k: int = 3,
     shuffles; ties break by ascending corpus id. Emits
     ``(qid, id, score, rnk)`` with 1-based rank."""
     import ray
-
-    from ..stages.shuffle import grouped_apply
 
     qids = np.asarray(query_ids)
     Q = _normalize(np.asarray(query_matrix, dtype=np.float64))
@@ -855,9 +846,7 @@ def knn_join(corpus_ds, query_ids, query_matrix, k: int = 3,
         top["score"] = sql_round(top["score"], 6)
         return pa.Table.from_pandas(top, preserve_index=False)
 
-    partials = corpus_ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=8192
-    )
+    partials = combine(corpus_ds, partial, batch_size=8192)
     return grouped_apply(partials, [qid_col], merge,
                          batch_format="pyarrow")
 
@@ -897,8 +886,6 @@ def ann_recall_eval(embeddings_ds, dim: int, k: int = 10,
     not tie-dependent."""
     import ray
     import ray.data
-
-    from ..stages.shuffle import grouped_apply
 
     qrows = embeddings_ds.sort(id_col).limit(n_queries).take_all()
     qids = np.asarray([r[id_col] for r in qrows], np.int64)
@@ -1018,8 +1005,7 @@ def ann_recall_eval(embeddings_ds, dim: int, k: int = 10,
         )
 
     top = grouped_apply(
-        embeddings_ds.map_batches(partial, batch_format="pyarrow",
-                                  batch_size=8192),
+        combine(embeddings_ds, partial, batch_size=8192),
         ["method", "qid"], merge,
         batch_format="pyarrow",
     ).take_all()
@@ -1194,9 +1180,7 @@ def pq_train_codebooks(embeddings_ds, dim: int, m: int = 8,
         # merge through one keyed exchange; the driver folds exactly
         # m×ksub rows regardless of corpus size
         agg = _reduce_cluster_partials(
-            embeddings_ds.map_batches(
-                partial, batch_format="pyarrow", batch_size=8192
-            ),
+            combine(embeddings_ds, partial, batch_size=8192),
             ["sub", "cluster"],
         )
         sums = np.zeros((m, ksub, dsub))
@@ -1448,8 +1432,6 @@ def label_separation(embeddings_ds, label_col: str = "label",
     label id."""
     import pandas as pd
 
-    from ..stages.shuffle import grouped_apply
-
     def partial(batch: pa.Table) -> pd.DataFrame:
         m = _as_matrix(batch, emb_col).astype(np.float64)
         nrm = np.linalg.norm(m, axis=1)
@@ -1517,17 +1499,9 @@ def label_separation(embeddings_ds, label_col: str = "label",
             cols[name] = col
         return pa.table(cols)
 
-    sk = embeddings_ds.select_columns(
-        [label_col, emb_col]
-    ).map_batches(partial, batch_format="pyarrow")
-    return grouped_apply(
-        sk.map_batches(
-            lambda b: b.append_column(
-                "__card", pa.array([0] * b.num_rows, pa.int64())),
-            batch_format="pyarrow"),
-        ["__card"],
-        lambda tbl: final(tbl.drop_columns(["__card"]).to_pandas()),
-        num_partitions=1)
+    sk = combine(embeddings_ds.select_columns([label_col, emb_col]),
+                 partial)
+    return grouped_apply(sk, [], final, batch_format="pandas")
 
 
 def label_outliers(embeddings_ds, label_col: str = "label",
@@ -1549,8 +1523,6 @@ def label_outliers(embeddings_ds, label_col: str = "label",
     semantics."""
     import pandas as pd
 
-    from ..stages.shuffle import grouped_apply
-
     def cent_partial(batch: pa.Table) -> pd.DataFrame:
         m = _as_matrix(batch, emb_col).astype(np.float64)
         labels = batch.column(label_col).to_numpy(zero_copy_only=False)
@@ -1564,9 +1536,8 @@ def label_outliers(embeddings_ds, label_col: str = "label",
                 np.int64),
         })
 
-    rows = embeddings_ds.select_columns(
-        [label_col, emb_col]
-    ).map_batches(cent_partial, batch_format="pyarrow").take_all()
+    rows = embeddings_ds.select_columns([label_col, emb_col]).map_batches(
+        cent_partial, batch_format="pyarrow").take_all()
     sums: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
     for r in rows:
@@ -1713,8 +1684,6 @@ def dim_truncation_recall(embeddings_ds, dims=(8, 16, 32, 64),
     full-dim truth."""
     import ray
 
-    from ..stages.shuffle import grouped_apply
-
     dims = list(dims)
     full = dims[-1]
     slim = embeddings_ds.select_columns([id_col, emb_col])
@@ -1774,7 +1743,7 @@ def dim_truncation_recall(embeddings_ds, dims=(8, 16, 32, 64),
                 [["dim", "qid", "cid"]])
 
     topk = grouped_apply(
-        slim.map_batches(partial, batch_format="pyarrow"),
+        combine(slim, partial),
         ["dim", "qid"], merge,
         batch_format="pandas")
 
@@ -1789,13 +1758,7 @@ def dim_truncation_recall(embeddings_ds, dims=(8, 16, 32, 64),
         return pd.DataFrame(out)
 
     # O(dims × queries × k) rows — a driver-sized eval fold
-    return grouped_apply(
-        topk.map_batches(
-            lambda b: b.append_column(
-                "__one", pa.array(np.zeros(b.num_rows, np.int64))),
-            batch_format="pyarrow"),
-        ["__one"], lambda pdf: recall(pdf.drop(columns="__one")),
-        num_partitions=1, batch_format="pandas")
+    return grouped_apply(topk, [], recall, batch_format="pandas")
 
 
 def knn_label_ndcg(embeddings_ds, k: int = 10, query_mod: int = 25,
@@ -1814,8 +1777,6 @@ def knn_label_ndcg(embeddings_ds, k: int = 10, query_mod: int = 25,
     matmul + local top-k combiner; ONE qid exchange merges global
     top-k; label counts fold from one tiny label-keyed aggregate."""
     import ray
-
-    from ..stages.shuffle import grouped_apply
 
     slim = embeddings_ds.select_columns([id_col, emb_col, label_col])
 
@@ -1896,7 +1857,7 @@ def knn_label_ndcg(embeddings_ds, k: int = 10, query_mod: int = 25,
         return out
 
     merged = grouped_apply(
-        slim.map_batches(partial, batch_format="pyarrow"),
+        combine(slim, partial),
         ["qid"], fold,
         batch_format="pandas")
     return merged

@@ -14,6 +14,7 @@ from ..functions.textstats import (
     quality_scores,
     ws_token_count,
 )
+from ..stages.shuffle import combine, grouped_apply
 
 
 def token_counts(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
@@ -217,9 +218,7 @@ def bpe_pair_counts(docs_ds, k: int = 20, id_col: str = "doc_id",
     final sort.  Pure map + one exchange; the corpus never reshuffles."""
     import pyarrow.compute as pc
 
-    from ..stages.shuffle import grouped_apply
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def batch_pair_counts(batch: pa.Table) -> pa.Table:
         split = pc.split_pattern(batch.column(text_col), " ")
         flat = pc.list_flatten(split)
         toks = flat.filter(pc.greater(pc.utf8_length(flat), 1))
@@ -255,7 +254,7 @@ def bpe_pair_counts(docs_ds, k: int = 20, id_col: str = "doc_id",
         return pa.Table.from_pandas(pdf, preserve_index=False)
 
     summed = grouped_apply(
-        docs_ds.map_batches(partial, batch_format="pyarrow"),
+        docs_ds.map_batches(batch_pair_counts, batch_format="pyarrow"),
         ["pair"], merge,
         batch_format="pyarrow",
     )
@@ -308,8 +307,8 @@ def token_pmi(docs_ds, vocab: list[str], min_pairs: int = 1,
     n_docs = 0
     # constant-size per-batch stats stream to the driver (v² ints)
     for part in docs_ds.map_batches(
-        partial, batch_format="pyarrow"
-    ).iter_batches(batch_size=None, batch_format="pyarrow"):
+            partial, batch_format="pyarrow").iter_batches(
+            batch_size=None, batch_format="pyarrow"):
         for nd, buf in zip(part.column("n_docs").to_pylist(),
                            part.column("co").to_pylist()):
             n_docs += nd
@@ -383,8 +382,6 @@ def unigram_logprob(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     table (object-store resident, spills under pressure)."""
     import pyarrow.compute as pc
 
-    from ..stages.shuffle import grouped_apply
-
     tf = docs_ds.map_batches(
         lambda b: _tf_table(b, id_col, text_col), batch_format="pyarrow"
     ).materialize()
@@ -430,7 +427,7 @@ def unigram_logprob(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         })
 
     return grouped_apply(
-        scored.map_batches(mean_partial, batch_format="pyarrow"),
+        combine(scored, mean_partial),
         [id_col], mean_reduce,
         batch_format="pyarrow",
     )
@@ -453,7 +450,6 @@ def tfidf_top_terms(docs_ds, k: int = 5, id_col: str = "doc_id",
     bit-for-bit."""
     import pyarrow.compute as pc
 
-    from ..stages.shuffle import grouped_apply
     from .relational import window_topk
 
     n_docs = docs_ds.count()
@@ -527,8 +523,6 @@ def bigram_logprob(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     convention)."""
     import pyarrow.compute as pc
 
-    from ..stages.shuffle import grouped_apply
-
     tf = docs_ds.map_batches(
         lambda b: _bigram_tf_table(b, id_col, text_col),
         batch_format="pyarrow",
@@ -581,7 +575,7 @@ def bigram_logprob(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         })
 
     return grouped_apply(
-        scored.map_batches(mean_partial, batch_format="pyarrow"),
+        combine(scored, mean_partial),
         [id_col], mean_reduce,
         batch_format="pyarrow",
     )
@@ -739,8 +733,6 @@ def dsir_logratio(docs_ds, target_col: str = "is_target",
     exchange."""
     import pyarrow.compute as pc
 
-    from ..stages.shuffle import grouped_apply
-
     tf = docs_ds.map_batches(
         lambda b: _tf_flag_table(b, id_col, text_col, target_col),
         batch_format="pyarrow",
@@ -809,7 +801,7 @@ def dsir_logratio(docs_ds, target_col: str = "is_target",
         })
 
     return grouped_apply(
-        scored.map_batches(mean_partial, batch_format="pyarrow"),
+        combine(scored, mean_partial),
         [id_col], mean_reduce,
         batch_format="pyarrow",
     )
@@ -914,7 +906,6 @@ def corpus_profile(docs_ds, id_col: str = "doc_id",
     single-partition reduce assembles the card from O(partitions +
     langs) tiny rows.  The full text never rides an exchange."""
     from ..functions.textstats import content_hash, ws_token_count
-    from ..stages.shuffle import grouped_apply
 
     import pyarrow.compute as pc
 
@@ -959,13 +950,12 @@ def corpus_profile(docs_ds, id_col: str = "doc_id",
         })
 
     folded = grouped_apply(
-        docs_ds.map_batches(partial, batch_format="pyarrow",
-                            batch_size=8192),
+        combine(docs_ds, partial, batch_size=8192),
         ["kind", "key"], fold,
     )
 
     def finish(tbl: pa.Table) -> pa.Table:
-        df = tbl.to_pandas().drop(columns=["__card"])
+        df = tbl.to_pandas()
         sums = {k: int(df[df["kind"] == k]["n"].sum())
                 for k in ("n_docs", "n_empty", "total_chars",
                           "total_ws_tokens", "n_distinct_texts")}
@@ -995,12 +985,7 @@ def corpus_profile(docs_ds, id_col: str = "doc_id",
                 pa.int64()),
         })
 
-    return grouped_apply(
-        folded.map_batches(
-            lambda b: b.append_column(
-                "__card", pa.array([0] * b.num_rows, pa.int64())),
-            batch_format="pyarrow"),
-        ["__card"], finish, num_partitions=1)
+    return grouped_apply(folded, [], finish)
 
 
 def unigram_kl_drift(docs_ds, group_col: str = "source",
@@ -1030,16 +1015,13 @@ def unigram_kl_drift(docs_ds, group_col: str = "source",
     """
     import pyarrow.compute as pc
 
-    from ..stages.shuffle import grouped_apply
-
-    def partials(batch: pa.Table) -> pa.Table:
+    def batch_tok_counts(batch: pa.Table) -> pa.Table:
         t = _ws_explode(batch, group_col, text_col)
         agg = t.group_by([group_col, "tok"]).aggregate([([], "count_all")])
         return agg.rename_columns([group_col, "tok", "tf"])
 
     gt = docs_ds.select_columns([group_col, text_col]).map_batches(
-        partials, batch_format="pyarrow"
-    )
+        batch_tok_counts, batch_format="pyarrow")
 
     def per_token_partition(tbl: pa.Table) -> pa.Table:
         cg = tbl.group_by([group_col, "tok"]).aggregate([("tf", "sum")])
@@ -1108,12 +1090,7 @@ def unigram_kl_drift(docs_ds, group_col: str = "source",
             "kl": pa.array(sql_round(kl, ndigits), pa.float64()),
         })
 
-    return grouped_apply(
-        stats.map_batches(
-            lambda b: b.append_column(
-                "__card", pa.array([0] * b.num_rows, pa.int64())),
-            batch_format="pyarrow"),
-        ["__card"], finish, num_partitions=1)
+    return grouped_apply(stats, [], finish)
 
 
 def phrase_matches(docs_ds, phrase: list[str], id_col: str = "doc_id",
@@ -1197,8 +1174,6 @@ def nb_train_predict(docs_ds, label_col: str = "lang",
     form with the folded scalars in-closure."""
     import pyarrow.compute as pc
 
-    from ..stages.shuffle import grouped_apply
-
     def tf_flag(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch.column(text_col), " ")
         lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
@@ -1219,9 +1194,8 @@ def nb_train_predict(docs_ds, label_col: str = "lang",
             agg.column(id_col).to_numpy(zero_copy_only=False) % 2 == 0)
         return agg.append_column("is_train", pa.array(train, pa.bool_()))
 
-    tf = docs_ds.select_columns(
-        [id_col, label_col, text_col]
-    ).map_batches(tf_flag, batch_format="pyarrow")
+    tf = docs_ds.select_columns([id_col, label_col, text_col]).map_batches(
+        tf_flag, batch_format="pyarrow")
 
     OUT_SCHEMA = pa.schema([
         (id_col, pa.int64()), ("true_lab", pa.string()),
@@ -1308,9 +1282,8 @@ def nb_train_predict(docs_ds, label_col: str = "lang",
         }).filter(pa.array(ids % 2 == 0))
         return t.group_by(["lab"]).aggregate([([], "count_all")])
 
-    prior_rows = docs_ds.select_columns(
-        [id_col, label_col]
-    ).map_batches(prior_partial, batch_format="pyarrow").take_all()
+    prior_rows = docs_ds.select_columns([id_col, label_col]).map_batches(
+        prior_partial, batch_format="pyarrow").take_all()
     doc_counts: dict[str, int] = {}
     for r in prior_rows:
         doc_counts[r["lab"]] = doc_counts.get(r["lab"], 0) + r["count_all"]
@@ -1685,16 +1658,13 @@ def log_odds_terms(docs_ds, group_col: str = "source", k: int = 5,
     Reference has no counterpart (corpus-analysis surface)."""
     import pyarrow.compute as pc
 
-    from ..stages.shuffle import grouped_apply
-
     def gp_tf(batch: pa.Table) -> pa.Table:
         t = _ws_explode(batch, group_col, text_col)
         agg = t.group_by([group_col, "tok"]).aggregate([([], "count_all")])
         return agg.rename_columns([group_col, "tok", "c"])
 
-    partials = docs_ds.select_columns(
-        [group_col, text_col]
-    ).map_batches(gp_tf, batch_format="pyarrow")
+    partials = docs_ds.select_columns([group_col, text_col]).map_batches(
+        gp_tf, batch_format="pyarrow")
 
     OUT = pa.schema([
         (group_col, pa.string()), ("tok", pa.large_string()),
@@ -1808,7 +1778,6 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.8,
     import pyarrow.compute as pc
 
     from ..functions.dedup import capped_subgroups, group_salt
-    from ..stages.shuffle import grouped_apply
 
     n_docs = docs_ds.count()
 
@@ -1913,10 +1882,8 @@ def token_ids_encode(docs_ds, vocab_size: int | None = None,
     ordered id lists.  Reference has no counterpart."""
     import pyarrow.compute as pc
 
-    from ..stages.shuffle import grouped_apply
-
     # ---- exact corpus counts: one token-keyed exchange ----
-    def tok_partials(batch: pa.Table) -> pa.Table:
+    def batch_tok_counts(batch: pa.Table) -> pa.Table:
         t = _ws_explode(batch, id_col, text_col)
         agg = t.group_by(["tok"]).aggregate([([], "count_all")])
         return agg.rename_columns(["tok", "c"])
@@ -1926,7 +1893,7 @@ def token_ids_encode(docs_ds, vocab_size: int | None = None,
 
     counts = grouped_apply(
         docs_ds.select_columns([id_col, text_col]).map_batches(
-            tok_partials, batch_format="pyarrow"),
+            batch_tok_counts, batch_format="pyarrow"),
         ["tok"], sum_counts,
         batch_format="pandas",
     ).materialize()
@@ -2069,8 +2036,6 @@ def decode_token_ids(encoded_ds, vocab_ds, id_col: str = "doc_id",
     """
     import pyarrow.compute as pc
 
-    from ..stages.shuffle import grouped_apply
-
     def explode(b: pa.Table) -> pa.Table:
         lens = pc.list_value_length(b.column("ids")).to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -2152,18 +2117,16 @@ def stop_tokens(docs_ds, min_df_frac: float = 0.5,
     doc count is one metadata-cheap ``count()``."""
     import pyarrow.compute as pc
 
-    from ..stages.shuffle import grouped_apply
-
     n_docs = docs_ds.count()
     floor = min_df_frac * n_docs
 
-    def df_partials(batch: pa.Table) -> pa.Table:
+    def batch_doc_freqs(batch: pa.Table) -> pa.Table:
         t = _tf_table(batch, id_col, text_col)  # distinct per (doc, tok)
         agg = t.group_by(["tok"]).aggregate([([], "count_all")])
         return agg.rename_columns(["tok", "df"])
 
     partials = docs_ds.select_columns([id_col, text_col]).map_batches(
-        df_partials, batch_format="pyarrow")
+        batch_doc_freqs, batch_format="pyarrow")
 
     def reduce_df(pdf: pd.DataFrame) -> pd.DataFrame:
         s = pdf.groupby("tok", sort=False)["df"].sum().reset_index()

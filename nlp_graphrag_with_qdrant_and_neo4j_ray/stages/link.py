@@ -92,7 +92,7 @@ def collect_alias_dict(triples_ds, cfg: PipelineConfig, max_aliases: int = 2_000
     join (:class:`SpilledAlias`); a lineage row records the dictionary
     size and mode either way.
     """
-    from .shuffle import grouped_apply, partitions_for
+    from .shuffle import combine, grouped_apply
 
     model, dim = cfg.embedding_model, cfg.vector_size
     threshold = getattr(cfg, "alias_threshold", 0.96)
@@ -100,9 +100,7 @@ def collect_alias_dict(triples_ds, cfg: PipelineConfig, max_aliases: int = 2_000
     # per-batch distinct only — no global dedup shuffle: the per-bucket
     # merge below dedups keys itself, so cross-batch duplicate names just
     # add a few shuffled rows (far cheaper than a full groupby(name))
-    distinct = triples_ds.map_batches(
-        partial_distinct_names, batch_format="pyarrow", batch_size=65536
-    )
+    distinct = combine(triples_ds, partial_distinct_names, batch_size=65536)
 
     def keyed(batch: pa.Table) -> pa.Table:
         names = batch.column("name").to_pylist()
@@ -144,8 +142,6 @@ def collect_alias_dict(triples_ds, cfg: PipelineConfig, max_aliases: int = 2_000
         distinct.map_batches(keyed, batch_format="pyarrow", batch_size=65536),
         ["bucket"],
         merge_bucket,
-        # at most two distinct names per triple reach the exchange
-        num_partitions=partitions_for(triples_ds, per_row=2),
     ).materialize()  # small by construction; read twice below (count + use)
     n_alias = merged.count()
 
@@ -329,7 +325,7 @@ def link_triples(triples_ds, alias, cfg: PipelineConfig):
 # --------------------------- entity_nodes ---------------------------------
 
 
-def partial_entities(batch: pa.Table) -> pa.Table:
+def entity_mentions(batch: pa.Table) -> pa.Table:
     """Reshape linked triples → entity-mention rows, one per endpoint
     (vectorized, no per-batch combiner: entity names are mostly unique
     within a batch, so one would not shrink the exchange). Each row is
@@ -430,21 +426,17 @@ def entity_nodes(linked_ds, cfg: PipelineConfig):
     (stages/shuffle.py): the salt column spreads a head entity's
     partials over ``salt_buckets`` level-1 groups; level-2 sees ≤
     salt_buckets rows per entity regardless of skew. Both levels are
-    sized from their bound, two mention rows per linked triple (level 2
-    sees at most level 1's input)."""
-    from .shuffle import grouped_apply, partitions_for
+    sized from the linked-triple count, the mention rows' source."""
+    from .shuffle import grouped_apply
 
-    parts = partitions_for(linked_ds, per_row=2)
-    partials = linked_ds.map_batches(
-        partial_entities, batch_format="pyarrow", batch_size=65536
+    mentions = linked_ds.map_batches(
+        entity_mentions, batch_format="pyarrow", batch_size=65536
     )
     level1 = grouped_apply(
-        partials, ["entity_id", "salt"],
-        lambda tbl: fold_entities(tbl, ["entity_id", "salt"]),
-        num_partitions=parts)
-    return grouped_apply(
-        level1, ["entity_id"], make_final_entity_partition(cfg),
-        num_partitions=parts)
+        mentions, ["entity_id", "salt"],
+        lambda tbl: fold_entities(tbl, ["entity_id", "salt"]))
+    return grouped_apply(level1, ["entity_id"],
+                         make_final_entity_partition(cfg))
 
 
 # ------------------------------ edges --------------------------------------
@@ -486,14 +478,10 @@ def edges(linked_ds, cfg: PipelineConfig, with_pred_embedding: bool = True):
     (stages/ngram.py — ~28 s at 8 CPUs); hashing the key triple to an
     int partition column turns the exchange into an int sort with the
     string groupby done locally, Arrow-native on both sides (VERDICT r2
-    finding 6; pandas-vs-arrow measurement in BASELINE.md).
-    The exchange is sized from the linked-triple count (the combiner
-    emits at most one row per triple)."""
-    from .shuffle import grouped_apply
+    finding 6; pandas-vs-arrow measurement in BASELINE.md)."""
+    from .shuffle import combine, grouped_apply
 
-    partials = linked_ds.map_batches(
-        partial_edges, batch_format="pyarrow", batch_size=65536
-    )
+    partials = combine(linked_ds, partial_edges, batch_size=65536)
 
     agg = grouped_apply(partials, EDGE_KEYS, fold_edges)
     model, dim = cfg.embedding_model, cfg.vector_size

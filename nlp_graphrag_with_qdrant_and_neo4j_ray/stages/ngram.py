@@ -278,14 +278,11 @@ def term_nodes(terms_ds, cfg: PipelineConfig,
     groupby locally per partition cuts the exchange to an int sort. Both
     sides of the exchange stay Arrow (zero-copy from the object store;
     the local aggregate is ``pa.Table.group_by`` — measured against the
-    pandas round-trip in BASELINE.md, VERDICT r2 finding 6).
-    The exchange is sized from the terms row count, which bounds the
-    combiner's partials."""
-    from .shuffle import grouped_apply
+    pandas round-trip in BASELINE.md, VERDICT r2 finding 6)."""
+    from .shuffle import combine, grouped_apply
 
-    partials = terms_ds.map_batches(
-        partial_distinct_terms, batch_format="pyarrow", batch_size=batch_size
-    )
+    partials = combine(terms_ds, partial_distinct_terms,
+                       batch_size=batch_size)
 
     def agg_partition(batch: pa.Table) -> pa.Table:
         cid = batch.column("chunk_id")

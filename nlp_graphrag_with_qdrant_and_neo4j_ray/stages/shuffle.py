@@ -14,26 +14,36 @@ logic fully vectorized. Each call has a fixed cost, so every exchange
 is sized from its input by one rule, not by its caller (Spark AQE's
 post-shuffle coalescing, the same idea):
 
-    partitions_for(rows) = min(MAX_PARTITIONS,
-        max(cluster CPUs, ceil(rows / ROWS_PER_PARTITION)))
+    partitions_for = min(MAX_PARTITIONS, max(cluster CPUs,
+        ceil(rows / ROWS_PER_PARTITION + folded / BATCH_SIZE)))
 
-``rows`` comes from metadata alone — sizing never executes a Dataset.
-An input whose own count is known (Parquet footers of a read, block
-metadata of a materialized handoff) gives it exactly; a lazy input (a
-map, a projection, a union) is sized from the row counts of its
-plan's source leaves, so a union sums its sides. What a filter keeps
-(a ``filter`` op, or a Parquet read with a pushed-down filter) and what
-an earlier exchange's fold emits are unknown without running them and
-usually far fewer rows than their sources, so they add no rows: an
-exchange fed only by them gets the CPU floor. Only a source of
-unknown size (a streaming datasource) gives the cap. A caller passes a count
-only where its own structure sets one: a global fold
-(``num_partitions=1``), a salted merge over a fixed salt range, one
-partition per shard or block pair, a fold whose output depends on the
-count (the alias-spill file contract, negative sampling), or a spine
-exchange whose input fans out from its source (two entity mentions per
-linked triple, ``partitions_for(..., per_row=2)``). Elsewhere the
-count never changes an output row: every fold is per key.
+``rows`` and ``folded`` come from metadata alone — sizing never
+executes a Dataset. An input whose own count is known (Parquet footers
+of a read, block metadata of a materialized handoff) gives ``rows``
+exactly; a lazy input (a map, a projection, a union) is sized from the
+row counts of its plan's source leaves, so a union sums its sides. A
+leaf below a filter, an earlier exchange's fold or a per-batch combiner
+(``combine``: a partial aggregate, a per-batch distinct or top-k)
+counts as ``folded`` instead: those ops rarely emit more than they
+read, often far fewer, and how many is unknown until they run. So an
+exchange fed by them gets the CPU floor at small scale ("Every Row
+Counts", CIDR 2019, in its simplest form: no distinct-key estimate),
+and one whose fold barely shrinks its input still hands each call at
+most ``BATCH_SIZE`` rows on average, one map-side batch, until the
+cap. A map that may emit more rows than it reads (a tokenizer, an
+explode) is a plain ``map_batches``, so its source rows count in full.
+A Parquet read with a pushed-down filter counts nothing (Ray drops its
+footer count), and only a source of unknown size gives the cap.
+``grouped_apply(ds, [], fold)`` is the global fold: one partition, one
+``fold`` call with every row.
+
+No caller sizes an exchange. A caller passes a count only where the
+count is part of a contract: a salted merge over a fixed salt range,
+one partition per shard or similarity block pair, and a fold whose
+output depends on the count (the alias-spill files, negative
+sampling). Elsewhere the count never changes an output row: every
+fold is per key.
+
 Skew note: a hot KEY still lands in one partition, but per-key work
 here is per-row-linear (the combiners upstream cap per-key row counts),
 so partitions stay balanced; key-salting (see stages/link.py) handles
@@ -53,6 +63,8 @@ graph operators.
 
 from __future__ import annotations
 
+import functools
+import math
 import weakref
 
 import numpy as np
@@ -64,65 +76,63 @@ from ray.data._internal.logical.operators.read_operator import Read
 
 _PART = "__part"
 
-# rows one partition call is sized for: sf0.1's smallest spine exchange
-# (edges, ~1.45 M linked triples) still gets the cap on 32 CPUs, while
-# the 15 k-triple build_crawl tail gets at most 8 partitions on 1 CPU
+# rows one partition call is sized for: an exchange over a row map of
+# ~1 M source rows gets the cap, one over 30 k rows 8 partitions
 ROWS_PER_PARTITION = 4096
 # the partition count every spine exchange used before it was sized
 MAX_PARTITIONS = 256
 
 
-# the fold of every grouped_apply built in this process: what it emits
-# is unknown until it runs, so sizing adds nothing for it
+# rows per map-side batch of an exchange (the hash + tag of its input),
+# and the rows read below a filter, a fold or a combiner that one
+# partition of the exchange they feed is sized for
+BATCH_SIZE = 65536
+
+
+# the fold of every grouped_apply and the map of every combine built in
+# this process: what they emit is unknown until they run
 _FOLDS = weakref.WeakSet()
 
 
-def _adds_no_rows(op) -> bool:
-    """True for an op whose output rows metadata cannot tell and whose
-    source rows would overstate them: a filter (a ``filter`` op, or a
-    Parquet read with a pushed-down filter, for which Ray drops the
-    footer count) or an earlier exchange's fold."""
-    if op in _FOLDS or isinstance(op, Filter):
-        return True
+def _filtered_read(op) -> bool:
+    """A Parquet read with a pushed-down filter: Ray drops its footer
+    count, and what it keeps is unknown until it runs."""
     return (isinstance(op, Read)
             and isinstance(op._datasource, ParquetDatasource)
             and op._datasource._to_batches_kwargs.get("filter") is not None)
 
 
-def _source_rows(ds) -> int | None:
-    """Rows of ``ds`` from metadata alone: its own count when known
-    (Parquet footers of a read, block metadata of a materialized
-    Dataset), else the summed counts of its plan's source leaves (a
-    lazy map counts what it reads, a union both sides), counting
-    nothing below a filter or an earlier fold. None when a source's
-    size is unknown without running it. Never executes a Dataset."""
+def _source_rows(ds) -> tuple[int, int] | None:
+    """``(rows, folded)`` of ``ds`` from metadata alone: its own count
+    when known (Parquet footers of a read, block metadata of a
+    materialized Dataset), else the summed counts of its plan's source
+    leaves (a lazy map counts what it reads, a union both sides). The
+    leaves below a filter, an earlier exchange's fold or a combiner
+    count as ``folded``: those ops rarely emit more than they read,
+    often far fewer, and how many is unknown until they run. A filtered
+    Parquet read counts nothing. None when a source's size is unknown
+    without running it. Never executes a Dataset."""
     n = ds._meta_count()
     if n is not None:
-        return n
-    total, ops = 0, [ds._logical_plan.dag]
+        return n, 0
+    rows = folded = 0
+    ops = [(ds._logical_plan.dag, False)]
     while ops:
-        op = ops.pop()
-        if _adds_no_rows(op):
+        op, below_fold = ops.pop()
+        if _filtered_read(op):
             continue
+        below_fold = below_fold or op in _FOLDS or isinstance(op, Filter)
         if op.input_dependencies:
-            ops.extend(op.input_dependencies)
+            ops.extend((o, below_fold) for o in op.input_dependencies)
             continue
         n = op.infer_metadata().num_rows
         if n is None:
             return None
-        total += n
-    return total
-
-
-def _known_rows(datasets) -> int | None:
-    """Total source rows of ``datasets``, or None when any is unknown."""
-    total = 0
-    for ds in datasets:
-        n = _source_rows(ds)
-        if n is None:
-            return None
-        total += n
-    return total
+        if below_fold:
+            folded += n
+        else:
+            rows += n
+    return rows, folded
 
 
 def _cluster_cpus() -> int:
@@ -131,17 +141,17 @@ def _cluster_cpus() -> int:
     return int(ray.cluster_resources().get("CPU", 1))
 
 
-def partitions_for(*datasets, per_row: int = 1) -> int:
-    """Partition count for an exchange whose input is at most
-    ``per_row`` rows per row of ``datasets`` (two entity mentions per
-    linked triple): one partition per ``ROWS_PER_PARTITION`` rows, at
-    least one per cluster CPU, at most ``MAX_PARTITIONS`` — and
-    ``MAX_PARTITIONS`` when a source's size is unknown without running
-    it."""
-    rows = _known_rows(datasets)
-    if rows is None:
+def partitions_for(ds) -> int:
+    """Partition count for an exchange over ``ds``: one partition per
+    ``ROWS_PER_PARTITION`` source rows and per ``BATCH_SIZE`` rows read
+    below a filter, a fold or a combiner, at least one per cluster CPU,
+    at most ``MAX_PARTITIONS`` — and ``MAX_PARTITIONS`` when a source's
+    size is unknown without running it."""
+    counted = _source_rows(ds)
+    if counted is None:
         return MAX_PARTITIONS
-    wanted = -(-per_row * rows // ROWS_PER_PARTITION)
+    rows, folded = counted
+    wanted = math.ceil(rows / ROWS_PER_PARTITION + folded / BATCH_SIZE)
     return max(1, min(MAX_PARTITIONS, max(_cluster_cpus(), wanted)))
 
 
@@ -187,18 +197,45 @@ def _arrow_block(out: pa.Table | pd.DataFrame) -> pa.Table:
     return out.replace_schema_metadata(None)
 
 
+def combine(ds, fn, batch_format: str = "pyarrow",
+            batch_size: int | None = None):
+    """``ds.map_batches(fn, batch_format=, batch_size=)`` for a
+    per-batch combiner: ``fn`` folds one batch ahead of an exchange (a
+    partial aggregate, a per-batch distinct or top-k). Each output
+    becomes an Arrow block (``_arrow_block``), and the map is registered
+    as a fold, so an exchange fed by it, directly or as one side of a
+    union, counts its source rows per ``BATCH_SIZE``, not per
+    ``ROWS_PER_PARTITION``, when it is sized. A row map (select, tag,
+    add a column) or a fan-out that may emit more rows than it reads (a
+    tokenizer, an explode) stays a plain ``map_batches``: its source
+    rows count in full."""
+    @functools.wraps(fn)  # the op keeps the combiner's name in Ray's stats
+    def arrow_out(batch):
+        return _arrow_block(fn(batch))
+
+    out = ds.map_batches(arrow_out, batch_format=batch_format,
+                         batch_size=batch_size)
+    _FOLDS.add(out._logical_plan.dag)
+    return out
+
+
 def grouped_apply(ds, keys: list[str], partition_fn,
                   num_partitions: int | None = None,
-                  batch_size: int = 65536, batch_format: str = "pyarrow"):
+                  batch_format: str = "pyarrow"):
     """Hash-partition ``ds`` on ``keys`` and hand each WHOLE partition to
     ``partition_fn`` (which does its own local groupby over ``keys``) —
     for logic that vectorizes across groups (aggregations, windowing).
 
     ``num_partitions`` is the number of ``partition_fn`` calls (empty
-    partitions are never called). ``None`` — every caller but the few
-    the module docstring names — sizes it from the input with
-    ``partitions_for(ds)``. The output is registered as a fold, so an
-    exchange fed by it adds no rows for it when it is sized.
+    partitions are never called). ``None`` — every caller but the
+    contract-bound few the module docstring names — sizes it from the
+    input with ``partitions_for(ds)``; a per-batch combiner ahead of the
+    exchange goes through ``combine`` so that its source rows count per
+    ``BATCH_SIZE``, not per ``ROWS_PER_PARTITION``. ``keys=[]`` is the
+    global fold: no hash, one partition, so ``partition_fn`` is called
+    once with every row (and not at all on an empty input). The output
+    is registered as a fold, so an exchange fed by it counts its source
+    rows per ``BATCH_SIZE`` when it is sized.
 
     The partition column is computed from the KEY columns only (same
     ``_hash_rows`` everywhere — no pandas materialization) and appended to
@@ -213,7 +250,9 @@ def grouped_apply(ds, keys: list[str], partition_fn,
     partition's number recomputes it as ``_hash_rows(<one row>, keys) %
     num_partitions``, so it passes its count explicitly.
     """
-    if num_partitions is None:
+    if not keys:
+        num_partitions = 1
+    elif num_partitions is None:
         num_partitions = partitions_for(ds)
 
     # both sides strip b'pandas' schema metadata (see _arrow_block):
@@ -221,9 +260,9 @@ def grouped_apply(ds, keys: list[str], partition_fn,
     # carry it, and so do partition outputs built with from_pandas
     def add_part_arrow(batch: pa.Table) -> pa.Table:
         batch = _arrow_block(batch)
-        if batch.num_rows == 0:
-            return batch.append_column(_PART, pa.array([], pa.int64()))
-        part = (_hash_rows(batch, keys) % num_partitions).astype(np.int64)
+        part = np.zeros(batch.num_rows, np.int64)
+        if num_partitions > 1 and batch.num_rows:
+            part[:] = _hash_rows(batch, keys) % num_partitions
         return batch.append_column(_PART, pa.array(part))
 
     def per_partition(batch: pa.Table) -> pa.Table:
@@ -234,7 +273,7 @@ def grouped_apply(ds, keys: list[str], partition_fn,
 
     out = (
         ds.map_batches(add_part_arrow, batch_format="pyarrow",
-                       batch_size=batch_size)
+                       batch_size=BATCH_SIZE)
         .groupby(_PART)
         .map_groups(per_partition, batch_format="pyarrow")
     )
